@@ -40,8 +40,8 @@ def build_store(coeffs, allocation_factory, pool):
 def run_workload(store, queries, shape, levels, filt):
     before = store.io_snapshot()
     for query in queries:
-        entries = translate_query(query, shape, shape, levels, filt)
-        store.fetch(list(entries))
+        keys, _ = translate_query(query, shape, shape, levels, filt)
+        store.gather(keys)
     return store.io_since(before).reads
 
 

@@ -159,34 +159,8 @@ class BatchEvaluator:
             [int(np.prod(shape[k + 1:])) for k in range(len(shape))],
             dtype=np.intp,
         )
-        # Per-axis coefficient-index -> virtual-block lookup tables
-        # (tensor allocations only): the exact path assigns every batch
-        # entry to its block with array indexing instead of one
-        # ``block_of`` call per coefficient.
-        axes = getattr(engine.store.allocation, "axes", None)
-        if axes is not None:
-            self._axis_block_of = [
-                np.asarray(axis.block_of, dtype=np.intp) for axis in axes
-            ]
-            self._block_grid = tuple(
-                int(table.max()) + 1 for table in self._axis_block_of
-            )
-        else:  # pragma: no cover - non-tensor stores fall back
-            self._axis_block_of = None
-            self._block_grid = None
 
     # -- vectorized plumbing ---------------------------------------------
-
-    def _ravel_keys(self, keys, count: int) -> np.ndarray:
-        """Flat scratch indices of ``count`` index-tuple keys."""
-        if count == 0:
-            return np.empty(0, dtype=np.intp)
-        flat = np.fromiter(
-            (k for key in keys for k in key),
-            dtype=np.intp,
-            count=count * self._ndim,
-        ).reshape(count, self._ndim)
-        return flat @ self._strides
 
     def _scatter(self, payloads: dict) -> np.ndarray:
         """Dense flat scratch holding every fetched block's coefficients."""
@@ -195,15 +169,26 @@ class BatchEvaluator:
             m = len(payload)
             if m == 0:
                 continue
-            scratch[self._ravel_keys(payload.keys(), m)] = np.fromiter(
+            flat = np.fromiter(
+                (k for key in payload for k in key),
+                dtype=np.intp,
+                count=m * self._ndim,
+            ).reshape(m, self._ndim)
+            scratch[flat @ self._strides] = np.fromiter(
                 payload.values(), dtype=float, count=m
             )
         return scratch
 
-    def _stack(self, per_query: list[dict]):
-        """CSR-stack every query's indices and values in one pass.
+    def _translate(self, queries: list[RangeSumQuery]) -> list[tuple]:
+        """Every query's ``(keys, values)`` array translation."""
+        if not queries:
+            raise QueryError("batch evaluation needs at least one query")
+        return [self._engine.query_arrays(q) for q in queries]
 
-        Segment ``i`` keeps query ``i``'s entry-dict order, so its dot
+    def _stack(self, translated: list[tuple]):
+        """CSR-stack every query's indices and values.
+
+        Segment ``i`` keeps query ``i``'s translation order, so its dot
         against the gathered scratch reduces in exactly the order the
         engine's scalar kernel uses.
 
@@ -213,46 +198,29 @@ class BatchEvaluator:
             ``(total, ndim)`` multi-index matrix the ravel came from
             (reused for vectorized block assignment).
         """
-        counts = [len(entries) for entries in per_query]
-        offsets = np.zeros(len(counts) + 1, dtype=np.intp)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        keys = np.fromiter(
-            (k for entries in per_query for key in entries for k in key),
-            dtype=np.intp,
-            count=total * self._ndim,
-        ).reshape(total, self._ndim)
-        values = np.fromiter(
-            (v for entries in per_query for v in entries.values()),
-            dtype=float,
-            count=total,
-        )
+        offsets = np.zeros(len(translated) + 1, dtype=np.intp)
+        np.cumsum([len(values) for _, values in translated], out=offsets[1:])
+        keys = np.concatenate([keys for keys, _ in translated])
+        values = np.concatenate([values for _, values in translated])
         return keys @ self._strides, values, offsets, keys
 
     def _block_order(self, keys: np.ndarray, values: np.ndarray) -> list:
         """Unique blocks of a stacked batch, best-combined-energy first.
 
-        Fully vectorized: per-axis table lookups assign every entry to
-        its virtual block, ``np.unique`` collapses to the block set, and
+        Fully vectorized: the allocation's ``blocks_of`` assigns every
+        entry to its block, ``np.unique`` collapses to the block set, and
         a ``bincount`` accumulates each block's combined query energy
         (weighted by the stored data norm, as in
         :func:`~repro.storage.scheduler.plan_batch_blocks`).
         """
         if len(keys) == 0:
             return []
-        codes = np.ravel_multi_index(
-            tuple(
-                self._axis_block_of[d][keys[:, d]]
-                for d in range(self._ndim)
-            ),
-            self._block_grid,
+        allocation = self._engine.store.allocation
+        uniq, inverse = np.unique(
+            allocation.blocks_of(keys), return_inverse=True
         )
-        uniq, inverse = np.unique(codes, return_inverse=True)
         energy = np.sqrt(np.bincount(inverse, weights=values * values))
-        blocks = [
-            tuple(int(b) for b in multi)
-            for multi in zip(*np.unravel_index(uniq, self._block_grid))
-        ]
+        blocks = allocation.block_ids(uniq)
         norms = self._engine._block_norms
         importance = energy * np.array(
             [norms.get(block_id, 0.0) for block_id in blocks]
@@ -261,26 +229,15 @@ class BatchEvaluator:
             blocks[i] for i in np.argsort(-importance, kind="stable")
         ]
 
-    def _merged_plan(self, queries: list[RangeSumQuery]):
-        """Group all queries' coefficients by block.
-
-        Returns:
-            ``(per_query_entries, block_map, order)`` where ``block_map``
-            maps block id to a list of ``(query_index, coeff_index,
-            query_value)`` and ``order`` lists block ids by decreasing
-            combined importance (query energy times stored data norm).
-        """
-        if not queries:
-            raise QueryError("batch evaluation needs at least one query")
-        per_query = [self._engine.query_entries(q) for q in queries]
-        plans = plan_batch_blocks(
-            per_query,
-            self._engine.store.allocation.block_of,
+    def _merged_plan(self, translated: list[tuple]) -> dict:
+        """All queries' coefficients grouped by block: block id ->
+        ``[(query_index, coeff_index, query_value)]``, in decreasing
+        combined importance (query energy times stored data norm)."""
+        return plan_batch_blocks(
+            translated,
+            self._engine.store.allocation,
             data_norms=self._engine._block_norms,
         )
-        block_map = {plan.block_id: list(plan.triples) for plan in plans}
-        order = [plan.block_id for plan in plans]
-        return per_query, block_map, order
 
     def evaluate_exact(self, queries: list[RangeSumQuery]) -> list[float]:
         """Exact answers for every query, reading each block once.
@@ -290,14 +247,10 @@ class BatchEvaluator:
         :meth:`~repro.query.propolyne.ProPolyneEngine.evaluate_exact`.
         """
         with span("query.batch.exact"):
-            if not queries:
-                raise QueryError("batch evaluation needs at least one query")
-            per_query = [self._engine.query_entries(q) for q in queries]
-            indices, values, offsets, keys = self._stack(per_query)
-            if self._axis_block_of is not None:
-                order = self._block_order(keys, values)
-            else:  # pragma: no cover - non-tensor stores fall back
-                _, _, order = self._merged_plan(queries)
+            indices, values, offsets, keys = self._stack(
+                self._translate(queries)
+            )
+            order = self._block_order(keys, values)
             obs_counter("query.batch.batches").inc()
             obs_counter("query.batch.queries").inc(len(queries))
             obs_histogram(
@@ -330,14 +283,15 @@ class BatchEvaluator:
             One :class:`~repro.query.propolyne.QueryOutcome` per query.
         """
         with span("query.batch.degradable"):
-            per_query, block_map, order = self._merged_plan(queries)
+            translated = self._translate(queries)
+            block_map = self._merged_plan(translated)
             obs_counter("query.batch.batches").inc()
             obs_counter("query.batch.queries").inc(len(queries))
             norms = self._engine._block_norms
             sizes = self._engine._block_sizes
             payloads: dict = {}
             skipped: set = set()
-            for block_id in order:
+            for block_id in block_map:
                 try:
                     payloads[block_id] = self._engine.store.fetch_block(
                         block_id
@@ -345,7 +299,8 @@ class BatchEvaluator:
                 except StorageUnavailable:
                     skipped.add(block_id)
             scratch = self._scatter(payloads)
-            indices, values, offsets, _keys = self._stack(per_query)
+            indices, values, offsets, keys = self._stack(translated)
+            allocation = self._engine.store.allocation
             blocks_of_query: dict[int, set] = {
                 qi: set() for qi in range(len(queries))
             }
@@ -353,12 +308,12 @@ class BatchEvaluator:
                 for qi, _, _ in triples:
                     blocks_of_query[qi].add(block_id)
             outcomes = []
-            for qi, entries in enumerate(per_query):
+            for qi in range(len(queries)):
                 mine = blocks_of_query[qi]
                 lost = mine & skipped
                 read = len(mine) - len(lost)
+                lo, hi = int(offsets[qi]), int(offsets[qi + 1])
                 if not lost:
-                    lo, hi = int(offsets[qi]), int(offsets[qi + 1])
                     value = float(
                         np.dot(
                             values[lo:hi],
@@ -371,20 +326,12 @@ class BatchEvaluator:
                     continue
                 # Partial answer over surviving blocks, plus the skipped
                 # blocks' guaranteed bound and one-sigma forecast.
-                available = [
-                    idx
-                    for idx in entries
-                    if self._engine.store.allocation.block_of(idx)
-                    not in lost
-                ]
-                seen = {idx: entries[idx] for idx in available}
-                count = len(seen)
+                homes = allocation.block_ids(allocation.blocks_of(keys[lo:hi]))
+                available = np.array([home not in lost for home in homes])
                 estimate = float(
                     np.dot(
-                        np.fromiter(seen.values(), dtype=float, count=count),
-                        np.take(
-                            scratch, self._ravel_keys(seen.keys(), count)
-                        ),
+                        values[lo:hi][available],
+                        np.take(scratch, indices[lo:hi][available]),
                     )
                 )
                 bound = 0.0
@@ -436,7 +383,7 @@ class BatchEvaluator:
             raise QueryError(
                 f"unknown batch objective {objective!r}; use 'l2' or 'max'"
             )
-        per_query, block_map, order = self._merged_plan(queries)
+        block_map = self._merged_plan(self._translate(queries))
         norms = self._engine._block_norms
         remaining = [0.0] * len(queries)
         q_block_norm: dict[tuple[int, object], float] = {}
@@ -452,7 +399,7 @@ class BatchEvaluator:
                 blocks_of_query[qi].add(block_id)
 
         totals = [0.0] * len(queries)
-        pending = list(order)
+        pending = list(block_map)
         step = 0
         while pending:
             if objective == "l2":
@@ -486,15 +433,12 @@ class BatchEvaluator:
 
     def shared_block_count(self, queries: list[RangeSumQuery]) -> int:
         """Blocks a shared evaluation reads (planning only, no I/O)."""
-        _, block_map, _ = self._merged_plan(queries)
-        return len(block_map)
+        return len(self._merged_plan(self._translate(queries)))
 
     def independent_block_count(self, queries: list[RangeSumQuery]) -> int:
         """Total blocks independent evaluations would read."""
-        total = 0
-        for query in queries:
-            entries = self._engine.query_entries(query)
-            total += len(
-                {self._engine.store.allocation.block_of(i) for i in entries}
-            )
-        return total
+        blocks_of = self._engine.store.allocation.blocks_of
+        return sum(
+            len(np.unique(blocks_of(self._engine.query_arrays(query)[0])))
+            for query in queries
+        )

@@ -70,11 +70,12 @@ class DataApproxEngine:
     def evaluate(self, query: RangeSumQuery) -> float:
         """Answer a query against the synopsis (exact query translation,
         lossy data)."""
-        entries = translate_query(
+        keys, values = translate_query(
             query, self.original_shape, self.shape, self.levels, self.filter
         )
         total = 0.0
-        for multi_idx, qval in entries.items():
-            flat_idx = int(np.dot(multi_idx, self._strides))
+        for flat_idx, qval in zip(
+            (keys @ self._strides).tolist(), values.tolist()
+        ):
             total += qval * self._entries.get(flat_idx, 0.0)
         return float(total)

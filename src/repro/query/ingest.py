@@ -17,9 +17,8 @@ recipe that made batched reads fast (PR 6's
 * **Vectorized dedup and block assignment.**  Keys collapse to flat
   indices via the cached axis strides; ``np.unique`` reduces N points'
   overlapping supports to the distinct coefficient set, and the
-  per-axis ``block_of`` lookup tables + ``np.ravel_multi_index`` assign
-  every coefficient to its virtual block without one Python
-  ``block_of`` call per entry.
+  allocation's vectorized ``blocks_of`` assigns every coefficient to
+  its block without one Python ``block_of`` call per entry.
 * **Order-preserving accumulation.**  ``np.add.at`` applies the stacked
   deltas onto the gathered current values *unbuffered, in point order*
   — the identical float-operation sequence N sequential ``insert``
@@ -59,9 +58,9 @@ __all__ = ["BatchInserter"]
 class BatchInserter:
     """Vectorized multi-point append onto one ProPolyne engine.
 
-    Caches the engine's axis strides and per-axis block lookup tables
-    once (exactly like the batch evaluator), so every batch reuses the
-    same vectorized ravel/assign plumbing.
+    Caches the engine's axis strides once (exactly like the batch
+    evaluator); block assignment is the allocation's vectorized
+    ``blocks_of``.
 
     Metrics: ``query.insert.batches`` / ``query.inserts`` counters and
     the ``query.insert.batch_size`` / ``query.insert.blocks_touched``
@@ -80,22 +79,10 @@ class BatchInserter:
             [int(np.prod(shape[k + 1:])) for k in range(len(shape))],
             dtype=np.intp,
         )
-        axes = getattr(engine.store.allocation, "axes", None)
-        if axes is None:  # pragma: no cover - engines always tile tensors
-            raise QueryError(
-                "BatchInserter needs a tensor allocation with per-axis "
-                "block tables"
-            )
-        self._axis_block_of = [
-            np.asarray(axis.block_of, dtype=np.intp) for axis in axes
-        ]
-        self._block_grid = tuple(
-            int(table.max()) + 1 for table in self._axis_block_of
-        )
         # Per-point impulse translations repeat constantly in sensor
         # traffic (quantized readings revisit the same cells), so the
-        # delta dicts are memoized per distinct point.
-        self._delta_memo: dict[tuple[int, ...], dict] = {}
+        # (keys, values) deltas are memoized per distinct point.
+        self._delta_memo: dict[tuple[int, ...], tuple] = {}
 
     # -- validation --------------------------------------------------------
 
@@ -128,8 +115,9 @@ class BatchInserter:
                 )
         return pts, w
 
-    def _delta_of(self, point: tuple[int, ...]) -> dict:
-        """Memoized impulse transform of one point (``W(e_point)``)."""
+    def _delta_of(self, point: tuple[int, ...]) -> tuple:
+        """Memoized impulse transform of one point (``W(e_point)``), as
+        ``(keys, values)`` arrays."""
         delta = self._delta_memo.get(point)
         if delta is None:
             engine = self._engine
@@ -181,18 +169,9 @@ class BatchInserter:
         # 1. Stack every point's impulse transform: one key matrix, one
         #    value vector scaled by the point's weight, in point order.
         per_point = [self._delta_of(tuple(int(p) for p in pt)) for pt in pts]
-        counts = np.array([len(d) for d in per_point], dtype=np.intp)
-        total = int(counts.sum())
-        keys = np.fromiter(
-            (k for d in per_point for key in d for k in key),
-            dtype=np.intp,
-            count=total * self._ndim,
-        ).reshape(total, self._ndim)
-        values = np.fromiter(
-            (v for d in per_point for v in d.values()),
-            dtype=float,
-            count=total,
-        )
+        counts = [len(values) for _, values in per_point]
+        keys = np.concatenate([keys for keys, _ in per_point])
+        values = np.concatenate([values for _, values in per_point])
         scaled = values * np.repeat(w, counts)
         flat = keys @ self._strides
 
@@ -205,17 +184,11 @@ class BatchInserter:
 
         # 3. Vectorized block assignment of the distinct coefficients,
         #    then the touched-block union in one coalesced read.
-        codes = np.ravel_multi_index(
-            tuple(
-                self._axis_block_of[d][multi[d]] for d in range(self._ndim)
-            ),
-            self._block_grid,
+        allocation = store.allocation
+        block_codes, block_inverse = np.unique(
+            allocation.blocks_of(np.column_stack(multi)), return_inverse=True
         )
-        block_codes, block_inverse = np.unique(codes, return_inverse=True)
-        block_ids = [
-            tuple(int(b) for b in bm)
-            for bm in zip(*np.unravel_index(block_codes, self._block_grid))
-        ]
+        block_ids = allocation.block_ids(block_codes)
         obs_histogram(
             "query.insert.blocks_touched", DEFAULT_COUNT_BUCKETS
         ).observe(len(block_ids))

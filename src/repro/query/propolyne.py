@@ -37,7 +37,11 @@ from repro.obs import counter as obs_counter
 from repro.obs import histogram as obs_histogram
 from repro.obs import span
 from repro.query.rangesum import RangeSumQuery
-from repro.storage.allocation import TensorAllocation, subtree_tiling_allocation
+from repro.storage.allocation import (
+    TensorAllocation,
+    index_tuples,
+    subtree_tiling_allocation,
+)
 from repro.storage.blockstore import TensorBlockStore
 from repro.storage.scheduler import plan_blocks
 from repro.wavelets.dwt import max_levels
@@ -85,13 +89,20 @@ def translate_query(
     padded_shape: tuple[int, ...],
     levels: tuple[int, ...],
     filt,
-) -> dict[tuple[int, ...], float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sparse multivariate wavelet transform of a range-sum query vector.
 
-    Shared by the ProPolyne engine and the data-approximation baseline so
-    both answer precisely the same translated query.  Runs the lazy
-    transform per dimension and takes the outer product of the sparse
-    per-dimension vectors.
+    The one translation routine — the ProPolyne engine, the batch
+    evaluator and inserter and the data-approximation baseline all
+    answer precisely this translated query.  Runs the lazy transform
+    per dimension and takes the outer product of the sparse
+    per-dimension vectors, dropping exact-zero products after every
+    axis.
+
+    Returns:
+        ``(keys, values)``: the ``(N, ndim)`` coefficient multi-indices
+        and their ``N`` query coefficients, prefix-major (the first
+        axis's entries vary slowest).
     """
     if query.ndim != len(padded_shape):
         raise QueryError(
@@ -102,9 +113,11 @@ def translate_query(
             f"measure degree {query.max_degree} needs a filter with more "
             f"than {filt.vanishing_moments} vanishing moments"
         )
+    empty = np.empty((0, query.ndim), dtype=np.intp), np.empty(0)
     if query.is_empty():
-        return {}
-    partial: dict[tuple[int, ...], float] = {(): 1.0}
+        return empty
+    keys = np.empty((1, 0), dtype=np.intp)
+    values = np.ones(1)
     for axis, ((lo, hi), poly) in enumerate(zip(query.ranges, query.polys)):
         if hi >= original_shape[axis]:
             raise QueryError(
@@ -115,35 +128,35 @@ def translate_query(
             # Axis too small for the cascade: stored in the standard
             # basis (§3.1.1's multi-bases rule), so the "transform" of
             # the query vector is the vector itself.
-            positions = np.arange(lo, hi + 1, dtype=float)
-            weights = np.polynomial.polynomial.polyval(
-                positions, np.asarray(poly)
+            idx = np.arange(lo, hi + 1, dtype=np.intp)
+            vals = np.asarray(
+                np.polynomial.polynomial.polyval(
+                    idx.astype(float), np.asarray(poly)
+                ),
+                dtype=float,
             )
-            entries = {
-                int(j): float(w)
-                for j, w in zip(range(lo, hi + 1), np.atleast_1d(weights))
-                if w != 0.0
-            }
+            nonzero = vals != 0.0
+            idx, vals = idx[nonzero], vals[nonzero]
         else:
             # Memoized per-dimension transform: group-by / drill-down
             # workloads repeat dimension ranges constantly, and the memo
-            # turns those repeats into a dictionary lookup.  The cached
-            # vector is shared, so ``entries`` is read-only here.
-            sparse = cached_range_query_transform(
+            # turns those repeats into a lookup of the cached vector's
+            # (shared, read-only) index/value arrays.
+            idx, vals = cached_range_query_transform(
                 list(poly), lo, hi, padded_shape[axis],
                 wavelet=filt, levels=levels[axis],
-            )
-            entries = sparse.entries
-        grown: dict[tuple[int, ...], float] = {}
-        for prefix, pval in partial.items():
-            for idx, qval in entries.items():
-                product = pval * qval
-                if product != 0.0:
-                    grown[prefix + (idx,)] = product
-        partial = grown
-        if not partial:
-            return {}
-    return partial
+            ).arrays
+        product = np.multiply.outer(values, vals).ravel()
+        keys = np.column_stack(
+            [np.repeat(keys, len(idx), axis=0), np.tile(idx, len(values))]
+        )
+        keep = product != 0.0
+        if not keep.all():
+            keys, product = keys[keep], product[keep]
+        values = product
+        if not len(values):
+            return empty
+    return keys, values
 
 
 def pad_to_pow2(cube: np.ndarray) -> np.ndarray:
@@ -334,14 +347,8 @@ class ProPolyneEngine:
             storage=storage,
         )
         self.breaker = self.store.breaker
-        blocks = allocation.build_blocks(coeffs)
-        self._block_norms = {
-            block_id: float(math.sqrt(sum(v * v for v in items.values())))
-            for block_id, items in blocks.items()
-        }
-        self._block_sizes = {
-            block_id: len(items) for block_id, items in blocks.items()
-        }
+        self._block_norms = self.store.block_norms
+        self._block_sizes = self.store.block_sizes
         # Serializes every mutation of stored coefficients and norm
         # bookkeeping: concurrent inserts used to race their per-block
         # read-modify-writes (lost updates); readers stay lock-free.
@@ -467,12 +474,12 @@ class ProPolyneEngine:
 
     # -- query translation -------------------------------------------------
 
-    def query_entries(
+    def query_arrays(
         self, query: RangeSumQuery
-    ) -> dict[tuple[int, ...], float]:
-        """Sparse multivariate wavelet transform of the query vector.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sparse multivariate wavelet transform of the query vector, as
+        ``(keys, values)`` arrays (see :func:`translate_query`).
 
-        Runs the lazy transform per dimension and takes the outer product.
         Complexity: product of per-dimension sparse sizes, each
         ``O(filter_length * log n)``.
         """
@@ -480,9 +487,17 @@ class ProPolyneEngine:
             query, self.original_shape, self.shape, self.levels, self.filter
         )
 
+    def query_entries(
+        self, query: RangeSumQuery
+    ) -> dict[tuple[int, ...], float]:
+        """:meth:`query_arrays` as a ``{key tuple: coefficient}`` dict
+        (same entries, same order)."""
+        keys, values = self.query_arrays(query)
+        return dict(zip(index_tuples(keys), values.tolist()))
+
     def n_query_coefficients(self, query: RangeSumQuery) -> int:
         """Size of the sparse query transform (the E5 metric)."""
-        return len(self.query_entries(query))
+        return len(self.query_arrays(query)[1])
 
     # -- evaluation ---------------------------------------------------------
 
@@ -505,13 +520,13 @@ class ProPolyneEngine:
             return self.as_of_view(as_of).evaluate_exact(query)
         with span("query.exact"):
             obs_counter("query.exact.queries").inc()
-            entries = self.query_entries(query)
-            if not entries:
+            keys, values = self.query_arrays(query)
+            if not len(values):
                 return 0.0
-            # store.fetch observes query.blocks_per_query — it already
+            # store.gather observes query.blocks_per_query — it already
             # knows the block set, so the engine need not recompute it.
-            stored = self.store.fetch(list(entries))
-            return sparse_inner_product(entries, stored)
+            # Same np.dot, same operand order as sparse_inner_product.
+            return float(np.dot(values, self.store.gather(keys)))
 
     def _progressive_steps(
         self, entries: dict, importance: str = "l2",

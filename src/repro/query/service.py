@@ -38,9 +38,9 @@ import time
 from concurrent.futures import Future
 from typing import Hashable, Iterator
 
-from repro.core.errors import QueryError, StorageError
+from repro.core.errors import QueryError
 from repro.lint.lockwatch import watched_lock
-from repro.obs import DEFAULT_COUNT_BUCKETS, DEFAULT_LATENCY_BUCKETS
+from repro.obs import DEFAULT_LATENCY_BUCKETS
 from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
 from repro.obs import histogram as obs_histogram
@@ -52,6 +52,7 @@ from repro.query.propolyne import (
     QueryOutcome,
 )
 from repro.query.rangesum import RangeSumQuery
+from repro.storage.blockstore import TensorReads
 
 __all__ = [
     "ProgressiveStream",
@@ -222,14 +223,15 @@ class ScanCoordinator:
             }
 
 
-class SharedScanStore:
+class SharedScanStore(TensorReads):
     """Read-only block-store view whose reads go through a coordinator.
 
-    Implements the two read entry points the ProPolyne engine uses
-    (:meth:`fetch` and :meth:`fetch_block`) on top of
-    :class:`ScanCoordinator`; every other attribute (``allocation``,
-    ``disk``, ``io_snapshot``, ...) delegates to the wrapped store.
-    Mutating operations must go to the underlying store directly.
+    Block reads (:meth:`fetch_block`, :meth:`fetch_blocks`, and the
+    shared :class:`~repro.storage.blockstore.TensorReads` kernel's
+    block hook) ride :class:`ScanCoordinator`; every other attribute
+    (``allocation``, ``disk``, ``io_snapshot``, ...) delegates to the
+    wrapped store.  Mutating operations must go to the underlying store
+    directly.
     """
 
     def __init__(
@@ -254,28 +256,9 @@ class SharedScanStore:
         """Coalesced, single-flighted bulk fetch (the batch I/O path)."""
         return self.coordinator.fetch_blocks(block_ids)
 
-    def fetch(self, indices) -> dict:
-        """Fetch the requested coefficients block-wise (single-flighted).
-
-        Mirrors the wrapped store's ``fetch`` contract — same block set,
-        same values, same ``query.blocks_per_query`` observation — so
-        exact evaluation through the view is bitwise-identical to
-        evaluation on the plain store.
-        """
-        block_of = self._store.allocation.block_of
-        needed = {block_of(i) for i in indices}
-        obs_histogram(
-            "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
-        ).observe(len(needed))
-        cache: dict = {}
-        for block_id in sorted(needed):
-            cache.update(self.fetch_block(block_id))
-        try:
-            return {i: cache[i] for i in indices}
-        except KeyError as exc:
-            raise StorageError(
-                f"coefficient {exc} missing from blocks"
-            ) from exc
+    def _read_blocks(self, block_ids: list) -> dict:
+        """One single-flighted fetch per block, in the given order."""
+        return {block_id: self.fetch_block(block_id) for block_id in block_ids}
 
 
 def shared_scan_view(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,14 @@ __all__ = [
     "utilization_bound",
     "measure_utilization",
     "TensorAllocation",
+    "index_tuples",
 ]
+
+
+def index_tuples(keys: np.ndarray) -> list[tuple[int, ...]]:
+    """Rows of an ``(N, ndim)`` index array as tuples of Python ints —
+    the key shape block payloads and entry dictionaries use."""
+    return list(zip(*keys.T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -266,6 +274,43 @@ class TensorAllocation:
             cap *= axis.block_size
         return cap
 
+    @cached_property
+    def _tables(self) -> tuple[list[np.ndarray], tuple[int, ...]]:
+        """Per-axis index -> virtual-block tables and the block grid."""
+        tables = [np.asarray(a.block_of, dtype=np.intp) for a in self.axes]
+        return tables, tuple(int(t.max()) + 1 for t in tables)
+
+    def blocks_of(self, keys) -> np.ndarray:
+        """Block *codes* of ``(N, ndim)`` coefficient keys, vectorized.
+
+        A code is the block-id tuple raveled over the block grid, so
+        codes sort exactly like the id tuples; :meth:`block_ids` turns
+        them back.  Out-of-range keys and wrong arity raise
+        :class:`~repro.core.errors.StorageError` (never ``IndexError``,
+        never a silent negative wrap).
+        """
+        keys = np.asarray(keys, dtype=np.intp)
+        if keys.size == 0:
+            return np.empty(0, dtype=np.intp)
+        if keys.ndim != 2 or keys.shape[1] != len(self.axes):
+            raise StorageError(
+                f"keys of shape {keys.shape} are not (N, {len(self.axes)}) "
+                f"coefficient indices"
+            )
+        if (keys < 0).any() or (keys >= self.shape).any():
+            raise StorageError(
+                f"coefficient index outside allocation shape {self.shape}"
+            )
+        tables, grid = self._tables
+        return np.ravel_multi_index(
+            tuple(table[keys[:, d]] for d, table in enumerate(tables)), grid
+        )
+
+    def block_ids(self, codes) -> list[tuple[int, ...]]:
+        """Block-id tuples of :meth:`blocks_of` codes, in order."""
+        multi = np.unravel_index(codes, self._tables[1])
+        return list(zip(*(axis.tolist() for axis in multi)))
+
     def block_of(self, multi_index: tuple[int, ...]) -> tuple[int, ...]:
         """Actual block holding the coefficient at ``multi_index``."""
         if len(multi_index) != len(self.axes):
@@ -279,17 +324,30 @@ class TensorAllocation:
     def build_blocks(
         self, coeffs: np.ndarray
     ) -> dict[tuple[int, ...], dict[tuple[int, ...], float]]:
-        """Group a dense coefficient cube into product-block payloads."""
+        """Group a dense coefficient cube into product-block payloads.
+
+        One vectorized pass; blocks appear in first-touched row-major
+        order and each payload lists its keys row-major, as a scan of
+        the cube would produce them.
+        """
         cube = np.asarray(coeffs, dtype=float)
         if cube.shape != self.shape:
             raise StorageError(
                 f"coefficient cube shape {cube.shape} != allocation "
                 f"shape {self.shape}"
             )
+        keys = np.indices(cube.shape).reshape(cube.ndim, -1).T
+        codes = self.blocks_of(keys)
+        order = np.argsort(codes, kind="stable")
+        uniq, first, counts = np.unique(
+            codes, return_index=True, return_counts=True
+        )
+        ends = np.cumsum(counts).tolist()
+        key_tuples = index_tuples(keys[order])
+        values = cube.ravel()[order].tolist()
+        block_ids = self.block_ids(uniq)
         blocks: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
-        for multi_index in np.ndindex(*cube.shape):
-            block_id = self.block_of(multi_index)
-            blocks.setdefault(block_id, {})[multi_index] = float(
-                cube[multi_index]
-            )
+        for b in np.argsort(first).tolist():
+            lo, hi = ends[b] - int(counts[b]), ends[b]
+            blocks[block_ids[b]] = dict(zip(key_tuples[lo:hi], values[lo:hi]))
         return blocks

@@ -22,13 +22,19 @@ path (regression-tested to be bitwise-identical).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.errors import StorageError
 from repro.obs import DEFAULT_COUNT_BUCKETS
 from repro.obs import histogram as obs_histogram
 from repro.obs import span
-from repro.storage.allocation import Allocation, TensorAllocation
+from repro.storage.allocation import (
+    Allocation,
+    TensorAllocation,
+    index_tuples,
+)
 from repro.storage.device import StorageSpec
 from repro.storage.disk import IOStats
 
@@ -247,7 +253,66 @@ class WaveletBlockStore(_StoreBase):
         )
 
 
-class TensorBlockStore(_StoreBase):
+class TensorReads:
+    """The one coefficient-read kernel every tensor store view shares.
+
+    A view supplies ``allocation`` and :meth:`_read_blocks` — how a
+    sorted list of block ids is read: the live device's ``read_many``,
+    the shared-scan view's single-flight loop, an as-of view's
+    pre-image-else-live — and inherits :meth:`gather` plus its
+    dict/set-shaped wrappers.
+    """
+
+    def _read_blocks(self, block_ids: list) -> dict:
+        """Payloads of ``block_ids`` (sorted, distinct), keyed by id."""
+        return self.device.read_many(block_ids)
+
+    def gather(self, keys) -> np.ndarray:
+        """Stored values of ``(N, ndim)`` coefficient keys, in key order.
+
+        ``blocks_of`` → stable sort by block code → one sorted block
+        read → per-block lookup → un-permute.
+        """
+        with span("storage.fetch"):
+            keys = np.asarray(keys, dtype=np.intp)
+            codes = self.allocation.blocks_of(keys)
+            order = np.argsort(codes, kind="stable")
+            uniq, starts = np.unique(codes[order], return_index=True)
+            needed = self.allocation.block_ids(uniq)
+            obs_histogram(
+                "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
+            ).observe(len(needed))
+            blocks = self._read_blocks(needed)
+            wanted = index_tuples(keys[order])
+            bounds = starts.tolist() + [len(wanted)]
+            found: list[float] = []
+            try:
+                for b, block_id in enumerate(needed):
+                    found.extend(map(
+                        blocks[block_id].__getitem__,
+                        wanted[bounds[b]:bounds[b + 1]],
+                    ))
+            except KeyError as exc:
+                raise StorageError(
+                    f"coefficient {exc} missing from blocks"
+                ) from exc
+            out = np.empty(len(wanted))
+            out[order] = found
+            return out
+
+    def fetch(self, indices) -> dict[tuple[int, ...], float]:
+        """:meth:`gather` as a ``{key tuple: value}`` dictionary."""
+        keys = np.asarray(indices, dtype=np.intp)
+        values = self.gather(keys)
+        return dict(zip(index_tuples(keys), values.tolist()))
+
+    def blocks_for(self, indices) -> set[tuple[int, ...]]:
+        """Blocks a set of coefficients lives on (planning, no I/O)."""
+        codes = self.allocation.blocks_of(indices)
+        return set(self.allocation.block_ids(np.unique(codes)))
+
+
+class TensorBlockStore(TensorReads, _StoreBase):
     """Multivariate coefficient cube on Cartesian-product blocks."""
 
     def __init__(
@@ -271,8 +336,19 @@ class TensorBlockStore(_StoreBase):
             storage, pool_capacity, fault_plan, retry_policy, breaker
         )
         self._init_storage(spec, allocation.block_capacity)
-        self._populate(allocation.build_blocks(cube))
+        blocks = allocation.build_blocks(cube)
+        self._populate(blocks)
         self._norm = float(np.linalg.norm(cube.ravel()))
+        #: Per-block L2 norms and item counts, taken from the same pass
+        #: that populated the device; the engine's progressive bounds
+        #: read them and its batch inserter keeps the norms current.
+        self.block_norms = {
+            block_id: float(math.sqrt(sum(v * v for v in items.values())))
+            for block_id, items in blocks.items()
+        }
+        self.block_sizes = {
+            block_id: len(items) for block_id, items in blocks.items()
+        }
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -283,33 +359,6 @@ class TensorBlockStore(_StoreBase):
     def data_norm(self) -> float:
         """L2 norm of the stored cube (for progressive error bounds)."""
         return self._norm
-
-    def fetch(
-        self, indices: list[tuple[int, ...]]
-    ) -> dict[tuple[int, ...], float]:
-        """Fetch the requested multivariate coefficients block-wise,
-        fanning out across shards through the device's bulk path."""
-        with span("storage.fetch"):
-            needed = sorted({self.allocation.block_of(i) for i in indices})
-            obs_histogram(
-                "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
-            ).observe(len(needed))
-            blocks = self.device.read_many(needed)
-            cache: dict[tuple[int, ...], float] = {}
-            for block_id in needed:
-                cache.update(blocks[block_id])
-            try:
-                return {tuple(i): cache[tuple(i)] for i in indices}
-            except KeyError as exc:
-                raise StorageError(
-                    f"coefficient {exc} missing from blocks"
-                ) from exc
-
-    def blocks_for(
-        self, indices: list[tuple[int, ...]]
-    ) -> set[tuple[int, ...]]:
-        """Blocks a set of coefficients lives on (planning, no I/O)."""
-        return {self.allocation.block_of(i) for i in indices}
 
     def fetch_block(
         self, block_id: tuple[int, ...]

@@ -41,8 +41,8 @@ from repro.lint.lockwatch import watched_lock
 from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
 from repro.obs import histogram as obs_histogram
-from repro.obs import span
 from repro.obs import DEFAULT_COUNT_BUCKETS
+from repro.storage.blockstore import TensorReads
 
 __all__ = ["AsOfStore", "EpochLog", "EpochRecord"]
 
@@ -223,15 +223,16 @@ class EpochLog:
             }
 
 
-class AsOfStore:
+class AsOfStore(TensorReads):
     """Read-only block-store view pinned to one epoch.
 
-    Implements the three read entry points the ProPolyne engine and the
-    batch evaluator use (``fetch``, ``fetch_block``, ``fetch_blocks``);
-    everything else (``allocation``, ``shard_of``, ``breakers``, ...)
-    delegates to the wrapped store, which may itself be a
-    :class:`~repro.query.service.SharedScanStore` — as-of reads that
-    fall through to live storage still coalesce and single-flight.
+    Serves block reads (``fetch_block``, ``fetch_blocks`` and the
+    shared :class:`~repro.storage.blockstore.TensorReads` kernel's
+    block hook) as of that epoch; everything else (``allocation``,
+    ``shard_of``, ``breakers``, ...) delegates to the wrapped store,
+    which may itself be a :class:`~repro.query.service.SharedScanStore`
+    — as-of reads that fall through to live storage still coalesce and
+    single-flight.
 
     Blocks a later epoch touched are served from their logged
     pre-image with **zero device I/O**; only never-again-touched blocks
@@ -277,6 +278,10 @@ class AsOfStore:
             out.update(self._store.fetch_blocks(live))
         return out
 
+    #: The shared ``gather``/``fetch`` kernel's block hook: pre-image
+    #: where one is logged, else the wrapped store's bulk read.
+    _read_blocks = fetch_blocks
+
     def store_blocks(self, payloads: dict) -> None:
         """Refused: as-of views are frozen history (route writes to the
         live store)."""
@@ -289,29 +294,3 @@ class AsOfStore:
         raise StorageError(
             f"store pinned to epoch {self.epoch} is read-only"
         )
-
-    def fetch(self, indices) -> dict:
-        """Fetch the requested coefficients as of the pinned epoch.
-
-        Mirrors the wrapped store's ``fetch`` contract (same block set,
-        same ``query.blocks_per_query`` observation), so exact
-        evaluation through the view reduces over identical stored
-        values — which is what makes an as-of answer bitwise-equal to
-        the answer computed live at that epoch.
-        """
-        with span("storage.fetch"):
-            block_of = self._store.allocation.block_of
-            needed = sorted({block_of(i) for i in indices})
-            obs_histogram(
-                "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
-            ).observe(len(needed))
-            blocks = self.fetch_blocks(needed)
-            cache: dict = {}
-            for block_id in needed:
-                cache.update(blocks[block_id])
-            try:
-                return {tuple(i): cache[tuple(i)] for i in indices}
-            except KeyError as exc:
-                raise StorageError(
-                    f"coefficient {exc} missing from blocks"
-                ) from exc

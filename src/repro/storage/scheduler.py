@@ -23,9 +23,9 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from repro.core.errors import StorageError
+from repro.storage.allocation import index_tuples
 
 __all__ = [
-    "BatchBlockPlan",
     "BlockPlan",
     "coalesce_by_shard",
     "plan_batch_blocks",
@@ -92,71 +92,49 @@ def plan_blocks(
     return plans
 
 
-@dataclass(frozen=True)
-class BatchBlockPlan:
-    """One block's share of a whole query batch.
-
-    Attributes:
-        block_id: The block to read (once, for every query that needs it).
-        triples: ``(query_index, coefficient_key, query_value)`` for every
-            batch coefficient living on this block.
-        importance: Combined L2 query energy on the block, optionally
-            weighted by the stored data norm — the error-bound mass the
-            whole batch recovers by fetching it.
-    """
-
-    block_id: Hashable
-    triples: tuple
-    importance: float
-
-
 def plan_batch_blocks(
-    per_query_entries: list[dict],
-    block_of,
+    translated: list[tuple],
+    allocation,
     data_norms: dict | None = None,
-) -> list[BatchBlockPlan]:
+) -> dict[Hashable, list]:
     """Merge several queries' sparse transforms into one block schedule.
 
     The batch analogue of :func:`plan_blocks`: coefficients from *all*
     queries are grouped by owning block, so each block appears exactly
     once however many queries touch it, ordered by decreasing combined
     importance (``sqrt(sum q^2) * ||data_block||`` when ``data_norms``
-    is given, plain combined query energy otherwise).
+    is given, plain combined query energy otherwise) — the error-bound
+    mass the whole batch recovers by fetching the block.
 
     Args:
-        per_query_entries: One sparse transform per query.
-        block_of: Callable mapping a coefficient key to its block id.
+        translated: One sparse transform per query, as ``(keys,
+            values)`` arrays (``(N, ndim)`` multi-indices, ``N``
+            coefficients).
+        allocation: The :class:`~repro.storage.allocation.TensorAllocation`
+            whose vectorized ``blocks_of`` assigns keys to blocks.
         data_norms: Optional per-block stored-data L2 norms.
 
     Returns:
-        Plans sorted by decreasing combined importance.
+        ``block_id -> [(query_index, coefficient_key, query_value)]``
+        for every batch coefficient on the block, most important block
+        first.
     """
     grouped: dict[Hashable, list] = {}
-    # Overlapping batches resolve the same coefficient keys many times
-    # over; memoizing block_of turns the dominant per-entry call into a
-    # dict hit.
-    block_cache: dict = {}
-    for qi, entries in enumerate(per_query_entries):
-        for key, value in entries.items():
-            block_id = block_cache.get(key)
-            if block_id is None:
-                block_id = block_cache[key] = block_of(key)
+    for qi, (keys, values) in enumerate(translated):
+        block_ids = allocation.block_ids(allocation.blocks_of(keys))
+        for block_id, key, value in zip(
+            block_ids, index_tuples(keys), values.tolist()
+        ):
             grouped.setdefault(block_id, []).append((qi, key, value))
-    plans = []
-    for block_id, triples in grouped.items():
-        energy = math.sqrt(sum(v * v for _, _, v in triples))
-        weight = (
-            data_norms.get(block_id, 0.0) if data_norms is not None else 1.0
-        )
-        plans.append(
-            BatchBlockPlan(
-                block_id=block_id,
-                triples=tuple(triples),
-                importance=energy * weight,
-            )
-        )
-    plans.sort(key=lambda p: -p.importance)
-    return plans
+
+    def importance(block_id) -> float:
+        energy = math.sqrt(sum(v * v for _, _, v in grouped[block_id]))
+        if data_norms is None:
+            return energy
+        return energy * data_norms.get(block_id, 0.0)
+
+    order = sorted(grouped, key=importance, reverse=True)
+    return {block_id: grouped[block_id] for block_id in order}
 
 
 def coalesce_by_shard(

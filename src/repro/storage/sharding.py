@@ -74,6 +74,11 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
         # hottest I/O path.
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = watched_lock("storage.shard_fanout")
+        # Memo of the pure placement, block id -> shard, filled by the
+        # write paths and so bounded by the block directory (an id never
+        # written is placed on the fly).  Unlocked: dict get/set are
+        # atomic and every writer stores the same value for a key.
+        self._placement: dict[Hashable, int] = {}
 
     @property
     def block_size(self) -> int:
@@ -82,7 +87,8 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
 
     def shard_of(self, block_id: Hashable) -> int:
         """Shard index owning a block id (deterministic across runs)."""
-        return place(block_id, self.n_shards)
+        shard = self._placement.get(block_id)
+        return place(block_id, self.n_shards) if shard is None else shard
 
     def _device_for(self, block_id: Hashable):
         return self.devices[self.shard_of(block_id)]
@@ -166,7 +172,8 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
 
     def write_block(self, block_id: Hashable, items) -> None:
         """Store one block on its owning shard."""
-        self._device_for(block_id).write_block(block_id, items)
+        shard = self._placement[block_id] = self.shard_of(block_id)
+        self.devices[shard].write_block(block_id, items)
 
     def write_many(self, blocks: dict) -> None:
         """Store several blocks, fanning out across the shards touched.
@@ -183,6 +190,8 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
         ``__notes__`` entries, exactly like the read path.
         """
         groups = coalesce_by_shard(blocks, self.shard_of)
+        for shard, ids in groups:
+            self._placement.update(dict.fromkeys(ids, shard))
         if not groups:
             return
         if len(groups) == 1 or self.fanout_workers == 1:

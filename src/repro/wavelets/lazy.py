@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -234,6 +235,17 @@ class SparseWaveletVector:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indices, values)`` in entry order, materialised once per
+        vector — valid while ``entries`` is left alone, which memoized
+        transforms are (see :func:`cached_range_query_transform`)."""
+        count = len(self.entries)
+        return (
+            np.fromiter(self.entries.keys(), dtype=np.intp, count=count),
+            np.fromiter(self.entries.values(), dtype=float, count=count),
+        )
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full flat-layout vector (for testing)."""

@@ -63,6 +63,24 @@ class TestPlacement:
                 assert inner.has_block(b) == (i == shard)
 
 
+    def test_placement_memo_is_bounded_by_the_block_directory(self):
+        # Reads place on the fly; only writes (blocks entering the
+        # directory) are remembered, and what is remembered is place().
+        dev = build_sharded(4)
+        for b in range(64):
+            assert dev.shard_of(b) == place(b, 4)
+        assert dev._placement == {}
+        dev.write_block(3, {3: 3.0})
+        dev.write_many({(1, 2): {0: 1.0}, 7: {7: 7.0}})
+        assert dev._placement == {b: place(b, 4) for b in (3, (1, 2), 7)}
+        assert sorted(dev._placement, key=repr) == sorted(
+            dev.block_ids(), key=repr
+        )
+        assert dev.read_many([7, (1, 2), 3]) == {
+            7: {7: 7.0}, (1, 2): {0: 1.0}, 3: {3: 3.0},
+        }
+
+
 class TestShardedDevice:
     def test_reads_and_bulk_reads_round_trip(self):
         dev = build_sharded(3)
