@@ -36,8 +36,10 @@ def blocks_to_accuracy(engine, query, exact, order_plans, target=0.01):
     plans = order_plans(engine, plans)
     estimate = 0.0
     for step, plan in enumerate(plans, start=1):
-        block = engine.store.fetch_block(plan.block_id)
-        estimate += sum(q * block[i] for i, q in plan.entries.items())
+        found = engine.store.block_values(plan.block_id, list(plan.entries))
+        estimate += sum(
+            q * d for q, d in zip(plan.entries.values(), found.tolist())
+        )
         if abs(estimate - exact) <= target * max(abs(exact), 1.0):
             return step
     return len(plans)

@@ -110,10 +110,8 @@ def run_batch_append() -> dict:
     bat_coeffs = _all_coefficients(batched_engine)
     total = sum(len(block) for block in seq_coeffs.values())
     identical = sum(
-        1
+        int(np.count_nonzero(seq_coeffs[block_id] == bat_coeffs[block_id]))
         for block_id in seq_coeffs
-        for key, value in seq_coeffs[block_id].items()
-        if bat_coeffs[block_id][key] == value
     )
     sequential_engine.store.close()
     batched_engine.store.close()

@@ -16,7 +16,7 @@ Three read-fault kinds are injected:
   a :class:`~repro.storage.device.CrcFramedDevice` (the canonical
   order), the corrupted *frame* propagates up and the CRC check — not
   luck — raises :class:`~repro.core.errors.CorruptedBlockError`;
-  without a CRC layer, dictionary payloads are round-tripped through
+  without a CRC layer, array payloads are round-tripped through
   the codec here so corruption is still detected, never silently
   returned;
 * latency spikes — delegated to the plan's
@@ -182,7 +182,7 @@ class FaultyDevice(DeviceLayer):
     operation passes straight through, which is what keeps the no-fault
     path of the resilience stack regression-clean.  Torn reads flip one
     byte: on framed (bytes) payloads the corrupted frame is returned
-    for the CRC layer above to reject; on raw dictionary payloads the
+    for the CRC layer above to reject; on raw array payloads the
     block is round-tripped through the codec here, so either way the
     damage is *detected* (raising
     :class:`~repro.core.errors.CorruptedBlockError`), never silently
@@ -224,10 +224,11 @@ class FaultyDevice(DeviceLayer):
         for block_id, items in blocks.items():
             self.write_block(block_id, items)
 
-    def _read(self, fetch, block_id):
+    def read_block(self, block_id):
+        """Fetch one block through the fault plan."""
         plan = self._active_plan()
         if plan is None:
-            return fetch(block_id)
+            return self.inner.read_block(block_id)
         kind = plan.read_fault()
         if kind == "error":
             obs_counter("faults.injected.read_errors").inc()
@@ -235,21 +236,13 @@ class FaultyDevice(DeviceLayer):
                 f"injected read failure on block {block_id!r}"
             )
         plan.latency.sleep()
-        block = fetch(block_id)
+        block = self.inner.read_block(block_id)
         if kind == "torn":
             obs_counter("faults.injected.torn_blocks").inc()
-            if isinstance(block, (bytes, bytearray)):
-                return _corrupt_frame(bytes(block))
+            if isinstance(block, bytes):
+                return _corrupt_frame(block)
             return decode_block(_corrupt_frame(encode_block(block)))
         return block
-
-    def read_block(self, block_id):
-        """Fetch one block through the fault plan."""
-        return self._read(self.inner.read_block, block_id)
-
-    def read_block_shared(self, block_id):
-        """Shared (no-copy) fetch through the fault plan."""
-        return self._read(self.inner.read_block_shared, block_id)
 
     def stats(self) -> dict:
         """Injection state plus the inner layers' statistics."""

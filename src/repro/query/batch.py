@@ -134,13 +134,14 @@ class BatchEvaluator:
 
     The exact path is the tensor-domain batch extension of
     :func:`repro.wavelets.lazy.batched_dot`: every query's sparse
-    transform is raveled to flat indices, all queries' blocks are
-    fetched in **one** coalesced bulk read (a single ``read_many`` per
-    shard group), the payloads are scattered into a dense flat scratch,
-    one ``np.take`` gathers the whole batch's coefficients, and each
-    query reduces over its own contiguous segment with the same
-    ``np.dot`` kernel :func:`~repro.query.propolyne.sparse_inner_product`
-    uses — so every batched answer is *bitwise-identical* to
+    transform is stacked and located (block code, slot) in one pass,
+    all queries' blocks are fetched in **one** coalesced bulk read (a
+    single ``read_many`` per shard group), the payloads are packed
+    into one buffer, one ``np.take`` gathers the whole batch's
+    coefficients, and each query reduces over its own contiguous
+    segment with the same ``np.dot`` kernel
+    :func:`~repro.query.propolyne.sparse_inner_product` uses — so every
+    batched answer is *bitwise-identical* to
     :meth:`~repro.query.propolyne.ProPolyneEngine.evaluate_exact`.
 
     Metrics: ``query.batch.batches`` / ``query.batch.queries`` /
@@ -150,34 +151,8 @@ class BatchEvaluator:
 
     def __init__(self, engine: ProPolyneEngine) -> None:
         self._engine = engine
-        shape = engine.shape
-        self._ndim = len(shape)
-        self._size = int(np.prod(shape))
-        # Row-major strides (in elements), cached once per evaluator —
-        # every ravel of tuple keys reuses them.
-        self._strides = np.array(
-            [int(np.prod(shape[k + 1:])) for k in range(len(shape))],
-            dtype=np.intp,
-        )
 
     # -- vectorized plumbing ---------------------------------------------
-
-    def _scatter(self, payloads: dict) -> np.ndarray:
-        """Dense flat scratch holding every fetched block's coefficients."""
-        scratch = np.zeros(self._size)
-        for payload in payloads.values():
-            m = len(payload)
-            if m == 0:
-                continue
-            flat = np.fromiter(
-                (k for key in payload for k in key),
-                dtype=np.intp,
-                count=m * self._ndim,
-            ).reshape(m, self._ndim)
-            scratch[flat @ self._strides] = np.fromiter(
-                payload.values(), dtype=float, count=m
-            )
-        return scratch
 
     def _translate(self, queries: list[RangeSumQuery]) -> list[tuple]:
         """Every query's ``(keys, values)`` array translation."""
@@ -186,48 +161,42 @@ class BatchEvaluator:
         return [self._engine.query_arrays(q) for q in queries]
 
     def _stack(self, translated: list[tuple]):
-        """CSR-stack every query's indices and values.
+        """CSR-stack every query's keys and values.
 
         Segment ``i`` keeps query ``i``'s translation order, so its dot
-        against the gathered scratch reduces in exactly the order the
+        against the gathered payloads reduces in exactly the order the
         engine's scalar kernel uses.
 
         Returns:
-            ``(indices, values, offsets, keys)`` — raveled flat scratch
-            indices, query values, CSR segment offsets, and the
-            ``(total, ndim)`` multi-index matrix the ravel came from
-            (reused for vectorized block assignment).
+            ``(codes, slots, values, offsets)`` — each stacked entry's
+            block code and in-block slot, the query values, and the CSR
+            segment offsets.
         """
         offsets = np.zeros(len(translated) + 1, dtype=np.intp)
         np.cumsum([len(values) for _, values in translated], out=offsets[1:])
-        keys = np.concatenate([keys for keys, _ in translated])
-        values = np.concatenate([values for _, values in translated])
-        return keys @ self._strides, values, offsets, keys
-
-    def _block_order(self, keys: np.ndarray, values: np.ndarray) -> list:
-        """Unique blocks of a stacked batch, best-combined-energy first.
-
-        Fully vectorized: the allocation's ``blocks_of`` assigns every
-        entry to its block, ``np.unique`` collapses to the block set, and
-        a ``bincount`` accumulates each block's combined query energy
-        (weighted by the stored data norm, as in
-        :func:`~repro.storage.scheduler.plan_batch_blocks`).
-        """
-        if len(keys) == 0:
-            return []
-        allocation = self._engine.store.allocation
-        uniq, inverse = np.unique(
-            allocation.blocks_of(keys), return_inverse=True
+        codes, slots = self._engine.store.allocation.locate(
+            np.concatenate([keys for keys, _ in translated])
         )
+        values = np.concatenate([values for _, values in translated])
+        return codes, slots, values, offsets
+
+    def _block_order(self, codes: np.ndarray, values: np.ndarray):
+        """Unique block codes of a stacked batch, best-combined-energy
+        first: a ``bincount`` accumulates each block's combined query
+        energy (weighted by the stored data norm, as in
+        :func:`~repro.storage.scheduler.plan_batch_blocks`).  Returns
+        the ordered codes and their block ids.
+        """
+        allocation = self._engine.store.allocation
+        uniq, inverse = np.unique(codes, return_inverse=True)
         energy = np.sqrt(np.bincount(inverse, weights=values * values))
         blocks = allocation.block_ids(uniq)
         norms = self._engine._block_norms
         importance = energy * np.array(
             [norms.get(block_id, 0.0) for block_id in blocks]
         )
-        return [
-            blocks[i] for i in np.argsort(-importance, kind="stable")
-        ]
+        best = np.argsort(-importance, kind="stable")
+        return uniq[best], [blocks[i] for i in best.tolist()]
 
     def _merged_plan(self, translated: list[tuple]) -> dict:
         """All queries' coefficients grouped by block: block id ->
@@ -247,10 +216,10 @@ class BatchEvaluator:
         :meth:`~repro.query.propolyne.ProPolyneEngine.evaluate_exact`.
         """
         with span("query.batch.exact"):
-            indices, values, offsets, keys = self._stack(
+            codes, slots, values, offsets = self._stack(
                 self._translate(queries)
             )
-            order = self._block_order(keys, values)
+            order_codes, order = self._block_order(codes, values)
             obs_counter("query.batch.batches").inc()
             obs_counter("query.batch.queries").inc(len(queries))
             obs_histogram(
@@ -259,9 +228,12 @@ class BatchEvaluator:
             obs_histogram(
                 "query.batch.blocks", DEFAULT_COUNT_BUCKETS
             ).observe(len(order))
-            payloads = self._engine.store.fetch_blocks(order)
-            scratch = self._scatter(payloads)
-            answers = segmented_dot(indices, values, offsets, scratch)
+            buffer, base = self._engine.store.allocation.pack(
+                order_codes, self._engine.store.fetch_blocks(order)
+            )
+            answers = segmented_dot(
+                base[codes] + slots, values, offsets, buffer
+            )
             return [float(v) for v in answers]
 
     def evaluate_degradable(
@@ -298,9 +270,16 @@ class BatchEvaluator:
                     )
                 except StorageUnavailable:
                     skipped.add(block_id)
-            scratch = self._scatter(payloads)
-            indices, values, offsets, keys = self._stack(translated)
+            codes, slots, values, offsets = self._stack(translated)
             allocation = self._engine.store.allocation
+            uniq = np.unique(codes)
+            code_of = dict(zip(allocation.block_ids(uniq), uniq.tolist()))
+            buffer, base = allocation.pack(
+                [code_of[block_id] for block_id in payloads], payloads
+            )
+            pos = base[codes] + slots
+            unread = np.zeros(allocation.n_codes, dtype=bool)
+            unread[[code_of[block_id] for block_id in skipped]] = True
             blocks_of_query: dict[int, set] = {
                 qi: set() for qi in range(len(queries))
             }
@@ -315,10 +294,7 @@ class BatchEvaluator:
                 lo, hi = int(offsets[qi]), int(offsets[qi + 1])
                 if not lost:
                     value = float(
-                        np.dot(
-                            values[lo:hi],
-                            np.take(scratch, indices[lo:hi]),
-                        )
+                        np.dot(values[lo:hi], buffer[pos[lo:hi]])
                     )
                     outcomes.append(
                         QueryOutcome(value, False, 0.0, 0.0, read, None)
@@ -326,12 +302,11 @@ class BatchEvaluator:
                     continue
                 # Partial answer over surviving blocks, plus the skipped
                 # blocks' guaranteed bound and one-sigma forecast.
-                homes = allocation.block_ids(allocation.blocks_of(keys[lo:hi]))
-                available = np.array([home not in lost for home in homes])
+                available = ~unread[codes[lo:hi]]
                 estimate = float(
                     np.dot(
                         values[lo:hi][available],
-                        np.take(scratch, indices[lo:hi][available]),
+                        buffer[pos[lo:hi][available]],
                     )
                 )
                 bound = 0.0
@@ -420,9 +395,12 @@ class BatchEvaluator:
                     block_id = pending[0]
                 pending.remove(block_id)
             step += 1
-            block = self._engine.store.fetch_block(block_id)
-            for qi, idx, qval in block_map[block_id]:
-                totals[qi] += qval * block[idx]
+            triples = block_map[block_id]
+            found = self._engine.store.block_values(
+                block_id, [idx for _, idx, _ in triples]
+            )
+            for (qi, _, qval), stored in zip(triples, found.tolist()):
+                totals[qi] += qval * stored
             for qi in range(len(queries)):
                 remaining[qi] -= q_block_norm.pop((qi, block_id), 0.0)
             yield BatchEstimate(

@@ -14,11 +14,11 @@ recipe that made batched reads fast (PR 6's
   distinct point) is stacked CSR-style into one ``(total, ndim)`` key
   matrix and one scaled value vector — the same shape the batch
   evaluator stacks query transforms into.
-* **Vectorized dedup and block assignment.**  Keys collapse to flat
-  indices via the cached axis strides; ``np.unique`` reduces N points'
-  overlapping supports to the distinct coefficient set, and the
-  allocation's vectorized ``blocks_of`` assigns every coefficient to
-  its block without one Python ``block_of`` call per entry.
+* **Vectorized dedup and block assignment.**  Keys ravel to flat
+  indices; ``np.unique`` reduces N points' overlapping supports to the
+  distinct coefficient set, and the allocation's vectorized ``locate``
+  assigns every coefficient its block and its slot in that block's
+  payload array — a position in the packed buffer of touched payloads.
 * **Order-preserving accumulation.**  ``np.add.at`` applies the stacked
   deltas onto the gathered current values *unbuffered, in point order*
   — the identical float-operation sequence N sequential ``insert``
@@ -58,9 +58,8 @@ __all__ = ["BatchInserter"]
 class BatchInserter:
     """Vectorized multi-point append onto one ProPolyne engine.
 
-    Caches the engine's axis strides once (exactly like the batch
-    evaluator); block assignment is the allocation's vectorized
-    ``blocks_of``.
+    Block and slot assignment is the allocation's vectorized
+    ``locate``.
 
     Metrics: ``query.insert.batches`` / ``query.inserts`` counters and
     the ``query.insert.batch_size`` / ``query.insert.blocks_touched``
@@ -72,13 +71,7 @@ class BatchInserter:
 
     def __init__(self, engine: ProPolyneEngine) -> None:
         self._engine = engine
-        shape = engine.shape
-        self._ndim = len(shape)
-        # Row-major strides (in elements), cached once per inserter.
-        self._strides = np.array(
-            [int(np.prod(shape[k + 1:])) for k in range(len(shape))],
-            dtype=np.intp,
-        )
+        self._ndim = len(engine.shape)
         # Per-point impulse translations repeat constantly in sensor
         # traffic (quantized readings revisit the same cells), so the
         # (keys, values) deltas are memoized per distinct point.
@@ -173,66 +166,54 @@ class BatchInserter:
         keys = np.concatenate([keys for keys, _ in per_point])
         values = np.concatenate([values for _, values in per_point])
         scaled = values * np.repeat(w, counts)
-        flat = keys @ self._strides
 
         # 2. Dedup: N points' overlapping supports collapse to the
         #    distinct coefficient set (uniq is sorted; inverse maps each
-        #    stacked entry to its slot).
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        multi = np.unravel_index(uniq, engine.shape)
-        uniq_keys = list(zip(*(axis.tolist() for axis in multi)))
-
-        # 3. Vectorized block assignment of the distinct coefficients,
-        #    then the touched-block union in one coalesced read.
-        allocation = store.allocation
-        block_codes, block_inverse = np.unique(
-            allocation.blocks_of(np.column_stack(multi)), return_inverse=True
+        #    stacked entry to its coefficient).
+        uniq, inverse = np.unique(
+            np.ravel_multi_index(tuple(keys.T), engine.shape),
+            return_inverse=True,
         )
+
+        # 3. Vectorized block-and-slot assignment of the distinct
+        #    coefficients, then the touched-block union in one coalesced
+        #    read, packed into one buffer.
+        allocation = store.allocation
+        codes, slots = allocation.locate(
+            np.column_stack(np.unravel_index(uniq, engine.shape))
+        )
+        block_codes = np.unique(codes)
         block_ids = allocation.block_ids(block_codes)
         obs_histogram(
             "query.insert.blocks_touched", DEFAULT_COUNT_BUCKETS
         ).observe(len(block_ids))
-        payloads = store.fetch_blocks(block_ids)
-
-        # Versioned engines: snapshot the pre-images (payloads are
-        # mutated in place below) and prior norms now, commit them to
-        # the epoch log only after the write succeeds.  Pre-image
-        # copies — not arithmetic deltas — keep as-of reconstruction
-        # bitwise-exact.
-        epoch_log = engine._epoch_log
-        if epoch_log is not None:
-            preimages = {bid: dict(payloads[bid]) for bid in block_ids}
-            prior_norms = {
-                bid: engine._block_norms.get(bid, 0.0) for bid in block_ids
-            }
+        preimages = store.fetch_blocks(block_ids)
+        buffer, base = allocation.pack(block_codes, preimages)
+        pos = base[codes] + slots
 
         # 4. Gather current values, accumulate the stacked deltas with
         #    np.add.at — unbuffered, applied one entry at a time in
         #    point order, i.e. the exact float-op sequence sequential
         #    inserts perform on each coefficient — and scatter back.
-        cur = np.fromiter(
-            (
-                payloads[block_ids[int(block_inverse[i])]][key]
-                for i, key in enumerate(uniq_keys)
-            ),
-            dtype=float,
-            count=len(uniq_keys),
-        )
+        cur = buffer[pos]
         np.add.at(cur, inverse, scaled)
-        for i, key in enumerate(uniq_keys):
-            payloads[block_ids[int(block_inverse[i])]][key] = float(cur[i])
+        buffer[pos] = cur
+        payloads = dict(zip(
+            block_ids, np.split(buffer, base[block_codes][1:])
+        ))
 
-        # 5. One group commit for the whole batch's dirty blocks.
+        # 5. One group commit for the whole batch's dirty blocks.  The
+        #    parts are writable views, so the device copy-freezes each:
+        #    no stored block keeps this batch's whole buffer alive.
         store.store_blocks(payloads)
 
         # 6. Norm bookkeeping, once per batch (sequential insert pays
         #    this per call): touched block norms rebuilt from their new
         #    payloads, the store's global norm from the block norms.
-        for block_id in block_ids:
-            payload = payloads[block_id]
-            vals = np.fromiter(
-                payload.values(), dtype=float, count=len(payload)
-            )
+        prior_norms = {
+            bid: engine._block_norms.get(bid, 0.0) for bid in block_ids
+        }
+        for block_id, vals in payloads.items():
             engine._block_norms[block_id] = float(
                 np.sqrt(np.sum(vals * vals))
             )
@@ -241,9 +222,12 @@ class BatchInserter:
                 sum(n * n for n in engine._block_norms.values())
             )
         )
-        if epoch_log is not None:
+        if engine._epoch_log is not None:
             # The commit is durable (store_blocks would have raised);
             # the epoch bump happens under the same update lock that
             # serialized the commit, so epoch numbers order commits.
-            epoch_log.record_commit(preimages, prior_norms, len(pts))
-        return len(uniq_keys)
+            # Pre-images are the fetched payloads themselves (immutable,
+            # so no copy): stored values, not arithmetic deltas, keep
+            # as-of reconstruction bitwise-exact.
+            engine._epoch_log.record_commit(preimages, prior_norms, len(pts))
+        return len(pos)

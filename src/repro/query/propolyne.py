@@ -534,20 +534,21 @@ class ProPolyneEngine:
     ) -> Iterator[tuple]:
         """The progressive evaluation loop, one step per fetched block.
 
-        Yields ``(estimate, plan, block, remaining)`` tuples; the first
-        yield is a zero-I/O priming step (``plan``/``block`` ``None``)
-        carrying the total a-priori error bound, and ``remaining``
-        counts the blocks still unprocessed after the step.  Both
-        :meth:`evaluate_progressive` (which drops the priming step and
-        the payloads) and :meth:`evaluate_degradable` (which needs the
-        payloads for the exact final sum and the priming bound for
-        zero-block degradation) consume this generator, so the two
-        paths can never drift apart numerically.
+        Yields ``(estimate, plan, found, remaining)`` tuples — ``found``
+        is the stored values of ``plan.entries``, in entry order; the
+        first yield is a zero-I/O priming step (``plan``/``found``
+        ``None``) carrying the total a-priori error bound, and
+        ``remaining`` counts the blocks still unprocessed after the
+        step.  Both :meth:`evaluate_progressive` (which drops the
+        priming step and the values) and :meth:`evaluate_degradable`
+        (which needs the values for the exact final sum and the priming
+        bound for zero-block degradation) consume this generator, so
+        the two paths can never drift apart numerically.
 
         With ``skip_unavailable`` True, a block whose read raises
         :class:`~repro.core.errors.StorageUnavailable` is *skipped*
         instead of aborting the loop: its Cauchy–Schwarz mass stays in
-        the running error bound, the step yields ``block`` ``None``
+        the running error bound, the step yields ``found`` ``None``
         (with ``plan`` set) as the skip marker, and evaluation
         continues — on a sharded device this is exactly per-shard
         degradation, since only the failed shard's blocks skip.
@@ -611,42 +612,32 @@ class ProPolyneEngine:
         reads = 0
         for step, plan in enumerate(plans, start=1):
             obs_counter("query.progressive.blocks").inc()
-            if skip_unavailable:
-                try:
-                    block = self.store.fetch_block(plan.block_id)
-                except StorageUnavailable:
-                    # Skip marker: the block's bound mass stays in the
-                    # running totals, since its contribution is unknown.
-                    yield (
-                        ProgressiveEstimate(
-                            estimate=estimate,
-                            error_bound=max(0.0, remaining_bound),
-                            error_estimate=min(
-                                math.sqrt(max(0.0, remaining_variance)),
-                                max(0.0, remaining_bound),
-                            ),
-                            blocks_read=reads,
-                            coefficients_used=used,
-                        ),
-                        plan,
-                        None,
-                        len(plans) - step,
-                    )
-                    continue
-            else:
-                block = self.store.fetch_block(plan.block_id)
-            contribution = sum(
-                qval * block[idx] for idx, qval in plan.entries.items()
-            )
-            estimate += float(contribution)
-            used += len(plan.entries)
-            reads += 1
-            q_norm = block_q_norm[plan.block_id]
-            d_norm = self._block_norms.get(plan.block_id, 0.0)
-            remaining_bound -= q_norm * d_norm
-            remaining_variance -= (q_norm * d_norm) ** 2 / max(
-                self._block_sizes.get(plan.block_id, 1), 1
-            )
+            try:
+                found = self.store.block_values(
+                    plan.block_id, list(plan.entries)
+                )
+            except StorageUnavailable:
+                if not skip_unavailable:
+                    raise
+                # Skip marker: the block's bound mass stays in the
+                # running totals, since its contribution is unknown.
+                found = None
+            if found is not None:
+                # Same products, same left-to-right sum as a per-entry
+                # loop, so estimates keep their bits.
+                qvals = np.fromiter(
+                    plan.entries.values(), dtype=float,
+                    count=len(plan.entries),
+                )
+                estimate += float(sum((qvals * found).tolist()))
+                used += len(plan.entries)
+                reads += 1
+                q_norm = block_q_norm[plan.block_id]
+                d_norm = self._block_norms.get(plan.block_id, 0.0)
+                remaining_bound -= q_norm * d_norm
+                remaining_variance -= (q_norm * d_norm) ** 2 / max(
+                    self._block_sizes.get(plan.block_id, 1), 1
+                )
             bound = max(0.0, remaining_bound)
             yield (
                 ProgressiveEstimate(
@@ -662,7 +653,7 @@ class ProPolyneEngine:
                     coefficients_used=used,
                 ),
                 plan,
-                block,
+                found,
                 len(plans) - step,
             )
 
@@ -683,7 +674,7 @@ class ProPolyneEngine:
             return
         steps = self._progressive_steps(entries, importance)
         next(steps)  # the zero-I/O priming step is not an estimate
-        for est, _plan, _block, _remaining in steps:
+        for est, _plan, _found, _remaining in steps:
             yield est
 
     def evaluate_degradable(
@@ -749,7 +740,7 @@ class ProPolyneEngine:
         skipped = 0
         while True:
             try:
-                est, plan, block, remaining = next(steps)
+                est, plan, found, remaining = next(steps)
             except StopIteration:
                 break
             except StorageUnavailable:
@@ -759,11 +750,10 @@ class ProPolyneEngine:
                 break
             last = est
             if plan is not None:
-                if block is None:
+                if found is None:
                     skipped += 1
                 else:
-                    for idx in plan.entries:
-                        stored[idx] = block[idx]
+                    stored.update(zip(plan.entries, found.tolist()))
             if (
                 reason is None
                 and deadline_s is not None
@@ -804,9 +794,11 @@ class ProPolyneEngine:
         engine (used by the AIMS facade's save/load path).
         """
         cube = np.zeros(self.shape)
+        block_keys = self.store.allocation.block_keys
         for block_id in self.store.device.block_ids():
-            for idx, value in self.store.fetch_block(block_id).items():
-                cube[idx] = value
+            cube[tuple(block_keys(block_id).T)] = self.store.fetch_block(
+                block_id
+            )
         return cube
 
     # -- updates ------------------------------------------------------------

@@ -75,7 +75,7 @@ class _Flight:
 
     def __init__(self) -> None:
         self.event = threading.Event()
-        self.result: dict | None = None
+        self.result = None
         self.error: BaseException | None = None
 
 
@@ -84,8 +84,8 @@ class ScanCoordinator:
 
     Concurrent requests for the same block id are collapsed into one
     store read: the first requester (the *leader*) performs the fetch,
-    every other requester blocks on the flight's event and receives a
-    copy of the payload.  Sequential re-reads are not deduplicated here
+    every other requester blocks on the flight's event and receives the
+    same (immutable) payload.  Sequential re-reads are not deduplicated here
     — that is the caching device's job — so the coordinator adds no
     state beyond the currently in-flight reads.
 
@@ -120,7 +120,7 @@ class ScanCoordinator:
         self.shared = 0
         self.fetches_by_shard: dict[int, int] = {}
 
-    def fetch_block(self, block_id: Hashable) -> dict:
+    def fetch_block(self, block_id: Hashable):
         """Fetch one block, deduplicating against in-flight reads."""
         shard = self._shard_of(block_id)
         key = (self.namespace, shard, block_id)
@@ -136,9 +136,7 @@ class ScanCoordinator:
             obs_counter("query.service.scan.shared").inc()
             if flight.error is not None:
                 raise flight.error
-            # Followers get their own copy: the leader's caller owns the
-            # original and is allowed to mutate it.
-            return dict(flight.result)
+            return flight.result
         try:
             flight.result = self._store.fetch_block(block_id)
         except BaseException as exc:
@@ -209,7 +207,7 @@ class ScanCoordinator:
             obs_counter("query.service.scan.shared").inc()
             if flight.error is not None:
                 raise flight.error
-            out[block_id] = dict(flight.result)
+            out[block_id] = flight.result
         return out
 
     def stats(self) -> dict:
@@ -248,7 +246,7 @@ class SharedScanStore(TensorReads):
     def __getattr__(self, name: str):
         return getattr(self._store, name)
 
-    def fetch_block(self, block_id: Hashable) -> dict:
+    def fetch_block(self, block_id: Hashable):
         """Single-flighted block fetch."""
         return self.coordinator.fetch_block(block_id)
 

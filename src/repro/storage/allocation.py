@@ -45,9 +45,57 @@ def index_tuples(keys: np.ndarray) -> list[tuple[int, ...]]:
     return list(zip(*keys.T.tolist()))
 
 
+class _Packing:
+    """Payload packing shared by both allocations, on top of their
+    ``block_len`` / ``n_codes`` / ``block_ids``."""
+
+    def pack(self, codes, payloads: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Payloads (keyed by block id) of block ``codes``, back to back
+        in one buffer, in ``codes`` order.
+
+        Returns ``(buffer, base)``: what ``locate`` puts at ``(code,
+        slot)`` sits at ``buffer[base[code] + slot]``.  A payload whose
+        length is not ``block_len`` of its block raises
+        :class:`~repro.core.errors.StorageError` naming the block.
+        """
+        codes = np.asarray(codes, dtype=np.intp)
+        ids = self.block_ids(codes)
+        parts = [payloads[block_id] for block_id in ids]
+        lens = self.block_len(codes)
+        got = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
+        bad = np.flatnonzero(got != lens)
+        if bad.size:
+            b = int(bad[0])
+            raise StorageError(
+                f"block {ids[b]!r} holds {int(got[b])} values, its "
+                f"allocation gives it {int(lens[b])}"
+            )
+        base = np.zeros(self.n_codes, dtype=np.intp)
+        base[codes] = np.cumsum(lens) - lens
+        return (np.concatenate(parts) if parts else np.empty(0)), base
+
+
+def _group(values: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, list]:
+    """``values`` grouped by block code: the distinct codes in
+    first-touched order and, for each, the read-only array of its
+    members' values in input order."""
+    uniq, first, counts = np.unique(
+        codes, return_index=True, return_counts=True
+    )
+    packed = values[np.argsort(codes, kind="stable")]
+    packed.flags.writeable = False
+    parts = np.split(packed, np.cumsum(counts)[:-1])
+    order = np.argsort(first)
+    return uniq[order], [parts[b] for b in order.tolist()]
+
+
 @dataclass(frozen=True)
-class Allocation:
+class Allocation(_Packing):
     """A mapping from flat coefficient index to block id.
+
+    A block's payload is the 1-D array of its members' values in
+    increasing-index order, so a coefficient is addressed by
+    ``(block_of[i], slot_of[i])`` and keys are never stored.
 
     Attributes:
         name: Strategy name (for reports).
@@ -67,29 +115,76 @@ class Allocation:
     @property
     def n_blocks(self) -> int:
         """Number of distinct blocks used."""
-        return int(np.unique(self.block_of).size)
+        return int(np.count_nonzero(self.block_counts))
+
+    @cached_property
+    def block_counts(self) -> np.ndarray:
+        """``block_counts[b]``: how many coefficients block ``b`` holds."""
+        return np.bincount(self.block_of)
+
+    @cached_property
+    def slot_of(self) -> np.ndarray:
+        """``slot_of[i]``: rank of coefficient ``i`` among its block's
+        members, i.e. its position in the block's payload array."""
+        order = np.argsort(self.block_of, kind="stable")
+        counts = self.block_counts[np.flatnonzero(self.block_counts)]
+        slots = np.empty(self.n, dtype=np.intp)
+        slots[order] = np.arange(self.n) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        return slots
+
+    def locate(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """Block ids and in-block slots of flat coefficient ``indices``;
+        out-of-range indices raise
+        :class:`~repro.core.errors.StorageError`."""
+        idx = np.asarray(indices, dtype=np.intp)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise StorageError(
+                f"coefficient index outside allocation size {self.n}"
+            )
+        return self.block_of[idx], self.slot_of[idx]
+
+    @property
+    def n_codes(self) -> int:
+        """Block ids lie in ``[0, n_codes)``."""
+        return len(self.block_counts)
+
+    def block_len(self, block_ids) -> np.ndarray:
+        """Member count of each block."""
+        return self.block_counts[block_ids]
+
+    def block_ids(self, codes) -> list[int]:
+        """1-D block codes *are* the block ids (the tensor allocation's
+        twin unravels them)."""
+        return np.asarray(codes).tolist()
 
     def blocks_for(self, indices: set[int] | list[int]) -> set[int]:
         """Blocks that must be fetched to obtain ``indices``."""
-        return {int(self.block_of[i]) for i in indices}
+        idx = np.fromiter(indices, dtype=np.intp, count=len(indices))
+        return set(np.unique(self.locate(idx)[0]).tolist())
 
-    def build_blocks(self, flat: np.ndarray) -> dict[int, dict[int, float]]:
-        """Group a flat coefficient vector into block payloads."""
+    def block_keys(self, block_id: int) -> np.ndarray:
+        """Coefficient indices of one block, in payload order."""
+        return np.flatnonzero(self.block_of == block_id)
+
+    def build_blocks(self, flat: np.ndarray) -> dict[int, np.ndarray]:
+        """Group a flat coefficient vector into block payloads
+        (read-only arrays, blocks in first-touched order)."""
         values = np.asarray(flat, dtype=float)
         if values.size != self.n:
             raise StorageError(
                 f"coefficient vector length {values.size} != allocation "
                 f"size {self.n}"
             )
-        blocks: dict[int, dict[int, float]] = {}
-        for idx, block_id in enumerate(self.block_of):
-            blocks.setdefault(int(block_id), {})[idx] = float(values[idx])
-        oversize = [b for b, items in blocks.items() if len(items) > self.block_size]
-        if oversize:
+        oversize = np.flatnonzero(self.block_counts > self.block_size)
+        if oversize.size:
             raise StorageError(
-                f"allocation {self.name!r} overfills blocks {oversize[:3]}"
+                f"allocation {self.name!r} overfills blocks "
+                f"{oversize[:3].tolist()}"
             )
-        return blocks
+        block_ids, parts = _group(values, self.block_of)
+        return dict(zip(block_ids.tolist(), parts))
 
 
 def _check(n: int, block_size: int) -> None:
@@ -250,7 +345,7 @@ def range_query_workload(
 
 
 @dataclass(frozen=True)
-class TensorAllocation:
+class TensorAllocation(_Packing):
     """Multivariate allocation: Cartesian product of per-axis tilings.
 
     "We simply decompose each dimension into optimal virtual blocks, and
@@ -275,23 +370,32 @@ class TensorAllocation:
         return cap
 
     @cached_property
-    def _tables(self) -> tuple[list[np.ndarray], tuple[int, ...]]:
-        """Per-axis index -> virtual-block tables and the block grid."""
-        tables = [np.asarray(a.block_of, dtype=np.intp) for a in self.axes]
-        return tables, tuple(int(t.max()) + 1 for t in tables)
+    def _tables(self) -> tuple[tuple, tuple[int, ...], np.ndarray]:
+        """Per-axis ``(block_of, slot_of, block_counts)`` tables, the
+        block grid, and every grid block's length by code."""
+        tables = tuple(
+            (np.asarray(a.block_of, dtype=np.intp), a.slot_of, a.block_counts)
+            for a in self.axes
+        )
+        lens = np.ones(1, dtype=np.intp)
+        for _, _, counts in tables:
+            lens = np.multiply.outer(lens, counts).ravel()
+        return tables, tuple(len(counts) for _, _, counts in tables), lens
 
-    def blocks_of(self, keys) -> np.ndarray:
-        """Block *codes* of ``(N, ndim)`` coefficient keys, vectorized.
+    def locate(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Block *codes* and in-block *slots* of ``(N, ndim)`` keys.
 
         A code is the block-id tuple raveled over the block grid, so
-        codes sort exactly like the id tuples; :meth:`block_ids` turns
-        them back.  Out-of-range keys and wrong arity raise
+        codes sort exactly like the id tuples (:meth:`block_ids` turns
+        them back); a slot is the key's row-major rank among the
+        block's members, i.e. its position in the block's payload
+        array.  Out-of-range keys and wrong arity raise
         :class:`~repro.core.errors.StorageError` (never ``IndexError``,
         never a silent negative wrap).
         """
         keys = np.asarray(keys, dtype=np.intp)
         if keys.size == 0:
-            return np.empty(0, dtype=np.intp)
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
         if keys.ndim != 2 or keys.shape[1] != len(self.axes):
             raise StorageError(
                 f"keys of shape {keys.shape} are not (N, {len(self.axes)}) "
@@ -301,15 +405,43 @@ class TensorAllocation:
             raise StorageError(
                 f"coefficient index outside allocation shape {self.shape}"
             )
-        tables, grid = self._tables
-        return np.ravel_multi_index(
-            tuple(table[keys[:, d]] for d, table in enumerate(tables)), grid
-        )
+        codes = slots = 0
+        for d, (block_of, slot_of, counts) in enumerate(self._tables[0]):
+            column = keys[:, d]
+            virtual = block_of[column]
+            codes = codes * len(counts) + virtual
+            slots = slots * counts[virtual] + slot_of[column]
+        return codes, slots
+
+    def blocks_of(self, keys) -> np.ndarray:
+        """Block codes of ``(N, ndim)`` coefficient keys
+        (:meth:`locate` without the slots)."""
+        return self.locate(keys)[0]
+
+    @property
+    def n_codes(self) -> int:
+        """Size of the block grid: codes lie in ``[0, n_codes)``."""
+        return len(self._tables[2])
+
+    def block_len(self, codes) -> np.ndarray:
+        """Member count of each block code (product of the per-axis
+        virtual-block member counts)."""
+        return self._tables[2][codes]
 
     def block_ids(self, codes) -> list[tuple[int, ...]]:
         """Block-id tuples of :meth:`blocks_of` codes, in order."""
         multi = np.unravel_index(codes, self._tables[1])
         return list(zip(*(axis.tolist() for axis in multi)))
+
+    def block_keys(self, block_id: tuple[int, ...]) -> np.ndarray:
+        """``(M, ndim)`` member keys of one block, in payload order."""
+        members = [
+            axis.block_keys(virtual)
+            for axis, virtual in zip(self.axes, block_id)
+        ]
+        return np.stack(
+            np.meshgrid(*members, indexing="ij"), axis=-1
+        ).reshape(-1, len(self.axes))
 
     def block_of(self, multi_index: tuple[int, ...]) -> tuple[int, ...]:
         """Actual block holding the coefficient at ``multi_index``."""
@@ -323,12 +455,12 @@ class TensorAllocation:
 
     def build_blocks(
         self, coeffs: np.ndarray
-    ) -> dict[tuple[int, ...], dict[tuple[int, ...], float]]:
+    ) -> dict[tuple[int, ...], np.ndarray]:
         """Group a dense coefficient cube into product-block payloads.
 
         One vectorized pass; blocks appear in first-touched row-major
-        order and each payload lists its keys row-major, as a scan of
-        the cube would produce them.
+        order and each payload (a read-only array) holds its members'
+        values row-major, as a scan of the cube would produce them.
         """
         cube = np.asarray(coeffs, dtype=float)
         if cube.shape != self.shape:
@@ -336,18 +468,8 @@ class TensorAllocation:
                 f"coefficient cube shape {cube.shape} != allocation "
                 f"shape {self.shape}"
             )
-        keys = np.indices(cube.shape).reshape(cube.ndim, -1).T
-        codes = self.blocks_of(keys)
-        order = np.argsort(codes, kind="stable")
-        uniq, first, counts = np.unique(
-            codes, return_index=True, return_counts=True
+        codes, parts = _group(
+            cube.ravel(),
+            self.blocks_of(np.indices(cube.shape).reshape(cube.ndim, -1).T),
         )
-        ends = np.cumsum(counts).tolist()
-        key_tuples = index_tuples(keys[order])
-        values = cube.ravel()[order].tolist()
-        block_ids = self.block_ids(uniq)
-        blocks: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
-        for b in np.argsort(first).tolist():
-            lo, hi = ends[b] - int(counts[b]), ends[b]
-            blocks[block_ids[b]] = dict(zip(key_tuples[lo:hi], values[lo:hi]))
-        return blocks
+        return dict(zip(self.block_ids(codes), parts))

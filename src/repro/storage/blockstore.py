@@ -119,6 +119,11 @@ class _StoreBase:
         """Leaf I/O performed since ``before`` was snapshotted."""
         return self.device.io_totals().delta(before)
 
+    def fetch_block(self, block_id) -> np.ndarray:
+        """Fetch one whole block: its values as a read-only array, in
+        ``allocation.block_keys(block_id)`` order."""
+        return self.device.read_block(block_id)
+
     def fetch_blocks(self, block_ids: list) -> dict:
         """Bulk block fetch: one coalesced device read for many blocks.
 
@@ -132,7 +137,8 @@ class _StoreBase:
             block_ids: Blocks to read (deduplicated by the caller).
 
         Returns:
-            Mapping from block id to block payload.
+            Mapping from block id to block payload (the block's values
+            as a read-only array; ``allocation.block_keys`` names them).
         """
         with span("storage.fetch_blocks"):
             ids = list(block_ids)
@@ -156,7 +162,7 @@ class _StoreBase:
 
         Args:
             payloads: Mapping from block id to the full replacement
-                payload dictionary for that block.
+                payload array for that block.
         """
         with span("storage.store_blocks"):
             obs_histogram(
@@ -171,7 +177,61 @@ class _StoreBase:
         self._built.close()
 
 
-class WaveletBlockStore(_StoreBase):
+class TensorReads:
+    """The one coefficient-read kernel every store and store view shares.
+
+    A view supplies ``allocation`` and :meth:`_read_blocks` — how a
+    sorted list of block ids is read: the live device's ``read_many``,
+    the shared-scan view's single-flight loop, an as-of view's
+    pre-image-else-live — and inherits :meth:`gather` plus its
+    dict/set-shaped wrappers.  Payloads are arrays of values only; the
+    allocation's ``locate`` says where in which array a key — an
+    ``ndim`` multi-index, or a flat index on the 1-D store — lives.
+    """
+
+    def _read_blocks(self, block_ids: list) -> dict:
+        """Payloads of ``block_ids`` (sorted, distinct), keyed by id."""
+        return self.device.read_many(block_ids)
+
+    def gather(self, keys) -> np.ndarray:
+        """Stored values of the coefficient ``keys``, in key order.
+
+        ``locate`` → distinct block codes → one sorted block read →
+        one index into the concatenated payloads.  Python work is per
+        block, never per coefficient.
+        """
+        with span("storage.fetch"):
+            allocation = self.allocation
+            codes, slots = allocation.locate(keys)
+            present = np.zeros(allocation.n_codes, dtype=bool)
+            present[codes] = True
+            uniq = np.flatnonzero(present)
+            needed = allocation.block_ids(uniq)
+            obs_histogram(
+                "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
+            ).observe(len(needed))
+            buffer, base = allocation.pack(uniq, self._read_blocks(needed))
+            return buffer[base[codes] + slots]
+
+    def block_values(self, block_id, keys) -> np.ndarray:
+        """Stored values of ``keys`` — all members of ``block_id`` —
+        from one whole-block fetch (progressive evaluation's read)."""
+        codes, slots = self.allocation.locate(keys)
+        payloads = {block_id: self.fetch_block(block_id)}
+        return self.allocation.pack(codes[:1], payloads)[0][slots]
+
+    def fetch(self, indices) -> dict[tuple[int, ...], float]:
+        """:meth:`gather` as a ``{key tuple: value}`` dictionary."""
+        keys = np.asarray(indices, dtype=np.intp)
+        return dict(zip(index_tuples(keys), self.gather(keys).tolist()))
+
+    def blocks_for(self, indices) -> set[tuple[int, ...]]:
+        """Blocks a set of coefficients lives on (planning, no I/O)."""
+        codes = self.allocation.locate(indices)[0]
+        return set(self.allocation.block_ids(np.unique(codes)))
+
+
+class WaveletBlockStore(TensorReads, _StoreBase):
     """1-D wavelet coefficients on a device stack, under an allocation."""
 
     def __init__(
@@ -210,30 +270,10 @@ class WaveletBlockStore(_StoreBase):
         return self._norm
 
     def fetch(self, indices: list[int] | set[int]) -> dict[int, float]:
-        """Fetch the requested coefficients, reading whole blocks.
-
-        Multi-block reads go through the device's bulk path, so a
-        sharded stack fans them out across shards concurrently.
-        """
-        with span("storage.fetch"):
-            needed = sorted(self.allocation.blocks_for(indices))
-            obs_histogram(
-                "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
-            ).observe(len(needed))
-            blocks = self.device.read_many(needed)
-            out: dict[int, float] = {}
-            for block_id in needed:
-                out.update(blocks[block_id])
-            missing = [i for i in indices if i not in out]
-            if missing:
-                raise StorageError(
-                    f"coefficients missing from blocks: {missing[:5]}"
-                )
-            return {int(i): out[int(i)] for i in indices}
-
-    def fetch_block(self, block_id: int) -> dict[int, float]:
-        """Fetch one whole block (progressive evaluation reads block-wise)."""
-        return self.device.read_block(block_id)
+        """Fetch the requested coefficients, reading whole blocks
+        (:meth:`gather` as an ``{index: value}`` dictionary)."""
+        idx = np.fromiter(indices, dtype=np.intp, count=len(indices))
+        return dict(zip(idx.tolist(), self.gather(idx).tolist()))
 
     def update(self, index: int, value: float) -> None:
         """Overwrite one coefficient (read-modify-write of its block).
@@ -241,75 +281,15 @@ class WaveletBlockStore(_StoreBase):
         Cache coherence is automatic: the write enters through the
         stack, so the caching layer invalidates its copy itself.
         """
-        if not 0 <= index < self.n:
-            raise StorageError(f"coefficient index {index} out of range")
-        block_id = int(self.allocation.block_of[index])
-        block = self.device.read_block(block_id)
-        old = block[index]
-        block[index] = float(value)
+        (block_id,), (slot,) = self.allocation.locate([index])
+        block_id = int(block_id)
+        block = self.device.read_block(block_id).copy()
+        old = float(block[slot])
+        block[slot] = float(value)
         self.device.write_block(block_id, block)
         self._norm = float(
             np.sqrt(max(0.0, self._norm**2 - old**2 + float(value) ** 2))
         )
-
-
-class TensorReads:
-    """The one coefficient-read kernel every tensor store view shares.
-
-    A view supplies ``allocation`` and :meth:`_read_blocks` — how a
-    sorted list of block ids is read: the live device's ``read_many``,
-    the shared-scan view's single-flight loop, an as-of view's
-    pre-image-else-live — and inherits :meth:`gather` plus its
-    dict/set-shaped wrappers.
-    """
-
-    def _read_blocks(self, block_ids: list) -> dict:
-        """Payloads of ``block_ids`` (sorted, distinct), keyed by id."""
-        return self.device.read_many(block_ids)
-
-    def gather(self, keys) -> np.ndarray:
-        """Stored values of ``(N, ndim)`` coefficient keys, in key order.
-
-        ``blocks_of`` → stable sort by block code → one sorted block
-        read → per-block lookup → un-permute.
-        """
-        with span("storage.fetch"):
-            keys = np.asarray(keys, dtype=np.intp)
-            codes = self.allocation.blocks_of(keys)
-            order = np.argsort(codes, kind="stable")
-            uniq, starts = np.unique(codes[order], return_index=True)
-            needed = self.allocation.block_ids(uniq)
-            obs_histogram(
-                "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
-            ).observe(len(needed))
-            blocks = self._read_blocks(needed)
-            wanted = index_tuples(keys[order])
-            bounds = starts.tolist() + [len(wanted)]
-            found: list[float] = []
-            try:
-                for b, block_id in enumerate(needed):
-                    found.extend(map(
-                        blocks[block_id].__getitem__,
-                        wanted[bounds[b]:bounds[b + 1]],
-                    ))
-            except KeyError as exc:
-                raise StorageError(
-                    f"coefficient {exc} missing from blocks"
-                ) from exc
-            out = np.empty(len(wanted))
-            out[order] = found
-            return out
-
-    def fetch(self, indices) -> dict[tuple[int, ...], float]:
-        """:meth:`gather` as a ``{key tuple: value}`` dictionary."""
-        keys = np.asarray(indices, dtype=np.intp)
-        values = self.gather(keys)
-        return dict(zip(index_tuples(keys), values.tolist()))
-
-    def blocks_for(self, indices) -> set[tuple[int, ...]]:
-        """Blocks a set of coefficients lives on (planning, no I/O)."""
-        codes = self.allocation.blocks_of(indices)
-        return set(self.allocation.block_ids(np.unique(codes)))
 
 
 class TensorBlockStore(TensorReads, _StoreBase):
@@ -343,12 +323,13 @@ class TensorBlockStore(TensorReads, _StoreBase):
         #: that populated the device; the engine's progressive bounds
         #: read them and its batch inserter keeps the norms current.
         self.block_norms = {
-            block_id: float(math.sqrt(sum(v * v for v in items.values())))
+            block_id: float(math.sqrt(sum(v * v for v in items.tolist())))
             for block_id, items in blocks.items()
         }
-        self.block_sizes = {
-            block_id: len(items) for block_id, items in blocks.items()
-        }
+        codes = np.arange(allocation.n_codes)
+        self.block_sizes = dict(zip(
+            allocation.block_ids(codes), allocation.block_len(codes).tolist()
+        ))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -360,14 +341,8 @@ class TensorBlockStore(TensorReads, _StoreBase):
         """L2 norm of the stored cube (for progressive error bounds)."""
         return self._norm
 
-    def fetch_block(
-        self, block_id: tuple[int, ...]
-    ) -> dict[tuple[int, ...], float]:
-        """Fetch one whole product block."""
-        return self.device.read_block(block_id)
-
     def update_block(
-        self, block_id: tuple[int, ...], items: dict[tuple[int, ...], float]
+        self, block_id: tuple[int, ...], items: np.ndarray
     ) -> None:
         """Overwrite one block (append path).
 

@@ -12,15 +12,16 @@ machinery distinguishes a damaged payload (retryable: re-read the
 block) from a missing one (not retryable).
 
 Format: ``MAGIC (4 bytes) | CRC32 of body (4 bytes, little-endian) |
-body (pickled payload dictionary)``.
+body (the block's values as raw little-endian float64)``.  Nothing read
+back from a device is ever unpickled.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 import zlib
-from typing import Hashable
+
+import numpy as np
 
 from repro.core.errors import CorruptedBlockError
 from repro.obs import counter as obs_counter
@@ -34,40 +35,53 @@ BLOCK_MAGIC = b"AIMS"
 _HEADER = struct.Struct("<4sI")
 
 
-def block_crc(items: dict[Hashable, float]) -> int:
+def block_crc(items: np.ndarray) -> int:
     """CRC32 of a block payload's encoded body (the stored checksum)."""
     return zlib.crc32(_body(items)) & 0xFFFFFFFF
 
 
-def _body(items: dict[Hashable, float]) -> bytes:
-    return pickle.dumps(items, protocol=4)
+def _body(items: np.ndarray) -> bytes:
+    return np.ascontiguousarray(items, dtype="<f8").tobytes()
 
 
-def encode_block(items: dict[Hashable, float]) -> bytes:
+def encode_block(items: np.ndarray) -> bytes:
     """Frame one block payload as ``MAGIC | CRC32(body) | body`` bytes."""
     body = _body(items)
     return _HEADER.pack(BLOCK_MAGIC, zlib.crc32(body) & 0xFFFFFFFF) + body
 
 
-def decode_block(data: bytes) -> dict[Hashable, float]:
+def _corrupted(message: str) -> CorruptedBlockError:
+    obs_counter("faults.crc_failures").inc()
+    return CorruptedBlockError(message)
+
+
+def decode_block(data: bytes) -> np.ndarray:
     """Decode an :func:`encode_block` frame, verifying its CRC first.
 
-    Raises :class:`~repro.core.errors.CorruptedBlockError` (and ticks the
-    ``faults.crc_failures`` counter) on a bad magic, short frame, or CRC
-    mismatch — the body is never unpickled unless the checksum holds.
+    Returns a read-only array viewing the frame's body.  Raises
+    :class:`~repro.core.errors.CorruptedBlockError` (and ticks the
+    ``faults.crc_failures`` counter) on anything that is not a frame: a
+    bad magic, a short frame, a CRC mismatch, or a body that is not a
+    whole number of float64 values.
     """
-    if len(data) < _HEADER.size or data[:4] != BLOCK_MAGIC:
-        obs_counter("faults.crc_failures").inc()
-        raise CorruptedBlockError(
+    if (
+        not isinstance(data, bytes)
+        or len(data) < _HEADER.size
+        or data[:4] != BLOCK_MAGIC
+    ):
+        raise _corrupted(
             "block frame is truncated or its magic marker is gone"
         )
     _magic, stored = _HEADER.unpack_from(data)
-    body = data[_HEADER.size:]
-    if zlib.crc32(body) & 0xFFFFFFFF != stored:
-        obs_counter("faults.crc_failures").inc()
-        raise CorruptedBlockError(
+    computed = zlib.crc32(memoryview(data)[_HEADER.size:]) & 0xFFFFFFFF
+    if computed != stored:
+        raise _corrupted(
             f"block payload failed its CRC check "
-            f"(stored {stored:#010x}, computed "
-            f"{zlib.crc32(body) & 0xFFFFFFFF:#010x})"
+            f"(stored {stored:#010x}, computed {computed:#010x})"
         )
-    return pickle.loads(body)
+    if (len(data) - _HEADER.size) % 8:
+        raise _corrupted(
+            f"block body of {len(data) - _HEADER.size} bytes is not a "
+            f"whole number of float64 values"
+        )
+    return np.frombuffer(data, dtype="<f8", offset=_HEADER.size)

@@ -48,7 +48,7 @@ from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
 from repro.obs.stats import StatsBase
 from repro.storage.codec import decode_block, encode_block
-from repro.storage.disk import IOStats, SimulatedDisk
+from repro.storage.disk import IOStats, SimulatedDisk, frozen_payload
 from repro.storage.latency import LatencyModel
 
 __all__ = [
@@ -70,14 +70,15 @@ class BlockDevice(Protocol):
     """What every storage layer speaks: blocks addressed by id.
 
     The four required members; concrete devices and middleware also
-    provide the wider conventional surface (``read_block_shared``,
-    ``read_many``, ``has_block``, ``block_ids``, ``occupancy``,
-    ``io_totals``, ``block_size``) which :class:`DeviceLayer` delegates
-    by default.
+    provide the wider conventional surface (``read_many``,
+    ``has_block``, ``block_ids``, ``occupancy``, ``io_totals``,
+    ``block_size``) which :class:`DeviceLayer` delegates by default.
+    A payload is an immutable value — a read-only ``float64`` array or
+    ``bytes`` — so no layer copies one on the way in or out.
     """
 
     def read_block(self, block_id: Hashable):
-        """Fetch one block payload; the caller owns the returned value."""
+        """Fetch one block payload (shared, immutable: never copied)."""
 
     def write_block(self, block_id: Hashable, items) -> None:
         """Store (or overwrite) one block payload."""
@@ -130,13 +131,8 @@ class DeviceLayer:  # lint: ignore[obs-coverage] — pure delegation base; meter
         return self.inner.block_size
 
     def read_block(self, block_id: Hashable):
-        """Fetch one block; the caller owns the returned payload."""
+        """Fetch one block's (immutable) payload."""
         return self.inner.read_block(block_id)
-
-    def read_block_shared(self, block_id: Hashable):
-        """Fetch one block without a defensive copy (immutable by
-        contract)."""
-        return self.inner.read_block_shared(block_id)
 
     def read_many(self, block_ids: Iterable[Hashable]) -> dict:
         """Fetch several blocks; returns ``{block_id: payload}``.
@@ -220,12 +216,6 @@ class MeteredDevice(DeviceLayer):
         self._count_reads()
         return payload
 
-    def read_block_shared(self, block_id: Hashable):
-        """Shared (no-copy) fetch, counting ``<prefix>.reads``."""
-        payload = self.inner.read_block_shared(block_id)
-        self._count_reads()
-        return payload
-
     def read_many(self, block_ids: Iterable[Hashable]) -> dict:
         """Bulk fetch, counting one read per block and preserving the
         inner device's fan-out."""
@@ -270,10 +260,9 @@ class CachingDevice(DeviceLayer):
     Coherence is an internal invariant now: every write enters through
     :meth:`write_block`, which writes through to the inner device and
     then invalidates the cached copy — no weak-ref side channel on the
-    leaf.  Cached entries are the inner device's immutable payloads
-    (one shared instance, never mutated in place) and dict callers
-    always receive a fresh copy, so a cached read costs exactly one
-    copy whether it hits or misses.
+    leaf.  Cached entries are the inner device's immutable payloads,
+    handed to every reader as the one shared instance — a cached read
+    copies nothing, hit or miss.
 
     Thread safety: one lock guards the LRU map, :class:`PoolStats` and
     the invalidation generation; the lock is *not* held across the
@@ -297,15 +286,11 @@ class CachingDevice(DeviceLayer):
         # Bumped by every invalidate()/clear(); see the class docstring.
         self._gen = 0
 
-    @staticmethod
-    def _copy(payload):
-        return dict(payload) if isinstance(payload, dict) else payload
-
     def _occupancy(self) -> float:
         return len(self._cache) / self.capacity
 
-    def read_block_shared(self, block_id: Hashable):
-        """Cached fetch returning the shared (immutable) payload."""
+    def read_block(self, block_id: Hashable):
+        """Cached fetch of one block's (immutable) payload."""
         with self._lock:
             cached = self._cache.get(block_id)
             if cached is not None:
@@ -316,10 +301,9 @@ class CachingDevice(DeviceLayer):
         if cached is not None:
             obs_counter("storage.pool.hits").inc()
             return cached
-        # Inner payloads are immutable-by-contract, so the shared
-        # instance can be the cache entry itself: one copy per cached
-        # read (for dict callers), not two.
-        payload = self.inner.read_block_shared(block_id)
+        # Inner payloads are immutable, so the shared instance is the
+        # cache entry itself.
+        payload = self.inner.read_block(block_id)
         evicted = 0
         with self._lock:
             self.pool_stats.misses += 1
@@ -335,10 +319,6 @@ class CachingDevice(DeviceLayer):
             obs_counter("storage.pool.evictions").inc(evicted)
         obs_gauge("storage.pool.occupancy").set(occupancy)
         return payload
-
-    def read_block(self, block_id: Hashable):
-        """Cached fetch; dict callers receive a fresh copy they own."""
-        return self._copy(self.read_block_shared(block_id))
 
     def write_block(self, block_id: Hashable, items) -> None:
         """Write through to the inner device, then invalidate the cached
@@ -425,7 +405,7 @@ class CachingDevice(DeviceLayer):
 
 
 class CrcFramedDevice(DeviceLayer):  # lint: ignore[obs-coverage] — transparent framing; corruption surfaces as faults.* series from the faulty layer
-    """CRC-framing middleware: payload dictionaries above, self-verifying
+    """CRC-framing middleware: array payloads above, self-verifying
     byte frames (``MAGIC | CRC32 | body``) below.
 
     Every write is encoded through the block codec before it reaches
@@ -445,63 +425,32 @@ class CrcFramedDevice(DeviceLayer):  # lint: ignore[obs-coverage] — transparen
         self._lock = watched_lock("storage.crc")
 
     def write_block(self, block_id: Hashable, items) -> None:
-        """Frame one payload dictionary and store the encoded bytes."""
-        if not isinstance(items, dict):
-            raise StorageError(
-                f"block {block_id!r}: CRC framing stores payload "
-                f"dictionaries, got {type(items).__name__}"
-            )
-        if len(items) > self.block_size:
-            raise StorageError(
-                f"block {block_id!r}: {len(items)} items exceed "
-                f"block size {self.block_size}"
-            )
-        self.inner.write_block(block_id, encode_block(items))
-        with self._lock:
-            self._counts[block_id] = len(items)
+        """Frame one array payload and store the encoded bytes (a
+        group of one)."""
+        self.write_many({block_id: items})
 
     def write_many(self, blocks: dict) -> None:
         """Frame every payload in the group and store the encoded frames
         as one coalesced inner write.
 
-        Validation (dict payloads only, capacity bound) runs for the
+        Validation (array payloads only, capacity bound) runs for the
         *whole* group before any frame reaches the inner device, so a
         malformed member rejects the batch instead of leaving a torn
         group half-written.
         """
-        for block_id, items in blocks.items():
-            if not isinstance(items, dict):
-                raise StorageError(
-                    f"block {block_id!r}: CRC framing stores payload "
-                    f"dictionaries, got {type(items).__name__}"
-                )
-            if len(items) > self.block_size:
-                raise StorageError(
-                    f"block {block_id!r}: {len(items)} items exceed "
-                    f"block size {self.block_size}"
-                )
-        self.inner.write_many(
-            {block_id: encode_block(items)
-             for block_id, items in blocks.items()}
-        )
+        frames = {
+            block_id: encode_block(
+                frozen_payload(block_id, items, self.block_size)
+            )
+            for block_id, items in blocks.items()
+        }
+        self.inner.write_many(frames)
         with self._lock:
-            for block_id, items in blocks.items():
-                self._counts[block_id] = len(items)
+            self._counts.update((b, len(items)) for b, items in blocks.items())
 
     def read_block(self, block_id: Hashable):
         """Fetch one frame, verify its CRC, and decode the payload."""
-        data = self.inner.read_block(block_id)
-        if isinstance(data, (bytes, bytearray)):
-            return decode_block(bytes(data))
-        # Already-decoded payloads (a mixed legacy device) pass through.
-        return dict(data) if isinstance(data, dict) else data
-
-    def read_block_shared(self, block_id: Hashable):
-        """Shared fetch: decoding already produces a fresh dictionary."""
-        data = self.inner.read_block_shared(block_id)
-        if isinstance(data, (bytes, bytearray)):
-            return decode_block(bytes(data))
-        return data
+        return decode_block(self.inner.read_block(block_id))
 
     def occupancy(self) -> float:
         """Mean fraction of block item-capacity in use (tracked here —
@@ -546,12 +495,6 @@ class ResilientDevice(DeviceLayer):
         if self._caller is None:
             return self.inner.read_block(block_id)
         return self._caller.call(self.inner.read_block, block_id)
-
-    def read_block_shared(self, block_id: Hashable):
-        """Shared fetch under the retry/breaker stack."""
-        if self._caller is None:
-            return self.inner.read_block_shared(block_id)
-        return self._caller.call(self.inner.read_block_shared, block_id)
 
     def read_many(self, block_ids: Iterable[Hashable]) -> dict:
         """Bulk fetch, each block independently guarded (one block's

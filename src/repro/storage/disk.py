@@ -10,9 +10,10 @@ Since the device-stack refactor this class is deliberately dumb: no
 cache hooks (coherence lives in
 :class:`~repro.storage.device.CachingDevice`), no metrics registry calls
 (a :class:`~repro.storage.device.MeteredDevice` directly above the leaf
-emits ``storage.disk.*``), no fault logic (middleware), and payloads are
-opaque — dictionaries are capacity-checked and defensively copied, while
-byte frames (from a CRC layer above) are stored as-is.
+emits ``storage.disk.*``), no fault logic (middleware), and a payload is
+an immutable value — a read-only ``float64`` array of a block's values
+(capacity-checked) or a byte frame from a CRC layer above — that is
+stored and handed back as the same object, never copied on a read.
 
 Thread safety: the block directory and :class:`IOStats` counters are
 guarded by one device lock; the simulated latency sleep happens after
@@ -24,12 +25,39 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
+import numpy as np
+
 from repro.core.errors import StorageError
 from repro.lint.lockwatch import watched_lock
 from repro.obs.stats import StatsBase
 from repro.storage.latency import LatencyModel
 
-__all__ = ["IOStats", "SimulatedDisk"]
+__all__ = ["IOStats", "SimulatedDisk", "frozen_payload"]
+
+
+def frozen_payload(block_id: Hashable, items, block_size: int) -> np.ndarray:
+    """``items`` as the read-only 1-D ``float64`` array a block stores.
+
+    A read-only ``float64`` array is returned as is; a writable one (or
+    another dtype) is copied and the copy frozen, so a caller mutating
+    its buffer afterwards cannot reach stored state.  Anything else,
+    and an array longer than ``block_size``, is a
+    :class:`~repro.core.errors.StorageError`.
+    """
+    if not isinstance(items, np.ndarray) or items.ndim != 1:
+        raise StorageError(
+            f"block {block_id!r}: a payload is a 1-D float64 array, "
+            f"got {type(items).__name__}"
+        )
+    if len(items) > block_size:
+        raise StorageError(
+            f"block {block_id!r}: {len(items)} items exceed "
+            f"block size {block_size}"
+        )
+    if items.flags.writeable or items.dtype != np.float64:
+        items = items.astype(np.float64)
+        items.flags.writeable = False
+    return items
 
 
 @dataclass
@@ -49,15 +77,15 @@ class IOStats(StatsBase):
 class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; storage.disk.* metering is the MeteredDevice directly above
     """Leaf block device: block id -> payload.
 
-    Payloads are either dictionaries from item key (e.g. flat
-    coefficient index) to value — ``block_size`` bounds how many items
-    one block may carry, mirroring a real device's fixed block capacity
-    — or opaque byte frames written by a CRC layer above (stored
-    untouched; capacity is then that layer's business).  ``latency``
-    is an optional :class:`~repro.storage.latency.LatencyModel` whose
-    per-read delay (base seek time plus seeded spikes) is slept outside
-    the device lock; the legacy ``latency_s`` float is accepted and
-    folded into a model.
+    Payloads are either read-only ``float64`` arrays of a block's
+    values — ``block_size`` bounds how many one block may carry,
+    mirroring a real device's fixed block capacity — or opaque byte
+    frames written by a CRC layer above (stored untouched; capacity is
+    then that layer's business).  ``latency`` is an optional
+    :class:`~repro.storage.latency.LatencyModel` whose per-read delay
+    (base seek time plus seeded spikes) is slept outside the device
+    lock; the legacy ``latency_s`` float is accepted and folded into a
+    model.
     """
 
     block_size: int
@@ -88,26 +116,19 @@ class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; s
     def write_block(self, block_id: Hashable, items) -> None:
         """Store (or overwrite) one block.
 
-        A dictionary payload is capacity-checked and stored as a fresh
-        copy that is never mutated in place afterwards (subsequent
-        writes replace it), so readers that already hold the previous
-        payload keep a consistent pre-write snapshot.  Non-dict payloads
-        (encoded byte frames) are stored as-is — bytes are immutable.
+        The stored payload is immutable (:func:`frozen_payload`; bytes
+        already are) and a later write replaces it, so readers holding
+        the previous payload keep a consistent pre-write snapshot.
         """
-        if isinstance(items, dict):
-            if len(items) > self.block_size:
-                raise StorageError(
-                    f"block {block_id!r}: {len(items)} items exceed "
-                    f"block size {self.block_size}"
-                )
-            payload: object = dict(items)
-        else:
-            payload = items
+        if not isinstance(items, bytes):
+            items = frozen_payload(block_id, items, self.block_size)
         with self._lock:
-            self._blocks[block_id] = payload
+            self._blocks[block_id] = items
             self.io.writes += 1
 
-    def _fetch(self, block_id: Hashable):
+    def read_block(self, block_id: Hashable):
+        """Fetch one block, counting the I/O.  The stored (immutable)
+        payload itself is returned — no copy."""
         with self._lock:
             try:
                 block = self._blocks[block_id]
@@ -117,23 +138,6 @@ class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; s
         if self.latency is not None:
             self.latency.sleep()
         return block
-
-    def read_block(self, block_id: Hashable):
-        """Fetch one block, counting the I/O.  The caller owns the
-        returned payload (dictionaries are copied; bytes are immutable)."""
-        block = self._fetch(block_id)
-        return dict(block) if isinstance(block, dict) else block
-
-    def read_block_shared(self, block_id: Hashable):
-        """Fetch one block without copying, counting the I/O.
-
-        Returns the device's internal payload, which MUST be treated as
-        immutable: the device never mutates stored payloads in place
-        (:meth:`write_block` replaces them), so sharing is safe for
-        readers that also never mutate — the caching layer uses this to
-        avoid one copy per miss.
-        """
-        return self._fetch(block_id)
 
     def read_many(self, block_ids: Iterable[Hashable]) -> dict:
         """Fetch several blocks; returns ``{block_id: payload}``."""
@@ -165,12 +169,13 @@ class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; s
     def occupancy(self) -> float:
         """Mean fraction of block item-capacity in use.
 
-        Counts dictionary payloads only; opaque byte frames are scored
-        by the CRC layer that knows their item counts.
+        Counts array payloads only; opaque byte frames are scored by
+        the CRC layer that knows their item counts.
         """
         with self._lock:
             counted = [
-                len(b) for b in self._blocks.values() if isinstance(b, dict)
+                len(b) for b in self._blocks.values()
+                if not isinstance(b, bytes)
             ]
             if not counted:
                 return 0.0

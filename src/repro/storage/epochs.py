@@ -10,8 +10,9 @@ versioning half of the session record/replay story:
   and records, for each touched block, the full payload *before* the
   commit plus the block's prior norm.  Pre-images (not arithmetic
   deltas) are what make reconstruction **bitwise**-exact: float
-  subtraction is not an exact inverse of float addition, but a stored
-  copy is.
+  subtraction is not an exact inverse of float addition, but the
+  stored payload is — and payloads are immutable, so the log keeps
+  the very object the device held, not a copy.
 * :class:`AsOfStore` — a read-only block-store view that serves every
   block *as of* a chosen epoch: blocks some later epoch touched come
   straight from their logged pre-image (zero device I/O — history is
@@ -54,7 +55,7 @@ class EpochRecord:
     Attributes:
         epoch: The epoch this commit *created* (so the pre-images are
             the touched blocks' payloads at ``epoch - 1``).
-        preimages: ``block_id -> full payload dict`` as it was
+        preimages: ``block_id -> payload array`` as it was
             immediately before the commit.
         prior_norms: ``block_id -> L2 norm`` of the pre-image payloads
             (the progressive evaluator's error bounds need per-block
@@ -110,9 +111,8 @@ class EpochLog:
         """Record one committed batch append; returns the new epoch.
 
         Args:
-            preimages: ``block_id -> payload dict`` snapshots taken
-                *before* the commit mutated them (the caller owns the
-                copies; they are stored as given and never mutated).
+            preimages: ``block_id -> payload`` as read *before* the
+                commit replaced them (immutable, so stored as given).
             prior_norms: ``block_id -> norm`` before the commit.
             points: Appended points in the commit (for audit stats).
         """
@@ -155,9 +155,7 @@ class EpochLog:
         """Pre-image payload of ``block_id`` as of ``epoch``, or ``None``.
 
         ``None`` means no retained epoch after ``epoch`` touched the
-        block, i.e. the live payload *is* the historical one.  The
-        returned dict is the log's own copy — callers must not mutate
-        it (:class:`AsOfStore` hands out fresh copies).
+        block, i.e. the live payload *is* the historical one.
         """
         with self._lock:
             for record in self._records:
@@ -249,12 +247,12 @@ class AsOfStore(TensorReads):
         """Delegate every non-read attribute to the wrapped store."""
         return getattr(self._store, name)
 
-    def fetch_block(self, block_id: Hashable) -> dict:
+    def fetch_block(self, block_id: Hashable):
         """One block as of the pinned epoch (pre-image or live)."""
         preimage = self._log.preimage_as_of(block_id, self.epoch)
         if preimage is not None:
             obs_counter("epoch.preimage_reads").inc()
-            return dict(preimage)
+            return preimage
         return self._store.fetch_block(block_id)
 
     def fetch_blocks(self, block_ids: list) -> dict:
@@ -269,7 +267,7 @@ class AsOfStore(TensorReads):
         for block_id in ids:
             preimage = self._log.preimage_as_of(block_id, self.epoch)
             if preimage is not None:
-                out[block_id] = dict(preimage)
+                out[block_id] = preimage
             else:
                 live.append(block_id)
         if out:

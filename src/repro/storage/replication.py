@@ -186,13 +186,6 @@ class ReplicatedDevice:
             lambda device: device.read_block(block_id),
         )
 
-    def read_block_shared(self, block_id: Hashable):
-        """Shared (no-copy) fetch with the same failover ladder."""
-        return self._failover_read(
-            f"read_block_shared({block_id!r})",
-            lambda device: device.read_block_shared(block_id),
-        )
-
     def read_many(self, block_ids: Iterable[Hashable]) -> dict:
         """Bulk fetch with whole-group failover.
 

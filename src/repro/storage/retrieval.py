@@ -115,8 +115,9 @@ class SignalArchive:
         residual = sum(self._block_energy.values())
         flat = np.zeros(self.length)
         for step, block_id in enumerate(order, start=1):
-            for idx, value in self.store.fetch_block(block_id).items():
-                flat[idx] = value
+            flat[self.store.allocation.block_keys(block_id)] = (
+                self.store.fetch_block(block_id)
+            )
             residual -= self._block_energy[block_id]
             bundle = WaveletCoefficients.from_flat(
                 flat, self.levels, self.wavelet

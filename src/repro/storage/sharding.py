@@ -97,10 +97,6 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
         """Fetch one block from its owning shard."""
         return self._device_for(block_id).read_block(block_id)
 
-    def read_block_shared(self, block_id: Hashable):
-        """Shared (no-copy) fetch from the owning shard."""
-        return self._device_for(block_id).read_block_shared(block_id)
-
     def _fanout_pool(self) -> ThreadPoolExecutor:
         """The persistent fan-out pool (created on first concurrent use)."""
         with self._pool_lock:

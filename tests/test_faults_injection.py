@@ -26,19 +26,27 @@ from repro.storage.codec import (
 from repro.storage.disk import SimulatedDisk
 
 
+def vals(*values):
+    """A block payload: the block's values, nothing else."""
+    return np.array(values, dtype=float)
+
+
 class TestBlockCodec:
     def test_roundtrip_preserves_payload_exactly(self):
-        items = {0: 1.5, (1, 2): -3.25, 7: 0.0}
-        assert decode_block(encode_block(items)) == items
+        items = vals(1.5, -3.25, 0.0)
+        decoded = decode_block(encode_block(items))
+        assert decoded.tobytes() == items.tobytes()
+        assert decoded.dtype == np.float64 and not decoded.flags.writeable
 
     def test_frame_starts_with_magic_and_crc(self):
-        frame = encode_block({0: 1.0})
+        frame = encode_block(vals(1.0))
         assert frame[:4] == BLOCK_MAGIC
-        assert int.from_bytes(frame[4:8], "little") == block_crc({0: 1.0})
+        assert int.from_bytes(frame[4:8], "little") == block_crc(vals(1.0))
+        assert frame[8:] == vals(1.0).astype("<f8").tobytes()
 
     @pytest.mark.parametrize("position", [4, 8, 12, -1])
     def test_any_flipped_byte_is_detected(self, position):
-        frame = bytearray(encode_block({i: float(i) for i in range(5)}))
+        frame = bytearray(encode_block(np.arange(5.0)))
         frame[position] ^= 0xFF
         with pytest.raises(CorruptedBlockError):
             decode_block(bytes(frame))
@@ -47,15 +55,19 @@ class TestBlockCodec:
         with pytest.raises(CorruptedBlockError):
             decode_block(b"AI")  # shorter than the header
         with pytest.raises(CorruptedBlockError):
-            decode_block(b"XXXX" + encode_block({0: 1.0})[4:])
+            decode_block(b"XXXX" + encode_block(vals(1.0))[4:])
 
     def test_corruption_never_reaches_unpickling(self):
-        # A frame whose body is not even a pickle must fail at the CRC,
-        # proving the checksum gate runs before deserialization.
+        # A frame whose body is not what was checksummed must fail at
+        # the CRC — and the codec has no deserializer to reach anyway:
+        # a body is raw float64, never a pickle.
+        import repro.storage.codec as codec
+
         bad_body = b"\x00not a pickle"
-        frame = encode_block({0: 1.0})[:8] + bad_body
+        frame = encode_block(vals(1.0))[:8] + bad_body
         with pytest.raises(CorruptedBlockError):
             decode_block(frame)
+        assert not hasattr(codec, "pickle")
 
 
 class TestFaultPlan:
@@ -99,16 +111,16 @@ class TestFaultPlan:
 def make_disk(plan=None, **kwargs) -> FaultyDisk:
     disk = FaultyDisk(block_size=8, plan=plan, **kwargs)
     for b in range(4):
-        disk.write_block(b, {b: float(b)})
+        disk.write_block(b, vals(float(b)))
     return disk
 
 
 class TestFaultyDevice:
     def test_no_plan_behaves_like_base_disk(self):
         plain = SimulatedDisk(block_size=8)
-        plain.write_block(0, {0: 0.0})
+        plain.write_block(0, vals(0.0))
         faulty = make_disk(plan=None)
-        assert faulty.read_block(0) == plain.read_block(0)
+        assert faulty.read_block(0).tolist() == plain.read_block(0).tolist()
 
     def test_injected_read_error_raises_and_counts(self):
         disk = make_disk(FaultPlan(seed=0, read_error_rate=1.0))
@@ -126,19 +138,19 @@ class TestFaultyDevice:
         disk = make_disk(
             FaultPlan(seed=0, latency_spike_rate=1.0, latency_spike_s=0.0)
         )
-        assert disk.read_block(2) == {2: 2.0}
+        assert disk.read_block(2).tolist() == [2.0]
 
     def test_injected_write_error(self):
         disk = make_disk(None)
         disk.plan = FaultPlan(seed=0, write_error_rate=1.0)
         with pytest.raises(InjectedWriteError):
-            disk.write_block(9, {9: 9.0})
+            disk.write_block(9, vals(9.0))
         assert not disk.has_block(9)
 
     def test_injecting_flag_disables_the_plan(self):
         disk = make_disk(FaultPlan(seed=0, read_error_rate=1.0))
         disk.injecting = False
-        assert disk.read_block(1) == {1: 1.0}
+        assert disk.read_block(1).tolist() == [1.0]
         disk.injecting = True
         with pytest.raises(InjectedReadError):
             disk.read_block(1)
@@ -182,13 +194,11 @@ class TestFaultyDevice:
         plan = FaultPlan(seed=1, latency_spike_rate=0.5, latency_spike_s=0.0)
         disk = FaultyDisk(block_size=4, plan=plan)
         for b in range(4):
-            disk.write_block(
-                b, {4 * b + i: float(values[4 * b + i]) for i in range(4)}
-            )
+            disk.write_block(b, values[4 * b:4 * b + 4])
         for b in range(4):
-            assert disk.read_block(b) == {
-                4 * b + i: float(values[4 * b + i]) for i in range(4)
-            }
+            assert disk.read_block(b).tolist() == (
+                values[4 * b:4 * b + 4].tolist()
+            )
 
 class TestDeprecationShimAndLatency:
     def test_faultydisk_shim_builds_a_faulty_device(self):

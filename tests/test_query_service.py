@@ -147,7 +147,7 @@ class TestSharedScans:
         assert stats["shared"] >= 1  # at least one piggy-backed read
         assert reads == stats["fetches"]  # only leaders touch the device
 
-    def test_follower_copies_are_independent(self):
+    def test_followers_share_an_immutable_payload(self):
         engine = build_engine(pool_capacity=None, latency_s=0.005)
         coordinator = ScanCoordinator(engine.store)
         block_id = engine.store.disk.block_ids()[0]
@@ -164,8 +164,11 @@ class TestSharedScans:
             t.start()
         for t in threads:
             t.join()
-        # Followers share values but never the same mutable dictionary.
-        assert len({id(r) for r in results}) == len(results)
+        # Followers receive the leader's payload itself, which nobody
+        # can mutate.
+        assert len(results) == 4
+        assert not any(r.flags.writeable for r in results)
+        assert all(np.array_equal(r, results[0]) for r in results)
 
     def test_shared_scan_view_matches_plain_store(self):
         engine = build_engine()

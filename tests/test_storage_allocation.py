@@ -159,8 +159,9 @@ class TestBuildBlocks:
         flat = RNG.normal(size=64)
         blocks = alloc.build_blocks(flat)
         seen = {}
-        for items in blocks.values():
-            seen.update(items)
+        for block_id, items in blocks.items():
+            assert not items.flags.writeable
+            seen.update(zip(alloc.block_keys(block_id).tolist(), items.tolist()))
         assert len(seen) == 64
         for idx, val in seen.items():
             assert val == flat[idx]

@@ -8,17 +8,24 @@ re-expressed against the layered device stack:
   :class:`~repro.storage.device.CachingDevice`, whose write-through
   invalidation is an internal invariant (the weak-ref side channel on
   the disk is gone);
-* cache-state leaks — the cache must hand out copies, so mutating a
-  returned block can never corrupt the cached (or on-device) payload,
-  while a cached read costs exactly one copy.
+* cache-state leaks — mutating a returned block can never corrupt the
+  cached (or on-device) payload: payloads are read-only arrays, so the
+  one stored instance is shared by every reader and a read copies
+  nothing.
 """
 
 import numpy as np
+import pytest
 
 from repro.storage.allocation import subtree_tiling_allocation
 from repro.storage.blockstore import WaveletBlockStore
 from repro.storage.device import CachingDevice
 from repro.storage.disk import SimulatedDisk
+
+
+def vals(*values):
+    """A block payload: the block's values, nothing else."""
+    return np.array(values, dtype=float)
 
 
 def build_cached(block_size=4, capacity=2):
@@ -30,24 +37,24 @@ def build_cached(block_size=4, capacity=2):
 class TestWriteThroughInvalidation:
     def test_write_through_stack_invalidates_cached_block(self):
         disk, cache = build_cached()
-        cache.write_block(0, {0: 1.0, 1: 2.0})
-        assert cache.read_block(0) == {0: 1.0, 1: 2.0}
+        cache.write_block(0, vals(1.0, 2.0))
+        assert cache.read_block(0).tolist() == [1.0, 2.0]
         # The write enters through the stack, so the cache invalidates
         # its own copy — no side channel, no opt-in hook.
-        cache.write_block(0, {0: 9.0, 1: 2.0})
-        assert cache.read_block(0) == {0: 9.0, 1: 2.0}
-        assert disk.read_block(0) == {0: 9.0, 1: 2.0}
+        cache.write_block(0, vals(9.0, 2.0))
+        assert cache.read_block(0).tolist() == [9.0, 2.0]
+        assert disk.read_block(0).tolist() == [9.0, 2.0]
         assert cache.pool_stats.invalidations == 1
 
     def test_untouched_blocks_stay_cached(self):
         disk, cache = build_cached(block_size=2, capacity=4)
-        cache.write_block(0, {0: 1.0})
-        cache.write_block(1, {1: 5.0})
+        cache.write_block(0, vals(1.0))
+        cache.write_block(1, vals(5.0))
         cache.read_block(0)
         cache.read_block(1)
-        cache.write_block(0, {0: 2.0})
+        cache.write_block(0, vals(2.0))
         before = cache.pool_stats.snapshot()
-        assert cache.read_block(1) == {1: 5.0}
+        assert cache.read_block(1).tolist() == [5.0]
         assert cache.pool_stats.delta(before).hits == 1  # still served hot
 
     def test_store_update_through_cache_is_coherent(self):
@@ -62,7 +69,7 @@ class TestWriteThroughInvalidation:
 
     def test_manual_invalidate_still_available(self):
         disk, cache = build_cached(block_size=2)
-        cache.write_block(0, {0: 1.0})
+        cache.write_block(0, vals(1.0))
         cache.read_block(0)
         cache.invalidate(0)
         before = cache.pool_stats.snapshot()
@@ -80,52 +87,53 @@ class TestWriteThroughInvalidation:
 class TestReturnedBlockOwnership:
     def test_mutating_miss_result_does_not_corrupt_cache(self):
         disk, cache = build_cached()
-        cache.write_block(0, {0: 1.0, 1: 2.0})
+        cache.write_block(0, vals(1.0, 2.0))
         returned = cache.read_block(0)  # miss
-        returned[0] = 666.0
-        returned[7] = -1.0
-        assert cache.read_block(0) == {0: 1.0, 1: 2.0}
+        with pytest.raises(ValueError):
+            returned[0] = 666.0
+        assert cache.read_block(0).tolist() == [1.0, 2.0]
 
     def test_mutating_hit_result_does_not_corrupt_cache(self):
         disk, cache = build_cached()
-        cache.write_block(0, {0: 1.0})
+        cache.write_block(0, vals(1.0))
         cache.read_block(0)
         hit = cache.read_block(0)
-        hit[0] = 666.0
-        assert cache.read_block(0) == {0: 1.0}
+        with pytest.raises(ValueError):
+            hit[0] = 666.0
+        assert cache.read_block(0).tolist() == [1.0]
 
     def test_mutating_cache_result_does_not_corrupt_device(self):
         disk, cache = build_cached()
-        cache.write_block(0, {0: 1.0})
-        cache.read_block(0)[0] = 666.0
+        cache.write_block(0, vals(1.0))
+        with pytest.raises(ValueError):
+            cache.read_block(0)[0] = 666.0
         cache.clear()
-        assert disk.read_block(0) == {0: 1.0}
+        assert disk.read_block(0).tolist() == [1.0]
 
     def test_miss_serves_device_payload_without_extra_copy(self):
-        # Single-copy reads: the cache entry is the device payload itself
-        # (one shared, never-mutated instance); only the caller's copy is
-        # fresh.
+        # Zero-copy reads: the cache entry and what the caller receives
+        # are the device payload itself (one shared, immutable instance).
         disk, cache = build_cached()
-        cache.write_block(0, {0: 1.0})
+        cache.write_block(0, vals(1.0))
         returned = cache.read_block(0)
-        assert returned == {0: 1.0}
+        assert returned.tolist() == [1.0]
         assert cache._cache[0] is disk._blocks[0]
-        assert returned is not cache._cache[0]
+        assert returned is cache._cache[0]
 
     def test_hit_serves_the_same_shared_instance(self):
-        # Single-copy reads on the hit path too: a shared read returns
-        # the cached instance itself, with no per-hit copying.
+        # Zero-copy reads on the hit path too: a hit returns the cached
+        # instance itself.
         disk, cache = build_cached()
-        cache.write_block(0, {0: 1.0})
-        first = cache.read_block_shared(0)
-        second = cache.read_block_shared(0)
+        cache.write_block(0, vals(1.0))
+        first = cache.read_block(0)
+        second = cache.read_block(0)
         assert first is second
         assert cache.pool_stats.hits == 1
 
     def test_shared_read_counts_io(self):
         disk = SimulatedDisk(block_size=4)
-        disk.write_block(0, {0: 1.0})
+        disk.write_block(0, vals(1.0))
         before = disk.io.snapshot()
-        shared = disk.read_block_shared(0)
-        assert shared == {0: 1.0}
+        shared = disk.read_block(0)
+        assert shared is disk._blocks[0] and shared.tolist() == [1.0]
         assert disk.io.delta(before).reads == 1

@@ -14,9 +14,16 @@ Three invariants under concurrency:
 
 import threading
 
+import numpy as np
+
 from repro.storage.device import CachingDevice
 from repro.storage.disk import SimulatedDisk
 from repro.storage.latency import LatencyModel
+
+
+def vals(*values):
+    """A block payload: the block's values, nothing else."""
+    return np.array(values, dtype=float)
 
 
 def run_threads(targets):
@@ -31,7 +38,7 @@ class TestStatsConservation:
     def test_concurrent_reads_lose_no_device_counts(self):
         disk = SimulatedDisk(block_size=4)
         for b in range(8):
-            disk.write_block(b, {b: float(b)})
+            disk.write_block(b, vals(float(b)))
         per_thread, n_threads = 300, 8
         base = disk.io.snapshot()
 
@@ -46,7 +53,7 @@ class TestStatsConservation:
         disk = SimulatedDisk(block_size=4)
         cache = CachingDevice(disk, capacity=4)  # small: constant evictions
         for b in range(16):
-            cache.write_block(b, {b: float(b)})
+            cache.write_block(b, vals(float(b)))
         base_reads = disk.io.reads
         per_thread, n_threads = 300, 8
 
@@ -70,7 +77,7 @@ class TestStatsConservation:
             def run():
                 for i in range(per_thread):
                     disk.write_block(
-                        (seed, i % 10), {0: float(i), 1: float(seed)}
+                        (seed, i % 10), vals(float(i), float(seed))
                     )
             return run
 
@@ -90,13 +97,13 @@ class TestCoherenceUnderConcurrency:
         # reader already observed.
         disk = SimulatedDisk(block_size=4)
         cache = CachingDevice(disk, capacity=2)
-        cache.write_block("hot", {0: 0.0})
+        cache.write_block("hot", vals(0.0))
         stop = threading.Event()
         errors = []
 
         def writer():
             for version in range(1, 400):
-                cache.write_block("hot", {0: float(version)})
+                cache.write_block("hot", vals(float(version)))
             stop.set()
 
         def reader():
@@ -112,15 +119,15 @@ class TestCoherenceUnderConcurrency:
         assert errors == []
         # After the dust settles the cache must serve the final payload —
         # the in-flight-miss window may not have cached a stale one.
-        assert cache.read_block("hot") == {0: 399.0}
-        assert cache.read_block("hot") == {0: 399.0}  # now from cache
+        assert cache.read_block("hot").tolist() == [399.0]
+        assert cache.read_block("hot").tolist() == [399.0]  # now from cache
 
     def test_no_torn_payloads(self):
-        # Writers store internally consistent payloads {0: v, 1: v};
-        # readers must never observe {0: a, 1: b} with a != b.
+        # Writers store internally consistent payloads [v, v];
+        # readers must never observe [a, b] with a != b.
         disk = SimulatedDisk(block_size=4)
         cache = CachingDevice(disk, capacity=2)
-        cache.write_block("b", {0: 0.0, 1: 0.0})
+        cache.write_block("b", vals(0.0, 0.0))
         stop = threading.Event()
         torn = []
 
@@ -128,7 +135,7 @@ class TestCoherenceUnderConcurrency:
             def run():
                 for i in range(300):
                     v = float(i * 10 + offset)
-                    cache.write_block("b", {0: v, 1: v})
+                    cache.write_block("b", vals(v, v))
             return run
 
         def reader():
@@ -150,16 +157,21 @@ class TestCoherenceUnderConcurrency:
     def test_mutating_a_concurrent_copy_never_leaks_into_cache(self):
         disk = SimulatedDisk(block_size=4)
         cache = CachingDevice(disk, capacity=2)
-        cache.write_block(0, {0: 1.0})
+        cache.write_block(0, vals(1.0))
+        refused = []
 
         def clobber():
             for _ in range(200):
-                copy = cache.read_block(0)
-                copy[0] = -99.0  # caller-owned copy; must not leak
+                shared = cache.read_block(0)
+                try:
+                    shared[0] = -99.0  # the one shared instance
+                except ValueError:
+                    refused.append(1)
 
         run_threads([clobber] * 4)
-        assert cache.read_block(0) == {0: 1.0}
-        assert disk.read_block(0) == {0: 1.0}
+        assert len(refused) == 800
+        assert cache.read_block(0).tolist() == [1.0]
+        assert disk.read_block(0).tolist() == [1.0]
 
 
 class TestLockOrderUnderStress:
@@ -180,14 +192,14 @@ class TestLockOrderUnderStress:
             )
             device = spec.build(block_size=4).device
             for b in range(16):
-                device.write_block(b, {b: float(b)})
+                device.write_block(b, vals(float(b)))
 
             def worker(seed):
                 def run():
                     for i in range(150):
                         key = (i * (seed + 1) + seed) % 16
                         if i % 5 == 0:
-                            device.write_block(key, {key: float(i)})
+                            device.write_block(key, vals(float(i)))
                         else:
                             device.read_block(key)
                 return run
@@ -221,7 +233,7 @@ class TestSimulatedLatency:
 
         disk = SimulatedDisk(block_size=2,
                              latency=LatencyModel(base_s=0.01))
-        disk.write_block(0, {0: 1.0})
+        disk.write_block(0, vals(1.0))
         n = 8
         start = time.perf_counter()
         run_threads([lambda: disk.read_block(0)] * n)

@@ -12,6 +12,7 @@ Two exhaustive sweeps anchor the layering contract:
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.core.errors import CorruptedBlockError, StorageError
@@ -76,9 +77,9 @@ class TestLayerOrderProperty:
 
     def test_every_accepted_stack_preserves_write_read_identity(self):
         payloads = {
-            0: {0: 1.5, 1: -2.25},
-            1: {8: 0.0},
-            (2, 3): {(2, 3): 7.125},
+            0: np.array([1.5, -2.25]),
+            1: np.array([0.0]),
+            (2, 3): np.array([7.125]),
         }
         for ordering in all_middleware_orderings():
             kinds = list(ordering) + ["disk"]
@@ -88,7 +89,9 @@ class TestLayerOrderProperty:
             for block_id, items in payloads.items():
                 device.write_block(block_id, items)
             for block_id, items in payloads.items():
-                assert device.read_block(block_id) == items, kinds
+                got = device.read_block(block_id)
+                assert got.tolist() == items.tolist(), kinds
+                assert not got.flags.writeable, kinds
             assert device.n_blocks() == len(payloads)
 
     def test_stack_must_end_in_disk(self):
@@ -121,7 +124,7 @@ class TestLayerOrderProperty:
 
 class TestCrcDetectsEverySingleBitCorruption:
     def test_every_flipped_bit_is_detected(self):
-        frame = encode_block({i: float(i) * 1.75 for i in range(6)})
+        frame = encode_block(np.arange(6) * 1.75)
         assert decode_block(frame) is not None  # sanity: intact decodes
         for byte_pos in range(len(frame)):
             for bit in range(8):

@@ -8,6 +8,7 @@ never empties, and the ``replicas=`` spec field builds the whole thing
 declaratively with answers bitwise-identical to an unreplicated stack.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.errors import StorageError
@@ -17,10 +18,19 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.replication import ReplicatedDevice
 
 PAYLOADS = {
-    0: {0: 1.5, 1: -2.25},
-    1: {8: 4.0},
-    2: {16: 0.125, 17: 9.0},
+    0: np.array([1.5, -2.25]),
+    1: np.array([4.0]),
+    2: np.array([0.125, 9.0]),
 }
+
+
+def same(got, want) -> bool:
+    """Payloads (or ``{block_id: payload}`` maps) equal value for value."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(
+            same(got[block_id], want[block_id]) for block_id in want
+        )
+    return got.tolist() == want.tolist()
 
 
 class FlakyMember:
@@ -43,10 +53,6 @@ class FlakyMember:
     def read_block(self, block_id):
         self._gate(self.fail_reads, "read")
         return self.inner.read_block(block_id)
-
-    def read_block_shared(self, block_id):
-        self._gate(self.fail_reads, "read")
-        return self.inner.read_block_shared(block_id)
 
     def read_many(self, block_ids):
         self._gate(self.fail_reads, "read")
@@ -111,14 +117,14 @@ class TestWriteFanIn:
             device.write_block(block_id, items)
         for member in members:
             for block_id, items in PAYLOADS.items():
-                assert member.inner.read_block(block_id) == items
+                assert same(member.inner.read_block(block_id), items)
         assert device.n_blocks() == len(PAYLOADS)
 
     def test_write_many_group_commits_to_all(self):
         device, members = group(2)
         device.write_many(PAYLOADS)
         for member in members:
-            assert member.inner.read_many(list(PAYLOADS)) == PAYLOADS
+            assert same(member.inner.read_many(list(PAYLOADS)), PAYLOADS)
 
     def test_failed_member_goes_stale_and_primary_survives(self):
         device, members = group(3)
@@ -129,7 +135,7 @@ class TestWriteFanIn:
         assert device.primary == 0
         # The stale member missed the write; the others hold it.
         assert not members[1].inner.has_block(1)
-        assert members[2].inner.read_block(1) == PAYLOADS[1]
+        assert same(members[2].inner.read_block(1), PAYLOADS[1])
 
     def test_stale_primary_hands_off_to_a_survivor(self):
         device, members = group(2)
@@ -155,16 +161,16 @@ class TestReadFailover:
         device, members = group(2)
         device.write_many(PAYLOADS)
         members[0].fail_reads = True
-        assert device.read_block(0) == PAYLOADS[0]
+        assert same(device.read_block(0), PAYLOADS[0])
         assert device.primary == 1
         # Subsequent reads go straight to the promoted member.
-        assert device.read_block(1) == PAYLOADS[1]
+        assert same(device.read_block(1), PAYLOADS[1])
 
     def test_read_many_fails_over_as_a_whole_group(self):
         device, members = group(2)
         device.write_many(PAYLOADS)
         members[0].fail_reads = True
-        assert device.read_many(list(PAYLOADS)) == PAYLOADS
+        assert same(device.read_many(list(PAYLOADS)), PAYLOADS)
         assert device.primary == 1
 
     def test_all_members_failing_raises_the_first_error(self):
@@ -200,7 +206,7 @@ class TestReadFailover:
         device.write_many(PAYLOADS)
         breaker.record_failure()
         assert breaker.state == "open"
-        assert device.read_block(0) == PAYLOADS[0]
+        assert same(device.read_block(0), PAYLOADS[0])
         assert device.primary == 1
         # The dead member's sub-stack was never touched by the read.
 
@@ -230,10 +236,10 @@ class TestPromotionAndResync:
         members[1].fail_writes = False
         assert device.resync() == 1
         assert device.stale_members() == []
-        assert members[1].inner.read_block(1) == PAYLOADS[1]
+        assert same(members[1].inner.read_block(1), PAYLOADS[1])
         # Restored member serves reads again.
         members[0].fail_reads = True
-        assert device.read_block(1) == PAYLOADS[1]
+        assert same(device.read_block(1), PAYLOADS[1])
 
     def test_resync_without_stale_members_is_a_noop(self):
         device, _ = group(2)
@@ -265,7 +271,7 @@ class TestSpecIntegration:
         for block_id, items in PAYLOADS.items():
             device.write_block(block_id, items)
         for block_id, items in PAYLOADS.items():
-            assert device.read_block(block_id) == items
+            assert same(device.read_block(block_id), items)
 
     def test_replicated_layer_validates_replicas(self):
         with pytest.raises(StorageError):
@@ -283,8 +289,10 @@ class TestSpecIntegration:
             plain.device.write_block(block_id, items)
             replicated.device.write_block(block_id, items)
         for block_id in PAYLOADS:
-            assert (replicated.device.read_block(block_id)
-                    == plain.device.read_block(block_id))
+            assert same(
+                replicated.device.read_block(block_id),
+                plain.device.read_block(block_id),
+            )
         assert len(replicated.replica_groups) == 1
         assert plain.replica_groups == []
 
@@ -325,7 +333,7 @@ class TestSpecIntegration:
         (group_device,) = built.replica_groups
         # Every primary read fails; the replica answers exactly.
         for block_id, items in PAYLOADS.items():
-            assert built.device.read_block(block_id) == items
+            assert same(built.device.read_block(block_id), items)
         assert group_device.primary == 1
 
     def test_resync_replicas_sums_over_shards(self):

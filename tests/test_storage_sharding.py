@@ -18,6 +18,16 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.sharding import ShardedDevice, place
 
 
+def vals(*values):
+    """A block payload: the block's values, nothing else."""
+    return np.array(values, dtype=float)
+
+
+def listed(blocks: dict) -> dict:
+    """``{block_id: payload}`` with payloads as lists, for ``==``."""
+    return {block_id: items.tolist() for block_id, items in blocks.items()}
+
+
 def build_sharded(n_shards, block_size=8, **kwargs):
     return ShardedDevice(
         [SimulatedDisk(block_size=block_size) for _ in range(n_shards)],
@@ -55,7 +65,7 @@ class TestPlacement:
     def test_sharded_device_routes_by_placement(self):
         dev = build_sharded(4)
         for b in range(32):
-            dev.write_block(b, {b: float(b)})
+            dev.write_block(b, vals(float(b)))
         for b in range(32):
             shard = dev.shard_of(b)
             assert shard == place(b, 4)
@@ -70,42 +80,44 @@ class TestPlacement:
         for b in range(64):
             assert dev.shard_of(b) == place(b, 4)
         assert dev._placement == {}
-        dev.write_block(3, {3: 3.0})
-        dev.write_many({(1, 2): {0: 1.0}, 7: {7: 7.0}})
+        dev.write_block(3, vals(3.0))
+        dev.write_many({(1, 2): vals(1.0), 7: vals(7.0)})
         assert dev._placement == {b: place(b, 4) for b in (3, (1, 2), 7)}
         assert sorted(dev._placement, key=repr) == sorted(
             dev.block_ids(), key=repr
         )
-        assert dev.read_many([7, (1, 2), 3]) == {
-            7: {7: 7.0}, (1, 2): {0: 1.0}, 3: {3: 3.0},
+        assert listed(dev.read_many([7, (1, 2), 3])) == {
+            7: [7.0], (1, 2): [1.0], 3: [3.0],
         }
 
 
 class TestShardedDevice:
     def test_reads_and_bulk_reads_round_trip(self):
         dev = build_sharded(3)
-        blocks = {b: {b: float(b) * 1.5} for b in range(24)}
+        blocks = {b: vals(float(b) * 1.5) for b in range(24)}
         for b, items in blocks.items():
             dev.write_block(b, items)
         for b, items in blocks.items():
-            assert dev.read_block(b) == items
-        assert dev.read_many(list(blocks)) == blocks
+            assert dev.read_block(b).tolist() == items.tolist()
+        assert listed(dev.read_many(list(blocks))) == listed(blocks)
         assert dev.n_blocks() == 24
         assert len(dev) == 24
 
     def test_sequential_fanout_matches_concurrent(self):
         ids = list(range(24))
-        blocks = {b: {b: float(b)} for b in ids}
+        blocks = {b: vals(float(b)) for b in ids}
         wide, narrow = build_sharded(4), build_sharded(4, fanout_workers=1)
         for b, items in blocks.items():
             wide.write_block(b, items)
             narrow.write_block(b, items)
-        assert wide.read_many(ids) == narrow.read_many(ids) == blocks
+        assert listed(wide.read_many(ids)) == listed(
+            narrow.read_many(ids)
+        ) == listed(blocks)
 
     def test_io_totals_sum_across_shards(self):
         dev = build_sharded(4)
         for b in range(16):
-            dev.write_block(b, {b: 0.0})
+            dev.write_block(b, vals(0.0))
         dev.read_many(list(range(16)))
         totals = dev.io_totals()
         assert totals.reads == 16
@@ -115,7 +127,7 @@ class TestShardedDevice:
 
     def test_stats_aggregate_per_shard(self):
         dev = build_sharded(2)
-        dev.write_block(0, {0: 1.0})
+        dev.write_block(0, vals(1.0))
         stats = dev.stats()
         assert stats["layer"] == "sharded"
         assert stats["shards"] == 2
@@ -137,7 +149,7 @@ class _OkShard:
     block_size = 8
 
     def read_many(self, ids):
-        return {b: {b: 1.0} for b in ids}
+        return {b: vals(1.0) for b in ids}
 
 
 class _FailingShard:
@@ -158,7 +170,7 @@ class TestFanoutPoolLifecycle:
         # and reused.
         dev = build_sharded(4)
         for b in range(16):
-            dev.write_block(b, {b: 0.0})
+            dev.write_block(b, vals(0.0))
         dev.read_many(list(range(16)))
         pool = dev._pool
         assert pool is not None
@@ -168,14 +180,14 @@ class TestFanoutPoolLifecycle:
     def test_close_shuts_the_pool_down_idempotently(self):
         dev = build_sharded(4)
         for b in range(8):
-            dev.write_block(b, {b: 0.0})
+            dev.write_block(b, vals(0.0))
         dev.read_many(list(range(8)))
         dev.close()
         assert dev._pool is None
         dev.close()  # second close is a no-op
         # The device still works afterwards; the pool is rebuilt lazily.
-        assert dev.read_many(list(range(8))) == {
-            b: {b: 0.0} for b in range(8)
+        assert listed(dev.read_many(list(range(8)))) == {
+            b: [0.0] for b in range(8)
         }
 
 

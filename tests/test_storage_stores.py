@@ -20,17 +20,22 @@ from repro.wavelets.errortree import leaf_path
 RNG = np.random.default_rng(41)
 
 
+def vals(*values):
+    """A block payload: the block's values, nothing else."""
+    return np.array(values, dtype=float)
+
+
 class TestSimulatedDisk:
     def test_write_read_roundtrip(self):
         disk = SimulatedDisk(block_size=4)
-        disk.write_block(0, {1: 1.5, 2: -0.5})
-        assert disk.read_block(0) == {1: 1.5, 2: -0.5}
+        disk.write_block(0, vals(1.5, -0.5))
+        assert disk.read_block(0).tolist() == [1.5, -0.5]
         assert disk.io.reads == 1
         assert disk.io.writes == 1
 
     def test_reads_counted(self):
         disk = SimulatedDisk(block_size=4)
-        disk.write_block("a", {0: 0.0})
+        disk.write_block("a", vals(0.0))
         for _ in range(5):
             disk.read_block("a")
         assert disk.io.reads == 5
@@ -38,7 +43,7 @@ class TestSimulatedDisk:
     def test_overfull_block_rejected(self):
         disk = SimulatedDisk(block_size=2)
         with pytest.raises(StorageError):
-            disk.write_block(0, {i: 0.0 for i in range(3)})
+            disk.write_block(0, np.zeros(3))
 
     def test_missing_block(self):
         with pytest.raises(StorageError):
@@ -46,7 +51,7 @@ class TestSimulatedDisk:
 
     def test_stats_delta(self):
         disk = SimulatedDisk(block_size=4)
-        disk.write_block(0, {0: 1.0})
+        disk.write_block(0, vals(1.0))
         before = disk.io.snapshot()
         disk.read_block(0)
         disk.read_block(0)
@@ -56,21 +61,33 @@ class TestSimulatedDisk:
     def test_occupancy(self):
         disk = SimulatedDisk(block_size=4)
         assert disk.occupancy() == 0.0
-        disk.write_block(0, {0: 1.0, 1: 2.0})
+        disk.write_block(0, vals(1.0, 2.0))
         assert disk.occupancy() == pytest.approx(0.5)
 
     def test_returns_copies(self):
+        # Nothing a caller holds reaches stored state: what is read is
+        # read-only, and what was written is no longer the caller's
+        # buffer.
         disk = SimulatedDisk(block_size=4)
-        disk.write_block(0, {0: 1.0})
+        mine = vals(1.0)
+        disk.write_block(0, mine)
+        mine[0] = 99.0
         block = disk.read_block(0)
-        block[0] = 99.0
+        with pytest.raises(ValueError):
+            block[0] = 99.0
         assert disk.read_block(0)[0] == 1.0
+
+    def test_non_array_payload_rejected(self):
+        disk = SimulatedDisk(block_size=4)
+        for bad in ({0: 1.0}, [1.0], np.zeros((2, 2))):
+            with pytest.raises(StorageError):
+                disk.write_block(0, bad)
 
 
 class TestCachingDevice:
     def test_hits_avoid_device_reads(self):
         disk = SimulatedDisk(block_size=4)
-        disk.write_block(0, {0: 1.0})
+        disk.write_block(0, vals(1.0))
         pool = CachingDevice(disk, capacity=2)
         pool.read_block(0)
         pool.read_block(0)
@@ -81,7 +98,7 @@ class TestCachingDevice:
     def test_lru_eviction(self):
         disk = SimulatedDisk(block_size=4)
         for b in range(3):
-            disk.write_block(b, {b: float(b)})
+            disk.write_block(b, vals(float(b)))
         pool = CachingDevice(disk, capacity=2)
         pool.read_block(0)
         pool.read_block(1)
@@ -92,7 +109,7 @@ class TestCachingDevice:
     def test_lru_recency_updates(self):
         disk = SimulatedDisk(block_size=4)
         for b in range(3):
-            disk.write_block(b, {b: float(b)})
+            disk.write_block(b, vals(float(b)))
         pool = CachingDevice(disk, capacity=2)
         pool.read_block(0)
         pool.read_block(1)
@@ -103,16 +120,16 @@ class TestCachingDevice:
 
     def test_invalidate(self):
         disk = SimulatedDisk(block_size=4)
-        disk.write_block(0, {0: 1.0})
+        disk.write_block(0, vals(1.0))
         pool = CachingDevice(disk, capacity=2)
         pool.read_block(0)
-        disk.write_block(0, {0: 2.0})
+        disk.write_block(0, vals(2.0))
         pool.invalidate(0)
         assert pool.read_block(0)[0] == 2.0
 
     def test_hit_rate(self):
         disk = SimulatedDisk(block_size=4)
-        disk.write_block(0, {0: 1.0})
+        disk.write_block(0, vals(1.0))
         pool = CachingDevice(disk, capacity=1)
         assert pool.pool_stats.hit_rate == 0.0
         pool.read_block(0)

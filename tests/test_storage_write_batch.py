@@ -37,9 +37,18 @@ from repro.storage.allocation import (
 
 def _payloads(n=4, base=0):
     return {
-        i: {i * 10 + j: float(base + i + j) for j in range(3)}
+        i: np.array([float(base + i + j) for j in range(3)])
         for i in range(n)
     }
+
+
+def same(got, want) -> bool:
+    """Payloads (or ``{block_id: payload}`` maps) equal value for value."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(
+            same(got[block_id], want[block_id]) for block_id in want
+        )
+    return got.tolist() == want.tolist()
 
 
 class TestLeafAndMetering:
@@ -48,14 +57,14 @@ class TestLeafAndMetering:
         blocks = _payloads()
         disk.write_many(blocks)
         for block_id, items in blocks.items():
-            assert disk.read_block(block_id) == items
+            assert same(disk.read_block(block_id), items)
 
     def test_metered_counts_one_write_per_member(self):
         disk = SimulatedDisk(block_size=8)
         metered = MeteredDevice(disk, prefix="storage.disk")
         metered.write_many(_payloads(5))
         assert metered.writes == 5
-        metered.write_block(99, {990: 1.0})
+        metered.write_block(99, np.array([1.0]))
         assert metered.writes == 6
 
 
@@ -68,8 +77,8 @@ class TestCachingInvalidation:
             cache.read_block(i)  # warm
         cache.write_many(_payloads(3, base=100))
         for i in range(3):
-            assert cache.read_block(i) == disk.read_block(i)
-            assert cache.read_block(i)[i * 10] == float(100 + i)
+            assert same(cache.read_block(i), disk.read_block(i))
+            assert cache.read_block(i)[0] == float(100 + i)
 
     def test_partial_group_failure_still_invalidates_all(self):
         class HalfwayDisk(SimulatedDisk):
@@ -92,9 +101,9 @@ class TestCachingInvalidation:
             cache.write_many(_payloads(2, base=100))
         # Block 0 reached the device before the failure; the cache must
         # not shadow it with the pre-write payload it had cached.
-        assert cache.read_block(0) == disk.read_block(0)
+        assert same(cache.read_block(0), disk.read_block(0))
         assert cache.read_block(0)[0] == 100.0
-        assert cache.read_block(1) == disk.read_block(1)
+        assert same(cache.read_block(1), disk.read_block(1))
 
 
 class TestCrcFraming:
@@ -103,17 +112,17 @@ class TestCrcFraming:
         crc = CrcFramedDevice(disk)
         blocks = _payloads(3)
         crc.write_many(blocks)
-        assert crc.read_many(list(blocks)) == blocks
+        assert same(crc.read_many(list(blocks)), blocks)
 
     def test_group_validated_before_any_write(self):
         disk = SimulatedDisk(block_size=8)
         crc = CrcFramedDevice(disk)
         crc.write_many(_payloads(1))
-        bad = {0: {0: 9.0, 1: 9.0, 2: 9.0}, 1: "not-a-dict"}
+        bad = {0: np.full(3, 9.0), 1: "not-an-array"}
         with pytest.raises(StorageError):
             crc.write_many(bad)
         # The invalid member aborted the whole group before any write.
-        assert crc.read_block(0) == _payloads(1)[0]
+        assert same(crc.read_block(0), _payloads(1)[0])
 
 
 class TestResilientGroupRetry:
@@ -128,7 +137,7 @@ class TestResilientGroupRetry:
         blocks = _payloads(4)
         resilient.write_many(blocks)
         for block_id, items in blocks.items():
-            assert disk.read_block(block_id) == items
+            assert same(disk.read_block(block_id), items)
 
     def test_without_policy_failure_propagates(self):
         plan = FaultPlan(seed=0, write_error_rate=1.0)
@@ -153,8 +162,8 @@ class TestShardedFanOut:
         for block_id, items in blocks.items():
             sequential.write_block(block_id, items)
         for block_id in blocks:
-            assert grouped.read_block(block_id) == (
-                sequential.read_block(block_id)
+            assert same(
+                grouped.read_block(block_id), sequential.read_block(block_id)
             )
         assert grouped.io_totals().writes == len(blocks)
         grouped.close()
@@ -168,7 +177,7 @@ class TestShardedFanOut:
                 raise InjectedWriteError(f"shard down: {block_id!r}")
 
         sharded = ShardedDevice([BrokenDisk(block_size=8) for _ in range(2)])
-        blocks = {i: {i: 1.0} for i in range(8)}
+        blocks = {i: np.array([1.0]) for i in range(8)}
         assert len({sharded.shard_of(i) for i in blocks}) == 2
         with pytest.raises(InjectedWriteError) as excinfo:
             sharded.write_many(blocks)
@@ -197,18 +206,15 @@ class TestStoreBlocks:
         sequential = self._tensor_store(shards=2, cache_blocks=4)
         ids = batched.device.block_ids()
         payloads = {
-            block_id: {
-                key: value * 2.0
-                for key, value in batched.fetch_block(block_id).items()
-            }
-            for block_id in ids
+            block_id: batched.fetch_block(block_id) * 2.0 for block_id in ids
         }
         batched.store_blocks(payloads)
         for block_id, items in payloads.items():
             sequential.update_block(block_id, items)
         for block_id in ids:
-            assert batched.fetch_block(block_id) == (
-                sequential.fetch_block(block_id)
+            assert same(
+                batched.fetch_block(block_id),
+                sequential.fetch_block(block_id),
             )
         batched.close()
         sequential.close()
@@ -239,13 +245,9 @@ class TestStoreBlocks:
         )
         ids = store.device.block_ids()
         payloads = {
-            block_id: {
-                key: value + 1.0
-                for key, value in store.fetch_block(block_id).items()
-            }
-            for block_id in ids
+            block_id: store.fetch_block(block_id) + 1.0 for block_id in ids
         }
         store.store_blocks(payloads)
         for block_id, items in payloads.items():
-            assert store.fetch_block(block_id) == items
+            assert same(store.fetch_block(block_id), items)
         store.close()
