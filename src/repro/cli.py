@@ -732,7 +732,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     (``repro.provenance/v1``).
     """
     from repro.query.explain import attach_provenance, explain, format_plan
-    from repro.query.ingest import BatchInserter
     from repro.query.propolyne import ProPolyneEngine
     from repro.query.rangesum import RangeSumQuery
     from repro.storage.device import StorageSpec
@@ -746,10 +745,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     )
     engine.enable_versioning()
     # A little history, so --as-of has epochs to travel to.
-    inserter = BatchInserter(engine)
     for _ in range(args.epochs):
         points = [tuple(p) for p in rng.integers(0, n, size=(32, 3))]
-        inserter.insert_batch(points)
+        engine.inserter.insert_batch(points)
     query = RangeSumQuery.count([(2, 11), (0, n - 1), (3, 12)])
     plan = explain(engine, query)
     print(format_plan(plan))

@@ -181,15 +181,16 @@ class BatchEvaluator:
         return codes, slots, values, offsets
 
     def _block_order(self, codes: np.ndarray, values: np.ndarray):
-        """Unique block codes of a stacked batch, best-combined-energy
-        first: a ``bincount`` accumulates each block's combined query
-        energy (weighted by the stored data norm, as in
+        """Distinct block codes of a stacked batch, best-combined-energy
+        first: a ``bincount`` over the codes accumulates each block's
+        combined query energy (weighted by the stored data norm, as in
         :func:`~repro.storage.scheduler.plan_batch_blocks`).  Returns
         the ordered codes and their block ids.
         """
         allocation = self._engine.store.allocation
-        uniq, inverse = np.unique(codes, return_inverse=True)
-        energy = np.sqrt(np.bincount(inverse, weights=values * values))
+        # Presence is not ``energy > 0``: a square can underflow to zero.
+        uniq = allocation.distinct(codes)
+        energy = np.sqrt(np.bincount(codes, weights=values * values)[uniq])
         blocks = allocation.block_ids(uniq)
         norms = self._engine._block_norms
         importance = energy * np.array(
@@ -272,7 +273,7 @@ class BatchEvaluator:
                     skipped.add(block_id)
             codes, slots, values, offsets = self._stack(translated)
             allocation = self._engine.store.allocation
-            uniq = np.unique(codes)
+            uniq = allocation.distinct(codes)
             code_of = dict(zip(allocation.block_ids(uniq), uniq.tolist()))
             buffer, base = allocation.pack(
                 [code_of[block_id] for block_id in payloads], payloads
@@ -415,8 +416,8 @@ class BatchEvaluator:
 
     def independent_block_count(self, queries: list[RangeSumQuery]) -> int:
         """Total blocks independent evaluations would read."""
-        blocks_of = self._engine.store.allocation.blocks_of
+        blocks_for = self._engine.store.blocks_for
         return sum(
-            len(np.unique(blocks_of(self._engine.query_arrays(query)[0])))
+            len(blocks_for(self._engine.query_arrays(query)[0]))
             for query in queries
         )

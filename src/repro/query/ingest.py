@@ -3,44 +3,44 @@
 §3.1.1 picks wavelets because "the complexity of wavelet transformation
 for incremental update (append) is low" — and immersidata is an
 append-*heavy* workload: hundreds of live sensor streams feeding one
-cube.  :meth:`ProPolyneEngine.insert` serves that workload one impulse
-at a time: one query translation, one read-modify-write per touched
-block, one norm rebuild per call.  :class:`BatchInserter` applies the
-recipe that made batched reads fast (PR 6's
-:class:`~repro.query.batch.BatchEvaluator`) to writes:
+cube.  One impulse at a time, that costs one query translation, one
+read-modify-write per touched block and one norm rebuild per point;
+:class:`BatchInserter` applies the recipe that made batched reads fast
+(:class:`~repro.query.batch.BatchEvaluator`) to writes:
 
-* **Stacked impulse transforms.**  Every point's impulse delta (the
-  lazy transform of the width-one range ``[p, p]``, memoized per
-  distinct point) is stacked CSR-style into one ``(total, ndim)`` key
-  matrix and one scaled value vector — the same shape the batch
-  evaluator stacks query transforms into.
-* **Vectorized dedup and block assignment.**  Keys ravel to flat
-  indices; ``np.unique`` reduces N points' overlapping supports to the
-  distinct coefficient set, and the allocation's vectorized ``locate``
-  assigns every coefficient its block and its slot in that block's
-  payload array — a position in the packed buffer of touched payloads.
-* **Order-preserving accumulation.**  ``np.add.at`` applies the stacked
-  deltas onto the gathered current values *unbuffered, in point order*
-  — the identical float-operation sequence N sequential ``insert``
-  calls perform on each coefficient — which is what makes the stored
-  result **bitwise-identical** to the sequential path, not merely
-  close.  (A ``bincount``-style pre-summed delta map would change the
-  association order and drift in the last ulp.)
-* **One read-modify-write per touched block.**  The touched-block union
-  is fetched once through the coalesced
-  :meth:`~repro.storage.blockstore._StoreBase.fetch_blocks` path and
-  committed once through the group-commit
-  :meth:`~repro.storage.blockstore._StoreBase.store_blocks` path — one
+* **Located once, at memo time.**  A point's impulse delta (the lazy
+  transform of the width-one range ``[p, p]``) is memoized per distinct
+  point *already located*: each coefficient's block code and slot in
+  that block's payload array (the allocation's vectorized ``locate``;
+  the allocation is fixed for the engine's life), its value, and the
+  point's distinct block codes.  No key matrix is kept or rebuilt.
+* **One read-modify-write per touched block, found without a sort.**
+  The touched blocks are a presence table over the block grid filled
+  from the per-point block codes.  They are fetched once
+  (:meth:`~repro.storage.blockstore._StoreBase.fetch_blocks`), packed
+  back to back into one buffer where every delta entry has a position
+  ``base[code] + slot``, and committed once
+  (:meth:`~repro.storage.blockstore._StoreBase.store_blocks`) — one
   ``read_many`` and one ``write_many`` per batch instead of one RMW
   per (point, block) pair.
+* **Order-preserving accumulation, straight into the buffer.**
+  ``np.add.at(buffer, pos, scaled)``, point after point, applies the
+  deltas *unbuffered, in point order* — on each coefficient the identical
+  float-operation sequence N sequential ``insert`` calls perform —
+  which is what makes the stored result **bitwise-identical** to the
+  sequential path, not merely close.  Overlapping supports need no
+  dedup for that: repeated positions simply accumulate in turn.  (A
+  ``bincount``-style pre-summed delta map would change the association
+  order and drift in the last ulp.)
 
-:meth:`ProPolyneEngine.insert` now routes through this kernel (a batch
-of one), so the scalar and batched paths can never drift apart
-numerically, and both hold the engine's update lock — fixing the
-read-modify-write race two concurrent inserts used to have.
+:meth:`ProPolyneEngine.insert` is a batch of one through this kernel,
+so the scalar and batched paths can never drift apart numerically, and
+every append holds the engine's update lock.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 
@@ -49,24 +49,28 @@ from repro.obs import DEFAULT_COUNT_BUCKETS
 from repro.obs import counter as obs_counter
 from repro.obs import histogram as obs_histogram
 from repro.obs import span
-from repro.query.propolyne import ProPolyneEngine, translate_query
+from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
 
 __all__ = ["BatchInserter"]
 
+#: Delta coefficients a memo may hold (three 8-byte arrays
+#: each, so about 50 MB).  Beyond it the least recently used points are
+#: evicted, which costs their re-translation and changes no stored bit.
+_MEMO_COEFFICIENTS = 1 << 21
+
 
 class BatchInserter:
     """Vectorized multi-point append onto one ProPolyne engine.
-
-    Block and slot assignment is the allocation's vectorized
-    ``locate``.
 
     Metrics: ``query.insert.batches`` / ``query.inserts`` counters and
     the ``query.insert.batch_size`` / ``query.insert.blocks_touched``
     histograms.
 
     Args:
-        engine: A populated :class:`~repro.query.propolyne.ProPolyneEngine`.
+        engine: A populated :class:`~repro.query.propolyne.ProPolyneEngine`
+            (its :attr:`~repro.query.propolyne.ProPolyneEngine.inserter`
+            is the instance every append path of that engine shares).
     """
 
     def __init__(self, engine: ProPolyneEngine) -> None:
@@ -74,8 +78,10 @@ class BatchInserter:
         self._ndim = len(engine.shape)
         # Per-point impulse translations repeat constantly in sensor
         # traffic (quantized readings revisit the same cells), so the
-        # (keys, values) deltas are memoized per distinct point.
-        self._delta_memo: dict[tuple[int, ...], tuple] = {}
+        # located deltas are memoized per distinct point, least recently
+        # used first.  Only touched under the engine's update lock.
+        self._delta_memo: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
+        self._memo_held = 0
 
     # -- validation --------------------------------------------------------
 
@@ -103,25 +109,28 @@ class BatchInserter:
         else:
             w = np.asarray(weights, dtype=float)
             if w.shape != (n,):
-                raise QueryError(
-                    f"{w.size} weights for {n} points"
-                )
+                raise QueryError(f"{w.size} weights for {n} points")
         return pts, w
 
     def _delta_of(self, point: tuple[int, ...]) -> tuple:
-        """Memoized impulse transform of one point (``W(e_point)``), as
-        ``(keys, values)`` arrays."""
-        delta = self._delta_memo.get(point)
-        if delta is None:
-            engine = self._engine
-            impulse = RangeSumQuery(
-                ranges=tuple((int(p), int(p)) for p in point)
-            )
-            delta = translate_query(
-                impulse, engine.original_shape, engine.shape,
-                engine.levels, engine.filter,
-            )
-            self._delta_memo[point] = delta
+        """Memoized located impulse transform of one point
+        (``W(e_point)``): ``(codes, slots, values, block_codes)``."""
+        memo = self._delta_memo
+        delta = memo.get(point)
+        if delta is not None:
+            memo.move_to_end(point)
+            return delta
+        engine = self._engine
+        allocation = engine.store.allocation
+        keys, values = engine.query_arrays(
+            RangeSumQuery(ranges=tuple((p, p) for p in point))
+        )
+        codes, slots = allocation.locate(keys)
+        delta = codes, slots, values, allocation.distinct(codes)
+        memo[point] = delta
+        self._memo_held += len(values)
+        while self._memo_held > _MEMO_COEFFICIENTS:
+            self._memo_held -= len(memo.popitem(last=False)[1][2])
         return delta
 
     # -- the batch append kernel -------------------------------------------
@@ -159,68 +168,52 @@ class BatchInserter:
     def _apply(self, pts: np.ndarray, w: np.ndarray) -> int:
         engine = self._engine
         store = engine.store
-        # 1. Stack every point's impulse transform: one key matrix, one
-        #    value vector scaled by the point's weight, in point order.
-        per_point = [self._delta_of(tuple(int(p) for p in pt)) for pt in pts]
-        counts = [len(values) for _, values in per_point]
-        keys = np.concatenate([keys for keys, _ in per_point])
-        values = np.concatenate([values for _, values in per_point])
-        scaled = values * np.repeat(w, counts)
-
-        # 2. Dedup: N points' overlapping supports collapse to the
-        #    distinct coefficient set (uniq is sorted; inverse maps each
-        #    stacked entry to its coefficient).
-        uniq, inverse = np.unique(
-            np.ravel_multi_index(tuple(keys.T), engine.shape),
-            return_inverse=True,
-        )
-
-        # 3. Vectorized block-and-slot assignment of the distinct
-        #    coefficients, then the touched-block union in one coalesced
-        #    read, packed into one buffer.
         allocation = store.allocation
-        codes, slots = allocation.locate(
-            np.column_stack(np.unravel_index(uniq, engine.shape))
+        # 1. The touched-block union (a presence table over the points'
+        #    block codes, no sort) in one coalesced read, packed into
+        #    one buffer.
+        deltas = [self._delta_of(point) for point in map(tuple, pts.tolist())]
+        block_codes = allocation.distinct(
+            np.concatenate([delta[3] for delta in deltas])
         )
-        block_codes = np.unique(codes)
         block_ids = allocation.block_ids(block_codes)
         obs_histogram(
             "query.insert.blocks_touched", DEFAULT_COUNT_BUCKETS
         ).observe(len(block_ids))
         preimages = store.fetch_blocks(block_ids)
         buffer, base = allocation.pack(block_codes, preimages)
-        pos = base[codes] + slots
 
-        # 4. Gather current values, accumulate the stacked deltas with
-        #    np.add.at — unbuffered, applied one entry at a time in
-        #    point order, i.e. the exact float-op sequence sequential
-        #    inserts perform on each coefficient — and scatter back.
-        cur = buffer[pos]
-        np.add.at(cur, inverse, scaled)
-        buffer[pos] = cur
-        payloads = dict(zip(
-            block_ids, np.split(buffer, base[block_codes][1:])
-        ))
+        # 2. Accumulate on the buffer itself, point by point: np.add.at
+        #    is unbuffered, so shared coefficients need no dedup (see
+        #    the module docstring).  A point's arrays stay cache-sized;
+        #    stacking the batch first would cost more in page faults on
+        #    its multi-megabyte temporaries than the arithmetic does.
+        hit = np.zeros(len(buffer), dtype=bool)
+        for (codes, slots, values, _), weight in zip(deltas, w.tolist()):
+            pos = base[codes] + slots
+            np.add.at(buffer, pos, values * weight)
+            hit[pos] = True
+        starts = base[block_codes].tolist()
+        bounds = list(zip(starts, starts[1:] + [len(buffer)]))
+        payloads = dict(zip(block_ids, (buffer[a:b] for a, b in bounds)))
 
-        # 5. One group commit for the whole batch's dirty blocks.  The
+        # 3. One group commit for the whole batch's dirty blocks.  The
         #    parts are writable views, so the device copy-freezes each:
         #    no stored block keeps this batch's whole buffer alive.
         store.store_blocks(payloads)
 
-        # 6. Norm bookkeeping, once per batch (sequential insert pays
-        #    this per call): touched block norms rebuilt from their new
-        #    payloads, the store's global norm from the block norms.
+        # 4. Norm bookkeeping, once per batch: touched block norms from
+        #    one squaring of the buffer and a per-block sum (np.sum's
+        #    pairwise reduction of the block's own squares; reduceat
+        #    would re-associate), the global norm from the block norms.
         prior_norms = {
             bid: engine._block_norms.get(bid, 0.0) for bid in block_ids
         }
-        for block_id, vals in payloads.items():
-            engine._block_norms[block_id] = float(
-                np.sqrt(np.sum(vals * vals))
-            )
+        squares = buffer * buffer
+        sums = [np.add.reduce(squares[a:b]) for a, b in bounds]
+        engine._block_norms.update(zip(block_ids, np.sqrt(sums).tolist()))
         store._norm = float(
-            np.sqrt(
-                sum(n * n for n in engine._block_norms.values())
-            )
+            np.sqrt(sum(n * n for n in engine._block_norms.values()))
         )
         if engine._epoch_log is not None:
             # The commit is durable (store_blocks would have raised);
@@ -230,4 +223,4 @@ class BatchInserter:
             # so no copy): stored values, not arithmetic deltas, keep
             # as-of reconstruction bitwise-exact.
             engine._epoch_log.record_commit(preimages, prior_norms, len(pts))
-        return len(pos)
+        return int(np.count_nonzero(hit))

@@ -353,8 +353,7 @@ class ProPolyneEngine:
         # bookkeeping: concurrent inserts used to race their per-block
         # read-modify-writes (lost updates); readers stay lock-free.
         self._update_lock = watched_lock("query.engine_update")
-        # Lazily-built batch-append kernel (repro.query.ingest); the
-        # scalar insert path routes through it as a batch of one.
+        # Built on first use by the ``inserter`` property.
         self._inserter = None
         # Opt-in epoch versioning (enable_versioning); None = live-only.
         self._epoch_log = None
@@ -821,27 +820,23 @@ class ProPolyneEngine:
         Returns:
             The number of stored coefficients touched.
         """
-        if len(point) != len(self.shape):
-            raise QueryError(
-                f"point arity {len(point)} != cube dimensionality "
-                f"{len(self.shape)}"
-            )
-        for axis, p in enumerate(point):
-            if not 0 <= p < self.original_shape[axis]:
-                raise QueryError(
-                    f"dimension {axis}: value {p} outside domain "
-                    f"[0, {self.original_shape[axis]})"
-                )
-        # Route through the vectorized batch kernel as a batch of one:
-        # scalar and batched appends share one code path (and the engine
-        # update lock), so they can never drift apart numerically.
+        # A batch of one through the vectorized kernel: scalar and
+        # batched appends share one code path (validation and the engine
+        # update lock included), so they can never drift apart.
+        return self.inserter.insert_batch(
+            [tuple(int(p) for p in point)], [float(weight)]
+        )
+
+    @property
+    def inserter(self):
+        """The engine's one :class:`~repro.query.ingest.BatchInserter`,
+        built on first use; every append path (``insert``, the ingest
+        service, replay) shares it and so its delta memo."""
         if self._inserter is None:
             from repro.query.ingest import BatchInserter
 
             self._inserter = BatchInserter(self)
-        return self._inserter.insert_batch(
-            [tuple(int(p) for p in point)], [float(weight)]
-        )
+        return self._inserter
 
     def evaluate_approximate(
         self, query: RangeSumQuery, block_budget: int

@@ -49,6 +49,13 @@ class _Packing:
     """Payload packing shared by both allocations, on top of their
     ``block_len`` / ``n_codes`` / ``block_ids``."""
 
+    def distinct(self, codes) -> np.ndarray:
+        """Sorted distinct block codes of ``codes``, from a presence
+        table over the block grid — no sort."""
+        present = np.zeros(self.n_codes, dtype=bool)
+        present[codes] = True
+        return np.flatnonzero(present)
+
     def pack(self, codes, payloads: dict) -> tuple[np.ndarray, np.ndarray]:
         """Payloads (keyed by block id) of block ``codes``, back to back
         in one buffer, in ``codes`` order.
@@ -162,7 +169,7 @@ class Allocation(_Packing):
     def blocks_for(self, indices: set[int] | list[int]) -> set[int]:
         """Blocks that must be fetched to obtain ``indices``."""
         idx = np.fromiter(indices, dtype=np.intp, count=len(indices))
-        return set(np.unique(self.locate(idx)[0]).tolist())
+        return set(self.distinct(self.locate(idx)[0]).tolist())
 
     def block_keys(self, block_id: int) -> np.ndarray:
         """Coefficient indices of one block, in payload order."""

@@ -203,9 +203,7 @@ class TensorReads:
         with span("storage.fetch"):
             allocation = self.allocation
             codes, slots = allocation.locate(keys)
-            present = np.zeros(allocation.n_codes, dtype=bool)
-            present[codes] = True
-            uniq = np.flatnonzero(present)
+            uniq = allocation.distinct(codes)
             needed = allocation.block_ids(uniq)
             obs_histogram(
                 "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
@@ -227,8 +225,9 @@ class TensorReads:
 
     def blocks_for(self, indices) -> set[tuple[int, ...]]:
         """Blocks a set of coefficients lives on (planning, no I/O)."""
-        codes = self.allocation.locate(indices)[0]
-        return set(self.allocation.block_ids(np.unique(codes)))
+        allocation = self.allocation
+        codes = allocation.distinct(allocation.locate(indices)[0])
+        return set(allocation.block_ids(codes))
 
 
 class WaveletBlockStore(TensorReads, _StoreBase):

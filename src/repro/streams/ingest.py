@@ -50,7 +50,6 @@ from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
 from repro.obs import histogram as obs_histogram
 from repro.obs import span
-from repro.query.ingest import BatchInserter
 
 __all__ = ["BandwidthCoordinator", "IngestService", "IngestSession"]
 
@@ -236,8 +235,7 @@ class IngestSession:
             recorder.on_push(
                 self.session_id, self.sampler, samples, points, weights
             )
-        for point, weight in zip(points, weights):
-            self.service.submit(point, weight)
+        self.service.submit_many(points, weights)
         self.submitted += len(samples)
         return len(samples)
 
@@ -293,7 +291,6 @@ class IngestService:
         self.poll_seconds = poll_seconds
         self.queue_capacity = queue_capacity
         self._queue: queue.Queue = queue.Queue(maxsize=queue_capacity)
-        self._inserter = BatchInserter(engine)
         self._sessions: dict[str, IngestSession] = {}
         self._lock = watched_lock("streams.ingest")
         self._stop = threading.Event()
@@ -393,7 +390,13 @@ class IngestService:
         the committer waits (and, with a coordinator, gets its rate
         capped) — its samples are never discarded.
         """
-        self._queue.put((point, weight))
+        self.submit_many([point], [weight])
+
+    def submit_many(self, points, weights) -> None:
+        """Enqueue points in order, under :meth:`submit`'s blocking
+        contract; the queue-depth gauge is set once for the call."""
+        for item in zip(points, weights):
+            self._queue.put(item)
         obs_gauge("ingest.queue_depth").set(self._queue.qsize())
 
     def flush(self) -> None:
@@ -432,7 +435,7 @@ class IngestService:
                 "ingest.commit_batch_size", DEFAULT_COUNT_BUCKETS
             ).observe(len(points))
             try:
-                self._inserter.insert_batch(points, weights)
+                self.engine.inserter.insert_batch(points, weights)
             except Exception:
                 # The device stack already retried (its StorageSpec
                 # owns resilience); a commit failing past that is kept,

@@ -416,11 +416,9 @@ class SessionReplayer:
             raise StreamError(
                 f"commit_batch must be >= 1, got {commit_batch}"
             )
-        from repro.query.ingest import BatchInserter
-
         with span("replay.session"):
             obs_counter("replay.sessions").inc()
-            inserter = BatchInserter(engine)
+            inserter = engine.inserter
             points: list = []
             weights: list = []
             applied = 0

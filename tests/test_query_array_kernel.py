@@ -92,6 +92,17 @@ class TestBlocksOf:
         assert allocation.blocks_of([]).size == 0
         assert allocation.block_ids(allocation.blocks_of([])) == []
 
+    @settings(max_examples=40, deadline=None)
+    @given(shape=shapes, block_size=block_sizes, data=st.data())
+    def test_distinct_is_the_sorted_dedup(self, shape, block_size, data):
+        allocation = tiling(shape, block_size)
+        codes = np.array(data.draw(st.lists(
+            st.integers(0, allocation.n_codes - 1), max_size=60,
+        )), dtype=np.intp)
+        assert (
+            allocation.distinct(codes).tolist() == np.unique(codes).tolist()
+        )
+
 
 def reference_translation(query, engine) -> dict:
     """The nested-loop dictionary outer product ``translate_query``

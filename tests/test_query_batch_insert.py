@@ -7,16 +7,28 @@ leave behind — for single points, exact duplicates, per-point weights,
 and negative (deletion) weights — while the batch path performs one
 coalesced read and one group-commit write per touched-block union
 instead of one read-modify-write per (point, block) pair.
+
+The kernel locates each point's delta once (a bounded LRU memo, one per
+engine) and accumulates straight into the packed block buffer with no
+coefficient dedup; ``TestSortFreeKernel`` pins that against sequential
+inserts over generated cubes, and ``TestDeltaMemo`` the memo's bound
+and sharing.  (A short payload raising ``StorageError`` with the store
+untouched is ``test_storage_array_payloads.TestWrongLengthPayload``.)
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.query.ingest as ingest_module
 from repro.core.errors import QueryError
 from repro.obs import MetricsRegistry, use_registry
 from repro.query.ingest import BatchInserter
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
+from repro.storage.device import StorageSpec
+from repro.streams.ingest import IngestService
 
 RNG = np.random.default_rng(211)
 
@@ -200,3 +212,176 @@ class TestScalarInsertRoute:
             RangeSumQuery.count([(5, 5), (5, 5)])
         )
         assert total == pytest.approx(n_threads * per_thread)
+
+
+def _support(engine, points):
+    """Distinct coefficient keys the points' impulse transforms touch."""
+    keys = set()
+    for point in points:
+        impulse = RangeSumQuery(ranges=tuple((p, p) for p in point))
+        keys.update(map(tuple, engine.query_arrays(impulse)[0].tolist()))
+    return keys
+
+
+# Size 2 is an axis too small for the db2 cascade (standard basis);
+# an engine needs one axis that is not.
+_shapes = st.lists(
+    st.sampled_from([2, 4, 8, 16]), min_size=1, max_size=3
+).map(tuple).filter(lambda shape: max(shape) > 2)
+# 1/3 and 0.1 round on every product; w and -w cancel a coefficient of
+# an empty cube to exactly 0.0; 0.0 touches without changing.
+_weights = st.sampled_from([1.0, -1.0, 0.0, 2.5, -2.5, 1 / 3, -1 / 3, 0.1])
+
+
+class TestSortFreeKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=_shapes,
+        block_size=st.sampled_from([2, 3, 7, 15]),
+        shards=st.sampled_from([None, 2, 3]),
+        empty=st.booleans(),
+        data=st.data(),
+    )
+    def test_bitwise_equal_to_sequential_inserts(
+        self, shape, block_size, shards, empty, data
+    ):
+        size = int(np.prod(shape))
+        cube = (
+            np.zeros(shape) if empty
+            else (np.arange(size, dtype=float).reshape(shape) % 7) / 3
+        )
+        storage = None if shards is None else StorageSpec(shards=shards)
+        sequential, batched = (
+            ProPolyneEngine(
+                cube, max_degree=1, block_size=block_size, storage=storage
+            )
+            for _ in range(2)
+        )
+        # A small pool of cells: duplicates inside the batch and
+        # supports that share blocks are the common case.
+        pool = data.draw(st.lists(
+            st.tuples(*(st.integers(0, n - 1) for n in shape)),
+            min_size=1, max_size=4,
+        ))
+        points = data.draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=12)
+        )
+        weights = [data.draw(_weights) for _ in points]
+        try:
+            for point, weight in zip(points, weights):
+                sequential.insert(point, weight)
+            touched = batched.inserter.insert_batch(points, weights)
+            assert touched == len(_support(batched, points))
+            assert (
+                batched.to_coefficients().tobytes()
+                == sequential.to_coefficients().tobytes()
+            )
+            assert batched._block_norms == sequential._block_norms
+            assert batched.store._norm == sequential.store._norm
+        finally:
+            sequential.store.close()
+            batched.store.close()
+
+    def test_weights_that_cancel_leave_exact_zeros(self):
+        engine = ProPolyneEngine(np.zeros((16, 8)), max_degree=1, block_size=3)
+        touched = engine.inserter.insert_batch(
+            [(5, 3), (5, 3)], [1 / 3, -1 / 3]
+        )
+        assert touched == len(_support(engine, [(5, 3)]))
+        assert engine.to_coefficients().tobytes() == bytes(16 * 8 * 8)
+        assert set(engine._block_norms.values()) == {0.0}
+        assert engine.store._norm == 0.0
+
+    def test_versioned_commits_match_sequential_history(self):
+        cube = np.arange(256, dtype=float).reshape(16, 16) % 5
+        sequential, batched = (
+            ProPolyneEngine(
+                cube, max_degree=1, block_size=4,
+                storage=StorageSpec(shards=2),
+            )
+            for _ in range(2)
+        )
+        sequential.enable_versioning()
+        log = batched.enable_versioning()
+        rng = np.random.default_rng(17)
+        queries = [
+            RangeSumQuery.count([(2, 11), (3, 14)]),
+            RangeSumQuery.count([(0, 15), (0, 15)]),
+        ]
+        epochs = [0]
+        try:
+            for _ in range(4):
+                points = [tuple(p) for p in rng.integers(0, 6, size=(20, 2))]
+                weights = rng.normal(size=20).tolist()
+                store = batched.store
+                held = {
+                    b: store.fetch_block(b) for b in store.device.block_ids()
+                }
+                batched.inserter.insert_batch(points, weights)
+                preimages = log._records[-1].preimages
+                assert preimages
+                for block_id, preimage in preimages.items():
+                    assert preimage is held[block_id]
+                for point, weight in zip(points, weights):
+                    sequential.insert(point, weight)
+                epochs.append(sequential.epoch)
+            for epoch, then in enumerate(epochs):
+                for query in queries:
+                    assert batched.evaluate_exact(
+                        query, as_of=epoch
+                    ) == sequential.evaluate_exact(query, as_of=then)
+                assert (
+                    batched.as_of_view(epoch)._block_norms
+                    == sequential.as_of_view(then)._block_norms
+                )
+        finally:
+            sequential.store.close()
+            batched.store.close()
+
+
+class TestDeltaMemo:
+    POINTS = [(1, 2), (9, 9), (1, 2), (14, 3), (9, 9), (6, 6)]
+    WEIGHTS = [1.0, 1 / 3, -2.0, 0.1, 1.0, 5.0]
+
+    def test_eviction_changes_no_stored_bit(self, monkeypatch):
+        roomy, cramped = _pair()
+        for _ in range(2):
+            roomy.inserter.insert_batch(self.POINTS, self.WEIGHTS)
+        assert len(roomy.inserter._delta_memo) == 4
+        # Room for one coefficient: every miss evicts all that is held.
+        monkeypatch.setattr(ingest_module, "_MEMO_COEFFICIENTS", 1)
+        for _ in range(2):
+            cramped.inserter.insert_batch(self.POINTS, self.WEIGHTS)
+        assert not cramped.inserter._delta_memo
+        assert cramped.inserter._memo_held == 0
+        _assert_bitwise_equal(_coefficients(roomy), _coefficients(cramped))
+        assert roomy._block_norms == cramped._block_norms
+        assert roomy.store._norm == cramped.store._norm
+
+    def test_least_recently_used_point_goes_first(self, monkeypatch):
+        inserter = _fresh().inserter
+        a, b, c = (4, 4), (5, 5), (6, 6)
+        sizes = {p: len(inserter._delta_of(p)[2]) for p in (a, b, c)}
+        inserter._delta_memo.clear()
+        inserter._memo_held = 0
+        monkeypatch.setattr(
+            ingest_module, "_MEMO_COEFFICIENTS",
+            max(sizes[a] + sizes[b], sizes[a] + sizes[c]),
+        )
+        for point in (a, b, a, c):
+            inserter.insert_batch([point])
+        assert list(inserter._delta_memo) == [a, c]
+        assert inserter._memo_held == sizes[a] + sizes[c]
+
+    def test_service_replay_and_scalar_insert_share_one_memo(self):
+        engine = _fresh()
+        with IngestService(engine, commit_batch=4) as service:
+            service.submit((3, 3))
+            service.flush()
+        memo = engine.inserter._delta_memo
+        assert list(memo) == [(3, 3)]
+        delta = memo[(3, 3)]
+        engine.insert((3, 3))
+        engine.insert((8, 1))
+        assert list(memo) == [(3, 3), (8, 1)]
+        assert memo[(3, 3)] is delta

@@ -122,6 +122,29 @@ class TestCoalescedIO:
         assert eng.store.io_since(before).reads == shared
         assert shared < evaluator.independent_block_count(OVERLAPPING)
 
+    def test_block_order_equals_the_sorted_dedup_reference(self, engine):
+        evaluator = BatchEvaluator(engine)
+        allocation = engine.store.allocation
+        codes, _, values, _ = evaluator._stack(
+            evaluator._translate(OVERLAPPING)
+        )
+        # A block whose only entry squares to zero is still a block to
+        # read: presence comes from the codes, not from the energy.
+        lone = np.setdiff1d(np.arange(allocation.n_codes), codes)[:1]
+        assert lone.size
+        codes = np.append(codes, lone)
+        values = np.append(values, 1e-200)
+        uniq, inverse = np.unique(codes, return_inverse=True)
+        energy = np.sqrt(np.bincount(inverse, weights=values * values))
+        norms = [
+            engine._block_norms.get(b, 0.0) for b in allocation.block_ids(uniq)
+        ]
+        best = np.argsort(-(energy * np.array(norms)), kind="stable")
+        order_codes, order = evaluator._block_order(codes, values)
+        assert order_codes.tolist() == uniq[best].tolist()
+        assert order == allocation.block_ids(order_codes)
+        assert lone[0] in order_codes
+
 
 class TestDegradedBatch:
     def make_stormy(self, cube):
