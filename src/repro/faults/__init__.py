@@ -37,7 +37,6 @@ __all__ = [
     "CircuitBreaker",
     "FaultPlan",
     "FaultyDevice",
-    "FaultyDisk",
     "InjectedFault",
     "InjectedReadError",
     "InjectedWriteError",
@@ -46,21 +45,3 @@ __all__ = [
     "TRANSIENT_ERRORS",
 ]
 
-
-def FaultyDisk(block_size, plan=None, injecting=True, latency_s=0.0):
-    """Deprecated shim for the pre-device-stack ``FaultyDisk`` type.
-
-    The fault-injecting disk subclass was rehomed as
-    :class:`~repro.faults.plan.FaultyDevice` middleware over a plain
-    :class:`~repro.storage.disk.SimulatedDisk`.  This constructor keeps
-    old call sites working by building that two-layer stack; new code
-    should declare faults through
-    :class:`~repro.storage.device.StorageSpec` instead.
-    """
-    from repro.storage.disk import SimulatedDisk
-
-    return FaultyDevice(
-        SimulatedDisk(block_size=block_size, latency_s=latency_s),
-        plan=plan,
-        injecting=injecting,
-    )

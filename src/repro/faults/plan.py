@@ -204,45 +204,51 @@ class FaultyDevice(DeviceLayer):
             return self.plan
         return None
 
-    def write_block(self, block_id, items) -> None:
-        """Store one block, unless the plan injects a write failure."""
-        plan = self._active_plan()
-        if plan is not None and plan.write_fault():
-            obs_counter("faults.injected.write_errors").inc()
-            raise InjectedWriteError(
-                f"injected write failure on block {block_id!r}"
-            )
-        self.inner.write_block(block_id, items)
-
     def write_many(self, blocks: dict) -> None:
         """Bulk store with one seeded fault draw per member, in group
-        order — the identical schedule N sequential writes would draw,
-        so a fault plan replays the same way through the group-commit
-        path as through per-block writes.  A drawn failure aborts the
-        group at that member; the caller retries the (idempotent) group.
+        order around a group-of-one inner write — the identical
+        schedule N sequential writes would draw.  A drawn failure aborts
+        the group at that member; the caller retries the (idempotent)
+        group.  Not injecting, the group passes through whole.
         """
-        for block_id, items in blocks.items():
-            self.write_block(block_id, items)
-
-    def read_block(self, block_id):
-        """Fetch one block through the fault plan."""
         plan = self._active_plan()
         if plan is None:
-            return self.inner.read_block(block_id)
-        kind = plan.read_fault()
-        if kind == "error":
-            obs_counter("faults.injected.read_errors").inc()
-            raise InjectedReadError(
-                f"injected read failure on block {block_id!r}"
-            )
-        plan.latency.sleep()
-        block = self.inner.read_block(block_id)
-        if kind == "torn":
-            obs_counter("faults.injected.torn_blocks").inc()
-            if isinstance(block, bytes):
-                return _corrupt_frame(block)
-            return decode_block(_corrupt_frame(encode_block(block)))
-        return block
+            self.inner.write_many(blocks)
+            return
+        for block_id, items in blocks.items():
+            if plan.write_fault():
+                obs_counter("faults.injected.write_errors").inc()
+                raise InjectedWriteError(
+                    f"injected write failure on block {block_id!r}"
+                )
+            self.inner.write_many({block_id: items})
+
+    def read_many(self, block_ids) -> dict:
+        """Bulk fetch through the fault plan: one seeded draw per member,
+        in group order around a group-of-one inner read, raising at the
+        member that drew the fault.  Not injecting, the group passes
+        through whole."""
+        plan = self._active_plan()
+        if plan is None:
+            return self.inner.read_many(block_ids)
+        out: dict = {}
+        for block_id in block_ids:
+            kind = plan.read_fault()
+            if kind == "error":
+                obs_counter("faults.injected.read_errors").inc()
+                raise InjectedReadError(
+                    f"injected read failure on block {block_id!r}"
+                )
+            plan.latency.sleep()
+            block = self.inner.read_many([block_id])[block_id]
+            if kind == "torn":
+                obs_counter("faults.injected.torn_blocks").inc()
+                if isinstance(block, bytes):
+                    block = _corrupt_frame(block)
+                else:
+                    block = decode_block(_corrupt_frame(encode_block(block)))
+            out[block_id] = block
+        return out
 
     def stats(self) -> dict:
         """Injection state plus the inner layers' statistics."""

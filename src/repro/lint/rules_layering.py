@@ -47,7 +47,6 @@ MIDDLEWARE_CONSTRUCTORS = frozenset(
         "FaultyDevice",
         "ShardedDevice",
         "ReplicatedDevice",
-        "FaultyDisk",
     }
 )
 
@@ -58,8 +57,6 @@ DEVICE_MODULES = frozenset(
         "repro.storage.sharding",
         "repro.storage.replication",
         "repro.faults.plan",
-        # The FaultyDisk deprecation shim wraps one FaultyDevice.
-        "repro.faults",
     }
 )
 

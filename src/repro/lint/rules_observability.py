@@ -3,7 +3,7 @@
 PR 1 made "every quantitative claim is a registry series" the repo's
 observability contract.  ``obs-coverage`` keeps it true structurally:
 every :class:`BlockDevice` implementation (a class defining both
-``read_block`` and ``write_block``) in the storage/faults packages, and
+``read_many`` and ``write_many``) in the storage/faults packages, and
 the named data-path executors — the :class:`QueryService` front end,
 the :class:`BatchEvaluator` batch executor, and the ingest tier's
 :class:`BatchInserter` / :class:`IngestService` /
@@ -108,8 +108,8 @@ class ObsCoverageRule(BaseRule):
             methods = _method_names(node)
             is_device = (
                 in_device_pkg
-                and "read_block" in methods
-                and "write_block" in methods
+                and "read_many" in methods
+                and "write_many" in methods
             )
             if not is_device and node.name not in ALWAYS_COVERED:
                 continue

@@ -261,18 +261,10 @@ class ProPolyneEngine:
             the filter gets ``max_degree + 1`` vanishing moments so those
             queries transform sparsely.
         block_size: Per-axis virtual block size for the tiling allocation.
-        pool_capacity: Optional cache size (blocks) — legacy kwarg,
-            folded into a :class:`~repro.storage.device.StorageSpec`.
-        fault_plan: Optional :class:`~repro.faults.plan.FaultPlan` — the
-            store's device stack injects faults per that schedule.
-        retry_policy: Optional :class:`~repro.faults.retry.RetryPolicy`
-            absorbing transient read faults.
-        breaker: Optional :class:`~repro.faults.breaker.CircuitBreaker`
-            failing reads fast during persistent outages.
-        storage: Full declarative
+        storage: Declarative
             :class:`~repro.storage.device.StorageSpec` (shards, cache,
-            faults, resilience, latency); mutually exclusive with the
-            four legacy kwargs above.
+            faults, resilience, latency); the default is the bare
+            metered disk.
     """
 
     def __init__(
@@ -280,10 +272,6 @@ class ProPolyneEngine:
         cube: np.ndarray,
         max_degree: int = 2,
         block_size: int = 7,
-        pool_capacity: int | None = None,
-        fault_plan=None,
-        retry_policy=None,
-        breaker=None,
         storage=None,
     ) -> None:
         if max_degree < 0:
@@ -304,10 +292,6 @@ class ProPolyneEngine:
             original_shape,
             max_degree,
             block_size,
-            pool_capacity=pool_capacity,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            breaker=breaker,
             storage=storage,
         )
 
@@ -317,10 +301,6 @@ class ProPolyneEngine:
         original_shape: tuple[int, ...],
         max_degree: int,
         block_size: int,
-        pool_capacity: int | None = None,
-        fault_plan=None,
-        retry_policy=None,
-        breaker=None,
         storage=None,
     ) -> None:
         self.original_shape = tuple(original_shape)
@@ -337,15 +317,7 @@ class ProPolyneEngine:
                 subtree_tiling_allocation(n, block_size) for n in self.shape
             )
         )
-        self.store = TensorBlockStore(
-            coeffs,
-            allocation,
-            pool_capacity=pool_capacity,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            breaker=breaker,
-            storage=storage,
-        )
+        self.store = TensorBlockStore(coeffs, allocation, storage=storage)
         self.breaker = self.store.breaker
         self._block_norms = self.store.block_norms
         self._block_sizes = self.store.block_sizes

@@ -120,39 +120,6 @@ class ScanCoordinator:
         self.shared = 0
         self.fetches_by_shard: dict[int, int] = {}
 
-    def fetch_block(self, block_id: Hashable):
-        """Fetch one block, deduplicating against in-flight reads."""
-        shard = self._shard_of(block_id)
-        key = (self.namespace, shard, block_id)
-        with self._lock:
-            flight = self._inflight.get(key)
-            leader = flight is None
-            if leader:
-                flight = self._inflight[key] = _Flight()
-        if not leader:
-            flight.event.wait()
-            with self._lock:
-                self.shared += 1
-            obs_counter("query.service.scan.shared").inc()
-            if flight.error is not None:
-                raise flight.error
-            return flight.result
-        try:
-            flight.result = self._store.fetch_block(block_id)
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-                self.fetches += 1
-                self.fetches_by_shard[shard] = (
-                    self.fetches_by_shard.get(shard, 0) + 1
-                )
-            flight.event.set()
-        obs_counter("query.service.scan.fetches").inc()
-        return flight.result
-
     def fetch_blocks(self, block_ids: list) -> dict:
         """Bulk fetch with coalescing *and* in-flight deduplication.
 
@@ -160,9 +127,10 @@ class ScanCoordinator:
         store read (``fetch_blocks`` → a single ``read_many``, split
         per shard group by the device); blocks another query is already
         fetching are awaited and shared instead of re-read.  This is
-        the batch evaluator's I/O path under a live service: a batch
-        coalesces its own reads while still piggy-backing on concurrent
-        queries' flights.
+        every served query's I/O path — a scalar query's block set and
+        a batch's alike coalesce their own reads while still
+        piggy-backing on concurrent queries' flights; a single block is
+        a batch of one.
         """
         ids = list(dict.fromkeys(block_ids))
         fresh: list[tuple[Hashable, tuple, _Flight]] = []
@@ -224,12 +192,12 @@ class ScanCoordinator:
 class SharedScanStore(TensorReads):
     """Read-only block-store view whose reads go through a coordinator.
 
-    Block reads (:meth:`fetch_block`, :meth:`fetch_blocks`, and the
-    shared :class:`~repro.storage.blockstore.TensorReads` kernel's
-    block hook) ride :class:`ScanCoordinator`; every other attribute
-    (``allocation``, ``disk``, ``io_snapshot``, ...) delegates to the
-    wrapped store.  Mutating operations must go to the underlying store
-    directly.
+    Block reads (:meth:`fetch_blocks`, which is also the shared
+    :class:`~repro.storage.blockstore.TensorReads` kernel's block hook
+    and so what ``fetch_block`` and ``gather`` go through) ride
+    :class:`ScanCoordinator`; every other attribute (``allocation``,
+    ``device``, ``io_snapshot``, ...) delegates to the wrapped store.
+    Mutating operations must go to the underlying store directly.
     """
 
     def __init__(
@@ -246,17 +214,13 @@ class SharedScanStore(TensorReads):
     def __getattr__(self, name: str):
         return getattr(self._store, name)
 
-    def fetch_block(self, block_id: Hashable):
-        """Single-flighted block fetch."""
-        return self.coordinator.fetch_block(block_id)
-
     def fetch_blocks(self, block_ids: list) -> dict:
-        """Coalesced, single-flighted bulk fetch (the batch I/O path)."""
+        """Coalesced, single-flighted bulk fetch."""
         return self.coordinator.fetch_blocks(block_ids)
 
-    def _read_blocks(self, block_ids: list) -> dict:
-        """One single-flighted fetch per block, in the given order."""
-        return {block_id: self.fetch_block(block_id) for block_id in block_ids}
+    #: The shared ``gather``/``fetch_block`` kernel's block hook: the
+    #: same coalesced, single-flighted read.
+    _read_blocks = fetch_blocks
 
 
 def shared_scan_view(

@@ -58,7 +58,7 @@ class BlobStore:
         location = self._next_id
         self._next_id += 1
         if self.device is not None:
-            self.device.write_block(("blob", location), bytes(payload))
+            self.device.write_many({("blob", location): bytes(payload)})
         else:
             self._blobs[location] = bytes(payload)
         self._names[location] = name
@@ -76,7 +76,8 @@ class BlobStore:
         if location not in self._names:
             raise StorageError(f"no blob at location {location}")
         if self.device is not None:
-            return bytes(self.device.read_block(("blob", location)))
+            key = ("blob", location)
+            return bytes(self.device.read_many([key])[key])
         return self._blobs[location]
 
     def get_array(self, ref: BlobRef | int) -> np.ndarray:

@@ -13,11 +13,9 @@ Storage configuration is declarative: both stores take a
 framing, fault injection, retry/breaker resilience, simulated latency)
 and build the canonical validated middleware stack from it — caching,
 corruption detection, retries and fault injection are all the *device's*
-layers now, not special cases inside the store.  The legacy keyword
-arguments (``pool_capacity``/``fault_plan``/``retry_policy``/
-``breaker``) are folded into an equivalent spec, so with none of them
-configured construction and reads are exactly the pre-resilience code
-path (regression-tested to be bitwise-identical).
+layers, not special cases inside the store.  The default spec is the
+bare metered disk, whose construction and reads are exactly the
+pre-resilience code path (regression-tested to be bitwise-identical).
 """
 
 from __future__ import annotations
@@ -41,26 +39,6 @@ from repro.storage.disk import IOStats
 __all__ = ["WaveletBlockStore", "TensorBlockStore"]
 
 
-def _compose_spec(
-    storage, pool_capacity, fault_plan, retry_policy, breaker
-) -> StorageSpec:
-    """One spec from either the declarative argument or legacy kwargs."""
-    if storage is not None:
-        if (pool_capacity is not None or fault_plan is not None
-                or retry_policy is not None or breaker is not None):
-            raise StorageError(
-                "pass either a StorageSpec or legacy storage kwargs, "
-                "not both"
-            )
-        return storage
-    return StorageSpec(
-        cache_blocks=pool_capacity,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-        breaker=breaker,
-    )
-
-
 class _StoreBase:
     """Device-stack plumbing shared by both block stores."""
 
@@ -78,15 +56,9 @@ class _StoreBase:
         # traffic: injection starts only once the store is serving.
         self._built.set_injecting(False)
         try:
-            for block_id, items in blocks.items():
-                self.device.write_block(block_id, items)
+            self.device.write_many(blocks)
         finally:
             self._built.set_injecting(True)
-
-    @property
-    def disk(self):
-        """Deprecated alias for :attr:`device` (pre-stack call sites)."""
-        return self.device
 
     @property
     def caches(self) -> list:
@@ -118,11 +90,6 @@ class _StoreBase:
     def io_since(self, before: IOStats) -> IOStats:
         """Leaf I/O performed since ``before`` was snapshotted."""
         return self.device.io_totals().delta(before)
-
-    def fetch_block(self, block_id) -> np.ndarray:
-        """Fetch one whole block: its values as a read-only array, in
-        ``allocation.block_keys(block_id)`` order."""
-        return self.device.read_block(block_id)
 
     def fetch_blocks(self, block_ids: list) -> dict:
         """Bulk block fetch: one coalesced device read for many blocks.
@@ -182,16 +149,23 @@ class TensorReads:
 
     A view supplies ``allocation`` and :meth:`_read_blocks` — how a
     sorted list of block ids is read: the live device's ``read_many``,
-    the shared-scan view's single-flight loop, an as-of view's
-    pre-image-else-live — and inherits :meth:`gather` plus its
-    dict/set-shaped wrappers.  Payloads are arrays of values only; the
-    allocation's ``locate`` says where in which array a key — an
-    ``ndim`` multi-index, or a flat index on the 1-D store — lives.
+    the shared-scan view's coalesced single-flight fetch, an as-of
+    view's pre-image-else-live — and inherits :meth:`gather`, its
+    dict/set-shaped wrappers and the scalar :meth:`fetch_block`.
+    Payloads are arrays of values only; the allocation's ``locate``
+    says where in which array a key — an ``ndim`` multi-index, or a
+    flat index on the 1-D store — lives.
     """
 
     def _read_blocks(self, block_ids: list) -> dict:
         """Payloads of ``block_ids`` (sorted, distinct), keyed by id."""
         return self.device.read_many(block_ids)
+
+    def fetch_block(self, block_id) -> np.ndarray:
+        """Fetch one whole block — a batch of one through the view's
+        own block read: its values as a read-only array, in
+        ``allocation.block_keys(block_id)`` order."""
+        return self._read_blocks([block_id])[block_id]
 
     def gather(self, keys) -> np.ndarray:
         """Stored values of the coefficient ``keys``, in key order.
@@ -237,10 +211,6 @@ class WaveletBlockStore(TensorReads, _StoreBase):
         self,
         flat: np.ndarray,
         allocation: Allocation,
-        pool_capacity: int | None = None,
-        fault_plan=None,
-        retry_policy=None,
-        breaker=None,
         storage: StorageSpec | None = None,
     ) -> None:
         values = np.asarray(flat, dtype=float)
@@ -250,10 +220,7 @@ class WaveletBlockStore(TensorReads, _StoreBase):
                 f"{allocation.n}"
             )
         self.allocation = allocation
-        spec = _compose_spec(
-            storage, pool_capacity, fault_plan, retry_policy, breaker
-        )
-        self._init_storage(spec, allocation.block_size)
+        self._init_storage(storage or StorageSpec(), allocation.block_size)
         self._populate(allocation.build_blocks(values))
         self._norm = float(np.linalg.norm(values))
 
@@ -282,10 +249,10 @@ class WaveletBlockStore(TensorReads, _StoreBase):
         """
         (block_id,), (slot,) = self.allocation.locate([index])
         block_id = int(block_id)
-        block = self.device.read_block(block_id).copy()
+        block = self.fetch_block(block_id).copy()
         old = float(block[slot])
         block[slot] = float(value)
-        self.device.write_block(block_id, block)
+        self.device.write_many({block_id: block})
         self._norm = float(
             np.sqrt(max(0.0, self._norm**2 - old**2 + float(value) ** 2))
         )
@@ -298,10 +265,6 @@ class TensorBlockStore(TensorReads, _StoreBase):
         self,
         coeffs: np.ndarray,
         allocation: TensorAllocation,
-        pool_capacity: int | None = None,
-        fault_plan=None,
-        retry_policy=None,
-        breaker=None,
         storage: StorageSpec | None = None,
     ) -> None:
         cube = np.asarray(coeffs, dtype=float)
@@ -311,10 +274,9 @@ class TensorBlockStore(TensorReads, _StoreBase):
                 f"{allocation.shape}"
             )
         self.allocation = allocation
-        spec = _compose_spec(
-            storage, pool_capacity, fault_plan, retry_policy, breaker
+        self._init_storage(
+            storage or StorageSpec(), allocation.block_capacity
         )
-        self._init_storage(spec, allocation.block_capacity)
         blocks = allocation.build_blocks(cube)
         self._populate(blocks)
         self._norm = float(np.linalg.norm(cube.ravel()))
@@ -339,13 +301,3 @@ class TensorBlockStore(TensorReads, _StoreBase):
     def data_norm(self) -> float:
         """L2 norm of the stored cube (for progressive error bounds)."""
         return self._norm
-
-    def update_block(
-        self, block_id: tuple[int, ...], items: np.ndarray
-    ) -> None:
-        """Overwrite one block (append path).
-
-        Cache coherence is automatic: the write enters through the
-        stack, so the caching layer invalidates its copy itself.
-        """
-        self.device.write_block(block_id, items)

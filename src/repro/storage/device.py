@@ -69,19 +69,21 @@ __all__ = [
 class BlockDevice(Protocol):
     """What every storage layer speaks: blocks addressed by id.
 
-    The four required members; concrete devices and middleware also
-    provide the wider conventional surface (``read_many``,
-    ``has_block``, ``block_ids``, ``occupancy``, ``io_totals``,
-    ``block_size``) which :class:`DeviceLayer` delegates by default.
-    A payload is an immutable value — a read-only ``float64`` array or
-    ``bytes`` — so no layer copies one on the way in or out.
+    Two data methods — a scalar read or write is a group of one — and
+    two of metadata; concrete devices and middleware also provide the
+    wider conventional surface (``has_block``, ``block_ids``,
+    ``occupancy``, ``io_totals``, ``block_size``) which
+    :class:`DeviceLayer` delegates by default.  A payload is an
+    immutable value — a read-only ``float64`` array or ``bytes`` — so
+    no layer copies one on the way in or out.
     """
 
-    def read_block(self, block_id: Hashable):
-        """Fetch one block payload (shared, immutable: never copied)."""
+    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
+        """Fetch a group of blocks; returns ``{block_id: payload}``
+        (payloads shared, immutable: never copied)."""
 
-    def write_block(self, block_id: Hashable, items) -> None:
-        """Store (or overwrite) one block payload."""
+    def write_many(self, blocks: dict) -> None:
+        """Store (or overwrite) a group of ``{block_id: payload}``."""
 
     def n_blocks(self) -> int:
         """Number of allocated blocks."""
@@ -130,35 +132,13 @@ class DeviceLayer:  # lint: ignore[obs-coverage] — pure delegation base; meter
         """Item capacity of one block (delegated to the leaf device)."""
         return self.inner.block_size
 
-    def read_block(self, block_id: Hashable):
-        """Fetch one block's (immutable) payload."""
-        return self.inner.read_block(block_id)
-
     def read_many(self, block_ids: Iterable[Hashable]) -> dict:
-        """Fetch several blocks; returns ``{block_id: payload}``.
-
-        The default loops :meth:`read_block` so every layer's per-block
-        semantics (cache hits, fault draws, retries) apply unchanged; a
-        sharded device overrides this with a fan-out.
-        """
-        return {b: self.read_block(b) for b in block_ids}
-
-    def write_block(self, block_id: Hashable, items) -> None:
-        """Store one block through the stack."""
-        self.inner.write_block(block_id, items)
+        """Fetch several blocks; returns ``{block_id: payload}``."""
+        return self.inner.read_many(block_ids)
 
     def write_many(self, blocks: dict) -> None:
-        """Store several blocks; ``blocks`` maps block id to payload.
-
-        The write-side twin of :meth:`read_many`: the default loops
-        :meth:`write_block` so every layer's per-block semantics (cache
-        invalidation, CRC framing, fault draws) apply unchanged; a
-        sharded device overrides this with a coalesced per-shard
-        fan-out, and framing/caching layers override it to push the
-        whole group down in one inner call.
-        """
-        for block_id, items in blocks.items():
-            self.write_block(block_id, items)
+        """Store several blocks; ``blocks`` maps block id to payload."""
+        self.inner.write_many(blocks)
 
     def has_block(self, block_id: Hashable) -> bool:
         """Existence check (directory metadata, no I/O charged)."""
@@ -205,31 +185,15 @@ class MeteredDevice(DeviceLayer):
         self.writes = 0
         self._lock = watched_lock("storage.metered")
 
-    def _count_reads(self, n: int = 1) -> None:
-        with self._lock:
-            self.reads += n
-        obs_counter(f"{self.prefix}.reads").inc(n)
-
-    def read_block(self, block_id: Hashable):
-        """Fetch one block, counting ``<prefix>.reads``."""
-        payload = self.inner.read_block(block_id)
-        self._count_reads()
-        return payload
-
     def read_many(self, block_ids: Iterable[Hashable]) -> dict:
         """Bulk fetch, counting one read per block and preserving the
         inner device's fan-out."""
         ids = list(block_ids)
         out = self.inner.read_many(ids)
-        self._count_reads(len(ids))
-        return out
-
-    def write_block(self, block_id: Hashable, items) -> None:
-        """Store one block, counting ``<prefix>.writes``."""
-        self.inner.write_block(block_id, items)
         with self._lock:
-            self.writes += 1
-        obs_counter(f"{self.prefix}.writes").inc()
+            self.reads += len(ids)
+        obs_counter(f"{self.prefix}.reads").inc(len(ids))
+        return out
 
     def write_many(self, blocks: dict) -> None:
         """Bulk store, counting one write per block and preserving the
@@ -257,20 +221,20 @@ class CachingDevice(DeviceLayer):
     """Fixed-capacity LRU cache middleware: hits are free, misses cost
     one inner read.
 
-    Coherence is an internal invariant now: every write enters through
-    :meth:`write_block`, which writes through to the inner device and
-    then invalidates the cached copy — no weak-ref side channel on the
-    leaf.  Cached entries are the inner device's immutable payloads,
-    handed to every reader as the one shared instance — a cached read
-    copies nothing, hit or miss.
+    Coherence is an internal invariant: every write enters through
+    :meth:`write_many`, which writes through to the inner device and
+    then invalidates the cached copies — no weak-ref side channel on
+    the leaf.  Cached entries are the inner device's immutable
+    payloads, handed to every reader as the one shared instance — a
+    cached read copies nothing, hit or miss.
 
     Thread safety: one lock guards the LRU map, :class:`PoolStats` and
     the invalidation generation; the lock is *not* held across the
-    inner read a miss performs.  That opens a window — a payload read
-    before a concurrent write could be inserted after that write's
-    invalidation ran — closed by the generation gate: every
-    ``invalidate``/``clear`` bumps ``_gen`` and a miss only publishes
-    its payload if no invalidation happened since the miss began.
+    inner read a group's misses perform.  That opens a window — a
+    payload read before a concurrent write could be inserted after that
+    write's invalidation ran — closed by the generation gate: every
+    ``invalidate``/``clear`` bumps ``_gen`` and a group only publishes
+    its misses if no invalidation happened since its read began.
     """
 
     def __init__(self, inner, capacity: int) -> None:
@@ -289,52 +253,60 @@ class CachingDevice(DeviceLayer):
     def _occupancy(self) -> float:
         return len(self._cache) / self.capacity
 
-    def read_block(self, block_id: Hashable):
-        """Cached fetch of one block's (immutable) payload."""
+    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
+        """Cached fetch of a group: the hits, then *one* inner read for
+        every miss, then one gated publish.
+
+        Hits are served (and made most-recent) before any miss is
+        published, so a group never evicts a block it is itself about
+        to return.  A failed inner read publishes nothing and counts no
+        miss.  Payloads come back in request order.
+        """
+        out: dict = {}
+        misses: list = []
+        hits = 0
         with self._lock:
-            cached = self._cache.get(block_id)
-            if cached is not None:
-                self._cache.move_to_end(block_id)
-                self.pool_stats.hits += 1
-            else:
-                gen = self._gen
-        if cached is not None:
-            obs_counter("storage.pool.hits").inc()
-            return cached
+            for block_id in block_ids:
+                cached = out[block_id] = self._cache.get(block_id)
+                if cached is None:
+                    misses.append(block_id)
+                else:
+                    self._cache.move_to_end(block_id)
+                    hits += 1
+            self.pool_stats.hits += hits
+            gen = self._gen
+        if hits:
+            obs_counter("storage.pool.hits").inc(hits)
+        if not misses:
+            return out
         # Inner payloads are immutable, so the shared instance is the
         # cache entry itself.
-        payload = self.inner.read_block(block_id)
+        out.update(self.inner.read_many(misses))
         evicted = 0
         with self._lock:
-            self.pool_stats.misses += 1
-            if self._gen == gen and block_id not in self._cache:
-                self._cache[block_id] = payload
+            self.pool_stats.misses += len(misses)
+            if self._gen == gen:
+                for block_id in misses:
+                    self._cache.setdefault(block_id, out[block_id])
                 while len(self._cache) > self.capacity:
                     self._cache.popitem(last=False)
-                    self.pool_stats.evictions += 1
                     evicted += 1
+                self.pool_stats.evictions += evicted
             occupancy = self._occupancy()
-        obs_counter("storage.pool.misses").inc()
+        obs_counter("storage.pool.misses").inc(len(misses))
         if evicted:
             obs_counter("storage.pool.evictions").inc(evicted)
         obs_gauge("storage.pool.occupancy").set(occupancy)
-        return payload
-
-    def write_block(self, block_id: Hashable, items) -> None:
-        """Write through to the inner device, then invalidate the cached
-        copy — the write-through coherence invariant, owned here."""
-        self.inner.write_block(block_id, items)
-        self.invalidate(block_id)
+        return out
 
     def write_many(self, blocks: dict) -> None:
         """Group write-through: one coalesced inner write, then every
         touched id invalidated.
 
         Invalidation happens *after* the inner write settles, with one
-        generation bump per block — exactly the coherence the per-block
-        path provides, because an in-flight miss racing any of these
-        writes sees a generation newer than the one it captured and
-        declines to publish its stale payload.  When the inner write
+        generation bump per block: an in-flight read racing any of
+        these writes sees a generation newer than the one it captured
+        and declines to publish its stale payloads.  When the inner write
         fails partway (an injected write fault below), every member is
         invalidated anyway: blocks that did reach the device must not
         be shadowed by stale cache entries, and dropping a still-valid
@@ -424,11 +396,6 @@ class CrcFramedDevice(DeviceLayer):  # lint: ignore[obs-coverage] — transparen
         self._counts: dict[Hashable, int] = {}
         self._lock = watched_lock("storage.crc")
 
-    def write_block(self, block_id: Hashable, items) -> None:
-        """Frame one array payload and store the encoded bytes (a
-        group of one)."""
-        self.write_many({block_id: items})
-
     def write_many(self, blocks: dict) -> None:
         """Frame every payload in the group and store the encoded frames
         as one coalesced inner write.
@@ -448,9 +415,11 @@ class CrcFramedDevice(DeviceLayer):  # lint: ignore[obs-coverage] — transparen
         with self._lock:
             self._counts.update((b, len(items)) for b, items in blocks.items())
 
-    def read_block(self, block_id: Hashable):
-        """Fetch one frame, verify its CRC, and decode the payload."""
-        return decode_block(self.inner.read_block(block_id))
+    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
+        """Fetch the group's frames as one inner read, then verify each
+        CRC and decode its payload."""
+        frames = self.inner.read_many(block_ids)
+        return {b: decode_block(frame) for b, frame in frames.items()}
 
     def occupancy(self) -> float:
         """Mean fraction of block item-capacity in use (tracked here —
@@ -466,7 +435,7 @@ class CrcFramedDevice(DeviceLayer):  # lint: ignore[obs-coverage] — transparen
         return {"layer": "crc", "inner": self.inner.stats()}
 
 
-class ResilientDevice(DeviceLayer):
+class ResilientDevice(DeviceLayer):  # lint: ignore[obs-coverage] — retry.* / breaker.* are emitted by the policy and breaker its ResilientCaller runs every guarded call under
     """Retry + circuit-breaker middleware at the device seam.
 
     Every read runs under a
@@ -490,16 +459,16 @@ class ResilientDevice(DeviceLayer):
 
             self._caller = ResilientCaller(retry_policy, breaker)
 
-    def read_block(self, block_id: Hashable):
-        """Fetch one block under the retry/breaker stack."""
-        if self._caller is None:
-            return self.inner.read_block(block_id)
-        return self._caller.call(self.inner.read_block, block_id)
-
     def read_many(self, block_ids: Iterable[Hashable]) -> dict:
-        """Bulk fetch, each block independently guarded (one block's
-        exhaustion does not waste the others' completed reads)."""
-        return {b: self.read_block(b) for b in block_ids}
+        """Bulk fetch, each block independently guarded — a group of one
+        under the retry/breaker stack — so one block's exhaustion does
+        not waste the others' completed reads."""
+        if self._caller is None:
+            return self.inner.read_many(block_ids)
+        out: dict = {}
+        for block_id in block_ids:
+            out.update(self._caller.call(self.inner.read_many, [block_id]))
+        return out
 
     def write_many(self, blocks: dict) -> None:
         """Group commit under the retry/breaker stack.
@@ -570,9 +539,9 @@ class DeviceStack:
     * ``crc`` — none;
     * ``faulty`` — ``plan`` (a :class:`~repro.faults.plan.FaultPlan`);
     * ``disk`` — ``block_size`` (required), ``latency``
-      (:class:`~repro.storage.latency.LatencyModel`) or ``latency_s``,
-      and ``metered`` (default True: a ``storage.disk.*`` meter sits
-      directly above the leaf).
+      (:class:`~repro.storage.latency.LatencyModel`) and ``metered``
+      (default True: a ``storage.disk.*`` meter sits directly above
+      the leaf).
     """
 
     def __init__(self, layers) -> None:
@@ -627,12 +596,9 @@ class DeviceStack:
             if kind == "disk":
                 if "block_size" not in options:
                     raise StorageError("disk layer needs a block_size")
-                latency = options.get("latency")
-                if latency is None and options.get("latency_s"):
-                    latency = LatencyModel(base_s=options["latency_s"])
                 device = SimulatedDisk(
                     block_size=options["block_size"],
-                    latency=latency,
+                    latency=options.get("latency"),
                 )
                 built["disk"] = device
                 if options.get("metered", True):

@@ -84,12 +84,10 @@ class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; s
     then that layer's business).  ``latency`` is an optional
     :class:`~repro.storage.latency.LatencyModel` whose per-read delay
     (base seek time plus seeded spikes) is slept outside the device
-    lock; the legacy ``latency_s`` float is accepted and folded into a
-    model.
+    lock.
     """
 
     block_size: int
-    latency_s: float = 0.0
     latency: LatencyModel | None = None
     _blocks: dict[Hashable, object] = field(default_factory=dict)
     io: IOStats = field(default_factory=IOStats)
@@ -99,12 +97,6 @@ class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; s
             raise StorageError(
                 f"block size must be positive, got {self.block_size}"
             )
-        if self.latency_s < 0:
-            raise StorageError(
-                f"read latency must be >= 0, got {self.latency_s}"
-            )
-        if self.latency is None and self.latency_s > 0.0:
-            self.latency = LatencyModel(base_s=self.latency_s)
         # Guards the block directory and the IOStats counters; never
         # held while sleeping simulated latency.
         self._lock = watched_lock("storage.disk")
@@ -113,44 +105,40 @@ class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; s
         with self._lock:
             return len(self._blocks)
 
-    def write_block(self, block_id: Hashable, items) -> None:
-        """Store (or overwrite) one block.
+    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
+        """Fetch several blocks; returns ``{block_id: payload}``.
 
-        The stored payload is immutable (:func:`frozen_payload`; bytes
+        Each block is looked up and counted under the lock and its
+        simulated seek slept after the lock is released.  The stored
+        (immutable) payloads themselves are returned — no copy.
+        """
+        out: dict = {}
+        for block_id in block_ids:
+            with self._lock:
+                try:
+                    out[block_id] = self._blocks[block_id]
+                except KeyError:
+                    raise StorageError(
+                        f"no such block {block_id!r}"
+                    ) from None
+                self.io.reads += 1
+            if self.latency is not None:
+                self.latency.sleep()
+        return out
+
+    def write_many(self, blocks: dict) -> None:
+        """Store (or overwrite) several blocks, in group order.
+
+        A stored payload is immutable (:func:`frozen_payload`; bytes
         already are) and a later write replaces it, so readers holding
         the previous payload keep a consistent pre-write snapshot.
         """
-        if not isinstance(items, bytes):
-            items = frozen_payload(block_id, items, self.block_size)
-        with self._lock:
-            self._blocks[block_id] = items
-            self.io.writes += 1
-
-    def read_block(self, block_id: Hashable):
-        """Fetch one block, counting the I/O.  The stored (immutable)
-        payload itself is returned — no copy."""
-        with self._lock:
-            try:
-                block = self._blocks[block_id]
-            except KeyError:
-                raise StorageError(f"no such block {block_id!r}") from None
-            self.io.reads += 1
-        if self.latency is not None:
-            self.latency.sleep()
-        return block
-
-    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
-        """Fetch several blocks; returns ``{block_id: payload}``."""
-        return {b: self.read_block(b) for b in block_ids}
-
-    def write_many(self, blocks: dict) -> None:
-        """Store several blocks; ``blocks`` maps block id to payload.
-
-        Each member is written (and counted in :class:`IOStats`) exactly
-        like a :meth:`write_block` call, in group order.
-        """
         for block_id, items in blocks.items():
-            self.write_block(block_id, items)
+            if not isinstance(items, bytes):
+                items = frozen_payload(block_id, items, self.block_size)
+            with self._lock:
+                self._blocks[block_id] = items
+                self.io.writes += 1
 
     def has_block(self, block_id: Hashable) -> bool:
         """Existence check (no I/O charged — directory metadata)."""

@@ -224,11 +224,12 @@ class EpochLog:
 class AsOfStore(TensorReads):
     """Read-only block-store view pinned to one epoch.
 
-    Serves block reads (``fetch_block``, ``fetch_blocks`` and the
-    shared :class:`~repro.storage.blockstore.TensorReads` kernel's
-    block hook) as of that epoch; everything else (``allocation``,
-    ``shard_of``, ``breakers``, ...) delegates to the wrapped store,
-    which may itself be a :class:`~repro.query.service.SharedScanStore`
+    Serves block reads (``fetch_blocks``, which is also the shared
+    :class:`~repro.storage.blockstore.TensorReads` kernel's block
+    hook, so ``fetch_block`` and ``gather`` too) as of that epoch;
+    everything else (``allocation``, ``shard_of``, ``breakers``, ...)
+    delegates to the wrapped store, which may itself be a
+    :class:`~repro.query.service.SharedScanStore`
     — as-of reads that fall through to live storage still coalesce and
     single-flight.
 
@@ -246,14 +247,6 @@ class AsOfStore(TensorReads):
     def __getattr__(self, name: str):
         """Delegate every non-read attribute to the wrapped store."""
         return getattr(self._store, name)
-
-    def fetch_block(self, block_id: Hashable):
-        """One block as of the pinned epoch (pre-image or live)."""
-        preimage = self._log.preimage_as_of(block_id, self.epoch)
-        if preimage is not None:
-            obs_counter("epoch.preimage_reads").inc()
-            return preimage
-        return self._store.fetch_block(block_id)
 
     def fetch_blocks(self, block_ids: list) -> dict:
         """Bulk fetch as of the pinned epoch.
@@ -283,12 +276,6 @@ class AsOfStore(TensorReads):
     def store_blocks(self, payloads: dict) -> None:
         """Refused: as-of views are frozen history (route writes to the
         live store)."""
-        raise StorageError(
-            f"store pinned to epoch {self.epoch} is read-only"
-        )
-
-    def update_block(self, block_id, payload) -> None:
-        """Refused: as-of views are frozen history."""
         raise StorageError(
             f"store pinned to epoch {self.epoch} is read-only"
         )

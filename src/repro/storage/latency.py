@@ -1,9 +1,9 @@
 """One latency model for every simulated delay in the storage stack.
 
 Before the device refactor, simulated delays lived in two unrelated
-places: ``SimulatedDisk(latency_s=...)`` slept a fixed per-read seek
-time, and ``FaultyDisk`` drew independent *latency spikes* from its
-fault plan's RNG.  A benchmark could configure both and silently get
+places: the leaf disk slept a fixed per-read seek time, and the
+fault-injecting disk drew independent *latency spikes* from its fault
+plan's RNG.  A benchmark could configure both and silently get
 contradictory delay budgets.  :class:`LatencyModel` consolidates them:
 one object owns the base per-read delay *and* the seeded spike
 distribution, every device sleeps through the same code path, and the

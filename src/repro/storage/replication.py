@@ -150,14 +150,25 @@ class ReplicatedDevice:
 
     # -- reads: primary with failover fan-out -------------------------
 
-    def _failover_read(self, op: str, call):
-        """Run ``call(member_device)`` against members in read order,
-        promoting the member that answers when it is not the primary."""
+    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
+        """Bulk fetch with whole-group failover.
+
+        The group runs against one member at a time in read order
+        (members hold identical data, so there is nothing to fan out
+        *across* members); a member failing any block fails the group
+        over to the next in-sync member, keeping the answer internally
+        consistent — never half one member, half another — and the
+        member that answers is promoted when it is not the primary.
+        """
+        ids = list(block_ids)
+        if not ids:
+            return {}
+        op = f"read_many({len(ids)} blocks)"
         order = self._read_order()
         first_error: Exception | None = None
         for member in order:
             try:
-                result = call(self.members[member])
+                result = self.members[member].read_many(ids)
             except MEMBER_FAILURES as exc:
                 obs_counter("replica.member_read_failures").inc()
                 if first_error is None:
@@ -178,36 +189,16 @@ class ReplicatedDevice:
         )
         raise first_error
 
-    def read_block(self, block_id: Hashable):
-        """Fetch one block from the primary, failing over to in-sync
-        replicas (promoting the answering member) on failure."""
-        return self._failover_read(
-            f"read_block({block_id!r})",
-            lambda device: device.read_block(block_id),
-        )
-
-    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
-        """Bulk fetch with whole-group failover.
-
-        The group runs against one member at a time (members hold
-        identical data, so there is nothing to fan out *across*
-        members); a member failing any block fails the group over to
-        the next in-sync member, keeping the answer internally
-        consistent — never half one member, half another.
-        """
-        ids = list(block_ids)
-        if not ids:
-            return {}
-        return self._failover_read(
-            f"read_many({len(ids)} blocks)",
-            lambda device: device.read_many(ids),
-        )
-
     # -- writes: synchronous fan-in to every member --------------------
 
-    def _fanin_write(self, op: str, call) -> None:
-        """Apply a write to every member; in-sync members that fail go
-        stale (excluded from reads until resync).
+    def write_many(self, blocks: dict) -> None:
+        """Group-commit the blocks to every member; in-sync members
+        that fail go stale (excluded from reads until resync).
+
+        Each member sees the group as one coalesced ``write_many`` (so
+        its own framing/caching layers keep their group semantics); a
+        member failing the group goes stale as a whole — block
+        overwrites are idempotent, so resync restores it exactly.
 
         Two invariants keep this safe:
 
@@ -223,6 +214,9 @@ class ReplicatedDevice:
         their resync delta small) but their failures are ignored — they
         are excluded from reads either way.
         """
+        if not blocks:
+            return
+        op = f"write_many({len(blocks)} blocks)"
         with self._lock:
             in_sync = [
                 m for m in range(len(self.members)) if m not in self._stale
@@ -231,7 +225,7 @@ class ReplicatedDevice:
         newly_stale: list[int] = []
         for member, device in enumerate(self.members):
             try:
-                call(device)
+                device.write_many(blocks)
             except MEMBER_FAILURES as exc:
                 if member in in_sync:
                     errors.append((member, exc))
@@ -261,28 +255,6 @@ class ReplicatedDevice:
                     m for m in in_sync if m not in newly_stale
                 )
                 self.promote(survivor)
-
-    def write_block(self, block_id: Hashable, items) -> None:
-        """Store one block on every member (failed members go stale)."""
-        self._fanin_write(
-            f"write_block({block_id!r})",
-            lambda device: device.write_block(block_id, items),
-        )
-
-    def write_many(self, blocks: dict) -> None:
-        """Group-commit the blocks to every member.
-
-        Each member sees the group as one coalesced ``write_many`` (so
-        its own framing/caching layers keep their group semantics); a
-        member failing the group goes stale as a whole — block
-        overwrites are idempotent, so resync restores it exactly.
-        """
-        if not blocks:
-            return
-        self._fanin_write(
-            f"write_many({len(blocks)} blocks)",
-            lambda device: device.write_many(blocks),
-        )
 
     def resync(self) -> int:
         """Copy the current primary's blocks onto every stale member.

@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.errors import StorageError
 from repro.storage.allocation import Allocation, subtree_tiling_allocation
 from repro.storage.blockstore import WaveletBlockStore
+from repro.storage.device import StorageSpec
 from repro.wavelets.dwt import WaveletCoefficients, max_levels, wavedec, waverec
 from repro.wavelets.filters import get_filter
 
@@ -84,7 +85,7 @@ class SignalArchive:
         flat = wavedec(data, filt, levels=self.levels).to_flat()
         allocation = subtree_tiling_allocation(data.size, block_size)
         self.store = WaveletBlockStore(
-            flat, allocation, pool_capacity=pool_capacity
+            flat, allocation, storage=StorageSpec(cache_blocks=pool_capacity)
         )
         # Per-block energies, recorded at archive time for the
         # importance order and the residual bound.

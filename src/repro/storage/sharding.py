@@ -11,7 +11,8 @@ Multi-block reads fan out across the shards touched via a small
 transient worker pool, so with per-device latency the wall-clock cost
 of a scan approaches ``blocks / shards`` device waits instead of
 ``blocks`` (the effect ``benchmarks/bench_p3_sharding.py`` measures).
-Writes and single reads route directly to the owning shard.
+Group writes fan out the same way; a group of one routes directly to
+the owning shard.
 
 Degradation is per-shard by construction: each shard's sub-stack
 carries its own fault plan and circuit breaker
@@ -90,13 +91,6 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
         shard = self._placement.get(block_id)
         return place(block_id, self.n_shards) if shard is None else shard
 
-    def _device_for(self, block_id: Hashable):
-        return self.devices[self.shard_of(block_id)]
-
-    def read_block(self, block_id: Hashable):
-        """Fetch one block from its owning shard."""
-        return self._device_for(block_id).read_block(block_id)
-
     def _fanout_pool(self) -> ThreadPoolExecutor:
         """The persistent fan-out pool (created on first concurrent use)."""
         with self._pool_lock:
@@ -107,37 +101,33 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
                 )
             return self._pool
 
-    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
-        """Fetch several blocks, fanning out across the shards touched.
+    def _fan_out(self, op: str, groups: list) -> list:
+        """Run ``devices[shard].<op>(arg)`` for every ``(shard, arg)``
+        group; returns the results in group order.
 
-        Blocks are coalesced into one ``read_many`` per owning shard
-        (:func:`~repro.storage.scheduler.coalesce_by_shard`); when more
-        than one shard (and more than one worker) is involved, each
-        shard group runs on the device's persistent worker pool so
+        When more than one shard (and more than one worker) is involved
+        each group runs on the device's persistent worker pool, so
         per-device latency overlaps.  Failures propagate only after
         every group has settled — surviving shards' work is never
-        discarded mid-flight — and when several shard groups fail, the
-        first exception is raised with every further failure attached
-        as a ``__notes__`` entry, so a multi-shard outage is never
-        silently reported as a single-shard one.
+        discarded mid-flight — and when several groups fail, the first
+        exception is raised with every further failure attached as a
+        ``__notes__`` entry, so a multi-shard outage is never silently
+        reported as a single-shard one.
         """
-        groups = coalesce_by_shard(block_ids, self.shard_of)
-        if not groups:
-            return {}
-        out: dict = {}
-        if len(groups) == 1 or self.fanout_workers == 1:
-            for shard, ids in groups:
-                out.update(self.devices[shard].read_many(ids))
-            return out
+        if len(groups) <= 1 or self.fanout_workers == 1:
+            return [
+                getattr(self.devices[shard], op)(arg) for shard, arg in groups
+            ]
         pool = self._fanout_pool()
         futures = [
-            (shard, pool.submit(self.devices[shard].read_many, ids))
-            for shard, ids in groups
+            (shard, pool.submit(getattr(self.devices[shard], op), arg))
+            for shard, arg in groups
         ]
+        results: list = []
         errors: list[tuple[int, Exception]] = []
         for shard, future in futures:
             try:
-                out.update(future.result())
+                results.append(future.result())
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 errors.append((shard, exc))
         if errors:
@@ -147,6 +137,16 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
                     f"shard {shard} also failed: {type(exc).__name__}: {exc}"
                 )
             raise first
+        return results
+
+    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
+        """Fetch several blocks: one coalesced ``read_many`` per owning
+        shard (:func:`~repro.storage.scheduler.coalesce_by_shard`),
+        fanned out by :meth:`_fan_out`."""
+        out: dict = {}
+        groups = coalesce_by_shard(block_ids, self.shard_of)
+        for part in self._fan_out("read_many", groups):
+            out.update(part)
         return out
 
     def close(self) -> None:
@@ -166,60 +166,21 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
             self._pool = None  # lint: ignore[deep-lockset-race] -- unreachable in __del__
             pool.shutdown(wait=False)
 
-    def write_block(self, block_id: Hashable, items) -> None:
-        """Store one block on its owning shard."""
-        shard = self._placement[block_id] = self.shard_of(block_id)
-        self.devices[shard].write_block(block_id, items)
-
     def write_many(self, blocks: dict) -> None:
-        """Store several blocks, fanning out across the shards touched.
-
-        The write-side twin of :meth:`read_many`: the group is coalesced
-        into one ``write_many`` per owning shard
-        (:func:`~repro.storage.scheduler.coalesce_by_shard`), and when
-        more than one shard (and more than one worker) is involved the
-        shard groups run on the same persistent fan-out pool reads use,
-        so per-device write latency overlaps.  Failures propagate only
-        after every group has settled — surviving shards' commits are
-        never abandoned mid-flight — and multiple shard failures are
-        reported as the first exception with the rest attached as
-        ``__notes__`` entries, exactly like the read path.
-        """
+        """Store several blocks: one coalesced ``write_many`` per owning
+        shard, fanned out by :meth:`_fan_out` exactly like the read
+        path (so per-device write latency overlaps and surviving
+        shards' commits are never abandoned mid-flight)."""
         groups = coalesce_by_shard(blocks, self.shard_of)
         for shard, ids in groups:
             self._placement.update(dict.fromkeys(ids, shard))
-        if not groups:
-            return
-        if len(groups) == 1 or self.fanout_workers == 1:
-            for shard, ids in groups:
-                self.devices[shard].write_many(
-                    {b: blocks[b] for b in ids}
-                )
-            return
-        pool = self._fanout_pool()
-        futures = [
-            (shard, pool.submit(
-                self.devices[shard].write_many, {b: blocks[b] for b in ids}
-            ))
-            for shard, ids in groups
-        ]
-        errors: list[tuple[int, Exception]] = []
-        for shard, future in futures:
-            try:
-                future.result()
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                errors.append((shard, exc))
-        if errors:
-            _, first = errors[0]
-            for shard, exc in errors[1:]:
-                first.add_note(
-                    f"shard {shard} also failed: {type(exc).__name__}: {exc}"
-                )
-            raise first
+        self._fan_out("write_many", [
+            (shard, {b: blocks[b] for b in ids}) for shard, ids in groups
+        ])
 
     def has_block(self, block_id: Hashable) -> bool:
         """Existence check on the owning shard."""
-        return self._device_for(block_id).has_block(block_id)
+        return self.devices[self.shard_of(block_id)].has_block(block_id)
 
     def block_ids(self) -> list:
         """All allocated block ids, shard by shard."""
@@ -253,16 +214,14 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
 
     def stats(self) -> dict:
         """Aggregate view plus every shard's nested layer statistics."""
+        io = self.io_totals()
         return {
             "layer": "sharded",
             "shards": self.n_shards,
             "placement": "crc32(repr(id)) % shards",
             "fanout_workers": self.fanout_workers,
             "blocks": self.n_blocks(),
-            "io": {
-                "reads": self.io_totals().reads,
-                "writes": self.io_totals().writes,
-            },
+            "io": {"reads": io.reads, "writes": io.writes},
             "per_shard": [device.stats() for device in self.devices],
         }
 

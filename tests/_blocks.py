@@ -1,0 +1,12 @@
+"""Scalar spellings for device tests: the protocol is ``read_many`` /
+``write_many``, and a single block is a group of one."""
+
+
+def read_block(device, block_id):
+    """One block's payload through ``device.read_many``."""
+    return device.read_many([block_id])[block_id]
+
+
+def write_block(device, block_id, items) -> None:
+    """Store one block through ``device.write_many``."""
+    device.write_many({block_id: items})

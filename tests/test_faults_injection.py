@@ -12,7 +12,7 @@ import pytest
 from repro.core.errors import CorruptedBlockError, StorageError
 from repro.faults import (
     FaultPlan,
-    FaultyDisk,
+    FaultyDevice,
     InjectedFault,
     InjectedReadError,
     InjectedWriteError,
@@ -24,6 +24,7 @@ from repro.storage.codec import (
     encode_block,
 )
 from repro.storage.disk import SimulatedDisk
+from tests._blocks import read_block, write_block
 
 
 def vals(*values):
@@ -108,52 +109,52 @@ class TestFaultPlan:
         assert [op for op, _ in plan.history] == list(range(10))
 
 
-def make_disk(plan=None, **kwargs) -> FaultyDisk:
-    disk = FaultyDisk(block_size=8, plan=plan, **kwargs)
+def make_disk(plan=None) -> FaultyDevice:
+    disk = FaultyDevice(SimulatedDisk(block_size=8), plan=plan)
     for b in range(4):
-        disk.write_block(b, vals(float(b)))
+        write_block(disk, b, vals(float(b)))
     return disk
 
 
 class TestFaultyDevice:
     def test_no_plan_behaves_like_base_disk(self):
         plain = SimulatedDisk(block_size=8)
-        plain.write_block(0, vals(0.0))
+        write_block(plain, 0, vals(0.0))
         faulty = make_disk(plan=None)
-        assert faulty.read_block(0).tolist() == plain.read_block(0).tolist()
+        assert read_block(faulty, 0).tolist() == read_block(plain, 0).tolist()
 
     def test_injected_read_error_raises_and_counts(self):
         disk = make_disk(FaultPlan(seed=0, read_error_rate=1.0))
         with pytest.raises(InjectedReadError):
-            disk.read_block(0)
+            read_block(disk, 0)
         # The read never reached the directory, so no I/O was charged.
         assert disk.io_totals().reads == 0
 
     def test_torn_read_surfaces_as_crc_failure(self):
         disk = make_disk(FaultPlan(seed=0, torn_rate=1.0))
         with pytest.raises(CorruptedBlockError):
-            disk.read_block(0)
+            read_block(disk, 0)
 
     def test_latency_spike_returns_correct_data(self):
         disk = make_disk(
             FaultPlan(seed=0, latency_spike_rate=1.0, latency_spike_s=0.0)
         )
-        assert disk.read_block(2).tolist() == [2.0]
+        assert read_block(disk, 2).tolist() == [2.0]
 
     def test_injected_write_error(self):
         disk = make_disk(None)
         disk.plan = FaultPlan(seed=0, write_error_rate=1.0)
         with pytest.raises(InjectedWriteError):
-            disk.write_block(9, vals(9.0))
+            write_block(disk, 9, vals(9.0))
         assert not disk.has_block(9)
 
     def test_injecting_flag_disables_the_plan(self):
         disk = make_disk(FaultPlan(seed=0, read_error_rate=1.0))
         disk.injecting = False
-        assert disk.read_block(1).tolist() == [1.0]
+        assert read_block(disk, 1).tolist() == [1.0]
         disk.injecting = True
         with pytest.raises(InjectedReadError):
-            disk.read_block(1)
+            read_block(disk, 1)
 
     def test_injected_faults_are_oserrors(self):
         # Retry machinery and production-style handlers both catch
@@ -173,7 +174,7 @@ class TestFaultyDevice:
         )
         n = 4
         threads = [
-            threading.Thread(target=lambda: disk.read_block(0))
+            threading.Thread(target=lambda: read_block(disk, 0))
             for _ in range(n)
         ]
         start = time.perf_counter()
@@ -192,24 +193,47 @@ class TestFaultyDevice:
         rng = np.random.default_rng(5)
         values = rng.normal(size=16)
         plan = FaultPlan(seed=1, latency_spike_rate=0.5, latency_spike_s=0.0)
-        disk = FaultyDisk(block_size=4, plan=plan)
+        disk = FaultyDevice(SimulatedDisk(block_size=4), plan=plan)
         for b in range(4):
-            disk.write_block(b, values[4 * b:4 * b + 4])
+            write_block(disk, b, values[4 * b:4 * b + 4])
         for b in range(4):
-            assert disk.read_block(b).tolist() == (
+            assert read_block(disk, b).tolist() == (
                 values[4 * b:4 * b + 4].tolist()
             )
 
+    @pytest.mark.parametrize("op", ["read", "write"])
+    def test_group_draws_the_schedule_of_n_groups_of_one(self, op):
+        # One seeded draw per member, in group order: a group raises at
+        # the member N sequential groups of one would have raised at,
+        # having let the same members through to the leaf.
+        blocks = {b: vals(float(b)) for b in range(12)}
+
+        def drive(grouped):
+            plan = FaultPlan(seed=3, read_error_rate=0.1, torn_rate=0.1,
+                             write_error_rate=0.2)
+            disk = FaultyDevice(
+                SimulatedDisk(block_size=8), plan=plan, injecting=False
+            )
+            disk.write_many(blocks)
+            disk.injecting = True
+            groups = [blocks] if grouped else [{b: blocks[b]} for b in blocks]
+            raised = None
+            try:
+                for group in groups:
+                    if op == "read":
+                        disk.read_many(list(group))
+                    else:
+                        disk.write_many(group)
+            except (InjectedFault, CorruptedBlockError) as exc:
+                raised = type(exc)
+            return raised, list(plan.history), disk.io_totals()
+
+        raised, history, io = drive(grouped=True)
+        assert (raised, history, io) == drive(grouped=False)
+        assert raised is not None and 1 < len(history) < len(blocks)
+
+
 class TestDeprecationShimAndLatency:
-    def test_faultydisk_shim_builds_a_faulty_device(self):
-        # The legacy constructor survives as a shim only; the instance it
-        # returns is the middleware layer over a plain simulated disk.
-        from repro.faults.plan import FaultyDevice
-
-        disk = FaultyDisk(block_size=8, latency_s=0.0)
-        assert isinstance(disk, FaultyDevice)
-        assert isinstance(disk.inner, SimulatedDisk)
-
     def test_plan_spikes_live_in_one_latency_model(self):
         # Consolidation guard: spike rate/duration are owned by the
         # plan's LatencyModel, the same mechanism as the leaf seek time,

@@ -303,7 +303,7 @@ class TestExceptionContract:
         write_tree(tmp_path, {
             "src/repro/storage/dev.py": """
             class Device:
-                def read_block(self, block_id):
+                def read_many(self, block_ids):
                     raise ValueError("bad block id")
             """,
         })
@@ -312,7 +312,7 @@ class TestExceptionContract:
                      if f.rule_id == "deep-exception-contract"]
         assert len(contracts) == 1
         assert "ValueError" in contracts[0].message
-        assert "Device.read_block" in contracts[0].message
+        assert "Device.read_many" in contracts[0].message
 
     def test_reachable_through_private_helper_flagged(self, tmp_path):
         write_tree(tmp_path, {
@@ -342,10 +342,10 @@ class TestExceptionContract:
                 pass
 
             class Device:
-                def read_block(self, block_id):
+                def read_many(self, block_ids):
                     raise StorageError("bad block id")
 
-                def write_block(self, block_id, items):
+                def write_many(self, blocks):
                     raise ValueError("shadowed local class, not builtin")
             """,
         })
@@ -356,7 +356,7 @@ class TestExceptionContract:
         write_tree(tmp_path, {
             "src/repro/storage/dev.py": """
             class Device:
-                def read_block(self, block_id):
+                def read_many(self, block_ids):
                     raise NotImplementedError
 
                 def _internal(self):

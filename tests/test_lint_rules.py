@@ -163,7 +163,7 @@ class TestLayeringRules:
         wrappers = (
             "SimulatedDisk", "CachingDevice", "CrcFramedDevice",
             "MeteredDevice", "ResilientDevice", "FaultyDevice",
-            "ShardedDevice", "FaultyDisk",
+            "ShardedDevice", "ReplicatedDevice",
         )
         for name in wrappers:
             source = f"x = {name}(inner)\n"
@@ -178,8 +178,8 @@ class TestLayeringRules:
         for path in (
             "src/repro/storage/device.py",
             "src/repro/storage/sharding.py",
+            "src/repro/storage/replication.py",
             "src/repro/faults/plan.py",
-            "src/repro/faults/__init__.py",
         ):
             assert findings_for(
                 source, path, "layering-middleware-construction"
@@ -304,9 +304,9 @@ class TestConcurrencyRules:
     def test_inner_call_under_lock_flagged(self):
         source = """
         class Layer:
-            def read_block(self, block_id):
+            def read_many(self, block_ids):
                 with self._lock:
-                    return self.inner.read_block(block_id)
+                    return self.inner.read_many(block_ids)
         """
         (finding,) = findings_for(
             source, "src/repro/storage/x.py", "lock-no-blocking"
@@ -522,11 +522,11 @@ class TestDeterminismRules:
 class TestObservabilityRule:
     DEVICE = """
     class PlainDevice:
-        def read_block(self, block_id):
-            return self.blocks[block_id]
+        def read_many(self, block_ids):
+            return {b: self.blocks[b] for b in block_ids}
 
-        def write_block(self, block_id, items):
-            self.blocks[block_id] = items
+        def write_many(self, blocks):
+            self.blocks.update(blocks)
     """
 
     def test_unmetered_device_class_flagged(self):
@@ -537,9 +537,9 @@ class TestObservabilityRule:
 
     def test_device_touching_the_registry_clean(self):
         source = self.DEVICE.replace(
-            "return self.blocks[block_id]",
-            'obs_counter("x.reads").inc()\n'
-            "            return self.blocks[block_id]",
+            "self.blocks.update(blocks)",
+            'obs_counter("x.writes").inc(len(blocks))\n'
+            "            self.blocks.update(blocks)",
         )
         assert findings_for(
             source, "src/repro/storage/x.py", "obs-coverage"
@@ -555,8 +555,8 @@ class TestObservabilityRule:
         from typing import Protocol
 
         class BlockDevice(Protocol):
-            def read_block(self, block_id): ...
-            def write_block(self, block_id, items): ...
+            def read_many(self, block_ids): ...
+            def write_many(self, blocks): ...
         """
         assert findings_for(
             source, "src/repro/storage/x.py", "obs-coverage"

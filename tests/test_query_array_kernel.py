@@ -270,6 +270,24 @@ class TestOneGatherUnderEveryView:
         assert versioned.as_of_view(versioned.epoch).store.fetch(keys) == live
         assert shared.blocks_for(keys) == versioned.store.blocks_for(keys)
 
+    def test_fetch_block_is_a_batch_of_one_on_every_view(self, versioned):
+        # One scalar entry point, defined once: the very payload object
+        # the view's own bulk read hands back, pre-image or live.
+        log = versioned.epoch_log
+        ids = versioned.store.device.block_ids()
+        touched = next(b for b in ids if log.preimage_as_of(b, 0) is not None)
+        untouched = next(b for b in ids if log.preimage_as_of(b, 0) is None)
+        for view in (
+            versioned.store,
+            shared_scan_view(versioned).store,
+            versioned.as_of_view(1).store,
+            shared_scan_view(versioned).as_of_view(0).store,
+        ):
+            for block_id in (touched, untouched):
+                assert view.fetch_block(block_id) is (
+                    view.fetch_blocks([block_id])[block_id]
+                )
+
     def test_missing_coefficient_raises_storage_error(self, mixed_engine):
         # Keys are implicit in a payload's length, so a coefficient can
         # only go missing by the payload coming back short.
@@ -277,7 +295,7 @@ class TestOneGatherUnderEveryView:
         key = (3, 1, 5)
         block_id = store.allocation.block_of(key)
         payload = store.fetch_block(block_id)
-        store.update_block(block_id, payload[:-1])
+        store.store_blocks({block_id: payload[:-1]})
         try:
             for view in (store, shared_scan_view(mixed_engine).store):
                 with pytest.raises(StorageError, match=r"holds \d+ values"):
@@ -285,6 +303,6 @@ class TestOneGatherUnderEveryView:
                 with pytest.raises(StorageError, match=r"holds \d+ values"):
                     view.fetch([key])
         finally:
-            store.update_block(block_id, payload)
+            store.store_blocks({block_id: payload})
         held = payload[store.allocation.locate([key])[1][0]]
         assert store.fetch([key]) == {key: held}

@@ -22,7 +22,7 @@ def cube():
 
 @pytest.fixture(scope="module")
 def engine(cube):
-    return ProPolyneEngine(cube, max_degree=1, pool_capacity=None)
+    return ProPolyneEngine(cube, max_degree=1)
 
 
 class TestBatchEdgeCases:

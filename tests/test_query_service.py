@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.errors import QueryError
+from repro.core.errors import QueryError, StorageError
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
 from repro.query.service import (
@@ -124,13 +124,13 @@ class TestSharedScans:
         # Slow the device down so readers genuinely overlap.
         engine = build_engine(pool_capacity=None, latency_s=0.005)
         coordinator = ScanCoordinator(engine.store)
-        block_id = engine.store.disk.block_ids()[0]
+        block_id = engine.store.device.block_ids()[0]
         before = engine.store.io_snapshot()
         results = []
         threads = [
             threading.Thread(
                 target=lambda: results.append(
-                    coordinator.fetch_block(block_id)
+                    coordinator.fetch_blocks([block_id])[block_id]
                 )
             )
             for _ in range(8)
@@ -150,12 +150,12 @@ class TestSharedScans:
     def test_followers_share_an_immutable_payload(self):
         engine = build_engine(pool_capacity=None, latency_s=0.005)
         coordinator = ScanCoordinator(engine.store)
-        block_id = engine.store.disk.block_ids()[0]
+        block_id = engine.store.device.block_ids()[0]
         results = []
         threads = [
             threading.Thread(
                 target=lambda: results.append(
-                    coordinator.fetch_block(block_id)
+                    coordinator.fetch_blocks([block_id])[block_id]
                 )
             )
             for _ in range(4)
@@ -183,8 +183,86 @@ class TestSharedScans:
         engine = build_engine(pool_capacity=None)
         coordinator = ScanCoordinator(engine.store)
         with pytest.raises(Exception):
-            coordinator.fetch_block(("no", "such", "block"))
+            coordinator.fetch_blocks([("no", "such", "block")])
         assert coordinator._inflight == {}  # flight always cleaned up
+
+    @pytest.mark.parametrize("leader_fails", [False, True])
+    def test_overlapping_batches_share_the_overlap(self, leader_fails):
+        class GatedStore:
+            """Holds the first bulk read open until the test releases it."""
+
+            def __init__(self):
+                self.calls = []
+                self.first_entered = threading.Event()
+                self.second_entered = threading.Event()
+                self.release = threading.Event()
+
+            def fetch_blocks(self, block_ids):
+                self.calls.append(list(block_ids))
+                if len(self.calls) > 1:
+                    self.second_entered.set()
+                else:
+                    self.first_entered.set()
+                    assert self.release.wait(30)
+                    if leader_fails:
+                        raise StorageError("leader's read failed")
+                return {b: np.array([float(b)]) for b in block_ids}
+
+        store = GatedStore()
+        coordinator = ScanCoordinator(store)
+        outcomes = {}
+
+        def ask(name, block_ids):
+            def run():
+                try:
+                    outcomes[name] = coordinator.fetch_blocks(block_ids)
+                except StorageError as exc:
+                    outcomes[name] = exc
+            return threading.Thread(target=run)
+
+        first, second = ask("first", [1, 2, 3]), ask("second", [2, 3, 4])
+        first.start()
+        assert store.first_entered.wait(30)
+        second.start()
+        # The second batch leads only the block nobody is reading, and
+        # by then has queued behind the first batch's flights for 2 and 3.
+        assert store.second_entered.wait(30)
+        store.release.set()
+        first.join(30)
+        second.join(30)
+        assert not first.is_alive() and not second.is_alive()
+        assert store.calls == [[1, 2, 3], [4]]
+        assert coordinator._inflight == {}
+        stats = coordinator.stats()
+        assert stats["fetches"] == 4
+        if leader_fails:
+            # The leader's failure reaches its waiter — the same error.
+            assert isinstance(outcomes["first"], StorageError)
+            assert outcomes["second"] is outcomes["first"]
+            assert stats["shared"] == 1  # the waiter raised at block 2
+        else:
+            assert sorted(outcomes["first"]) == [1, 2, 3]
+            assert sorted(outcomes["second"]) == [2, 3, 4]
+            for shared in (2, 3):  # one read, one payload object
+                assert outcomes["second"][shared] is outcomes["first"][shared]
+            assert stats["shared"] == 2  # once per piggy-backed block
+
+    def test_scalar_query_issues_one_coalesced_store_read(self, monkeypatch):
+        engine = build_engine(pool_capacity=None)
+        view = shared_scan_view(engine)
+        query = mixed_workload(engine, count=1, seed=19)[0]
+        calls = []
+        fetch_blocks = engine.store.fetch_blocks
+        monkeypatch.setattr(
+            engine.store, "fetch_blocks",
+            lambda ids: calls.append(list(ids)) or fetch_blocks(ids),
+        )
+        assert view.evaluate_exact(query) == engine.evaluate_exact(query)
+        (ids,) = calls
+        assert set(ids) == engine.store.blocks_for(
+            engine.query_arrays(query)[0]
+        )
+        assert view.store.coordinator.stats()["fetches"] == len(ids)
 
 
 class TestAdmissionControl:

@@ -86,8 +86,7 @@ class TestDesignDocSync:
 class TestDeviceStackDiscipline:
     """No module may hand-wire storage middleware around the validated
     builder: every stack in ``src/`` must come from ``DeviceStack`` /
-    ``StorageSpec``, and the deprecated ``FaultyDisk`` shim must not gain
-    new callers.
+    ``StorageSpec``.
 
     Since PR 5 these are thin wrappers over the ``repro.lint`` rule
     packs (which replaced the grep-based checks that lived here): the
@@ -107,16 +106,6 @@ class TestDeviceStackDiscipline:
         ]
         assert offenders == [], (
             f"middleware hand-wired outside DeviceStack: {offenders}"
-        )
-
-    def test_no_faultydisk_callers_outside_the_shim(self):
-        offenders = [
-            f.format()
-            for f in self._findings("layering-middleware-construction")
-            if "FaultyDisk" in f.message
-        ]
-        assert offenders == [], (
-            f"new FaultyDisk callers (use StorageSpec): {offenders}"
         )
 
     def test_no_codec_framing_outside_the_crc_layer(self):

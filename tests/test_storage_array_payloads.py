@@ -160,7 +160,7 @@ class TestImmutability:
             # is stored — single and group writes alike.
             mine = store.fetch_block(ids[0]) + 1.0
             expected = mine.tolist()
-            store.update_block(ids[0], mine)
+            store.store_blocks({ids[0]: mine})
             mine[:] = -7.0
             assert store.fetch_block(ids[0]).tolist() == expected
             group = {b: store.fetch_block(b) * 2.0 for b in ids[1:]}
@@ -183,7 +183,7 @@ class TestImmutability:
         wrote = threading.Event()
 
         def writer():
-            store.update_block(block_id, held + 5.0)
+            store.store_blocks({block_id: held + 5.0})
             wrote.set()
 
         thread = threading.Thread(target=writer)
@@ -205,7 +205,7 @@ class TestWrongLengthPayload:
         query = RangeSumQuery.count([(1, 6), (0, 1), (2, 13)])
         block_id = sorted(store.blocks_for(engine.query_arrays(query)[0]))[0]
         good = store.fetch_block(block_id)
-        store.update_block(block_id, good[:-1])
+        store.store_blocks({block_id: good[:-1]})
         yield engine, query, block_id
         store.close()
 

@@ -19,6 +19,7 @@ import numpy as np
 from repro.storage.device import CachingDevice
 from repro.storage.disk import SimulatedDisk
 from repro.storage.latency import LatencyModel
+from tests._blocks import read_block, write_block
 
 
 def vals(*values):
@@ -38,13 +39,13 @@ class TestStatsConservation:
     def test_concurrent_reads_lose_no_device_counts(self):
         disk = SimulatedDisk(block_size=4)
         for b in range(8):
-            disk.write_block(b, vals(float(b)))
+            write_block(disk, b, vals(float(b)))
         per_thread, n_threads = 300, 8
         base = disk.io.snapshot()
 
         def reader():
             for i in range(per_thread):
-                disk.read_block(i % 8)
+                read_block(disk, i % 8)
 
         run_threads([reader] * n_threads)
         assert disk.io.delta(base).reads == per_thread * n_threads
@@ -53,14 +54,14 @@ class TestStatsConservation:
         disk = SimulatedDisk(block_size=4)
         cache = CachingDevice(disk, capacity=4)  # small: constant evictions
         for b in range(16):
-            cache.write_block(b, vals(float(b)))
+            write_block(cache, b, vals(float(b)))
         base_reads = disk.io.reads
         per_thread, n_threads = 300, 8
 
         def reader(seed):
             def run():
                 for i in range(per_thread):
-                    cache.read_block((i * (seed + 1) + seed) % 16)
+                    read_block(cache, (i * (seed + 1) + seed) % 16)
             return run
 
         run_threads([reader(s) for s in range(n_threads)])
@@ -76,9 +77,7 @@ class TestStatsConservation:
         def writer(seed):
             def run():
                 for i in range(per_thread):
-                    disk.write_block(
-                        (seed, i % 10), vals(float(i), float(seed))
-                    )
+                    write_block(disk, (seed, i % 10), vals(float(i), float(seed)))
             return run
 
         run_threads([writer(s) for s in range(n_threads)])
@@ -97,37 +96,45 @@ class TestCoherenceUnderConcurrency:
         # reader already observed.
         disk = SimulatedDisk(block_size=4)
         cache = CachingDevice(disk, capacity=2)
-        cache.write_block("hot", vals(0.0))
+        cache.write_many({b: vals(0.0) for b in ("hot", "cold", "warm")})
         stop = threading.Event()
         errors = []
 
         def writer():
             for version in range(1, 400):
-                cache.write_block("hot", vals(float(version)))
+                write_block(cache, "hot", vals(float(version)))
             stop.set()
 
-        def reader():
-            last = -1.0
-            while not stop.is_set():
-                seen = cache.read_block("hot")[0]
-                if seen < last:
-                    errors.append((last, seen))
-                    return
-                last = seen
+        def reader(batch):
+            # A group's misses are published together, so the hot block
+            # rides multi-block groups (over capacity, too) as well.
+            def run():
+                last = -1.0
+                while not stop.is_set():
+                    seen = cache.read_many(batch)["hot"][0]
+                    if seen < last:
+                        errors.append((last, seen))
+                        return
+                    last = seen
+            return run
 
-        run_threads([writer] + [reader] * 4)
+        run_threads(
+            [writer]
+            + [reader(["hot"])] * 2
+            + [reader(["cold", "hot"]), reader(["hot", "warm", "cold"])]
+        )
         assert errors == []
         # After the dust settles the cache must serve the final payload —
         # the in-flight-miss window may not have cached a stale one.
-        assert cache.read_block("hot").tolist() == [399.0]
-        assert cache.read_block("hot").tolist() == [399.0]  # now from cache
+        assert read_block(cache, "hot").tolist() == [399.0]
+        assert read_block(cache, "hot").tolist() == [399.0]  # now from cache
 
     def test_no_torn_payloads(self):
         # Writers store internally consistent payloads [v, v];
         # readers must never observe [a, b] with a != b.
         disk = SimulatedDisk(block_size=4)
         cache = CachingDevice(disk, capacity=2)
-        cache.write_block("b", vals(0.0, 0.0))
+        write_block(cache, "b", vals(0.0, 0.0))
         stop = threading.Event()
         torn = []
 
@@ -135,12 +142,12 @@ class TestCoherenceUnderConcurrency:
             def run():
                 for i in range(300):
                     v = float(i * 10 + offset)
-                    cache.write_block("b", vals(v, v))
+                    write_block(cache, "b", vals(v, v))
             return run
 
         def reader():
             while not stop.is_set():
-                payload = cache.read_block("b")
+                payload = read_block(cache, "b")
                 if payload[0] != payload[1]:
                     torn.append(payload)
                     return
@@ -157,12 +164,12 @@ class TestCoherenceUnderConcurrency:
     def test_mutating_a_concurrent_copy_never_leaks_into_cache(self):
         disk = SimulatedDisk(block_size=4)
         cache = CachingDevice(disk, capacity=2)
-        cache.write_block(0, vals(1.0))
+        write_block(cache, 0, vals(1.0))
         refused = []
 
         def clobber():
             for _ in range(200):
-                shared = cache.read_block(0)
+                shared = read_block(cache, 0)
                 try:
                     shared[0] = -99.0  # the one shared instance
                 except ValueError:
@@ -170,8 +177,8 @@ class TestCoherenceUnderConcurrency:
 
         run_threads([clobber] * 4)
         assert len(refused) == 800
-        assert cache.read_block(0).tolist() == [1.0]
-        assert disk.read_block(0).tolist() == [1.0]
+        assert read_block(cache, 0).tolist() == [1.0]
+        assert read_block(disk, 0).tolist() == [1.0]
 
 
 class TestLockOrderUnderStress:
@@ -192,16 +199,16 @@ class TestLockOrderUnderStress:
             )
             device = spec.build(block_size=4).device
             for b in range(16):
-                device.write_block(b, vals(float(b)))
+                write_block(device, b, vals(float(b)))
 
             def worker(seed):
                 def run():
                     for i in range(150):
                         key = (i * (seed + 1) + seed) % 16
                         if i % 5 == 0:
-                            device.write_block(key, vals(float(i)))
+                            write_block(device, key, vals(float(i)))
                         else:
-                            device.read_block(key)
+                            read_block(device, key)
                 return run
 
             run_threads([worker(s) for s in range(6)])
@@ -219,24 +226,17 @@ class TestSimulatedLatency:
 
         assert SimulatedDisk(block_size=2).latency is None
         with pytest.raises(StorageError):
-            SimulatedDisk(block_size=2, latency_s=-0.1)
-        with pytest.raises(StorageError):
             LatencyModel(base_s=-0.1)
-
-    def test_legacy_latency_float_folds_into_the_model(self):
-        disk = SimulatedDisk(block_size=2, latency_s=0.01)
-        assert disk.latency is not None
-        assert disk.latency.base_s == 0.01
 
     def test_concurrent_reads_overlap_their_latency(self):
         import time
 
         disk = SimulatedDisk(block_size=2,
                              latency=LatencyModel(base_s=0.01))
-        disk.write_block(0, vals(1.0))
+        write_block(disk, 0, vals(1.0))
         n = 8
         start = time.perf_counter()
-        run_threads([lambda: disk.read_block(0)] * n)
+        run_threads([lambda: read_block(disk, 0)] * n)
         elapsed = time.perf_counter() - start
         # Serial reads would cost n * 10 ms; overlapping reads must land
         # well under that (generous bound to stay robust on slow CI).

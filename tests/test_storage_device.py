@@ -25,6 +25,7 @@ from repro.storage.device import (
     StorageSpec,
 )
 from repro.storage.disk import SimulatedDisk
+from tests._blocks import read_block, write_block
 
 MIDDLEWARE = [k for k in CANONICAL_ORDER if k != "disk"]
 
@@ -87,9 +88,9 @@ class TestLayerOrderProperty:
                 continue
             device = DeviceStack(layer_list(kinds)).build()
             for block_id, items in payloads.items():
-                device.write_block(block_id, items)
+                write_block(device, block_id, items)
             for block_id, items in payloads.items():
-                got = device.read_block(block_id)
+                got = read_block(device, block_id)
                 assert got.tolist() == items.tolist(), kinds
                 assert not got.flags.writeable, kinds
             assert device.n_blocks() == len(payloads)
@@ -167,14 +168,3 @@ class TestStorageSpec:
         with pytest.raises(StorageError):
             StorageSpec(shards=2, fault_shards=(2,))
 
-    def test_legacy_kwargs_and_spec_are_mutually_exclusive(self):
-        import numpy as np
-
-        from repro.storage.allocation import subtree_tiling_allocation
-        from repro.storage.blockstore import WaveletBlockStore
-
-        with pytest.raises(StorageError):
-            WaveletBlockStore(
-                np.zeros(8), subtree_tiling_allocation(8, 3),
-                pool_capacity=4, storage=StorageSpec(),
-            )

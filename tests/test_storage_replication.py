@@ -16,6 +16,7 @@ from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
 from repro.storage.device import DeviceStack, StorageSpec
 from repro.storage.disk import SimulatedDisk
 from repro.storage.replication import ReplicatedDevice
+from tests._blocks import read_block, write_block
 
 PAYLOADS = {
     0: np.array([1.5, -2.25]),
@@ -52,7 +53,7 @@ class FlakyMember:
 
     def read_block(self, block_id):
         self._gate(self.fail_reads, "read")
-        return self.inner.read_block(block_id)
+        return read_block(self.inner, block_id)
 
     def read_many(self, block_ids):
         self._gate(self.fail_reads, "read")
@@ -60,7 +61,7 @@ class FlakyMember:
 
     def write_block(self, block_id, items):
         self._gate(self.fail_writes, "write")
-        self.inner.write_block(block_id, items)
+        write_block(self.inner, block_id, items)
 
     def write_many(self, blocks):
         self._gate(self.fail_writes, "write")
@@ -114,10 +115,10 @@ class TestWriteFanIn:
     def test_every_member_holds_every_write(self):
         device, members = group(3)
         for block_id, items in PAYLOADS.items():
-            device.write_block(block_id, items)
+            write_block(device, block_id, items)
         for member in members:
             for block_id, items in PAYLOADS.items():
-                assert same(member.inner.read_block(block_id), items)
+                assert same(read_block(member.inner, block_id), items)
         assert device.n_blocks() == len(PAYLOADS)
 
     def test_write_many_group_commits_to_all(self):
@@ -128,29 +129,29 @@ class TestWriteFanIn:
 
     def test_failed_member_goes_stale_and_primary_survives(self):
         device, members = group(3)
-        device.write_block(0, PAYLOADS[0])
+        write_block(device, 0, PAYLOADS[0])
         members[1].fail_writes = True
-        device.write_block(1, PAYLOADS[1])
+        write_block(device, 1, PAYLOADS[1])
         assert device.stale_members() == [1]
         assert device.primary == 0
         # The stale member missed the write; the others hold it.
         assert not members[1].inner.has_block(1)
-        assert same(members[2].inner.read_block(1), PAYLOADS[1])
+        assert same(read_block(members[2].inner, 1), PAYLOADS[1])
 
     def test_stale_primary_hands_off_to_a_survivor(self):
         device, members = group(2)
         members[0].fail_writes = True
-        device.write_block(0, PAYLOADS[0])
+        write_block(device, 0, PAYLOADS[0])
         assert device.stale_members() == [0]
         assert device.primary == 1
 
     def test_in_sync_set_never_empties(self):
         device, members = group(2)
-        device.write_block(0, PAYLOADS[0])
+        write_block(device, 0, PAYLOADS[0])
         for member in members:
             member.fail_writes = True
         with pytest.raises(OSError):
-            device.write_block(1, PAYLOADS[1])
+            write_block(device, 1, PAYLOADS[1])
         # Refused to stale the last complete copies.
         assert device.stale_members() == []
         assert device.primary == 0
@@ -161,10 +162,10 @@ class TestReadFailover:
         device, members = group(2)
         device.write_many(PAYLOADS)
         members[0].fail_reads = True
-        assert same(device.read_block(0), PAYLOADS[0])
+        assert same(read_block(device, 0), PAYLOADS[0])
         assert device.primary == 1
         # Subsequent reads go straight to the promoted member.
-        assert same(device.read_block(1), PAYLOADS[1])
+        assert same(read_block(device, 1), PAYLOADS[1])
 
     def test_read_many_fails_over_as_a_whole_group(self):
         device, members = group(2)
@@ -179,19 +180,19 @@ class TestReadFailover:
         for member in members:
             member.fail_reads = True
         with pytest.raises(OSError):
-            device.read_block(0)
+            read_block(device, 0)
 
     def test_stale_members_never_serve_reads(self):
         device, members = group(2)
-        device.write_block(0, PAYLOADS[0])
+        write_block(device, 0, PAYLOADS[0])
         members[1].fail_writes = True
-        device.write_block(1, PAYLOADS[1])  # member 1 goes stale
+        write_block(device, 1, PAYLOADS[1])  # member 1 goes stale
         members[1].fail_writes = False
         members[0].fail_reads = True
         # Member 1 is the only other member but it is stale: the read
         # must fail rather than return possibly-missing data.
         with pytest.raises(OSError):
-            device.read_block(1)
+            read_block(device, 1)
 
     def test_open_breaker_promotes_proactively(self):
         clock = [0.0]
@@ -206,7 +207,7 @@ class TestReadFailover:
         device.write_many(PAYLOADS)
         breaker.record_failure()
         assert breaker.state == "open"
-        assert same(device.read_block(0), PAYLOADS[0])
+        assert same(read_block(device, 0), PAYLOADS[0])
         assert device.primary == 1
         # The dead member's sub-stack was never touched by the read.
 
@@ -224,22 +225,22 @@ class TestPromotionAndResync:
         with pytest.raises(StorageError):
             device.promote(5)
         members[1].fail_writes = True
-        device.write_block(0, PAYLOADS[0])
+        write_block(device, 0, PAYLOADS[0])
         with pytest.raises(StorageError):
             device.promote(1)  # stale
 
     def test_resync_restores_stale_members(self):
         device, members = group(2)
-        device.write_block(0, PAYLOADS[0])
+        write_block(device, 0, PAYLOADS[0])
         members[1].fail_writes = True
-        device.write_block(1, PAYLOADS[1])
+        write_block(device, 1, PAYLOADS[1])
         members[1].fail_writes = False
         assert device.resync() == 1
         assert device.stale_members() == []
-        assert same(members[1].inner.read_block(1), PAYLOADS[1])
+        assert same(read_block(members[1].inner, 1), PAYLOADS[1])
         # Restored member serves reads again.
         members[0].fail_reads = True
-        assert same(device.read_block(1), PAYLOADS[1])
+        assert same(read_block(device, 1), PAYLOADS[1])
 
     def test_resync_without_stale_members_is_a_noop(self):
         device, _ = group(2)
@@ -248,9 +249,9 @@ class TestPromotionAndResync:
 
     def test_stats_report_replication_state(self):
         device, members = group(2)
-        device.write_block(0, PAYLOADS[0])
+        write_block(device, 0, PAYLOADS[0])
         members[1].fail_writes = True
-        device.write_block(1, PAYLOADS[1])
+        write_block(device, 1, PAYLOADS[1])
         stats = device.stats()
         assert stats["layer"] == "replicated"
         assert stats["members"] == 2
@@ -269,9 +270,9 @@ class TestSpecIntegration:
         assert isinstance(device, ReplicatedDevice)
         assert device.n_members == 3
         for block_id, items in PAYLOADS.items():
-            device.write_block(block_id, items)
+            write_block(device, block_id, items)
         for block_id, items in PAYLOADS.items():
-            assert same(device.read_block(block_id), items)
+            assert same(read_block(device, block_id), items)
 
     def test_replicated_layer_validates_replicas(self):
         with pytest.raises(StorageError):
@@ -286,12 +287,12 @@ class TestSpecIntegration:
             metered=False, replicas=1
         ).build(block_size=8)
         for block_id, items in PAYLOADS.items():
-            plain.device.write_block(block_id, items)
-            replicated.device.write_block(block_id, items)
+            write_block(plain.device, block_id, items)
+            write_block(replicated.device, block_id, items)
         for block_id in PAYLOADS:
             assert same(
-                replicated.device.read_block(block_id),
-                plain.device.read_block(block_id),
+                read_block(replicated.device, block_id),
+                read_block(plain.device, block_id),
             )
         assert len(replicated.replica_groups) == 1
         assert plain.replica_groups == []
@@ -328,16 +329,16 @@ class TestSpecIntegration:
         built = spec.build(block_size=8)
         built.set_injecting(False)
         for block_id, items in PAYLOADS.items():
-            built.device.write_block(block_id, items)
+            write_block(built.device, block_id, items)
         built.set_injecting(True)
         (group_device,) = built.replica_groups
         # Every primary read fails; the replica answers exactly.
         for block_id, items in PAYLOADS.items():
-            assert same(built.device.read_block(block_id), items)
+            assert same(read_block(built.device, block_id), items)
         assert group_device.primary == 1
 
     def test_resync_replicas_sums_over_shards(self):
         built = StorageSpec(metered=False, replicas=1).build(block_size=8)
         for block_id, items in PAYLOADS.items():
-            built.device.write_block(block_id, items)
+            write_block(built.device, block_id, items)
         assert built.resync_replicas() == 0

@@ -16,6 +16,7 @@ from repro.query.rangesum import RangeSumQuery
 from repro.storage.device import StorageSpec
 from repro.storage.disk import SimulatedDisk
 from repro.storage.sharding import ShardedDevice, place
+from tests._blocks import read_block, write_block
 
 
 def vals(*values):
@@ -65,7 +66,7 @@ class TestPlacement:
     def test_sharded_device_routes_by_placement(self):
         dev = build_sharded(4)
         for b in range(32):
-            dev.write_block(b, vals(float(b)))
+            write_block(dev, b, vals(float(b)))
         for b in range(32):
             shard = dev.shard_of(b)
             assert shard == place(b, 4)
@@ -80,7 +81,7 @@ class TestPlacement:
         for b in range(64):
             assert dev.shard_of(b) == place(b, 4)
         assert dev._placement == {}
-        dev.write_block(3, vals(3.0))
+        write_block(dev, 3, vals(3.0))
         dev.write_many({(1, 2): vals(1.0), 7: vals(7.0)})
         assert dev._placement == {b: place(b, 4) for b in (3, (1, 2), 7)}
         assert sorted(dev._placement, key=repr) == sorted(
@@ -96,9 +97,9 @@ class TestShardedDevice:
         dev = build_sharded(3)
         blocks = {b: vals(float(b) * 1.5) for b in range(24)}
         for b, items in blocks.items():
-            dev.write_block(b, items)
+            write_block(dev, b, items)
         for b, items in blocks.items():
-            assert dev.read_block(b).tolist() == items.tolist()
+            assert read_block(dev, b).tolist() == items.tolist()
         assert listed(dev.read_many(list(blocks))) == listed(blocks)
         assert dev.n_blocks() == 24
         assert len(dev) == 24
@@ -108,8 +109,8 @@ class TestShardedDevice:
         blocks = {b: vals(float(b)) for b in ids}
         wide, narrow = build_sharded(4), build_sharded(4, fanout_workers=1)
         for b, items in blocks.items():
-            wide.write_block(b, items)
-            narrow.write_block(b, items)
+            write_block(wide, b, items)
+            write_block(narrow, b, items)
         assert listed(wide.read_many(ids)) == listed(
             narrow.read_many(ids)
         ) == listed(blocks)
@@ -117,7 +118,7 @@ class TestShardedDevice:
     def test_io_totals_sum_across_shards(self):
         dev = build_sharded(4)
         for b in range(16):
-            dev.write_block(b, vals(0.0))
+            write_block(dev, b, vals(0.0))
         dev.read_many(list(range(16)))
         totals = dev.io_totals()
         assert totals.reads == 16
@@ -127,7 +128,7 @@ class TestShardedDevice:
 
     def test_stats_aggregate_per_shard(self):
         dev = build_sharded(2)
-        dev.write_block(0, vals(1.0))
+        write_block(dev, 0, vals(1.0))
         stats = dev.stats()
         assert stats["layer"] == "sharded"
         assert stats["shards"] == 2
@@ -170,7 +171,7 @@ class TestFanoutPoolLifecycle:
         # and reused.
         dev = build_sharded(4)
         for b in range(16):
-            dev.write_block(b, vals(0.0))
+            write_block(dev, b, vals(0.0))
         dev.read_many(list(range(16)))
         pool = dev._pool
         assert pool is not None
@@ -180,7 +181,7 @@ class TestFanoutPoolLifecycle:
     def test_close_shuts_the_pool_down_idempotently(self):
         dev = build_sharded(4)
         for b in range(8):
-            dev.write_block(b, vals(0.0))
+            write_block(dev, b, vals(0.0))
         dev.read_many(list(range(8)))
         dev.close()
         assert dev._pool is None

@@ -15,6 +15,8 @@ from repro.storage.device import CachingDevice
 from repro.storage.disk import SimulatedDisk
 from repro.storage.scheduler import plan_blocks
 from repro.wavelets.errortree import leaf_path
+from repro.storage.device import StorageSpec
+from tests._blocks import read_block, write_block
 
 
 RNG = np.random.default_rng(41)
@@ -28,40 +30,40 @@ def vals(*values):
 class TestSimulatedDisk:
     def test_write_read_roundtrip(self):
         disk = SimulatedDisk(block_size=4)
-        disk.write_block(0, vals(1.5, -0.5))
-        assert disk.read_block(0).tolist() == [1.5, -0.5]
+        write_block(disk, 0, vals(1.5, -0.5))
+        assert read_block(disk, 0).tolist() == [1.5, -0.5]
         assert disk.io.reads == 1
         assert disk.io.writes == 1
 
     def test_reads_counted(self):
         disk = SimulatedDisk(block_size=4)
-        disk.write_block("a", vals(0.0))
+        write_block(disk, "a", vals(0.0))
         for _ in range(5):
-            disk.read_block("a")
+            read_block(disk, "a")
         assert disk.io.reads == 5
 
     def test_overfull_block_rejected(self):
         disk = SimulatedDisk(block_size=2)
         with pytest.raises(StorageError):
-            disk.write_block(0, np.zeros(3))
+            write_block(disk, 0, np.zeros(3))
 
     def test_missing_block(self):
         with pytest.raises(StorageError):
-            SimulatedDisk(block_size=2).read_block(9)
+            read_block(SimulatedDisk(block_size=2), 9)
 
     def test_stats_delta(self):
         disk = SimulatedDisk(block_size=4)
-        disk.write_block(0, vals(1.0))
+        write_block(disk, 0, vals(1.0))
         before = disk.io.snapshot()
-        disk.read_block(0)
-        disk.read_block(0)
+        read_block(disk, 0)
+        read_block(disk, 0)
         delta = disk.io.delta(before)
         assert delta.reads == 2 and delta.writes == 0
 
     def test_occupancy(self):
         disk = SimulatedDisk(block_size=4)
         assert disk.occupancy() == 0.0
-        disk.write_block(0, vals(1.0, 2.0))
+        write_block(disk, 0, vals(1.0, 2.0))
         assert disk.occupancy() == pytest.approx(0.5)
 
     def test_returns_copies(self):
@@ -70,27 +72,27 @@ class TestSimulatedDisk:
         # buffer.
         disk = SimulatedDisk(block_size=4)
         mine = vals(1.0)
-        disk.write_block(0, mine)
+        write_block(disk, 0, mine)
         mine[0] = 99.0
-        block = disk.read_block(0)
+        block = read_block(disk, 0)
         with pytest.raises(ValueError):
             block[0] = 99.0
-        assert disk.read_block(0)[0] == 1.0
+        assert read_block(disk, 0)[0] == 1.0
 
     def test_non_array_payload_rejected(self):
         disk = SimulatedDisk(block_size=4)
         for bad in ({0: 1.0}, [1.0], np.zeros((2, 2))):
             with pytest.raises(StorageError):
-                disk.write_block(0, bad)
+                write_block(disk, 0, bad)
 
 
 class TestCachingDevice:
     def test_hits_avoid_device_reads(self):
         disk = SimulatedDisk(block_size=4)
-        disk.write_block(0, vals(1.0))
+        write_block(disk, 0, vals(1.0))
         pool = CachingDevice(disk, capacity=2)
-        pool.read_block(0)
-        pool.read_block(0)
+        read_block(pool, 0)
+        read_block(pool, 0)
         assert disk.io.reads == 1
         assert pool.pool_stats.hits == 1
         assert pool.pool_stats.misses == 1
@@ -98,42 +100,42 @@ class TestCachingDevice:
     def test_lru_eviction(self):
         disk = SimulatedDisk(block_size=4)
         for b in range(3):
-            disk.write_block(b, vals(float(b)))
+            write_block(disk, b, vals(float(b)))
         pool = CachingDevice(disk, capacity=2)
-        pool.read_block(0)
-        pool.read_block(1)
-        pool.read_block(2)  # evicts 0
-        pool.read_block(0)  # miss again
+        read_block(pool, 0)
+        read_block(pool, 1)
+        read_block(pool, 2)  # evicts 0
+        read_block(pool, 0)  # miss again
         assert pool.pool_stats.misses == 4
 
     def test_lru_recency_updates(self):
         disk = SimulatedDisk(block_size=4)
         for b in range(3):
-            disk.write_block(b, vals(float(b)))
+            write_block(disk, b, vals(float(b)))
         pool = CachingDevice(disk, capacity=2)
-        pool.read_block(0)
-        pool.read_block(1)
-        pool.read_block(0)  # 0 now most recent
-        pool.read_block(2)  # evicts 1
-        pool.read_block(0)  # hit
+        read_block(pool, 0)
+        read_block(pool, 1)
+        read_block(pool, 0)  # 0 now most recent
+        read_block(pool, 2)  # evicts 1
+        read_block(pool, 0)  # hit
         assert pool.pool_stats.hits == 2
 
     def test_invalidate(self):
         disk = SimulatedDisk(block_size=4)
-        disk.write_block(0, vals(1.0))
+        write_block(disk, 0, vals(1.0))
         pool = CachingDevice(disk, capacity=2)
-        pool.read_block(0)
-        disk.write_block(0, vals(2.0))
+        read_block(pool, 0)
+        write_block(disk, 0, vals(2.0))
         pool.invalidate(0)
-        assert pool.read_block(0)[0] == 2.0
+        assert read_block(pool, 0)[0] == 2.0
 
     def test_hit_rate(self):
         disk = SimulatedDisk(block_size=4)
-        disk.write_block(0, vals(1.0))
+        write_block(disk, 0, vals(1.0))
         pool = CachingDevice(disk, capacity=1)
         assert pool.pool_stats.hit_rate == 0.0
-        pool.read_block(0)
-        pool.read_block(0)
+        read_block(pool, 0)
+        read_block(pool, 0)
         assert pool.pool_stats.hit_rate == 0.5
 
     def test_capacity_validated(self):
@@ -145,7 +147,9 @@ class TestWaveletBlockStore:
     def _store(self, n=64, block=7, pool=None):
         flat = RNG.normal(size=n)
         alloc = subtree_tiling_allocation(n, block)
-        return flat, WaveletBlockStore(flat, alloc, pool_capacity=pool)
+        return flat, WaveletBlockStore(
+            flat, alloc, storage=StorageSpec(cache_blocks=pool)
+        )
 
     def test_fetch_returns_exact_values(self):
         flat, store = self._store()

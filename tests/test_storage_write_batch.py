@@ -3,7 +3,7 @@ middleware layer and ``store_blocks`` on the block stores.
 
 The contract under test is the write-side twin of the coalesced read
 path: one ``write_many`` per batch must leave the device stack in the
-identical state N sequential ``write_block`` calls would, with metering
+identical state N sequential groups of one would, with metering
 counting every member, caches invalidating every member (even when the
 inner write fails partway), CRC framing validating the whole group
 before any write, retries re-driving the group as one idempotent
@@ -33,6 +33,7 @@ from repro.storage.allocation import (
     TensorAllocation,
     subtree_tiling_allocation,
 )
+from tests._blocks import read_block, write_block
 
 
 def _payloads(n=4, base=0):
@@ -57,14 +58,14 @@ class TestLeafAndMetering:
         blocks = _payloads()
         disk.write_many(blocks)
         for block_id, items in blocks.items():
-            assert same(disk.read_block(block_id), items)
+            assert same(read_block(disk, block_id), items)
 
     def test_metered_counts_one_write_per_member(self):
         disk = SimulatedDisk(block_size=8)
         metered = MeteredDevice(disk, prefix="storage.disk")
         metered.write_many(_payloads(5))
         assert metered.writes == 5
-        metered.write_block(99, np.array([1.0]))
+        write_block(metered, 99, np.array([1.0]))
         assert metered.writes == 6
 
 
@@ -74,11 +75,11 @@ class TestCachingInvalidation:
         cache = CachingDevice(disk, capacity=8)
         cache.write_many(_payloads(3, base=0))
         for i in range(3):
-            cache.read_block(i)  # warm
+            read_block(cache, i)  # warm
         cache.write_many(_payloads(3, base=100))
         for i in range(3):
-            assert same(cache.read_block(i), disk.read_block(i))
-            assert cache.read_block(i)[0] == float(100 + i)
+            assert same(read_block(cache, i), read_block(disk, i))
+            assert read_block(cache, i)[0] == float(100 + i)
 
     def test_partial_group_failure_still_invalidates_all(self):
         class HalfwayDisk(SimulatedDisk):
@@ -88,22 +89,21 @@ class TestCachingInvalidation:
                 for k, (block_id, items) in enumerate(blocks.items()):
                     if k == 1:
                         raise InjectedWriteError("mid-group failure")
-                    self.write_block(block_id, items)
+                    super().write_many({block_id: items})
 
         disk = HalfwayDisk(block_size=8)
         cache = CachingDevice(disk, capacity=8)
-        old = _payloads(2, base=0)
-        for block_id, items in old.items():
-            SimulatedDisk.write_block(disk, block_id, items)
-        cache.read_block(0)
-        cache.read_block(1)
+        for block_id, items in _payloads(2, base=0).items():
+            disk.write_many({block_id: items})  # groups of one succeed
+        read_block(cache, 0)
+        read_block(cache, 1)
         with pytest.raises(InjectedWriteError):
             cache.write_many(_payloads(2, base=100))
         # Block 0 reached the device before the failure; the cache must
         # not shadow it with the pre-write payload it had cached.
-        assert same(cache.read_block(0), disk.read_block(0))
-        assert cache.read_block(0)[0] == 100.0
-        assert same(cache.read_block(1), disk.read_block(1))
+        assert same(read_block(cache, 0), read_block(disk, 0))
+        assert read_block(cache, 0)[0] == 100.0
+        assert same(read_block(cache, 1), read_block(disk, 1))
 
 
 class TestCrcFraming:
@@ -122,7 +122,7 @@ class TestCrcFraming:
         with pytest.raises(StorageError):
             crc.write_many(bad)
         # The invalid member aborted the whole group before any write.
-        assert same(crc.read_block(0), _payloads(1)[0])
+        assert same(read_block(crc, 0), _payloads(1)[0])
 
 
 class TestResilientGroupRetry:
@@ -137,7 +137,7 @@ class TestResilientGroupRetry:
         blocks = _payloads(4)
         resilient.write_many(blocks)
         for block_id, items in blocks.items():
-            assert same(disk.read_block(block_id), items)
+            assert same(read_block(disk, block_id), items)
 
     def test_without_policy_failure_propagates(self):
         plan = FaultPlan(seed=0, write_error_rate=1.0)
@@ -146,6 +146,28 @@ class TestResilientGroupRetry:
         )
         with pytest.raises(InjectedWriteError):
             resilient.write_many(_payloads(2))
+
+
+    def test_group_read_retries_only_the_failing_block(self):
+        # Reads are guarded per block (a group of one each): a fault on
+        # one member re-reads that member, not the members already read.
+        plan = FaultPlan(seed=5, read_error_rate=0.3)
+        disk = SimulatedDisk(block_size=8)
+        faulty = FaultyDevice(disk, plan, injecting=False)
+        blocks = _payloads(12)
+        faulty.write_many(blocks)
+        faulty.injecting = True
+        policy = RetryPolicy(
+            max_attempts=8, base_delay_s=0.0, max_delay_s=0.0, budget_s=1.0
+        )
+        got = ResilientDevice(faulty, retry_policy=policy).read_many(blocks)
+        assert list(got) == list(blocks)
+        assert all(same(got[b], blocks[b]) for b in blocks)
+        draws = [kind for _, kind in plan.history]
+        assert draws.count("error") > 0
+        # One clean draw — and one leaf read — per block, however many
+        # errors were drawn in between.
+        assert draws.count(None) == disk.io.reads == len(blocks)
 
 
 class TestShardedFanOut:
@@ -160,10 +182,10 @@ class TestShardedFanOut:
         grouped.write_many(blocks)
         sequential = build()
         for block_id, items in blocks.items():
-            sequential.write_block(block_id, items)
+            write_block(sequential, block_id, items)
         for block_id in blocks:
             assert same(
-                grouped.read_block(block_id), sequential.read_block(block_id)
+                read_block(grouped, block_id), read_block(sequential, block_id)
             )
         assert grouped.io_totals().writes == len(blocks)
         grouped.close()
@@ -173,8 +195,8 @@ class TestShardedFanOut:
         class BrokenDisk(SimulatedDisk):
             """Leaf that rejects every write."""
 
-            def write_block(self, block_id, items):
-                raise InjectedWriteError(f"shard down: {block_id!r}")
+            def write_many(self, blocks):
+                raise InjectedWriteError(f"shard down: {sorted(blocks)!r}")
 
         sharded = ShardedDevice([BrokenDisk(block_size=8) for _ in range(2)])
         blocks = {i: np.array([1.0]) for i in range(8)}
@@ -210,7 +232,7 @@ class TestStoreBlocks:
         }
         batched.store_blocks(payloads)
         for block_id, items in payloads.items():
-            sequential.update_block(block_id, items)
+            sequential.store_blocks({block_id: items})
         for block_id in ids:
             assert same(
                 batched.fetch_block(block_id),
