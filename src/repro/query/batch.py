@@ -154,14 +154,17 @@ class BatchEvaluator:
 
     # -- vectorized plumbing ---------------------------------------------
 
-    def _translate(self, queries: list[RangeSumQuery]) -> list[tuple]:
-        """Every query's ``(keys, values)`` array translation."""
+    def _translate(self, queries: list[RangeSumQuery], located=False):
+        """Every query's translation: ``(keys, values)`` arrays, or the
+        exact path's ``located`` ``(values, codes, slots)``."""
         if not queries:
             raise QueryError("batch evaluation needs at least one query")
-        return [self._engine.query_arrays(q) for q in queries]
+        engine = self._engine
+        translate = engine.query_located if located else engine.query_arrays
+        return [translate(q) for q in queries]
 
-    def _stack(self, translated: list[tuple]):
-        """CSR-stack every query's keys and values.
+    def _stack(self, located: list[tuple]):
+        """CSR-stack every query's ``(values, codes, slots)`` translation.
 
         Segment ``i`` keeps query ``i``'s translation order, so its dot
         against the gathered payloads reduces in exactly the order the
@@ -172,12 +175,9 @@ class BatchEvaluator:
             block code and in-block slot, the query values, and the CSR
             segment offsets.
         """
-        offsets = np.zeros(len(translated) + 1, dtype=np.intp)
-        np.cumsum([len(values) for _, values in translated], out=offsets[1:])
-        codes, slots = self._engine.store.allocation.locate(
-            np.concatenate([keys for keys, _ in translated])
-        )
-        values = np.concatenate([values for _, values in translated])
+        offsets = np.zeros(len(located) + 1, dtype=np.intp)
+        np.cumsum([len(values) for values, _, _ in located], out=offsets[1:])
+        values, codes, slots = map(np.concatenate, zip(*located))
         return codes, slots, values, offsets
 
     def _block_order(self, codes: np.ndarray, values: np.ndarray):
@@ -218,7 +218,7 @@ class BatchEvaluator:
         """
         with span("query.batch.exact"):
             codes, slots, values, offsets = self._stack(
-                self._translate(queries)
+                self._translate(queries, located=True)
             )
             order_codes, order = self._block_order(codes, values)
             obs_counter("query.batch.batches").inc()
@@ -230,7 +230,7 @@ class BatchEvaluator:
                 "query.batch.blocks", DEFAULT_COUNT_BUCKETS
             ).observe(len(order))
             buffer, base = self._engine.store.allocation.pack(
-                order_codes, self._engine.store.fetch_blocks(order)
+                order_codes, order, self._engine.store.fetch_blocks(order)
             )
             answers = segmented_dot(
                 base[codes] + slots, values, offsets, buffer
@@ -271,12 +271,16 @@ class BatchEvaluator:
                     )
                 except StorageUnavailable:
                     skipped.add(block_id)
-            codes, slots, values, offsets = self._stack(translated)
             allocation = self._engine.store.allocation
+            codes, slots, values, offsets = self._stack([
+                (values, *allocation.locate(keys))
+                for keys, values in translated
+            ])
             uniq = allocation.distinct(codes)
             code_of = dict(zip(allocation.block_ids(uniq), uniq.tolist()))
             buffer, base = allocation.pack(
-                [code_of[block_id] for block_id in payloads], payloads
+                [code_of[block_id] for block_id in payloads],
+                list(payloads), payloads,
             )
             pos = base[codes] + slots
             unread = np.zeros(allocation.n_codes, dtype=bool)

@@ -11,9 +11,9 @@ read-modify-write per touched block and one norm rebuild per point;
 * **Located once, at memo time.**  A point's impulse delta (the lazy
   transform of the width-one range ``[p, p]``) is memoized per distinct
   point *already located*: each coefficient's block code and slot in
-  that block's payload array (the allocation's vectorized ``locate``;
-  the allocation is fixed for the engine's life), its value, and the
-  point's distinct block codes.  No key matrix is kept or rebuilt.
+  that block's payload array (the engine's ``query_located``, per
+  axis; the allocation is fixed for the engine's life), its value, and
+  the point's distinct block codes.  No key matrix is ever built.
 * **One read-modify-write per touched block, found without a sort.**
   The touched blocks are a presence table over the block grid filled
   from the per-point block codes.  They are fetched once
@@ -122,10 +122,9 @@ class BatchInserter:
             return delta
         engine = self._engine
         allocation = engine.store.allocation
-        keys, values = engine.query_arrays(
+        values, codes, slots = engine.query_located(
             RangeSumQuery(ranges=tuple((p, p) for p in point))
         )
-        codes, slots = allocation.locate(keys)
         delta = codes, slots, values, allocation.distinct(codes)
         memo[point] = delta
         self._memo_held += len(values)
@@ -181,7 +180,7 @@ class BatchInserter:
             "query.insert.blocks_touched", DEFAULT_COUNT_BUCKETS
         ).observe(len(block_ids))
         preimages = store.fetch_blocks(block_ids)
-        buffer, base = allocation.pack(block_codes, preimages)
+        buffer, base = allocation.pack(block_codes, block_ids, preimages)
 
         # 2. Accumulate on the buffer itself, point by point: np.add.at
         #    is unbuffered, so shared coefficients need no dedup (see

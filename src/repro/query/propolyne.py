@@ -40,6 +40,7 @@ from repro.query.rangesum import RangeSumQuery
 from repro.storage.allocation import (
     TensorAllocation,
     index_tuples,
+    product_keys,
     subtree_tiling_allocation,
 )
 from repro.storage.blockstore import TensorBlockStore
@@ -83,27 +84,19 @@ def sparse_inner_product(entries: dict, stored) -> float:
     return float(np.dot(qvals, dvals))
 
 
-def translate_query(
+def _translate_axes(
     query: RangeSumQuery,
     original_shape: tuple[int, ...],
     padded_shape: tuple[int, ...],
     levels: tuple[int, ...],
     filt,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse multivariate wavelet transform of a range-sum query vector.
-
-    The one translation routine — the ProPolyne engine, the batch
-    evaluator and inserter and the data-approximation baseline all
-    answer precisely this translated query.  Runs the lazy transform
-    per dimension and takes the outer product of the sparse
-    per-dimension vectors, dropping exact-zero products after every
-    axis.
-
-    Returns:
-        ``(keys, values)``: the ``(N, ndim)`` coefficient multi-indices
-        and their ``N`` query coefficients, prefix-major (the first
-        axis's entries vary slowest).
-    """
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The one per-axis translation step (§3.3): the lazy transform of
+    each dimension, as the per-axis coefficient index arrays and the
+    prefix-major outer product of the per-axis values.  Exact-zero
+    products are still in it; masking them once, at the end, keeps what
+    a mask after every axis would, in the same order — a zero partial
+    product stays zero."""
     if query.ndim != len(padded_shape):
         raise QueryError(
             f"query has {query.ndim} dimensions, cube has {len(padded_shape)}"
@@ -113,10 +106,9 @@ def translate_query(
             f"measure degree {query.max_degree} needs a filter with more "
             f"than {filt.vanishing_moments} vanishing moments"
         )
-    empty = np.empty((0, query.ndim), dtype=np.intp), np.empty(0)
     if query.is_empty():
-        return empty
-    keys = np.empty((1, 0), dtype=np.intp)
+        return [np.empty(0, dtype=np.intp)] * query.ndim, np.empty(0)
+    indices = []
     values = np.ones(1)
     for axis, ((lo, hi), poly) in enumerate(zip(query.ranges, query.polys)):
         if hi >= original_shape[axis]:
@@ -146,17 +138,37 @@ def translate_query(
                 list(poly), lo, hi, padded_shape[axis],
                 wavelet=filt, levels=levels[axis],
             ).arrays
-        product = np.multiply.outer(values, vals).ravel()
-        keys = np.column_stack(
-            [np.repeat(keys, len(idx), axis=0), np.tile(idx, len(values))]
-        )
-        keep = product != 0.0
-        if not keep.all():
-            keys, product = keys[keep], product[keep]
-        values = product
-        if not len(values):
-            return empty
-    return keys, values
+        indices.append(idx)
+        values = np.multiply.outer(values, vals).ravel()
+    return indices, values
+
+
+def translate_query(
+    query: RangeSumQuery,
+    original_shape: tuple[int, ...],
+    padded_shape: tuple[int, ...],
+    levels: tuple[int, ...],
+    filt,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse multivariate wavelet transform of a range-sum query vector.
+
+    The keyed form of the one translation routine (the lazy transform
+    per dimension, their outer product, exact-zero products dropped),
+    for the consumers that name coefficients: progressive and degradable
+    evaluation, explain, the data-approximation baseline.  The exact
+    kernel answers it unkeyed (:meth:`ProPolyneEngine.query_located`).
+
+    Returns:
+        ``(keys, values)``: the ``(N, ndim)`` coefficient multi-indices
+        and their ``N`` query coefficients, prefix-major (the first
+        axis's entries vary slowest).
+    """
+    indices, values = _translate_axes(
+        query, original_shape, padded_shape, levels, filt
+    )
+    keys = product_keys(indices)
+    keep = values != 0.0
+    return (keys, values) if keep.all() else (keys[keep], values[keep])
 
 
 def pad_to_pow2(cube: np.ndarray) -> np.ndarray:
@@ -466,6 +478,21 @@ class ProPolyneEngine:
         keys, values = self.query_arrays(query)
         return dict(zip(index_tuples(keys), values.tolist()))
 
+    def query_located(
+        self, query: RangeSumQuery
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`query_arrays` with ``allocation.locate(keys)`` in place
+        of the keys — ``(values, codes, slots)``, same entries, same
+        order — located per axis (``locate_product``): no key is built."""
+        indices, values = _translate_axes(
+            query, self.original_shape, self.shape, self.levels, self.filter
+        )
+        codes, slots = self.store.allocation.locate_product(indices)
+        keep = values != 0.0
+        if keep.all():
+            return values, codes, slots
+        return values[keep], codes[keep], slots[keep]
+
     def n_query_coefficients(self, query: RangeSumQuery) -> int:
         """Size of the sparse query transform (the E5 metric)."""
         return len(self.query_arrays(query)[1])
@@ -491,13 +518,13 @@ class ProPolyneEngine:
             return self.as_of_view(as_of).evaluate_exact(query)
         with span("query.exact"):
             obs_counter("query.exact.queries").inc()
-            keys, values = self.query_arrays(query)
+            values, codes, slots = self.query_located(query)
             if not len(values):
                 return 0.0
-            # store.gather observes query.blocks_per_query — it already
-            # knows the block set, so the engine need not recompute it.
+            # gather_located observes query.blocks_per_query — it knows
+            # the block set, so the engine need not recompute it.
             # Same np.dot, same operand order as sparse_inner_product.
-            return float(np.dot(values, self.store.gather(keys)))
+            return float(np.dot(values, self.store.gather_located(codes, slots)))
 
     def _progressive_steps(
         self, entries: dict, importance: str = "l2",

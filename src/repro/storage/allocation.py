@@ -36,6 +36,7 @@ __all__ = [
     "measure_utilization",
     "TensorAllocation",
     "index_tuples",
+    "product_keys",
 ]
 
 
@@ -43,6 +44,13 @@ def index_tuples(keys: np.ndarray) -> list[tuple[int, ...]]:
     """Rows of an ``(N, ndim)`` index array as tuples of Python ints —
     the key shape block payloads and entry dictionaries use."""
     return list(zip(*keys.T.tolist()))
+
+
+def product_keys(axis_indices) -> np.ndarray:
+    """``(N, ndim)`` keys of the prefix-major Cartesian product of one
+    index array per axis."""
+    grid = np.meshgrid(*axis_indices, indexing="ij")
+    return np.stack(grid, axis=-1).reshape(-1, len(axis_indices))
 
 
 class _Packing:
@@ -56,9 +64,10 @@ class _Packing:
         present[codes] = True
         return np.flatnonzero(present)
 
-    def pack(self, codes, payloads: dict) -> tuple[np.ndarray, np.ndarray]:
+    def pack(self, codes, ids: list, payloads: dict) -> tuple[np.ndarray, np.ndarray]:
         """Payloads (keyed by block id) of block ``codes``, back to back
-        in one buffer, in ``codes`` order.
+        in one buffer, in ``codes`` order; ``ids`` is
+        ``block_ids(codes)``, which every caller already holds.
 
         Returns ``(buffer, base)``: what ``locate`` puts at ``(code,
         slot)`` sits at ``buffer[base[code] + slot]``.  A payload whose
@@ -66,7 +75,6 @@ class _Packing:
         :class:`~repro.core.errors.StorageError` naming the block.
         """
         codes = np.asarray(codes, dtype=np.intp)
-        ids = self.block_ids(codes)
         parts = [payloads[block_id] for block_id in ids]
         lens = self.block_len(codes)
         got = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
@@ -420,6 +428,32 @@ class TensorAllocation(_Packing):
             slots = slots * counts[virtual] + slot_of[column]
         return codes, slots
 
+    def locate_product(self, axis_indices) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`locate` of the prefix-major Cartesian product of one
+        index array per axis, its keys never built: a product of index
+        sets lands on a product of virtual blocks (§3.2.1), so the range
+        check and the table lookups run per axis and outer sums and
+        products combine them.  Same errors as :meth:`locate`."""
+        if len(axis_indices) != len(self.axes):
+            raise StorageError(
+                f"{len(axis_indices)} index arrays for {len(self.axes)} axes"
+            )
+        codes = slots = np.zeros(1, dtype=np.intp)
+        for index, (block_of, slot_of, counts) in zip(
+            axis_indices, self._tables[0]
+        ):
+            index = np.asarray(index, dtype=np.intp)
+            if index.size and (index.min() < 0 or index.max() >= len(block_of)):
+                raise StorageError(
+                    f"coefficient index outside allocation shape {self.shape}"
+                )
+            virtual = block_of[index]
+            codes = np.add.outer(codes * len(counts), virtual).ravel()
+            slots = (
+                np.multiply.outer(slots, counts[virtual]) + slot_of[index]
+            ).ravel()
+        return codes, slots
+
     def blocks_of(self, keys) -> np.ndarray:
         """Block codes of ``(N, ndim)`` coefficient keys
         (:meth:`locate` without the slots)."""
@@ -442,13 +476,10 @@ class TensorAllocation(_Packing):
 
     def block_keys(self, block_id: tuple[int, ...]) -> np.ndarray:
         """``(M, ndim)`` member keys of one block, in payload order."""
-        members = [
+        return product_keys([
             axis.block_keys(virtual)
             for axis, virtual in zip(self.axes, block_id)
-        ]
-        return np.stack(
-            np.meshgrid(*members, indexing="ij"), axis=-1
-        ).reshape(-1, len(self.axes))
+        ])
 
     def block_of(self, multi_index: tuple[int, ...]) -> tuple[int, ...]:
         """Actual block holding the coefficient at ``multi_index``."""
@@ -477,6 +508,6 @@ class TensorAllocation(_Packing):
             )
         codes, parts = _group(
             cube.ravel(),
-            self.blocks_of(np.indices(cube.shape).reshape(cube.ndim, -1).T),
+            self.locate_product([np.arange(n) for n in cube.shape])[0],
         )
         return dict(zip(self.block_ids(codes), parts))

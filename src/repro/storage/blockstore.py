@@ -96,9 +96,8 @@ class _StoreBase:
 
         The batch evaluator's I/O entry point — the whole batch's block
         set goes down as a single ``read_many``, which the sharded
-        device splits into one read per shard group
-        (:func:`~repro.storage.scheduler.coalesce_by_shard`) on its
-        persistent fan-out pool.
+        device splits into one read per shard group on its persistent
+        fan-out pool.
 
         Args:
             block_ids: Blocks to read (deduplicated by the caller).
@@ -150,11 +149,11 @@ class TensorReads:
     A view supplies ``allocation`` and :meth:`_read_blocks` — how a
     sorted list of block ids is read: the live device's ``read_many``,
     the shared-scan view's coalesced single-flight fetch, an as-of
-    view's pre-image-else-live — and inherits :meth:`gather`, its
-    dict/set-shaped wrappers and the scalar :meth:`fetch_block`.
-    Payloads are arrays of values only; the allocation's ``locate``
-    says where in which array a key — an ``ndim`` multi-index, or a
-    flat index on the 1-D store — lives.
+    view's pre-image-else-live — and inherits :meth:`gather_located`,
+    its key-, dict- and set-shaped wrappers and the scalar
+    :meth:`fetch_block`.  Payloads are arrays of values only; the
+    allocation's ``locate`` says where in which array a key — an
+    ``ndim`` multi-index, or a flat index on the 1-D store — lives.
     """
 
     def _read_blocks(self, block_ids: list) -> dict:
@@ -168,21 +167,27 @@ class TensorReads:
         return self._read_blocks([block_id])[block_id]
 
     def gather(self, keys) -> np.ndarray:
-        """Stored values of the coefficient ``keys``, in key order.
+        """Stored values of the coefficient ``keys``, in key order:
+        :meth:`gather_located` of their ``locate``."""
+        return self.gather_located(*self.allocation.locate(keys))
 
-        ``locate`` → distinct block codes → one sorted block read →
-        one index into the concatenated payloads.  Python work is per
-        block, never per coefficient.
+    def gather_located(self, codes, slots) -> np.ndarray:
+        """Stored values at ``(block code, slot)`` pairs, in order.
+
+        Distinct block codes → one sorted block read → one index into
+        the concatenated payloads.  Python work is per block, never
+        per coefficient.
         """
         with span("storage.fetch"):
             allocation = self.allocation
-            codes, slots = allocation.locate(keys)
             uniq = allocation.distinct(codes)
             needed = allocation.block_ids(uniq)
             obs_histogram(
                 "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
             ).observe(len(needed))
-            buffer, base = allocation.pack(uniq, self._read_blocks(needed))
+            buffer, base = allocation.pack(
+                uniq, needed, self._read_blocks(needed)
+            )
             return buffer[base[codes] + slots]
 
     def block_values(self, block_id, keys) -> np.ndarray:
@@ -190,7 +195,7 @@ class TensorReads:
         from one whole-block fetch (progressive evaluation's read)."""
         codes, slots = self.allocation.locate(keys)
         payloads = {block_id: self.fetch_block(block_id)}
-        return self.allocation.pack(codes[:1], payloads)[0][slots]
+        return self.allocation.pack(codes[:1], [block_id], payloads)[0][slots]
 
     def fetch(self, indices) -> dict[tuple[int, ...], float]:
         """:meth:`gather` as a ``{key tuple: value}`` dictionary."""

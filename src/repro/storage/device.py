@@ -863,7 +863,8 @@ class StorageSpec:
             a fault plan is present.
         metered: Emit ``storage.disk.*`` / ``storage.device.*`` metrics.
         fanout_workers: Worker-pool width for sharded multi-block
-            reads (default ``min(shards, 8)``).
+            reads (default ``min(shards, 8)``, or 1 — no pool — when
+            nothing in the spec can make a device wait).
         fault_shards: Restrict fault injection to these shard indices
             (``None`` = all shards).
         replicas: Replica members per shard on top of the primary
@@ -1042,9 +1043,15 @@ class StorageSpec:
             return BuiltStorage(self, device, stacks)
         from repro.storage.sharding import ShardedDevice
 
+        # Fan-out overlaps device *waits*: simulated latency, a fault
+        # plan's spikes, a retry policy's backoff.  With none, a read is
+        # dictionary lookups under the GIL and a pool hand-off per shard
+        # only costs (a thread wake-up each; bimodal on a small VM).
+        waits = (self.latency, self.fault_plan, self.retry_policy)
         sharded = ShardedDevice(
             [stack.build() for stack in stacks],
-            fanout_workers=self.fanout_workers,
+            fanout_workers=self.fanout_workers
+            or (None if any(w is not None for w in waits) else 1),
         )
         device: object = sharded
         if self.metered:

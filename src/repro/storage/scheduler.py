@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from repro.storage.allocation import index_tuples
 
 __all__ = [
     "BlockPlan",
-    "coalesce_by_shard",
     "plan_batch_blocks",
     "plan_blocks",
 ]
@@ -135,26 +134,3 @@ def plan_batch_blocks(
 
     order = sorted(grouped, key=importance, reverse=True)
     return {block_id: grouped[block_id] for block_id in order}
-
-
-def coalesce_by_shard(
-    block_ids: Iterable[Hashable], shard_of
-) -> list[tuple[int, list]]:
-    """Group block reads by owning shard, preserving order within a group.
-
-    The batch I/O coalescer: a batch's block set collapses into one
-    ``read_many`` per shard group instead of per-query fetch streams —
-    the sharded device then overlaps the groups' simulated latency on
-    its fan-out pool.
-
-    Args:
-        block_ids: Blocks to read, best-first.
-        shard_of: Callable mapping a block id to its shard index.
-
-    Returns:
-        ``(shard, block_ids)`` pairs in first-touched order.
-    """
-    groups: dict[int, list] = {}
-    for block_id in block_ids:
-        groups.setdefault(shard_of(block_id), []).append(block_id)
-    return list(groups.items())

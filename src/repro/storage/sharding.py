@@ -31,7 +31,6 @@ from repro.core.errors import StorageError
 from repro.lint.lockwatch import watched_lock
 from repro.storage.disk import IOStats
 from repro.storage.placement import place
-from repro.storage.scheduler import coalesce_by_shard
 
 # ``place`` lives in :mod:`repro.storage.placement` now (shared with the
 # cluster tier's HashRing) and is re-exported here for compatibility.
@@ -91,6 +90,19 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
         shard = self._placement.get(block_id)
         return place(block_id, self.n_shards) if shard is None else shard
 
+    def _by_shard(self, block_ids: Iterable[Hashable]) -> list[tuple[int, list]]:
+        """The batch I/O coalescer: ``(shard, block_ids)`` groups in
+        first-touched order, ids in given order within a group — one pass
+        over the placement memo, ``place`` only for ids never written."""
+        get = self._placement.get
+        groups: dict[int, list] = {}
+        for block_id in block_ids:
+            shard = get(block_id)
+            if shard is None:
+                shard = place(block_id, self.n_shards)
+            groups.setdefault(shard, []).append(block_id)
+        return list(groups.items())
+
     def _fanout_pool(self) -> ThreadPoolExecutor:
         """The persistent fan-out pool (created on first concurrent use)."""
         with self._pool_lock:
@@ -141,11 +153,9 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
 
     def read_many(self, block_ids: Iterable[Hashable]) -> dict:
         """Fetch several blocks: one coalesced ``read_many`` per owning
-        shard (:func:`~repro.storage.scheduler.coalesce_by_shard`),
-        fanned out by :meth:`_fan_out`."""
+        shard (:meth:`_by_shard`), fanned out by :meth:`_fan_out`."""
         out: dict = {}
-        groups = coalesce_by_shard(block_ids, self.shard_of)
-        for part in self._fan_out("read_many", groups):
+        for part in self._fan_out("read_many", self._by_shard(block_ids)):
             out.update(part)
         return out
 
@@ -171,7 +181,7 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
         shard, fanned out by :meth:`_fan_out` exactly like the read
         path (so per-device write latency overlaps and surviving
         shards' commits are never abandoned mid-flight)."""
-        groups = coalesce_by_shard(blocks, self.shard_of)
+        groups = self._by_shard(blocks)
         for shard, ids in groups:
             self._placement.update(dict.fromkeys(ids, shard))
         self._fan_out("write_many", [

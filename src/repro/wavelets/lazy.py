@@ -240,12 +240,13 @@ class SparseWaveletVector:
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indices, values)`` in entry order, materialised once per
         vector — valid while ``entries`` is left alone, which memoized
-        transforms are (see :func:`cached_range_query_transform`)."""
+        transforms are (see :func:`cached_range_query_transform`).
+        Read-only: every query on a cached range shares them."""
         count = len(self.entries)
-        return (
-            np.fromiter(self.entries.keys(), dtype=np.intp, count=count),
-            np.fromiter(self.entries.values(), dtype=float, count=count),
-        )
+        idx = np.fromiter(self.entries.keys(), dtype=np.intp, count=count)
+        vals = np.fromiter(self.entries.values(), dtype=float, count=count)
+        idx.flags.writeable = vals.flags.writeable = False
+        return idx, vals
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full flat-layout vector (for testing)."""

@@ -1,11 +1,15 @@
 """Properties of the array-native scalar query kernel.
 
-The scalar path is translate → ``blocks_of`` → ``gather`` → dot, on
-arrays end to end.  Each stage is pinned here against the per-key loop
-it replaced, kept in this file as the reference:
+The scalar path is translate axes → ``locate_product`` →
+``gather_located`` → dot, on arrays end to end and never on keys.  Each
+stage is pinned here against the per-key form it replaced, kept in this
+file as the reference:
 
 * ``TensorAllocation.blocks_of`` against the scalar ``block_of``, and
   its bounds/arity errors;
+* ``locate_product`` against ``locate`` of the product's keys, and the
+  located query against ``translate_query`` + ``locate``, in order and
+  bits — with ``locate`` patched out, the exact paths still answer;
 * ``translate_query`` against the nested-loop dictionary outer product,
   in entry order and bits (empty queries, standard-basis axes, products
   that underflow to zero);
@@ -29,6 +33,7 @@ from repro.query.service import QueryService, shared_scan_view
 from repro.storage.allocation import (
     TensorAllocation,
     index_tuples,
+    product_keys,
     subtree_tiling_allocation,
 )
 from repro.storage.device import StorageSpec
@@ -102,6 +107,49 @@ class TestBlocksOf:
         assert (
             allocation.distinct(codes).tolist() == np.unique(codes).tolist()
         )
+
+
+def axis_indices_in(shape):
+    """One index list per axis: any order, repeats, possibly empty."""
+    return st.tuples(*(
+        st.lists(st.integers(0, n - 1), max_size=6) for n in shape
+    ))
+
+
+class TestLocateProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=shapes, block_size=block_sizes, data=st.data())
+    def test_equals_locate_of_the_product_keys(self, shape, block_size, data):
+        # ``shapes`` covers 1-D and the size-2 standard-basis axis; an
+        # empty list on any axis is the empty product.
+        allocation = tiling(shape, block_size)
+        axes = data.draw(axis_indices_in(shape))
+        codes, slots = allocation.locate_product(axes)
+        want_codes, want_slots = allocation.locate(product_keys(
+            [np.asarray(i, dtype=np.intp) for i in axes]
+        ))
+        assert codes.dtype == slots.dtype == np.intp
+        assert codes.tolist() == want_codes.tolist()
+        assert slots.tolist() == want_slots.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=shapes, block_size=block_sizes, data=st.data())
+    def test_out_of_range_axis_index_raises_storage_error(
+        self, shape, block_size, data
+    ):
+        allocation = tiling(shape, block_size)
+        axes = [list(i) for i in data.draw(axis_indices_in(shape))]
+        axis = data.draw(st.integers(0, len(shape) - 1))
+        # -1 would wrap silently under plain table indexing.
+        axes[axis].append(
+            data.draw(st.sampled_from([-1, -shape[axis], shape[axis]]))
+        )
+        with pytest.raises(StorageError):
+            allocation.locate_product(axes)
+
+    def test_wrong_arity_raises_storage_error(self):
+        with pytest.raises(StorageError):
+            tiling((8, 8), 3).locate_product([[0], [1], [2]])
 
 
 def reference_translation(query, engine) -> dict:
@@ -187,6 +235,70 @@ class TestArrayTranslation:
         assert len(values) == 0 and keys.shape == (0, 3)
         assert reference_translation(tiny, mixed_engine) == {}
         assert mixed_engine.evaluate_exact(tiny) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(ranges=ranges_in((16, 2, 32)), polys=polys_for(3))
+    def test_located_query_is_translate_then_locate(
+        self, mixed_engine, ranges, polys
+    ):
+        # One mask at the end keeps what a mask per axis kept: 1e-200
+        # on two axes underflows whole partial products to zero.
+        query = RangeSumQuery(ranges=ranges, polys=polys)
+        keys, want = mixed_engine.query_arrays(query)
+        want_codes, want_slots = mixed_engine.store.allocation.locate(keys)
+        values, codes, slots = mixed_engine.query_located(query)
+        assert values.tolist() == want.tolist()
+        assert codes.tolist() == want_codes.tolist()
+        assert slots.tolist() == want_slots.tolist()
+
+    def test_exact_paths_never_build_keys(self, monkeypatch):
+        cube = np.random.default_rng(3).poisson(3.0, size=(16, 2, 32))
+        engine = ProPolyneEngine(cube.astype(float), max_degree=1)
+        queries = [
+            RangeSumQuery.count([(0, 9), (0, 1), (2, 13)]),
+            RangeSumQuery.weighted([(3, 12), (0, 1), (0, 31)], {0: 1}),
+            RangeSumQuery.count([(5, 2), (0, 1), (0, 31)]),  # empty
+        ]
+        expected = [engine.evaluate_exact(q) for q in queries]
+        point = (11, 1, 29)
+        cell = RangeSumQuery.count([(p, p) for p in point])
+
+        def no_keys(self, keys):
+            raise AssertionError("an exact path located (N, ndim) keys")
+
+        monkeypatch.setattr(TensorAllocation, "locate", no_keys)
+        assert [engine.evaluate_exact(q) for q in queries] == expected
+        assert BatchEvaluator(engine).evaluate_exact(queries) == expected
+        assert engine.insert(point, 2.0) > 0  # a cold cell: nothing memoized
+        assert engine.evaluate_exact(cell) == pytest.approx(
+            cube[point] + 2.0
+        )
+
+    def test_cached_axis_arrays_are_read_only_and_stay_put(self, mixed_engine):
+        vector = cached_range_query_transform(
+            [1.0], 3, 12, 16, wavelet=mixed_engine.filter,
+            levels=mixed_engine.levels[0],
+        )
+        idx, vals = vector.arrays
+        for shared in (idx, vals):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                shared += 1
+        held = idx.tolist(), vals.tolist()
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            lo, hi = sorted(rng.integers(0, 32, size=2).tolist())
+            mixed_engine.evaluate_exact(
+                RangeSumQuery.count([(3, 12), (0, 1), (lo, hi)])
+            )
+        again = cached_range_query_transform(
+            [1.0], 3, 12, 16, wavelet=mixed_engine.filter,
+            levels=mixed_engine.levels[0],
+        )
+        assert again is vector
+        assert (idx.tolist(), vals.tolist()) == held
+        assert list(vector.entries) == held[0]
 
     def test_translate_query_is_what_the_engine_runs(self, mixed_engine):
         query = RangeSumQuery.weighted([(1, 14), (0, 1), (3, 30)], {2: 1})

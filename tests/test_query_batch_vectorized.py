@@ -126,7 +126,7 @@ class TestCoalescedIO:
         evaluator = BatchEvaluator(engine)
         allocation = engine.store.allocation
         codes, _, values, _ = evaluator._stack(
-            evaluator._translate(OVERLAPPING)
+            evaluator._translate(OVERLAPPING, located=True)
         )
         # A block whose only entry squares to zero is still a block to
         # read: presence comes from the codes, not from the energy.

@@ -192,6 +192,34 @@ class TestFanoutPoolLifecycle:
         }
 
 
+    def test_a_spec_with_nothing_to_wait_for_builds_no_pool(self):
+        # Fan-out overlaps device waits; a stack with no latency model,
+        # fault plan or retry policy has none, so its shard groups run
+        # on the calling thread.  An explicit width is always honoured.
+        from repro.storage.latency import LatencyModel
+
+        def workers(**spec):
+            built = StorageSpec(shards=4, **spec).build(8)
+            try:
+                return built.sharded.fanout_workers
+            finally:
+                built.close()
+
+        assert workers() == 1
+        assert workers(cache_blocks=16, crc=True) == 1
+        assert workers(fanout_workers=3) == 3
+        assert workers(latency=LatencyModel(base_s=0.001)) == 4
+        assert workers(fault_plan=FaultPlan(seed=1, read_error_rate=0.1)) == 4
+        assert workers(retry_policy=RetryPolicy(max_attempts=2)) == 4
+        engine = ProPolyneEngine(
+            np.ones((16, 16)), max_degree=1, block_size=7,
+            storage=StorageSpec(shards=4),
+        )
+        engine.evaluate_exact(RangeSumQuery.count([(1, 14), (2, 13)]))
+        assert engine.store._built.sharded._pool is None
+        engine.store.close()
+
+
 class TestMultiShardFailureAggregation:
     def test_second_failed_shard_lands_in_notes(self):
         # Regression: read_many used to surface only the first failed
