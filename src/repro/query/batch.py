@@ -133,8 +133,8 @@ class BatchEvaluator:
     engine.
 
     The exact path is the tensor-domain batch extension of
-    :func:`repro.wavelets.lazy.batched_dot`: every query's sparse
-    transform is stacked and located (block code, slot) in one pass,
+    :meth:`repro.wavelets.lazy.SparseWaveletVector.dot`: every query's
+    sparse transform is stacked and located (block code, slot) in one pass,
     all queries' blocks are fetched in **one** coalesced bulk read (a
     single ``read_many`` per shard group), the payloads are packed
     into one buffer, one ``np.take`` gathers the whole batch's

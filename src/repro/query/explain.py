@@ -32,7 +32,7 @@ from repro.obs import counter as obs_counter
 from repro.query.propolyne import ProPolyneEngine, QueryOutcome
 from repro.query.rangesum import RangeSumQuery
 from repro.storage.scheduler import plan_blocks
-from repro.wavelets.lazy import lazy_range_query_transform
+from repro.wavelets.lazy import cached_range_query_transform
 
 __all__ = [
     "PROVENANCE_SCHEMA",
@@ -89,7 +89,7 @@ def explain(engine: ProPolyneEngine, query: RangeSumQuery) -> QueryPlan:
         if engine.levels[axis] == 0:
             per_dim.append(max(0, hi - lo + 1))
         else:
-            sparse = lazy_range_query_transform(
+            sparse = cached_range_query_transform(
                 list(poly), lo, hi, engine.shape[axis],
                 wavelet=engine.filter, levels=engine.levels[axis],
             )

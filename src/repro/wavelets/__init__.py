@@ -24,12 +24,10 @@ from repro.wavelets.filters import WaveletFilter, daubechies, get_filter, haar
 from repro.wavelets.lazy import (
     SparseWaveletVector,
     TranslationCache,
-    batched_dot,
     cached_range_query_transform,
     lazy_range_query_transform,
     poly_after_filter,
     segmented_dot,
-    stack_sparse_queries,
     translation_cache,
 )
 from repro.wavelets.packet import (
@@ -60,12 +58,10 @@ __all__ = [
     "is_power_of_two",
     "SparseWaveletVector",
     "TranslationCache",
-    "batched_dot",
     "cached_range_query_transform",
     "lazy_range_query_transform",
     "poly_after_filter",
     "segmented_dot",
-    "stack_sparse_queries",
     "translation_cache",
     "PacketNode",
     "wavelet_packet_decompose",

@@ -21,13 +21,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from repro.core.errors import TransformError
 
 __all__ = ["WaveletFilter", "daubechies", "haar", "get_filter"]
+
+
+def _frozen(taps: tuple[float, ...]) -> np.ndarray:
+    array = np.asarray(taps, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -68,15 +74,15 @@ class WaveletFilter:
         """Number of filter taps (support width)."""
         return len(self.dec_lo)
 
-    @property
+    @cached_property
     def lowpass(self) -> np.ndarray:
-        """Low-pass analysis filter as a fresh numpy array."""
-        return np.asarray(self.dec_lo, dtype=float)
+        """Low-pass analysis filter as a shared, read-only numpy array."""
+        return _frozen(self.dec_lo)
 
-    @property
+    @cached_property
     def highpass(self) -> np.ndarray:
-        """High-pass analysis filter as a fresh numpy array."""
-        return np.asarray(self.dec_hi, dtype=float)
+        """High-pass analysis filter as a shared, read-only numpy array."""
+        return _frozen(self.dec_hi)
 
     def check_orthonormal(self, tol: float = 1e-9) -> None:
         """Raise :class:`TransformError` unless the bank is orthonormal.
@@ -95,19 +101,23 @@ class WaveletFilter:
                     f"shift {shift}: <h, h_shift> = {got:.3e}"
                 )
 
+    @lru_cache(maxsize=256)
     def moment(self, order: int, highpass: bool = False) -> float:
         """Discrete filter moment ``sum_m f[m] * m**order``.
 
         The lazy wavelet transform uses low-pass moments to push polynomial
         interiors through a cascade level in closed form, and high-pass
         moments (which vanish for ``order < vanishing_moments``) to prove
-        interior detail coefficients are zero.
+        interior detail coefficients are zero.  Memoized: filters are
+        immutable and few, and the cascade asks for the same handful of
+        orders on every transform.
         """
         taps = self.highpass if highpass else self.lowpass
         positions = np.arange(self.length, dtype=float)
         return float(np.dot(taps, positions**order))
 
 
+@lru_cache(maxsize=None)
 def haar() -> WaveletFilter:
     """The Haar filter — ``db1`` — with one vanishing moment."""
     inv_sqrt2 = 1.0 / math.sqrt(2.0)

@@ -16,8 +16,14 @@ the cascade:
 
 * an interior interval on which the signal equals a polynomial, mapped
   through each filter level in closed form via filter moments;
-* an explicit dictionary of boundary "corrections", re-convolved directly
-  (only ``O(filter_length)`` of them per level).
+* a ``{position: value}`` dict of boundary "corrections", re-convolved
+  directly (only ``O(filter_length)`` windows per level).
+
+Everything in the cascade is a Python float except a level's one
+``np.vecdot`` of its windows against both channels: a level has about nine
+windows, where any further array op costs more than it saves, and
+``vecdot`` runs the same ``cblas_ddot`` per window as a 1-D
+``window @ taps``, which fixes the last bits of every coefficient.
 
 The output is a :class:`SparseWaveletVector` whose coefficients match the
 dense :func:`repro.wavelets.dwt.wavedec` of the materialized query vector
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 
 import numpy as np
@@ -43,14 +49,24 @@ from repro.wavelets.filters import WaveletFilter, get_filter
 __all__ = [
     "SparseWaveletVector",
     "TranslationCache",
-    "batched_dot",
     "cached_range_query_transform",
     "lazy_range_query_transform",
     "poly_after_filter",
     "segmented_dot",
-    "stack_sparse_queries",
     "translation_cache",
 ]
+
+
+def _through_filter(coeffs: list[float], moments: list[float]) -> list[float]:
+    """``poly_after_filter`` on plain floats, given the filter's moments."""
+    degree = len(coeffs) - 1
+    out = []
+    for t in range(degree + 1):
+        acc = 0.0
+        for d in range(t, degree + 1):
+            acc += coeffs[d] * math.comb(d, t) * moments[d - t]
+        out.append((2.0**t) * acc)
+    return out
 
 
 def poly_after_filter(poly: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -66,154 +82,19 @@ def poly_after_filter(poly: np.ndarray, taps: np.ndarray) -> np.ndarray:
     to a new polynomial interior without touching the signal samples.
     """
     poly = np.asarray(poly, dtype=float)
-    degree = poly.size - 1
     positions = np.arange(taps.size, dtype=float)
-    moments = [float(np.dot(taps, positions**s)) for s in range(degree + 1)]
-    out = np.zeros(degree + 1)
-    for t in range(degree + 1):
-        acc = 0.0
-        for d in range(t, degree + 1):
-            acc += poly[d] * math.comb(d, t) * moments[d - t]
-        out[t] = (2.0**t) * acc
-    return out
+    moments = [float(np.dot(taps, positions**s)) for s in range(poly.size)]
+    return np.array(_through_filter(poly.tolist(), moments))
 
 
-def _polyval(poly: np.ndarray | None, x: float) -> float:
-    """Evaluate ascending-coefficient polynomial; ``None`` means zero."""
-    if poly is None:
-        return 0.0
-    return float(np.polynomial.polynomial.polyval(x, poly))
+def _horner(coeffs: list[float], x: int) -> float:
+    """``P(x)``, by the IEEE operations ``np.polynomial.polyval`` performs."""
+    acc = coeffs[-1] + x * 0.0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * x
+    return acc
 
 
-def _is_negligible(poly: np.ndarray, scale: float) -> bool:
-    """True when every coefficient is numerically zero relative to ``scale``."""
-    return bool(np.all(np.abs(poly) <= 1e-12 * max(scale, 1.0)))
-
-
-@dataclass
-class _Symbolic:
-    """A length-``n`` vector that is polynomial on an interval, zero
-    elsewhere, plus explicit per-index corrections.
-
-    ``value(j) = (P(j) if lo <= j <= hi else 0) + corrections.get(j, 0)``
-    """
-
-    n: int
-    poly: np.ndarray | None  # ascending coefficients; None == zero interior
-    lo: int = 0
-    hi: int = -1  # empty interval when hi < lo
-    corrections: dict[int, float] = field(default_factory=dict)
-
-    def value(self, j: int) -> float:
-        j %= self.n
-        base = _polyval(self.poly, float(j)) if self.lo <= j <= self.hi else 0.0
-        return base + self.corrections.get(j, 0.0)
-
-    def nonzero_items(self) -> dict[int, float]:
-        """All nonzero entries — enumerates the interval, so only call on
-        vectors whose interval is empty or that are genuinely sparse."""
-        items: dict[int, float] = {}
-        if self.poly is not None and self.hi >= self.lo:
-            for j in range(self.lo, self.hi + 1):
-                items[j] = _polyval(self.poly, float(j))
-        for j, delta in self.corrections.items():
-            items[j] = items.get(j, 0.0) + delta
-        return {j: v for j, v in items.items() if v != 0.0}
-
-    def sparse_items(self) -> dict[int, float]:
-        """Nonzero entries assuming a numerically-zero interior polynomial."""
-        scale = (
-            float(np.max(np.abs(self.poly))) if self.poly is not None else 0.0
-        )
-        if self.poly is not None and not _is_negligible(self.poly, scale):
-            # Interior survived (measure degree >= vanishing moments); fall
-            # back to full enumeration for correctness.
-            return self.nonzero_items()
-        return {j: v for j, v in self.corrections.items() if v != 0.0}
-
-
-def _cascade_level(
-    vec: _Symbolic, filt: WaveletFilter
-) -> tuple[_Symbolic, _Symbolic]:
-    """Apply one periodized analysis level to a symbolic vector.
-
-    Mirrors ``dwt_level``: ``out[k] = sum_m taps[m] * vec[(2k+m) mod n]``
-    for both the low-pass (next approximation) and high-pass (detail)
-    channels, touching only O(filter_length + #corrections) positions.
-    """
-    n = vec.n
-    if n % 2 or n < filt.length:
-        raise TransformError(
-            f"cascade level needs even length >= {filt.length}, got {n}"
-        )
-    half = n // 2
-    taps = filt.length
-
-    has_interval = vec.poly is not None and vec.hi >= vec.lo
-    if has_interval:
-        interior_lo = (vec.lo + 1) // 2  # ceil(lo / 2)
-        interior_hi = (vec.hi - taps + 1) // 2  # floor
-        approx_poly = poly_after_filter(vec.poly, filt.lowpass)
-        if vec.poly.size - 1 < filt.vanishing_moments:
-            # Provably zero by the vanishing-moment identity — set it so
-            # rather than trusting floating point, whose residue gets
-            # amplified by the geometrically growing approx coefficients.
-            detail_poly = None
-        else:
-            detail_poly = poly_after_filter(vec.poly, filt.highpass)
-    else:
-        interior_lo, interior_hi = 0, -1
-        approx_poly = detail_poly = None
-
-    # Positions needing explicit (windowed) evaluation:
-    explicit: set[int] = set()
-    if has_interval:
-        # Windows that overlap the interval but are not fully interior.
-        overlap_lo = max(0, (vec.lo - taps + 1 + 1) // 2 - 1)
-        overlap_hi = min(half - 1, vec.hi // 2)
-        for k in range(overlap_lo, overlap_hi + 1):
-            if not (interior_lo <= k <= interior_hi):
-                explicit.add(k)
-        # Windows that wrap past n can pick up interval mass near j = 0.
-        wrap_start = max(0, (n - taps + 1 + 1) // 2 - 1)
-        for k in range(wrap_start, half):
-            explicit.add(k)
-    # Windows touching a correction.
-    for c in vec.corrections:
-        for m in range(taps):
-            j = (c - m) % n
-            if j % 2 == 0:
-                explicit.add(j // 2)
-
-    window = np.arange(taps)
-    approx = _Symbolic(n=half, poly=approx_poly, lo=interior_lo, hi=interior_hi)
-    detail = _Symbolic(n=half, poly=detail_poly, lo=interior_lo, hi=interior_hi)
-    scale = (
-        float(np.max(np.abs(vec.poly))) if vec.poly is not None else 1.0
-    ) + max((abs(v) for v in vec.corrections.values()), default=0.0)
-    for k in explicit:
-        values = np.array([vec.value(int(j)) for j in (2 * k + window) % n])
-        a_val = float(values @ filt.lowpass)
-        d_val = float(values @ filt.highpass)
-        a_pred = (
-            _polyval(approx_poly, float(k))
-            if interior_lo <= k <= interior_hi
-            else 0.0
-        )
-        d_pred = (
-            _polyval(detail_poly, float(k))
-            if interior_lo <= k <= interior_hi
-            else 0.0
-        )
-        tol = 1e-13 * max(scale, 1.0)
-        if abs(a_val - a_pred) > tol:
-            approx.corrections[k] = a_val - a_pred
-        if abs(d_val - d_pred) > tol:
-            detail.corrections[k] = d_val - d_pred
-    return approx, detail
-
-
-@dataclass
 class SparseWaveletVector:
     """Sparse wavelet-domain vector in the error-tree flat layout.
 
@@ -221,116 +102,70 @@ class SparseWaveletVector:
         n: Original (signal-domain) length.
         levels: Cascade depth of the decomposition.
         filter_name: Filter used.
-        entries: Mapping ``flat_index -> coefficient``; the flat layout is
-            the one produced by :meth:`WaveletCoefficients.to_flat` —
+        arrays: ``(indices, values)`` in the order the transform emitted
+            them, read-only — every query on a cached range shares them
+            (see :func:`cached_range_query_transform`).  The flat layout
+            is the one produced by :meth:`WaveletCoefficients.to_flat` —
             detail band of cascade step ``s`` occupies
             ``flat[n >> s : n >> (s - 1)]`` and the final approximation
             occupies ``flat[0 : n >> levels]``.
     """
 
-    n: int
-    levels: int
-    filter_name: str
-    entries: dict[int, float]
+    def __init__(
+        self,
+        n: int,
+        levels: int,
+        filter_name: str,
+        entries: Mapping[int, float] | tuple[Sequence[int], Sequence[float]],
+    ) -> None:
+        """``entries``: a ``flat_index -> coefficient`` mapping, or the
+        ``(indices, values)`` pair itself; copied either way."""
+        if isinstance(entries, Mapping):
+            entries = (list(entries.keys()), list(entries.values()))
+        indices = np.array(entries[0], dtype=np.intp)
+        values = np.array(entries[1], dtype=float)
+        indices.flags.writeable = values.flags.writeable = False
+        self.n = n
+        self.levels = levels
+        self.filter_name = filter_name
+        self.arrays = (indices, values)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.arrays[0].size
 
     @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indices, values)`` in entry order, materialised once per
-        vector — valid while ``entries`` is left alone, which memoized
-        transforms are (see :func:`cached_range_query_transform`).
-        Read-only: every query on a cached range shares them."""
-        count = len(self.entries)
-        idx = np.fromiter(self.entries.keys(), dtype=np.intp, count=count)
-        vals = np.fromiter(self.entries.values(), dtype=float, count=count)
-        idx.flags.writeable = vals.flags.writeable = False
-        return idx, vals
+    def entries(self) -> dict[int, float]:
+        """Mapping ``flat_index -> coefficient`` in entry order, for the
+        consumers that name coefficients; must not be mutated."""
+        indices, values = self.arrays
+        return dict(zip(indices.tolist(), values.tolist()))
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full flat-layout vector (for testing)."""
         dense = np.zeros(self.n)
-        for idx, val in self.entries.items():
-            dense[idx] = val
+        dense[self.arrays[0]] = self.arrays[1]
         return dense
 
     def dot(self, flat_data: np.ndarray) -> float:
-        """Inner product against a dense flat-layout coefficient vector.
-
-        Vectorized: one ``np.take`` gather of the touched positions and
-        one dot product, instead of a Python-level loop over entries.
-        """
-        if not self.entries:
+        """Inner product against a dense flat-layout coefficient vector:
+        one ``np.take`` gather of the touched positions and one dot."""
+        indices, values = self.arrays
+        if not indices.size:
             return 0.0
         flat_data = np.asarray(flat_data, dtype=float)
-        count = len(self.entries)
-        idx = np.fromiter(self.entries.keys(), dtype=np.intp, count=count)
-        vals = np.fromiter(self.entries.values(), dtype=float, count=count)
-        return float(np.take(flat_data, idx) @ vals)
+        return float(np.take(flat_data, indices) @ values)
 
     def by_magnitude(self) -> list[tuple[int, float]]:
         """Entries sorted by decreasing absolute value — the progressive
         evaluation order (biggest query coefficients first)."""
-        return sorted(self.entries.items(), key=lambda kv: -abs(kv[1]))
+        indices, values = self.arrays
+        return sorted(
+            zip(indices.tolist(), values.tolist()), key=lambda kv: -abs(kv[1])
+        )
 
     def norm(self) -> float:
         """L2 norm of the sparse vector."""
-        return math.sqrt(sum(v * v for v in self.entries.values()))
-
-
-def stack_sparse_queries(
-    sparse_entries: list[dict],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate sparse query vectors into one index/value matrix.
-
-    The batch extension of :meth:`SparseWaveletVector.dot`: the sparse
-    vectors are stacked CSR-style — ``indices``/``values`` hold every
-    vector's entries back to back (each vector keeping its own entry
-    order), and ``offsets[i]:offsets[i+1]`` delimits vector ``i``'s
-    segment.  One ``np.take`` over ``indices`` then gathers the data for
-    the *whole batch*, and each row's answer is a dot over its segment.
-
-    Args:
-        sparse_entries: One ``{flat_index: value}`` mapping per query
-            vector (empty mappings allowed — they occupy zero-width
-            segments and answer ``0.0``).
-
-    Returns:
-        ``(indices, values, offsets)`` with ``len(offsets) ==
-        len(sparse_entries) + 1``.
-    """
-    counts = [len(entries) for entries in sparse_entries]
-    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
-    np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
-    indices = np.empty(total, dtype=np.intp)
-    values = np.empty(total, dtype=float)
-    for i, entries in enumerate(sparse_entries):
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
-        indices[lo:hi] = np.fromiter(
-            entries.keys(), dtype=np.intp, count=hi - lo
-        )
-        values[lo:hi] = np.fromiter(
-            entries.values(), dtype=float, count=hi - lo
-        )
-    return indices, values, offsets
-
-
-def batched_dot(
-    sparse_entries: list[dict], flat_data: np.ndarray
-) -> np.ndarray:
-    """Inner products of several sparse vectors against one dense vector.
-
-    Performs a *single* gather for the whole batch, then reduces each
-    vector's segment with the same ``np.dot`` the scalar
-    :meth:`SparseWaveletVector.dot` uses — segments are contiguous and
-    unpadded, so every answer is bitwise-identical to evaluating that
-    vector alone (zero-padding rows to a rectangular matrix would
-    change each dot's reduction tree and break bitwise equality).
-    """
-    indices, values, offsets = stack_sparse_queries(sparse_entries)
-    return segmented_dot(indices, values, offsets, flat_data)
+        return math.sqrt(sum(v * v for v in self.arrays[1].tolist()))
 
 
 def segmented_dot(
@@ -341,12 +176,12 @@ def segmented_dot(
 ) -> np.ndarray:
     """Segment-wise sparse inner products after one shared gather.
 
-    The low-level kernel under :func:`batched_dot` (and the tensor-domain
-    batch evaluator): ``np.take`` gathers every segment's data positions
-    at once, then segment ``i`` reduces with ``np.dot`` over its
-    contiguous, unpadded slice — the same reduction a lone
-    :meth:`SparseWaveletVector.dot` performs, hence bitwise-equal
-    per-query answers.
+    The low-level kernel under the tensor-domain batch evaluator:
+    ``np.take`` gathers every segment's data positions at once, then
+    segment ``i`` reduces with ``np.dot`` over its contiguous, unpadded
+    slice — the same reduction a lone :meth:`SparseWaveletVector.dot`
+    performs, hence bitwise-equal per-query answers (zero-padding rows
+    to a rectangular matrix would change each dot's reduction tree).
     """
     flat_data = np.asarray(flat_data, dtype=float)
     gathered = np.take(flat_data, indices)
@@ -371,6 +206,11 @@ def lazy_range_query_transform(
     materializing ``q``, in time polylogarithmic in ``n`` (for measures of
     degree below the filter's vanishing moments).
 
+    Entries come out finest band first and the final approximation last;
+    inside a band, in the iteration order of the ``explicit`` set below.
+    That order is the operand order of every ``np.dot`` downstream, so it
+    is part of the contract (``tests/lazy_transform_parent.json``).
+
     Args:
         poly: Ascending coefficients of the measure polynomial ``P``.
         lo: Inclusive range start, ``0 <= lo``.
@@ -387,39 +227,112 @@ def lazy_range_query_transform(
     """
     filt = wavelet if isinstance(wavelet, WaveletFilter) else get_filter(wavelet)
     if not (0 <= lo and hi <= n - 1):
-        raise TransformError(
-            f"range [{lo}, {hi}] outside domain [0, {n - 1}]"
-        )
-    depth = max_levels(n, filt) if levels is None else levels
-    if depth > max_levels(n, filt):
+        raise TransformError(f"range [{lo}, {hi}] outside domain [0, {n - 1}]")
+    deepest = max_levels(n, filt)
+    depth = deepest if levels is None else levels
+    if depth > deepest:
         raise TransformError(
             f"cannot run {depth} levels on length {n} with "
             f"{filt.length}-tap filter"
         )
-
     poly_arr = np.asarray(poly, dtype=float)
     if poly_arr.ndim != 1 or poly_arr.size == 0:
         raise TransformError("measure polynomial must be a 1-D coefficient list")
-
     if hi < lo:
-        return SparseWaveletVector(
-            n=n, levels=depth, filter_name=filt.name, entries={}
-        )
+        return SparseWaveletVector(n, depth, filt.name, {})
 
-    vec = _Symbolic(n=n, poly=poly_arr.copy(), lo=lo, hi=hi)
-    entries: dict[int, float] = {}
-    current_len = n
+    taps = filt.length
+    bank = np.array([filt.lowpass, filt.highpass])
+    orders = range(poly_arr.size)
+    low_moments = [filt.moment(s) for s in orders]
+    # Below the filter's vanishing moments the detail interior is provably
+    # zero — set it so (None) rather than trusting floating point, whose
+    # residue the geometrically growing approx coefficients would amplify.
+    survives = poly_arr.size > filt.vanishing_moments
+    high_moments = [filt.moment(s, True) for s in orders] if survives else None
+    # None once the interval has shrunk away.
+    coeffs: list[float] | None = poly_arr.tolist()
+    corrections: dict[int, float] = {}
+    # (flat offset, interior polynomial, its interval, corrections) per band
+    bands: list[tuple] = []
+    length = n
     for _ in range(depth):
-        vec, detail = _cascade_level(vec, filt)
-        band_lo = current_len // 2  # flat offset: n >> s for this step
-        for pos, val in detail.sparse_items().items():
-            entries[band_lo + pos] = val
-        current_len //= 2
-    for pos, val in vec.sparse_items().items():
-        entries[pos] = val
-    return SparseWaveletVector(
-        n=n, levels=depth, filter_name=filt.name, entries=entries
-    )
+        half = length // 2
+        approx_poly = detail_poly = None
+        inner_lo, inner_hi = 0, -1
+        # Windows needing explicit evaluation.  A set, filled in this
+        # sequence: its iteration order is the band's entry order.
+        explicit: set[int] = set()
+        if coeffs is not None and hi >= lo:
+            inner_lo = (lo + 1) // 2  # ceil(lo / 2)
+            inner_hi = (hi - taps + 1) // 2  # floor
+            # Horner as np.polynomial.polyval does it: c[-1] + x*0 first.
+            head, rest = coeffs[-1] + 0.0, coeffs[-2::-1]
+            approx_poly = _through_filter(coeffs, low_moments)
+            if high_moments is not None:
+                detail_poly = _through_filter(coeffs, high_moments)
+            # Windows that overlap the interval but are not wholly
+            # interior: the two ends of the overlap, never its middle.
+            first = max(0, (lo - taps + 2) // 2 - 1)
+            last = min(half - 1, hi // 2)
+            explicit.update(range(first, min(inner_lo, last + 1)))
+            explicit.update(range(max(inner_hi + 1, first), last + 1))
+            # Windows that wrap past the end pick up interval mass near 0.
+            explicit.update(range(max(0, (length - taps + 2) // 2 - 1), half))
+        # Windows touching a correction: 2k + m = c (mod length).
+        for c in corrections:
+            for m in range(c & 1, taps, 2):
+                explicit.add((c - m) % length // 2)
+
+        approx_corr: dict[int, float] = {}
+        detail_corr: dict[int, float] = {}
+        if explicit:
+            scale = max(map(abs, coeffs)) if coeffs is not None else 1.0
+            scale += max(map(abs, corrections.values()), default=0.0)
+            tol = 1e-13 * max(scale, 1.0)
+            windows = []
+            for k in explicit:
+                for j in range(2 * k, 2 * k + taps):
+                    if j >= length:
+                        j -= length
+                    value = corrections.get(j, 0.0)
+                    if lo <= j <= hi:  # only when this level set head, rest
+                        acc = head
+                        for c in rest:
+                            acc = c + acc * j
+                        value = acc + value
+                    windows.append(value)
+            channels = np.vecdot(np.array(windows).reshape(-1, 1, taps), bank)
+            for k, (a_val, d_val) in zip(explicit, channels.tolist()):
+                if inner_lo <= k <= inner_hi:
+                    a_val -= _horner(approx_poly, k)
+                    if detail_poly is not None:
+                        d_val -= _horner(detail_poly, k)
+                if abs(a_val) > tol:
+                    approx_corr[k] = a_val
+                if abs(d_val) > tol:
+                    detail_corr[k] = d_val
+
+        bands.append((half, detail_poly, inner_lo, inner_hi, detail_corr))
+        coeffs, lo, hi = approx_poly, inner_lo, inner_hi
+        corrections, length = approx_corr, half
+    bands.append((0, coeffs, lo, hi, corrections))
+
+    indices, values = [], []
+    for offset, coeffs, lo, hi, corrections in bands:
+        items = corrections
+        if coeffs is not None and not all(abs(c) <= 1e-12 for c in coeffs):
+            # The interior survived — a detail band of a measure whose
+            # degree reaches the filter's vanishing moments, or the final
+            # approximation — so the band is its whole interval.
+            items = {j: _horner(coeffs, j) for j in range(lo, hi + 1)}
+            for j, delta in corrections.items():
+                items[j] = items.get(j, 0.0) + delta
+        for j, value in items.items():
+            if value != 0.0:
+                indices.append(offset + j)
+                values.append(value)
+    return SparseWaveletVector(n, depth, filt.name, (indices, values))
 
 
 class TranslationCache:

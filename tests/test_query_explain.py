@@ -6,6 +6,7 @@ import pytest
 from repro.query.explain import explain, format_plan
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
+from repro.wavelets.lazy import translation_cache
 
 
 RNG = np.random.default_rng(251)
@@ -31,6 +32,19 @@ class TestExplain:
         before = engine.store.io_snapshot()
         explain(engine, RangeSumQuery.count([(3, 28), (5, 30)]))
         assert engine.store.io_since(before).reads == 0
+
+    def test_explain_shares_the_query_s_translation(self, engine):
+        """One transform per axis for plan and answer together: the
+        per-axis counts and the evaluation read what ``explain``'s own
+        ``query_entries`` call just memoized."""
+        q = RangeSumQuery.count([(2, 27), (6, 29)])
+        cache = translation_cache()
+        cache.clear()  # process-wide: an earlier test may have met a range
+        misses, hits = cache.misses, cache.hits
+        explain(engine, q)
+        engine.evaluate_exact(q)
+        assert cache.misses - misses == q.ndim
+        assert cache.hits - hits == 2 * q.ndim
 
     def test_bound_covers_answer(self, engine):
         q = RangeSumQuery.count([(3, 28), (5, 30)])

@@ -116,6 +116,28 @@ class TestAgainstDense:
         )
 
 
+class TestSurvivingInterior:
+    """Measure degree >= vanishing moments: the high-pass channel does
+    not annihilate the interior, so a band is its whole interval plus
+    the boundary corrections — the transform must enumerate it."""
+
+    @pytest.mark.parametrize(
+        "poly,wavelet", [([0.0, 1.0], "haar"), ([2.0, -3.0, 1.0], "db2")]
+    )
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(0, 40), (23, 63), (0, 63), (0, 2), (61, 63), (5, 40), (62, 63)],
+    )
+    @pytest.mark.parametrize("levels", [None, 2])
+    def test_matches_dense(self, poly, wavelet, lo, hi, levels):
+        # (23, 63), (61, 63), (62, 63): db2's last windows wrap past
+        # n - 1 and pick the interval up again.
+        n = 64
+        sparse = lazy_range_query_transform(poly, lo, hi, n, wavelet, levels)
+        dense = dense_query_transform(poly, lo, hi, n, wavelet, levels)
+        np.testing.assert_allclose(sparse.to_dense(), dense, atol=1e-9)
+
+
 class TestSparsity:
     def test_polylog_nonzeros(self):
         """Nonzero count grows like log n, not n."""
