@@ -239,7 +239,7 @@ class FaultyDevice(DeviceLayer):
                 raise InjectedReadError(
                     f"injected read failure on block {block_id!r}"
                 )
-            plan.latency.sleep()
+            plan.latency.wait(1)
             block = self.inner.read_many([block_id])[block_id]
             if kind == "torn":
                 obs_counter("faults.injected.torn_blocks").inc()

@@ -25,7 +25,9 @@ def registry_to_dict(registry: MetricsRegistry) -> dict:
         "counters": {c.name: c.value for c in registry.counters()},
         "gauges": {g.name: g.value for g in registry.gauges()},
         "histograms": {h.name: h.as_dict() for h in registry.histograms()},
-        "spans": [_span_dict(s) for s in registry.spans],
+        # tuple() copies at C level, atomically under the GIL; iterating
+        # the deque itself races any thread finishing a root span.
+        "spans": [_span_dict(s) for s in tuple(registry.spans)],
     }
 
 

@@ -74,7 +74,9 @@ class _Flight:
     __slots__ = ("event", "result", "error")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        # Allocated by the first query that waits on this flight (under
+        # the coordinator lock); most flights are never awaited.
+        self.event: threading.Event | None = None
         self.result = None
         self.error: BaseException | None = None
 
@@ -143,6 +145,8 @@ class ScanCoordinator:
                     flight = self._inflight[key] = _Flight()
                     fresh.append((block_id, key, flight))
                 else:
+                    if flight.event is None:
+                        flight.event = threading.Event()
                     waits.append((block_id, flight))
         out: dict = {}
         if fresh:
@@ -165,8 +169,10 @@ class ScanCoordinator:
                         self.fetches_by_shard[key[1]] = (
                             self.fetches_by_shard.get(key[1], 0) + 1
                         )
+                # Popped under the lock above: no new waiter can attach.
                 for _, _, flight in fresh:
-                    flight.event.set()
+                    if flight.event is not None:
+                        flight.event.set()
             obs_counter("query.service.scan.fetches").inc(len(fresh))
         for block_id, flight in waits:
             flight.event.wait()

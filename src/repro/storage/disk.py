@@ -16,8 +16,9 @@ an immutable value — a read-only ``float64`` array of a block's values
 stored and handed back as the same object, never copied on a read.
 
 Thread safety: the block directory and :class:`IOStats` counters are
-guarded by one device lock; the simulated latency sleep happens after
-the lock is released, so concurrent reads overlap their seek time.
+guarded by one device lock, taken once per group; a group's simulated
+seeks are waited for as one sleep after the lock is released, so
+concurrent callers overlap their seek time.
 """
 
 from __future__ import annotations
@@ -106,39 +107,46 @@ class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; s
             return len(self._blocks)
 
     def read_many(self, block_ids: Iterable[Hashable]) -> dict:
-        """Fetch several blocks; returns ``{block_id: payload}``.
+        """Fetch a group of blocks; returns ``{block_id: payload}``.
 
-        Each block is looked up and counted under the lock and its
-        simulated seek slept after the lock is released.  The stored
-        (immutable) payloads themselves are returned — no copy.
+        One directory pass under one lock acquisition, then — the lock
+        released — one wait for the sum of the members' simulated seeks
+        (:meth:`LatencyModel.wait`).  A missing member is charged like
+        the single reads it replaces: the members before it are counted
+        and waited for, then the error names it.  The stored (immutable)
+        payloads themselves are returned — no copy.
         """
-        out: dict = {}
-        for block_id in block_ids:
-            with self._lock:
-                try:
-                    out[block_id] = self._blocks[block_id]
-                except KeyError:
-                    raise StorageError(
-                        f"no such block {block_id!r}"
-                    ) from None
-                self.io.reads += 1
-            if self.latency is not None:
-                self.latency.sleep()
+        ids = list(block_ids)
+        blocks = self._blocks
+        out, done = None, len(ids)
+        with self._lock:
+            try:
+                out = {block_id: blocks[block_id] for block_id in ids}
+            except KeyError as missing:
+                done = ids.index(missing.args[0])
+            self.io.reads += done
+        if self.latency is not None:
+            self.latency.wait(done)
+        if out is None:
+            raise StorageError(f"no such block {ids[done]!r}")
         return out
 
     def write_many(self, blocks: dict) -> None:
-        """Store (or overwrite) several blocks, in group order.
+        """Store (or overwrite) a group of blocks in one directory update.
 
-        A stored payload is immutable (:func:`frozen_payload`; bytes
-        already are) and a later write replaces it, so readers holding
-        the previous payload keep a consistent pre-write snapshot.
+        A stored payload is immutable (:func:`frozen_payload`, applied
+        to the whole group before the lock is taken; bytes already are)
+        and a later write replaces it, so readers holding the previous
+        payload keep a consistent pre-write snapshot.
         """
-        for block_id, items in blocks.items():
-            if not isinstance(items, bytes):
-                items = frozen_payload(block_id, items, self.block_size)
-            with self._lock:
-                self._blocks[block_id] = items
-                self.io.writes += 1
+        frozen = {
+            block_id: items if isinstance(items, bytes)
+            else frozen_payload(block_id, items, self.block_size)
+            for block_id, items in blocks.items()
+        }
+        with self._lock:
+            self._blocks.update(frozen)
+            self.io.writes += len(frozen)
 
     def has_block(self, block_id: Hashable) -> bool:
         """Existence check (no I/O charged — directory metadata)."""

@@ -13,7 +13,7 @@ place spikes are decided.
 Thread safety: draws come from one seeded RNG under a lock (so
 concurrent readers replay a deterministic spike schedule), while the
 sleep itself happens outside any lock — callers must likewise never
-hold a device lock across :meth:`LatencyModel.sleep`.
+hold a device lock across :meth:`LatencyModel.wait`.
 """
 
 from __future__ import annotations
@@ -81,15 +81,20 @@ class LatencyModel:
             return self.base_s + self.spike_s
         return self.base_s
 
-    def sleep(self) -> None:
-        """Sleep the next drawn delay (no-op when it is zero).
+    def wait(self, n: int) -> None:
+        """Sleep the next ``n`` reads' delays, drawn in order, as one
+        sleep of their sum (no sleep when it is zero): a device has one
+        head, so a group's seeks are sequential and cost what ``n``
+        single reads would — minus ``n - 1`` timer round-trips.
 
         Call without holding any device lock, so concurrent reads
         overlap their simulated seek time.
         """
-        d = self.delay()
-        if d > 0.0:
-            time.sleep(d)
+        total = 0.0
+        for _ in range(n):
+            total += self.delay()
+        if total > 0.0:
+            time.sleep(total)
 
     def reset(self) -> None:
         """Rewind the spike schedule to draw zero (seeded replay)."""

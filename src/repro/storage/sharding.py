@@ -25,6 +25,7 @@ shards still answer — surfaced through the query layer's
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Hashable, Iterable
 
 from repro.core.errors import StorageError
@@ -117,29 +118,29 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
         """Run ``devices[shard].<op>(arg)`` for every ``(shard, arg)``
         group; returns the results in group order.
 
-        When more than one shard (and more than one worker) is involved
-        each group runs on the device's persistent worker pool, so
-        per-device latency overlaps.  Failures propagate only after
-        every group has settled — surviving shards' work is never
-        discarded mid-flight — and when several groups fail, the first
-        exception is raised with every further failure attached as a
-        ``__notes__`` entry, so a multi-shard outage is never silently
-        reported as a single-shard one.
+        The first group runs on the calling thread, which would
+        otherwise only block on futures; when more than one shard (and
+        more than one worker) is involved the rest run on the device's
+        persistent worker pool, so per-device latency overlaps.
+        Failures propagate only after every group has settled —
+        surviving shards' work is never discarded mid-flight — and when
+        several groups fail, the first exception is raised with every
+        further failure attached as a ``__notes__`` entry, so a
+        multi-shard outage is never silently reported as a single-shard
+        one.
         """
-        if len(groups) <= 1 or self.fanout_workers == 1:
-            return [
-                getattr(self.devices[shard], op)(arg) for shard, arg in groups
-            ]
-        pool = self._fanout_pool()
-        futures = [
-            (shard, pool.submit(getattr(self.devices[shard], op), arg))
+        calls = [
+            partial(getattr(self.devices[shard], op), arg)
             for shard, arg in groups
         ]
+        if len(calls) > 1 and self.fanout_workers > 1:
+            submit = self._fanout_pool().submit
+            calls[1:] = [submit(call).result for call in calls[1:]]
         results: list = []
         errors: list[tuple[int, Exception]] = []
-        for shard, future in futures:
+        for (shard, _), call in zip(groups, calls):
             try:
-                results.append(future.result())
+                results.append(call())
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 errors.append((shard, exc))
         if errors:

@@ -1,6 +1,8 @@
 """Tests for the unified observability layer (repro.obs)."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -180,6 +182,47 @@ class TestExporters:
             "storage.fetch",
         ):
             assert name in text
+
+
+class TestExportBesideWriters:
+    def test_export_while_another_thread_finishes_root_spans(self):
+        # Regression: registry_to_dict iterated the spans deque with
+        # Python running between items, so a root span finishing on
+        # another thread raised "deque mutated during iteration" (about
+        # one export in 1000 beside the cluster workload's committer).
+        reg = MetricsRegistry(max_spans=64)
+        stop = threading.Event()
+        failures: list[BaseException] = []
+
+        def churn():
+            while not stop.is_set():
+                with span("writer.commit", reg):
+                    with span("writer.store", reg):
+                        pass
+
+        def export():
+            try:
+                for _ in range(2000):
+                    assert len(registry_to_dict(reg)["spans"]) <= 64
+                    render_text(reg)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        writer = threading.Thread(target=churn)
+        reader = threading.Thread(target=export)
+        try:
+            writer.start()
+            reader.start()
+            reader.join(120)
+        finally:
+            stop.set()
+            writer.join(30)
+            sys.setswitchinterval(previous)
+        assert not reader.is_alive() and not writer.is_alive()
+        assert failures == []
+        assert reg.spans  # the writer really was retaining root spans
 
 
 class TestStatsProtocol:

@@ -233,6 +233,7 @@ class TestScanCoordinatorBulkFetch:
         key = (coordinator.namespace, coordinator._shard_of(target), target)
         flight = _Flight()
         flight.result = {"sentinel": 42.0}
+        flight.event = threading.Event()  # as a first waiter leaves it
         flight.event.set()
         coordinator._inflight[key] = flight
         try:
