@@ -17,51 +17,47 @@ engine uses it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery, evaluate_on_cube
 from repro.sensors.atmosphere import atmospheric_cube
-from repro.storage.scheduler import plan_blocks
+from repro.storage.scheduler import schedule_blocks
 
 from conftest import format_table
 
 
-def blocks_to_accuracy(engine, query, exact, order_plans, target=0.01):
-    entries = engine.query_entries(query)
-    plans = plan_blocks(entries, engine.store.allocation.block_of)
-    plans = order_plans(engine, plans)
+def blocks_to_accuracy(engine, query, exact, order_blocks, target=0.01):
+    values, codes, slots = engine.query_located(query)
+    schedule = schedule_blocks(
+        values, codes, engine.store.allocation, engine._block_norms
+    )
     estimate = 0.0
-    for step, plan in enumerate(plans, start=1):
-        found = engine.store.block_values(plan.block_id, list(plan.entries))
-        estimate += sum(
-            q * d for q, d in zip(plan.entries.values(), found.tolist())
+    for step, at in enumerate(order_blocks(schedule), start=1):
+        entries = schedule.entries(at)
+        found = engine.store.block_values(
+            int(schedule.codes[at]), schedule.block_ids[at], slots[entries]
         )
+        estimate += float(np.cumsum(values[entries] * found)[-1])
         if abs(estimate - exact) <= target * max(abs(exact), 1.0):
             return step
-    return len(plans)
+    return len(schedule)
 
 
-def order_query_only(engine, plans):
-    return sorted(plans, key=lambda p: -p.importance)
+def order_query_only(schedule):
+    """Each ordering is a permutation of the schedule's positions."""
+    return np.argsort(-schedule.query_norms, kind="stable").tolist()
 
 
-def order_bound(engine, plans):
-    return sorted(
-        plans,
-        key=lambda p: -(
-            math.sqrt(sum(v * v for v in p.entries.values()))
-            * engine._block_norms.get(p.block_id, 0.0)
-        ),
-    )
+def order_bound(schedule):
+    return list(range(len(schedule)))
 
 
-def order_random(engine, plans):
+def order_random(schedule):
+    # Shuffled from the energy order, the list the parent shuffled.
     rng = np.random.default_rng(0)
-    shuffled = list(plans)
+    shuffled = order_query_only(schedule)
     rng.shuffle(shuffled)
     return shuffled
 

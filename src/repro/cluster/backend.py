@@ -170,13 +170,11 @@ class BackendNode:
 
     def submit_degradable(self, namespace: str, query, block: bool = False,
                           deadline_s: float | None = None,
-                          importance: str = "l2",
                           as_of: int | None = None):
         """Proxy a degradation-aware query into the namespace's service."""
         obs_counter("cluster.backend.queries").inc()
         return self._space(namespace).service.submit_degradable(
-            query, deadline_s=deadline_s, importance=importance,
-            block=block, as_of=as_of,
+            query, deadline_s=deadline_s, block=block, as_of=as_of,
         )
 
     def submit_batch(self, namespace: str, queries, block: bool = False):

@@ -213,7 +213,6 @@ class ClusterFrontend:
     def submit_degradable(self, tenant: str, dataset: str, query,
                           block: bool = False,
                           deadline_s: float | None = None,
-                          importance: str = "l2",
                           as_of: int | None = None):
         """Route a degradation-aware query; resolves to a
         :class:`~repro.query.propolyne.QueryOutcome`."""
@@ -221,7 +220,7 @@ class ClusterFrontend:
             tenant,
             lambda: self.route(tenant, dataset).submit_degradable(
                 namespace_key(tenant, dataset), query, block=block,
-                deadline_s=deadline_s, importance=importance, as_of=as_of,
+                deadline_s=deadline_s, as_of=as_of,
             ),
         )
 

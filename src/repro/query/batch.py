@@ -29,7 +29,7 @@ from repro.obs import histogram as obs_histogram
 from repro.obs import span
 from repro.query.propolyne import ProPolyneEngine, QueryOutcome
 from repro.query.rangesum import RangeSumQuery
-from repro.storage.scheduler import plan_batch_blocks
+from repro.storage.scheduler import schedule_blocks
 from repro.wavelets.lazy import segmented_dot
 
 __all__ = ["BatchEstimate", "BatchEvaluator", "GroupByResult", "group_by"]
@@ -154,60 +154,43 @@ class BatchEvaluator:
 
     # -- vectorized plumbing ---------------------------------------------
 
-    def _translate(self, queries: list[RangeSumQuery], located=False):
-        """Every query's translation: ``(keys, values)`` arrays, or the
-        exact path's ``located`` ``(values, codes, slots)``."""
-        if not queries:
-            raise QueryError("batch evaluation needs at least one query")
-        engine = self._engine
-        translate = engine.query_located if located else engine.query_arrays
-        return [translate(q) for q in queries]
+    def _schedule(self, queries: list[RangeSumQuery]):
+        """Translate, CSR-stack and schedule a batch.
 
-    def _stack(self, located: list[tuple]):
-        """CSR-stack every query's ``(values, codes, slots)`` translation.
-
-        Segment ``i`` keeps query ``i``'s translation order, so its dot
-        against the gathered payloads reduces in exactly the order the
-        engine's scalar kernel uses.
+        Segment ``i`` of the stack keeps query ``i``'s translation
+        order, so its dot against the gathered payloads reduces in
+        exactly the order the engine's scalar kernel uses.
 
         Returns:
-            ``(codes, slots, values, offsets)`` — each stacked entry's
-            block code and in-block slot, the query values, and the CSR
-            segment offsets.
+            ``(codes, slots, values, offsets, schedule)`` — each stacked
+            entry's block code and in-block slot, the query values, the
+            CSR segment offsets, and the batch's one
+            :class:`~repro.storage.scheduler.BlockSchedule` (each block
+            once, by combined error-bound mass).
         """
+        if not queries:
+            raise QueryError("batch evaluation needs at least one query")
+        located = [self._engine.query_located(q) for q in queries]
         offsets = np.zeros(len(located) + 1, dtype=np.intp)
         np.cumsum([len(values) for values, _, _ in located], out=offsets[1:])
         values, codes, slots = map(np.concatenate, zip(*located))
-        return codes, slots, values, offsets
-
-    def _block_order(self, codes: np.ndarray, values: np.ndarray):
-        """Distinct block codes of a stacked batch, best-combined-energy
-        first: a ``bincount`` over the codes accumulates each block's
-        combined query energy (weighted by the stored data norm, as in
-        :func:`~repro.storage.scheduler.plan_batch_blocks`).  Returns
-        the ordered codes and their block ids.
-        """
-        allocation = self._engine.store.allocation
-        # Presence is not ``energy > 0``: a square can underflow to zero.
-        uniq = allocation.distinct(codes)
-        energy = np.sqrt(np.bincount(codes, weights=values * values)[uniq])
-        blocks = allocation.block_ids(uniq)
-        norms = self._engine._block_norms
-        importance = energy * np.array(
-            [norms.get(block_id, 0.0) for block_id in blocks]
+        schedule = schedule_blocks(
+            values, codes, self._engine.store.allocation,
+            self._engine._block_norms,
         )
-        best = np.argsort(-importance, kind="stable")
-        return uniq[best], [blocks[i] for i in best.tolist()]
+        return codes, slots, values, offsets, schedule
 
-    def _merged_plan(self, translated: list[tuple]) -> dict:
-        """All queries' coefficients grouped by block: block id ->
-        ``[(query_index, coeff_index, query_value)]``, in decreasing
-        combined importance (query energy times stored data norm)."""
-        return plan_batch_blocks(
-            translated,
-            self._engine.store.allocation,
-            data_norms=self._engine._block_norms,
-        )
+    @staticmethod
+    def _count_batch(queries: list, schedule) -> None:
+        """The per-batch metrics of both exact entry points."""
+        obs_counter("query.batch.batches").inc()
+        obs_counter("query.batch.queries").inc(len(queries))
+        obs_histogram(
+            "query.batch.size", DEFAULT_COUNT_BUCKETS
+        ).observe(len(queries))
+        obs_histogram(
+            "query.batch.blocks", DEFAULT_COUNT_BUCKETS
+        ).observe(len(schedule))
 
     def evaluate_exact(self, queries: list[RangeSumQuery]) -> list[float]:
         """Exact answers for every query, reading each block once.
@@ -217,20 +200,12 @@ class BatchEvaluator:
         :meth:`~repro.query.propolyne.ProPolyneEngine.evaluate_exact`.
         """
         with span("query.batch.exact"):
-            codes, slots, values, offsets = self._stack(
-                self._translate(queries, located=True)
-            )
-            order_codes, order = self._block_order(codes, values)
-            obs_counter("query.batch.batches").inc()
-            obs_counter("query.batch.queries").inc(len(queries))
-            obs_histogram(
-                "query.batch.size", DEFAULT_COUNT_BUCKETS
-            ).observe(len(queries))
-            obs_histogram(
-                "query.batch.blocks", DEFAULT_COUNT_BUCKETS
-            ).observe(len(order))
-            buffer, base = self._engine.store.allocation.pack(
-                order_codes, order, self._engine.store.fetch_blocks(order)
+            codes, slots, values, offsets, schedule = self._schedule(queries)
+            self._count_batch(queries, schedule)
+            store = self._engine.store
+            buffer, base = store.allocation.pack(
+                schedule.codes, schedule.block_ids,
+                store.fetch_blocks(schedule.block_ids),
             )
             answers = segmented_dot(
                 base[codes] + slots, values, offsets, buffer
@@ -256,77 +231,50 @@ class BatchEvaluator:
             One :class:`~repro.query.propolyne.QueryOutcome` per query.
         """
         with span("query.batch.degradable"):
-            translated = self._translate(queries)
-            block_map = self._merged_plan(translated)
-            obs_counter("query.batch.batches").inc()
-            obs_counter("query.batch.queries").inc(len(queries))
-            norms = self._engine._block_norms
-            sizes = self._engine._block_sizes
+            codes, slots, values, offsets, schedule = self._schedule(queries)
+            self._count_batch(queries, schedule)
+            store = self._engine.store
+            allocation = store.allocation
             payloads: dict = {}
-            skipped: set = set()
-            for block_id in block_map:
+            for block_id in schedule.block_ids:
                 try:
-                    payloads[block_id] = self._engine.store.fetch_block(
-                        block_id
-                    )
+                    payloads[block_id] = store.fetch_block(block_id)
                 except StorageUnavailable:
-                    skipped.add(block_id)
-            allocation = self._engine.store.allocation
-            codes, slots, values, offsets = self._stack([
-                (values, *allocation.locate(keys))
-                for keys, values in translated
-            ])
-            uniq = allocation.distinct(codes)
-            code_of = dict(zip(allocation.block_ids(uniq), uniq.tolist()))
+                    pass
+            read = np.array(
+                [block_id in payloads for block_id in schedule.block_ids],
+                dtype=bool,
+            )
             buffer, base = allocation.pack(
-                [code_of[block_id] for block_id in payloads],
-                list(payloads), payloads,
+                schedule.codes[read], list(payloads), payloads
             )
             pos = base[codes] + slots
-            unread = np.zeros(allocation.n_codes, dtype=bool)
-            unread[[code_of[block_id] for block_id in skipped]] = True
-            blocks_of_query: dict[int, set] = {
-                qi: set() for qi in range(len(queries))
-            }
-            for block_id, triples in block_map.items():
-                for qi, _, _ in triples:
-                    blocks_of_query[qi].add(block_id)
+            available = read[schedule.ranks]
+            touched, norms = schedule.per_query(offsets)
+            sizes = allocation.block_len(schedule.codes).tolist()
             outcomes = []
             for qi in range(len(queries)):
-                mine = blocks_of_query[qi]
-                lost = mine & skipped
-                read = len(mine) - len(lost)
-                lo, hi = int(offsets[qi]), int(offsets[qi + 1])
+                lost = np.flatnonzero(touched[qi] & ~read).tolist()
+                n_read = int(np.count_nonzero(touched[qi])) - len(lost)
+                mine = slice(int(offsets[qi]), int(offsets[qi + 1]))
                 if not lost:
-                    value = float(
-                        np.dot(values[lo:hi], buffer[pos[lo:hi]])
-                    )
+                    value = float(np.dot(values[mine], buffer[pos[mine]]))
                     outcomes.append(
-                        QueryOutcome(value, False, 0.0, 0.0, read, None)
+                        QueryOutcome(value, False, 0.0, 0.0, n_read, None)
                     )
                     continue
                 # Partial answer over surviving blocks, plus the skipped
                 # blocks' guaranteed bound and one-sigma forecast.
-                available = ~unread[codes[lo:hi]]
+                kept = available[mine]
                 estimate = float(
-                    np.dot(
-                        values[lo:hi][available],
-                        buffer[pos[lo:hi][available]],
-                    )
+                    np.dot(values[mine][kept], buffer[pos[mine][kept]])
                 )
                 bound = 0.0
                 variance = 0.0
-                for block_id in lost:
-                    q_norm = math.sqrt(
-                        sum(
-                            v * v
-                            for bqi, _, v in block_map[block_id]
-                            if bqi == qi
-                        )
-                    )
-                    mass = q_norm * norms.get(block_id, 0.0)
+                for b in lost:
+                    mass = float(norms[qi, b] * schedule.data_norms[b])
                     bound += mass
-                    variance += mass**2 / max(sizes.get(block_id, 1), 1)
+                    variance += mass**2 / sizes[b]
                 obs_counter("query.batch.degraded").inc()
                 outcomes.append(
                     QueryOutcome(
@@ -334,7 +282,7 @@ class BatchEvaluator:
                         degraded=True,
                         error_bound=bound,
                         error_estimate=min(math.sqrt(variance), bound),
-                        blocks_read=read,
+                        blocks_read=n_read,
                         reason="storage_unavailable",
                         blocks_skipped=len(lost),
                     )
@@ -363,60 +311,41 @@ class BatchEvaluator:
             raise QueryError(
                 f"unknown batch objective {objective!r}; use 'l2' or 'max'"
             )
-        block_map = self._merged_plan(self._translate(queries))
-        norms = self._engine._block_norms
-        remaining = [0.0] * len(queries)
-        q_block_norm: dict[tuple[int, object], float] = {}
-        blocks_of_query: dict[int, set] = {qi: set() for qi in range(len(queries))}
-        for block_id, triples in block_map.items():
-            per_q: dict[int, float] = {}
-            for qi, _, qval in triples:
-                per_q[qi] = per_q.get(qi, 0.0) + qval * qval
-            for qi, sq in per_q.items():
-                contribution = math.sqrt(sq) * norms.get(block_id, 0.0)
-                q_block_norm[(qi, block_id)] = contribution
-                remaining[qi] += contribution
-                blocks_of_query[qi].add(block_id)
-
-        totals = [0.0] * len(queries)
-        pending = list(block_map)
-        step = 0
-        while pending:
-            if objective == "l2":
-                block_id = pending.pop(0)
-            else:
-                # Serve the worst-bounded query first: among its unread
-                # blocks, fetch the one carrying its largest bound mass.
-                worst = max(range(len(queries)), key=lambda qi: remaining[qi])
-                candidates = [
-                    b for b in blocks_of_query[worst]
-                    if (worst, b) in q_block_norm
-                ]
-                if candidates:
-                    block_id = max(
-                        candidates, key=lambda b: q_block_norm[(worst, b)]
-                    )
-                else:
-                    block_id = pending[0]
-                pending.remove(block_id)
-            step += 1
-            triples = block_map[block_id]
+        codes, slots, values, offsets, schedule = self._schedule(queries)
+        if not len(schedule):
+            return
+        owner = np.repeat(np.arange(len(queries)), np.diff(offsets))
+        # Each query's own bound mass on each block, in fetch order.
+        masses = schedule.per_query(offsets)[1] * schedule.data_norms
+        remaining = np.cumsum(masses, axis=1)[:, -1]
+        totals = np.zeros(len(queries))
+        pending = np.ones(len(schedule), dtype=bool)
+        for step in range(len(schedule)):
+            at = step
+            if objective == "max":
+                # Serve the worst-bounded query first: fetch the unread
+                # block carrying its largest bound mass (the schedule's
+                # next block when it has none left).
+                worst = int(np.argmax(remaining))
+                at = int(np.argmax(np.where(pending, masses[worst], -1.0)))
+            pending[at] = False
+            entries = schedule.entries(at)
             found = self._engine.store.block_values(
-                block_id, [idx for _, idx, _ in triples]
+                int(schedule.codes[at]), schedule.block_ids[at], slots[entries]
             )
-            for (qi, _, qval), stored in zip(triples, found.tolist()):
-                totals[qi] += qval * stored
-            for qi in range(len(queries)):
-                remaining[qi] -= q_block_norm.pop((qi, block_id), 0.0)
+            # Unbuffered, in entry order: each query's running total adds
+            # its products left to right.
+            np.add.at(totals, owner[entries], values[entries] * found)
+            remaining = remaining - masses[:, at]
             yield BatchEstimate(
-                estimates=tuple(totals),
-                error_bounds=tuple(max(0.0, r) for r in remaining),
-                blocks_read=step,
+                estimates=tuple(totals.tolist()),
+                error_bounds=tuple(np.maximum(0.0, remaining).tolist()),
+                blocks_read=step + 1,
             )
 
     def shared_block_count(self, queries: list[RangeSumQuery]) -> int:
         """Blocks a shared evaluation reads (planning only, no I/O)."""
-        return len(self._merged_plan(self._translate(queries)))
+        return len(self._schedule(queries)[-1])
 
     def independent_block_count(self, queries: list[RangeSumQuery]) -> int:
         """Total blocks independent evaluations would read."""

@@ -22,16 +22,13 @@ query service attaches provenance to every degradable outcome.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from repro.core.errors import QueryError
 from repro.obs import counter as obs_counter
 from repro.query.propolyne import ProPolyneEngine, QueryOutcome
 from repro.query.rangesum import RangeSumQuery
-from repro.storage.scheduler import plan_blocks
+from repro.storage.scheduler import schedule_blocks
 from repro.wavelets.lazy import cached_range_query_transform
 
 __all__ = [
@@ -80,7 +77,7 @@ def explain(engine: ProPolyneEngine, query: RangeSumQuery) -> QueryPlan:
     Performs no data-block I/O: only the lazy query translation and the
     allocation metadata are consulted.
     """
-    entries = engine.query_entries(query)
+    values, codes, _slots = engine.query_located(query)
     per_dim = []
     for axis, ((lo, hi), poly) in enumerate(zip(query.ranges, query.polys)):
         if query.is_empty():
@@ -94,31 +91,22 @@ def explain(engine: ProPolyneEngine, query: RangeSumQuery) -> QueryPlan:
                 wavelet=engine.filter, levels=engine.levels[axis],
             )
             per_dim.append(len(sparse))
-    if not entries:
-        return QueryPlan(
-            query=query,
-            per_dim_coefficients=tuple(per_dim),
-            total_coefficients=0,
-            blocks_to_read=0,
-            a_priori_bound=0.0,
-            top_block_share=0.0,
-            filter_name=engine.filter.name,
-        )
-    plans = plan_blocks(entries, engine.store.allocation.block_of)
-    budgets = [
-        math.sqrt(sum(v * v for v in plan.entries.values()))
-        * engine._block_norms.get(plan.block_id, 0.0)
-        for plan in plans
-    ]
-    total_budget = float(sum(budgets))
-    top_share = float(max(budgets) / total_budget) if total_budget > 0 else 0.0
+    # The schedule the evaluators would fetch by: its summed masses are
+    # the priming step's bound, its first block the most valuable one.
+    schedule = schedule_blocks(
+        values, codes, engine.store.allocation, engine._block_norms
+    )
+    total_budget = schedule.bound
     return QueryPlan(
         query=query,
         per_dim_coefficients=tuple(per_dim),
-        total_coefficients=len(entries),
-        blocks_to_read=len(plans),
+        total_coefficients=len(values),
+        blocks_to_read=len(schedule),
         a_priori_bound=total_budget,
-        top_block_share=top_share,
+        top_block_share=(
+            float(schedule.masses[0] / total_budget) if total_budget > 0
+            else 0.0
+        ),
         filter_name=engine.filter.name,
     )
 
@@ -243,17 +231,17 @@ def provenance_of(
         outcome: The delivered :class:`~repro.query.propolyne.QueryOutcome`.
         as_of: The epoch the evaluation was pinned to, if any.
     """
-    entries = engine.query_entries(query)
     store = engine.store
     shard_of = getattr(store, "shard_of", None) or (lambda block_id: 0)
+    allocation = store.allocation
+    # Which blocks, not in what order: ``distinct`` alone, no schedule.
+    planned = allocation.block_ids(
+        allocation.distinct(engine.query_located(query)[1])
+    )
     blocks_by_shard: dict[int, int] = {}
-    blocks_planned = 0
-    if entries:
-        plans = plan_blocks(entries, store.allocation.block_of)
-        blocks_planned = len(plans)
-        for plan in plans:
-            shard = int(shard_of(plan.block_id))
-            blocks_by_shard[shard] = blocks_by_shard.get(shard, 0) + 1
+    for block_id in planned:
+        shard = int(shard_of(block_id))
+        blocks_by_shard[shard] = blocks_by_shard.get(shard, 0) + 1
     breakers = getattr(store, "breakers", None) or []
     caches = getattr(store, "caches", None) or []
     log = getattr(engine, "_epoch_log", None)
@@ -274,7 +262,7 @@ def provenance_of(
         error_estimate=outcome.error_estimate,
         blocks_read=outcome.blocks_read,
         blocks_skipped=outcome.blocks_skipped,
-        blocks_planned=blocks_planned,
+        blocks_planned=len(planned),
         blocks_by_shard=blocks_by_shard,
         breaker_states={
             i: breaker.state for i, breaker in enumerate(breakers)

@@ -44,7 +44,7 @@ from repro.storage.allocation import (
     subtree_tiling_allocation,
 )
 from repro.storage.blockstore import TensorBlockStore
-from repro.storage.scheduler import plan_blocks
+from repro.storage.scheduler import schedule_blocks
 from repro.wavelets.dwt import max_levels
 from repro.wavelets.filters import get_filter
 from repro.wavelets.lazy import cached_range_query_transform
@@ -154,9 +154,9 @@ def translate_query(
 
     The keyed form of the one translation routine (the lazy transform
     per dimension, their outer product, exact-zero products dropped),
-    for the consumers that name coefficients: progressive and degradable
-    evaluation, explain, the data-approximation baseline.  The exact
-    kernel answers it unkeyed (:meth:`ProPolyneEngine.query_located`).
+    for the consumers that name coefficients (the data-approximation
+    baseline).  Every evaluator answers it unkeyed
+    (:meth:`ProPolyneEngine.query_located`).
 
     Returns:
         ``(keys, values)``: the ``(N, ndim)`` coefficient multi-indices
@@ -332,7 +332,6 @@ class ProPolyneEngine:
         self.store = TensorBlockStore(coeffs, allocation, storage=storage)
         self.breaker = self.store.breaker
         self._block_norms = self.store.block_norms
-        self._block_sizes = self.store.block_sizes
         # Serializes every mutation of stored coefficients and norm
         # bookkeeping: concurrent inserts used to race their per-block
         # read-modify-writes (lost updates); readers stay lock-free.
@@ -527,93 +526,78 @@ class ProPolyneEngine:
             return float(np.dot(values, self.store.gather_located(codes, slots)))
 
     def _progressive_steps(
-        self, entries: dict, importance: str = "l2",
-        skip_unavailable: bool = False,
+        self, values, codes, slots, skip_unavailable: bool = False,
     ) -> Iterator[tuple]:
-        """The progressive evaluation loop, one step per fetched block.
+        """The progressive evaluation loop over one located translation
+        (:meth:`query_located`), one step per scheduled block.
 
-        Yields ``(estimate, plan, found, remaining)`` tuples — ``found``
-        is the stored values of ``plan.entries``, in entry order; the
-        first yield is a zero-I/O priming step (``plan``/``found``
-        ``None``) carrying the total a-priori error bound, and
-        ``remaining`` counts the blocks still unprocessed after the
-        step.  Both :meth:`evaluate_progressive` (which drops the
-        priming step and the values) and :meth:`evaluate_degradable`
-        (which needs the values for the exact final sum and the priming
-        bound for zero-block degradation) consume this generator, so
-        the two paths can never drift apart numerically.
+        Yields ``(estimate, entries, found, remaining)`` tuples —
+        ``entries`` indexes the block's coefficients in translation
+        order and ``found`` is their stored values; the first yield is
+        a zero-I/O priming step (``entries``/``found`` ``None``)
+        carrying the total a-priori error bound, and ``remaining``
+        counts the blocks still unprocessed after the step.  Both
+        :meth:`evaluate_progressive` (which drops the priming step and
+        the values) and :meth:`evaluate_degradable` (which needs the
+        values for the exact final sum and the priming bound for
+        zero-block degradation) consume this generator, so the two
+        paths can never drift apart numerically.
 
         With ``skip_unavailable`` True, a block whose read raises
         :class:`~repro.core.errors.StorageUnavailable` is *skipped*
         instead of aborting the loop: its Cauchy–Schwarz mass stays in
         the running error bound, the step yields ``found`` ``None``
-        (with ``plan`` set) as the skip marker, and evaluation
+        (with ``entries`` set) as the skip marker, and evaluation
         continues — on a sharded device this is exactly per-shard
         degradation, since only the failed shard's blocks skip.
         """
-        plans = plan_blocks(
-            entries, self.store.allocation.block_of, importance=importance
-        )
         # Most valuable I/O first: a block's worth is the error-bound mass
         # it removes, ||q_block|| * ||data_block|| — query importance alone
         # would chase boundary details that the (smooth) data never stored
         # any energy in.
-        plans.sort(
-            key=lambda plan: -(
-                math.sqrt(sum(v * v for v in plan.entries.values()))
-                * self._block_norms.get(plan.block_id, 0.0)
-            )
+        schedule = schedule_blocks(
+            values, codes, self.store.allocation, self._block_norms
         )
-        block_q_norm = {
-            plan.block_id: math.sqrt(
-                sum(v * v for v in plan.entries.values())
-            )
-            for plan in plans
-        }
-        remaining_bound = sum(
-            block_q_norm[plan.block_id]
-            * self._block_norms.get(plan.block_id, 0.0)
-            for plan in plans
-        )
+        masses = schedule.masses.tolist()
         # Forecast variance: unseen block's contribution modeled as
         # ||q_B||^2 * ||d_B||^2 / |B| (energy spread evenly, random signs).
-        remaining_variance = sum(
-            (
-                block_q_norm[plan.block_id]
-                * self._block_norms.get(plan.block_id, 0.0)
+        variances = [
+            mass**2 / size for mass, size in zip(
+                masses, self.store.allocation.block_len(schedule.codes).tolist()
             )
-            ** 2
-            / max(self._block_sizes.get(plan.block_id, 1), 1)
-            for plan in plans
-        )
-        obs_counter("query.progressive.queries").inc()
-        obs_histogram(
-            "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
-        ).observe(len(plans))
-        priming_bound = max(0.0, remaining_bound)
-        yield (
-            ProgressiveEstimate(
-                estimate=0.0,
-                error_bound=priming_bound,
-                error_estimate=min(
-                    math.sqrt(max(0.0, remaining_variance)), priming_bound
-                ),
-                blocks_read=0,
-                coefficients_used=0,
-            ),
-            None,
-            None,
-            len(plans),
-        )
+        ]
+        remaining_bound = schedule.bound
+        remaining_variance = float(np.cumsum(variances)[-1])
         estimate = 0.0
         used = 0
         reads = 0
-        for step, plan in enumerate(plans, start=1):
+
+        def state() -> ProgressiveEstimate:
+            bound = max(0.0, remaining_bound)
+            return ProgressiveEstimate(
+                estimate=estimate,
+                error_bound=bound,
+                # The forecast can never legitimately exceed the hard
+                # guarantee; clamping also absorbs accumulator float dust.
+                error_estimate=min(
+                    math.sqrt(max(0.0, remaining_variance)), bound
+                ),
+                blocks_read=reads,
+                coefficients_used=used,
+            )
+
+        obs_counter("query.progressive.queries").inc()
+        obs_histogram(
+            "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
+        ).observe(len(schedule))
+        yield state(), None, None, len(schedule)
+        for step, (code, block_id) in enumerate(
+            zip(schedule.codes.tolist(), schedule.block_ids)
+        ):
             obs_counter("query.progressive.blocks").inc()
+            entries = schedule.entries(step)
             try:
-                found = self.store.block_values(
-                    plan.block_id, list(plan.entries)
-                )
+                found = self.store.block_values(code, block_id, slots[entries])
             except StorageUnavailable:
                 if not skip_unavailable:
                     raise
@@ -621,65 +605,39 @@ class ProPolyneEngine:
                 # running totals, since its contribution is unknown.
                 found = None
             if found is not None:
-                # Same products, same left-to-right sum as a per-entry
-                # loop, so estimates keep their bits.
-                qvals = np.fromiter(
-                    plan.entries.values(), dtype=float,
-                    count=len(plan.entries),
-                )
-                estimate += float(sum((qvals * found).tolist()))
-                used += len(plan.entries)
+                # Strictly left to right on every interpreter (builtin
+                # ``sum`` is compensated from 3.12 on), so estimates
+                # keep their bits.
+                estimate += float(np.cumsum(values[entries] * found)[-1])
+                used += len(entries)
                 reads += 1
-                q_norm = block_q_norm[plan.block_id]
-                d_norm = self._block_norms.get(plan.block_id, 0.0)
-                remaining_bound -= q_norm * d_norm
-                remaining_variance -= (q_norm * d_norm) ** 2 / max(
-                    self._block_sizes.get(plan.block_id, 1), 1
-                )
-            bound = max(0.0, remaining_bound)
-            yield (
-                ProgressiveEstimate(
-                    estimate=estimate,
-                    error_bound=bound,
-                    # The forecast can never legitimately exceed the hard
-                    # guarantee; clamping also absorbs accumulator float
-                    # dust.
-                    error_estimate=min(
-                        math.sqrt(max(0.0, remaining_variance)), bound
-                    ),
-                    blocks_read=reads,
-                    coefficients_used=used,
-                ),
-                plan,
-                found,
-                len(plans) - step,
-            )
+                remaining_bound -= masses[step]
+                remaining_variance -= variances[step]
+            yield state(), entries, found, len(schedule) - step - 1
 
     def evaluate_progressive(
-        self,
-        query: RangeSumQuery,
-        importance: str = "l2",
+        self, query: RangeSumQuery
     ) -> Iterator[ProgressiveEstimate]:
         """Progressive evaluation: one estimate per fetched block.
 
-        Blocks arrive in decreasing query importance; each estimate's
-        ``error_bound`` is the summed per-block Cauchy–Schwarz ceiling for
-        everything not yet fetched — a guarantee, not a heuristic.
+        Blocks arrive in decreasing error-bound mass (ties in block-code
+        order); each estimate's ``error_bound`` is the summed per-block
+        Cauchy–Schwarz ceiling for everything not yet fetched — a
+        guarantee, not a heuristic.
         """
-        entries = self.query_entries(query)
-        if not entries:
+        located = self.query_located(query)
+        if not len(located[0]):
             yield ProgressiveEstimate(0.0, 0.0, 0.0, 0, 0)
             return
-        steps = self._progressive_steps(entries, importance)
+        steps = self._progressive_steps(*located)
         next(steps)  # the zero-I/O priming step is not an estimate
-        for est, _plan, _found, _remaining in steps:
+        for est, _entries, _found, _remaining in steps:
             yield est
 
     def evaluate_degradable(
         self,
         query: RangeSumQuery,
         deadline_s: float | None = None,
-        importance: str = "l2",
         clock=time.monotonic,
         as_of: int | None = None,
     ) -> QueryOutcome:
@@ -708,7 +666,6 @@ class ProPolyneEngine:
         Args:
             query: The range-sum to evaluate.
             deadline_s: Wall-clock allowance, measured from this call.
-            importance: Block-ordering objective (``"l2"``/``"linf"``).
             clock: Injectable monotonic clock (tests pin time).
             as_of: Optional storage epoch to evaluate against
                 (versioned engines only) — logged blocks come from
@@ -722,23 +679,22 @@ class ProPolyneEngine:
         if as_of is not None:
             obs_counter("epoch.as_of_queries").inc()
             return self.as_of_view(as_of).evaluate_degradable(
-                query, deadline_s=deadline_s, importance=importance,
-                clock=clock,
+                query, deadline_s=deadline_s, clock=clock,
             )
-        entries = self.query_entries(query)
-        if not entries:
+        values, codes, slots = self.query_located(query)
+        if not len(values):
             return QueryOutcome(0.0, False, 0.0, 0.0, 0, None)
         started = clock()
         steps = self._progressive_steps(
-            entries, importance, skip_unavailable=True
+            values, codes, slots, skip_unavailable=True
         )
-        stored: dict = {}
+        stored = np.empty(len(values))
         last: ProgressiveEstimate | None = None
         reason: str | None = None
         skipped = 0
         while True:
             try:
-                est, plan, found, remaining = next(steps)
+                est, entries, found, remaining = next(steps)
             except StopIteration:
                 break
             except StorageUnavailable:
@@ -747,11 +703,11 @@ class ProPolyneEngine:
                 reason = "storage_unavailable"
                 break
             last = est
-            if plan is not None:
+            if entries is not None:
                 if found is None:
                     skipped += 1
                 else:
-                    stored.update(zip(plan.entries, found.tolist()))
+                    stored[entries] = found
             if (
                 reason is None
                 and deadline_s is not None
@@ -763,9 +719,9 @@ class ProPolyneEngine:
         if reason is None and skipped:
             reason = "storage_unavailable"
         if reason is None:
-            # Same reduction kernel and term order as evaluate_exact:
-            # bitwise-identical value.
-            value = sparse_inner_product(entries, stored)
+            # Same np.dot, same operands in the same order as
+            # evaluate_exact: bitwise-identical value.
+            value = float(np.dot(values, stored))
             return QueryOutcome(
                 value, False, 0.0, 0.0,
                 last.blocks_read if last is not None else 0, None,

@@ -295,17 +295,14 @@ class _Task:
     """One admitted query: kind, payload, deadline, and its result sink."""
 
     __slots__ = (
-        "kind", "query", "importance", "future", "stream", "deadline_s",
-        "as_of",
+        "kind", "query", "future", "stream", "deadline_s", "as_of",
     )
 
     def __init__(
-        self, kind, query, importance, future, stream, deadline_s=None,
-        as_of=None,
+        self, kind, query, future, stream, deadline_s=None, as_of=None,
     ) -> None:
         self.kind = kind
         self.query = query
-        self.importance = importance
         self.future = future
         self.stream = stream
         self.deadline_s = deadline_s
@@ -432,7 +429,7 @@ class QueryService:
                 on the worker threads even in process mode — engine
                 replicas do not carry the epoch log.
         """
-        task = _Task("exact", query, "l2", Future(), None, as_of=as_of)
+        task = _Task("exact", query, Future(), None, as_of=as_of)
         self._admit(task, block)
         return task.future
 
@@ -440,7 +437,6 @@ class QueryService:
         self,
         query: RangeSumQuery,
         deadline_s: float | None = None,
-        importance: str = "l2",
         block: bool = False,
         as_of: int | None = None,
     ) -> Future:
@@ -459,8 +455,6 @@ class QueryService:
             deadline_s: Per-query wall-clock allowance, measured from
                 evaluation start (defaults to the service's
                 ``default_deadline_s``).
-            importance: Block-ordering objective, as in
-                :meth:`ProPolyneEngine.evaluate_progressive`.
             block: When True, wait for queue space instead of raising
                 :class:`QueryRejected` on overload.
             as_of: Optional storage epoch to evaluate against (the
@@ -474,29 +468,23 @@ class QueryService:
         if deadline_s is None:
             deadline_s = self.default_deadline_s
         task = _Task(
-            "degradable", query, importance, Future(), None, deadline_s,
-            as_of=as_of,
+            "degradable", query, Future(), None, deadline_s, as_of=as_of,
         )
         self._admit(task, block)
         return task.future
 
     def submit_progressive(
-        self,
-        query: RangeSumQuery,
-        importance: str = "l2",
-        block: bool = False,
+        self, query: RangeSumQuery, block: bool = False
     ) -> ProgressiveStream:
         """Enqueue a progressive range-sum and return its estimate stream.
 
         Args:
             query: The range-sum to evaluate.
-            importance: Block-ordering objective (``"l2"`` or ``"linf"``),
-                as in :meth:`ProPolyneEngine.evaluate_progressive`.
             block: When True, wait for queue space instead of raising
                 :class:`QueryRejected` on overload.
         """
         stream = ProgressiveStream()
-        task = _Task("progressive", query, importance, stream.future, stream)
+        task = _Task("progressive", query, stream.future, stream)
         self._admit(task, block)
         return stream
 
@@ -518,7 +506,7 @@ class QueryService:
             block: When True, wait for queue space instead of raising
                 :class:`QueryRejected` on overload.
         """
-        task = _Task("batch", list(queries), "l2", Future(), None)
+        task = _Task("batch", list(queries), Future(), None)
         self._admit(task, block)
         obs_counter("query.service.batch.submitted").inc()
         return task.future
@@ -582,7 +570,6 @@ class QueryService:
                     outcome: QueryOutcome = self.engine.evaluate_degradable(
                         task.query,
                         deadline_s=task.deadline_s,
-                        importance=task.importance,
                         as_of=task.as_of,
                     )
                     if outcome.degraded:
@@ -599,7 +586,7 @@ class QueryService:
                 else:
                     final = None
                     for estimate in self.engine.evaluate_progressive(
-                        task.query, importance=task.importance
+                        task.query
                     ):
                         final = estimate
                         task.stream._emit(estimate)

@@ -32,7 +32,7 @@ from repro.storage.disk import IOStats, SimulatedDisk
 from repro.storage.epochs import AsOfStore, EpochLog, EpochRecord
 from repro.storage.latency import LatencyModel
 from repro.storage.retrieval import ProgressiveSignal, SignalArchive
-from repro.storage.scheduler import BlockPlan, plan_blocks
+from repro.storage.scheduler import BlockSchedule, schedule_blocks
 from repro.storage.sharding import ShardedDevice, place
 
 __all__ = [
@@ -65,11 +65,11 @@ __all__ = [
     "PoolStats",
     "BlobStore",
     "BlobRef",
-    "BlockPlan",
+    "BlockSchedule",
     "AsOfStore",
     "EpochLog",
     "EpochRecord",
     "SignalArchive",
     "ProgressiveSignal",
-    "plan_blocks",
+    "schedule_blocks",
 ]

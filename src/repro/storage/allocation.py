@@ -481,16 +481,6 @@ class TensorAllocation(_Packing):
             for axis, virtual in zip(self.axes, block_id)
         ])
 
-    def block_of(self, multi_index: tuple[int, ...]) -> tuple[int, ...]:
-        """Actual block holding the coefficient at ``multi_index``."""
-        if len(multi_index) != len(self.axes):
-            raise StorageError(
-                f"index arity {len(multi_index)} != {len(self.axes)} axes"
-            )
-        return tuple(
-            int(axis.block_of[i]) for axis, i in zip(self.axes, multi_index)
-        )
-
     def build_blocks(
         self, coeffs: np.ndarray
     ) -> dict[tuple[int, ...], np.ndarray]:

@@ -190,12 +190,12 @@ class TensorReads:
             )
             return buffer[base[codes] + slots]
 
-    def block_values(self, block_id, keys) -> np.ndarray:
-        """Stored values of ``keys`` — all members of ``block_id`` —
-        from one whole-block fetch (progressive evaluation's read)."""
-        codes, slots = self.allocation.locate(keys)
+    def block_values(self, code, block_id, slots) -> np.ndarray:
+        """Stored values at ``slots`` of the block with code ``code``
+        and id ``block_id``, from one whole-block fetch (progressive
+        evaluation's read)."""
         payloads = {block_id: self.fetch_block(block_id)}
-        return self.allocation.pack(codes[:1], [block_id], payloads)[0][slots]
+        return self.allocation.pack([code], [block_id], payloads)[0][slots]
 
     def fetch(self, indices) -> dict[tuple[int, ...], float]:
         """:meth:`gather` as a ``{key tuple: value}`` dictionary."""
@@ -285,17 +285,15 @@ class TensorBlockStore(TensorReads, _StoreBase):
         blocks = allocation.build_blocks(cube)
         self._populate(blocks)
         self._norm = float(np.linalg.norm(cube.ravel()))
-        #: Per-block L2 norms and item counts, taken from the same pass
-        #: that populated the device; the engine's progressive bounds
-        #: read them and its batch inserter keeps the norms current.
+        #: Per-block L2 norms, taken from the same pass that populated
+        #: the device; the engine's progressive bounds read them and its
+        #: batch inserter keeps them current.  ``cumsum`` adds strictly
+        #: left to right on every interpreter (builtin ``sum`` over
+        #: floats is compensated from CPython 3.12 on).
         self.block_norms = {
-            block_id: float(math.sqrt(sum(v * v for v in items.tolist())))
+            block_id: math.sqrt(np.cumsum(items * items)[-1])
             for block_id, items in blocks.items()
         }
-        codes = np.arange(allocation.n_codes)
-        self.block_sizes = dict(zip(
-            allocation.block_ids(codes), allocation.block_len(codes).tolist()
-        ))
 
     @property
     def shape(self) -> tuple[int, ...]:

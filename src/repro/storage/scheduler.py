@@ -5,132 +5,138 @@ blocks (e.g., minimizing worst-case or average error), which would allow
 us to perform the most valuable I/O's first and deliver approximate
 results progressively during query evaluation".
 
-Given a sparse wavelet-domain query and an allocation, the scheduler
-groups query coefficients by the block they live on, scores each block by
-the query energy it carries, and yields blocks best-first.  The
-progressive ProPolyne evaluator consumes this order: after each fetched
-block the partial result is the exact answer restricted to the
-coefficients seen so far, and the remaining query energy gives a
-guaranteed Cauchy–Schwarz error bar.
+:func:`schedule_blocks` is that function, once: the progressive and
+degradable evaluators, ``explain`` and the batch evaluator all read
+block order, per-block query norms and error-bound masses from the
+:class:`BlockSchedule` it returns.  A block's worth is the
+Cauchy–Schwarz mass fetching it takes off the error bound,
+``||q_B|| * ||d_B||``; blocks go **mass descending, ties by ascending
+block code**.  Every sum here runs strictly left to right in entry
+order (``bincount`` / ``cumsum``), so its bits depend on neither the
+interpreter's ``sum`` nor numpy's pairwise reductions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Hashable
+from functools import cached_property
 
 import numpy as np
 
-from repro.core.errors import StorageError
-from repro.storage.allocation import index_tuples
-
-__all__ = [
-    "BlockPlan",
-    "plan_batch_blocks",
-    "plan_blocks",
-]
+__all__ = ["BlockSchedule", "schedule_blocks"]
 
 
 @dataclass(frozen=True)
-class BlockPlan:
-    """One scheduled block fetch.
+class BlockSchedule:
+    """The blocks a located translation touches, in fetch order.
 
     Attributes:
-        block_id: The block to read.
-        entries: Query coefficients living on that block
-            (coefficient key -> query value).
-        importance: Sum of squared query values on the block — the L2
-            error reduction fetching it buys.
+        codes: Distinct block codes, most valuable first.
+        block_ids: Their block ids (``allocation.block_ids(codes)``).
+        query_norms: ``||q_B||`` of each block.
+        data_norms: ``||d_B||`` of each block (0.0 where unrecorded).
+        masses: ``query_norms * data_norms`` — what each fetch takes
+            off the guaranteed error bound.
+        values, entry_codes, n_codes: The scheduled entries and the
+            block-grid size, kept for the lazy per-entry views below.
     """
 
-    block_id: Hashable
-    entries: dict
-    importance: float
+    codes: np.ndarray
+    block_ids: list
+    query_norms: np.ndarray
+    data_norms: np.ndarray
+    masses: np.ndarray
+    values: np.ndarray
+    entry_codes: np.ndarray
+    n_codes: int
+
+    def __len__(self) -> int:
+        return len(self.block_ids)
+
+    @property
+    def bound(self) -> float:
+        """The a-priori error bound: the masses summed in fetch order."""
+        return float(np.cumsum(self.masses)[-1]) if len(self) else 0.0
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Every entry's block, as its position in the fetch order."""
+        rank = np.empty(self.n_codes, dtype=np.intp)
+        rank[self.codes] = np.arange(len(self))
+        return rank[self.entry_codes]
+
+    @cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+        offsets = np.zeros(len(self) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.ranks, minlength=len(self)), out=offsets[1:])
+        return np.argsort(self.ranks, kind="stable"), offsets
+
+    def entries(self, position: int) -> np.ndarray:
+        """Indices of the entries on the ``position``-th block, in
+        translation order."""
+        order, offsets = self._segments
+        return order[offsets[position]:offsets[position + 1]]
+
+    def per_query(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A CSR-stacked batch's schedule, query by query.
+
+        Args:
+            offsets: Query ``i`` owns entries ``offsets[i]:offsets[i + 1]``.
+
+        Returns:
+            ``(touched, norms)``, both ``(n_queries, n_blocks)`` in
+            fetch order: whether query ``i`` has an entry on the block
+            (a count, not ``norm > 0`` — a square can underflow), and
+            its own ``||q_B||`` there.
+        """
+        shape = (len(offsets) - 1, len(self))
+        size = shape[0] * shape[1]
+        cell = self.ranks + shape[1] * np.repeat(
+            np.arange(shape[0]), np.diff(offsets)
+        )
+        squares = self.values * self.values
+        return (
+            np.bincount(cell, minlength=size).reshape(shape) > 0,
+            np.sqrt(
+                np.bincount(cell, weights=squares, minlength=size)
+            ).reshape(shape),
+        )
 
 
-def plan_blocks(
-    query_entries: dict,
-    block_of,
-    importance: str = "l2",
-) -> list[BlockPlan]:
-    """Order block fetches by query importance.
+def schedule_blocks(values, codes, allocation, block_norms) -> BlockSchedule:
+    """Order the block fetches of one located translation.
 
     Args:
-        query_entries: Sparse query: coefficient key -> query coefficient.
-            Keys are flat ints (1-D stores) or index tuples (tensor
-            stores).
-        block_of: Callable mapping a coefficient key to its block id.
-        importance: ``"l2"`` scores blocks by sum of squared query
-            coefficients (minimizes expected/average error soonest);
-            ``"linf"`` by the largest absolute coefficient (minimizes
-            worst-case error soonest).  Both orderings the paper mentions.
+        values: Query coefficients, in translation order (one query's,
+            or a batch's stacked back to back).
+        codes: Each entry's block code (``allocation.locate``).
+        allocation: The store's allocation (1-D or tensor).
+        block_norms: Block id -> stored-data L2 norm ``||d_B||``.
 
     Returns:
-        Plans sorted by decreasing importance.
+        The :class:`BlockSchedule`; empty for an empty translation.
     """
-    if importance not in ("l2", "linf"):
-        raise StorageError(
-            f"unknown importance function {importance!r}; use 'l2' or 'linf'"
-        )
-    grouped: dict[Hashable, dict] = {}
-    for key, value in query_entries.items():
-        grouped.setdefault(block_of(key), {})[key] = value
-    plans = []
-    for block_id, entries in grouped.items():
-        values = np.array(list(entries.values()))
-        score = (
-            float(np.sum(values**2))
-            if importance == "l2"
-            else float(np.max(np.abs(values)))
-        )
-        plans.append(
-            BlockPlan(block_id=block_id, entries=entries, importance=score)
-        )
-    plans.sort(key=lambda p: -p.importance)
-    return plans
-
-
-def plan_batch_blocks(
-    translated: list[tuple],
-    allocation,
-    data_norms: dict | None = None,
-) -> dict[Hashable, list]:
-    """Merge several queries' sparse transforms into one block schedule.
-
-    The batch analogue of :func:`plan_blocks`: coefficients from *all*
-    queries are grouped by owning block, so each block appears exactly
-    once however many queries touch it, ordered by decreasing combined
-    importance (``sqrt(sum q^2) * ||data_block||`` when ``data_norms``
-    is given, plain combined query energy otherwise) — the error-bound
-    mass the whole batch recovers by fetching the block.
-
-    Args:
-        translated: One sparse transform per query, as ``(keys,
-            values)`` arrays (``(N, ndim)`` multi-indices, ``N``
-            coefficients).
-        allocation: The :class:`~repro.storage.allocation.TensorAllocation`
-            whose vectorized ``blocks_of`` assigns keys to blocks.
-        data_norms: Optional per-block stored-data L2 norms.
-
-    Returns:
-        ``block_id -> [(query_index, coefficient_key, query_value)]``
-        for every batch coefficient on the block, most important block
-        first.
-    """
-    grouped: dict[Hashable, list] = {}
-    for qi, (keys, values) in enumerate(translated):
-        block_ids = allocation.block_ids(allocation.blocks_of(keys))
-        for block_id, key, value in zip(
-            block_ids, index_tuples(keys), values.tolist()
-        ):
-            grouped.setdefault(block_id, []).append((qi, key, value))
-
-    def importance(block_id) -> float:
-        energy = math.sqrt(sum(v * v for _, _, v in grouped[block_id]))
-        if data_norms is None:
-            return energy
-        return energy * data_norms.get(block_id, 0.0)
-
-    order = sorted(grouped, key=importance, reverse=True)
-    return {block_id: grouped[block_id] for block_id in order}
+    # Presence is ``distinct``, not ``energy > 0``: a square can
+    # underflow to zero and its block must still be read.
+    uniq = allocation.distinct(codes)
+    block_ids = allocation.block_ids(uniq)
+    query_norms = np.sqrt(
+        np.bincount(codes, weights=values * values)[uniq]
+    )
+    data_norms = np.array(
+        [block_norms.get(block_id, 0.0) for block_id in block_ids],
+        dtype=float,
+    )
+    masses = query_norms * data_norms
+    # Stable on codes already ascending: equal masses stay in code order.
+    best = np.argsort(-masses, kind="stable")
+    return BlockSchedule(
+        codes=uniq[best],
+        block_ids=[block_ids[i] for i in best.tolist()],
+        query_norms=query_norms[best],
+        data_norms=data_norms[best],
+        masses=masses[best],
+        values=values,
+        entry_codes=codes,
+        n_codes=allocation.n_codes,
+    )

@@ -38,6 +38,7 @@ from repro.storage.allocation import (
 )
 from repro.storage.device import StorageSpec
 from repro.wavelets.lazy import cached_range_query_transform
+from tests._blocks import block_of
 
 # Size 2 is an axis too small for the db2 cascade (depth 0, standard
 # basis).
@@ -62,12 +63,12 @@ class TestBlocksOf:
         ))
         codes = allocation.blocks_of(np.array(keys).reshape(-1, len(shape)))
         assert allocation.block_ids(codes) == [
-            allocation.block_of(key) for key in keys
+            block_of(allocation, key) for key in keys
         ]
         # Codes sort like the id tuples: the sorted read order is kept.
         by_code = [keys[i] for i in np.argsort(codes, kind="stable")]
-        assert [allocation.block_of(k) for k in by_code] == sorted(
-            allocation.block_of(k) for k in keys
+        assert [block_of(allocation, k) for k in by_code] == sorted(
+            block_of(allocation, k) for k in keys
         )
 
     @settings(max_examples=40, deadline=None)
@@ -405,7 +406,7 @@ class TestOneGatherUnderEveryView:
         # only go missing by the payload coming back short.
         store = mixed_engine.store
         key = (3, 1, 5)
-        block_id = store.allocation.block_of(key)
+        block_id = block_of(store.allocation, key)
         payload = store.fetch_block(block_id)
         store.store_blocks({block_id: payload[:-1]})
         try:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import QueryError
+from repro.obs import MetricsRegistry, use_registry
 from repro.query.batch import BatchEvaluator, group_by
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery, evaluate_on_cube
@@ -110,3 +111,18 @@ class TestBatchEdgeCases:
                     engine.evaluate_exact(query)
                 )
                 assert last.error_bounds[qi] == pytest.approx(0.0, abs=1e-6)
+
+    def test_batch_histograms_count_every_batch(self, engine):
+        # Exact and degradable batches both count as batches, so both
+        # must land in the per-batch histograms.
+        queries = [
+            RangeSumQuery.count([(0, 15), (0, 15)]),
+            RangeSumQuery.count([(4, 19), (4, 19)]),
+        ]
+        evaluator = BatchEvaluator(engine)
+        with use_registry(MetricsRegistry()) as reg:
+            evaluator.evaluate_exact(queries)
+            evaluator.evaluate_degradable(queries)
+            assert reg.counter("query.batch.batches").value == 2
+            for name in ("query.batch.size", "query.batch.blocks"):
+                assert reg.histogram(name).count == 2

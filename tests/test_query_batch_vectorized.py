@@ -28,6 +28,7 @@ from repro.query.service import (
     shared_scan_view,
 )
 from repro.storage.device import StorageSpec
+from repro.storage.scheduler import schedule_blocks
 
 
 @pytest.fixture(scope="module")
@@ -125,9 +126,9 @@ class TestCoalescedIO:
     def test_block_order_equals_the_sorted_dedup_reference(self, engine):
         evaluator = BatchEvaluator(engine)
         allocation = engine.store.allocation
-        codes, _, values, _ = evaluator._stack(
-            evaluator._translate(OVERLAPPING, located=True)
-        )
+        values, codes, _ = map(np.concatenate, zip(
+            *(engine.query_located(query) for query in OVERLAPPING)
+        ))
         # A block whose only entry squares to zero is still a block to
         # read: presence comes from the codes, not from the energy.
         lone = np.setdiff1d(np.arange(allocation.n_codes), codes)[:1]
@@ -140,10 +141,18 @@ class TestCoalescedIO:
             engine._block_norms.get(b, 0.0) for b in allocation.block_ids(uniq)
         ]
         best = np.argsort(-(energy * np.array(norms)), kind="stable")
-        order_codes, order = evaluator._block_order(codes, values)
-        assert order_codes.tolist() == uniq[best].tolist()
-        assert order == allocation.block_ids(order_codes)
-        assert lone[0] in order_codes
+        schedule = schedule_blocks(
+            values, codes, allocation, engine._block_norms
+        )
+        assert schedule.codes.tolist() == uniq[best].tolist()
+        assert schedule.block_ids == allocation.block_ids(schedule.codes)
+        assert lone[0] in schedule.codes
+        # ... and it is the schedule the evaluator fetches by.
+        assert evaluator._schedule(OVERLAPPING)[-1].block_ids == (
+            schedule_blocks(
+                values[:-1], codes[:-1], allocation, engine._block_norms
+            ).block_ids
+        )
 
 
 class TestDegradedBatch:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.errors import StorageUnavailable
 from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
+from repro.query.explain import explain, provenance_of
 from repro.query.propolyne import ProPolyneEngine, QueryOutcome
 from repro.query.rangesum import RangeSumQuery
 from repro.query.service import QueryService
@@ -208,3 +209,128 @@ class TestStorageUnavailableDegradation:
                     outcome.error_bound + 1e-6 * max(1.0, abs(truth))
                 )
         assert degraded_seen
+
+
+class TestSameBitsAcrossPaths:
+    """Every consumer of the one block schedule, on a cube whose axes
+    are zero-padded (30 x 40 -> 32 x 64) and sharded four ways."""
+
+    @staticmethod
+    def padded_engine(**storage) -> ProPolyneEngine:
+        cube = np.random.default_rng(17).poisson(2.0, (30, 40)).astype(float)
+        return ProPolyneEngine(
+            cube, max_degree=1, block_size=7,
+            storage=StorageSpec(shards=4, **storage),
+        )
+
+    @staticmethod
+    def queries(n=10, seed=29):
+        rng = np.random.default_rng(seed)
+        out = []
+        for i in range(n):
+            lo = rng.integers(0, (20, 25))
+            hi = lo + rng.integers(1, (10, 15))
+            ranges = [(int(a), int(b)) for a, b in zip(lo, hi)]
+            out.append(
+                RangeSumQuery.weighted(ranges, {1: 1}) if i % 3 == 2
+                else RangeSumQuery.count(ranges)
+            )
+        return out
+
+    @staticmethod
+    def shard_reads(engine) -> list:
+        shards = engine.store.storage_stats()["inner"]["per_shard"]
+        return [shard["reads"] for shard in shards]
+
+    def test_degradable_is_exact_live_as_of_and_served(self):
+        engine = self.padded_engine()
+        engine.enable_versioning()
+        queries = self.queries()
+        then = [engine.evaluate_exact(q) for q in queries]
+        engine.inserter.insert_batch(
+            [(3, 4), (29, 39), (3, 4)], [1.0, 2.5, -1.0]
+        )
+        now = [engine.evaluate_exact(q) for q in queries]
+        assert now != then
+        view = engine.as_of_view(0)
+        for query, live, past in zip(queries, now, then):
+            assert engine.evaluate_degradable(query).value == live
+            assert view.evaluate_degradable(query).value == past
+            assert engine.evaluate_degradable(query, as_of=0).value == past
+        with QueryService(engine, workers=3, queue_depth=32) as service:
+            served = [
+                service.submit_degradable(q, block=True) for q in queries
+            ] + [
+                service.submit_degradable(q, block=True, as_of=0)
+                for q in queries
+            ]
+            outcomes = [f.result(timeout=60) for f in served]
+        assert [o.value for o in outcomes] == now + then
+        assert not any(o.degraded for o in outcomes)
+        engine.store.close()
+
+    def test_provenance_plans_what_exact_reads_with_no_io(self):
+        engine = self.padded_engine()  # no cache: every block is a read
+        for query in self.queries():
+            before = self.shard_reads(engine)
+            outcome = engine.evaluate_degradable(query)
+            per_shard = [
+                after - was
+                for was, after in zip(before, self.shard_reads(engine))
+            ]
+            before = self.shard_reads(engine)
+            prov = provenance_of(engine, query, outcome)
+            assert self.shard_reads(engine) == before
+            assert prov.blocks_planned == sum(per_shard) == outcome.blocks_read
+            assert prov.blocks_by_shard == {
+                shard: n for shard, n in enumerate(per_shard) if n
+            }
+            before = self.shard_reads(engine)
+            engine.evaluate_exact(query)
+            assert [
+                after - was
+                for was, after in zip(before, self.shard_reads(engine))
+            ] == per_shard
+        engine.store.close()
+
+    def test_zero_deadline_keeps_the_priming_bound(self):
+        engine = self.padded_engine()
+        for query in self.queries():
+            before = engine.store.io_snapshot()
+            outcome = engine.evaluate_degradable(query, deadline_s=0)
+            assert engine.store.io_since(before).reads == 0
+            assert outcome.degraded and outcome.reason == "deadline"
+            assert outcome.blocks_read == 0 and outcome.value == 0.0
+            assert np.isfinite(outcome.error_bound)
+            # Same masses, same order: the plan's bound is the priming
+            # step's, to the bit.
+            assert outcome.error_bound == explain(engine, query).a_priori_bound
+        engine.store.close()
+
+    def test_one_failed_shard_of_four_skips_only_its_blocks(self):
+        engine = self.padded_engine(
+            fault_plan=FaultPlan(seed=3, read_error_rate=1.0),
+            fault_shards=(2,),
+            retry_policy=RetryPolicy(
+                max_attempts=2, base_delay_s=0.0, budget_s=0.0
+            ),
+            breaker=CircuitBreaker(
+                failure_threshold=1, recovery_timeout_s=60.0
+            ),
+        )
+        clean = self.padded_engine()
+        for query in self.queries():
+            outcome = engine.evaluate_degradable(query)
+            planned = provenance_of(engine, query, outcome).blocks_by_shard
+            assert outcome.blocks_skipped == planned.get(2, 0)
+            assert outcome.blocks_read == (
+                sum(planned.values()) - planned.get(2, 0)
+            )
+            assert outcome.degraded == (2 in planned)
+            truth = clean.evaluate_exact(query)
+            if outcome.degraded:
+                assert abs(outcome.value - truth) <= outcome.error_bound + 1e-9
+            else:
+                assert outcome.value == truth
+        engine.store.close()
+        clean.store.close()

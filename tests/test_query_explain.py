@@ -36,7 +36,7 @@ class TestExplain:
     def test_explain_shares_the_query_s_translation(self, engine):
         """One transform per axis for plan and answer together: the
         per-axis counts and the evaluation read what ``explain``'s own
-        ``query_entries`` call just memoized."""
+        ``query_located`` call just memoized."""
         q = RangeSumQuery.count([(2, 27), (6, 29)])
         cache = translation_cache()
         cache.clear()  # process-wide: an earlier test may have met a range
@@ -51,6 +51,17 @@ class TestExplain:
         plan = explain(engine, q)
         answer = engine.evaluate_exact(q)
         assert abs(answer) <= plan.a_priori_bound + 1e-9
+
+    def test_bound_is_the_priming_steps_bound_to_the_bit(self, engine):
+        # explain and the evaluators sum one schedule's masses in one
+        # order, so a zero-deadline answer carries exactly the plan's bound.
+        for q in (
+            RangeSumQuery.count([(3, 28), (5, 30)]),
+            RangeSumQuery.weighted([(0, 17), (9, 9)], {0: 1}),
+        ):
+            primed = engine.evaluate_degradable(q, deadline_s=0)
+            assert primed.blocks_read == 0
+            assert explain(engine, q).a_priori_bound == primed.error_bound
 
     def test_product_structure(self, engine):
         q = RangeSumQuery.count([(3, 28), (5, 30)])

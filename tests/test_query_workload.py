@@ -13,6 +13,7 @@ from repro.wavelets.packet import (
     threshold_cost,
     wavelet_packet_decompose,
 )
+from tests._blocks import block_of
 
 
 class TestRandomRanges:
@@ -71,7 +72,7 @@ class TestDrilldownRanges:
             blocks = set()
             for q in queries:
                 for idx in engine.query_entries(q):
-                    blocks.add(engine.store.allocation.block_of(idx))
+                    blocks.add(block_of(engine.store.allocation, idx))
             return len(blocks)
 
         rng = np.random.default_rng(3)

@@ -21,6 +21,7 @@ from repro.storage.allocation import (
     utilization_bound,
 )
 from repro.wavelets.errortree import leaf_path
+from tests._blocks import block_of
 
 
 RNG = np.random.default_rng(31)
@@ -188,15 +189,15 @@ class TestTensorAllocation:
 
     def test_block_of_is_product(self):
         tensor = self._make()
-        bid = tensor.block_of((5, 20))
-        assert bid == (
+        (bid,) = tensor.block_ids(tensor.blocks_of([(5, 20)]))
+        assert bid == block_of(tensor, (5, 20)) == (
             int(tensor.axes[0].block_of[5]),
             int(tensor.axes[1].block_of[20]),
         )
 
     def test_arity_checked(self):
         with pytest.raises(StorageError):
-            self._make().block_of((1,))
+            self._make().blocks_of([(1,)])
 
     def test_build_blocks_partitions_cube(self):
         tensor = self._make()
@@ -219,4 +220,5 @@ class TestTensorAllocation:
         same_tile = np.nonzero(a0.block_of == a0.block_of[2])[0]
         if same_tile.size >= 2:
             i, j = int(same_tile[0]), int(same_tile[1])
-            assert tensor.block_of((i, 4)) == tensor.block_of((j, 4))
+            codes = tensor.blocks_of([(i, 4), (j, 4)])
+            assert codes[0] == codes[1]

@@ -13,7 +13,7 @@ from repro.storage.blobstore import BlobStore
 from repro.storage.blockstore import TensorBlockStore, WaveletBlockStore
 from repro.storage.device import CachingDevice
 from repro.storage.disk import SimulatedDisk
-from repro.storage.scheduler import plan_blocks
+from repro.storage.scheduler import schedule_blocks
 from repro.wavelets.errortree import leaf_path
 from repro.storage.device import StorageSpec
 from tests._blocks import read_block, write_block
@@ -277,34 +277,40 @@ class TestBlobStore:
 
 
 class TestScheduler:
+    @staticmethod
+    def _schedule(alloc, entries, norms=None):
+        keys = np.array(list(entries))
+        values = np.array(list(entries.values()))
+        codes, _slots = alloc.locate(keys)
+        ids = alloc.block_ids(np.arange(alloc.n_codes))
+        return values, schedule_blocks(
+            values, codes, alloc, norms or dict.fromkeys(ids, 1.0)
+        )
+
     def test_blocks_ordered_by_importance(self):
         alloc = sequential_allocation(16, 4)
         entries = {0: 10.0, 1: 0.1, 8: 3.0, 15: -20.0}
-        plans = plan_blocks(entries, lambda i: int(alloc.block_of[i]))
-        scores = [p.importance for p in plans]
+        _, schedule = self._schedule(alloc, entries)
+        scores = schedule.masses.tolist()
         assert scores == sorted(scores, reverse=True)
         # Block of coefficient 15 carries the biggest energy.
-        assert plans[0].block_id == int(alloc.block_of[15])
+        assert schedule.block_ids[0] == int(alloc.block_of[15])
+        # ... unless the data stored nothing there: mass, not energy.
+        _, by_mass = self._schedule(alloc, entries, {0: 1.0, 2: 1.0, 3: 0.0})
+        assert by_mass.block_ids == [0, 2, 3]
 
     def test_entries_grouped_per_block(self):
         alloc = sequential_allocation(16, 4)
-        entries = {0: 1.0, 1: 2.0, 2: 3.0}
-        plans = plan_blocks(entries, lambda i: int(alloc.block_of[i]))
-        assert len(plans) == 1
-        assert plans[0].entries == entries
-
-    def test_linf_importance(self):
-        entries = {0: 3.0, 1: 3.0, 8: 4.0}  # block0 l2=18 > block2 l2=16
-        plans_l2 = plan_blocks(entries, lambda i: i // 4, importance="l2")
-        plans_linf = plan_blocks(entries, lambda i: i // 4, importance="linf")
-        assert plans_l2[0].block_id == 0
-        assert plans_linf[0].block_id == 2
-
-    def test_unknown_importance(self):
-        with pytest.raises(StorageError):
-            plan_blocks({0: 1.0}, lambda i: 0, importance="psychic")
+        entries = {0: 1.0, 9: 5.0, 1: 2.0, 2: 3.0}
+        values, schedule = self._schedule(alloc, entries)
+        assert schedule.block_ids == [2, 0]
+        assert values[schedule.entries(0)].tolist() == [5.0]
+        assert values[schedule.entries(1)].tolist() == [1.0, 2.0, 3.0]
 
     def test_tuple_keys_supported(self):
+        alloc = TensorAllocation(axes=(
+            sequential_allocation(8, 4), sequential_allocation(8, 4),
+        ))
         entries = {(0, 1): 2.0, (5, 5): -1.0}
-        plans = plan_blocks(entries, lambda key: (key[0] // 4, key[1] // 4))
-        assert len(plans) == 2
+        _, schedule = self._schedule(alloc, entries)
+        assert schedule.block_ids == [(0, 0), (1, 1)]
