@@ -1,4 +1,4 @@
-"""P5 — batched vectorized evaluation and GIL-free execution modes.
+"""P5 — batched vectorized evaluation.
 
 PR 6's tentpole: break the ~4x throughput ceiling bench_p1 measured.
 Three claims, all recorded in ``BENCH_p5.json`` (CI artifact):
@@ -9,14 +9,13 @@ Three claims, all recorded in ``BENCH_p5.json`` (CI artifact):
    ``read_many``, one gather, per-segment ``np.dot`` — against the
    sequential per-query loop on the same uncached sharded stack.
 2. **8-worker batch throughput >= 6x one worker.**  Distinct batch
-   tasks through ``QueryService.submit_batch`` in thread mode; each
-   batch is one coalesced fetch whose simulated device sleeps overlap
-   across workers (the fan-out pool is widened so concurrent batches
-   don't serialize on it).
+   tasks through ``QueryService.submit_batch``; each batch is one
+   coalesced fetch whose simulated device sleeps overlap across workers
+   (the fan-out pool is widened so concurrent batches don't serialize
+   on it).
 3. **Bitwise identity.**  Every batched answer equals the sequential
    ``evaluate_exact`` answer exactly — speed must not change a single
-   bit.  A process-mode smoke run (spawned engine replica) is recorded
-   too, without a perf gate.
+   bit.
 
 The translation cache is pre-warmed before any timing: the measured
 regime is I/O-bound evaluation, not first-touch query transformation.
@@ -156,41 +155,15 @@ def run_worker_scaling() -> dict:
     }
 
 
-def run_process_smoke() -> dict:
-    """Spawned-replica smoke: correctness only, no perf gate (worker
-    start-up dominates at this scale)."""
-    rng = np.random.default_rng(7)
-    cube = rng.poisson(2.0, (16, 16)).astype(float)
-    engine = ProPolyneEngine(
-        cube, max_degree=1, block_size=7, storage=StorageSpec(shards=2)
-    )
-    queries = [
-        RangeSumQuery.count([(0, 9), (2, 13)]),
-        RangeSumQuery.count([(4, 11), (4, 11)]),
-    ]
-    expected = [engine.evaluate_exact(q) for q in queries]
-    with QueryService(
-        engine, workers=1, execution_mode="process"
-    ) as service:
-        answers = service.submit_batch(queries, block=True).result()
-    return {
-        "workers": 1,
-        "queries": len(queries),
-        "all_identical": answers == expected,
-    }
-
-
 def run_benchmark() -> dict:
     single = run_single_thread(sliding_windows(row0=8))
     scaling = run_worker_scaling()
-    process = run_process_smoke()
     payload = {
         "schema": "repro.bench/batch-v1",
         "single_latency_s": SINGLE_LATENCY_S,
         "scaling_latency_s": SCALING_LATENCY_S,
         "single_thread": single,
         "worker_scaling": scaling,
-        "process_mode": process,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -214,19 +187,14 @@ def test_p5_batch_execution(emit, benchmark):
         f"({single['independent_blocks']} -> {single['union_blocks']} "
         f"blocks, {single['bitwise_identical']} bitwise identical)"
         + f"\n8-worker vs 1-worker: {scaling['speedup_8_vs_1']}x"
-        + f"\nprocess-mode smoke identical: "
-        f"{payload['process_mode']['all_identical']}"
         + f"\nJSON baseline written to {JSON_PATH.name}",
     )
     # The headline claims of PR 6:
     assert single["all_identical"], "batched answers must be bitwise exact"
     assert scaling["all_identical"], "scaling answers must be bitwise exact"
-    assert payload["process_mode"]["all_identical"]
     assert single["speedup"] >= 5.0
     assert scaling["speedup_8_vs_1"] >= 6.0
 
 
 if __name__ == "__main__":
-    # Spawn-safe direct invocation: the process-mode smoke re-imports
-    # __main__ in its worker, so everything above must be import-only.
     print(json.dumps(run_benchmark(), indent=2))

@@ -388,12 +388,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         RangeSumQuery.count([(s, min(s + 3, n - 1)), (0, n - 1), (2, 13)])
         for s in range(0, n, 4)
     ]
-    with QueryService(
-        engine,
-        workers=2,
-        queue_depth=len(cells),
-        execution_mode=args.service_mode,
-    ) as service:
+    with QueryService(engine, workers=2, queue_depth=len(cells)) as service:
         service.run_exact(cells)
         service.run_exact(cells)  # repeat pass: translation-cache hits
 
@@ -862,11 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument("--json", action="store_true",
                        help="emit the metrics registry as JSON")
-    stats.add_argument("--service-mode", choices=("thread", "process"),
-                       default="thread", dest="service_mode",
-                       help="query-service execution mode: 'thread' "
-                            "(default) or 'process' (GIL-free engine "
-                            "replicas; needs a pickle-clean spec)")
 
     lint = sub.add_parser(
         "lint",

@@ -288,42 +288,23 @@ class ProPolyneEngine:
     ) -> None:
         if max_degree < 0:
             raise QueryError(f"max_degree must be >= 0, got {max_degree}")
-        original_shape = tuple(np.asarray(cube).shape)
-        padded = pad_to_pow2(cube)
-        filt = get_filter(f"db{max_degree + 1}")
-        levels = tuple(max_levels(n, filt) for n in padded.shape)
-        if all(depth == 0 for depth in levels):
-            raise QueryError(
-                f"every axis of shape {padded.shape} is too small for "
-                f"filter {filt.name} ({filt.length} taps); "
-                f"nothing would be wavelet-transformed"
-            )
-        coeffs = tensor_wavedec(padded, filt, levels=levels)
-        self._init_from_coefficients(
-            coeffs,
-            original_shape,
-            max_degree,
-            block_size,
-            storage=storage,
-        )
-
-    def _init_from_coefficients(
-        self,
-        coeffs: np.ndarray,
-        original_shape: tuple[int, ...],
-        max_degree: int,
-        block_size: int,
-        storage=None,
-    ) -> None:
-        self.original_shape = tuple(original_shape)
+        self.original_shape = tuple(np.asarray(cube).shape)
         self.max_degree = max_degree
         self.block_size = block_size
+        padded = pad_to_pow2(cube)
+        self.shape = padded.shape
         self.filter = get_filter(f"db{max_degree + 1}")
-        self.shape = tuple(coeffs.shape)
         # Axes too small for the cascade stay in the standard basis
         # (cascade depth 0) — the paper's multi-bases rule for
         # low-cardinality dimensions like sensor ids.
         self.levels = tuple(max_levels(n, self.filter) for n in self.shape)
+        if all(depth == 0 for depth in self.levels):
+            raise QueryError(
+                f"every axis of shape {self.shape} is too small for "
+                f"filter {self.filter.name} ({self.filter.length} taps); "
+                f"nothing would be wavelet-transformed"
+            )
+        coeffs = tensor_wavedec(padded, self.filter, levels=self.levels)
         allocation = TensorAllocation(
             axes=tuple(
                 subtree_tiling_allocation(n, block_size) for n in self.shape
@@ -340,45 +321,6 @@ class ProPolyneEngine:
         self._inserter = None
         # Opt-in epoch versioning (enable_versioning); None = live-only.
         self._epoch_log = None
-
-    @classmethod
-    def from_coefficients(
-        cls,
-        coeffs: np.ndarray,
-        original_shape: tuple[int, ...],
-        max_degree: int = 2,
-        block_size: int = 7,
-        storage=None,
-    ) -> "ProPolyneEngine":
-        """Rebuild an engine from an already-transformed coefficient cube.
-
-        The inverse of :meth:`to_coefficients`: the coefficients are
-        stored *as given* — no inverse/forward transform round trip —
-        so a replica built from another engine's read-back coefficients
-        answers every query bitwise-identically to the original.  This
-        is the contract process-pool workers rely on
-        (:mod:`repro.query.procpool`).
-
-        Args:
-            coeffs: Padded coefficient cube (power-of-two axes, in the
-                layout :meth:`to_coefficients` produces).
-            original_shape: Pre-padding data-cube shape (query-domain
-                bounds checks use it).
-            max_degree: Highest supported measure-polynomial degree.
-            block_size: Per-axis virtual block size for the tiling.
-            storage: Optional :class:`~repro.storage.device.StorageSpec`.
-        """
-        if max_degree < 0:
-            raise QueryError(f"max_degree must be >= 0, got {max_degree}")
-        engine = cls.__new__(cls)
-        engine._init_from_coefficients(
-            np.asarray(coeffs, dtype=float),
-            original_shape,
-            max_degree,
-            block_size,
-            storage=storage,
-        )
-        return engine
 
     # -- epoch versioning ----------------------------------------------------
 

@@ -296,6 +296,7 @@ class _Task:
 
     __slots__ = (
         "kind", "query", "future", "stream", "deadline_s", "as_of",
+        "admitted",
     )
 
     def __init__(
@@ -308,6 +309,13 @@ class _Task:
         self.deadline_s = deadline_s
         self.as_of = as_of
 
+    def fail(self, error: BaseException) -> None:
+        """Deliver ``error`` to whoever waits on this task."""
+        if self.stream is not None:
+            self.stream._finish(None, error)
+        else:
+            self.future.set_exception(error)
+
 
 _SHUTDOWN = object()
 
@@ -316,27 +324,16 @@ class QueryService:
     """Thread-pooled front end over a ProPolyne engine.
 
     Args:
-        engine: The populated engine to serve.  By default the service
-            evaluates through :func:`shared_scan_view`, so concurrent
-            queries deduplicate in-flight block reads.
+        engine: The populated engine to serve.  The service evaluates
+            through :func:`shared_scan_view`, so concurrent queries
+            deduplicate in-flight block reads.
         workers: Worker-thread count (>= 1).
         queue_depth: Admission-queue bound; submissions beyond
             ``queue_depth`` pending tasks raise :class:`QueryRejected`
             (unless submitted with ``block=True``).
-        share_scans: Set False to evaluate against the engine's plain
-            store (no cross-query deduplication) — the baseline the
-            concurrency benchmark compares against.
         default_deadline_s: Deadline applied to
             :meth:`submit_degradable` tasks that do not carry their
             own; ``None`` means no deadline.
-        execution_mode: ``"thread"`` (default) evaluates on the worker
-            threads; ``"process"`` routes exact and batch work to a
-            :class:`~repro.query.procpool.ProcessEnginePool` of
-            ``workers`` engine replicas, so numpy kernels and per-shard
-            scans run GIL-free.  Requires a pickle-clean
-            :class:`~repro.storage.device.StorageSpec` (no fault plan /
-            retries / breaker); progressive and degradable queries stay
-            on the threads either way.
         namespace: Optional scan-coordination namespace (the cluster
             tier's ``tenant/dataset`` routing key) scoping this
             service's single-flight keys, so co-located tenants never
@@ -355,9 +352,7 @@ class QueryService:
         engine: ProPolyneEngine,
         workers: int = 4,
         queue_depth: int = 64,
-        share_scans: bool = True,
         default_deadline_s: float | None = None,
-        execution_mode: str = "thread",
         namespace: str | None = None,
     ) -> None:
         if workers < 1:
@@ -366,28 +361,9 @@ class QueryService:
             raise QueryError(
                 f"admission queue depth must be >= 1, got {queue_depth}"
             )
-        if execution_mode not in ("thread", "process"):
-            raise QueryError(
-                f"unknown execution mode {execution_mode!r}; "
-                f"use 'thread' or 'process'"
-            )
         self.namespace = namespace
-        self.engine = (
-            shared_scan_view(engine, namespace=namespace)
-            if share_scans
-            else engine
-        )
-        self.coordinator = (
-            self.engine.store.coordinator if share_scans else None
-        )
-        self.execution_mode = execution_mode
-        self._proc_pool = None
-        if execution_mode == "process":
-            # Before the worker threads exist: a bad blueprint (e.g. a
-            # spec with live fault/resilience objects) fails fast here.
-            from repro.query.procpool import ProcessEnginePool, blueprint_of
-
-            self._proc_pool = ProcessEnginePool(blueprint_of(engine), workers)
+        self.engine = shared_scan_view(engine, namespace=namespace)
+        self.coordinator = self.engine.store.coordinator
         self._batcher = BatchEvaluator(self.engine)
         if default_deadline_s is not None and default_deadline_s < 0:
             raise QueryError(
@@ -400,6 +376,9 @@ class QueryService:
         self.degraded = 0
         self._tasks: queue.Queue = queue.Queue(maxsize=queue_depth)
         self._closed = False
+        # Workers that have not yet taken their shutdown sentinel; at
+        # zero nothing will ever take another task off the queue.
+        self._live_workers = workers
         self._lock = watched_lock("query.service")
         self._threads = [
             threading.Thread(
@@ -425,9 +404,7 @@ class QueryService:
             block: When True, wait for queue space instead of raising
                 :class:`QueryRejected` on overload.
             as_of: Optional storage epoch to evaluate against (the
-                engine must have versioning enabled).  As-of work runs
-                on the worker threads even in process mode — engine
-                replicas do not carry the epoch log.
+                engine must have versioning enabled).
         """
         task = _Task("exact", query, Future(), None, as_of=as_of)
         self._admit(task, block)
@@ -494,12 +471,10 @@ class QueryService:
         """Enqueue a whole batch as one task; the future resolves to the
         list of exact answers (batch order).
 
-        The batch occupies a single worker slot: in thread mode it runs
-        through the shared :class:`~repro.query.batch.BatchEvaluator`
-        (one coalesced fetch per batch, vectorized segment dots); in
-        process mode the whole batch ships to one worker process.
-        Either way each answer is bitwise-identical to
-        :meth:`submit_exact` on the same query.
+        The batch occupies a single worker slot and runs through the
+        shared :class:`~repro.query.batch.BatchEvaluator` (one coalesced
+        fetch per batch, vectorized segment dots); each answer is
+        bitwise-identical to :meth:`submit_exact` on the same query.
 
         Args:
             queries: Non-empty list of range-sums to evaluate together.
@@ -521,6 +496,8 @@ class QueryService:
         with self._lock:
             if self._closed:
                 raise QueryError("query service is closed")
+        # The latency histogram's clock starts here, queue wait included.
+        task.admitted = time.perf_counter()
         try:
             if block:
                 self._tasks.put(task)
@@ -534,8 +511,25 @@ class QueryService:
                 f"admission queue full ({self.queue_depth} pending); "
                 f"retry later or raise queue_depth"
             ) from None
+        # close() may have run between the check and the put, leaving
+        # the task behind the shutdown sentinels.  The last worker out
+        # fails what it finds queued; a put that lands later still is
+        # failed here.
+        with self._lock:
+            unserved = self._live_workers == 0
+        if unserved:
+            self._fail_unserved()
         obs_counter("query.service.submitted").inc()
         obs_gauge("query.service.queue_depth").set(self._tasks.qsize())
+
+    def _fail_unserved(self) -> None:
+        """Fail every task still queued once no worker is left."""
+        while True:
+            try:
+                task = self._tasks.get_nowait()
+            except queue.Empty:
+                return
+            task.fail(QueryError("query service is closed"))
 
     # -- worker side -----------------------------------------------------
 
@@ -543,28 +537,20 @@ class QueryService:
         while True:
             task = self._tasks.get()
             if task is _SHUTDOWN:
+                with self._lock:
+                    self._live_workers -= 1
+                    last_out = self._live_workers == 0
+                if last_out:
+                    self._fail_unserved()
                 return
-            started = time.perf_counter()
             try:
                 if task.kind == "exact":
-                    # Process mode ships the query to an engine replica;
-                    # the worker thread just blocks on the round trip.
-                    # As-of queries stay on the threads: replicas carry
-                    # no epoch log.
-                    if task.as_of is not None:
-                        value = self.engine.evaluate_exact(
-                            task.query, as_of=task.as_of
-                        )
-                    elif self._proc_pool is not None:
-                        value = self._proc_pool.run_exact(task.query)
-                    else:
-                        value = self.engine.evaluate_exact(task.query)
+                    value = self.engine.evaluate_exact(
+                        task.query, as_of=task.as_of
+                    )
                     task.future.set_result(value)
                 elif task.kind == "batch":
-                    if self._proc_pool is not None:
-                        answers = self._proc_pool.run_batch(task.query)
-                    else:
-                        answers = self._batcher.evaluate_exact(task.query)
+                    answers = self._batcher.evaluate_exact(task.query)
                     task.future.set_result(answers)
                 elif task.kind == "degradable":
                     outcome: QueryOutcome = self.engine.evaluate_degradable(
@@ -592,17 +578,14 @@ class QueryService:
                         task.stream._emit(estimate)
                     task.stream._finish(final, None)
             except BaseException as exc:  # deliver, never kill the worker
-                if task.stream is not None:
-                    task.stream._finish(None, exc)
-                else:
-                    task.future.set_exception(exc)
+                task.fail(exc)
             finally:
                 with self._lock:
                     self.completed += 1
                 obs_counter("query.service.completed").inc()
                 obs_histogram(
                     "query.service.latency.seconds", DEFAULT_LATENCY_BUCKETS
-                ).observe(time.perf_counter() - started)
+                ).observe(time.perf_counter() - task.admitted)
                 obs_gauge("query.service.queue_depth").set(
                     self._tasks.qsize()
                 )
@@ -610,7 +593,12 @@ class QueryService:
     # -- lifecycle -------------------------------------------------------
 
     def close(self, wait: bool = True) -> None:
-        """Stop accepting work; drain pending tasks, then stop workers."""
+        """Stop accepting work; drain pending tasks, then stop workers.
+
+        A submission that raced this call and landed behind the
+        shutdown sentinels fails with ``QueryError`` instead of waiting
+        for a worker that has gone.
+        """
         with self._lock:
             if self._closed:
                 return
@@ -620,8 +608,6 @@ class QueryService:
         if wait:
             for thread in self._threads:
                 thread.join()
-        if self._proc_pool is not None:
-            self._proc_pool.close()
 
     def __enter__(self) -> "QueryService":
         return self
@@ -630,7 +616,5 @@ class QueryService:
         self.close()
 
     def scan_stats(self) -> dict:
-        """Shared-scan counters (zeros when scan sharing is disabled)."""
-        if self.coordinator is None:
-            return {"fetches": 0, "shared": 0, "fetches_by_shard": {}}
+        """Shared-scan counters."""
         return self.coordinator.stats()

@@ -15,7 +15,7 @@ file as the reference:
   that underflow to zero);
 * ``gather`` — one kernel under every store view — by bitwise-equal
   ``evaluate_exact`` across the live store, the batch evaluator, a
-  shared-scan view, an as-of view and the process pool, and by the
+  shared-scan view, an as-of view and the query service, and by the
   ``StorageError`` a payload too short for its block raises.
 """
 
@@ -356,15 +356,15 @@ class TestOneGatherUnderEveryView:
         assert versioned.evaluate_degradable(query, as_of=1).value == past
 
     def test_process_pool_is_bitwise_equal(self, mixed_engine):
+        # The served path: the in-process worker pool over a
+        # shared-scan view, scalar and batch tasks alike.
         queries = [
             RangeSumQuery.count([(0, 9), (0, 1), (2, 13)]),
             RangeSumQuery.weighted([(3, 12), (0, 1), (0, 31)], {0: 1}),
             RangeSumQuery.count([(5, 2), (0, 1), (0, 31)]),  # empty
         ]
         expected = [mixed_engine.evaluate_exact(q) for q in queries]
-        with QueryService(
-            mixed_engine, workers=1, execution_mode="process"
-        ) as service:
+        with QueryService(mixed_engine, workers=1) as service:
             exact = [
                 service.submit_exact(q, block=True).result() for q in queries
             ]

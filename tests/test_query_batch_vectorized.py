@@ -219,10 +219,6 @@ class TestServiceBatch:
             ]
             assert exact_future.result() == engine.evaluate_exact(single)
 
-    def test_unknown_execution_mode_rejected(self, engine):
-        with pytest.raises(QueryError):
-            QueryService(engine, execution_mode="fiber")
-
 
 class TestScanCoordinatorBulkFetch:
     def test_bulk_fetch_dedups_ids_within_one_call(self, engine):
@@ -283,80 +279,3 @@ class TestScanCoordinatorBulkFetch:
         assert len(results) == 3
         for out in results:
             assert out == expected
-
-
-class TestProcessMode:
-    """Spawned engine replicas must answer bitwise-identically.
-
-    One worker and a small cube keep the spawn cost down; the scaling
-    claim itself lives in ``benchmarks/bench_p5_batch.py``.
-    """
-
-    @pytest.fixture(scope="class")
-    def small_engine(self):
-        rng = np.random.default_rng(7)
-        cube = rng.poisson(2.0, (16, 16)).astype(float)
-        return ProPolyneEngine(
-            cube, max_degree=1, block_size=7,
-            storage=StorageSpec(shards=2),
-        )
-
-    def test_blueprint_replica_is_bitwise_identical(self, small_engine):
-        from repro.query.procpool import blueprint_of
-
-        replica = blueprint_of(small_engine).build()
-        queries = [
-            RangeSumQuery.count([(0, 9), (2, 13)]),
-            RangeSumQuery.weighted([(3, 12), (0, 15)], {0: 1}),
-        ]
-        for query in queries:
-            assert replica.evaluate_exact(
-                query
-            ) == small_engine.evaluate_exact(query)
-
-    def test_process_service_bitwise_equal(self, small_engine):
-        queries = [
-            RangeSumQuery.count([(0, 9), (2, 13)]),
-            RangeSumQuery.count([(4, 11), (4, 11)]),
-        ]
-        expected = [small_engine.evaluate_exact(q) for q in queries]
-        with QueryService(
-            small_engine, workers=1, execution_mode="process"
-        ) as service:
-            exact = [
-                service.submit_exact(q, block=True).result()
-                for q in queries
-            ]
-            batch = service.submit_batch(queries, block=True).result()
-        assert exact == expected
-        assert batch == expected
-
-    def test_process_mode_rejects_faulty_spec(self):
-        rng = np.random.default_rng(7)
-        cube = rng.poisson(2.0, (16, 16)).astype(float)
-        stormy = ProPolyneEngine(
-            cube, max_degree=1, block_size=7,
-            storage=StorageSpec(
-                shards=2,
-                fault_plan=FaultPlan(seed=1, read_error_rate=0.5),
-                retry_policy=RetryPolicy(
-                    max_attempts=2, base_delay_s=0.0, budget_s=0.0
-                ),
-                breaker=CircuitBreaker(
-                    failure_threshold=1, recovery_timeout_s=60.0
-                ),
-            ),
-        )
-        with pytest.raises(QueryError):
-            QueryService(stormy, workers=1, execution_mode="process")
-
-    def test_spec_config_round_trip(self, small_engine):
-        from repro.query.procpool import (
-            portable_spec_config,
-            spec_from_config,
-        )
-
-        config = portable_spec_config(small_engine.store.spec)
-        rebuilt = spec_from_config(config)
-        assert rebuilt.shards == small_engine.store.spec.shards
-        assert rebuilt.cache_blocks == small_engine.store.spec.cache_blocks

@@ -8,11 +8,13 @@ the service only reads through the storage layer.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.errors import QueryError, StorageError
+from repro.obs import MetricsRegistry, use_registry
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
 from repro.query.service import (
@@ -293,6 +295,30 @@ class TestAdmissionControl:
         with pytest.raises(QueryError):
             service.submit_exact(RangeSumQuery.count([(0, 3), (0, 3)]))
 
+    @pytest.mark.parametrize("wait", [True, False])
+    @pytest.mark.parametrize("block", [False, True])
+    def test_submission_racing_close_fails_instead_of_hanging(
+        self, block, wait
+    ):
+        # close() runs between _admit's closed check and its put, so the
+        # task lands behind the shutdown sentinels.
+        service = QueryService(build_engine(), workers=2)
+        name = "put" if block else "put_nowait"
+        real_put = getattr(service._tasks, name)
+
+        def put_after_close(task):
+            setattr(service._tasks, name, real_put)
+            service.close(wait=wait)
+            real_put(task)
+
+        setattr(service._tasks, name, put_after_close)
+        future = service.submit_exact(
+            RangeSumQuery.count([(0, 3), (0, 3)]), block=block
+        )
+        with pytest.raises(QueryError, match="closed"):
+            future.result(timeout=2)
+        assert service._tasks.empty()
+
     def test_invalid_configuration_rejected(self):
         engine = build_engine()
         with pytest.raises(QueryError):
@@ -310,3 +336,32 @@ class TestAdmissionControl:
             stream = service.submit_progressive(bad, block=True)
             with pytest.raises(QueryError):
                 list(stream)
+
+
+class TestLatencyHistogram:
+    def test_latency_runs_from_admission_so_queue_wait_counts(self):
+        hold_s = 0.05
+        query = RangeSumQuery.count([(0, 3), (0, 3)])
+        started, release = threading.Event(), threading.Event()
+        with use_registry(MetricsRegistry()) as registry:
+            with QueryService(build_engine(), workers=1) as service:
+                evaluate = service.engine.evaluate_exact
+
+                def held(q, as_of=None):
+                    started.set()
+                    release.wait(timeout=60)
+                    return evaluate(q, as_of=as_of)
+
+                service.engine.evaluate_exact = held
+                first = service.submit_exact(query)
+                assert started.wait(timeout=60)
+                # The one worker is held on the first task; the second
+                # spends hold_s in the queue behind it.
+                second = service.submit_exact(query)
+                time.sleep(hold_s)
+                release.set()
+                assert first.result(timeout=60) == second.result(timeout=60)
+            latency = registry.histogram("query.service.latency.seconds")
+        assert latency.count == 2
+        assert latency.min >= hold_s
+        assert latency.total >= 2 * hold_s
