@@ -93,8 +93,8 @@ def run_shard_point(shards: int, queries, baseline_answers) -> dict:
         "latency_p95_s": safe_percentile(latencies, 95),
         "device_reads": int(reads),
         "fetches_by_shard": {
-            str(i): int(stack.layer("disk").io.reads)
-            for i, stack in enumerate(engine.store._built.stacks)
+            str(i): int(disk.io.reads)
+            for i, disk in enumerate(engine.store._built.disks)
         },
     }
 

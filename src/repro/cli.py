@@ -163,10 +163,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     answer with an error bound is the designed behaviour, not a
     failure.
     """
-    from repro import AIMS, AIMSConfig
+    from repro import AIMS
     from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
     from repro.obs import counter as obs_counter
     from repro.query.rangesum import RangeSumQuery
+    from repro.storage.device import StorageSpec
 
     rate = args.fault_rate
     if not 0.0 <= rate <= 0.5:
@@ -187,14 +188,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         latency_spike_s=0.001,
     )
     breaker = CircuitBreaker(failure_threshold=5, recovery_timeout_s=0.05)
-    system = AIMS(
-        AIMSConfig(pool_capacity=args.cache_blocks, shards=args.shards)
-    )
-    engine = system.populate(
+    engine = AIMS().populate(
         "chaos", cube,
-        fault_plan=plan,
-        retry_policy=RetryPolicy(max_attempts=4, base_delay_s=0.0005),
-        breaker=breaker,
+        storage=StorageSpec(
+            shards=args.shards,
+            cache_blocks=args.cache_blocks,
+            fault_plan=plan,
+            retry_policy=RetryPolicy(max_attempts=4, base_delay_s=0.0005),
+            breaker=breaker,
+        ),
     )
     queries = [
         RangeSumQuery.count([(s, min(s + 5, n - 1)), (0, n - 1), (2, 13)])

@@ -210,21 +210,16 @@ class AIMS:
         self,
         name: str,
         cube: np.ndarray,
-        fault_plan=None,
-        retry_policy=None,
-        breaker=None,
         storage=None,
     ) -> ProPolyneEngine:
         """Transform a frequency cube and put it on tiled block storage.
 
         The resulting engine answers exact, approximate and progressive
         polynomial range-sums under ``name``.  Storage is built from a
-        declarative :class:`~repro.storage.device.StorageSpec`: either
-        the one passed as ``storage``, or one composed from the config
-        (``shards``/``pool_capacity``) plus the optional
-        ``fault_plan`` / ``retry_policy`` / ``breaker`` knobs (see
-        :mod:`repro.faults`).  With none of them set the storage path
-        is exactly the pre-resilience one.
+        declarative :class:`~repro.storage.device.StorageSpec`: the one
+        passed as ``storage`` (fault injection, retries and breakers
+        are its fields — see :mod:`repro.faults`), or one composed from
+        the config (``shards`` / ``pool_capacity`` / ``replicas``).
         """
         if name in self._engines:
             raise AIMSError(f"cube {name!r} already populated")
@@ -234,16 +229,7 @@ class AIMS:
             storage = StorageSpec(
                 shards=self.config.shards,
                 cache_blocks=self.config.pool_capacity,
-                fault_plan=fault_plan,
-                retry_policy=retry_policy,
-                breaker=breaker,
                 replicas=self.config.replicas,
-            )
-        elif (fault_plan is not None or retry_policy is not None
-                or breaker is not None):
-            raise AIMSError(
-                "pass either a StorageSpec or fault/retry/breaker "
-                "kwargs, not both"
             )
         with span("query.populate"):
             engine = ProPolyneEngine(

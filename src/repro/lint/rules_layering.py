@@ -5,9 +5,9 @@ These encode the contracts ``docs/ARCHITECTURE.md`` states in prose
 (and ``tests/test_repo_consistency.py`` used to enforce by grep):
 
 * ``layering-middleware-construction`` — device middleware and the
-  simulated disk are wired exclusively by :class:`DeviceStack` /
-  :class:`StorageSpec`; nothing else hand-builds a layer, so every
-  stack in the system is order-validated and reproducible from a spec.
+  simulated disk are wired exclusively by :meth:`StorageSpec.build`;
+  nothing else hand-builds a layer, so every stack in the system has
+  the one layer order and is reproducible from a spec.
 * ``layering-import-boundary`` — acquisition and sensor code never
   imports storage (data reaches disk through the facade), and the
   off-line query layer never imports the online layer (online builds
@@ -149,7 +149,7 @@ class MiddlewareConstructionRule(BaseRule):
     severity = "error"
     description = (
         "storage middleware and the simulated disk are constructed only "
-        "by the DeviceStack/StorageSpec builder modules"
+        "by the StorageSpec builder modules"
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
@@ -166,7 +166,7 @@ class MiddlewareConstructionRule(BaseRule):
                     node,
                     f"{name} constructed outside the device-stack "
                     f"builder; declare a StorageSpec (or extend "
-                    f"DeviceStack) instead",
+                    f"StorageSpec.build) instead",
                 )
 
 

@@ -22,7 +22,6 @@ from repro.storage.device import (
     CachingDevice,
     CrcFramedDevice,
     DeviceLayer,
-    DeviceStack,
     MeteredDevice,
     PoolStats,
     ResilientDevice,
@@ -41,7 +40,6 @@ __all__ = [
     "LatencyModel",
     "BlockDevice",
     "DeviceLayer",
-    "DeviceStack",
     "StorageSpec",
     "BuiltStorage",
     "CachingDevice",

@@ -11,7 +11,7 @@ and tell me what it cost".  Two variants:
 Storage configuration is declarative: both stores take a
 :class:`~repro.storage.device.StorageSpec` (shards, cache, CRC
 framing, fault injection, retry/breaker resilience, simulated latency)
-and build the canonical validated middleware stack from it — caching,
+and build the canonical middleware stack from it — caching,
 corruption detection, retries and fault injection are all the *device's*
 layers, not special cases inside the store.  The default spec is the
 bare metered disk, whose construction and reads are exactly the
@@ -50,6 +50,10 @@ class _StoreBase:
         #: directly); per-shard breakers live in :attr:`breakers`.
         self.breaker = spec.breaker
         self.breakers = self._built.breakers
+        #: Every caching layer, shard-major then member-minor (empty
+        #: when the spec disables caching) — benchmarks clear these
+        #: between runs and difference their ``pool_stats``.
+        self.caches = self._built.caches
 
     def _populate(self, blocks: dict) -> None:
         # Initial population models in-memory construction, not live
@@ -59,14 +63,6 @@ class _StoreBase:
             self.device.write_many(blocks)
         finally:
             self._built.set_injecting(True)
-
-    @property
-    def caches(self) -> list:
-        """Caching layers across all shards, in shard order (empty when
-        the spec disables caching) — benchmarks clear these between runs
-        and difference their :class:`~repro.storage.device.PoolStats`."""
-        layers = (stack.layer("caching") for stack in self._built.stacks)
-        return [layer for layer in layers if layer is not None]
 
     def shard_of(self, block_id) -> int:
         """Shard index a block id is placed on (0 when unsharded) —

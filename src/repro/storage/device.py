@@ -22,11 +22,10 @@ middleware implementing it:
 * ``FaultyDevice`` (:mod:`repro.faults.plan`) — seeded fault injection
   as middleware instead of a disk subclass.
 
-:class:`DeviceStack` builds a stack from a declarative layer list and
-validates layer order; :class:`StorageSpec` is the one-object storage
-configuration (shards / cache / faults / resilience / latency) that
-block stores, the AIMS facade and the CLI all build from.  Layer-order
-rule: every stack must be a subsequence of::
+:class:`StorageSpec` is the one-object storage configuration (shards /
+cache / faults / resilience / latency) that block stores, the AIMS
+facade and the CLI all build from, and :meth:`StorageSpec.build` is the
+one place the layers are wired, in the one order::
 
     metered > resilient > caching > crc > faulty > disk
 
@@ -39,7 +38,7 @@ by the checksum, not simulated around it).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Protocol, runtime_checkable
 
 from repro.core.errors import StorageError
@@ -50,6 +49,8 @@ from repro.obs.stats import StatsBase
 from repro.storage.codec import decode_block, encode_block
 from repro.storage.disk import IOStats, SimulatedDisk, frozen_payload
 from repro.storage.latency import LatencyModel
+from repro.storage.replication import ReplicatedDevice
+from repro.storage.sharding import ShardedDevice
 
 __all__ = [
     "BlockDevice",
@@ -57,7 +58,6 @@ __all__ = [
     "CachingDevice",
     "CrcFramedDevice",
     "DeviceLayer",
-    "DeviceStack",
     "MeteredDevice",
     "PoolStats",
     "ResilientDevice",
@@ -444,27 +444,22 @@ class ResilientDevice(DeviceLayer):  # lint: ignore[obs-coverage] — retry.* / 
     failure trips the breaker, and exhaustion surfaces as one typed
     :class:`~repro.core.errors.StorageUnavailable`.  Stacked *outside*
     the cache, so a retried read is re-driven through the (uncached on
-    failure) miss path.  With neither a policy nor a breaker the layer
-    is an exact pass-through.
+    failure) miss path.
     """
 
     def __init__(self, inner, retry_policy=None, breaker=None) -> None:
+        # Lazy: repro.faults imports this module for DeviceLayer.
+        from repro.faults.resilience import ResilientCaller
+
         super().__init__(inner)
         self.retry_policy = retry_policy
         self.breaker = breaker
-        if retry_policy is None and breaker is None:
-            self._caller = None
-        else:
-            from repro.faults.resilience import ResilientCaller
-
-            self._caller = ResilientCaller(retry_policy, breaker)
+        self._caller = ResilientCaller(retry_policy, breaker)
 
     def read_many(self, block_ids: Iterable[Hashable]) -> dict:
         """Bulk fetch, each block independently guarded — a group of one
         under the retry/breaker stack — so one block's exhaustion does
         not waste the others' completed reads."""
-        if self._caller is None:
-            return self.inner.read_many(block_ids)
         out: dict = {}
         for block_id in block_ids:
             out.update(self._caller.call(self.inner.read_many, [block_id]))
@@ -480,9 +475,6 @@ class ResilientDevice(DeviceLayer):  # lint: ignore[obs-coverage] — retry.* / 
         per block, as :meth:`read_many` does) keeps the inner layers'
         coalesced fan-out intact on the retried attempt.
         """
-        if self._caller is None:
-            self.inner.write_many(blocks)
-            return
         self._caller.call(self.inner.write_many, blocks)
 
     def stats(self) -> dict:
@@ -496,257 +488,10 @@ class ResilientDevice(DeviceLayer):  # lint: ignore[obs-coverage] — retry.* / 
         }
 
 
-#: Canonical outermost-to-innermost layer order; every valid stack is a
-#: subsequence ending in ``disk``.  ``replicated`` sits *outside*
-#: ``resilient``: each member carries its own retry/breaker sub-stack,
-#: so the replication layer sees a member's exhaustion as one typed
-#: ``StorageUnavailable`` and fails over instead of retrying blindly.
-CANONICAL_ORDER = (
-    "metered", "replicated", "resilient", "caching", "crc", "faulty", "disk"
-)
-
-
-def _build_faulty(inner, options: dict):
-    # Lazy: repro.faults imports this module for DeviceLayer.
-    from repro.faults.plan import FaultyDevice
-
-    return FaultyDevice(inner, plan=options.get("plan"))
-
-
-class DeviceStack:
-    """Declarative builder for a validated device middleware stack.
-
-    ``layers`` is an outermost-to-innermost sequence of layer kinds —
-    plain strings or ``(kind, options)`` pairs — ending in ``"disk"``.
-    Construction validates the order against :data:`CANONICAL_ORDER`
-    (metering outermost, retries outside the cache, CRC inside the
-    cache, faults below CRC), so every storage configuration in the
-    system is reproducible from one spec and no consumer hand-wires
-    middleware.
-
-    Layer options:
-
-    * ``metered`` — ``prefix`` (default ``"storage.device"``);
-    * ``replicated`` — ``replicas`` (required, >= 1: replica count on
-      top of the primary) and optional ``member_overrides`` (one dict
-      per member mapping layer kind to option overrides for that
-      member's sub-stack).  Every layer *below* ``replicated`` is built
-      once per member; without explicit overrides, members past the
-      primary get derived breakers / fault plans / latency models so
-      they never share stateful middleware;
-    * ``resilient`` — ``retry_policy``, ``breaker``;
-    * ``caching`` — ``capacity`` (required);
-    * ``crc`` — none;
-    * ``faulty`` — ``plan`` (a :class:`~repro.faults.plan.FaultPlan`);
-    * ``disk`` — ``block_size`` (required), ``latency``
-      (:class:`~repro.storage.latency.LatencyModel`) and ``metered``
-      (default True: a ``storage.disk.*`` meter sits directly above
-      the leaf).
-    """
-
-    def __init__(self, layers) -> None:
-        normalized: list[tuple[str, dict]] = []
-        for layer in layers:
-            if isinstance(layer, str):
-                kind, options = layer, {}
-            else:
-                kind, options = layer
-                options = dict(options)
-            if kind not in CANONICAL_ORDER:
-                raise StorageError(
-                    f"unknown device layer {kind!r}; valid layers: "
-                    f"{', '.join(CANONICAL_ORDER)}"
-                )
-            normalized.append((kind, options))
-        self.layers = normalized
-        self._validate()
-        self._built: dict[str, object] = {}
-        #: Per-member ``_built`` maps when a ``replicated`` layer is
-        #: present (member 0 first); empty otherwise.
-        self._member_built: list[dict] = []
-        self.device = None
-
-    def _validate(self) -> None:
-        kinds = [kind for kind, _ in self.layers]
-        if not kinds or kinds[-1] != "disk":
-            raise StorageError(
-                "a device stack must end in its 'disk' leaf layer"
-            )
-        if len(set(kinds)) != len(kinds):
-            dupes = sorted({k for k in kinds if kinds.count(k) > 1})
-            raise StorageError(f"duplicate device layers: {dupes}")
-        ranks = [CANONICAL_ORDER.index(k) for k in kinds]
-        if ranks != sorted(ranks):
-            raise StorageError(
-                f"invalid layer order {kinds}; layers must follow "
-                f"{' > '.join(CANONICAL_ORDER)} (metering outermost, "
-                f"retries outside the cache, CRC inside the cache, "
-                f"faults below CRC)"
-            )
-
-    def kinds(self) -> list[str]:
-        """Outermost-to-innermost layer kinds of this stack."""
-        return [kind for kind, _ in self.layers]
-
-    def _build_chain(self, layers, built: dict, base=None):
-        """Build an outermost-to-innermost layer list on top of ``base``
-        (or down to a fresh disk leaf), recording instances in ``built``."""
-        device = base
-        for kind, options in reversed(layers):
-            if kind == "disk":
-                if "block_size" not in options:
-                    raise StorageError("disk layer needs a block_size")
-                device = SimulatedDisk(
-                    block_size=options["block_size"],
-                    latency=options.get("latency"),
-                )
-                built["disk"] = device
-                if options.get("metered", True):
-                    device = MeteredDevice(device, prefix="storage.disk")
-                    built["disk_meter"] = device
-            elif kind == "faulty":
-                device = _build_faulty(device, options)
-                built["faulty"] = device
-            elif kind == "crc":
-                device = CrcFramedDevice(device)
-                built["crc"] = device
-            elif kind == "caching":
-                if "capacity" not in options:
-                    raise StorageError("caching layer needs a capacity")
-                device = CachingDevice(device, capacity=options["capacity"])
-                built["caching"] = device
-            elif kind == "resilient":
-                device = ResilientDevice(
-                    device,
-                    retry_policy=options.get("retry_policy"),
-                    breaker=options.get("breaker"),
-                )
-                built["resilient"] = device
-            elif kind == "metered":
-                device = MeteredDevice(
-                    device, prefix=options.get("prefix", "storage.device")
-                )
-                built["metered"] = device
-        return device
-
-    @staticmethod
-    def _member_layers(tail, member: int, overrides) -> list:
-        """One member's sub-stack layers: the shared tail with this
-        member's option overrides applied.
-
-        Without explicit overrides, members past the primary derive
-        fresh stateful middleware (breaker clone, shifted fault plan,
-        shifted latency seed) — replica members must fail independently,
-        so they never share failure streaks, RNG draws or spike
-        schedules with the primary.
-        """
-        out = []
-        for kind, options in tail:
-            opts = dict(options)
-            if overrides is not None:
-                opts.update(overrides[member].get(kind, {}))
-            elif member > 0:
-                if kind == "resilient" and opts.get("breaker") is not None:
-                    opts["breaker"] = _clone_breaker(opts["breaker"], member)
-                if kind == "faulty" and opts.get("plan") is not None:
-                    opts["plan"] = _derive_plan(opts["plan"], member)
-                if kind == "disk" and opts.get("latency") is not None:
-                    opts["latency"] = opts["latency"].derive(member)
-            out.append((kind, opts))
-        return out
-
-    def build(self):
-        """Construct the stack and return its outermost device.
-
-        Idempotent: a second call returns the same instances.  Layer
-        handles stay available through :meth:`layer`.  With a
-        ``replicated`` layer, every layer below it is built once per
-        member (``replicas + 1`` independent sub-stacks) and wrapped in
-        a :class:`~repro.storage.replication.ReplicatedDevice`.
-        """
-        if self.device is not None:
-            return self.device
-        kinds = self.kinds()
-        if "replicated" not in kinds:
-            self.device = self._build_chain(self.layers, self._built)
-            return self.device
-        split = kinds.index("replicated")
-        head = self.layers[:split]
-        _, ropts = self.layers[split]
-        tail = self.layers[split + 1:]
-        replicas = ropts.get("replicas")
-        if not isinstance(replicas, int) or replicas < 1:
-            raise StorageError(
-                f"replicated layer needs replicas >= 1, got {replicas!r}"
-            )
-        overrides = ropts.get("member_overrides")
-        n_members = replicas + 1
-        if overrides is not None and len(overrides) != n_members:
-            raise StorageError(
-                f"{len(overrides)} member_overrides for "
-                f"{n_members} members"
-            )
-        from repro.storage.replication import ReplicatedDevice
-
-        members, breakers = [], []
-        for member in range(n_members):
-            built: dict = {}
-            members.append(self._build_chain(
-                self._member_layers(tail, member, overrides), built
-            ))
-            resilient = built.get("resilient")
-            breakers.append(
-                resilient.breaker if resilient is not None else None
-            )
-            self._member_built.append(built)
-            if member == 0:
-                # layer() answers with the primary member's instances.
-                self._built.update(built)
-        device = ReplicatedDevice(members, breakers=breakers)
-        self._built["replicated"] = device
-        self.device = self._build_chain(head, self._built, base=device)
-        return self.device
-
-    def layer(self, kind: str):
-        """The built layer instance of a kind (None when absent; for a
-        replicated stack, tail kinds answer with member 0's instance)."""
-        if self.device is None:
-            self.build()
-        return self._built.get(kind)
-
-    def resilient_breakers(self) -> list:
-        """Every breaker this stack carries, member order (member 0
-        first); a single-element list for non-replicated stacks and
-        empty when no resilient layer/breaker is configured."""
-        if self.device is None:
-            self.build()
-        if self._member_built:
-            return [
-                built["resilient"].breaker
-                for built in self._member_built
-                if built.get("resilient") is not None
-                and built["resilient"].breaker is not None
-            ]
-        resilient = self._built.get("resilient")
-        if resilient is not None and resilient.breaker is not None:
-            return [resilient.breaker]
-        return []
-
-    def set_injecting(self, flag: bool) -> None:
-        """Toggle fault injection on this stack's faulty layer(s) —
-        every replica member's, when replicated (no-op without one)."""
-        if self.device is None:
-            self.build()
-        for built in (self._member_built or [self._built]):
-            faulty = built.get("faulty")
-            if faulty is not None:
-                faulty.injecting = bool(flag)
-
-
-def _clone_breaker(breaker, shard: int):
-    """A fresh breaker with the template's parameters, one per shard —
-    shards degrade independently, so they must not share failure
-    streaks."""
+def _clone_breaker(breaker):
+    """A fresh breaker with the template's parameters — shards and
+    replica members degrade independently, so they must not share
+    failure streaks."""
     from repro.faults.breaker import CircuitBreaker
 
     return CircuitBreaker(
@@ -758,12 +503,13 @@ def _clone_breaker(breaker, shard: int):
     )
 
 
-def _derive_plan(plan, shard: int):
-    """A per-shard fault plan with the same rates and a shifted seed."""
+def _derive_plan(plan, cell: int):
+    """A fault plan with the same rates and the seed of one cell of the
+    shard × member grid."""
     from repro.faults.plan import FaultPlan
 
     return FaultPlan(
-        seed=plan.seed + 1 + 7919 * shard,
+        seed=plan.seed + 1 + 7919 * cell,
         read_error_rate=plan.read_error_rate,
         torn_rate=plan.torn_rate,
         latency_spike_rate=plan.latency_spike_rate,
@@ -772,42 +518,28 @@ def _derive_plan(plan, shard: int):
     )
 
 
+@dataclass
 class BuiltStorage:
     """Handles into a built storage stack (possibly sharded).
 
     ``device`` is the outermost :class:`BlockDevice` consumers talk to;
-    ``stacks`` are the per-shard :class:`DeviceStack`\\ s (one entry
-    when unsharded); ``sharded`` is the
-    :class:`~repro.storage.sharding.ShardedDevice` fan-out layer, or
-    ``None``.
+    ``sharded`` the :class:`~repro.storage.sharding.ShardedDevice`
+    fan-out layer, or ``None``; ``replica_groups`` the per-shard
+    :class:`~repro.storage.replication.ReplicatedDevice` handles, in
+    shard order (empty without replicas).  ``disks``, ``caches``,
+    ``breakers`` and ``faulty`` are flat lists in shard-major,
+    member-minor order, one entry per (shard, member) sub-stack that
+    has the layer — without replication, one per shard in shard order.
     """
 
-    def __init__(self, spec, device, stacks, sharded=None) -> None:
-        self.spec = spec
-        self.device = device
-        self.stacks = list(stacks)
-        self.sharded = sharded
-
-    @property
-    def breakers(self) -> list:
-        """Circuit breakers in shard-major, member-minor order (empty
-        when no resilient layer is configured).  Without replication
-        this is exactly one breaker per shard, in shard order."""
-        out = []
-        for stack in self.stacks:
-            out.extend(stack.resilient_breakers())
-        return out
-
-    @property
-    def replica_groups(self) -> list:
-        """Per-shard :class:`~repro.storage.replication.ReplicatedDevice`
-        handles, in shard order (empty when the spec has no replicas)."""
-        out = []
-        for stack in self.stacks:
-            group = stack.layer("replicated")
-            if group is not None:
-                out.append(group)
-        return out
+    spec: "StorageSpec"
+    device: object = None
+    sharded: object = None
+    replica_groups: list = field(default_factory=list)
+    disks: list = field(default_factory=list)
+    caches: list = field(default_factory=list)
+    breakers: list = field(default_factory=list)
+    faulty: list = field(default_factory=list)
 
     def resync_replicas(self) -> int:
         """Resync every shard's stale replica members from its primary;
@@ -821,9 +553,10 @@ class BuiltStorage:
         return self.sharded.shard_of(block_id)
 
     def set_injecting(self, flag: bool) -> None:
-        """Toggle fault injection on every shard's faulty layer."""
-        for stack in self.stacks:
-            stack.set_injecting(flag)
+        """Toggle fault injection on every faulty layer (no-op without
+        a fault plan)."""
+        for layer in self.faulty:
+            layer.injecting = bool(flag)
 
     def close(self) -> None:
         """Release held resources (the sharded fan-out pool); idempotent."""
@@ -838,7 +571,7 @@ class StorageSpec:
     The single source of truth the block stores, the
     :class:`~repro.core.aims.AIMS` facade and the ``aims`` CLI
     (``--shards N --cache-blocks K --fault-rate p``) build storage
-    from.  ``build`` produces the canonical validated stack::
+    from.  :meth:`build` is the one place the layer order is written::
 
         metered > resilient > caching > crc > faulty > disk   (x shards)
 
@@ -861,7 +594,6 @@ class StorageSpec:
             template for the leaf devices (derived per shard/member).
         crc: Force CRC framing on/off; ``None`` enables it exactly when
             a fault plan is present.
-        metered: Emit ``storage.disk.*`` / ``storage.device.*`` metrics.
         fanout_workers: Worker-pool width for sharded multi-block
             reads (default ``min(shards, 8)``, or 1 — no pool — when
             nothing in the spec can make a device wait).
@@ -883,7 +615,6 @@ class StorageSpec:
     breaker: object = None
     latency: LatencyModel | None = None
     crc: bool | None = None
-    metered: bool = True
     fanout_workers: int | None = None
     fault_shards: tuple[int, ...] | None = None
     replicas: int = 0
@@ -922,138 +653,101 @@ class StorageSpec:
             return bool(self.crc)
         return self.fault_plan is not None
 
-    def _shard_layers(self, block_size: int, shard: int) -> list:
-        """Canonical layer list for one shard's sub-stack (no outer
-        meter — that wraps the fan-out layer, when sharded).  With
-        replicas, a ``replicated`` layer heads the sub-stack and every
-        layer below it is instantiated per member with the overrides
-        :meth:`_member_overrides` derives."""
-        layers: list = []
-        if self.shards == 1 and self.metered:
-            layers.append(("metered", {"prefix": "storage.device"}))
-        if self.replicas:
-            layers.append(
-                ("replicated",
-                 {"replicas": self.replicas,
-                  "member_overrides": self._member_overrides(shard)})
-            )
-        if self.retry_policy is not None or self.breaker is not None:
-            breaker = self.breaker
-            if breaker is not None and self.shards > 1:
-                breaker = _clone_breaker(breaker, shard)
-            layers.append(
-                ("resilient",
-                 {"retry_policy": self.retry_policy, "breaker": breaker})
-            )
-        if self.cache_blocks:
-            per_shard = -(-self.cache_blocks // self.shards)  # ceil
-            layers.append(("caching", {"capacity": max(1, per_shard)}))
-        if self.crc_enabled():
-            layers.append(("crc", {}))
-        plan = self._member_plan(shard, 0)
-        if plan is not None or self._shard_faulted(shard):
-            layers.append(("faulty", {"plan": plan}))
-        latency = self.latency
-        if latency is not None and self.shards > 1:
-            latency = latency.derive(shard)
-        layers.append(
-            ("disk", {"block_size": block_size, "latency": latency,
-                      "metered": self.metered})
-        )
-        return layers
-
-    def _shard_faulted(self, shard: int) -> bool:
-        """Whether any member of this shard carries a fault plan (the
-        faulty layer is kept in the shared sub-stack shape so member
-        overrides can target individual members)."""
-        if self.fault_plan is None:
-            return False
-        targets = (
-            set(self.fault_shards)
-            if self.fault_shards is not None
-            else set(range(self.shards))
-        )
-        return shard in targets
-
     def _member_plan(self, shard: int, member: int):
         """The fault plan for one (shard, member) sub-stack, or None.
 
         A single targeted device keeps the caller's plan instance, so
         its seeded history replays exactly; multiple targets get
         independently-seeded derived plans (collision-free across the
-        shard × member grid).  With ``replicas=0`` this reduces
-        byte-for-byte to the per-shard rule the sharded stack has used
-        since PR 4.
+        shard × member grid).
         """
-        if not self._shard_faulted(shard):
+        if self.fault_plan is None:
             return None
-        n_members = self.replicas + 1
+        shards = (
+            range(self.shards) if self.fault_shards is None
+            else set(self.fault_shards)
+        )
         members = (
-            set(self.fault_replicas)
-            if self.fault_replicas is not None
-            else set(range(n_members))
+            range(self.replicas + 1) if self.fault_replicas is None
+            else set(self.fault_replicas)
         )
-        if member not in members:
+        if shard not in shards or member not in members:
             return None
-        target_shards = (
-            set(self.fault_shards)
-            if self.fault_shards is not None
-            else set(range(self.shards))
-        )
-        if len(target_shards) * len(members) == 1:
+        if len(shards) * len(members) == 1:
             return self.fault_plan
         return _derive_plan(self.fault_plan, shard + self.shards * member)
 
-    def _member_overrides(self, shard: int) -> list[dict]:
-        """Per-member option overrides for one shard's replicated
-        sub-stack: member 0 keeps the shared tail's instances, members
-        past it get cloned breakers, per-member fault plans and shifted
-        latency seeds — stateful middleware is never shared between
-        members."""
-        n_members = self.replicas + 1
-        overrides: list[dict] = []
-        for member in range(n_members):
-            entry: dict = {}
-            if member > 0:
-                if self.breaker is not None:
-                    entry["resilient"] = {
-                        "breaker": _clone_breaker(
-                            self.breaker, shard + self.shards * member
-                        )
-                    }
-                if self.latency is not None:
-                    entry["disk"] = {
-                        "latency": self.latency.derive(
-                            shard + self.shards * member
-                        )
-                    }
-            if self._shard_faulted(shard):
-                entry["faulty"] = {"plan": self._member_plan(shard, member)}
-            overrides.append(entry)
-        return overrides
+    def _member(self, built: BuiltStorage, block_size: int,
+                shard: int, member: int):
+        """One (shard, member) sub-stack, leaf upward; returns it and
+        its breaker (or None).
+
+        Stateful middleware is never shared between sub-stacks: every
+        one but the unsharded primary — which keeps the caller's own
+        latency model and breaker — gets a model derived for its cell
+        of the shard × member grid and a breaker cloned from the
+        template.
+        """
+        # Lazy: repro.faults imports this module for DeviceLayer.
+        from repro.faults.plan import FaultyDevice
+
+        cell = shard + self.shards * member
+        own = self.shards == 1 and member == 0
+        latency, breaker = self.latency, self.breaker
+        if latency is not None and not own:
+            latency = latency.derive(cell)
+        if breaker is not None and not own:
+            breaker = _clone_breaker(breaker)
+        disk = SimulatedDisk(block_size=block_size, latency=latency)
+        built.disks.append(disk)
+        device = MeteredDevice(disk, prefix="storage.disk")
+        plan = self._member_plan(shard, member)
+        if plan is not None:
+            device = FaultyDevice(device, plan=plan)
+            built.faulty.append(device)
+        if self.crc_enabled():
+            device = CrcFramedDevice(device)
+        if self.cache_blocks:
+            per_shard = -(-self.cache_blocks // self.shards)  # ceil
+            device = CachingDevice(device, capacity=max(1, per_shard))
+            built.caches.append(device)
+        if self.retry_policy is not None or breaker is not None:
+            device = ResilientDevice(device, self.retry_policy, breaker)
+            if breaker is not None:
+                built.breakers.append(breaker)
+        return device, breaker
 
     def build(self, block_size: int) -> BuiltStorage:
-        """Build the device stack(s) for a given leaf block size."""
-        stacks = [
-            DeviceStack(self._shard_layers(block_size, shard))
-            for shard in range(self.shards)
-        ]
-        if self.shards == 1:
-            device = stacks[0].build()
-            return BuiltStorage(self, device, stacks)
-        from repro.storage.sharding import ShardedDevice
-
-        # Fan-out overlaps device *waits*: simulated latency, a fault
-        # plan's spikes, a retry policy's backoff.  With none, a read is
-        # dictionary lookups under the GIL and a pool hand-off per shard
-        # only costs (a thread wake-up each; bimodal on a small VM).
-        waits = (self.latency, self.fault_plan, self.retry_policy)
-        sharded = ShardedDevice(
-            [stack.build() for stack in stacks],
-            fanout_workers=self.fanout_workers
-            or (None if any(w is not None for w in waits) else 1),
-        )
-        device: object = sharded
-        if self.metered:
-            device = MeteredDevice(device, prefix="storage.device")
-        return BuiltStorage(self, device, stacks, sharded=sharded)
+        """Build the device stack for a given leaf block size."""
+        built = BuiltStorage(self)
+        shards = []
+        for shard in range(self.shards):
+            members = [
+                self._member(built, block_size, shard, member)
+                for member in range(self.replicas + 1)
+            ]
+            device = members[0][0]
+            if self.replicas:
+                # Outside each member's retry/breaker: the group sees a
+                # member's exhaustion as one typed StorageUnavailable
+                # and fails over instead of retrying blindly.
+                device = ReplicatedDevice(
+                    [sub for sub, _ in members],
+                    breakers=[breaker for _, breaker in members],
+                )
+                built.replica_groups.append(device)
+            shards.append(device)
+        if self.shards > 1:
+            # Fan-out overlaps device *waits*: simulated latency, a fault
+            # plan's spikes, a retry policy's backoff.  With none, a read
+            # is dictionary lookups under the GIL and a pool hand-off per
+            # shard only costs (a thread wake-up each; bimodal on a small
+            # VM).
+            waits = (self.latency, self.fault_plan, self.retry_policy)
+            device = built.sharded = ShardedDevice(
+                shards,
+                fanout_workers=self.fanout_workers
+                or (None if any(w is not None for w in waits) else 1),
+            )
+        built.device = MeteredDevice(device, prefix="storage.device")
+        return built

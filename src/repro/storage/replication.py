@@ -10,9 +10,9 @@ fails over (and promotes) instead of surfacing the error.
 
 Member anatomy: each member is a full middleware sub-stack
 (``resilient > caching > crc > faulty > disk``) built by
-:class:`~repro.storage.device.DeviceStack` from the ``replicated``
-layer, with its own breaker, fault plan and latency model — members
-must fail independently, so they share no stateful middleware.
+:meth:`StorageSpec.build <repro.storage.device.StorageSpec.build>`,
+with its own breaker, fault plan and latency model — members must fail
+independently, so they share no stateful middleware.
 
 The failure model is crash/unavailability (the member's resilient layer
 raising :class:`~repro.core.errors.StorageUnavailable` after retries,

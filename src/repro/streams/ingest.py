@@ -53,6 +53,11 @@ from repro.obs import span
 
 __all__ = ["BandwidthCoordinator", "IngestService", "IngestSession"]
 
+#: What ``IngestService.stop`` queues: it wakes the committer out of its
+#: idle ``poll_seconds`` wait, and the committer — which cannot leave
+#: without consuming it — then exits once the queue is empty.
+_STOP = object()
+
 
 @dataclass
 class BandwidthCoordinator:
@@ -321,7 +326,7 @@ class IngestService:
             thread, self._thread = self._thread, None
         if thread is None:
             return
-        self._stop.set()
+        self._queue.put(_STOP)
         thread.join()
 
     def __enter__(self) -> "IngestService":
@@ -415,18 +420,19 @@ class IngestService:
         points: list = []
         weights: list = []
         try:
-            point, weight = self._queue.get(timeout=self.poll_seconds)
+            item = self._queue.get(timeout=self.poll_seconds)
+            while True:
+                if item is _STOP:
+                    self._stop.set()
+                    self._queue.task_done()
+                else:
+                    points.append(item[0])
+                    weights.append(item[1])
+                    if len(points) == self.commit_batch:
+                        break
+                item = self._queue.get_nowait()
         except queue.Empty:
-            return points, weights
-        points.append(point)
-        weights.append(weight)
-        while len(points) < self.commit_batch:
-            try:
-                point, weight = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            points.append(point)
-            weights.append(weight)
+            pass
         return points, weights
 
     def _commit(self, points: list, weights: list) -> None:

@@ -82,42 +82,3 @@ class TestDesignDocSync:
             assert path.exists() and path.stat().st_size > 500, (
                 f"{doc} missing or suspiciously small"
             )
-
-class TestDeviceStackDiscipline:
-    """No module may hand-wire storage middleware around the validated
-    builder: every stack in ``src/`` must come from ``DeviceStack`` /
-    ``StorageSpec``.
-
-    Since PR 5 these are thin wrappers over the ``repro.lint`` rule
-    packs (which replaced the grep-based checks that lived here): the
-    rules carry the allow-lists, these tests keep their historical names
-    and pin the contracts into the tier-1 suite.
-    """
-
-    def _findings(self, rule_id):
-        from repro.lint import get_rule, lint_repo
-
-        return lint_repo(ROOT, rules=[get_rule(rule_id)])
-
-    def test_no_middleware_constructed_outside_the_stack_builder(self):
-        offenders = [
-            f.format()
-            for f in self._findings("layering-middleware-construction")
-        ]
-        assert offenders == [], (
-            f"middleware hand-wired outside DeviceStack: {offenders}"
-        )
-
-    def test_no_codec_framing_outside_the_crc_layer(self):
-        offenders = [
-            f.format() for f in self._findings("layering-codec-containment")
-        ]
-        assert offenders == [], (
-            f"codec framing leaked outside the device stack: {offenders}"
-        )
-
-    def test_import_boundaries_hold(self):
-        offenders = [
-            f.format() for f in self._findings("layering-import-boundary")
-        ]
-        assert offenders == [], f"layering arrows inverted: {offenders}"

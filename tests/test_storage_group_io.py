@@ -378,7 +378,7 @@ def test_no_simulated_seek_is_avoided(monkeypatch, slept, latency):
         block_size=7,
         storage=StorageSpec(shards=2, cache_blocks=32, latency=latency),
     )
-    leaves = [stack.layer("disk") for stack in engine.store._built.stacks]
+    leaves = engine.store._built.disks
     before = [leaf.io.reads for leaf in leaves]
     monkeypatch.setattr(SimulatedDisk, "read_many", recording_read)
     del slept[:]  # populate's own reads are not the measured run

@@ -13,7 +13,9 @@ import pytest
 
 from repro.core.errors import StorageError
 from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
-from repro.storage.device import DeviceStack, StorageSpec
+from repro.query.propolyne import ProPolyneEngine
+from repro.query.rangesum import RangeSumQuery
+from repro.storage.device import StorageSpec
 from repro.storage.disk import SimulatedDisk
 from repro.storage.replication import ReplicatedDevice
 from tests._blocks import read_block, write_block
@@ -261,31 +263,9 @@ class TestPromotionAndResync:
 
 
 class TestSpecIntegration:
-    def test_stack_builds_replicated_layer(self):
-        stack = DeviceStack([
-            ("replicated", {"replicas": 2}),
-            ("disk", {"block_size": 8}),
-        ])
-        device = stack.build()
-        assert isinstance(device, ReplicatedDevice)
-        assert device.n_members == 3
-        for block_id, items in PAYLOADS.items():
-            write_block(device, block_id, items)
-        for block_id, items in PAYLOADS.items():
-            assert same(read_block(device, block_id), items)
-
-    def test_replicated_layer_validates_replicas(self):
-        with pytest.raises(StorageError):
-            DeviceStack([
-                ("replicated", {"replicas": 0}),
-                ("disk", {"block_size": 8}),
-            ]).build()
-
     def test_spec_replicas_build_and_answer_identically(self):
-        plain = StorageSpec(metered=False).build(block_size=8)
-        replicated = StorageSpec(
-            metered=False, replicas=1
-        ).build(block_size=8)
+        plain = StorageSpec().build(block_size=8)
+        replicated = StorageSpec(replicas=1).build(block_size=8)
         for block_id, items in PAYLOADS.items():
             write_block(plain.device, block_id, items)
             write_block(replicated.device, block_id, items)
@@ -305,7 +285,7 @@ class TestSpecIntegration:
 
     def test_per_member_breakers_are_independent_clones(self):
         built = StorageSpec(
-            metered=False, shards=2, replicas=1,
+            shards=2, replicas=1,
             breaker=CircuitBreaker(failure_threshold=3),
             retry_policy=RetryPolicy(max_attempts=1),
         ).build(block_size=8)
@@ -315,7 +295,6 @@ class TestSpecIntegration:
 
     def test_kill_primary_drill_heals_to_exact_answers(self):
         spec = StorageSpec(
-            metered=False,
             replicas=1,
             fault_plan=FaultPlan(seed=9, read_error_rate=1.0),
             fault_replicas=(0,),
@@ -338,7 +317,34 @@ class TestSpecIntegration:
         assert group_device.primary == 1
 
     def test_resync_replicas_sums_over_shards(self):
-        built = StorageSpec(metered=False, replicas=1).build(block_size=8)
+        built = StorageSpec(replicas=1).build(block_size=8)
         for block_id, items in PAYLOADS.items():
             write_block(built.device, block_id, items)
         assert built.resync_replicas() == 0
+
+    def test_store_caches_list_every_member_not_just_primaries(self):
+        rng = np.random.default_rng(2003)
+        engine = ProPolyneEngine(
+            rng.poisson(3.0, (32, 32)).astype(float), max_degree=1,
+            block_size=7,
+            storage=StorageSpec(shards=2, replicas=1, cache_blocks=64),
+        )
+        store = engine.store
+        assert len(store.caches) == 2 * (1 + 1)
+        query = RangeSumQuery.count([(3, 29), (4, 30)])
+
+        def device_reads():
+            before = store.io_snapshot()
+            engine.evaluate_exact(query)
+            return store.io_since(before).reads
+
+        cold = device_reads()
+        assert cold > 0 and device_reads() == 0
+        for replica_group in store._built.replica_groups:
+            replica_group.promote(1)
+        assert (device_reads(), device_reads()) == (cold, 0)
+        # Clearing "the store's caches" must reach the members that now
+        # serve the reads.
+        for cache in store.caches:
+            cache.clear()
+        assert device_reads() == cold

@@ -12,7 +12,7 @@ operation, and shards receiving one coalesced sub-group each.
 
 import pytest
 
-from repro.core.errors import StorageError
+from repro.core.errors import StorageError, StorageUnavailable
 from repro.faults.plan import FaultPlan, FaultyDevice, InjectedWriteError
 from repro.faults.retry import RetryPolicy
 from repro.obs import MetricsRegistry, use_registry
@@ -144,9 +144,11 @@ class TestResilientGroupRetry:
         resilient = ResilientDevice(
             FaultyDevice(SimulatedDisk(block_size=8), plan)
         )
-        with pytest.raises(InjectedWriteError):
+        # One attempt, and the layer's one typed error around it.
+        with pytest.raises(StorageUnavailable) as caught:
             resilient.write_many(_payloads(2))
-
+        assert isinstance(caught.value.__cause__, InjectedWriteError)
+        assert len(plan.history) == 1
 
     def test_group_read_retries_only_the_failing_block(self):
         # Reads are guarded per block (a group of one each): a fault on

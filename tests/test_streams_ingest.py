@@ -235,6 +235,22 @@ class TestIngestService:
                 session.push(np.zeros(1))
         assert service.sessions == 0
 
+    def test_stop_does_not_wait_out_the_idle_poll(self):
+        service = IngestService(_engine(), poll_seconds=5.0).start()
+        committer = service._thread
+        time.sleep(0.05)  # let the committer settle into its idle wait
+        started = time.monotonic()
+        service.stop()
+        assert time.monotonic() - started < 1.0
+        assert not committer.is_alive()
+        # The wake-up was consumed and accounted: flush() cannot hang.
+        assert service._queue.unfinished_tasks == 0
+        # A restarted service still commits and still stops promptly.
+        with service:
+            service.submit((1, 1))
+            service.flush()
+        assert service.committed_points == 1
+
     def test_hundred_sessions_zero_loss(self):
         engine = _engine()
         service = IngestService(
