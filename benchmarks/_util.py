@@ -1,11 +1,4 @@
-"""Pure reporting helpers shared by the benchmark files.
-
-These used to live only in ``conftest.py``, which made them importable
-solely through pytest's rootdir side effect; as a plain module they
-work from any entry point (``python benchmarks/bench_x.py`` included).
-``conftest.py`` re-exports them, so ``from conftest import ...`` keeps
-working for the existing benchmarks.
-"""
+"""Pure reporting helpers shared by the benchmark files."""
 
 from __future__ import annotations
 

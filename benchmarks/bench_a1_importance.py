@@ -25,7 +25,7 @@ from repro.query.rangesum import RangeSumQuery, evaluate_on_cube
 from repro.sensors.atmosphere import atmospheric_cube
 from repro.storage.scheduler import schedule_blocks
 
-from conftest import format_table
+from _util import format_table
 
 
 def blocks_to_accuracy(engine, query, exact, order_blocks, target=0.01):

@@ -16,7 +16,7 @@ from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery, evaluate_on_cube
 from repro.sensors.atmosphere import atmospheric_cube
 
-from conftest import format_table
+from _util import format_table
 
 BLOCK_SIZES = (3, 7, 15, 31)
 

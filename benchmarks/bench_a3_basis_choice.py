@@ -24,7 +24,7 @@ from repro.wavelets.dwt import max_levels
 from repro.wavelets.filters import get_filter
 from repro.wavelets.lazy import lazy_range_query_transform
 
-from conftest import format_table
+from _util import format_table
 
 N = 2**12
 

@@ -27,7 +27,7 @@ from repro.wavelets.dwt import max_levels
 from repro.wavelets.filters import get_filter
 from repro.wavelets.tensor import tensor_wavedec
 
-from conftest import format_table
+from _util import format_table
 
 
 def build_store(coeffs, allocation_factory, pool):

@@ -16,7 +16,7 @@ from repro.online.recognizer import RecognizerConfig, StreamRecognizer
 from repro.online.vocabulary import MotionVocabulary
 from repro.sensors.asl import ASL_VOCABULARY, synthesize_session, synthesize_sign
 
-from conftest import format_table
+from _util import format_table
 
 
 def session_f1(vocabulary, signs, rng, window):

@@ -26,7 +26,7 @@ from repro.query.randproj import RandomProjectionEngine
 from repro.query.rangesum import RangeSumQuery, evaluate_on_cube
 from repro.sensors.atmosphere import atmospheric_cube
 
-from conftest import format_table
+from _util import format_table
 
 BUDGET = 128  # floats of storage / coefficients consumed
 N_QUERIES = 12

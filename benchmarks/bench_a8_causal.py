@@ -19,7 +19,7 @@ from repro.acquisition.streaming import StreamingAdaptiveSampler
 from repro.sensors.glove import CyberGloveSimulator
 from repro.sensors.noise import NoiseModel
 
-from conftest import format_table
+from _util import format_table
 
 DURATION = 30.0
 RATE = 100.0

@@ -20,7 +20,7 @@ from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
 from repro.sensors.atmosphere import atmospheric_cube
 
-from conftest import format_table
+from _util import format_table
 
 
 def run_study():

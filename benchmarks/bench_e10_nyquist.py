@@ -20,7 +20,7 @@ from repro.acquisition.nyquist import (
 )
 from repro.sensors.glove import band_limited_signal
 
-from conftest import format_table
+from _util import format_table
 
 RATE = 100.0
 TRUE_FMAX = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0)

@@ -23,7 +23,7 @@ from repro.acquisition.sampling import (
 from repro.sensors.glove import CyberGloveSimulator
 from repro.sensors.noise import NoiseModel
 
-from conftest import format_table
+from _util import format_table
 
 DURATION = 30.0
 RATE = 100.0

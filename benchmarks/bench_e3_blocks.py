@@ -25,7 +25,7 @@ from repro.storage.allocation import (
     utilization_bound,
 )
 
-from conftest import format_table
+from _util import format_table
 
 N = 2**14
 BLOCK_SIZES = (3, 7, 15, 31, 63)

@@ -21,7 +21,7 @@ from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery, evaluate_on_cube
 from repro.sensors.atmosphere import dataset_suite
 
-from conftest import format_table
+from _util import format_table
 
 SHAPE = (64, 64)
 BUDGETS = (16, 64, 256)

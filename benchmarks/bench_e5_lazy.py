@@ -17,7 +17,7 @@ import pytest
 
 from repro.wavelets.lazy import lazy_range_query_transform
 
-from conftest import format_table
+from _util import format_table
 
 LOG_SIZES = (10, 12, 14, 16, 18)
 

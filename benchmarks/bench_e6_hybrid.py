@@ -17,7 +17,7 @@ from repro.query.hybrid import HybridEngine
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery, relation_to_cube
 
-from conftest import format_table
+from _util import format_table
 
 SHAPE = (16, 256, 64)
 N_TUPLES = 20_000

@@ -20,7 +20,7 @@ from repro.analysis.svm import SVM
 from repro.analysis.validation import cross_validate
 from repro.sensors.classroom import generate_cohort
 
-from conftest import format_table
+from _util import format_table
 
 N_PER_GROUP = 30
 DURATION = 60.0

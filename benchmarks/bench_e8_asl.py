@@ -28,7 +28,7 @@ from repro.online.vocabulary import MotionVocabulary
 from repro.sensors.asl import ASL_VOCABULARY, synthesize_session, synthesize_sign
 from repro.sensors.noise import NoiseModel
 
-from conftest import format_table
+from _util import format_table
 
 CONDITIONS = {
     "easy": dict(noise=0.6, warp=(0.9, 1.1), jitter=0.0),

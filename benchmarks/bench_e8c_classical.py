@@ -30,7 +30,7 @@ from repro.online.similarity import weighted_svd_similarity
 from repro.online.vocabulary import MotionVocabulary
 from repro.sensors.asl import ASL_VOCABULARY, synthesize_sign
 
-from conftest import format_table
+from _util import format_table
 
 N_TRAIN = 6
 N_TEST = 6

@@ -29,7 +29,7 @@ from repro.online.svd_propolyne import (
 from repro.sensors.asl import ASL_VOCABULARY, synthesize_sign
 from repro.sensors.noise import NoiseModel
 
-from conftest import format_table
+from _util import format_table
 
 N_BINS = 16
 CHANNELS = [0, 4, 20, 25, 27]  # thumb, abduction, palm, tracker Y, roll

@@ -1,4 +1,4 @@
-"""Shared fixtures and reporting helpers for the experiment benchmarks.
+"""Shared fixtures and the metrics sidecar for the experiment benchmarks.
 
 Every ``bench_eNN_*.py`` file regenerates one quantitative claim of the
 AIMS paper (see DESIGN.md's experiment index).  Result tables are printed
@@ -68,7 +68,3 @@ def rng():
     """One deterministic generator per benchmark session."""
     return np.random.default_rng(2003)
 
-
-# Re-exported so the existing ``from conftest import ...`` call sites
-# keep working; the implementations live in the plain ``_util`` module.
-from _util import fmt_ms, format_table, safe_percentile  # noqa: E402,F401

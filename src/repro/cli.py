@@ -18,6 +18,7 @@ as executable documentation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 import numpy as np
@@ -177,6 +178,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
         return 2
+    if args.queries < 1:
+        print(f"--queries must be >= 1, got {args.queries}", file=sys.stderr)
+        return 2
     rng = np.random.default_rng(args.seed)
     n = 16
     cube = _atmospheric_count_cube(rng, n)
@@ -198,10 +202,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             breaker=breaker,
         ),
     )
-    queries = [
+    windows = [
         RangeSumQuery.count([(s, min(s + 5, n - 1)), (0, n - 1), (2, 13)])
         for s in range(0, n, 2)
-    ] * max(1, args.queries // (n // 2))
+    ]
+    queries = list(itertools.islice(itertools.cycle(windows), args.queries))
     degraded = 0
     for query in queries:
         outcome = engine.evaluate_degradable(query, deadline_s=args.deadline)

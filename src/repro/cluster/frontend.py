@@ -19,8 +19,9 @@ rejected with :class:`QuotaExceeded` before their work touches a
 backend) sits above each namespace service's bounded queue
 (:class:`~repro.query.service.QueryRejected`) which sits above the
 storage breakers.  A flooding tenant therefore burns its own quota and
-its own namespace queue — other tenants' latency stays bounded, the
-isolation property ``bench_p8_cluster.py`` gates on.
+its own namespace queue — other tenants are still served, the
+isolation property ``tests/test_cluster_frontend.py`` holds
+(``test_other_tenants_are_unaffected_by_a_full_quota``).
 """
 
 from __future__ import annotations

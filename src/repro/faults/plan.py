@@ -81,7 +81,7 @@ class FaultPlan:
     :attr:`latency` model (one :class:`~repro.storage.latency.LatencyModel`
     owning both rate and duration) and draw from their own seeded
     stream.  With every rate zero the plan never injects anything (the
-    control row of the fault-sweep benchmark).
+    control run, ``aims chaos --fault-rate 0``).
 
     Attributes:
         seed: RNG seed; equal seeds replay equal schedules.

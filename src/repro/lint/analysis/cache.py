@@ -5,8 +5,9 @@ lint's wall clock; the graph analyses over the summaries are cheap.
 So the cache stores the **per-file summaries**, keyed by a sha1 of the
 file's bytes: a warm run re-parses only files whose content changed
 and rebuilds the cross-file indexes from summaries — which is what
-keeps ``aims lint --deep`` inside the CI lint budget (BENCH_p9.json
-measures the cold/warm split).
+keeps a warm ``aims lint --deep`` cheap (CI runs the cold one under a
+``timeout``; ``tests/test_lint_analysis.py`` holds that a warm run
+re-parses nothing).
 
 The cache file (default ``.repro-lint-cache.json``, configurable via
 ``[tool.repro-lint] cache``) is self-invalidating: a schema or

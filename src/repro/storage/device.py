@@ -594,9 +594,6 @@ class StorageSpec:
             template for the leaf devices (derived per shard/member).
         crc: Force CRC framing on/off; ``None`` enables it exactly when
             a fault plan is present.
-        fanout_workers: Worker-pool width for sharded multi-block
-            reads (default ``min(shards, 8)``, or 1 — no pool — when
-            nothing in the spec can make a device wait).
         fault_shards: Restrict fault injection to these shard indices
             (``None`` = all shards).
         replicas: Replica members per shard on top of the primary
@@ -615,7 +612,6 @@ class StorageSpec:
     breaker: object = None
     latency: LatencyModel | None = None
     crc: bool | None = None
-    fanout_workers: int | None = None
     fault_shards: tuple[int, ...] | None = None
     replicas: int = 0
     fault_replicas: tuple[int, ...] | None = None
@@ -742,12 +738,14 @@ class StorageSpec:
             # plan's spikes, a retry policy's backoff.  With none, a read
             # is dictionary lookups under the GIL and a pool hand-off per
             # shard only costs (a thread wake-up each; bimodal on a small
-            # VM).
+            # VM).  So the width is ShardedDevice's default with a wait
+            # source in the spec, 1 (no pool) without.
             waits = (self.latency, self.fault_plan, self.retry_policy)
             device = built.sharded = ShardedDevice(
                 shards,
-                fanout_workers=self.fanout_workers
-                or (None if any(w is not None for w in waits) else 1),
+                fanout_workers=(
+                    None if any(w is not None for w in waits) else 1
+                ),
             )
         built.device = MeteredDevice(device, prefix="storage.device")
         return built

@@ -10,7 +10,8 @@ placement tests pin down).
 Multi-block reads fan out across the shards touched via a small
 transient worker pool, so with per-device latency the wall-clock cost
 of a scan approaches ``blocks / shards`` device waits instead of
-``blocks`` (the effect ``benchmarks/bench_p3_sharding.py`` measures).
+``blocks`` (the overlap ``tests/test_storage_group_io.py`` counts and
+the e2e ``drilldown_io`` workload's ``latency_p50_ms`` measures).
 Group writes fan out the same way; a group of one routes directly to
 the owning shard.
 

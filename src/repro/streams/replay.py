@@ -73,9 +73,10 @@ class ReplayEvent(NamedTuple):
     """One logged moment of a recorded session.
 
     A NamedTuple, not a dataclass: the recorder constructs one per
-    recorded sample on the live push path, where its ≤5% overhead
-    budget (gated by ``benchmarks/bench_p7_replay.py``) rules out
-    frozen-dataclass construction costs.  Type normalization (numpy
+    recorded sample on the live push path (recorder cost: measured
+    6.5–6.9 % of the 120-session drill's wall clock on the PR 24 box,
+    six runs; not gated), which rules out frozen-dataclass
+    construction costs.  Type normalization (numpy
     scalars → native int/float) happens at serialization time, off the
     hot path.
 
@@ -242,7 +243,7 @@ class SessionRecorder:
         self._lock = watched_lock("streams.recorder")
         # Hot-path counter cache, keyed on the active registry so
         # use_registry() swaps are honoured (the per-push name lookup
-        # is measurable against the <= 5% overhead budget).
+        # is measurable in the recorder's share of a push).
         self._counter_registry = None
         self._points_counter = None
 
@@ -280,8 +281,8 @@ class SessionRecorder:
         """
         cap = getattr(sampler, "max_rate_hz", None)
         # Point events are built outside the lock: this runs on the
-        # live push path, whose recorder overhead is budgeted at <= 5%
-        # (gated by the P7 benchmark).
+        # live push path, where the recorder is 6.5-6.9 % of a drill's
+        # wall clock (measured on the PR 24 box; not gated).
         make = ReplayEvent
         events = [
             make("point", sample.timestamp, tuple(point), weight)

@@ -132,3 +132,17 @@ class TestExplainCommand:
             )
 
         assert answer(pinned) != answer(live)
+
+
+class TestChaosCommand:
+    @pytest.mark.parametrize("asked", [20, 3])
+    def test_chaos_runs_exactly_the_queries_asked_for(self, capsys, asked):
+        assert main(["chaos", "--fault-rate", "0",
+                     "--queries", str(asked)]) == 0
+        out = capsys.readouterr().out
+        assert f"chaos drill: {asked} degradable queries" in out
+        assert f"degraded        : 0/{asked} " in out
+
+    def test_chaos_rejects_a_non_positive_query_count(self, capsys):
+        assert main(["chaos", "--queries", "0"]) == 2
+        assert "--queries must be >= 1" in capsys.readouterr().err

@@ -195,7 +195,7 @@ class TestFanoutPoolLifecycle:
     def test_a_spec_with_nothing_to_wait_for_builds_no_pool(self):
         # Fan-out overlaps device waits; a stack with no latency model,
         # fault plan or retry policy has none, so its shard groups run
-        # on the calling thread.  An explicit width is always honoured.
+        # on the calling thread.
         from repro.storage.latency import LatencyModel
 
         def workers(**spec):
@@ -207,7 +207,6 @@ class TestFanoutPoolLifecycle:
 
         assert workers() == 1
         assert workers(cache_blocks=16, crc=True) == 1
-        assert workers(fanout_workers=3) == 3
         assert workers(latency=LatencyModel(base_s=0.001)) == 4
         assert workers(fault_plan=FaultPlan(seed=1, read_error_rate=0.1)) == 4
         assert workers(retry_policy=RetryPolicy(max_attempts=2)) == 4

@@ -131,6 +131,32 @@ class TestTranslationCacheLRU:
         assert len(cache) <= 16
 
 
+class TestGroupByTraffic:
+    def test_group_by_misses_once_per_distinct_translation(
+        self, pristine_cache
+    ):
+        # Every cell of a group-by repeats the non-grouped dimensions'
+        # transforms verbatim: the memo computes each distinct
+        # (axis, lo, hi, degree) translation once and serves the rest.
+        from repro.query.batch import group_by
+        from repro.query.propolyne import ProPolyneEngine
+
+        cube = np.random.default_rng(171).poisson(3.0, (32, 16, 16))
+        engine = ProPolyneEngine(
+            cube.astype(float), max_degree=1, block_size=7
+        )
+        result = group_by(
+            engine, dim=0, group_width=4,
+            other_ranges={1: (3, 12)}, degrees={1: 1},
+        )
+        distinct = {(0, lo, hi, 0) for lo, hi in result.labels}
+        distinct |= {(1, 3, 12, 1), (2, 0, 15, 0)}
+        assert len(result.labels) == 8
+        stats = pristine_cache.stats()
+        assert stats["misses"] == len(distinct) == 10
+        assert stats["hits"] > stats["misses"]
+
+
 class TestVectorizedDot:
     def test_dot_matches_python_loop_reference(self):
         rng = np.random.default_rng(42)
