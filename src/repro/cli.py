@@ -110,18 +110,9 @@ def _cmd_asl(args: argparse.Namespace) -> int:
 
 def _cmd_olap(args: argparse.Namespace) -> int:
     from repro import AIMS
-    from repro.query.rangesum import RangeSumQuery, relation_to_cube
-    from repro.sensors.atmosphere import atmospheric_cube
+    from repro.query.rangesum import RangeSumQuery
 
-    rng = np.random.default_rng(args.seed)
-    field = atmospheric_cube((32, 32), rng)
-    t_lo, t_hi = field.min(), field.max()
-    bins = np.clip(np.round((field - t_lo) / (t_hi - t_lo) * 31), 0, 31).astype(int)
-    lat, lon = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
-    cube = relation_to_cube(
-        np.column_stack([lat.ravel(), lon.ravel(), bins.ravel()]),
-        (32, 32, 32),
-    )
+    cube = _atmospheric_count_cube(np.random.default_rng(args.seed), 32)
     system = AIMS()
     engine = system.populate("atm", cube)
     query = RangeSumQuery.count([(8, 23), (4, 27), (12, 31)])
@@ -461,167 +452,43 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _changed_files(root, ref: str) -> list[str] | None:
-    """Repo-relative ``.py`` paths touched vs. ``ref`` (plus untracked).
-
-    ``None`` means git could not answer (not a repository, bad ref);
-    the caller turns that into a usage error rather than guessing.
-    """
-    import subprocess
-
-    files: set[str] = set()
-    for cmd in (
-        ["git", "diff", "--name-only", ref, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                cmd, cwd=str(root), capture_output=True, text=True,
-                check=True,
-            )
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        files.update(
-            line.strip() for line in proc.stdout.splitlines()
-            if line.strip()
-        )
-    return sorted(f for f in files if f.endswith(".py"))
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run the architectural-invariant linter (``repro.lint``).
+    """Run every architectural-invariant check (``repro.lint``) once.
 
-    ``--deep`` adds the whole-program analyzers
-    (:mod:`repro.lint.analysis`); ``--changed [REF]`` restricts
-    reporting to files touched vs. a git ref (deep analyzers still see
-    the whole tree — cross-file facts do not respect a diff boundary).
-    Exits 0 when every rule is clean (or explicitly suppressed with a
-    justification comment), 1 when any error-severity finding remains,
-    2 on usage errors — the contract the lint CI jobs gate on.
+    One parse of ``ROOT/src/repro`` feeds the nine per-file rules and
+    the five whole-program analyzers.  Exits 0 when every check is
+    clean (or explicitly suppressed with a justification comment), 1
+    when any error-severity finding remains, 2 when ``ROOT`` has no
+    source tree — the contract the lint CI job gates on.
     """
     import json
-    from pathlib import Path
 
-    from repro import __version__
-    from repro.lint import (
-        LintEngine,
-        LintError,
-        all_rules,
-        get_rule,
-        load_config,
-        repo_root,
-    )
+    from repro.lint import LintError, checks, lint_tree
 
-    rules = all_rules()
-    if args.rules:
-        rules = [
-            get_rule(rule_id.strip())
-            for rule_id in args.rules.split(",")
-            if rule_id.strip()
-        ]
-    root = repo_root()
     try:
-        config = load_config(root)
+        findings = lint_tree(args.root).findings
     except LintError as exc:
         print(f"aims lint: {exc}", file=sys.stderr)
         return 2
-    changed: list[str] | None = None
-    if args.changed is not None:
-        changed = _changed_files(root, args.changed)
-        if changed is None:
-            print(f"aims lint: cannot diff against {args.changed!r} "
-                  f"(not a git checkout, or unknown ref)",
-                  file=sys.stderr)
-            return 2
-    if args.paths:
-        paths = [Path(p) for p in args.paths]
-    else:
-        paths = [root / rel for rel in config.roots]
-        if not any(p.exists() for p in paths):
-            print("no configured source tree next to the installed "
-                  "package; pass explicit paths to lint",
-                  file=sys.stderr)
-            return 2
-        paths = [p for p in paths if p.exists()]
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        print(f"no such path(s): {missing}", file=sys.stderr)
-        return 2
-    if changed is not None:
-        # Per-file rules only need to visit the touched files that sit
-        # under the requested trees.
-        resolved = [p.resolve() for p in paths]
-        keep = []
-        for rel in changed:
-            file = (root / rel).resolve()
-            if not file.is_file():
-                continue  # deleted files have nothing to lint
-            if any(
-                base == file or base in file.parents
-                for base in resolved
-            ):
-                keep.append(root / rel)
-        paths = keep
-    findings = LintEngine(rules).lint_paths(paths, root=root)
-    findings = [
-        f for f in findings if not config.excluded(f.rule_id, f.file)
-    ]
-    deep_stats = None
-    rule_meta = {
-        r.rule_id: (r.severity, r.description) for r in rules
-    }
-    if args.deep:
-        from repro.lint.analysis import DEEP_RULES, run_deep
-
-        report = run_deep(
-            root,
-            config,
-            use_cache=not args.no_cache,
-            only_files=changed,
-        )
-        findings = sorted(findings + report.findings)
-        deep_stats = report.stats
-        for rule_id, description in DEEP_RULES.items():
-            rule_meta[rule_id] = ("error", description)
+    catalogue = checks()
     errors = sum(1 for f in findings if f.severity == "error")
     warnings = len(findings) - errors
     if args.format == "json":
-        payload = {
+        print(json.dumps({
             "schema": "repro.lint/v1",
             "rules": [
-                {"id": rule_id, "severity": sev, "description": desc}
-                for rule_id, (sev, desc) in sorted(rule_meta.items())
+                {"id": c.rule_id, "severity": c.severity,
+                 "description": c.description}
+                for c in catalogue
             ],
             "findings": [f.as_dict() for f in findings],
             "summary": {"errors": errors, "warnings": warnings},
-        }
-        if deep_stats is not None:
-            payload["deep"] = deep_stats
-        if changed is not None:
-            payload["changed"] = changed
-        print(json.dumps(payload, indent=2))
-    elif args.format == "sarif":
-        from repro.lint.sarif import to_sarif
-
-        print(json.dumps(
-            to_sarif(
-                findings,
-                {rid: desc for rid, (_, desc) in rule_meta.items()},
-                __version__,
-            ),
-            indent=2,
-        ))
+        }, indent=2))
     else:
         for finding in findings:
             print(finding.format())
-        tail = f"({len(rule_meta)} rule(s))"
-        if deep_stats is not None:
-            tail += (
-                f" [deep: {deep_stats['files']} file(s), "
-                f"{deep_stats['cached']} cached]"
-            )
         print(f"aims lint: {errors} error(s), {warnings} warning(s) "
-              f"{tail}")
+              f"({len(catalogue)} rule(s))")
     return 1 if errors else 0
 
 
@@ -854,9 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--epochs", type=int, default=3,
                          help="history depth to build for the demo "
                               "engine (default 3)")
-    explain.add_argument("--json", action="store_true",
-                         help="reserved for symmetry; provenance is "
-                              "always printed as JSON")
 
     stats = sub.add_parser(
         "stats",
@@ -869,26 +733,11 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="check the architectural invariants (repro.lint)",
     )
-    lint.add_argument("paths", nargs="*",
-                      help="files or directories to lint (default: "
-                           "the [tool.repro-lint] roots)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
+    lint.add_argument("root", nargs="?", default=None, metavar="ROOT",
+                      help="repository root whose src/repro is linted "
+                           "(default: the one this package lives in)")
+    lint.add_argument("--format", choices=("text", "json"),
                       default="text", help="report format (default text)")
-    lint.add_argument("--rules", default=None,
-                      help="comma-separated rule ids to run "
-                           "(default: every registered rule)")
-    lint.add_argument("--deep", action="store_true",
-                      help="also run the whole-program analyzers "
-                           "(lockset races, lock-order cycles, "
-                           "exception contracts, catalogue drift)")
-    lint.add_argument("--changed", nargs="?", const="HEAD",
-                      default=None, metavar="REF",
-                      help="only report findings in files changed vs. "
-                           "a git ref (default HEAD); deep analyzers "
-                           "still read the whole tree")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="ignore and do not write the deep-analysis "
-                           "incremental cache")
     return parser
 
 

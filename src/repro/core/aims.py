@@ -224,13 +224,7 @@ class AIMS:
         if name in self._engines:
             raise AIMSError(f"cube {name!r} already populated")
         if storage is None:
-            from repro.storage.device import StorageSpec
-
-            storage = StorageSpec(
-                shards=self.config.shards,
-                cache_blocks=self.config.pool_capacity,
-                replicas=self.config.replicas,
-            )
+            storage = self._default_storage()
         with span("query.populate"):
             engine = ProPolyneEngine(
                 cube,
@@ -319,6 +313,17 @@ class AIMS:
             )
         return self.populate(name, cube)
 
+    def _default_storage(self):
+        """A fresh :class:`~repro.storage.device.StorageSpec` composed
+        from the config's ``shards`` / ``pool_capacity`` / ``replicas``."""
+        from repro.storage.device import StorageSpec
+
+        return StorageSpec(
+            shards=self.config.shards,
+            cache_blocks=self.config.pool_capacity,
+            replicas=self.config.replicas,
+        )
+
     # -- cluster tier ----------------------------------------------------------
 
     def cluster(
@@ -353,17 +358,7 @@ class AIMS:
         if backends < 1:
             raise AIMSError(f"backends must be >= 1, got {backends}")
         if storage_factory is None:
-            from repro.storage.device import StorageSpec
-
-            config = self.config
-
-            def storage_factory() -> StorageSpec:
-                return StorageSpec(
-                    shards=config.shards,
-                    cache_blocks=config.pool_capacity,
-                    replicas=config.replicas,
-                )
-
+            storage_factory = self._default_storage
         nodes = [
             BackendNode(
                 f"backend-{i}",

@@ -3,11 +3,13 @@
 Two halves, one goal: the contracts that keep the AIMS reproduction
 scalable stay true by tooling, not convention.
 
-* Static: :mod:`repro.lint.engine` walks source ASTs with the rule
-  packs (:mod:`~repro.lint.rules_layering`,
+* Static: :func:`lint_tree` parses ``src/repro`` once and runs all
+  fourteen checks on it — the per-file rule packs
+  (:mod:`~repro.lint.rules_layering`,
   :mod:`~repro.lint.rules_concurrency`,
   :mod:`~repro.lint.rules_determinism`,
-  :mod:`~repro.lint.rules_observability`) and reports
+  :mod:`~repro.lint.rules_observability`) and the whole-program
+  analyzers (:mod:`repro.lint.analysis`) — reporting
   :class:`Finding`\\ s; ``aims lint`` is the CLI front end and CI gate.
 * Dynamic: :mod:`repro.lint.lockwatch` instruments locks (opt-in via
   ``REPRO_LOCKWATCH=1``) and detects lock-order inversions — potential
@@ -17,7 +19,7 @@ The rule catalogue, what each rule guards, and how to suppress one are
 documented in ``docs/ARCHITECTURE.md`` ("Enforced invariants").
 """
 
-from repro.lint.config import LintConfig, load_config
+from repro.lint.analysis import LintReport, checks, lint_tree
 from repro.lint.engine import (
     BaseRule,
     FileContext,
@@ -27,7 +29,6 @@ from repro.lint.engine import (
     Rule,
     all_rules,
     get_rule,
-    lint_repo,
     register,
     repo_root,
 )
@@ -44,17 +45,17 @@ __all__ = [
     "FileContext",
     "Finding",
     "InstrumentedLock",
-    "LintConfig",
     "LintEngine",
     "LintError",
+    "LintReport",
     "LockOrderError",
     "LockOrderGraph",
     "LockOrderViolation",
     "Rule",
     "all_rules",
+    "checks",
     "get_rule",
-    "lint_repo",
-    "load_config",
+    "lint_tree",
     "register",
     "repo_root",
     "watched_lock",

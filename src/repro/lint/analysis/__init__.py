@@ -1,9 +1,11 @@
-"""Whole-program deep analysis on top of the per-file lint engine.
+"""The one lint pass: per-file rules and whole-program analyzers.
 
-``aims lint`` runs per-file rule packs; ``aims lint --deep`` adds this
-layer: one parse of the configured roots into a
-:class:`~repro.lint.analysis.model.ProjectModel` (with a content-hash
-incremental cache), then cross-file analyzers over it:
+:func:`lint_tree` parses every file under ``<root>/src/repro`` once
+into a :class:`~repro.lint.engine.FileContext`, runs the nine per-file
+rules on it, and reduces it with
+:func:`~repro.lint.analysis.model.summarize` into the
+:class:`~repro.lint.analysis.model.ProjectModel`.  The five cross-file
+analyzers then run over that model:
 
 * ``deep-lockset-race`` — attributes mutated both inside and outside a
   class's critical sections;
@@ -15,136 +17,90 @@ incremental cache), then cross-file analyzers over it:
   metric registrations and ``repro.*/vN`` schema strings against the
   documentation catalogues.
 
-Deep findings flow through the same machinery as per-file ones: they
-are :class:`~repro.lint.engine.Finding` records, honour ``# lint:
-ignore[...]`` suppressions at the anchored line (for findings in
-modelled source files), and can be configured off per-file via
-``[tool.repro-lint] exclude``.  Findings anchored in docs (stale
-catalogue rows) have no inline-comment channel; the config exclude is
-their escape hatch.
+Deep findings are :class:`~repro.lint.engine.Finding` records like any
+other, filtered through the suppression table of the context they are
+anchored in, so a ``# lint: ignore[...]`` comment silences them the
+same way.  Findings anchored in docs (stale catalogue rows) have no
+comment channel: the row or the code is fixed.
 """
 
 from __future__ import annotations
 
-import time
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.lint.analysis.cache import CACHE_SCHEMA, AnalysisCache
 from repro.lint.analysis.contracts import ExceptionContractAnalyzer
 from repro.lint.analysis.drift import MetricDriftAnalyzer, SchemaDriftAnalyzer
 from repro.lint.analysis.locks import LockOrderAnalyzer, LocksetRaceAnalyzer
-from repro.lint.analysis.model import ProjectModel, build_project
-from repro.lint.config import LintConfig, load_config
-from repro.lint.engine import PARSE_ERROR_RULE, Finding, repo_root
-from repro.obs import counter as obs_counter
-from repro.obs import gauge as obs_gauge
+from repro.lint.analysis.model import ProjectModel, summarize
+from repro.lint.engine import (
+    Finding,
+    LintEngine,
+    LintError,
+    all_rules,
+    parse,
+    repo_root,
+)
 
-__all__ = [
-    "AnalysisCache",
-    "CACHE_SCHEMA",
-    "DEEP_RULES",
-    "DeepReport",
-    "deep_analyzers",
-    "run_deep",
-]
+__all__ = ["LintReport", "SOURCE_ROOT", "checks", "lint_tree"]
+
+#: The repo-relative tree every check reads.
+SOURCE_ROOT = "src/repro"
 
 
-def deep_analyzers(config: LintConfig) -> list:
-    """The deep analyzer set, configured for one repository."""
+def _analyzers() -> list:
     return [
-        ExceptionContractAnalyzer(config.boundary_packages),
+        ExceptionContractAnalyzer(),
         LockOrderAnalyzer(),
         LocksetRaceAnalyzer(),
-        MetricDriftAnalyzer(config.docs),
-        SchemaDriftAnalyzer(config.docs, config.schema_roots),
+        MetricDriftAnalyzer(),
+        SchemaDriftAnalyzer(),
     ]
 
 
-#: rule id -> description, for ``--rules`` listings and SARIF metadata.
-DEEP_RULES = {
-    a.rule_id: a.description for a in deep_analyzers(LintConfig())
-}
+def checks() -> list:
+    """All fourteen checks — per-file rules and analyzers — id-ordered."""
+    return sorted([*all_rules(), *_analyzers()], key=lambda c: c.rule_id)
 
 
-class DeepReport:
-    """One deep run: surviving findings plus model/cache statistics."""
+@dataclass
+class LintReport:
+    """One lint pass: its surviving findings and the model it built."""
 
-    def __init__(self, findings: list[Finding], stats: dict) -> None:
-        self.findings = findings
-        self.stats = stats
+    findings: list[Finding]
+    model: ProjectModel
 
 
-def run_deep(
-    root=None,
-    config: LintConfig | None = None,
-    use_cache: bool = True,
-    only_files=None,
-) -> DeepReport:
-    """Run every deep analyzer over the configured roots.
+def lint_tree(root=None) -> LintReport:
+    """Run every check over ``<root>/src/repro`` in one parse.
 
-    ``only_files`` (repo-relative posix paths) restricts *reporting* to
-    findings anchored in those files — the model is always built from
-    the whole tree, because cross-file facts (who calls whom, which
-    catalogue row is live) do not respect a diff boundary.  This is
-    what backs ``aims lint --deep --changed``.
+    ``root`` defaults to the repository this package lives in; a
+    fixture tree is linted by passing its root.  Raises
+    :class:`~repro.lint.engine.LintError` when ``root`` has no source
+    tree, so a mistyped path is never reported clean.
     """
     root = Path(root) if root is not None else repo_root()
-    if config is None:
-        config = load_config(root)
-    cache = AnalysisCache(root / config.cache) if use_cache else None
-    started = time.perf_counter()
-    model = build_project(root, config, cache)
-    parse_seconds = time.perf_counter() - started
-    if cache is not None:
-        cache.prune(model.summaries)
-        cache.save()
-
+    source = root / SOURCE_ROOT
+    if not source.is_dir():
+        raise LintError(f"no {SOURCE_ROOT} tree under {root}")
+    engine = LintEngine()
+    model = ProjectModel(root=str(root), summaries={})
+    contexts = {}
     findings: list[Finding] = []
-    timings: dict[str, float] = {}
-    # Unparseable files hide from every cross-file analysis; that is a
-    # finding in itself, same id as the per-file engine uses.
-    for summary in model.modules():
-        if summary.parse_error is not None:
-            findings.append(
-                Finding(
-                    file=summary.path,
-                    line=summary.parse_error,
-                    rule_id=PARSE_ERROR_RULE,
-                    severity="error",
-                    message=(
-                        "file does not parse; deep analyses cannot "
-                        "see it"
-                    ),
-                )
-            )
-    for analyzer in deep_analyzers(config):
-        t0 = time.perf_counter()
-        findings.extend(analyzer.analyze(model))
-        timings[analyzer.rule_id] = time.perf_counter() - t0
-
-    def survives(f: Finding) -> bool:
-        if config.excluded(f.rule_id, f.file):
-            return False
-        summary = model.summaries.get(f.file)
-        if summary is not None and summary.is_suppressed(f.line, f.rule_id):
-            return False
-        return True
-
-    findings = sorted(f for f in findings if survives(f))
-    if only_files is not None:
-        keep = {Path(p).as_posix() for p in only_files}
-        findings = [f for f in findings if f.file in keep]
-
-    obs_counter("lint.deep.runs").inc()
-    obs_gauge("lint.deep.findings").set(len(findings))
-    obs_gauge("lint.deep.files.parsed").set(model.parsed)
-    obs_gauge("lint.deep.files.cached").set(model.cached)
-    stats = {
-        "files": len(model.summaries),
-        "parsed": model.parsed,
-        "cached": model.cached,
-        "cache_used": cache is not None,
-        "parse_seconds": parse_seconds,
-        "analyzer_seconds": timings,
-    }
-    return DeepReport(findings, stats)
+    for file in sorted(source.rglob("*.py")):
+        rel = file.relative_to(root).as_posix()
+        ctx = parse(rel, file.read_text())
+        if isinstance(ctx, Finding):
+            findings.append(ctx)
+            continue
+        contexts[rel] = ctx
+        findings.extend(engine.check(ctx))
+        model.summaries[rel] = summarize(ctx)
+    model.build_indexes()
+    for analyzer in _analyzers():
+        findings.extend(
+            f for f in analyzer.analyze(model)
+            if f.file not in contexts
+            or not contexts[f.file].is_suppressed(f.line, f.rule_id)
+        )
+    return LintReport(sorted(findings), model)

@@ -7,7 +7,7 @@ subclass — that is what lets ``QueryService`` catch
 ``except AIMSError`` a complete firewall for callers.
 
 ``deep-exception-contract`` enforces it across files: inside the
-configured boundary packages (storage/query/streams/cluster), a
+boundary packages (storage/query/streams/cluster), a
 ``raise ValueError(...)``-style bare builtin is flagged when it is
 **reachable from a public entry point** — directly, or through private
 helpers via the call graph.  Builtins that are protocol, not failure
@@ -25,7 +25,16 @@ from repro.lint.analysis.model import (
 )
 from repro.lint.engine import Finding
 
-__all__ = ["ExceptionContractAnalyzer"]
+__all__ = ["BOUNDARY_PACKAGES", "ExceptionContractAnalyzer"]
+
+#: Packages whose public entry points let only AIMSError subclasses
+#: escape.
+BOUNDARY_PACKAGES = (
+    "repro.storage",
+    "repro.query",
+    "repro.streams",
+    "repro.cluster",
+)
 
 #: Builtin exceptions that must not escape a boundary entry point.
 BANNED_BUILTINS = frozenset(
@@ -54,9 +63,6 @@ class ExceptionContractAnalyzer:
 
     _MAX_DEPTH = 12
 
-    def __init__(self, boundary_packages) -> None:
-        self.boundaries = tuple(boundary_packages)
-
     def analyze(self, project: ProjectModel) -> list[Finding]:
         """Yield one finding per offending raise site."""
         findings: list[Finding] = []
@@ -66,10 +72,11 @@ class ExceptionContractAnalyzer:
             findings.extend(self._check_module(project, summary))
         return findings
 
-    def _in_boundary(self, module: str) -> bool:
+    @staticmethod
+    def _in_boundary(module: str) -> bool:
         return any(
             module == p or module.startswith(p + ".")
-            for p in self.boundaries
+            for p in BOUNDARY_PACKAGES
         )
 
     def _check_module(self, project: ProjectModel,

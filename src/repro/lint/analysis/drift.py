@@ -25,7 +25,7 @@ match them.  Relative table rows (```storage.pool.hits` / `misses```)
 are expanded against the previous full name.
 
 ``deep-schema-drift`` does the same for ``repro.*/vN`` schema strings
-between the configured schema roots and the docs.
+between :data:`SCHEMA_ROOTS` and the docs.
 """
 
 from __future__ import annotations
@@ -36,7 +36,20 @@ from pathlib import Path
 from repro.lint.analysis.model import SCHEMA_RE, ProjectModel
 from repro.lint.engine import Finding
 
-__all__ = ["MetricDriftAnalyzer", "SchemaDriftAnalyzer"]
+__all__ = [
+    "CATALOGUE_DOCS",
+    "MetricDriftAnalyzer",
+    "SCHEMA_ROOTS",
+    "SchemaDriftAnalyzer",
+]
+
+#: Repo-relative docs holding the metric and schema catalogues.
+CATALOGUE_DOCS = ("DESIGN.md", "docs/OPERATIONS.md", "docs/REPLAY.md")
+
+#: Trees scanned for ``repro.*/vN`` schema strings: the linted source
+#: plus the benchmarks, which emit ``repro.obs/v1`` without living
+#: under ``src``.
+SCHEMA_ROOTS = ("src/repro", "benchmarks")
 
 #: A documented metric token: dotted lowercase segments, ``<...>``
 #: placeholders allowed.
@@ -147,17 +160,14 @@ class MetricDriftAnalyzer:
         "docs, and every catalogue row names a series code can produce"
     )
 
-    def __init__(self, docs) -> None:
-        self.docs = tuple(docs)
-
     def analyze(self, project: ProjectModel) -> list[Finding]:
         """Yield undocumented-registration and stale-row findings."""
         catalogue = _Catalogue()
         root = Path(project.root)
-        for rel in self.docs:
+        for rel in CATALOGUE_DOCS:
             doc = root / rel
             if doc.is_file():
-                catalogue.add_doc(Path(rel).as_posix(), doc.read_text())
+                catalogue.add_doc(rel, doc.read_text())
         doc_literals = {
             n for n in catalogue.mentioned if "<" not in n
         }
@@ -195,7 +205,7 @@ class MetricDriftAnalyzer:
                 findings.append(self._finding(
                     path, line,
                     f"metric {name!r} is registered here but absent "
-                    f"from the catalogues ({', '.join(self.docs)}); "
+                    f"from the catalogues ({', '.join(CATALOGUE_DOCS)}); "
                     f"document it or drop the series",
                 ))
         for name in sorted(code_patterns):
@@ -259,29 +269,18 @@ class SchemaDriftAnalyzer:
         "every documented schema exists in code"
     )
 
-    def __init__(self, docs, schema_roots) -> None:
-        self.docs = tuple(docs)
-        self.schema_roots = tuple(schema_roots)
-
     def analyze(self, project: ProjectModel) -> list[Finding]:
         """Yield undocumented-schema and vanished-schema findings."""
         root = Path(project.root)
         code: dict[str, tuple[str, int]] = {}
         # The project model already carries schema strings for the
-        # lint roots; extra schema roots (benchmarks) are scanned
+        # linted tree; the other schema roots (benchmarks) are scanned
         # textually — cheap, and they are not python-model material.
         for summary in project.modules():
             for schema, line in summary.schemas:
                 code.setdefault(schema, (summary.path, line))
-        for rel in self.schema_roots:
-            base = root / rel
-            files = (
-                sorted(base.rglob("*.py")) if base.is_dir()
-                else [base] if base.is_file() else []
-            )
-            for file in files:
-                if "__pycache__" in file.parts:
-                    continue
+        for rel in SCHEMA_ROOTS:
+            for file in sorted((root / rel).rglob("*.py")):
                 rel_file = file.relative_to(root).as_posix()
                 if rel_file in project.summaries:
                     continue
@@ -292,7 +291,7 @@ class SchemaDriftAnalyzer:
                         code.setdefault(match.group(0),
                                         (rel_file, lineno))
         docs: dict[str, tuple[str, int]] = {}
-        for rel in self.docs:
+        for rel in CATALOGUE_DOCS:
             doc = root / rel
             if not doc.is_file():
                 continue
@@ -300,8 +299,7 @@ class SchemaDriftAnalyzer:
                 doc.read_text().splitlines(), start=1
             ):
                 for match in SCHEMA_RE.finditer(text):
-                    docs.setdefault(match.group(0),
-                                    (Path(rel).as_posix(), lineno))
+                    docs.setdefault(match.group(0), (rel, lineno))
         findings: list[Finding] = []
         for schema in sorted(set(code) - set(docs)):
             path, line = code[schema]
@@ -310,7 +308,7 @@ class SchemaDriftAnalyzer:
                 severity=self.severity,
                 message=(
                     f"schema {schema!r} appears in code but in none of "
-                    f"the docs ({', '.join(self.docs)}); document the "
+                    f"the docs ({', '.join(CATALOGUE_DOCS)}); document the "
                     f"format"
                 ),
             ))

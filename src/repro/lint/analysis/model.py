@@ -4,11 +4,11 @@ The per-file rule packs see one :class:`~repro.lint.engine.FileContext`
 at a time; the questions PR 10 asks — which attributes does this lock
 actually guard, can these two locks nest both ways, can a bare
 ``ValueError`` escape a public storage entry point — need the whole
-tree at once.  :func:`build_project` parses every file under the
-configured roots exactly once, reduces each to a compact
-:class:`ModuleSummary` (JSON-serializable, so the incremental cache can
-skip re-parsing unchanged files), and assembles the cross-file indexes
-the analyzers share:
+tree at once.  The lint pass (:func:`repro.lint.analysis.lint_tree`)
+parses every file once; :func:`summarize` reduces each parsed
+:class:`~repro.lint.engine.FileContext` to a compact
+:class:`ModuleSummary`, and :class:`ProjectModel` assembles the
+cross-file indexes the analyzers share:
 
 * a **module graph** (who imports whom),
 * a **class index** (methods, ``self.*`` accesses with the lockset
@@ -31,7 +31,6 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.lint.engine import FileContext
 
@@ -45,13 +44,8 @@ __all__ = [
     "ModuleSummary",
     "ProjectModel",
     "RaiseSite",
-    "build_project",
     "summarize",
 ]
-
-#: Bump when the extraction below changes shape: cached summaries from
-#: an older extractor are discarded, never misread.
-MODEL_VERSION = 1
 
 #: ``_lock`` / ``_update_lock`` / ... — the lock-naming contract.
 _LOCK_NAME_RE = re.compile(r"^_(?:[a-z0-9]+_)*lock$")
@@ -175,99 +169,11 @@ class ModuleSummary:
 
     path: str
     module: str
-    digest: str
     imports: dict[str, str] = field(default_factory=dict)
     classes: dict[str, ClassSummary] = field(default_factory=dict)
     functions: dict[str, FuncSummary] = field(default_factory=dict)
     metrics: list[MetricSite] = field(default_factory=list)
     schemas: list[tuple[str, int]] = field(default_factory=list)
-    file_ignores: list[str] = field(default_factory=list)
-    line_ignores: dict[int, list[str]] = field(default_factory=dict)
-    parse_error: int | None = None  # line of the SyntaxError, if any
-
-    def is_suppressed(self, line: int, rule_id: str) -> bool:
-        """Mirror of :meth:`FileContext.is_suppressed` for deep runs."""
-        ids = set(self.line_ignores.get(line, ())) | set(self.file_ignores)
-        return rule_id in ids or "*" in ids
-
-
-# -- serialization (the incremental cache stores summaries as JSON) ---------
-
-
-def _to_dict(obj):
-    if isinstance(obj, (Access, CallSite, LockAcquire, RaiseSite,
-                        MetricSite)):
-        return {k: _to_dict(v) for k, v in vars(obj).items()}
-    if isinstance(obj, (FuncSummary, ClassSummary, ModuleSummary)):
-        return {k: _to_dict(v) for k, v in vars(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): _to_dict(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_dict(v) for v in obj]
-    return obj
-
-
-def summary_to_dict(summary: ModuleSummary) -> dict:
-    """JSON form of a summary (the cache's per-file payload)."""
-    return _to_dict(summary)
-
-
-def _func_from_dict(data: dict) -> FuncSummary:
-    return FuncSummary(
-        name=data["name"],
-        line=data["line"],
-        accesses=[
-            Access(a["path"], a["kind"], a["line"], tuple(a["locks"]))
-            for a in data["accesses"]
-        ],
-        calls=[
-            CallSite(tuple(c["target"]), c["line"], tuple(c["locks"]))
-            for c in data["calls"]
-        ],
-        acquires=[
-            LockAcquire(a["path"], a["line"], tuple(a["held"]))
-            for a in data["acquires"]
-        ],
-        raises=[RaiseSite(r["exc"], r["line"]) for r in data["raises"]],
-    )
-
-
-def summary_from_dict(data: dict) -> ModuleSummary:
-    """Rebuild a summary from its JSON form."""
-    return ModuleSummary(
-        path=data["path"],
-        module=data["module"],
-        digest=data["digest"],
-        imports=dict(data["imports"]),
-        classes={
-            name: ClassSummary(
-                name=cls["name"],
-                line=cls["line"],
-                methods={
-                    m: _func_from_dict(fn)
-                    for m, fn in cls["methods"].items()
-                },
-                lock_attrs=dict(cls["lock_attrs"]),
-                attr_types=dict(cls["attr_types"]),
-            )
-            for name, cls in data["classes"].items()
-        },
-        functions={
-            name: _func_from_dict(fn)
-            for name, fn in data["functions"].items()
-        },
-        metrics=[
-            MetricSite(m["kind"], m["name"], m["line"])
-            for m in data["metrics"]
-        ],
-        schemas=[(s, line) for s, line in data["schemas"]],
-        file_ignores=list(data["file_ignores"]),
-        line_ignores={
-            int(line): list(ids)
-            for line, ids in data["line_ignores"].items()
-        },
-        parse_error=data["parse_error"],
-    )
 
 
 # -- extraction -------------------------------------------------------------
@@ -547,18 +453,9 @@ def _extract_class(node: ast.ClassDef) -> ClassSummary:
     return cls
 
 
-def summarize(ctx: FileContext, digest: str) -> ModuleSummary:
+def summarize(ctx: FileContext) -> ModuleSummary:
     """Reduce one parsed file to its analyzer-relevant summary."""
-    summary = ModuleSummary(
-        path=ctx.path,
-        module=ctx.module,
-        digest=digest,
-        file_ignores=sorted(ctx._file_ignores),
-        line_ignores={
-            line: sorted(ids)
-            for line, ids in ctx._line_ignores.items()
-        },
-    )
+    summary = ModuleSummary(path=ctx.path, module=ctx.module)
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -602,7 +499,7 @@ def summarize(ctx: FileContext, digest: str) -> ModuleSummary:
                         MetricSite("histogram", name + ".seconds",
                                    node.lineno)
                     )
-    for lineno, text in enumerate(ctx.source.splitlines(), start=1):
+    for lineno, text in enumerate(ctx.lines, start=1):
         for match in SCHEMA_RE.finditer(text):
             summary.schemas.append((match.group(0), lineno))
     return summary
@@ -624,10 +521,6 @@ class ProjectModel:
     module_index: dict[str, str] = field(default_factory=dict)
     #: module graph: module -> imported repro modules
     module_graph: dict[str, set[str]] = field(default_factory=dict)
-    #: files parsed fresh this run (cache misses)
-    parsed: int = 0
-    #: files loaded from the incremental cache
-    cached: int = 0
 
     def build_indexes(self) -> None:
         """(Re)derive the cross-file indexes from the summaries."""
@@ -667,60 +560,3 @@ class ProjectModel:
         entry = self.class_index.get(name)
         return entry[0] if entry else None
 
-
-def iter_source_files(root: Path, roots) -> list[Path]:
-    """Every ``.py`` file under the configured roots, sorted."""
-    files: list[Path] = []
-    for rel in roots:
-        base = root / rel
-        if base.is_dir():
-            files.extend(
-                p for p in base.rglob("*.py")
-                if "__pycache__" not in p.parts
-            )
-        elif base.is_file():
-            files.append(base)
-    return sorted(set(files))
-
-
-def build_project(root, config, cache=None) -> ProjectModel:
-    """Parse the configured roots into a :class:`ProjectModel`.
-
-    ``cache`` is an optional :class:`~repro.lint.analysis.cache
-    .AnalysisCache`; files whose content hash matches the cached entry
-    are restored from their stored summary without re-parsing.
-    """
-    root = Path(root)
-    model = ProjectModel(root=str(root), summaries={})
-    for file in iter_source_files(root, config.roots):
-        rel = file.relative_to(root).as_posix()
-        source = file.read_text()
-        digest = content_digest(source)
-        if cache is not None:
-            hit = cache.lookup(rel, digest)
-            if hit is not None:
-                model.summaries[rel] = hit
-                model.cached += 1
-                continue
-        try:
-            ctx = FileContext(rel, source)
-        except SyntaxError as exc:
-            summary = ModuleSummary(
-                path=rel, module="", digest=digest,
-                parse_error=exc.lineno or 1,
-            )
-        else:
-            summary = summarize(ctx, digest)
-        model.summaries[rel] = summary
-        model.parsed += 1
-        if cache is not None:
-            cache.store(rel, summary)
-    model.build_indexes()
-    return model
-
-
-def content_digest(source: str) -> str:
-    """Content hash keying the incremental cache (sha1 is plenty)."""
-    import hashlib
-
-    return hashlib.sha1(source.encode()).hexdigest()

@@ -10,8 +10,9 @@ and CI gates on.
 Suppression is per line: a ``# lint: ignore[rule-id]`` comment (with a
 trailing justification) silences that rule on that line, and
 ``# lint: ignore-file[rule-id]`` anywhere in a file silences it for the
-whole file.  Suppressions are deliberate, visible decisions — the same
-philosophy as the device stack's canonical-order validator.
+whole file.  The same table filters the deep analyzers' findings
+(:func:`repro.lint.analysis.lint_tree`), so a suppression is one
+deliberate, visible decision whichever check it answers.
 
 Rule implementations live in the ``rules_*`` sibling modules and
 self-register via :func:`register`; the engine itself knows nothing
@@ -37,7 +38,7 @@ __all__ = [
     "Rule",
     "all_rules",
     "get_rule",
-    "lint_repo",
+    "parse",
     "register",
     "repo_root",
 ]
@@ -51,7 +52,8 @@ PARSE_ERROR_RULE = "parse-error"
 
 
 class LintError(AIMSError):
-    """Invalid linter configuration (unknown rule id, bad severity)."""
+    """A lint run that cannot proceed (unknown rule id, bad severity,
+    no source tree to lint)."""
 
 
 @dataclass(frozen=True, order=True)
@@ -92,14 +94,13 @@ class FileContext:
 
     Carries the repo-relative path, the derived dotted module name
     (``src/repro/storage/device.py`` -> ``repro.storage.device``), the
-    raw source, the parsed AST, and the suppression table.  Files that
+    source lines, the parsed AST, and the suppression table.  Files that
     do not live under ``src/`` get an empty module name, which scoped
     rules treat as "not part of the library" and skip.
     """
 
     def __init__(self, path: str, source: str) -> None:
         self.path = Path(path).as_posix()
-        self.source = source
         self.lines = source.splitlines()
         self.module = self._module_name(self.path)
         self.tree = ast.parse(source, filename=self.path)
@@ -225,13 +226,40 @@ def get_rule(rule_id: str) -> Rule:
         ) from None
 
 
+def parse(path: str, source: str) -> FileContext | Finding:
+    """Parse one file, or say why it cannot be parsed.
+
+    The one ``parse-error`` emitter: a file that does not parse is a
+    finding, not a crash, and no other check sees it.
+    """
+    try:
+        return FileContext(path, source)
+    except SyntaxError as exc:
+        return Finding(
+            file=Path(path).as_posix(),
+            line=exc.lineno or 1,
+            rule_id=PARSE_ERROR_RULE,
+            severity="error",
+            message=f"file does not parse: {exc.msg}",
+        )
+
+
 class LintEngine:
-    """Runs a rule set over source text, files, or directory trees."""
+    """Runs a rule set over parsed files or source text."""
 
     def __init__(self, rules: Iterable[Rule] | None = None) -> None:
         self.rules: list[Rule] = (
             list(rules) if rules is not None else all_rules()
         )
+
+    def check(self, ctx: FileContext) -> list[Finding]:
+        """Every unsuppressed finding of the rule set in one file."""
+        return [
+            f
+            for rule in self.rules
+            for f in rule.check(ctx)
+            if not ctx.is_suppressed(f.line, f.rule_id)
+        ]
 
     def lint_source(self, source: str, path: str = "<string>") -> list[Finding]:
         """Lint one source string presented as living at ``path``.
@@ -239,74 +267,12 @@ class LintEngine:
         ``path`` drives module-scoped rules, so tests can present fixture
         snippets as any module they like (``src/repro/query/fake.py``).
         """
-        try:
-            ctx = FileContext(path, source)
-        except SyntaxError as exc:
-            return [
-                Finding(
-                    file=Path(path).as_posix(),
-                    line=exc.lineno or 1,
-                    rule_id=PARSE_ERROR_RULE,
-                    severity="error",
-                    message=f"file does not parse: {exc.msg}",
-                )
-            ]
-        findings = [
-            f
-            for rule in self.rules
-            for f in rule.check(ctx)
-            if not ctx.is_suppressed(f.line, f.rule_id)
-        ]
-        return sorted(findings)
-
-    def lint_file(self, path, root=None) -> list[Finding]:
-        """Lint one file, reporting it relative to ``root`` when given."""
-        path = Path(path)
-        rel = path
-        if root is not None:
-            try:
-                rel = path.resolve().relative_to(Path(root).resolve())
-            except ValueError:
-                rel = path
-        return self.lint_source(path.read_text(), str(rel))
-
-    def lint_paths(self, paths, root=None) -> list[Finding]:
-        """Lint files and/or directory trees (``__pycache__`` skipped)."""
-        findings: list[Finding] = []
-        for path in paths:
-            path = Path(path)
-            if path.is_dir():
-                for file in sorted(path.rglob("*.py")):
-                    if "__pycache__" in file.parts:
-                        continue
-                    findings.extend(self.lint_file(file, root=root))
-            else:
-                findings.extend(self.lint_file(path, root=root))
-        return sorted(findings)
+        ctx = parse(path, source)
+        if isinstance(ctx, Finding):
+            return [ctx]
+        return sorted(self.check(ctx))
 
 
 def repo_root() -> Path:
     """The repository root this installed tree lives in."""
     return Path(__file__).resolve().parents[3]
-
-
-def lint_repo(root=None, rules: Iterable[Rule] | None = None,
-              config=None) -> list[Finding]:
-    """Lint the configured source trees under ``root``.
-
-    The trees come from ``[tool.repro-lint] roots`` in the repo's
-    ``pyproject.toml`` (default ``src/repro``), and findings a
-    configured per-rule exclude covers are dropped.
-    """
-    # Imported here: config needs LintError from this module.
-    from repro.lint.config import load_config
-
-    root = Path(root) if root is not None else repo_root()
-    if config is None:
-        config = load_config(root)
-    findings = LintEngine(rules).lint_paths(
-        [root / rel for rel in config.roots], root=root
-    )
-    return [
-        f for f in findings if not config.excluded(f.rule_id, f.file)
-    ]

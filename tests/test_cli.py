@@ -1,10 +1,13 @@
 """Tests for the command-line front end (repro.cli)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 class TestParser:
@@ -25,6 +28,14 @@ class TestParser:
     def test_seed_global(self):
         args = build_parser().parse_args(["--seed", "7", "info"])
         assert args.seed == 7
+
+    def test_lint_takes_only_a_root_and_a_format(self):
+        args = build_parser().parse_args(["lint"])
+        assert vars(args) == {
+            "seed": 2003, "command": "lint", "root": None, "format": "text",
+        }
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["lint", "--format", "xml"])
 
 
 class TestCommands:
@@ -63,11 +74,15 @@ class TestCommands:
         assert "guarantee" in out
 
     def test_report(self, capsys):
-        # Results exist after any benchmark run; the command aggregates
-        # them (or exits 1 with guidance when absent).
-        code = main(["report"])
-        out, err = capsys.readouterr().out, capsys.readouterr().err
-        assert code in (0, 1)
+        # One section per committed result table, in stem order.
+        assert main(["report"]) == 0
+        headers = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("==== ")
+        ]
+        stems = sorted(p.stem for p in RESULTS.glob("*.txt"))
+        assert stems
+        assert headers == [f"==== {stem} ====" for stem in stems]
 
 
 class TestReplayCommand:

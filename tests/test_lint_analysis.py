@@ -1,22 +1,17 @@
-"""Tests for the whole-program deep-analysis layer (``repro.lint.analysis``).
+"""Tests for the one lint pass and its whole-program analyzers.
 
 Analyzer semantics are pinned on fixture trees written to ``tmp_path``
 — never on repo files — so they hold independent of the repo's current
 state.  The one exception is the acceptance gate at the bottom: the
-real tree must deep-lint clean, which is exactly the contract the
-``lint-deep`` CI job enforces.
+real tree must lint clean, which is exactly the contract the
+``lint-invariants`` CI job enforces.
 """
 
-import json
 import textwrap
 
 import pytest
 
-from repro.cli import main as cli_main
-from repro.lint import LintConfig, lint_repo, load_config, repo_root
-from repro.lint.analysis import AnalysisCache, run_deep
-from repro.lint.analysis.model import MODEL_VERSION, build_project
-from repro.lint.sarif import to_sarif
+from repro.lint import LintError, lint_tree, repo_root
 
 
 def write_tree(root, files):
@@ -79,7 +74,7 @@ class TestProjectModel:
                 return 1
             """,
         })
-        model = build_project(tmp_path, LintConfig())
+        model = lint_tree(tmp_path).model
         assert set(model.summaries) == {"src/repro/a.py", "src/repro/b.py"}
         cls = model.find_class("Widget")
         assert cls.lock_attrs == {"_lock": ""}
@@ -97,8 +92,11 @@ class TestProjectModel:
 
     def test_parse_error_is_recorded_not_raised(self, tmp_path):
         write_tree(tmp_path, {"src/repro/bad.py": "def broken(:\n"})
-        model = build_project(tmp_path, LintConfig())
-        assert model.summaries["src/repro/bad.py"].parse_error == 1
+        report = lint_tree(tmp_path)
+        assert [(f.file, f.line, f.rule_id) for f in report.findings] == [
+            ("src/repro/bad.py", 1, "parse-error")
+        ]
+        assert report.model.summaries == {}
 
     def test_mutator_method_counts_as_write(self, tmp_path):
         write_tree(tmp_path, {
@@ -112,7 +110,7 @@ class TestProjectModel:
                         self._items.append(item)
             """,
         })
-        model = build_project(tmp_path, LintConfig())
+        model = lint_tree(tmp_path).model
         fn = model.find_class("Q").methods["push"]
         assert any(a.path == "_items" and a.kind == "write"
                    and a.locks == ("_lock",) for a in fn.accesses)
@@ -121,7 +119,7 @@ class TestProjectModel:
 class TestLocksetRace:
     def test_pre_pr7_insert_race_is_rediscovered(self, tmp_path):
         write_tree(tmp_path, {"src/repro/engine.py": PRE_PR7_ENGINE})
-        report = run_deep(tmp_path, LintConfig(), use_cache=False)
+        report = lint_tree(tmp_path)
         races = [f for f in report.findings
                  if f.rule_id == "deep-lockset-race"]
         racy_attrs = {m for f in races
@@ -144,7 +142,7 @@ class TestLocksetRace:
         )
         assert source != PRE_PR7_ENGINE
         write_tree(tmp_path, {"src/repro/engine.py": source})
-        report = run_deep(tmp_path, LintConfig(), use_cache=False)
+        report = lint_tree(tmp_path)
         assert "deep-lockset-race" not in deep_ids(report)
 
     def test_lock_context_propagates_through_private_helpers(self, tmp_path):
@@ -165,7 +163,7 @@ class TestLocksetRace:
                     self._state[key] = value
             """,
         })
-        report = run_deep(tmp_path, LintConfig(), use_cache=False)
+        report = lint_tree(tmp_path)
         assert "deep-lockset-race" not in deep_ids(report)
 
     def test_unlocked_caller_of_helper_makes_it_racy(self, tmp_path):
@@ -187,7 +185,7 @@ class TestLocksetRace:
                     self._state[key] = value
             """,
         })
-        report = run_deep(tmp_path, LintConfig(), use_cache=False)
+        report = lint_tree(tmp_path)
         assert "deep-lockset-race" in deep_ids(report)
 
     def test_init_writes_are_construction_not_races(self, tmp_path):
@@ -203,7 +201,7 @@ class TestLocksetRace:
                         self._state[key] = value
             """,
         })
-        report = run_deep(tmp_path, LintConfig(), use_cache=False)
+        report = lint_tree(tmp_path)
         assert "deep-lockset-race" not in deep_ids(report)
 
     def test_inline_suppression_silences_a_deep_finding(self, tmp_path):
@@ -217,7 +215,7 @@ class TestLocksetRace:
         )
         assert suppressed != PRE_PR7_ENGINE
         write_tree(tmp_path, {"src/repro/engine.py": suppressed})
-        report = run_deep(tmp_path, LintConfig(), use_cache=False)
+        report = lint_tree(tmp_path)
         assert "deep-lockset-race" not in deep_ids(report)
 
 
@@ -243,7 +241,7 @@ class TestLockOrder:
 
     def test_opposite_nesting_orders_make_a_cycle(self, tmp_path):
         write_tree(tmp_path, {"src/repro/pair.py": self.TWO_LOCKS})
-        report = run_deep(tmp_path, LintConfig(), use_cache=False)
+        report = lint_tree(tmp_path)
         cycles = [f for f in report.findings
                   if f.rule_id == "deep-lock-order"]
         assert len(cycles) == 1
@@ -253,7 +251,7 @@ class TestLockOrder:
     def test_consistent_order_is_clean(self, tmp_path):
         forward_only = self.TWO_LOCKS.split("    def backward")[0]
         write_tree(tmp_path, {"src/repro/pair.py": forward_only})
-        report = run_deep(tmp_path, LintConfig(), use_cache=False)
+        report = lint_tree(tmp_path)
         assert "deep-lock-order" not in deep_ids(report)
 
     def test_cycle_through_a_cross_object_call(self, tmp_path):
@@ -290,7 +288,7 @@ class TestLockOrder:
                         self.outer_obj.down()
             """,
         })
-        report = run_deep(tmp_path, LintConfig(), use_cache=False)
+        report = lint_tree(tmp_path)
         cycles = [f for f in report.findings
                   if f.rule_id == "deep-lock-order"]
         assert len(cycles) == 1
@@ -307,7 +305,7 @@ class TestExceptionContract:
                     raise ValueError("bad block id")
             """,
         })
-        report = run_deep(tmp_path, LintConfig(), use_cache=False)
+        report = lint_tree(tmp_path)
         contracts = [f for f in report.findings
                      if f.rule_id == "deep-exception-contract"]
         assert len(contracts) == 1
@@ -327,7 +325,7 @@ class TestExceptionContract:
                     return q
             """,
         })
-        report = run_deep(tmp_path, LintConfig(), use_cache=False)
+        report = lint_tree(tmp_path)
         contracts = [f for f in report.findings
                      if f.rule_id == "deep-exception-contract"]
         assert len(contracts) == 1
@@ -349,7 +347,7 @@ class TestExceptionContract:
                     raise ValueError("shadowed local class, not builtin")
             """,
         })
-        report = run_deep(tmp_path, LintConfig(), use_cache=False)
+        report = lint_tree(tmp_path)
         assert "deep-exception-contract" not in deep_ids(report)
 
     def test_protocol_builtins_and_private_entry_points_exempt(self, tmp_path):
@@ -363,7 +361,7 @@ class TestExceptionContract:
                     raise ValueError("never flagged: not an entry point")
             """,
         })
-        report = run_deep(tmp_path, LintConfig(), use_cache=False)
+        report = lint_tree(tmp_path)
         assert "deep-exception-contract" not in deep_ids(report)
 
     def test_non_boundary_packages_may_raise_builtins(self, tmp_path):
@@ -373,7 +371,7 @@ class TestExceptionContract:
                 raise ValueError("analysis helpers are not a boundary")
             """,
         })
-        report = run_deep(tmp_path, LintConfig(), use_cache=False)
+        report = lint_tree(tmp_path)
         assert "deep-exception-contract" not in deep_ids(report)
 
 
@@ -390,9 +388,6 @@ DOCS = {
 
 
 class TestDrift:
-    def config(self):
-        return LintConfig(docs=("DESIGN.md",), schema_roots=("src/repro",))
-
     def test_documented_tree_is_clean(self, tmp_path):
         write_tree(tmp_path, {
             **DOCS,
@@ -406,7 +401,7 @@ class TestDrift:
                 return "repro.fixture/v1"
             """,
         })
-        report = run_deep(tmp_path, self.config(), use_cache=False)
+        report = lint_tree(tmp_path)
         assert deep_ids(report) == []
 
     def test_undocumented_metric_fails_at_the_code_site(self, tmp_path):
@@ -423,7 +418,7 @@ class TestDrift:
                 return "repro.fixture/v1"
             """,
         })
-        report = run_deep(tmp_path, self.config(), use_cache=False)
+        report = lint_tree(tmp_path)
         drift = [f for f in report.findings
                  if f.rule_id == "deep-metric-drift"]
         assert len(drift) == 1
@@ -443,7 +438,7 @@ class TestDrift:
                 return "repro.fixture/v1"
             """,
         })
-        report = run_deep(tmp_path, self.config(), use_cache=False)
+        report = lint_tree(tmp_path)
         drift = [f for f in report.findings
                  if f.rule_id == "deep-metric-drift"]
         # fix.<op>.seconds has no registration site left.
@@ -471,225 +466,202 @@ class TestDrift:
             "| `fix.<op>.total` | counter | per-op tallies |",
         )
         (tmp_path / "DESIGN.md").write_text(design)
-        report = run_deep(tmp_path, self.config(), use_cache=False)
+        report = lint_tree(tmp_path)
         drift = {f.message.split("'")[1]: f for f in report.findings
                  if f.rule_id == "deep-schema-drift"}
         assert set(drift) == {"repro.fixture/v1", "repro.newformat/v2"}
         assert drift["repro.newformat/v2"].file == "src/repro/m.py"
         assert drift["repro.fixture/v1"].file == "DESIGN.md"
 
-    def test_config_exclude_is_the_escape_hatch_for_doc_findings(
-        self, tmp_path
-    ):
-        write_tree(tmp_path, {
-            **DOCS,
-            "src/repro/m.py": """
-            from repro.obs import counter
 
-            def touch():
-                counter("fix.reads").inc()
-                counter("fix.misses").inc()
-                return "repro.fixture/v1"
-            """,
-        })
-        config = LintConfig(
-            docs=("DESIGN.md",),
-            schema_roots=("src/repro",),
-            exclude={"deep-metric-drift": ("DESIGN.md",)},
-        )
-        report = run_deep(tmp_path, config, use_cache=False)
-        assert deep_ids(report) == []
+#: One violation of each of the fourteen checks, a suppressed deep
+#: finding, and a file that does not parse.
+FOURTEEN_RULE_TREE = {
+    "src/repro/broken.py": "def broken(:\n",
+    "src/repro/acquisition/tap.py": """
+        from repro.storage.blockstore import BlockStore
+        """,
+    "src/repro/query/helper.py": """
+        from repro.storage.codec import encode_block
 
 
-class TestCacheAndChanged:
-    FILES = {
-        "src/repro/a.py": "def f():\n    return 1\n",
-        "src/repro/b.py": "def g():\n    return 2\n",
-    }
-
-    def test_warm_run_is_fully_cached(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        config = LintConfig(docs=(), schema_roots=())
-        cold = run_deep(tmp_path, config)
-        warm = run_deep(tmp_path, config)
-        assert cold.stats["parsed"] == 2 and cold.stats["cached"] == 0
-        assert warm.stats["parsed"] == 0 and warm.stats["cached"] == 2
-
-    def test_changed_file_is_reparsed_and_findings_match(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        config = LintConfig(docs=(), schema_roots=())
-        run_deep(tmp_path, config)
-        (tmp_path / "src/repro/a.py").write_text(
-            "def f():\n    return 3\n"
-        )
-        warm = run_deep(tmp_path, config)
-        assert warm.stats["parsed"] == 1 and warm.stats["cached"] == 1
-
-    def test_cached_and_fresh_runs_report_identically(self, tmp_path):
-        write_tree(tmp_path, {"src/repro/engine.py": PRE_PR7_ENGINE})
-        config = LintConfig(docs=(), schema_roots=())
-        cold = run_deep(tmp_path, config)
-        warm = run_deep(tmp_path, config)
-        assert warm.stats["cached"] == 1
-        assert warm.findings == cold.findings
-
-    def test_model_version_mismatch_discards_the_cache(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        config = LintConfig(docs=(), schema_roots=())
-        run_deep(tmp_path, config)
-        cache_file = tmp_path / config.cache
-        data = json.loads(cache_file.read_text())
-        data["model_version"] = MODEL_VERSION + 1
-        cache_file.write_text(json.dumps(data))
-        warm = run_deep(tmp_path, config)
-        assert warm.stats["parsed"] == 2
-
-    def test_corrupt_cache_file_is_tolerated(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        config = LintConfig(docs=(), schema_roots=())
-        (tmp_path / config.cache).write_text("{not json")
-        report = run_deep(tmp_path, config)
-        assert report.stats["parsed"] == 2
-
-    def test_deleted_files_are_pruned(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        config = LintConfig(docs=(), schema_roots=())
-        run_deep(tmp_path, config)
-        (tmp_path / "src/repro/b.py").unlink()
-        run_deep(tmp_path, config)
-        cache = AnalysisCache(tmp_path / config.cache)
-        assert cache.lookup(
-            "src/repro/b.py", "anything"
-        ) is None
-
-    def test_only_files_filters_reporting_not_the_model(self, tmp_path):
-        write_tree(tmp_path, {
-            "src/repro/engine.py": PRE_PR7_ENGINE,
-            "src/repro/other.py": "def f():\n    return 1\n",
-        })
-        config = LintConfig(docs=(), schema_roots=())
-        report = run_deep(
-            tmp_path, config, use_cache=False,
-            only_files=["src/repro/other.py"],
-        )
-        assert report.findings == []
-        assert report.stats["files"] == 2
-        full = run_deep(tmp_path, config, use_cache=False,
-                        only_files=["src/repro/engine.py"])
-        assert "deep-lockset-race" in deep_ids(full)
+        def build(inner):
+            return CachingDevice(inner, capacity=4)
+        """,
+    "src/repro/cluster/frontend.py": """
+        node = BackendNode("backend-0")
+        """,
+    "src/repro/streams/pump.py": """
+        import threading
+        import time
 
 
-class TestConfig:
-    def test_defaults_without_pyproject(self, tmp_path):
-        config = load_config(tmp_path)
-        assert config.roots == ("src/repro",)
-        assert config.cache == ".repro-lint-cache.json"
+        class Pump:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self.mutex = threading.Lock()
 
-    def test_section_overrides_and_excludes(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""
-            [tool.repro-lint]
-            roots = ["lib"]
-            docs = ["CATALOG.md"]
+            def drain(self):
+                with self._lock:
+                    time.sleep(0.1)
 
-            [tool.repro-lint.exclude]
-            deep-metric-drift = ["lib/vendored/*"]
-        """))
-        config = load_config(tmp_path)
-        assert config.roots == ("lib",)
-        assert config.docs == ("CATALOG.md",)
-        assert config.excluded("deep-metric-drift", "lib/vendored/x.py")
-        assert not config.excluded("deep-metric-drift", "lib/x.py")
-        assert not config.excluded("deep-lock-order", "lib/vendored/x.py")
+            def grab(self):
+                self._lock.acquire()
+        """,
+    "src/repro/analysis/noise.py": """
+        import numpy as np
 
-    def test_unknown_key_raises(self, tmp_path):
-        from repro.lint import LintError
+        x = np.random.rand(3)
+        """,
+    "src/repro/storage/plain.py": """
+        class PlainDevice:
+            def read_many(self, block_ids):
+                return {b: self.blocks[b] for b in block_ids}
 
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro-lint]\nrootz = ['src']\n"
-        )
+            def write_many(self, blocks):
+                self.blocks.update(blocks)
+        """,
+    "src/repro/storage/dev.py": """
+        class Device:
+            def read_many(self, block_ids):
+                raise ValueError("bad block id")
+
+            def erase(self, block_id):
+                raise KeyError(block_id)  # lint: ignore[deep-exception-contract] — fixture
+        """,
+    "src/repro/core/engine.py": """
+        from repro.lint.lockwatch import watched_lock
+
+
+        class Engine:
+            def __init__(self):
+                self._update_lock = watched_lock("fix.engine_update")
+                self._norm = 0.0
+
+            def insert_batch(self, points):
+                with self._update_lock:
+                    self._norm += len(points)
+
+            def insert(self, value):
+                self._norm += value
+        """,
+    "src/repro/core/pair.py": """
+        from repro.lint.lockwatch import watched_lock
+
+
+        class Pair:
+            def __init__(self):
+                self._a_lock = watched_lock("fix.a")
+                self._b_lock = watched_lock("fix.b")
+
+            def forward(self):
+                with self._a_lock:
+                    with self._b_lock:
+                        pass
+
+            def backward(self):
+                with self._b_lock:
+                    with self._a_lock:
+                        pass
+        """,
+    "src/repro/core/meter.py": """
+        from repro.obs import counter
+
+        FORMAT = "repro.fixture/v1"
+
+
+        def touch():
+            counter("fix.undocumented").inc()
+        """,
+}
+
+#: What the per-file engine and the separate deep run reported on
+#: FOURTEEN_RULE_TREE before they became one pass — less the deep
+#: run's second parse-error for ``broken.py``.
+FOURTEEN_RULE_FINDINGS = [
+    ("src/repro/acquisition/tap.py", 2, "layering-import-boundary",
+     "repro.acquisition.tap imports repro.storage.blockstore: acquisition "
+     "hands samples to the facade; it never touches storage directly"),
+    ("src/repro/analysis/noise.py", 4, "determinism-seeded-rng",
+     "np.random.rand() uses numpy's hidden global RNG; draw from a "
+     "seeded np.random.default_rng(seed) instead"),
+    ("src/repro/broken.py", 1, "parse-error",
+     "file does not parse: invalid syntax"),
+    ("src/repro/cluster/frontend.py", 2, "layering-cluster-boundary",
+     "BackendNode constructed in repro.cluster.frontend; backends are "
+     "built by repro.cluster.backend or the AIMS facade"),
+    ("src/repro/core/engine.py", 15, "deep-lockset-race",
+     "Engine.insert mutates self._norm with no lock held, but "
+     "Engine.insert_batch mutates it under _update_lock (line 12); "
+     "concurrent callers can lose updates"),
+    ("src/repro/core/meter.py", 4, "deep-schema-drift",
+     "schema 'repro.fixture/v1' appears in code but in none of the docs "
+     "(DESIGN.md, docs/OPERATIONS.md, docs/REPLAY.md); document the "
+     "format"),
+    ("src/repro/core/meter.py", 8, "deep-metric-drift",
+     "metric 'fix.undocumented' is registered here but absent from the "
+     "catalogues (DESIGN.md, docs/OPERATIONS.md, docs/REPLAY.md); "
+     "document it or drop the series"),
+    ("src/repro/core/pair.py", 12, "deep-lock-order",
+     "possible lock-order cycle fix.a -> fix.b -> fix.a (fix.a->fix.b at "
+     "src/repro/core/pair.py:12; fix.b->fix.a at src/repro/core/pair.py:17)"
+     "; impose one global acquisition order or release before "
+     "descending"),
+    ("src/repro/query/helper.py", 2, "layering-codec-containment",
+     "repro.query.helper reaches into repro.storage.codec; framing "
+     "belongs to CrcFramedDevice"),
+    ("src/repro/query/helper.py", 6, "layering-middleware-construction",
+     "CachingDevice constructed outside the device-stack builder; "
+     "declare a StorageSpec (or extend StorageSpec.build) instead"),
+    ("src/repro/storage/dev.py", 4, "deep-exception-contract",
+     "raise ValueError can escape public entry point "
+     "repro.storage.dev.Device.read_many; raise an AIMSError subclass "
+     "(repro.core.errors) so callers' typed firewalls hold"),
+    ("src/repro/storage/plain.py", 2, "obs-coverage",
+     "PlainDevice (BlockDevice implementation) never touches the obs "
+     "registry; emit counter()/gauge()/histogram() series or suppress "
+     "with a justification"),
+    ("src/repro/streams/pump.py", 9, "lock-naming",
+     "Lock() assigned to 'mutex'; lock attributes must be named _lock "
+     "or _*_lock"),
+    ("src/repro/streams/pump.py", 13, "lock-no-blocking",
+     "blocking call 'sleep' inside a `with _lock:` body"),
+    ("src/repro/streams/pump.py", 16, "lock-with-only",
+     "bare _lock.acquire(); use `with _lock:` so an early raise cannot "
+     "leak the lock"),
+]
+
+
+class TestOnePass:
+    def test_fourteen_rule_tree_reports_each_finding_once(self, tmp_path):
+        write_tree(tmp_path, FOURTEEN_RULE_TREE)
+        findings = lint_tree(tmp_path).findings
+        assert [
+            (f.file, f.line, f.rule_id, f.message) for f in findings
+        ] == FOURTEEN_RULE_FINDINGS
+        assert {f.severity for f in findings} == {"error"}
+        assert len({f.rule_id for f in findings}) == 15  # 14 + parse-error
+
+    def test_missing_source_tree_is_an_error_not_a_clean_run(self, tmp_path):
         with pytest.raises(LintError):
-            load_config(tmp_path)
-
-    def test_lint_repo_reads_configured_roots(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            '[tool.repro-lint]\nroots = ["lib"]\n'
-        )
-        write_tree(tmp_path, {
-            # Module derivation needs src/ in the path, so files under
-            # a bare "lib" root are out of library scope for the
-            # module-scoped rules — what matters here is that the
-            # configured root is what gets visited.
-            "lib/x.py": "def broken(:\n",
-        })
-        findings = lint_repo(tmp_path)
-        assert [f.rule_id for f in findings] == ["parse-error"]
-        assert findings[0].file == "lib/x.py"
-
-
-class TestSarif:
-    def test_sarif_shape_round_trips(self):
-        from repro.lint.engine import Finding
-
-        findings = [
-            Finding(file="src/repro/x.py", line=3,
-                    rule_id="deep-lock-order", severity="error",
-                    message="cycle a -> b -> a"),
-            Finding(file="src/repro/y.py", line=9,
-                    rule_id="mystery-rule", severity="warning",
-                    message="odd"),
-        ]
-        log = to_sarif(findings, {"deep-lock-order": "no cycles"}, "1.0")
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        rules = run["tool"]["driver"]["rules"]
-        ids = [r["id"] for r in rules]
-        assert ids == sorted(ids) and "mystery-rule" in ids
-        for result in run["results"]:
-            index = result["ruleIndex"]
-            assert rules[index]["id"] == result["ruleId"]
-        first = run["results"][0]
-        loc = first["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == "src/repro/x.py"
-        assert loc["region"]["startLine"] == 3
-        assert first["level"] == "error"
+            lint_tree(tmp_path)
 
 
 class TestRealTree:
-    """Acceptance: the shipped tree deep-lints clean, fast, cached."""
+    """Acceptance: the shipped tree lints clean, every file modelled."""
 
-    def test_repo_is_deep_clean(self):
-        report = run_deep(repo_root(), use_cache=False)
-        assert report.findings == []
-
-    def test_cli_deep_run_exits_zero(self, capsys):
-        assert cli_main(["lint", "--deep", "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "0 error(s)" in out and "[deep:" in out
-
-    def test_cli_sarif_output_parses(self, capsys):
-        assert cli_main(
-            ["lint", "--deep", "--no-cache", "--format", "sarif"]
-        ) == 0
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        assert log["runs"][0]["results"] == []
-        rule_ids = {
-            r["id"] for r in log["runs"][0]["tool"]["driver"]["rules"]
+    def test_repo_is_deep_clean(self, repo_lint):
+        modelled = set(repo_lint.model.summaries)
+        on_disk = {
+            p.relative_to(repo_root()).as_posix()
+            for p in (repo_root() / "src" / "repro").rglob("*.py")
         }
-        assert {"deep-lockset-race", "deep-lock-order",
-                "deep-exception-contract", "deep-metric-drift",
-                "deep-schema-drift"} <= rule_ids
+        assert modelled == on_disk
+        assert repo_lint.findings == []
 
-    def test_cli_changed_mode_reports_only_touched_files(self, capsys):
-        # Diffing HEAD against itself would list the working-tree
-        # changes; whatever they are, every reported finding must be
-        # in the changed set.
-        code = cli_main(["lint", "--deep", "--no-cache",
-                         "--changed", "HEAD", "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert code in (0, 1)
-        changed = set(payload["changed"])
-        assert all(f["file"] in changed for f in payload["findings"])
-
-    def test_cli_changed_with_bad_ref_is_a_usage_error(self, capsys):
-        assert cli_main(["lint", "--changed", "no-such-ref-xyz"]) == 2
+    def test_cli_deep_run_exits_zero(self, repo_lint_cli):
+        code, out = repo_lint_cli
+        assert code == 0
+        assert out.rstrip().endswith(
+            "aims lint: 0 error(s), 0 warning(s) (14 rule(s))"
+        )

@@ -13,7 +13,7 @@ import textwrap
 import pytest
 
 from repro.cli import main as cli_main
-from repro.lint import LintEngine, LintError, all_rules, get_rule, lint_repo
+from repro.lint import LintEngine, LintError, all_rules, get_rule
 from repro.lint.engine import PARSE_ERROR_RULE
 
 
@@ -621,32 +621,31 @@ class TestObservabilityRule:
 
 
 class TestRepoIsClean:
-    def test_lint_repo_has_no_findings(self):
-        assert lint_repo() == []
+    def test_lint_repo_has_no_findings(self, repo_lint):
+        assert repo_lint.findings == []
 
 
 class TestCli:
     def _write_violation(self, tmp_path):
         tree = tmp_path / "src" / "repro" / "storage"
         tree.mkdir(parents=True)
-        bad = tree / "bad.py"
-        bad.write_text(
+        (tree / "bad.py").write_text(
             "import time\n\n\nclass C:\n    def f(self):\n"
             "        with self._lock:\n            time.sleep(1)\n"
         )
-        return bad
 
     def test_lint_exits_nonzero_on_a_violation(self, tmp_path, capsys):
-        bad = self._write_violation(tmp_path)
-        assert cli_main(["lint", str(bad)]) == 1
+        self._write_violation(tmp_path)
+        assert cli_main(["lint", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "lock-no-blocking" in out
 
     def test_lint_json_report_parses(self, tmp_path, capsys):
-        bad = self._write_violation(tmp_path)
-        assert cli_main(["lint", "--format", "json", str(bad)]) == 1
+        self._write_violation(tmp_path)
+        assert cli_main(["lint", "--format", "json", str(tmp_path)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "repro.lint/v1"
+        assert len(payload["rules"]) == 14
         assert payload["summary"]["errors"] == 1
         (finding,) = [
             f for f in payload["findings"]
@@ -654,13 +653,11 @@ class TestCli:
         ]
         assert finding["severity"] == "error"
 
-    def test_lint_exits_zero_on_the_repo(self, capsys):
-        assert cli_main(["lint"]) == 0
-        assert "0 error(s)" in capsys.readouterr().out
+    def test_lint_exits_zero_on_the_repo(self, repo_lint_cli):
+        code, out = repo_lint_cli
+        assert code == 0
+        assert "0 error(s)" in out
 
     def test_lint_rejects_missing_paths(self, capsys):
         assert cli_main(["lint", "does/not/exist.py"]) == 2
-
-    def test_single_rule_selection(self, tmp_path, capsys):
-        bad = self._write_violation(tmp_path)
-        assert cli_main(["lint", "--rules", "lock-naming", str(bad)]) == 0
+        assert "no src/repro tree" in capsys.readouterr().err
