@@ -37,7 +37,7 @@ def blocks_to_accuracy(engine, query, exact, order_blocks, target=0.01):
     for step, at in enumerate(order_blocks(schedule), start=1):
         entries = schedule.entries(at)
         found = engine.store.block_values(
-            int(schedule.codes[at]), schedule.block_ids[at], slots[entries]
+            int(schedule.codes[at]), slots[entries]
         )
         estimate += float(np.cumsum(values[entries] * found)[-1])
         if abs(estimate - exact) <= target * max(abs(exact), 1.0):

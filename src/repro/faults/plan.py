@@ -37,11 +37,14 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.errors import StorageError
 from repro.lint.lockwatch import watched_lock
 from repro.obs import counter as obs_counter
 from repro.storage.codec import decode_block, encode_block
 from repro.storage.device import DeviceLayer
+from repro.storage.disk import BlockGroup
 from repro.storage.latency import LatencyModel
 
 __all__ = [
@@ -204,7 +207,7 @@ class FaultyDevice(DeviceLayer):
             return self.plan
         return None
 
-    def write_many(self, blocks: dict) -> None:
+    def write_many(self, codes, payloads: list) -> None:
         """Bulk store with one seeded fault draw per member, in group
         order around a group-of-one inner write — the identical
         schedule N sequential writes would draw.  A drawn failure aborts
@@ -213,42 +216,46 @@ class FaultyDevice(DeviceLayer):
         """
         plan = self._active_plan()
         if plan is None:
-            self.inner.write_many(blocks)
+            self.inner.write_many(codes, payloads)
             return
-        for block_id, items in blocks.items():
+        codes = np.asarray(codes, dtype=np.intp)
+        for at, items in enumerate(payloads):
             if plan.write_fault():
                 obs_counter("faults.injected.write_errors").inc()
                 raise InjectedWriteError(
-                    f"injected write failure on block {block_id!r}"
+                    f"injected write failure on block {codes[at]}"
                 )
-            self.inner.write_many({block_id: items})
+            self.inner.write_many(codes[at:at + 1], [items])
 
-    def read_many(self, block_ids) -> dict:
+    def read_many(self, codes) -> BlockGroup:
         """Bulk fetch through the fault plan: one seeded draw per member,
         in group order around a group-of-one inner read, raising at the
         member that drew the fault.  Not injecting, the group passes
         through whole."""
         plan = self._active_plan()
         if plan is None:
-            return self.inner.read_many(block_ids)
-        out: dict = {}
-        for block_id in block_ids:
+            return self.inner.read_many(codes)
+        codes = np.asarray(codes, dtype=np.intp)
+        groups = []
+        for at in range(len(codes)):
             kind = plan.read_fault()
             if kind == "error":
                 obs_counter("faults.injected.read_errors").inc()
                 raise InjectedReadError(
-                    f"injected read failure on block {block_id!r}"
+                    f"injected read failure on block {codes[at]}"
                 )
             plan.latency.wait(1)
-            block = self.inner.read_many([block_id])[block_id]
+            group = self.inner.read_many(codes[at:at + 1])
             if kind == "torn":
                 obs_counter("faults.injected.torn_blocks").inc()
+                (block,) = group.payloads
                 if isinstance(block, bytes):
                     block = _corrupt_frame(block)
                 else:
                     block = decode_block(_corrupt_frame(encode_block(block)))
-            out[block_id] = block
-        return out
+                group = group._replace(payloads=[block])
+            groups.append(group)
+        return BlockGroup.join(groups)
 
     def stats(self) -> dict:
         """Injection state plus the inner layers' statistics."""

@@ -85,7 +85,9 @@ def lint_tree(root=None) -> LintReport:
         raise LintError(f"no {SOURCE_ROOT} tree under {root}")
     engine = LintEngine()
     model = ProjectModel(root=str(root), summaries={})
-    contexts = {}
+    # Each file's suppression table outlives its AST: a tree is dropped
+    # once its rules ran and its summary is taken.
+    suppressions = {}
     findings: list[Finding] = []
     for file in sorted(source.rglob("*.py")):
         rel = file.relative_to(root).as_posix()
@@ -93,14 +95,14 @@ def lint_tree(root=None) -> LintReport:
         if isinstance(ctx, Finding):
             findings.append(ctx)
             continue
-        contexts[rel] = ctx
+        suppressions[rel] = ctx.suppressions
         findings.extend(engine.check(ctx))
         model.summaries[rel] = summarize(ctx)
     model.build_indexes()
     for analyzer in _analyzers():
         findings.extend(
             f for f in analyzer.analyze(model)
-            if f.file not in contexts
-            or not contexts[f.file].is_suppressed(f.line, f.rule_id)
+            if f.file not in suppressions
+            or not suppressions[f.file].is_suppressed(f.line, f.rule_id)
         )
     return LintReport(sorted(findings), model)

@@ -36,6 +36,7 @@ __all__ = [
     "LintEngine",
     "LintError",
     "Rule",
+    "Suppressions",
     "all_rules",
     "get_rule",
     "parse",
@@ -89,6 +90,30 @@ _SUPPRESS_RE = re.compile(
 )
 
 
+class Suppressions:
+    """One file's ``# lint: ignore`` table, kept apart from its AST so a
+    whole-tree pass can hold every file's table without its tree."""
+
+    def __init__(self, lines: list[str]) -> None:
+        self._line_ignores: dict[int, set[str]] = {}
+        self._file_ignores: set[str] = set()
+        for lineno, text in enumerate(lines, start=1):
+            match = _SUPPRESS_RE.search(text)
+            if match is None:
+                continue
+            ids = {part.strip() for part in match.group(2).split(",")}
+            ids.discard("")
+            if match.group(1) == "ignore-file":
+                self._file_ignores |= ids
+            else:
+                self._line_ignores.setdefault(lineno, set()).update(ids)
+
+    def is_suppressed(self, line: int, rule_id: str) -> bool:
+        """Whether ``rule_id`` is silenced at ``line`` (or file-wide)."""
+        ids = self._line_ignores.get(line, set()) | self._file_ignores
+        return rule_id in ids or "*" in ids
+
+
 class FileContext:
     """One parsed source file, as the rules see it.
 
@@ -104,18 +129,7 @@ class FileContext:
         self.lines = source.splitlines()
         self.module = self._module_name(self.path)
         self.tree = ast.parse(source, filename=self.path)
-        self._line_ignores: dict[int, set[str]] = {}
-        self._file_ignores: set[str] = set()
-        for lineno, text in enumerate(self.lines, start=1):
-            match = _SUPPRESS_RE.search(text)
-            if match is None:
-                continue
-            ids = {part.strip() for part in match.group(2).split(",")}
-            ids.discard("")
-            if match.group(1) == "ignore-file":
-                self._file_ignores |= ids
-            else:
-                self._line_ignores.setdefault(lineno, set()).update(ids)
+        self.suppressions = Suppressions(self.lines)
 
     @staticmethod
     def _module_name(path: str) -> str:
@@ -139,8 +153,7 @@ class FileContext:
 
     def is_suppressed(self, line: int, rule_id: str) -> bool:
         """Whether ``rule_id`` is silenced at ``line`` (or file-wide)."""
-        ids = self._line_ignores.get(line, set()) | self._file_ignores
-        return rule_id in ids or "*" in ids
+        return self.suppressions.is_suppressed(line, rule_id)
 
 
 @runtime_checkable

@@ -29,6 +29,7 @@ from repro.obs import histogram as obs_histogram
 from repro.obs import span
 from repro.query.propolyne import ProPolyneEngine, QueryOutcome
 from repro.query.rangesum import RangeSumQuery
+from repro.storage.disk import BlockGroup
 from repro.storage.scheduler import schedule_blocks
 from repro.wavelets.lazy import segmented_dot
 
@@ -204,8 +205,7 @@ class BatchEvaluator:
             self._count_batch(queries, schedule)
             store = self._engine.store
             buffer, base = store.allocation.pack(
-                schedule.codes, schedule.block_ids,
-                store.fetch_blocks(schedule.block_ids),
+                store.read_many(schedule.codes)
             )
             answers = segmented_dot(
                 base[codes] + slots, values, offsets, buffer
@@ -235,19 +235,15 @@ class BatchEvaluator:
             self._count_batch(queries, schedule)
             store = self._engine.store
             allocation = store.allocation
-            payloads: dict = {}
-            for block_id in schedule.block_ids:
+            groups = []
+            for code in schedule.codes.tolist():
                 try:
-                    payloads[block_id] = store.fetch_block(block_id)
+                    groups.append(store.read_many([code]))
                 except StorageUnavailable:
                     pass
-            read = np.array(
-                [block_id in payloads for block_id in schedule.block_ids],
-                dtype=bool,
-            )
-            buffer, base = allocation.pack(
-                schedule.codes[read], list(payloads), payloads
-            )
+            group = BlockGroup.join(groups)
+            read = np.isin(schedule.codes, group.codes)
+            buffer, base = allocation.pack(group)
             pos = base[codes] + slots
             available = read[schedule.ranks]
             touched, norms = schedule.per_query(offsets)
@@ -331,7 +327,7 @@ class BatchEvaluator:
             pending[at] = False
             entries = schedule.entries(at)
             found = self._engine.store.block_values(
-                int(schedule.codes[at]), schedule.block_ids[at], slots[entries]
+                int(schedule.codes[at]), slots[entries]
             )
             # Unbuffered, in entry order: each query's running total adds
             # its products left to right.

@@ -232,15 +232,10 @@ def provenance_of(
         as_of: The epoch the evaluation was pinned to, if any.
     """
     store = engine.store
-    shard_of = getattr(store, "shard_of", None) or (lambda block_id: 0)
-    allocation = store.allocation
     # Which blocks, not in what order: ``distinct`` alone, no schedule.
-    planned = allocation.block_ids(
-        allocation.distinct(engine.query_located(query)[1])
-    )
+    planned = store.allocation.distinct(engine.query_located(query)[1])
     blocks_by_shard: dict[int, int] = {}
-    for block_id in planned:
-        shard = int(shard_of(block_id))
+    for shard in store.shard_of(planned).tolist():
         blocks_by_shard[shard] = blocks_by_shard.get(shard, 0) + 1
     breakers = getattr(store, "breakers", None) or []
     caches = getattr(store, "caches", None) or []

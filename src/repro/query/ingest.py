@@ -16,8 +16,8 @@ read-modify-write per touched block and one norm rebuild per point;
   the point's distinct block codes.  No key matrix is ever built.
 * **One read-modify-write per touched block, found without a sort.**
   The touched blocks are a presence table over the block grid filled
-  from the per-point block codes.  They are fetched once
-  (:meth:`~repro.storage.blockstore._StoreBase.fetch_blocks`), packed
+  from the per-point block codes.  They are read once, as one group
+  (:meth:`~repro.storage.blockstore.TensorReads.read_many`), packed
   back to back into one buffer where every delta entry has a position
   ``base[code] + slot``, and committed once
   (:meth:`~repro.storage.blockstore._StoreBase.store_blocks`) — one
@@ -175,12 +175,12 @@ class BatchInserter:
         block_codes = allocation.distinct(
             np.concatenate([delta[3] for delta in deltas])
         )
-        block_ids = allocation.block_ids(block_codes)
         obs_histogram(
             "query.insert.blocks_touched", DEFAULT_COUNT_BUCKETS
-        ).observe(len(block_ids))
-        preimages = store.fetch_blocks(block_ids)
-        buffer, base = allocation.pack(block_codes, block_ids, preimages)
+        ).observe(len(block_codes))
+        preimages = store.read_many(block_codes)
+        buffer, base = allocation.pack(preimages)
+        buffer = buffer.copy()  # pack's buffer is read-only
 
         # 2. Accumulate on the buffer itself, point by point: np.add.at
         #    is unbuffered, so shared coefficients need no dedup (see
@@ -192,9 +192,12 @@ class BatchInserter:
             pos = base[codes] + slots
             np.add.at(buffer, pos, values * weight)
             hit[pos] = True
-        starts = base[block_codes].tolist()
-        bounds = list(zip(starts, starts[1:] + [len(buffer)]))
-        payloads = dict(zip(block_ids, (buffer[a:b] for a, b in bounds)))
+        # Block by block in code order, whatever the read's group order.
+        codes = block_codes.tolist()
+        starts = base[block_codes]
+        ends = starts + allocation.block_len(block_codes)
+        bounds = list(zip(starts.tolist(), ends.tolist()))
+        payloads = dict(zip(codes, (buffer[a:b] for a, b in bounds)))
 
         # 3. One group commit for the whole batch's dirty blocks.  The
         #    parts are writable views, so the device copy-freezes each:
@@ -206,11 +209,11 @@ class BatchInserter:
         #    pairwise reduction of the block's own squares; reduceat
         #    would re-associate), the global norm from the block norms.
         prior_norms = {
-            bid: engine._block_norms.get(bid, 0.0) for bid in block_ids
+            code: engine._block_norms.get(code, 0.0) for code in codes
         }
         squares = buffer * buffer
         sums = [np.add.reduce(squares[a:b]) for a, b in bounds]
-        engine._block_norms.update(zip(block_ids, np.sqrt(sums).tolist()))
+        engine._block_norms.update(zip(codes, np.sqrt(sums).tolist()))
         store._norm = float(
             np.sqrt(sum(n * n for n in engine._block_norms.values()))
         )
@@ -221,5 +224,8 @@ class BatchInserter:
             # Pre-images are the fetched payloads themselves (immutable,
             # so no copy): stored values, not arithmetic deltas, keep
             # as-of reconstruction bitwise-exact.
-            engine._epoch_log.record_commit(preimages, prior_norms, len(pts))
+            engine._epoch_log.record_commit(
+                dict(zip(preimages.codes.tolist(), preimages.payloads)),
+                prior_norms, len(pts),
+            )
         return int(np.count_nonzero(hit))

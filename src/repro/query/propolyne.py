@@ -533,13 +533,11 @@ class ProPolyneEngine:
             "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
         ).observe(len(schedule))
         yield state(), None, None, len(schedule)
-        for step, (code, block_id) in enumerate(
-            zip(schedule.codes.tolist(), schedule.block_ids)
-        ):
+        for step, code in enumerate(schedule.codes.tolist()):
             obs_counter("query.progressive.blocks").inc()
             entries = schedule.entries(step)
             try:
-                found = self.store.block_values(code, block_id, slots[entries])
+                found = self.store.block_values(code, slots[entries])
             except StorageUnavailable:
                 if not skip_unavailable:
                     raise
@@ -691,10 +689,9 @@ class ProPolyneEngine:
         """
         cube = np.zeros(self.shape)
         block_keys = self.store.allocation.block_keys
-        for block_id in self.store.device.block_ids():
-            cube[tuple(block_keys(block_id).T)] = self.store.fetch_block(
-                block_id
-            )
+        group = self.store.read_many(self.store.device.block_ids())
+        for code, payload in zip(group.codes.tolist(), group.payloads):
+            cube[tuple(block_keys(code).T)] = payload
         return cube
 
     # -- updates ------------------------------------------------------------

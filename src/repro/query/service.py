@@ -36,7 +36,9 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import Hashable, Iterator
+from typing import Iterator
+
+import numpy as np
 
 from repro.core.errors import QueryError
 from repro.lint.lockwatch import watched_lock
@@ -53,6 +55,7 @@ from repro.query.propolyne import (
 )
 from repro.query.rangesum import RangeSumQuery
 from repro.storage.blockstore import TensorReads
+from repro.storage.disk import BlockGroup
 
 __all__ = [
     "ProgressiveStream",
@@ -84,24 +87,22 @@ class _Flight:
 class ScanCoordinator:
     """Single-flight block fetches over one block store.
 
-    Concurrent requests for the same block id are collapsed into one
+    Concurrent requests for the same block code are collapsed into one
     store read: the first requester (the *leader*) performs the fetch,
     every other requester blocks on the flight's event and receives the
     same (immutable) payload.  Sequential re-reads are not deduplicated here
     — that is the caching device's job — so the coordinator adds no
     state beyond the currently in-flight reads.
 
-    Shard awareness: flights are keyed on ``(namespace, shard,
-    block_id)`` — the store's ``shard_of`` placement when it has one —
-    so the coordinator's bookkeeping mirrors the storage topology and
+    Shard awareness: flights are keyed on ``(namespace, shard, code)``
+    — the store's ``shard_of`` placement when it has one — so the
+    coordinator's bookkeeping mirrors the storage topology and
     per-shard fetch counts fall out for free (``fetches_by_shard``).
-    Placement is deterministic, so the key stays one-to-one with the
-    block id and the dedup semantics are unchanged.
 
     Namespace isolation: ``namespace`` (the cluster tier's
     ``tenant/dataset`` routing key, ``None`` for a single-tenant
     service) is part of the flight key, so two tenants whose datasets
-    happen to reuse block ids never share a single-flight read — one
+    happen to reuse block codes never share a single-flight read — one
     tenant's in-flight failure must not propagate into another's
     answer, and payloads from different namespaces are different data.
 
@@ -115,74 +116,76 @@ class ScanCoordinator:
     def __init__(self, store, namespace: str | None = None) -> None:
         self._store = store
         self.namespace = namespace
-        self._shard_of = getattr(store, "shard_of", None) or (lambda b: 0)
+        self._shard_of = getattr(store, "shard_of", None) or np.zeros_like
         self._lock = watched_lock("query.scan")
         self._inflight: dict[tuple, _Flight] = {}
         self.fetches = 0
         self.shared = 0
         self.fetches_by_shard: dict[int, int] = {}
 
-    def fetch_blocks(self, block_ids: list) -> dict:
-        """Bulk fetch with coalescing *and* in-flight deduplication.
+    def read_many(self, codes) -> BlockGroup:
+        """Group read with coalescing *and* in-flight deduplication.
 
-        Blocks nobody is currently reading are led as **one** bulk
-        store read (``fetch_blocks`` → a single ``read_many``, split
-        per shard group by the device); blocks another query is already
-        fetching are awaited and shared instead of re-read.  This is
-        every served query's I/O path — a scalar query's block set and
-        a batch's alike coalesce their own reads while still
-        piggy-backing on concurrent queries' flights; a single block is
-        a batch of one.
+        Blocks nobody is currently reading are led as **one** group
+        read of the store (a single ``read_many``, split per shard
+        group by the device); blocks another query is already reading
+        are awaited and shared instead of re-read, and come last in the
+        group handed back.  This is every served query's I/O path — a
+        scalar query's block set and a batch's alike coalesce their own
+        reads while still piggy-backing on concurrent queries' flights;
+        a single block is a group of one.
         """
-        ids = list(dict.fromkeys(block_ids))
-        fresh: list[tuple[Hashable, tuple, _Flight]] = []
-        waits: list[tuple[Hashable, _Flight]] = []
+        ids = list(dict.fromkeys(np.asarray(codes, dtype=np.intp).tolist()))
+        shards = self._shard_of(np.array(ids, dtype=np.intp)).tolist()
+        fresh: dict[int, tuple[tuple, _Flight]] = {}
+        waits: list[tuple[int, _Flight]] = []
         with self._lock:
-            for block_id in ids:
-                key = (self.namespace, self._shard_of(block_id), block_id)
+            for code, shard in zip(ids, shards):
+                key = (self.namespace, shard, code)
                 flight = self._inflight.get(key)
                 if flight is None:
                     flight = self._inflight[key] = _Flight()
-                    fresh.append((block_id, key, flight))
+                    fresh[code] = (key, flight)
                 else:
                     if flight.event is None:
                         flight.event = threading.Event()
-                    waits.append((block_id, flight))
-        out: dict = {}
+                    waits.append((code, flight))
+        groups = []
         if fresh:
             try:
-                payloads = self._store.fetch_blocks(
-                    [block_id for block_id, _, _ in fresh]
-                )
-                for block_id, _, flight in fresh:
-                    flight.result = payloads[block_id]
-                out.update(payloads)
+                group = self._store.read_many(np.array(list(fresh), np.intp))
+                for code, *result in zip(
+                    group.codes.tolist(), group.payloads, group.lens.tolist()
+                ):
+                    fresh[code][1].result = result
+                groups.append(group)
             except BaseException as exc:
-                for _, _, flight in fresh:
+                for _, flight in fresh.values():
                     flight.error = exc
                 raise
             finally:
                 with self._lock:
-                    for block_id, key, flight in fresh:
+                    for key, flight in fresh.values():
                         self._inflight.pop(key, None)
                         self.fetches += 1
                         self.fetches_by_shard[key[1]] = (
                             self.fetches_by_shard.get(key[1], 0) + 1
                         )
                 # Popped under the lock above: no new waiter can attach.
-                for _, _, flight in fresh:
+                for _, flight in fresh.values():
                     if flight.event is not None:
                         flight.event.set()
             obs_counter("query.service.scan.fetches").inc(len(fresh))
-        for block_id, flight in waits:
+        for code, flight in waits:
             flight.event.wait()
             with self._lock:
                 self.shared += 1
             obs_counter("query.service.scan.shared").inc()
             if flight.error is not None:
                 raise flight.error
-            out[block_id] = flight.result
-        return out
+            payload, n = flight.result
+            groups.append(BlockGroup(np.array([code]), [payload], np.array([n])))
+        return BlockGroup.join(groups)
 
     def stats(self) -> dict:
         """Snapshot: issued fetches (total and per shard) and
@@ -198,12 +201,13 @@ class ScanCoordinator:
 class SharedScanStore(TensorReads):
     """Read-only block-store view whose reads go through a coordinator.
 
-    Block reads (:meth:`fetch_blocks`, which is also the shared
-    :class:`~repro.storage.blockstore.TensorReads` kernel's block hook
-    and so what ``fetch_block`` and ``gather`` go through) ride
-    :class:`ScanCoordinator`; every other attribute (``allocation``,
-    ``device``, ``io_snapshot``, ...) delegates to the wrapped store.
-    Mutating operations must go to the underlying store directly.
+    Block reads (:meth:`read_many`, the shared
+    :class:`~repro.storage.blockstore.TensorReads` kernel's group read
+    and so what ``fetch_blocks``, ``fetch_block`` and ``gather`` go
+    through) ride :class:`ScanCoordinator`; every other attribute
+    (``allocation``, ``device``, ``io_snapshot``, ...) delegates to the
+    wrapped store.  Mutating operations must go to the underlying store
+    directly.
     """
 
     def __init__(
@@ -220,13 +224,9 @@ class SharedScanStore(TensorReads):
     def __getattr__(self, name: str):
         return getattr(self._store, name)
 
-    def fetch_blocks(self, block_ids: list) -> dict:
-        """Coalesced, single-flighted bulk fetch."""
-        return self.coordinator.fetch_blocks(block_ids)
-
-    #: The shared ``gather``/``fetch_block`` kernel's block hook: the
-    #: same coalesced, single-flighted read.
-    _read_blocks = fetch_blocks
+    def read_many(self, codes) -> BlockGroup:
+        """Coalesced, single-flighted group read."""
+        return self.coordinator.read_many(codes)
 
 
 def shared_scan_view(

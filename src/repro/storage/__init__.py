@@ -32,7 +32,8 @@ from repro.storage.epochs import AsOfStore, EpochLog, EpochRecord
 from repro.storage.latency import LatencyModel
 from repro.storage.retrieval import ProgressiveSignal, SignalArchive
 from repro.storage.scheduler import BlockSchedule, schedule_blocks
-from repro.storage.sharding import ShardedDevice, place
+from repro.storage.placement import place
+from repro.storage.sharding import ShardedDevice
 
 __all__ = [
     "SimulatedDisk",

@@ -6,9 +6,10 @@ them as disk blocks on raw disk and instead only store their location IDs
 in Teradata."  This module models that catalog: named binary objects
 addressed by opaque location ids, with byte accounting, so the AIMS facade
 can persist packed coefficient blocks either way — BLOBs in the in-memory
-catalog, or (the paper's "raw disk" plan) as opaque byte payloads on any
-:class:`~repro.storage.device.BlockDevice` passed as ``device``, with
-only the name/size catalog kept here.
+catalog, or (the paper's "raw disk" plan) as blocks on any
+:class:`~repro.storage.device.BlockDevice` passed as ``device``,
+addressed by their location id, with only the name/size catalog kept
+here.
 """
 
 from __future__ import annotations
@@ -37,10 +38,13 @@ class BlobStore:
 
     With ``device`` ``None`` payload bytes live in the catalog itself;
     with a :class:`~repro.storage.device.BlockDevice` (or a full
-    middleware stack) they are stored as opaque blocks keyed
-    ``("blob", location_id)``, and only names/sizes stay here —
-    deleting a blob drops its catalog entry, block reclamation being
-    the device's compaction problem.
+    middleware stack) each blob is the block whose code is its location
+    id, and only names/sizes stay here — deleting a blob drops its
+    catalog entry, block reclamation being the device's compaction
+    problem.  The block holds the blob's bytes, zero-padded to whole
+    words, viewed as the ``float64`` payload every layer stores (never
+    computed on, so every bit comes back; a blob is at most
+    ``8 * block_size`` bytes).
     """
 
     device: object = None
@@ -58,7 +62,8 @@ class BlobStore:
         location = self._next_id
         self._next_id += 1
         if self.device is not None:
-            self.device.write_many({("blob", location): bytes(payload)})
+            words = np.frombuffer(bytes(payload) + bytes(-len(payload) % 8))
+            self.device.write_many([location], [words])
         else:
             self._blobs[location] = bytes(payload)
         self._names[location] = name
@@ -76,8 +81,8 @@ class BlobStore:
         if location not in self._names:
             raise StorageError(f"no blob at location {location}")
         if self.device is not None:
-            key = ("blob", location)
-            return bytes(self.device.read_many([key])[key])
+            (words,) = self.device.read_many([location]).payloads
+            return words.tobytes()[:self._sizes[location]]
         return self._blobs[location]
 
     def get_array(self, ref: BlobRef | int) -> np.ndarray:

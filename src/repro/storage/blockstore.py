@@ -8,6 +8,10 @@ and tell me what it cost".  Two variants:
 * :class:`TensorBlockStore` — multivariate coefficient cubes on
   Cartesian-product blocks.
 
+A block is addressed by its integer *code* (the allocation's
+``locate`` hands codes out; ``allocation.block_tuple(code)`` names one
+for messages), from the planner down to the leaf device.
+
 Storage configuration is declarative: both stores take a
 :class:`~repro.storage.device.StorageSpec` (shards, cache, CRC
 framing, fault injection, retry/breaker resilience, simulated latency)
@@ -34,7 +38,8 @@ from repro.storage.allocation import (
     index_tuples,
 )
 from repro.storage.device import StorageSpec
-from repro.storage.disk import IOStats
+from repro.storage.disk import BlockGroup, IOStats
+from repro.storage.sharding import placement_table
 
 __all__ = ["WaveletBlockStore", "TensorBlockStore"]
 
@@ -44,7 +49,11 @@ class _StoreBase:
 
     def _init_storage(self, spec: StorageSpec, block_size: int) -> None:
         self.spec = spec
-        self._built = spec.build(block_size)
+        allocation = self.allocation
+        # Placement is tabled once per store: no block ever changes shard.
+        self._built = spec.build(block_size, placement_table(
+            allocation.n_codes, spec.shards, allocation.block_tuple,
+        ) if spec.shards > 1 else None)
         self.device = self._built.device
         #: The breaker template from the spec (unsharded stacks use it
         #: directly); per-shard breakers live in :attr:`breakers`.
@@ -60,14 +69,14 @@ class _StoreBase:
         # traffic: injection starts only once the store is serving.
         self._built.set_injecting(False)
         try:
-            self.device.write_many(blocks)
+            self.device.write_many(list(blocks), list(blocks.values()))
         finally:
             self._built.set_injecting(True)
 
-    def shard_of(self, block_id) -> int:
-        """Shard index a block id is placed on (0 when unsharded) —
-        the key the scan coordinator's single-flight map uses."""
-        return self._built.shard_of(block_id)
+    def shard_of(self, codes):
+        """Shard index of each block code (0 when unsharded) — the key
+        the scan coordinator's single-flight map uses."""
+        return self._built.shard_of(codes)
 
     def set_injecting(self, flag: bool) -> None:
         """Toggle fault injection on every shard's faulty layer (chaos
@@ -87,30 +96,6 @@ class _StoreBase:
         """Leaf I/O performed since ``before`` was snapshotted."""
         return self.device.io_totals().delta(before)
 
-    def fetch_blocks(self, block_ids: list) -> dict:
-        """Bulk block fetch: one coalesced device read for many blocks.
-
-        The batch evaluator's I/O entry point — the whole batch's block
-        set goes down as a single ``read_many``, which the sharded
-        device splits into one read per shard group on its persistent
-        fan-out pool.
-
-        Args:
-            block_ids: Blocks to read (deduplicated by the caller).
-
-        Returns:
-            Mapping from block id to block payload (the block's values
-            as a read-only array; ``allocation.block_keys`` names them).
-        """
-        with span("storage.fetch_blocks"):
-            ids = list(block_ids)
-            obs_histogram(
-                "storage.blocks_per_batch", DEFAULT_COUNT_BUCKETS
-            ).observe(len(ids))
-            if not ids:
-                return {}
-            return self.device.read_many(ids)
-
     def store_blocks(self, payloads: dict) -> None:
         """Group-commit block write: one coalesced device write for many
         blocks.
@@ -123,16 +108,14 @@ class _StoreBase:
         middleware stack.
 
         Args:
-            payloads: Mapping from block id to the full replacement
+            payloads: Mapping from block code to the full replacement
                 payload array for that block.
         """
         with span("storage.store_blocks"):
             obs_histogram(
                 "storage.blocks_per_write_batch", DEFAULT_COUNT_BUCKETS
             ).observe(len(payloads))
-            if not payloads:
-                return
-            self.device.write_many(payloads)
+            self.device.write_many(list(payloads), list(payloads.values()))
 
     def close(self) -> None:
         """Release storage resources (fan-out pools); idempotent."""
@@ -142,25 +125,37 @@ class _StoreBase:
 class TensorReads:
     """The one coefficient-read kernel every store and store view shares.
 
-    A view supplies ``allocation`` and :meth:`_read_blocks` — how a
-    sorted list of block ids is read: the live device's ``read_many``,
-    the shared-scan view's coalesced single-flight fetch, an as-of
-    view's pre-image-else-live — and inherits :meth:`gather_located`,
-    its key-, dict- and set-shaped wrappers and the scalar
-    :meth:`fetch_block`.  Payloads are arrays of values only; the
-    allocation's ``locate`` says where in which array a key — an
-    ``ndim`` multi-index, or a flat index on the 1-D store — lives.
+    A view supplies ``allocation`` and :meth:`read_many` — how a group
+    of block codes is read: the live device stack's ``read_many``, the
+    shared-scan view's coalesced single-flight read, an as-of view's
+    pre-image-else-live — and inherits :meth:`gather_located`, its key-,
+    dict- and set-shaped wrappers and the scalar :meth:`fetch_block`.
+    Payloads are arrays of values only; the allocation's ``locate`` says
+    where in which array a key — an ``ndim`` multi-index, or a flat
+    index on the 1-D store — lives.
     """
 
-    def _read_blocks(self, block_ids: list) -> dict:
-        """Payloads of ``block_ids`` (sorted, distinct), keyed by id."""
-        return self.device.read_many(block_ids)
+    def read_many(self, codes) -> BlockGroup:
+        """The view's group read of block ``codes``: the device stack's
+        :class:`~repro.storage.disk.BlockGroup`."""
+        return self.device.read_many(codes)
 
-    def fetch_block(self, block_id) -> np.ndarray:
+    def fetch_blocks(self, codes) -> dict:
+        """:meth:`read_many` as a mapping from block code to payload
+        (the block's values as a read-only array;
+        ``allocation.block_keys`` names them)."""
+        with span("storage.fetch_blocks"):
+            obs_histogram(
+                "storage.blocks_per_batch", DEFAULT_COUNT_BUCKETS
+            ).observe(len(codes))
+            group = self.read_many(codes)
+            return dict(zip(group.codes.tolist(), group.payloads))
+
+    def fetch_block(self, code: int) -> np.ndarray:
         """Fetch one whole block — a batch of one through the view's
-        own block read: its values as a read-only array, in
-        ``allocation.block_keys(block_id)`` order."""
-        return self._read_blocks([block_id])[block_id]
+        own group read: its values as a read-only array, in
+        ``allocation.block_keys(code)`` order."""
+        return self.read_many([code]).payloads[0]
 
     def gather(self, keys) -> np.ndarray:
         """Stored values of the coefficient ``keys``, in key order:
@@ -170,39 +165,34 @@ class TensorReads:
     def gather_located(self, codes, slots) -> np.ndarray:
         """Stored values at ``(block code, slot)`` pairs, in order.
 
-        Distinct block codes → one sorted block read → one index into
-        the concatenated payloads.  Python work is per block, never
+        Distinct block codes → one group read of them, sorted → one
+        index into the packed payloads.  Python work is per block, never
         per coefficient.
         """
         with span("storage.fetch"):
             allocation = self.allocation
             uniq = allocation.distinct(codes)
-            needed = allocation.block_ids(uniq)
             obs_histogram(
                 "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
-            ).observe(len(needed))
-            buffer, base = allocation.pack(
-                uniq, needed, self._read_blocks(needed)
-            )
+            ).observe(len(uniq))
+            buffer, base = allocation.pack(self.read_many(uniq))
             return buffer[base[codes] + slots]
 
-    def block_values(self, code, block_id, slots) -> np.ndarray:
-        """Stored values at ``slots`` of the block with code ``code``
-        and id ``block_id``, from one whole-block fetch (progressive
-        evaluation's read)."""
-        payloads = {block_id: self.fetch_block(block_id)}
-        return self.allocation.pack([code], [block_id], payloads)[0][slots]
+    def block_values(self, code: int, slots) -> np.ndarray:
+        """Stored values at ``slots`` of block ``code``, from one
+        whole-block read (progressive evaluation's read)."""
+        return self.allocation.pack(self.read_many([code]))[0][slots]
 
     def fetch(self, indices) -> dict[tuple[int, ...], float]:
         """:meth:`gather` as a ``{key tuple: value}`` dictionary."""
         keys = np.asarray(indices, dtype=np.intp)
         return dict(zip(index_tuples(keys), self.gather(keys).tolist()))
 
-    def blocks_for(self, indices) -> set[tuple[int, ...]]:
-        """Blocks a set of coefficients lives on (planning, no I/O)."""
+    def blocks_for(self, indices) -> set[int]:
+        """Codes of the blocks a set of coefficients lives on
+        (planning, no I/O)."""
         allocation = self.allocation
-        codes = allocation.distinct(allocation.locate(indices)[0])
-        return set(allocation.block_ids(codes))
+        return set(allocation.distinct(allocation.locate(indices)[0]).tolist())
 
 
 class WaveletBlockStore(TensorReads, _StoreBase):
@@ -248,12 +238,11 @@ class WaveletBlockStore(TensorReads, _StoreBase):
         Cache coherence is automatic: the write enters through the
         stack, so the caching layer invalidates its copy itself.
         """
-        (block_id,), (slot,) = self.allocation.locate([index])
-        block_id = int(block_id)
-        block = self.fetch_block(block_id).copy()
+        (code,), (slot,) = self.allocation.locate([index])
+        block = self.fetch_block(code).copy()
         old = float(block[slot])
         block[slot] = float(value)
-        self.device.write_many({block_id: block})
+        self.device.write_many([code], [block])
         self._norm = float(
             np.sqrt(max(0.0, self._norm**2 - old**2 + float(value) ** 2))
         )
@@ -287,8 +276,8 @@ class TensorBlockStore(TensorReads, _StoreBase):
         #: left to right on every interpreter (builtin ``sum`` over
         #: floats is compensated from CPython 3.12 on).
         self.block_norms = {
-            block_id: math.sqrt(np.cumsum(items * items)[-1])
-            for block_id, items in blocks.items()
+            code: math.sqrt(np.cumsum(items * items)[-1])
+            for code, items in blocks.items()
         }
 
     @property

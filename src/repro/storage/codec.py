@@ -26,13 +26,17 @@ import numpy as np
 from repro.core.errors import CorruptedBlockError
 from repro.obs import counter as obs_counter
 
-__all__ = ["BLOCK_MAGIC", "block_crc", "decode_block", "encode_block"]
+__all__ = ["BLOCK_MAGIC", "FRAME_HEADER_BYTES", "block_crc",
+           "decode_block", "encode_block"]
 
 #: Leading frame marker; a payload that does not start with it was
 #: overwritten or truncated at rest.
 BLOCK_MAGIC = b"AIMS"
 
 _HEADER = struct.Struct("<4sI")
+
+#: A frame of ``n`` bytes holds ``(n - FRAME_HEADER_BYTES) // 8`` values.
+FRAME_HEADER_BYTES = _HEADER.size
 
 
 def block_crc(items: np.ndarray) -> int:

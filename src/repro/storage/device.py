@@ -39,15 +39,17 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
+
+import numpy as np
 
 from repro.core.errors import StorageError
 from repro.lint.lockwatch import watched_lock
 from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
 from repro.obs.stats import StatsBase
-from repro.storage.codec import decode_block, encode_block
-from repro.storage.disk import IOStats, SimulatedDisk, frozen_payload
+from repro.storage.codec import FRAME_HEADER_BYTES, decode_block, encode_block
+from repro.storage.disk import BlockGroup, IOStats, SimulatedDisk, frozen_payload
 from repro.storage.latency import LatencyModel
 from repro.storage.replication import ReplicatedDevice
 from repro.storage.sharding import ShardedDevice
@@ -67,7 +69,7 @@ __all__ = [
 
 @runtime_checkable
 class BlockDevice(Protocol):
-    """What every storage layer speaks: blocks addressed by id.
+    """What every storage layer speaks: blocks addressed by integer code.
 
     Two data methods — a scalar read or write is a group of one — and
     two of metadata; concrete devices and middleware also provide the
@@ -78,12 +80,13 @@ class BlockDevice(Protocol):
     no layer copies one on the way in or out.
     """
 
-    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
-        """Fetch a group of blocks; returns ``{block_id: payload}``
-        (payloads shared, immutable: never copied)."""
+    def read_many(self, codes) -> BlockGroup:
+        """Fetch a group of blocks: the codes read, in the order handed
+        back, with their payloads (shared, immutable: never copied) and
+        lengths aligned to them."""
 
-    def write_many(self, blocks: dict) -> None:
-        """Store (or overwrite) a group of ``{block_id: payload}``."""
+    def write_many(self, codes, payloads: list) -> None:
+        """Store (or overwrite) each code's payload, aligned by index."""
 
     def n_blocks(self) -> int:
         """Number of allocated blocks."""
@@ -115,13 +118,13 @@ class PoolStats(StatsBase):
         return self.hits / total if total else 0.0
 
 
-class DeviceLayer:  # lint: ignore[obs-coverage] — pure delegation base; metering layers own the registry series
+class DeviceLayer:
     """Base class for stackable middleware over an inner block device.
 
-    Delegates the whole :class:`BlockDevice` surface to ``inner``;
-    subclasses override exactly the operations they mediate.  Layers
-    must never hold a lock across a call into ``inner`` (the storage
-    locking rule from ``docs/ARCHITECTURE.md``).
+    Delegates the :class:`BlockDevice` metadata surface to ``inner``;
+    every subclass implements the two group methods it mediates.
+    Layers must never hold a lock across a call into ``inner`` (the
+    storage locking rule from ``docs/ARCHITECTURE.md``).
     """
 
     def __init__(self, inner) -> None:
@@ -132,20 +135,12 @@ class DeviceLayer:  # lint: ignore[obs-coverage] — pure delegation base; meter
         """Item capacity of one block (delegated to the leaf device)."""
         return self.inner.block_size
 
-    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
-        """Fetch several blocks; returns ``{block_id: payload}``."""
-        return self.inner.read_many(block_ids)
-
-    def write_many(self, blocks: dict) -> None:
-        """Store several blocks; ``blocks`` maps block id to payload."""
-        self.inner.write_many(blocks)
-
-    def has_block(self, block_id: Hashable) -> bool:
+    def has_block(self, code: int) -> bool:
         """Existence check (directory metadata, no I/O charged)."""
-        return self.inner.has_block(block_id)
+        return self.inner.has_block(code)
 
     def block_ids(self) -> list:
-        """All allocated block ids (no I/O charged)."""
+        """Codes of all allocated blocks (no I/O charged)."""
         return self.inner.block_ids()
 
     def n_blocks(self) -> int:
@@ -185,21 +180,21 @@ class MeteredDevice(DeviceLayer):
         self.writes = 0
         self._lock = watched_lock("storage.metered")
 
-    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
+    def read_many(self, codes) -> BlockGroup:
         """Bulk fetch, counting one read per block and preserving the
         inner device's fan-out."""
-        ids = list(block_ids)
-        out = self.inner.read_many(ids)
+        group = self.inner.read_many(codes)
+        n = len(group.codes)
         with self._lock:
-            self.reads += len(ids)
-        obs_counter(f"{self.prefix}.reads").inc(len(ids))
-        return out
+            self.reads += n
+        obs_counter(f"{self.prefix}.reads").inc(n)
+        return group
 
-    def write_many(self, blocks: dict) -> None:
+    def write_many(self, codes, payloads: list) -> None:
         """Bulk store, counting one write per block and preserving the
         inner device's coalesced fan-out."""
-        self.inner.write_many(blocks)
-        n = len(blocks)
+        self.inner.write_many(codes, payloads)
+        n = len(payloads)
         with self._lock:
             self.writes += n
         obs_counter(f"{self.prefix}.writes").inc(n)
@@ -225,8 +220,8 @@ class CachingDevice(DeviceLayer):
     :meth:`write_many`, which writes through to the inner device and
     then invalidates the cached copies — no weak-ref side channel on
     the leaf.  Cached entries are the inner device's immutable
-    payloads, handed to every reader as the one shared instance — a
-    cached read copies nothing, hit or miss.
+    payloads (with their lengths), handed to every reader as the one
+    shared instance — a cached read copies nothing, hit or miss.
 
     Thread safety: one lock guards the LRU map, :class:`PoolStats` and
     the invalidation generation; the lock is *not* held across the
@@ -245,7 +240,8 @@ class CachingDevice(DeviceLayer):
         super().__init__(inner)
         self.capacity = capacity
         self.pool_stats = PoolStats()
-        self._cache: OrderedDict[Hashable, object] = OrderedDict()
+        # code -> (payload, length), least recently used first.
+        self._cache: OrderedDict[int, tuple] = OrderedDict()
         self._lock = watched_lock("storage.caching")
         # Bumped by every invalidate()/clear(); see the class docstring.
         self._gen = 0
@@ -253,53 +249,62 @@ class CachingDevice(DeviceLayer):
     def _occupancy(self) -> float:
         return len(self._cache) / self.capacity
 
-    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
+    def read_many(self, codes) -> BlockGroup:
         """Cached fetch of a group: the hits, then *one* inner read for
         every miss, then one gated publish.
 
         Hits are served (and made most-recent) before any miss is
         published, so a group never evicts a block it is itself about
         to return.  A failed inner read publishes nothing and counts no
-        miss.  Payloads come back in request order.
+        miss.  The hits come back first, in request order, then the
+        inner read's group.
         """
-        out: dict = {}
-        misses: list = []
-        hits = 0
+        codes = np.asarray(codes, dtype=np.intp)
+        found: list[tuple] = []  # (code, payload, length) of each hit
+        miss_at: list[int] = []
         with self._lock:
-            for block_id in block_ids:
-                cached = out[block_id] = self._cache.get(block_id)
-                if cached is None:
-                    misses.append(block_id)
+            cache = self._cache
+            for at, code in enumerate(codes.tolist()):
+                entry = cache.get(code)
+                if entry is None:
+                    miss_at.append(at)
                 else:
-                    self._cache.move_to_end(block_id)
-                    hits += 1
+                    cache.move_to_end(code)
+                    found.append((code, *entry))
+            hits = len(found)
             self.pool_stats.hits += hits
             gen = self._gen
         if hits:
             obs_counter("storage.pool.hits").inc(hits)
-        if not misses:
-            return out
+        hit_codes, payloads, lens = zip(*found) if found else ((), (), ())
+        hit = BlockGroup(
+            np.array(hit_codes, np.intp), list(payloads), np.array(lens, np.intp)
+        )
+        if not miss_at:
+            return hit
         # Inner payloads are immutable, so the shared instance is the
         # cache entry itself.
-        out.update(self.inner.read_many(misses))
+        missed = self.inner.read_many(codes[miss_at])
         evicted = 0
         with self._lock:
-            self.pool_stats.misses += len(misses)
+            self.pool_stats.misses += len(miss_at)
             if self._gen == gen:
-                for block_id in misses:
-                    self._cache.setdefault(block_id, out[block_id])
+                for code, *entry in zip(
+                    missed.codes.tolist(), missed.payloads, missed.lens.tolist()
+                ):
+                    cache.setdefault(code, entry)
                 while len(self._cache) > self.capacity:
                     self._cache.popitem(last=False)
                     evicted += 1
                 self.pool_stats.evictions += evicted
             occupancy = self._occupancy()
-        obs_counter("storage.pool.misses").inc(len(misses))
+        obs_counter("storage.pool.misses").inc(len(miss_at))
         if evicted:
             obs_counter("storage.pool.evictions").inc(evicted)
         obs_gauge("storage.pool.occupancy").set(occupancy)
-        return out
+        return BlockGroup.join([hit, missed]) if hits else missed
 
-    def write_many(self, blocks: dict) -> None:
+    def write_many(self, codes, payloads: list) -> None:
         """Group write-through: one coalesced inner write, then every
         touched id invalidated.
 
@@ -313,12 +318,12 @@ class CachingDevice(DeviceLayer):
         entry merely costs one re-read.
         """
         try:
-            self.inner.write_many(blocks)
+            self.inner.write_many(codes, payloads)
         finally:
-            for block_id in blocks:
-                self.invalidate(block_id)
+            for code in np.asarray(codes, dtype=np.intp).tolist():
+                self.invalidate(code)
 
-    def invalidate(self, block_id: Hashable) -> None:
+    def invalidate(self, code: int) -> None:
         """Drop a cached block.
 
         Always bumps the invalidation generation — even when the block
@@ -327,7 +332,7 @@ class CachingDevice(DeviceLayer):
         """
         with self._lock:
             self._gen += 1
-            dropped = self._cache.pop(block_id, None) is not None
+            dropped = self._cache.pop(code, None) is not None
             if dropped:
                 self.pool_stats.invalidations += 1
             occupancy = self._occupancy()
@@ -393,10 +398,10 @@ class CrcFramedDevice(DeviceLayer):  # lint: ignore[obs-coverage] — transparen
         # Item counts per block: the leaf stores opaque frames, so the
         # item-capacity bookkeeping (occupancy, overfull rejection)
         # moves up here.
-        self._counts: dict[Hashable, int] = {}
+        self._counts: dict[int, int] = {}
         self._lock = watched_lock("storage.crc")
 
-    def write_many(self, blocks: dict) -> None:
+    def write_many(self, codes, payloads: list) -> None:
         """Frame every payload in the group and store the encoded frames
         as one coalesced inner write.
 
@@ -405,21 +410,25 @@ class CrcFramedDevice(DeviceLayer):  # lint: ignore[obs-coverage] — transparen
         malformed member rejects the batch instead of leaving a torn
         group half-written.
         """
-        frames = {
-            block_id: encode_block(
-                frozen_payload(block_id, items, self.block_size)
-            )
-            for block_id, items in blocks.items()
-        }
-        self.inner.write_many(frames)
+        ids = np.asarray(codes, dtype=np.intp).tolist()
+        frames = [
+            encode_block(frozen_payload(code, items, self.block_size))
+            for code, items in zip(ids, payloads)
+        ]
+        self.inner.write_many(codes, frames)
         with self._lock:
-            self._counts.update((b, len(items)) for b, items in blocks.items())
+            self._counts.update(zip(ids, map(len, payloads)))
 
-    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
+    def read_many(self, codes) -> BlockGroup:
         """Fetch the group's frames as one inner read, then verify each
-        CRC and decode its payload."""
-        frames = self.inner.read_many(block_ids)
-        return {b: decode_block(frame) for b, frame in frames.items()}
+        CRC and decode its payload (a frame's length gives its
+        payload's)."""
+        frames = self.inner.read_many(codes)
+        return BlockGroup(
+            frames.codes,
+            list(map(decode_block, frames.payloads)),
+            (frames.lens - FRAME_HEADER_BYTES) // 8,
+        )
 
     def occupancy(self) -> float:
         """Mean fraction of block item-capacity in use (tracked here —
@@ -456,16 +465,17 @@ class ResilientDevice(DeviceLayer):  # lint: ignore[obs-coverage] — retry.* / 
         self.breaker = breaker
         self._caller = ResilientCaller(retry_policy, breaker)
 
-    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
+    def read_many(self, codes) -> BlockGroup:
         """Bulk fetch, each block independently guarded — a group of one
         under the retry/breaker stack — so one block's exhaustion does
         not waste the others' completed reads."""
-        out: dict = {}
-        for block_id in block_ids:
-            out.update(self._caller.call(self.inner.read_many, [block_id]))
-        return out
+        codes = np.asarray(codes, dtype=np.intp)
+        return BlockGroup.join([
+            self._caller.call(self.inner.read_many, codes[at:at + 1])
+            for at in range(len(codes))
+        ])
 
-    def write_many(self, blocks: dict) -> None:
+    def write_many(self, codes, payloads: list) -> None:
         """Group commit under the retry/breaker stack.
 
         The whole group is guarded as *one* operation — block overwrites
@@ -475,7 +485,7 @@ class ResilientDevice(DeviceLayer):  # lint: ignore[obs-coverage] — retry.* / 
         per block, as :meth:`read_many` does) keeps the inner layers'
         coalesced fan-out intact on the retried attempt.
         """
-        self._caller.call(self.inner.write_many, blocks)
+        self._caller.call(self.inner.write_many, codes, payloads)
 
     def stats(self) -> dict:
         """Resilience configuration plus the inner layers' statistics."""
@@ -546,11 +556,11 @@ class BuiltStorage:
         returns the total number of members restored."""
         return sum(group.resync() for group in self.replica_groups)
 
-    def shard_of(self, block_id: Hashable) -> int:
-        """Shard index a block id is placed on (0 when unsharded)."""
+    def shard_of(self, codes):
+        """Shard index of each block code (0 when unsharded)."""
         if self.sharded is None:
-            return 0
-        return self.sharded.shard_of(block_id)
+            return np.zeros(np.shape(codes), dtype=np.intp)
+        return self.sharded.placement[codes]
 
     def set_injecting(self, flag: bool) -> None:
         """Toggle fault injection on every faulty layer (no-op without
@@ -713,8 +723,10 @@ class StorageSpec:
                 built.breakers.append(breaker)
         return device, breaker
 
-    def build(self, block_size: int) -> BuiltStorage:
-        """Build the device stack for a given leaf block size."""
+    def build(self, block_size: int, placement=None) -> BuiltStorage:
+        """Build the device stack for a given leaf block size; a sharded
+        stack splits by the store's ``placement`` table
+        (:func:`~repro.storage.sharding.placement_table`)."""
         built = BuiltStorage(self)
         shards = []
         for shard in range(self.shards):
@@ -742,7 +754,7 @@ class StorageSpec:
             # source in the spec, 1 (no pool) without.
             waits = (self.latency, self.fault_plan, self.retry_policy)
             device = built.sharded = ShardedDevice(
-                shards,
+                shards, placement,
                 fanout_workers=(
                     None if any(w is not None for w in waits) else 1
                 ),

@@ -3,8 +3,8 @@
 The storage claims of §3.2 are all statements about *which coefficients
 share a disk block* and *how many blocks a query touches* — never about
 a specific device.  This simulator therefore models exactly that:
-fixed-size blocks addressed by id, with :class:`IOStats` counters every
-experiment reads its I/O costs from.
+fixed-size blocks addressed by their integer code, with :class:`IOStats`
+counters every experiment reads its I/O costs from.
 
 Since the device-stack refactor this class is deliberately dumb: no
 cache hooks (coherence lives in
@@ -15,16 +15,19 @@ an immutable value — a read-only ``float64`` array of a block's values
 (capacity-checked) or a byte frame from a CRC layer above — that is
 stored and handed back as the same object, never copied on a read.
 
-Thread safety: the block directory and :class:`IOStats` counters are
-guarded by one device lock, taken once per group; a group's simulated
-seeks are waited for as one sleep after the lock is released, so
-concurrent callers overlap their seek time.
+A read hands back a :class:`BlockGroup`: codes, payloads and payload
+lengths, the lengths from a code-indexed table the leaf keeps.
+
+Thread safety: the block directory, the length table and the
+:class:`IOStats` counters are guarded by one device lock, taken once per
+group; a group's simulated seeks are waited for as one sleep after the
+lock is released, so concurrent callers overlap their seek time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,13 +36,36 @@ from repro.lint.lockwatch import watched_lock
 from repro.obs.stats import StatsBase
 from repro.storage.latency import LatencyModel
 
-__all__ = ["IOStats", "SimulatedDisk", "frozen_payload"]
+__all__ = ["BlockGroup", "IOStats", "SimulatedDisk", "frozen_payload"]
 
 
-def frozen_payload(block_id: Hashable, items, block_size: int) -> np.ndarray:
-    """``items`` as the read-only 1-D ``float64`` array a block stores.
+class BlockGroup(NamedTuple):
+    """What a group read hands back: the block codes read (``intp``, in
+    the order the layer hands them back — not always the order asked),
+    and each one's payload and payload length, aligned with them."""
 
-    A read-only ``float64`` array is returned as is; a writable one (or
+    codes: np.ndarray
+    payloads: list
+    lens: np.ndarray
+
+    @staticmethod
+    def join(groups: list) -> "BlockGroup":
+        """The groups one after another, as one group."""
+        if len(groups) == 1:
+            return groups[0]
+        none = [np.empty(0, np.intp)]
+        return BlockGroup(
+            np.concatenate(none + [group.codes for group in groups]),
+            [payload for group in groups for payload in group.payloads],
+            np.concatenate(none + [group.lens for group in groups]),
+        )
+
+
+def frozen_payload(code: int, items, block_size: int) -> np.ndarray:
+    """``items`` as the read-only, contiguous 1-D ``float64`` array a
+    block stores.
+
+    Such an array is returned as is; a writable or strided one (or
     another dtype) is copied and the copy frozen, so a caller mutating
     its buffer afterwards cannot reach stored state.  Anything else,
     and an array longer than ``block_size``, is a
@@ -47,15 +73,16 @@ def frozen_payload(block_id: Hashable, items, block_size: int) -> np.ndarray:
     """
     if not isinstance(items, np.ndarray) or items.ndim != 1:
         raise StorageError(
-            f"block {block_id!r}: a payload is a 1-D float64 array, "
+            f"block {code}: a payload is a 1-D float64 array, "
             f"got {type(items).__name__}"
         )
     if len(items) > block_size:
         raise StorageError(
-            f"block {block_id!r}: {len(items)} items exceed "
+            f"block {code}: {len(items)} items exceed "
             f"block size {block_size}"
         )
-    if items.flags.writeable or items.dtype != np.float64:
+    if (items.flags.writeable or items.dtype != np.float64
+            or not items.flags.c_contiguous):
         items = items.astype(np.float64)
         items.flags.writeable = False
     return items
@@ -76,7 +103,7 @@ class IOStats(StatsBase):
 
 @dataclass
 class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; storage.disk.* metering is the MeteredDevice directly above
-    """Leaf block device: block id -> payload.
+    """Leaf block device: block code -> payload.
 
     Payloads are either read-only ``float64`` arrays of a block's
     values — ``block_size`` bounds how many one block may carry,
@@ -90,7 +117,7 @@ class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; s
 
     block_size: int
     latency: LatencyModel | None = None
-    _blocks: dict[Hashable, object] = field(default_factory=dict)
+    _blocks: dict[int, object] = field(default_factory=dict)
     io: IOStats = field(default_factory=IOStats)
 
     def __post_init__(self) -> None:
@@ -98,40 +125,45 @@ class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; s
             raise StorageError(
                 f"block size must be positive, got {self.block_size}"
             )
-        # Guards the block directory and the IOStats counters; never
-        # held while sleeping simulated latency.
+        # Payload length by code (-1: no block).  Guarded, with the
+        # directory and the IOStats counters, by the lock, which is
+        # never held while sleeping simulated latency.
+        self._lens = np.full(0, -1, dtype=np.intp)
         self._lock = watched_lock("storage.disk")
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._blocks)
 
-    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
-        """Fetch a group of blocks; returns ``{block_id: payload}``.
+    def read_many(self, codes) -> BlockGroup:
+        """Fetch a group of blocks, in the order asked.
 
         One directory pass under one lock acquisition, then — the lock
         released — one wait for the sum of the members' simulated seeks
         (:meth:`LatencyModel.wait`).  A missing member is charged like
         the single reads it replaces: the members before it are counted
         and waited for, then the error names it.  The stored (immutable)
-        payloads themselves are returned — no copy.
+        payloads themselves are returned — no copy — with their lengths
+        from the length table.
         """
-        ids = list(block_ids)
-        blocks = self._blocks
-        out, done = None, len(ids)
+        codes = np.asarray(codes, dtype=np.intp)
+        ids = codes.tolist()
+        payloads = None
         with self._lock:
             try:
-                out = {block_id: blocks[block_id] for block_id in ids}
+                payloads = list(map(self._blocks.__getitem__, ids))
+                done = len(ids)
+                lens = self._lens[codes]
             except KeyError as missing:
                 done = ids.index(missing.args[0])
             self.io.reads += done
         if self.latency is not None:
             self.latency.wait(done)
-        if out is None:
-            raise StorageError(f"no such block {ids[done]!r}")
-        return out
+        if payloads is None:
+            raise StorageError(f"no such block {ids[done]}")
+        return BlockGroup(codes, payloads, lens)
 
-    def write_many(self, blocks: dict) -> None:
+    def write_many(self, codes, payloads: list) -> None:
         """Store (or overwrite) a group of blocks in one directory update.
 
         A stored payload is immutable (:func:`frozen_payload`, applied
@@ -139,22 +171,34 @@ class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; s
         and a later write replaces it, so readers holding the previous
         payload keep a consistent pre-write snapshot.
         """
-        frozen = {
-            block_id: items if isinstance(items, bytes)
-            else frozen_payload(block_id, items, self.block_size)
-            for block_id, items in blocks.items()
-        }
+        codes = np.asarray(codes, dtype=np.intp)
+        ids = codes.tolist()
+        if ids and min(ids) < 0:
+            raise StorageError(f"block codes are non-negative, got {min(ids)}")
+        frozen = [
+            items if isinstance(items, bytes)
+            else frozen_payload(code, items, self.block_size)
+            for code, items in zip(ids, payloads, strict=True)
+        ]
+        lens = np.fromiter(map(len, frozen), dtype=np.intp, count=len(frozen))
         with self._lock:
-            self._blocks.update(frozen)
+            if ids and max(ids) >= len(self._lens):
+                self._lens = np.append(
+                    self._lens, np.full(2 * max(ids) + 1 - len(self._lens), -1)
+                )
+            self._blocks.update(zip(ids, frozen))
+            # A code written twice keeps its last payload: in the
+            # directory, and here (assignment runs in order).
+            self._lens[codes] = lens
             self.io.writes += len(frozen)
 
-    def has_block(self, block_id: Hashable) -> bool:
+    def has_block(self, code: int) -> bool:
         """Existence check (no I/O charged — directory metadata)."""
         with self._lock:
-            return block_id in self._blocks
+            return code in self._blocks
 
-    def block_ids(self) -> list[Hashable]:
-        """All allocated block ids (no I/O charged)."""
+    def block_ids(self) -> list[int]:
+        """Codes of all allocated blocks (no I/O charged)."""
         with self._lock:
             return list(self._blocks)
 

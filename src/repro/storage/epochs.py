@@ -35,7 +35,8 @@ Metrics (the ``epoch.*`` family in DESIGN.md's catalogue):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+
+import numpy as np
 
 from repro.core.errors import StorageError
 from repro.lint.lockwatch import watched_lock
@@ -44,6 +45,7 @@ from repro.obs import gauge as obs_gauge
 from repro.obs import histogram as obs_histogram
 from repro.obs import DEFAULT_COUNT_BUCKETS
 from repro.storage.blockstore import TensorReads
+from repro.storage.disk import BlockGroup
 
 __all__ = ["AsOfStore", "EpochLog", "EpochRecord"]
 
@@ -55,9 +57,9 @@ class EpochRecord:
     Attributes:
         epoch: The epoch this commit *created* (so the pre-images are
             the touched blocks' payloads at ``epoch - 1``).
-        preimages: ``block_id -> payload array`` as it was
+        preimages: ``block code -> payload array`` as it was
             immediately before the commit.
-        prior_norms: ``block_id -> L2 norm`` of the pre-image payloads
+        prior_norms: ``block code -> L2 norm`` of the pre-image payloads
             (the progressive evaluator's error bounds need per-block
             norms as of the queried epoch).
         points: How many appended points the commit carried.
@@ -111,9 +113,9 @@ class EpochLog:
         """Record one committed batch append; returns the new epoch.
 
         Args:
-            preimages: ``block_id -> payload`` as read *before* the
+            preimages: ``block code -> payload`` as read *before* the
                 commit replaced them (immutable, so stored as given).
-            prior_norms: ``block_id -> norm`` before the commit.
+            prior_norms: ``block code -> norm`` before the commit.
             points: Appended points in the commit (for audit stats).
         """
         with self._lock:
@@ -151,16 +153,16 @@ class EpochLog:
             )
         return epoch
 
-    def preimage_as_of(self, block_id: Hashable, epoch: int):
-        """Pre-image payload of ``block_id`` as of ``epoch``, or ``None``.
+    def preimage_as_of(self, code: int, epoch: int):
+        """Pre-image payload of block ``code`` as of ``epoch``, or ``None``.
 
         ``None`` means no retained epoch after ``epoch`` touched the
         block, i.e. the live payload *is* the historical one.
         """
         with self._lock:
             for record in self._records:
-                if record.epoch > epoch and block_id in record.preimages:
-                    return record.preimages[block_id]
+                if record.epoch > epoch and code in record.preimages:
+                    return record.preimages[code]
         return None
 
     def norms_as_of(self, epoch: int, current_norms: dict) -> dict:
@@ -176,10 +178,10 @@ class EpochLog:
             for record in self._records:
                 if record.epoch <= epoch:
                     continue
-                for block_id, norm in record.prior_norms.items():
-                    if block_id not in seen:
-                        out[block_id] = norm
-                        seen.add(block_id)
+                for code, norm in record.prior_norms.items():
+                    if code not in seen:
+                        out[code] = norm
+                        seen.add(code)
         return out
 
     # -- retention -------------------------------------------------------
@@ -224,9 +226,10 @@ class EpochLog:
 class AsOfStore(TensorReads):
     """Read-only block-store view pinned to one epoch.
 
-    Serves block reads (``fetch_blocks``, which is also the shared
-    :class:`~repro.storage.blockstore.TensorReads` kernel's block
-    hook, so ``fetch_block`` and ``gather`` too) as of that epoch;
+    Serves block reads (``read_many``, the shared
+    :class:`~repro.storage.blockstore.TensorReads` kernel's group read,
+    so ``fetch_blocks``, ``fetch_block`` and ``gather`` too) as of that
+    epoch;
     everything else (``allocation``, ``shard_of``, ``breakers``, ...)
     delegates to the wrapped store, which may itself be a
     :class:`~repro.query.service.SharedScanStore`
@@ -248,30 +251,28 @@ class AsOfStore(TensorReads):
         """Delegate every non-read attribute to the wrapped store."""
         return getattr(self._store, name)
 
-    def fetch_blocks(self, block_ids: list) -> dict:
-        """Bulk fetch as of the pinned epoch.
+    def read_many(self, codes) -> BlockGroup:
+        """Group read as of the pinned epoch.
 
-        Logged blocks come from pre-images; the rest go down as one
-        coalesced live read (the wrapped store's bulk path).
+        Logged blocks come from pre-images (first in the group); the
+        rest go down as one coalesced live read (the wrapped store's
+        group read).
         """
-        ids = list(dict.fromkeys(block_ids))
-        out: dict = {}
-        live: list = []
-        for block_id in ids:
-            preimage = self._log.preimage_as_of(block_id, self.epoch)
-            if preimage is not None:
-                out[block_id] = preimage
+        logged, live = {}, []
+        for code in np.asarray(codes, dtype=np.intp).tolist():
+            preimage = self._log.preimage_as_of(code, self.epoch)
+            if preimage is None:
+                live.append(code)
             else:
-                live.append(block_id)
-        if out:
-            obs_counter("epoch.preimage_reads").inc(len(out))
-        if live:
-            out.update(self._store.fetch_blocks(live))
-        return out
-
-    #: The shared ``gather``/``fetch`` kernel's block hook: pre-image
-    #: where one is logged, else the wrapped store's bulk read.
-    _read_blocks = fetch_blocks
+                logged[code] = preimage
+        groups = [self._store.read_many(live)] if live else []
+        if logged:
+            obs_counter("epoch.preimage_reads").inc(len(logged))
+            groups.insert(0, BlockGroup(
+                np.array(list(logged), dtype=np.intp), list(logged.values()),
+                np.array([len(p) for p in logged.values()], dtype=np.intp),
+            ))
+        return BlockGroup.join(groups)
 
     def store_blocks(self, payloads: dict) -> None:
         """Refused: as-of views are frozen history (route writes to the

@@ -31,13 +31,11 @@ Both paths tick ``replica.promotions``.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
-
 from repro.core.errors import StorageError
 from repro.lint.lockwatch import watched_lock
 from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
-from repro.storage.disk import IOStats
+from repro.storage.disk import BlockGroup, IOStats
 
 __all__ = ["ReplicatedDevice"]
 
@@ -150,7 +148,7 @@ class ReplicatedDevice:
 
     # -- reads: primary with failover fan-out -------------------------
 
-    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
+    def read_many(self, codes) -> BlockGroup:
         """Bulk fetch with whole-group failover.
 
         The group runs against one member at a time in read order
@@ -160,15 +158,12 @@ class ReplicatedDevice:
         consistent — never half one member, half another — and the
         member that answers is promoted when it is not the primary.
         """
-        ids = list(block_ids)
-        if not ids:
-            return {}
-        op = f"read_many({len(ids)} blocks)"
+        op = f"read_many({len(codes)} blocks)"
         order = self._read_order()
         first_error: Exception | None = None
         for member in order:
             try:
-                result = self.members[member].read_many(ids)
+                result = self.members[member].read_many(codes)
             except MEMBER_FAILURES as exc:
                 obs_counter("replica.member_read_failures").inc()
                 if first_error is None:
@@ -191,7 +186,7 @@ class ReplicatedDevice:
 
     # -- writes: synchronous fan-in to every member --------------------
 
-    def write_many(self, blocks: dict) -> None:
+    def write_many(self, codes, payloads: list) -> None:
         """Group-commit the blocks to every member; in-sync members
         that fail go stale (excluded from reads until resync).
 
@@ -214,9 +209,7 @@ class ReplicatedDevice:
         their resync delta small) but their failures are ignored — they
         are excluded from reads either way.
         """
-        if not blocks:
-            return
-        op = f"write_many({len(blocks)} blocks)"
+        op = f"write_many({len(payloads)} blocks)"
         with self._lock:
             in_sync = [
                 m for m in range(len(self.members)) if m not in self._stale
@@ -225,7 +218,7 @@ class ReplicatedDevice:
         newly_stale: list[int] = []
         for member, device in enumerate(self.members):
             try:
-                device.write_many(blocks)
+                device.write_many(codes, payloads)
             except MEMBER_FAILURES as exc:
                 if member in in_sync:
                     errors.append((member, exc))
@@ -270,10 +263,10 @@ class ReplicatedDevice:
         if not stale:
             return 0
         source = self.members[primary]
-        payloads = source.read_many(source.block_ids())
+        group = source.read_many(source.block_ids())
         restored = 0
         for member in stale:
-            self.members[member].write_many(payloads)
+            self.members[member].write_many(group.codes, group.payloads)
             with self._lock:
                 self._stale.discard(member)
                 stale_count = len(self._stale)
@@ -289,12 +282,12 @@ class ReplicatedDevice:
         """Item capacity of one block (uniform across members)."""
         return self.members[0].block_size
 
-    def has_block(self, block_id: Hashable) -> bool:
+    def has_block(self, code: int) -> bool:
         """Existence check on the current primary."""
-        return self.members[self.primary].has_block(block_id)
+        return self.members[self.primary].has_block(code)
 
     def block_ids(self) -> list:
-        """All allocated block ids, per the current primary."""
+        """Codes of all allocated blocks, per the current primary."""
         return self.members[self.primary].block_ids()
 
     def n_blocks(self) -> int:

@@ -91,9 +91,9 @@ class SignalArchive:
         # importance order and the residual bound.
         self._block_energy: dict[int, float] = {}
         for idx, value in enumerate(flat):
-            block_id = int(allocation.block_of[idx])
-            self._block_energy[block_id] = (
-                self._block_energy.get(block_id, 0.0) + float(value) ** 2
+            code = int(allocation.block_of[idx])
+            self._block_energy[code] = (
+                self._block_energy.get(code, 0.0) + float(value) ** 2
             )
 
     @property
@@ -115,11 +115,11 @@ class SignalArchive:
         )
         residual = sum(self._block_energy.values())
         flat = np.zeros(self.length)
-        for step, block_id in enumerate(order, start=1):
-            flat[self.store.allocation.block_keys(block_id)] = (
-                self.store.fetch_block(block_id)
+        for step, code in enumerate(order, start=1):
+            flat[self.store.allocation.block_keys(code)] = (
+                self.store.fetch_block(code)
             )
-            residual -= self._block_energy[block_id]
+            residual -= self._block_energy[code]
             bundle = WaveletCoefficients.from_flat(
                 flat, self.levels, self.wavelet
             )

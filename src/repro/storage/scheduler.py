@@ -32,7 +32,6 @@ class BlockSchedule:
 
     Attributes:
         codes: Distinct block codes, most valuable first.
-        block_ids: Their block ids (``allocation.block_ids(codes)``).
         query_norms: ``||q_B||`` of each block.
         data_norms: ``||d_B||`` of each block (0.0 where unrecorded).
         masses: ``query_norms * data_norms`` — what each fetch takes
@@ -42,7 +41,6 @@ class BlockSchedule:
     """
 
     codes: np.ndarray
-    block_ids: list
     query_norms: np.ndarray
     data_norms: np.ndarray
     masses: np.ndarray
@@ -51,7 +49,7 @@ class BlockSchedule:
     n_codes: int
 
     def __len__(self) -> int:
-        return len(self.block_ids)
+        return len(self.codes)
 
     @property
     def bound(self) -> float:
@@ -111,7 +109,7 @@ def schedule_blocks(values, codes, allocation, block_norms) -> BlockSchedule:
             or a batch's stacked back to back).
         codes: Each entry's block code (``allocation.locate``).
         allocation: The store's allocation (1-D or tensor).
-        block_norms: Block id -> stored-data L2 norm ``||d_B||``.
+        block_norms: Block code -> stored-data L2 norm ``||d_B||``.
 
     Returns:
         The :class:`BlockSchedule`; empty for an empty translation.
@@ -119,20 +117,17 @@ def schedule_blocks(values, codes, allocation, block_norms) -> BlockSchedule:
     # Presence is ``distinct``, not ``energy > 0``: a square can
     # underflow to zero and its block must still be read.
     uniq = allocation.distinct(codes)
-    block_ids = allocation.block_ids(uniq)
     query_norms = np.sqrt(
         np.bincount(codes, weights=values * values)[uniq]
     )
     data_norms = np.array(
-        [block_norms.get(block_id, 0.0) for block_id in block_ids],
-        dtype=float,
+        [block_norms.get(code, 0.0) for code in uniq.tolist()], dtype=float,
     )
     masses = query_norms * data_norms
     # Stable on codes already ascending: equal masses stay in code order.
     best = np.argsort(-masses, kind="stable")
     return BlockSchedule(
         codes=uniq[best],
-        block_ids=[block_ids[i] for i in best.tolist()],
         query_norms=query_norms[best],
         data_norms=data_norms[best],
         masses=masses[best],

@@ -1,11 +1,10 @@
 """Sharded block device: the first scale-out axis of the storage engine.
 
 :class:`ShardedDevice` stripes blocks across N inner
-:class:`~repro.storage.device.BlockDevice` stacks by a deterministic
-placement function — ``crc32(repr(block_id)) mod N`` — so the same
-block id lands on the same shard in every process and every run, with
-no placement table to persist (the rebalance-free determinism the
-placement tests pin down).
+:class:`~repro.storage.device.BlockDevice` stacks by a placement table
+a store builds once (:func:`placement_table`): block ``code`` lives on
+shard ``crc32(repr(allocation.block_tuple(code))) mod N``, the same in
+every process and every run, and a group splits by one table lookup.
 
 Multi-block reads fan out across the shards touched via a small
 transient worker pool, so with per-device latency the wall-clock cost
@@ -27,16 +26,24 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Hashable, Iterable
+
+import numpy as np
 
 from repro.core.errors import StorageError
 from repro.lint.lockwatch import watched_lock
-from repro.storage.disk import IOStats
+from repro.storage.disk import BlockGroup, IOStats
 from repro.storage.placement import place
 
-# ``place`` lives in :mod:`repro.storage.placement` now (shared with the
-# cluster tier's HashRing) and is re-exported here for compatibility.
-__all__ = ["ShardedDevice", "place"]
+__all__ = ["ShardedDevice", "placement_table"]
+
+
+def placement_table(n_codes: int, n_shards: int, block_id=int) -> np.ndarray:
+    """``place(block_id(code), n_shards)`` for every code below
+    ``n_codes`` (``block_id``: ``allocation.block_tuple``, or the code)."""
+    return np.fromiter(
+        (place(block_id(code), n_shards) for code in range(n_codes)),
+        dtype=np.intp, count=n_codes,
+    )
 
 
 class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec wraps it in a storage.device MeteredDevice
@@ -46,12 +53,16 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
         devices: The inner devices (typically per-shard middleware
             stacks built by :class:`~repro.storage.device.StorageSpec`),
             in shard order.
+        placement: ``placement[code]`` is the shard owning block
+            ``code`` (:func:`placement_table`).
         fanout_workers: Worker-pool width for multi-block reads
             (default ``min(n_shards, 8)``); ``1`` forces sequential
             fan-out.
     """
 
-    def __init__(self, devices, fanout_workers: int | None = None) -> None:
+    def __init__(
+        self, devices, placement, fanout_workers: int | None = None
+    ) -> None:
         self.devices = list(devices)
         if not self.devices:
             raise StorageError("a sharded device needs at least one shard")
@@ -61,6 +72,14 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
                 f"shards disagree on block size: {sorted(sizes)}"
             )
         self.n_shards = len(self.devices)
+        table = np.array([-1] if placement is None else placement, np.intp)
+        if table.ndim != 1 or not ((table >= 0) & (table < self.n_shards)).all():
+            raise StorageError(
+                f"a sharded device needs a placement table: one shard in "
+                f"[0, {self.n_shards}) per block code"
+            )
+        table.flags.writeable = False
+        self.placement = table
         if fanout_workers is not None and fanout_workers < 1:
             raise StorageError(
                 f"fanout_workers must be >= 1, got {fanout_workers}"
@@ -70,40 +89,29 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
             if fanout_workers is not None
             else min(self.n_shards, 8)
         )
-        # Persistent fan-out pool, created on the first concurrent
-        # read_many and reused for the device's lifetime — the previous
-        # per-call transient pool paid thread startup/teardown on the
-        # hottest I/O path.
+        # Persistent fan-out pool, created on first concurrent use.
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = watched_lock("storage.shard_fanout")
-        # Memo of the pure placement, block id -> shard, filled by the
-        # write paths and so bounded by the block directory (an id never
-        # written is placed on the fly).  Unlocked: dict get/set are
-        # atomic and every writer stores the same value for a key.
-        self._placement: dict[Hashable, int] = {}
 
     @property
     def block_size(self) -> int:
         """Item capacity of one block (uniform across shards)."""
         return self.devices[0].block_size
 
-    def shard_of(self, block_id: Hashable) -> int:
-        """Shard index owning a block id (deterministic across runs)."""
-        shard = self._placement.get(block_id)
-        return place(block_id, self.n_shards) if shard is None else shard
-
-    def _by_shard(self, block_ids: Iterable[Hashable]) -> list[tuple[int, list]]:
-        """The batch I/O coalescer: ``(shard, block_ids)`` groups in
-        first-touched order, ids in given order within a group — one pass
-        over the placement memo, ``place`` only for ids never written."""
-        get = self._placement.get
-        groups: dict[int, list] = {}
-        for block_id in block_ids:
-            shard = get(block_id)
-            if shard is None:
-                shard = place(block_id, self.n_shards)
-            groups.setdefault(shard, []).append(block_id)
-        return list(groups.items())
+    def _split(self, codes: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """The batch I/O coalescer: ``(shard, positions into codes)``
+        per shard touched, in shard order — one table lookup and one
+        stable argsort, so each shard's members keep the order they
+        were asked in (and its fault plan draws in that order)."""
+        owners = self.placement[codes]
+        order = np.argsort(owners, kind="stable")
+        ends = np.cumsum(np.bincount(owners, minlength=self.n_shards))
+        groups, start = [], 0
+        for shard, end in enumerate(ends.tolist()):
+            if end > start:
+                groups.append((shard, order[start:end]))
+            start = end
+        return groups
 
     def _fanout_pool(self) -> ThreadPoolExecutor:
         """The persistent fan-out pool (created on first concurrent use)."""
@@ -116,7 +124,7 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
             return self._pool
 
     def _fan_out(self, op: str, groups: list) -> list:
-        """Run ``devices[shard].<op>(arg)`` for every ``(shard, arg)``
+        """Run ``devices[shard].<op>(*args)`` for every ``(shard, args)``
         group; returns the results in group order.
 
         The first group runs on the calling thread, which would
@@ -131,8 +139,8 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
         one.
         """
         calls = [
-            partial(getattr(self.devices[shard], op), arg)
-            for shard, arg in groups
+            partial(getattr(self.devices[shard], op), *args)
+            for shard, args in groups
         ]
         if len(calls) > 1 and self.fanout_workers > 1:
             submit = self._fanout_pool().submit
@@ -153,13 +161,14 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
             raise first
         return results
 
-    def read_many(self, block_ids: Iterable[Hashable]) -> dict:
+    def read_many(self, codes) -> BlockGroup:
         """Fetch several blocks: one coalesced ``read_many`` per owning
-        shard (:meth:`_by_shard`), fanned out by :meth:`_fan_out`."""
-        out: dict = {}
-        for part in self._fan_out("read_many", self._by_shard(block_ids)):
-            out.update(part)
-        return out
+        shard (:meth:`_split`), fanned out by :meth:`_fan_out`; the
+        shards' groups come back one after another, in shard order."""
+        codes = np.asarray(codes, dtype=np.intp)
+        return BlockGroup.join(self._fan_out("read_many", [
+            (shard, (codes[at],)) for shard, at in self._split(codes)
+        ]))
 
     def close(self) -> None:
         """Shut down the persistent fan-out pool (idempotent)."""
@@ -178,24 +187,27 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
             self._pool = None  # lint: ignore[deep-lockset-race] -- unreachable in __del__
             pool.shutdown(wait=False)
 
-    def write_many(self, blocks: dict) -> None:
+    def write_many(self, codes, payloads: list) -> None:
         """Store several blocks: one coalesced ``write_many`` per owning
         shard, fanned out by :meth:`_fan_out` exactly like the read
         path (so per-device write latency overlaps and surviving
         shards' commits are never abandoned mid-flight)."""
-        groups = self._by_shard(blocks)
-        for shard, ids in groups:
-            self._placement.update(dict.fromkeys(ids, shard))
+        codes = np.asarray(codes, dtype=np.intp)
+        if len(codes) != len(payloads):
+            raise StorageError(
+                f"{len(codes)} block codes for {len(payloads)} payloads"
+            )
         self._fan_out("write_many", [
-            (shard, {b: blocks[b] for b in ids}) for shard, ids in groups
+            (shard, (codes[at], [payloads[i] for i in at.tolist()]))
+            for shard, at in self._split(codes)
         ])
 
-    def has_block(self, block_id: Hashable) -> bool:
+    def has_block(self, code: int) -> bool:
         """Existence check on the owning shard."""
-        return self.devices[self.shard_of(block_id)].has_block(block_id)
+        return self.devices[self.placement[code]].has_block(code)
 
     def block_ids(self) -> list:
-        """All allocated block ids, shard by shard."""
+        """Codes of all allocated blocks, shard by shard."""
         out: list = []
         for device in self.devices:
             out.extend(device.block_ids())
@@ -230,7 +242,7 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
         return {
             "layer": "sharded",
             "shards": self.n_shards,
-            "placement": "crc32(repr(id)) % shards",
+            "placement": "crc32(repr(block id)) % shards, tabled by code",
             "fanout_workers": self.fanout_workers,
             "blocks": self.n_blocks(),
             "io": {"reads": io.reads, "writes": io.writes},

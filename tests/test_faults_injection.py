@@ -24,7 +24,7 @@ from repro.storage.codec import (
     encode_block,
 )
 from repro.storage.disk import SimulatedDisk
-from tests._blocks import read_block, write_block
+from tests._blocks import read_block, write_block, write_map
 
 
 def vals(*values):
@@ -214,7 +214,7 @@ class TestFaultyDevice:
             disk = FaultyDevice(
                 SimulatedDisk(block_size=8), plan=plan, injecting=False
             )
-            disk.write_many(blocks)
+            write_map(disk, blocks)
             disk.injecting = True
             groups = [blocks] if grouped else [{b: blocks[b]} for b in blocks]
             raised = None
@@ -223,7 +223,7 @@ class TestFaultyDevice:
                     if op == "read":
                         disk.read_many(list(group))
                     else:
-                        disk.write_many(group)
+                        write_map(disk, group)
             except (InjectedFault, CorruptedBlockError) as exc:
                 raised = type(exc)
             return raised, list(plan.history), disk.io_totals()

@@ -29,6 +29,7 @@ from repro.query.service import (
 )
 from repro.storage.device import StorageSpec
 from repro.storage.scheduler import schedule_blocks
+from tests._blocks import read_map
 
 
 @pytest.fixture(scope="module")
@@ -137,21 +138,20 @@ class TestCoalescedIO:
         values = np.append(values, 1e-200)
         uniq, inverse = np.unique(codes, return_inverse=True)
         energy = np.sqrt(np.bincount(inverse, weights=values * values))
-        norms = [
-            engine._block_norms.get(b, 0.0) for b in allocation.block_ids(uniq)
-        ]
+        norms = [engine._block_norms.get(b, 0.0) for b in uniq.tolist()]
         best = np.argsort(-(energy * np.array(norms)), kind="stable")
         schedule = schedule_blocks(
             values, codes, allocation, engine._block_norms
         )
         assert schedule.codes.tolist() == uniq[best].tolist()
-        assert schedule.block_ids == allocation.block_ids(schedule.codes)
+        # The norm table is keyed by code, every block of the grid.
+        assert set(engine._block_norms) == set(range(allocation.n_codes))
         assert lone[0] in schedule.codes
         # ... and it is the schedule the evaluator fetches by.
-        assert evaluator._schedule(OVERLAPPING)[-1].block_ids == (
+        assert evaluator._schedule(OVERLAPPING)[-1].codes.tolist() == (
             schedule_blocks(
                 values[:-1], codes[:-1], allocation, engine._block_norms
-            ).block_ids
+            ).codes.tolist()
         )
 
 
@@ -225,8 +225,8 @@ class TestScanCoordinatorBulkFetch:
         view = shared_scan_view(engine)
         coordinator = view.store.coordinator
         blocks = list(engine.store.device.block_ids())[:3]
-        out = coordinator.fetch_blocks(blocks + blocks)
-        assert set(out) == set(blocks)
+        out = coordinator.read_many(blocks + blocks)
+        assert sorted(out.codes.tolist()) == sorted(blocks)
         assert coordinator.fetches == len(blocks)
         assert sum(coordinator.fetches_by_shard.values()) == len(blocks)
 
@@ -235,19 +235,21 @@ class TestScanCoordinatorBulkFetch:
         coordinator = view.store.coordinator
         blocks = list(engine.store.device.block_ids())[:2]
         target = blocks[0]
-        key = (coordinator.namespace, coordinator._shard_of(target), target)
+        shard = int(coordinator._shard_of(np.array([target]))[0])
+        key = (coordinator.namespace, shard, target)
+        sentinel = np.array([42.0])
         flight = _Flight()
-        flight.result = {"sentinel": 42.0}
+        flight.result = (sentinel, 1)
         flight.event = threading.Event()  # as a first waiter leaves it
         flight.event.set()
         coordinator._inflight[key] = flight
         try:
-            out = coordinator.fetch_blocks(blocks)
+            out = read_map(coordinator, blocks)
         finally:
             coordinator._inflight.pop(key, None)
         # The in-flight block was shared, not re-read; the other block
         # was fetched from the store.
-        assert out[target] == {"sentinel": 42.0}
+        assert out[target] is sentinel
         assert coordinator.shared == 1
         assert coordinator.fetches == len(blocks) - 1
 
@@ -266,7 +268,7 @@ class TestScanCoordinatorBulkFetch:
         def fetch_all():
             barrier.wait()
             try:
-                results.append(coordinator.fetch_blocks(blocks))
+                results.append(read_map(coordinator, blocks))
             except StorageError as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 

@@ -24,7 +24,9 @@ from repro.query.service import (
     shared_scan_view,
 )
 from repro.storage.device import StorageSpec
+from repro.storage.disk import BlockGroup
 from repro.storage.latency import LatencyModel
+from tests._blocks import read_map
 
 
 def build_engine(shape=(32, 32), pool_capacity=16, seed=7, latency_s=0.0):
@@ -126,13 +128,13 @@ class TestSharedScans:
         # Slow the device down so readers genuinely overlap.
         engine = build_engine(pool_capacity=None, latency_s=0.005)
         coordinator = ScanCoordinator(engine.store)
-        block_id = engine.store.device.block_ids()[0]
+        code = engine.store.device.block_ids()[0]
         before = engine.store.io_snapshot()
         results = []
         threads = [
             threading.Thread(
                 target=lambda: results.append(
-                    coordinator.fetch_blocks([block_id])[block_id]
+                    read_map(coordinator, [code])[code]
                 )
             )
             for _ in range(8)
@@ -152,12 +154,12 @@ class TestSharedScans:
     def test_followers_share_an_immutable_payload(self):
         engine = build_engine(pool_capacity=None, latency_s=0.005)
         coordinator = ScanCoordinator(engine.store)
-        block_id = engine.store.device.block_ids()[0]
+        code = engine.store.device.block_ids()[0]
         results = []
         threads = [
             threading.Thread(
                 target=lambda: results.append(
-                    coordinator.fetch_blocks([block_id])[block_id]
+                    read_map(coordinator, [code])[code]
                 )
             )
             for _ in range(4)
@@ -185,7 +187,7 @@ class TestSharedScans:
         engine = build_engine(pool_capacity=None)
         coordinator = ScanCoordinator(engine.store)
         with pytest.raises(Exception):
-            coordinator.fetch_blocks([("no", "such", "block")])
+            coordinator.read_many([999_999])  # no such block
         assert coordinator._inflight == {}  # flight always cleaned up
 
     @pytest.mark.parametrize("leader_fails", [False, True])
@@ -199,8 +201,8 @@ class TestSharedScans:
                 self.second_entered = threading.Event()
                 self.release = threading.Event()
 
-            def fetch_blocks(self, block_ids):
-                self.calls.append(list(block_ids))
+            def read_many(self, codes):
+                self.calls.append(codes.tolist())
                 if len(self.calls) > 1:
                     self.second_entered.set()
                 else:
@@ -208,16 +210,19 @@ class TestSharedScans:
                     assert self.release.wait(30)
                     if leader_fails:
                         raise StorageError("leader's read failed")
-                return {b: np.array([float(b)]) for b in block_ids}
+                return BlockGroup(
+                    codes, [np.array([float(b)]) for b in codes],
+                    np.ones(len(codes), dtype=np.intp),
+                )
 
         store = GatedStore()
         coordinator = ScanCoordinator(store)
         outcomes = {}
 
-        def ask(name, block_ids):
+        def ask(name, codes):
             def run():
                 try:
-                    outcomes[name] = coordinator.fetch_blocks(block_ids)
+                    outcomes[name] = read_map(coordinator, codes)
                 except StorageError as exc:
                     outcomes[name] = exc
             return threading.Thread(target=run)
@@ -254,12 +259,13 @@ class TestSharedScans:
         view = shared_scan_view(engine)
         query = mixed_workload(engine, count=1, seed=19)[0]
         calls = []
-        fetch_blocks = engine.store.fetch_blocks
+        expected = engine.evaluate_exact(query)
+        read_many = engine.store.read_many
         monkeypatch.setattr(
-            engine.store, "fetch_blocks",
-            lambda ids: calls.append(list(ids)) or fetch_blocks(ids),
+            engine.store, "read_many",
+            lambda codes: calls.append(codes.tolist()) or read_many(codes),
         )
-        assert view.evaluate_exact(query) == engine.evaluate_exact(query)
+        assert view.evaluate_exact(query) == expected
         (ids,) = calls
         assert set(ids) == engine.store.blocks_for(
             engine.query_arrays(query)[0]

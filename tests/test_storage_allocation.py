@@ -160,9 +160,9 @@ class TestBuildBlocks:
         flat = RNG.normal(size=64)
         blocks = alloc.build_blocks(flat)
         seen = {}
-        for block_id, items in blocks.items():
+        for code, items in blocks.items():
             assert not items.flags.writeable
-            seen.update(zip(alloc.block_keys(block_id).tolist(), items.tolist()))
+            seen.update(zip(alloc.block_keys(code).tolist(), items.tolist()))
         assert len(seen) == 64
         for idx, val in seen.items():
             assert val == flat[idx]
@@ -189,8 +189,8 @@ class TestTensorAllocation:
 
     def test_block_of_is_product(self):
         tensor = self._make()
-        (bid,) = tensor.block_ids(tensor.blocks_of([(5, 20)]))
-        assert bid == block_of(tensor, (5, 20)) == (
+        (code,) = tensor.blocks_of([(5, 20)])
+        assert tensor.block_tuple(code) == block_of(tensor, (5, 20)) == (
             int(tensor.axes[0].block_of[5]),
             int(tensor.axes[1].block_of[20]),
         )

@@ -89,7 +89,7 @@ class TestLocate:
         codes, slots = allocation.locate(array)
         assert np.array_equal(codes, allocation.blocks_of(array))
         homes = [block_of(allocation, key) for key in keys]
-        assert allocation.block_ids(codes) == homes
+        assert [allocation.block_tuple(c) for c in codes] == homes
         assert slots.tolist() == [
             members[home].index(key) for home, key in zip(homes, keys)
         ]
@@ -101,11 +101,11 @@ class TestLocate:
         members = members_of(allocation)
         codes = np.arange(allocation.n_codes)
         assert allocation.block_len(codes).tolist() == [
-            len(members[block_id]) for block_id in allocation.block_ids(codes)
+            len(members[allocation.block_tuple(code)]) for code in codes
         ]
-        for code, block_id in zip(codes, allocation.block_ids(codes)):
-            keys = allocation.block_keys(block_id)
-            assert index_tuples(keys) == members[block_id]
+        for code in codes:
+            keys = allocation.block_keys(code)
+            assert index_tuples(keys) == members[allocation.block_tuple(code)]
             got_codes, got_slots = allocation.locate(keys)
             assert (got_codes == code).all()
             assert got_slots.tolist() == list(range(len(keys)))
@@ -128,8 +128,8 @@ class TestLocate:
     def test_build_blocks_emits_block_keys_order(self):
         allocation = tiling((8, 2, 16), 3)
         cube = np.random.default_rng(3).normal(size=(8, 2, 16))
-        for block_id, payload in allocation.build_blocks(cube).items():
-            keys = allocation.block_keys(block_id)
+        for code, payload in allocation.build_blocks(cube).items():
+            keys = allocation.block_keys(code)
             assert payload.tolist() == cube[tuple(keys.T)].tolist()
 
 
@@ -151,7 +151,7 @@ class TestImmutability:
             for payload in (
                 store.fetch_block(ids[0]),
                 *store.fetch_blocks(ids).values(),
-                *store.device.read_many(ids).values(),
+                *store.device.read_many(ids).payloads,
             ):
                 assert payload.dtype == np.float64
                 assert not payload.flags.writeable

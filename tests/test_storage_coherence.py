@@ -22,7 +22,7 @@ from repro.storage.blockstore import WaveletBlockStore
 from repro.core.errors import StorageError
 from repro.storage.device import CachingDevice, StorageSpec
 from repro.storage.disk import SimulatedDisk
-from tests._blocks import read_block, write_block
+from tests._blocks import read_block, read_map, write_block, write_map
 
 
 def vals(*values):
@@ -120,8 +120,9 @@ class TestReturnedBlockOwnership:
         write_block(cache, 0, vals(1.0))
         returned = read_block(cache, 0)
         assert returned.tolist() == [1.0]
-        assert cache._cache[0] is disk._blocks[0]
-        assert returned is cache._cache[0]
+        payload, length = cache._cache[0]
+        assert payload is disk._blocks[0] and length == 1
+        assert returned is payload
 
     def test_hit_serves_the_same_shared_instance(self):
         # Zero-copy reads on the hit path too: a hit returns the cached
@@ -148,13 +149,17 @@ class TestGroupRead:
     def test_hits_are_served_before_the_groups_own_misses_evict(self):
         disk, cache = build_cached(capacity=2)
         blocks = {b: vals(float(b)) for b in range(5)}
-        cache.write_many(blocks)
+        write_map(cache, blocks)
         cache.read_many([0, 1])  # the cache now holds exactly {0, 1}
         before = cache.pool_stats.snapshot()
         reads = disk.io.reads
         got = cache.read_many([2, 3, 4, 0, 1])  # larger than capacity
-        assert list(got) == [2, 3, 4, 0, 1]
-        assert all(got[b] is disk._blocks[b] for b in got)
+        # The hits come back first, then the one inner read's misses.
+        assert got.codes.tolist() == [0, 1, 2, 3, 4]
+        assert all(
+            payload is disk._blocks[b]
+            for b, payload in zip(got.codes.tolist(), got.payloads)
+        )
         delta = cache.pool_stats.delta(before)
         # A per-block loop would have evicted 0 and 1 before reaching
         # them (five misses); the group serves them first.
@@ -168,8 +173,8 @@ class TestGroupRead:
         class RacingDisk(SimulatedDisk):
             """Leaf whose read is overtaken by an invalidation."""
 
-            def read_many(self, block_ids):
-                out = super().read_many(block_ids)
+            def read_many(self, codes):
+                out = super().read_many(codes)
                 if land == "invalidate":
                     cache.invalidate(1)  # a write to block 1 just settled
                 else:
@@ -178,8 +183,8 @@ class TestGroupRead:
 
         disk = RacingDisk(block_size=4)
         cache = CachingDevice(disk, capacity=8)
-        disk.write_many({b: vals(float(b)) for b in range(3)})
-        got = cache.read_many([0, 1, 2])
+        write_map(disk, {b: vals(float(b)) for b in range(3)})
+        got = read_map(cache, [0, 1, 2])
         assert [got[b].tolist() for b in got] == [[0.0], [1.0], [2.0]]
         # None of the group was published: every member was read before
         # the invalidation, so any of them may be the stale one.
@@ -192,7 +197,7 @@ class TestGroupRead:
         read_block(cache, 0)
         before = cache.pool_stats.snapshot()
         with pytest.raises(StorageError):
-            cache.read_many([0, "absent"])
+            cache.read_many([0, 99])  # 99: no such block
         delta = cache.pool_stats.delta(before)
         assert (delta.hits, delta.misses) == (1, 0)
         assert cache.cached_blocks() == 1

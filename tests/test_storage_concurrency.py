@@ -19,7 +19,16 @@ import numpy as np
 from repro.storage.device import CachingDevice
 from repro.storage.disk import SimulatedDisk
 from repro.storage.latency import LatencyModel
-from tests._blocks import read_block, write_block
+from tests._blocks import (
+    codes_table,
+    read_block,
+    read_map,
+    write_block,
+    write_map,
+)
+
+# Three block codes with a role each in the cache races below.
+HOT, COLD, WARM = 0, 1, 2
 
 
 def vals(*values):
@@ -77,7 +86,9 @@ class TestStatsConservation:
         def writer(seed):
             def run():
                 for i in range(per_thread):
-                    write_block(disk, (seed, i % 10), vals(float(i), float(seed)))
+                    write_block(
+                        disk, 10 * seed + i % 10, vals(float(i), float(seed))
+                    )
             return run
 
         run_threads([writer(s) for s in range(n_threads)])
@@ -96,13 +107,13 @@ class TestCoherenceUnderConcurrency:
         # reader already observed.
         disk = SimulatedDisk(block_size=4)
         cache = CachingDevice(disk, capacity=2)
-        cache.write_many({b: vals(0.0) for b in ("hot", "cold", "warm")})
+        write_map(cache, {b: vals(0.0) for b in (HOT, COLD, WARM)})
         stop = threading.Event()
         errors = []
 
         def writer():
             for version in range(1, 400):
-                write_block(cache, "hot", vals(float(version)))
+                write_block(cache, HOT, vals(float(version)))
             stop.set()
 
         def reader(batch):
@@ -111,7 +122,7 @@ class TestCoherenceUnderConcurrency:
             def run():
                 last = -1.0
                 while not stop.is_set():
-                    seen = cache.read_many(batch)["hot"][0]
+                    seen = read_map(cache, batch)[HOT][0]
                     if seen < last:
                         errors.append((last, seen))
                         return
@@ -120,21 +131,21 @@ class TestCoherenceUnderConcurrency:
 
         run_threads(
             [writer]
-            + [reader(["hot"])] * 2
-            + [reader(["cold", "hot"]), reader(["hot", "warm", "cold"])]
+            + [reader([HOT])] * 2
+            + [reader([COLD, HOT]), reader([HOT, WARM, COLD])]
         )
         assert errors == []
         # After the dust settles the cache must serve the final payload —
         # the in-flight-miss window may not have cached a stale one.
-        assert read_block(cache, "hot").tolist() == [399.0]
-        assert read_block(cache, "hot").tolist() == [399.0]  # now from cache
+        assert read_block(cache, HOT).tolist() == [399.0]
+        assert read_block(cache, HOT).tolist() == [399.0]  # now from cache
 
     def test_no_torn_payloads(self):
         # Writers store internally consistent payloads [v, v];
         # readers must never observe [a, b] with a != b.
         disk = SimulatedDisk(block_size=4)
         cache = CachingDevice(disk, capacity=2)
-        write_block(cache, "b", vals(0.0, 0.0))
+        write_block(cache, 0, vals(0.0, 0.0))
         stop = threading.Event()
         torn = []
 
@@ -142,12 +153,12 @@ class TestCoherenceUnderConcurrency:
             def run():
                 for i in range(300):
                     v = float(i * 10 + offset)
-                    write_block(cache, "b", vals(v, v))
+                    write_block(cache, 0, vals(v, v))
             return run
 
         def reader():
             while not stop.is_set():
-                payload = read_block(cache, "b")
+                payload = read_block(cache, 0)
                 if payload[0] != payload[1]:
                     torn.append(payload)
                     return
@@ -197,7 +208,7 @@ class TestLockOrderUnderStress:
                 cache_blocks=4,
                 fault_plan=FaultPlan(seed=7, torn_rate=0.0),
             )
-            device = spec.build(block_size=4).device
+            device = spec.build(block_size=4, placement=codes_table(2)).device
             for b in range(16):
                 write_block(device, b, vals(float(b)))
 

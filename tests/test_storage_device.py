@@ -30,7 +30,7 @@ from repro.storage.device import (
 )
 from repro.storage.disk import SimulatedDisk
 from repro.storage.latency import LatencyModel
-from tests._blocks import read_block, write_block
+from tests._blocks import codes_table, read_block, write_block
 
 
 def layer_chain(stats):
@@ -74,7 +74,7 @@ class TestLayerOrderProperty:
         payloads = {
             0: np.array([1.5, -2.25]),
             1: np.array([0.0]),
-            (2, 3): np.array([7.125]),
+            23: np.array([7.125]),
         }
         for cache, crc, faulted, resilient, replicas, shards in (
             itertools.product(
@@ -89,7 +89,9 @@ class TestLayerOrderProperty:
                 retry_policy=RetryPolicy() if resilient else None,
                 breaker=CircuitBreaker() if resilient else None,
             )
-            device = spec.build(block_size=8).device
+            device = spec.build(
+                block_size=8, placement=codes_table(shards)
+            ).device
             for block_id, items in payloads.items():
                 write_block(device, block_id, items)
             for block_id, items in payloads.items():
@@ -112,7 +114,7 @@ class TestLayerOrderProperty:
     def test_layer_handles_are_reachable_after_build(self):
         built = StorageSpec(
             shards=2, replicas=1, cache_blocks=4, crc=True
-        ).build(block_size=8)
+        ).build(block_size=8, placement=codes_table(2))
         # Flat, shard-major then member-minor: 2 shards x 2 members.
         grid = member_layers(built)
         assert built.caches == [
@@ -213,7 +215,9 @@ class TestSeedGrid:
             retry_policy=RetryPolicy(max_attempts=1),
             **fields,
         )
-        grid = member_layers(spec.build(block_size=8))
+        grid = member_layers(
+            spec.build(block_size=8, placement=codes_table(spec.shards))
+        )
         assert sorted(grid) == [
             (s, m) for s in range(spec.shards)
             for m in range(spec.replicas + 1)
@@ -252,7 +256,7 @@ class TestSeedGrid:
 
             # A clean read draws the fault first and then the leaf's
             # spike; an injected error never reaches the leaf.
-            disk.write_many({0: np.zeros(1)})
+            write_block(disk, 0, np.zeros(1))
             want, got = [], []
             for _ in range(200):
                 if want_plan is None or want_plan.read_fault() is None:

@@ -21,10 +21,11 @@ from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
 from repro.query.service import ScanCoordinator
 from repro.storage.device import StorageSpec
-from repro.storage.disk import SimulatedDisk
+from repro.storage.disk import BlockGroup, SimulatedDisk
 from repro.storage.latency import LatencyModel
 from repro.storage.placement import place
 from repro.storage.sharding import ShardedDevice
+from tests._blocks import codes_table, read_block, read_map, write_map
 
 
 def vals(*values):
@@ -55,14 +56,14 @@ def seeks(model, n):
 
 def filled_disk(n, latency=None):
     disk = SimulatedDisk(block_size=4, latency=latency)
-    disk.write_many({b: vals(float(b)) for b in range(n)})
+    write_map(disk, {b: vals(float(b)) for b in range(n)})
     return disk
 
 
 class TestLeafGroupRead:
     def test_a_group_waits_the_sum_of_its_members_seeks_once(self, slept):
         disk = filled_disk(8, spiky())
-        out = disk.read_many(range(8))
+        out = read_map(disk, range(8))
         twin = spiky()
         assert slept == [seeks(twin, 8)]
         assert disk.latency.spikes == twin.spikes > 0
@@ -86,7 +87,9 @@ class TestLeafGroupRead:
 
     def test_a_repeated_member_is_read_and_charged_again(self, slept):
         disk = filled_disk(2, LatencyModel(base_s=1e-3))
-        assert list(disk.read_many([0, 1, 0])) == [0, 1]
+        group = disk.read_many([0, 1, 0])
+        assert group.codes.tolist() == [0, 1, 0]
+        assert group.payloads[0] is group.payloads[2]
         assert disk.io.reads == 3
         assert slept == [1e-3 + 1e-3 + 1e-3]
 
@@ -94,8 +97,8 @@ class TestLeafGroupRead:
     def test_a_missing_member_charges_the_members_before_it(self, slept, k):
         disk = filled_disk(8, spiky())
         ids = list(range(8))
-        ids[k] = "absent"
-        with pytest.raises(StorageError, match="no such block 'absent'"):
+        ids[k] = 99
+        with pytest.raises(StorageError, match="no such block 99"):
             disk.read_many(ids)
         twin = spiky()
         owed = seeks(twin, k)
@@ -135,51 +138,65 @@ class TestLeafGroupWrite:
         # group with a bad member leaves the device as it was.
         disk = filled_disk(1)
         with pytest.raises(StorageError, match="exceed"):
-            disk.write_many({0: vals(9.0), 1: vals(1, 2, 3, 4, 5)})
-        assert disk.read_many([0])[0].tolist() == [0.0]
+            write_map(disk, {0: vals(9.0), 1: vals(1, 2, 3, 4, 5)})
+        assert read_block(disk, 0).tolist() == [0.0]
         assert disk.io.writes == 1 and disk.block_ids() == [0]
 
     def test_a_group_lands_frozen_and_counted(self):
         disk = SimulatedDisk(block_size=4)
         mine = vals(1.0, 2.0)
-        disk.write_many({"a": mine, "b": b"frame", "a2": vals(3.0)})
+        write_map(disk, {0: mine, 1: b"frame", 2: vals(3.0)})
         mine[0] = -1.0  # the caller's buffer is not the stored payload
-        out = disk.read_many(["a", "b", "a2"])
-        assert out["a"].tolist() == [1.0, 2.0] and out["b"] == b"frame"
-        assert not out["a"].flags.writeable
+        out = read_map(disk, [0, 1, 2])
+        assert out[0].tolist() == [1.0, 2.0] and out[1] == b"frame"
+        assert not out[0].flags.writeable
+        assert disk.read_many([0, 1, 2]).lens.tolist() == [2, 5, 1]
         assert disk.io.writes == 3
 
+    def test_a_strided_payload_is_stored_contiguous(self):
+        # Packing joins payload bytes, so a stored payload is contiguous
+        # even when the caller's read-only array is a strided view.
+        disk = SimulatedDisk(block_size=4)
+        strided = np.arange(8.0)[::2]
+        strided.flags.writeable = False
+        write_map(disk, {0: strided})
+        stored = read_block(disk, 0)
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+        assert stored.tolist() == [0.0, 2.0, 4.0, 6.0]
 
-block_id_strategy = st.one_of(
-    st.integers(0, 40),
-    st.tuples(st.integers(0, 5), st.integers(0, 5)),
-)
 
-
-class TestByShard:
+class TestSplit:
     @settings(max_examples=150, deadline=None)
     @given(
         n_shards=st.integers(1, 8),
-        written=st.lists(block_id_strategy, max_size=30),
-        asked=st.lists(block_id_strategy, max_size=40),
+        asked=st.lists(st.integers(0, 40), max_size=40),
     )
-    def test_groups_are_first_touched_and_keep_the_given_order(
-        self, n_shards, written, asked
+    def test_groups_are_in_shard_order_and_keep_the_given_order(
+        self, n_shards, asked
     ):
-        # Over placed (memoized) and never-written ids alike.
+        # Repeats included: every asked position lands in its owner's
+        # group, in the order asked.
         device = ShardedDevice(
             [SimulatedDisk(block_size=2) for _ in range(n_shards)],
-            fanout_workers=1,
+            codes_table(n_shards, 41), fanout_workers=1,
         )
-        device.write_many({b: vals(0.0) for b in written})
-        assert set(device._placement) == set(written)
+        write_map(device, {b: vals(float(b)) for b in range(41)})
         owners = [place(b, n_shards) for b in asked]
         expected = [
-            (shard, [b for b, s in zip(asked, owners) if s == shard])
-            for shard in dict.fromkeys(owners)
+            (shard, [at for at, s in enumerate(owners) if s == shard])
+            for shard in sorted(set(owners))
         ]
-        assert device._by_shard(asked) == expected
-        assert device._by_shard(iter(asked)) == expected
+        codes = np.array(asked, dtype=np.intp)
+        assert [
+            (shard, at.tolist()) for shard, at in device._split(codes)
+        ] == expected
+        group = device.read_many(codes)
+        assert group.codes.tolist() == [
+            asked[at] for _, positions in expected for at in positions
+        ]
+        assert [p.tolist() for p in group.payloads] == [
+            [float(b)] for b in group.codes.tolist()
+        ]
 
 
 class _Shard:
@@ -197,28 +214,35 @@ class _Shard:
         if self.fail:
             raise StorageError(f"{self.label} is down")
 
-    def read_many(self, ids):
+    def read_many(self, codes):
         self._enter()
-        return {b: vals(1.0) for b in ids}
+        return BlockGroup(
+            codes, [vals(1.0) for _ in codes], np.ones(len(codes), np.intp)
+        )
 
-    def write_many(self, blocks):
+    def write_many(self, codes, payloads):
         self._enter()
-        self.written.update(blocks)
+        self.written.update(zip(codes.tolist(), payloads))
 
 
 # Placement over four shards (pinned in test_storage_sharding):
-# 0 -> 1, 1 -> 3, 42 -> 0, (3, 1) -> 2.
-FOUR = [0, 1, 42, (3, 1)]
+# 0 -> 1, 1 -> 3, 42 -> 0, 5 -> 2; a read hands them back by shard.
+FOUR = [0, 1, 42, 5]
+BY_SHARD = [42, 0, 5, 1]
+
+
+def sharded(shards, **kwargs):
+    return ShardedDevice(shards, codes_table(4), **kwargs)
 
 
 class TestFanOut:
     def test_the_first_group_runs_on_the_calling_thread(self):
         shards = [_Shard(f"s{i}") for i in range(4)]
-        device = ShardedDevice(shards)
-        assert list(device.read_many(FOUR)) == FOUR
+        device = sharded(shards)
+        assert device.read_many(FOUR).codes.tolist() == BY_SHARD
         me = threading.current_thread().name
-        assert shards[1].threads == [me]  # block 0's shard: first touched
-        for other in (0, 2, 3):
+        assert shards[0].threads == [me]  # block 42's shard: the lowest
+        for other in (1, 2, 3):
             assert shards[other].threads[0].startswith("shard-read")
         device.close()
 
@@ -227,9 +251,9 @@ class TestFanOut:
             _Shard("s0"), _Shard("s1", fail=True),
             _Shard("s2", fail=True), _Shard("s3"),
         ]
-        device = ShardedDevice(shards)
+        device = sharded(shards)
         with pytest.raises(StorageError, match="s1 is down") as excinfo:
-            device.write_many({b: vals(2.0) for b in FOUR})
+            write_map(device, {b: vals(2.0) for b in FOUR})
         assert excinfo.value.__notes__ == [
             "shard 2 also failed: StorageError: s2 is down"
         ]
@@ -241,7 +265,7 @@ class TestFanOut:
     def test_a_pooled_failure_alone_carries_no_notes(self):
         shards = [_Shard("s0"), _Shard("s1"), _Shard("s2"),
                   _Shard("s3", fail=True)]
-        device = ShardedDevice(shards)
+        device = sharded(shards)
         with pytest.raises(StorageError, match="s3 is down") as excinfo:
             device.read_many(FOUR)
         assert getattr(excinfo.value, "__notes__", []) == []
@@ -249,15 +273,17 @@ class TestFanOut:
         device.close()
 
     def test_width_one_and_single_groups_never_touch_the_pool(self):
-        narrow = ShardedDevice(
+        narrow = sharded(
             [_Shard(f"s{i}") for i in range(4)], fanout_workers=1
         )
-        narrow.write_many({b: vals(2.0) for b in FOUR})
-        assert list(narrow.read_many(FOUR)) == FOUR
-        wide = ShardedDevice([_Shard(f"s{i}") for i in range(4)])
-        wide.write_many({0: vals(2.0), 2: vals(2.0)})  # both on shard 1
-        assert list(wide.read_many([0, 2])) == [0, 2]
-        assert wide.read_many([]) == {}
+        write_map(narrow, {b: vals(2.0) for b in FOUR})
+        assert narrow.read_many(FOUR).codes.tolist() == BY_SHARD
+        wide = sharded([_Shard(f"s{i}") for i in range(4)])
+        write_map(wide, {0: vals(2.0), 2: vals(2.0)})  # both on shard 1
+        assert wide.read_many([0, 2]).codes.tolist() == [0, 2]
+        empty = wide.read_many([])
+        assert empty.codes.size == empty.lens.size == 0
+        assert empty.payloads == []
         assert narrow._pool is None and wide._pool is None
         me = threading.current_thread().name
         for device in (narrow, wide):
@@ -273,7 +299,7 @@ class _GatedStore:
         self.release = threading.Event()
         self.events_seen: list = []
 
-    def fetch_blocks(self, block_ids):
+    def read_many(self, codes):
         self.entered.set()
         assert self.release.wait(30)
         self.events_seen = [
@@ -281,7 +307,10 @@ class _GatedStore:
         ]
         if self.fail:
             raise StorageError("leader's read failed")
-        return {b: vals(float(b)) for b in block_ids}
+        return BlockGroup(
+            codes, [vals(float(b)) for b in codes],
+            np.ones(len(codes), np.intp),
+        )
 
 
 class TestCoordinatorFlights:
@@ -290,8 +319,8 @@ class TestCoordinatorFlights:
         store = _GatedStore(box)
         store.release.set()
         box.append(ScanCoordinator(store))
-        out = box[0].fetch_blocks([1, 2, 3])
-        assert sorted(out) == [1, 2, 3]
+        out = box[0].read_many([1, 2, 3])
+        assert sorted(out.codes.tolist()) == [1, 2, 3]
         assert store.events_seen == [None, None, None]
         assert box[0]._inflight == {}
         assert box[0].stats()["shared"] == 0
@@ -309,7 +338,10 @@ class TestCoordinatorFlights:
         def ask(name, ids):
             def run():
                 try:
-                    outcomes[name] = coordinator.fetch_blocks(ids)
+                    group = coordinator.read_many(ids)
+                    outcomes[name] = dict(
+                        zip(group.codes.tolist(), group.payloads)
+                    )
                 except StorageError as exc:
                     outcomes[name] = exc
             return threading.Thread(target=run)

@@ -18,7 +18,13 @@ from repro.query.rangesum import RangeSumQuery
 from repro.storage.device import StorageSpec
 from repro.storage.disk import SimulatedDisk
 from repro.storage.replication import ReplicatedDevice
-from tests._blocks import read_block, write_block
+from tests._blocks import (
+    codes_table,
+    read_block,
+    read_map,
+    write_block,
+    write_map,
+)
 
 PAYLOADS = {
     0: np.array([1.5, -2.25]),
@@ -53,21 +59,13 @@ class FlakyMember:
         if failing:
             raise OSError(f"injected {op} failure")
 
-    def read_block(self, block_id):
+    def read_many(self, codes):
         self._gate(self.fail_reads, "read")
-        return read_block(self.inner, block_id)
+        return self.inner.read_many(codes)
 
-    def read_many(self, block_ids):
-        self._gate(self.fail_reads, "read")
-        return self.inner.read_many(block_ids)
-
-    def write_block(self, block_id, items):
+    def write_many(self, codes, payloads):
         self._gate(self.fail_writes, "write")
-        write_block(self.inner, block_id, items)
-
-    def write_many(self, blocks):
-        self._gate(self.fail_writes, "write")
-        self.inner.write_many(blocks)
+        self.inner.write_many(codes, payloads)
 
     def has_block(self, block_id):
         return self.inner.has_block(block_id)
@@ -125,9 +123,9 @@ class TestWriteFanIn:
 
     def test_write_many_group_commits_to_all(self):
         device, members = group(2)
-        device.write_many(PAYLOADS)
+        write_map(device, PAYLOADS)
         for member in members:
-            assert same(member.inner.read_many(list(PAYLOADS)), PAYLOADS)
+            assert same(read_map(member.inner, list(PAYLOADS)), PAYLOADS)
 
     def test_failed_member_goes_stale_and_primary_survives(self):
         device, members = group(3)
@@ -162,7 +160,7 @@ class TestWriteFanIn:
 class TestReadFailover:
     def test_primary_failure_fails_over_and_promotes(self):
         device, members = group(2)
-        device.write_many(PAYLOADS)
+        write_map(device, PAYLOADS)
         members[0].fail_reads = True
         assert same(read_block(device, 0), PAYLOADS[0])
         assert device.primary == 1
@@ -171,14 +169,14 @@ class TestReadFailover:
 
     def test_read_many_fails_over_as_a_whole_group(self):
         device, members = group(2)
-        device.write_many(PAYLOADS)
+        write_map(device, PAYLOADS)
         members[0].fail_reads = True
-        assert same(device.read_many(list(PAYLOADS)), PAYLOADS)
+        assert same(read_map(device, list(PAYLOADS)), PAYLOADS)
         assert device.primary == 1
 
     def test_all_members_failing_raises_the_first_error(self):
         device, members = group(2)
-        device.write_many(PAYLOADS)
+        write_map(device, PAYLOADS)
         for member in members:
             member.fail_reads = True
         with pytest.raises(OSError):
@@ -206,7 +204,7 @@ class TestReadFailover:
             FlakyMember(SimulatedDisk(block_size=8)) for _ in range(2)
         ]
         device = ReplicatedDevice(members, breakers=[breaker, None])
-        device.write_many(PAYLOADS)
+        write_map(device, PAYLOADS)
         breaker.record_failure()
         assert breaker.state == "open"
         assert same(read_block(device, 0), PAYLOADS[0])
@@ -246,7 +244,7 @@ class TestPromotionAndResync:
 
     def test_resync_without_stale_members_is_a_noop(self):
         device, _ = group(2)
-        device.write_many(PAYLOADS)
+        write_map(device, PAYLOADS)
         assert device.resync() == 0
 
     def test_stats_report_replication_state(self):
@@ -288,7 +286,7 @@ class TestSpecIntegration:
             shards=2, replicas=1,
             breaker=CircuitBreaker(failure_threshold=3),
             retry_policy=RetryPolicy(max_attempts=1),
-        ).build(block_size=8)
+        ).build(block_size=8, placement=codes_table(2))
         # Shard-major, member-minor: 2 shards x 2 members.
         assert len(built.breakers) == 4
         assert len(set(map(id, built.breakers))) == 4

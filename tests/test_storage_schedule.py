@@ -61,12 +61,17 @@ def reference(homes: list, values: list, norms: dict):
 
 
 def check_against_reference(allocation, homes, keys, values, norms):
+    """``norms`` is keyed by block code, as the engine's norm table is;
+    the reference reads the same norms by block id."""
     values = np.array(values, dtype=float)
     codes, _slots = allocation.locate(keys)
     schedule = schedule_blocks(values, codes, allocation, norms)
+    norms = {allocation.block_tuple(code): n for code, n in norms.items()}
     order, members, q_norm = reference(homes, values.tolist(), norms)
-    assert schedule.block_ids == order
-    assert schedule.block_ids == allocation.block_ids(schedule.codes)
+    assert [allocation.block_tuple(c) for c in schedule.codes] == order
+    assert np.array_equal(schedule.codes, codes[[
+        members[block_id][0] for block_id in order
+    ]])
     for position, block_id in enumerate(order):
         assert schedule.entries(position).tolist() == members[block_id]
         assert float(schedule.query_norms[position]).hex() == (
@@ -101,9 +106,9 @@ class TestAgainstThePerKeyReference:
         values = data.draw(st.lists(
             coefficients, min_size=len(keys), max_size=len(keys)
         ))
-        ids = allocation.block_ids(np.arange(allocation.n_codes))
         norms = {
-            block_id: data.draw(data_norms) for block_id in ids[::2]
+            code: data.draw(data_norms)
+            for code in range(0, allocation.n_codes, 2)
         }  # the other half is unrecorded: 0.0
         check_against_reference(
             allocation, [block_of(allocation, key) for key in keys],
@@ -124,8 +129,7 @@ class TestAgainstThePerKeyReference:
             coefficients, min_size=len(keys), max_size=len(keys)
         ))
         norms = {
-            block_id: data.draw(data_norms)
-            for block_id in range(allocation.n_codes)
+            code: data.draw(data_norms) for code in range(allocation.n_codes)
         }
         check_against_reference(
             allocation, [int(allocation.block_of[key]) for key in keys],
@@ -147,21 +151,21 @@ class TestAgainstThePerKeyReference:
         offsets = np.cumsum([0] + [len(query) for query in queries])
         keys = [key for key, _ in stacked]
         values = [value for _, value in stacked]
-        norms = dict.fromkeys(
-            allocation.block_ids(np.arange(allocation.n_codes)), 1.0
-        )
+        norms = dict.fromkeys(range(allocation.n_codes), 1.0)
         homes = [block_of(allocation, key) for key in keys]
         schedule = check_against_reference(
             allocation, homes, np.array(keys), values, norms
         )
+        by_id = dict.fromkeys(map(allocation.block_tuple, norms), 1.0)
         touched, per_query = schedule.per_query(offsets)
         assert touched.shape == per_query.shape == (
             len(queries), len(schedule)
         )
         for qi in range(len(queries)):
             lo, hi = offsets[qi], offsets[qi + 1]
-            _, members, q_norm = reference(homes[lo:hi], values[lo:hi], norms)
-            for position, block_id in enumerate(schedule.block_ids):
+            _, members, q_norm = reference(homes[lo:hi], values[lo:hi], by_id)
+            for position, code in enumerate(schedule.codes.tolist()):
+                block_id = allocation.block_tuple(code)
                 assert touched[qi, position] == (block_id in members)
                 assert float(per_query[qi, position]).hex() == (
                     q_norm.get(block_id, 0.0).hex()
@@ -174,11 +178,9 @@ class TestPresenceIsNotEnergy:
         keys = np.array([(0, 0), (7, 7)])
         values = np.array([1.0, 1e-200])
         codes, _ = allocation.locate(keys)
-        norms = dict.fromkeys(
-            allocation.block_ids(np.arange(allocation.n_codes)), 1.0
-        )
+        norms = dict.fromkeys(range(allocation.n_codes), 1.0)
         schedule = schedule_blocks(values, codes, allocation, norms)
-        assert schedule.block_ids == [
+        assert [allocation.block_tuple(c) for c in schedule.codes] == [
             block_of(allocation, (0, 0)), block_of(allocation, (7, 7))
         ]
         assert schedule.query_norms.tolist() == [1.0, 0.0]
@@ -195,7 +197,7 @@ class TestEmptyTranslation:
             np.empty(0), np.empty(0, dtype=np.intp), allocation, {}
         )
         assert len(schedule) == 0
-        assert schedule.block_ids == []
+        assert schedule.codes.tolist() == []
         assert schedule.bound == 0.0
         touched, per_query = schedule.per_query(np.array([0, 0, 0]))
         assert touched.shape == per_query.shape == (2, 0)

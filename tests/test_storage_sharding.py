@@ -14,9 +14,16 @@ from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
 from repro.storage.device import StorageSpec
-from repro.storage.disk import SimulatedDisk
-from repro.storage.sharding import ShardedDevice, place
-from tests._blocks import read_block, write_block
+from repro.storage.disk import BlockGroup, SimulatedDisk
+from repro.storage.placement import place
+from repro.storage.sharding import ShardedDevice, placement_table
+from tests._blocks import (
+    codes_table,
+    read_block,
+    read_map,
+    write_block,
+    write_map,
+)
 
 
 def vals(*values):
@@ -25,15 +32,19 @@ def vals(*values):
 
 
 def listed(blocks: dict) -> dict:
-    """``{block_id: payload}`` with payloads as lists, for ``==``."""
-    return {block_id: items.tolist() for block_id, items in blocks.items()}
+    """``{code: payload}`` with payloads as lists, for ``==``."""
+    return {code: items.tolist() for code, items in blocks.items()}
 
 
 def build_sharded(n_shards, block_size=8, **kwargs):
     return ShardedDevice(
         [SimulatedDisk(block_size=block_size) for _ in range(n_shards)],
-        **kwargs,
+        codes_table(n_shards), **kwargs,
     )
+
+
+# The e2e benchmark's three sharded stores: (cube shape, shards).
+E2E_STORES = [((64, 64, 32), 4), ((128, 128), 4), ((64, 64), 2)]
 
 
 class TestPlacement:
@@ -68,28 +79,67 @@ class TestPlacement:
         for b in range(32):
             write_block(dev, b, vals(float(b)))
         for b in range(32):
-            shard = dev.shard_of(b)
+            shard = dev.placement[b]
             assert shard == place(b, 4)
             for i, inner in enumerate(dev.devices):
                 assert inner.has_block(b) == (i == shard)
 
 
-    def test_placement_memo_is_bounded_by_the_block_directory(self):
-        # Reads place on the fly; only writes (blocks entering the
-        # directory) are remembered, and what is remembered is place().
-        dev = build_sharded(4)
-        for b in range(64):
-            assert dev.shard_of(b) == place(b, 4)
-        assert dev._placement == {}
-        write_block(dev, 3, vals(3.0))
-        dev.write_many({(1, 2): vals(1.0), 7: vals(7.0)})
-        assert dev._placement == {b: place(b, 4) for b in (3, (1, 2), 7)}
-        assert sorted(dev._placement, key=repr) == sorted(
-            dev.block_ids(), key=repr
+    def test_placement_table_is_fixed_and_routes_every_code(self):
+        # The table is built once, from place() of each code's block id,
+        # and neither reads nor writes change it.
+        dev = ShardedDevice(
+            [SimulatedDisk(block_size=8) for _ in range(4)],
+            placement_table(16, 4, lambda code: (code // 4, code % 4)),
         )
-        assert listed(dev.read_many([7, (1, 2), 3])) == {
-            7: [7.0], (1, 2): [1.0], 3: [3.0],
+        table = dev.placement.copy()
+        assert table.tolist() == [
+            place((code // 4, code % 4), 4) for code in range(16)
+        ]
+        assert not dev.placement.flags.writeable
+        write_block(dev, 3, vals(3.0))
+        write_map(dev, {9: vals(1.0), 7: vals(7.0)})
+        assert np.array_equal(dev.placement, table)
+        for code in (3, 9, 7):
+            assert [d.has_block(code) for d in dev.devices] == [
+                shard == table[code] for shard in range(4)
+            ]
+        assert sorted(dev.block_ids()) == [3, 7, 9]
+        assert listed(read_map(dev, [7, 9, 3])) == {
+            7: [7.0], 9: [1.0], 3: [3.0],
         }
+        # A code past the table is not a block of this store.
+        with pytest.raises(IndexError):
+            dev.read_many([16])
+        with pytest.raises(IndexError):
+            write_block(dev, 16, vals(0.0))
+
+    @pytest.mark.parametrize("shape, shards", E2E_STORES)
+    def test_every_code_of_the_e2e_stores_is_placed_by_its_block_tuple(
+        self, shape, shards
+    ):
+        engine = ProPolyneEngine(
+            np.zeros(shape), max_degree=1, block_size=7,
+            storage=StorageSpec(shards=shards),
+        )
+        store = engine.store
+        allocation = store.allocation
+        codes = np.arange(allocation.n_codes)
+        want = [place(allocation.block_tuple(c), shards) for c in codes]
+        assert store.shard_of(codes).tolist() == want
+        # The tuples are the grid's unravel, so placement is the one the
+        # tuple-keyed store used; and each block sits on its shard.
+        grid = np.unravel_index(
+            codes, [len(axis.block_counts) for axis in allocation.axes]
+        )
+        assert [allocation.block_tuple(c) for c in codes] == list(
+            zip(*(axis.tolist() for axis in grid))
+        )
+        for shard, device in enumerate(store._built.sharded.devices):
+            assert sorted(device.block_ids()) == [
+                c for c, s in enumerate(want) if s == shard
+            ]
+        store.close()
 
 
 class TestShardedDevice:
@@ -100,7 +150,7 @@ class TestShardedDevice:
             write_block(dev, b, items)
         for b, items in blocks.items():
             assert read_block(dev, b).tolist() == items.tolist()
-        assert listed(dev.read_many(list(blocks))) == listed(blocks)
+        assert listed(read_map(dev, list(blocks))) == listed(blocks)
         assert dev.n_blocks() == 24
         assert len(dev) == 24
 
@@ -111,8 +161,8 @@ class TestShardedDevice:
         for b, items in blocks.items():
             write_block(wide, b, items)
             write_block(narrow, b, items)
-        assert listed(wide.read_many(ids)) == listed(
-            narrow.read_many(ids)
+        assert listed(read_map(wide, ids)) == listed(
+            read_map(narrow, ids)
         ) == listed(blocks)
 
     def test_io_totals_sum_across_shards(self):
@@ -136,12 +186,19 @@ class TestShardedDevice:
 
     def test_validation(self):
         with pytest.raises(StorageError):
-            ShardedDevice([])
+            ShardedDevice([], codes_table(1))
         with pytest.raises(StorageError):
             ShardedDevice([SimulatedDisk(block_size=4),
-                           SimulatedDisk(block_size=8)])
+                           SimulatedDisk(block_size=8)], codes_table(2))
         with pytest.raises(StorageError):
             build_sharded(2, fanout_workers=0)
+        for bad in ([0, 2], [-1, 0], [[0, 1]]):
+            with pytest.raises(StorageError, match="placement table"):
+                ShardedDevice(
+                    [SimulatedDisk(block_size=4) for _ in range(2)], bad
+                )
+        with pytest.raises(StorageError, match="placement table"):
+            StorageSpec(shards=2).build(block_size=4)
 
 
 class _OkShard:
@@ -149,8 +206,10 @@ class _OkShard:
 
     block_size = 8
 
-    def read_many(self, ids):
-        return {b: vals(1.0) for b in ids}
+    def read_many(self, codes):
+        return BlockGroup(
+            codes, [vals(1.0) for _ in codes], np.ones(len(codes), np.intp)
+        )
 
 
 class _FailingShard:
@@ -159,7 +218,7 @@ class _FailingShard:
     def __init__(self, label):
         self.label = label
 
-    def read_many(self, ids):
+    def read_many(self, codes):
         raise StorageError(f"{self.label} is down")
 
 
@@ -187,7 +246,7 @@ class TestFanoutPoolLifecycle:
         assert dev._pool is None
         dev.close()  # second close is a no-op
         # The device still works afterwards; the pool is rebuilt lazily.
-        assert listed(dev.read_many(list(range(8)))) == {
+        assert listed(read_map(dev, list(range(8)))) == {
             b: [0.0] for b in range(8)
         }
 
@@ -199,7 +258,7 @@ class TestFanoutPoolLifecycle:
         from repro.storage.latency import LatencyModel
 
         def workers(**spec):
-            built = StorageSpec(shards=4, **spec).build(8)
+            built = StorageSpec(shards=4, **spec).build(8, codes_table(4))
             try:
                 return built.sharded.fanout_workers
             finally:
@@ -227,7 +286,7 @@ class TestMultiShardFailureAggregation:
         # 1, block 1 -> shard 3, block 42 -> shard 0.
         dev = ShardedDevice(
             [_OkShard(), _FailingShard("shard-one"),
-             _OkShard(), _FailingShard("shard-three")]
+             _OkShard(), _FailingShard("shard-three")], codes_table(4),
         )
         with pytest.raises(StorageError) as excinfo:
             dev.read_many([0, 1, 42])
@@ -240,7 +299,8 @@ class TestMultiShardFailureAggregation:
 
     def test_single_failed_shard_has_no_notes(self):
         dev = ShardedDevice(
-            [_OkShard(), _FailingShard("shard-one"), _OkShard(), _OkShard()]
+            [_OkShard(), _FailingShard("shard-one"), _OkShard(), _OkShard()],
+            codes_table(4),
         )
         with pytest.raises(StorageError) as excinfo:
             dev.read_many([0, 1, 42])
@@ -252,13 +312,13 @@ class TestMultiShardFailureAggregation:
         calls = []
 
         class _Recording(_OkShard):
-            def read_many(self, ids):
-                calls.append(list(ids))
-                return super().read_many(ids)
+            def read_many(self, codes):
+                calls.append(codes.tolist())
+                return super().read_many(codes)
 
         dev = ShardedDevice(
             [_Recording(), _FailingShard("shard-one"),
-             _Recording(), _Recording()]
+             _Recording(), _Recording()], codes_table(4),
         )
         with pytest.raises(StorageError):
             dev.read_many([0, 1, 42])

@@ -14,6 +14,7 @@ from repro.storage.blockstore import TensorBlockStore, WaveletBlockStore
 from repro.storage.device import CachingDevice
 from repro.storage.disk import SimulatedDisk
 from repro.storage.scheduler import schedule_blocks
+from repro.storage.sharding import placement_table
 from repro.wavelets.errortree import leaf_path
 from repro.storage.device import StorageSpec
 from tests._blocks import read_block, write_block
@@ -37,9 +38,9 @@ class TestSimulatedDisk:
 
     def test_reads_counted(self):
         disk = SimulatedDisk(block_size=4)
-        write_block(disk, "a", vals(0.0))
+        write_block(disk, 7, vals(0.0))
         for _ in range(5):
-            read_block(disk, "a")
+            read_block(disk, 7)
         assert disk.io.reads == 5
 
     def test_overfull_block_rejected(self):
@@ -275,6 +276,28 @@ class TestBlobStore:
         with pytest.raises(StorageError):
             BlobStore().put("bad", [1, 2, 3])
 
+    def test_device_round_trip_through_two_crc_shards(self):
+        # §4's raw-disk plan: each blob is the block whose code is its
+        # location id, on a sharded, CRC-framed stack.
+        built = StorageSpec(shards=2, crc=True).build(
+            block_size=8, placement=placement_table(8, 2)
+        )
+        store = BlobStore(device=built.device)
+        nan_bits = np.array([np.nan, -0.0, 1.5]).view(np.uint8).tobytes()
+        blobs = [b"", b"\x01\x02\x03", bytes(range(64)), nan_bits, b"x" * 9]
+        refs = [store.put(f"b{i}", blob) for i, blob in enumerate(blobs)]
+        arr = RNG.normal(size=5)
+        refs.append(store.put_array("coeffs", arr))
+        assert [ref.location_id for ref in refs] == list(range(6))
+        assert sorted(built.device.block_ids()) == list(range(6))
+        assert {built.shard_of(ref.location_id) for ref in refs} == {0, 1}
+        assert [store.get(ref) for ref in refs[:5]] == blobs
+        assert store.get_array(refs[5]).tobytes() == arr.tobytes()
+        assert store.total_bytes == sum(map(len, blobs)) + 40
+        with pytest.raises(StorageError):
+            store.put("too big", bytes(65))  # past 8 words
+        built.close()
+
 
 class TestScheduler:
     @staticmethod
@@ -282,9 +305,9 @@ class TestScheduler:
         keys = np.array(list(entries))
         values = np.array(list(entries.values()))
         codes, _slots = alloc.locate(keys)
-        ids = alloc.block_ids(np.arange(alloc.n_codes))
         return values, schedule_blocks(
-            values, codes, alloc, norms or dict.fromkeys(ids, 1.0)
+            values, codes, alloc,
+            norms or dict.fromkeys(range(alloc.n_codes), 1.0),
         )
 
     def test_blocks_ordered_by_importance(self):
@@ -294,16 +317,16 @@ class TestScheduler:
         scores = schedule.masses.tolist()
         assert scores == sorted(scores, reverse=True)
         # Block of coefficient 15 carries the biggest energy.
-        assert schedule.block_ids[0] == int(alloc.block_of[15])
+        assert schedule.codes[0] == int(alloc.block_of[15])
         # ... unless the data stored nothing there: mass, not energy.
         _, by_mass = self._schedule(alloc, entries, {0: 1.0, 2: 1.0, 3: 0.0})
-        assert by_mass.block_ids == [0, 2, 3]
+        assert by_mass.codes.tolist() == [0, 2, 3]
 
     def test_entries_grouped_per_block(self):
         alloc = sequential_allocation(16, 4)
         entries = {0: 1.0, 9: 5.0, 1: 2.0, 2: 3.0}
         values, schedule = self._schedule(alloc, entries)
-        assert schedule.block_ids == [2, 0]
+        assert schedule.codes.tolist() == [2, 0]
         assert values[schedule.entries(0)].tolist() == [5.0]
         assert values[schedule.entries(1)].tolist() == [1.0, 2.0, 3.0]
 
@@ -313,4 +336,7 @@ class TestScheduler:
         ))
         entries = {(0, 1): 2.0, (5, 5): -1.0}
         _, schedule = self._schedule(alloc, entries)
-        assert schedule.block_ids == [(0, 0), (1, 1)]
+        assert schedule.codes.tolist() == [0, 3]
+        assert [alloc.block_tuple(c) for c in schedule.codes] == [
+            (0, 0), (1, 1)
+        ]

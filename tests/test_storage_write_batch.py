@@ -33,7 +33,13 @@ from repro.storage.allocation import (
     TensorAllocation,
     subtree_tiling_allocation,
 )
-from tests._blocks import read_block, write_block
+from tests._blocks import (
+    codes_table,
+    read_block,
+    read_map,
+    write_block,
+    write_map,
+)
 
 
 def _payloads(n=4, base=0):
@@ -44,10 +50,10 @@ def _payloads(n=4, base=0):
 
 
 def same(got, want) -> bool:
-    """Payloads (or ``{block_id: payload}`` maps) equal value for value."""
+    """Payloads (or ``{code: payload}`` maps) equal value for value."""
     if isinstance(want, dict):
         return got.keys() == want.keys() and all(
-            same(got[block_id], want[block_id]) for block_id in want
+            same(got[code], want[code]) for code in want
         )
     return got.tolist() == want.tolist()
 
@@ -56,14 +62,14 @@ class TestLeafAndMetering:
     def test_disk_write_many_stores_every_member(self):
         disk = SimulatedDisk(block_size=8)
         blocks = _payloads()
-        disk.write_many(blocks)
+        write_map(disk, blocks)
         for block_id, items in blocks.items():
             assert same(read_block(disk, block_id), items)
 
     def test_metered_counts_one_write_per_member(self):
         disk = SimulatedDisk(block_size=8)
         metered = MeteredDevice(disk, prefix="storage.disk")
-        metered.write_many(_payloads(5))
+        write_map(metered, _payloads(5))
         assert metered.writes == 5
         write_block(metered, 99, np.array([1.0]))
         assert metered.writes == 6
@@ -73,10 +79,10 @@ class TestCachingInvalidation:
     def test_group_write_invalidates_every_member(self):
         disk = SimulatedDisk(block_size=8)
         cache = CachingDevice(disk, capacity=8)
-        cache.write_many(_payloads(3, base=0))
+        write_map(cache, _payloads(3, base=0))
         for i in range(3):
             read_block(cache, i)  # warm
-        cache.write_many(_payloads(3, base=100))
+        write_map(cache, _payloads(3, base=100))
         for i in range(3):
             assert same(read_block(cache, i), read_block(disk, i))
             assert read_block(cache, i)[0] == float(100 + i)
@@ -85,20 +91,20 @@ class TestCachingInvalidation:
         class HalfwayDisk(SimulatedDisk):
             """Leaf whose group write fails after the first member."""
 
-            def write_many(self, blocks):
-                for k, (block_id, items) in enumerate(blocks.items()):
+            def write_many(self, codes, payloads):
+                for k, (code, items) in enumerate(zip(codes, payloads)):
                     if k == 1:
                         raise InjectedWriteError("mid-group failure")
-                    super().write_many({block_id: items})
+                    super().write_many([code], [items])
 
         disk = HalfwayDisk(block_size=8)
         cache = CachingDevice(disk, capacity=8)
-        for block_id, items in _payloads(2, base=0).items():
-            disk.write_many({block_id: items})  # groups of one succeed
+        for code, items in _payloads(2, base=0).items():
+            write_block(disk, code, items)  # groups of one succeed
         read_block(cache, 0)
         read_block(cache, 1)
         with pytest.raises(InjectedWriteError):
-            cache.write_many(_payloads(2, base=100))
+            write_map(cache, _payloads(2, base=100))
         # Block 0 reached the device before the failure; the cache must
         # not shadow it with the pre-write payload it had cached.
         assert same(read_block(cache, 0), read_block(disk, 0))
@@ -111,16 +117,16 @@ class TestCrcFraming:
         disk = SimulatedDisk(block_size=8)
         crc = CrcFramedDevice(disk)
         blocks = _payloads(3)
-        crc.write_many(blocks)
-        assert same(crc.read_many(list(blocks)), blocks)
+        write_map(crc, blocks)
+        assert same(read_map(crc, list(blocks)), blocks)
 
     def test_group_validated_before_any_write(self):
         disk = SimulatedDisk(block_size=8)
         crc = CrcFramedDevice(disk)
-        crc.write_many(_payloads(1))
+        write_map(crc, _payloads(1))
         bad = {0: np.full(3, 9.0), 1: "not-an-array"}
         with pytest.raises(StorageError):
-            crc.write_many(bad)
+            write_map(crc, bad)
         # The invalid member aborted the whole group before any write.
         assert same(read_block(crc, 0), _payloads(1)[0])
 
@@ -135,7 +141,7 @@ class TestResilientGroupRetry:
         )
         resilient = ResilientDevice(faulty, retry_policy=policy)
         blocks = _payloads(4)
-        resilient.write_many(blocks)
+        write_map(resilient, blocks)
         for block_id, items in blocks.items():
             assert same(read_block(disk, block_id), items)
 
@@ -146,7 +152,7 @@ class TestResilientGroupRetry:
         )
         # One attempt, and the layer's one typed error around it.
         with pytest.raises(StorageUnavailable) as caught:
-            resilient.write_many(_payloads(2))
+            write_map(resilient, _payloads(2))
         assert isinstance(caught.value.__cause__, InjectedWriteError)
         assert len(plan.history) == 1
 
@@ -157,12 +163,14 @@ class TestResilientGroupRetry:
         disk = SimulatedDisk(block_size=8)
         faulty = FaultyDevice(disk, plan, injecting=False)
         blocks = _payloads(12)
-        faulty.write_many(blocks)
+        write_map(faulty, blocks)
         faulty.injecting = True
         policy = RetryPolicy(
             max_attempts=8, base_delay_s=0.0, max_delay_s=0.0, budget_s=1.0
         )
-        got = ResilientDevice(faulty, retry_policy=policy).read_many(blocks)
+        got = read_map(
+            ResilientDevice(faulty, retry_policy=policy), list(blocks)
+        )
         assert list(got) == list(blocks)
         assert all(same(got[b], blocks[b]) for b in blocks)
         draws = [kind for _, kind in plan.history]
@@ -176,12 +184,13 @@ class TestShardedFanOut:
     def test_group_write_matches_sequential(self):
         def build():
             return ShardedDevice(
-                [SimulatedDisk(block_size=8) for _ in range(3)]
+                [SimulatedDisk(block_size=8) for _ in range(3)],
+                codes_table(3),
             )
 
         blocks = _payloads(12)
         grouped = build()
-        grouped.write_many(blocks)
+        write_map(grouped, blocks)
         sequential = build()
         for block_id, items in blocks.items():
             write_block(sequential, block_id, items)
@@ -197,14 +206,18 @@ class TestShardedFanOut:
         class BrokenDisk(SimulatedDisk):
             """Leaf that rejects every write."""
 
-            def write_many(self, blocks):
-                raise InjectedWriteError(f"shard down: {sorted(blocks)!r}")
+            def write_many(self, codes, payloads):
+                raise InjectedWriteError(
+                    f"shard down: {sorted(codes.tolist())!r}"
+                )
 
-        sharded = ShardedDevice([BrokenDisk(block_size=8) for _ in range(2)])
+        sharded = ShardedDevice(
+            [BrokenDisk(block_size=8) for _ in range(2)], codes_table(2)
+        )
         blocks = {i: np.array([1.0]) for i in range(8)}
-        assert len({sharded.shard_of(i) for i in blocks}) == 2
+        assert len({int(sharded.placement[i]) for i in blocks}) == 2
         with pytest.raises(InjectedWriteError) as excinfo:
-            sharded.write_many(blocks)
+            write_map(sharded, blocks)
         assert any(
             "also failed" in note
             for note in getattr(excinfo.value, "__notes__", [])
