@@ -1,0 +1,45 @@
+"""The one reduction order for floats on the query, insert and populate
+paths: every float sum in :mod:`repro.query`, :mod:`repro.storage` and
+:mod:`repro.wavelets` runs through this module, so an answer's bits do
+not depend on the BLAS kernel or on the interpreter's builtin ``sum``
+(DESIGN.md, "One reduction order").
+
+* :func:`dot` and :func:`segmented_dot` — numpy's pairwise
+  ``np.add.reduce`` of the elementwise product, never BLAS;
+* :func:`total` — strictly left to right, for the running totals whose
+  reference is defined that way.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["dot", "segmented_dot", "total"]
+
+
+def dot(a, b):
+    """Pairwise sum of ``a * b`` along the last axis (broadcasting).
+
+    A 1-D pair gives a scalar (``0.0`` when empty); stacked windows
+    against filter taps give one dot per window, each bitwise the dot of
+    that row alone — numpy sums a row pairwise only when the row is
+    contiguous, hence the C-ordered product.
+    """
+    return np.add.reduce(np.multiply(a, b, order="C"), axis=-1)
+
+
+def segmented_dot(a, b, offsets) -> np.ndarray:
+    """:func:`dot` of every CSR segment ``offsets[i]:offsets[i + 1]`` of
+    ``a`` and ``b`` — :func:`dot` is its one-segment case."""
+    products = np.multiply(a, b)
+    return np.array([
+        np.add.reduce(products[lo:hi]) for lo, hi in zip(offsets, offsets[1:])
+    ], dtype=float)
+
+
+def total(x):
+    """Left-to-right sum along the last axis (``0.0`` when empty)."""
+    x = np.asarray(x, dtype=float)
+    if not x.shape[-1]:
+        return np.zeros(x.shape[:-1])
+    return np.cumsum(x, axis=-1)[..., -1]

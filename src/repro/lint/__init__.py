@@ -4,7 +4,7 @@ Two halves, one goal: the contracts that keep the AIMS reproduction
 scalable stay true by tooling, not convention.
 
 * Static: :func:`lint_tree` parses ``src/repro`` once and runs all
-  fourteen checks on it — the per-file rule packs
+  fifteen checks on it — the per-file rule packs
   (:mod:`~repro.lint.rules_layering`,
   :mod:`~repro.lint.rules_concurrency`,
   :mod:`~repro.lint.rules_determinism`,

@@ -1,7 +1,7 @@
 """The one lint pass: per-file rules and whole-program analyzers.
 
 :func:`lint_tree` parses every file under ``<root>/src/repro`` once
-into a :class:`~repro.lint.engine.FileContext`, runs the nine per-file
+into a :class:`~repro.lint.engine.FileContext`, runs the ten per-file
 rules on it, and reduces it with
 :func:`~repro.lint.analysis.model.summarize` into the
 :class:`~repro.lint.analysis.model.ProjectModel`.  The five cross-file
@@ -59,7 +59,7 @@ def _analyzers() -> list:
 
 
 def checks() -> list:
-    """All fourteen checks — per-file rules and analyzers — id-ordered."""
+    """All fifteen checks — per-file rules and analyzers — id-ordered."""
     return sorted([*all_rules(), *_analyzers()], key=lambda c: c.rule_id)
 
 

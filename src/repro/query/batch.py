@@ -23,6 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.errors import QueryError, StorageUnavailable
+from repro.core.reduce import dot, segmented_dot, total
 from repro.obs import DEFAULT_COUNT_BUCKETS
 from repro.obs import counter as obs_counter
 from repro.obs import histogram as obs_histogram
@@ -31,7 +32,6 @@ from repro.query.propolyne import ProPolyneEngine, QueryOutcome
 from repro.query.rangesum import RangeSumQuery
 from repro.storage.disk import BlockGroup
 from repro.storage.scheduler import schedule_blocks
-from repro.wavelets.lazy import segmented_dot
 
 __all__ = ["BatchEstimate", "BatchEvaluator", "GroupByResult", "group_by"]
 
@@ -138,12 +138,11 @@ class BatchEvaluator:
     sparse transform is stacked and located (block code, slot) in one pass,
     all queries' blocks are fetched in **one** coalesced bulk read (a
     single ``read_many`` per shard group), the payloads are packed
-    into one buffer, one ``np.take`` gathers the whole batch's
-    coefficients, and each query reduces over its own contiguous
-    segment with the same ``np.dot`` kernel
-    :func:`~repro.query.propolyne.sparse_inner_product` uses — so every
-    batched answer is *bitwise-identical* to
-    :meth:`~repro.query.propolyne.ProPolyneEngine.evaluate_exact`.
+    into one buffer, one gather takes the whole batch's coefficients,
+    and each query reduces over its own contiguous segment
+    (:func:`~repro.core.reduce.segmented_dot`; DESIGN.md, "One
+    reduction order") — so every batched answer is *bitwise-identical*
+    to :meth:`~repro.query.propolyne.ProPolyneEngine.evaluate_exact`.
 
     Metrics: ``query.batch.batches`` / ``query.batch.queries`` /
     ``query.batch.degraded`` counters and the ``query.batch.size`` /
@@ -207,10 +206,9 @@ class BatchEvaluator:
             buffer, base = store.allocation.pack(
                 store.read_many(schedule.codes)
             )
-            answers = segmented_dot(
-                base[codes] + slots, values, offsets, buffer
-            )
-            return [float(v) for v in answers]
+            return segmented_dot(
+                values, buffer[base[codes] + slots], offsets
+            ).tolist()
 
     def evaluate_degradable(
         self, queries: list[RangeSumQuery]
@@ -254,7 +252,7 @@ class BatchEvaluator:
                 n_read = int(np.count_nonzero(touched[qi])) - len(lost)
                 mine = slice(int(offsets[qi]), int(offsets[qi + 1]))
                 if not lost:
-                    value = float(np.dot(values[mine], buffer[pos[mine]]))
+                    value = float(dot(values[mine], buffer[pos[mine]]))
                     outcomes.append(
                         QueryOutcome(value, False, 0.0, 0.0, n_read, None)
                     )
@@ -263,7 +261,7 @@ class BatchEvaluator:
                 # blocks' guaranteed bound and one-sigma forecast.
                 kept = available[mine]
                 estimate = float(
-                    np.dot(values[mine][kept], buffer[pos[mine][kept]])
+                    dot(values[mine][kept], buffer[pos[mine][kept]])
                 )
                 bound = 0.0
                 variance = 0.0
@@ -313,7 +311,7 @@ class BatchEvaluator:
         owner = np.repeat(np.arange(len(queries)), np.diff(offsets))
         # Each query's own bound mass on each block, in fetch order.
         masses = schedule.per_query(offsets)[1] * schedule.data_norms
-        remaining = np.cumsum(masses, axis=1)[:, -1]
+        remaining = total(masses)
         totals = np.zeros(len(queries))
         pending = np.ones(len(schedule), dtype=bool)
         for step in range(len(schedule)):

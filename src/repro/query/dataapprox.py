@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import QueryError
+from repro.core.reduce import dot
 from repro.query.propolyne import pad_to_pow2, translate_query
 from repro.query.rangesum import RangeSumQuery
 from repro.wavelets.dwt import max_levels
@@ -53,14 +54,8 @@ class DataApproxEngine:
             )
         self.budget = budget
         order = np.argsort(-np.abs(flat), kind="stable")[:budget]
-        strides = np.array(
-            [int(np.prod(self.shape[k + 1:])) for k in range(len(self.shape))]
-        )
-        self._strides = strides
         self._entries = {int(i): float(flat[i]) for i in order}
-        self.dropped_energy = float(
-            np.sum(flat**2) - sum(v * v for v in self._entries.values())
-        )
+        self.dropped_energy = float(dot(flat, flat) - dot(flat[order], flat[order]))
 
     @property
     def size(self) -> int:
@@ -73,9 +68,5 @@ class DataApproxEngine:
         keys, values = translate_query(
             query, self.original_shape, self.shape, self.levels, self.filter
         )
-        total = 0.0
-        for flat_idx, qval in zip(
-            (keys @ self._strides).tolist(), values.tolist()
-        ):
-            total += qval * self._entries.get(flat_idx, 0.0)
-        return float(total)
+        flat_idx = np.ravel_multi_index(keys.T, self.shape).tolist()
+        return float(dot(values, [self._entries.get(i, 0.0) for i in flat_idx]))

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import QueryError
+from repro.core.reduce import total
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery, relation_to_cube
 
@@ -145,17 +146,17 @@ class HybridEngine:
         sub_query = RangeSumQuery.weighted(
             wavelet_ranges, wavelet_degrees or {}
         )
-        total = 0.0
+        value = 0.0
         coeffs = 0
         blocks = 0
         keys = self._matching_partitions(predicates)
         for key in keys:
             engine = self.partitions[key]
             before = engine.store.io_snapshot()
-            total += engine.evaluate_exact(sub_query)
+            value += engine.evaluate_exact(sub_query)
             blocks += engine.store.io_since(before).reads
             coeffs += engine.n_query_coefficients(sub_query)
-        return total, HybridCost(
+        return value, HybridCost(
             partitions_touched=len(keys),
             query_coefficients=coeffs,
             blocks_read=blocks,
@@ -206,12 +207,14 @@ class HybridEngine:
             return
 
         def combined() -> ProgressiveEstimate:
+            estimate, bound, variance = total(np.transpose([
+                [s.estimate, s.error_bound, s.error_estimate**2]
+                for s in state.values()
+            ])).tolist()
             return ProgressiveEstimate(
-                estimate=sum(s.estimate for s in state.values()),
-                error_bound=sum(s.error_bound for s in state.values()),
-                error_estimate=float(
-                    sum(s.error_estimate**2 for s in state.values()) ** 0.5
-                ),
+                estimate=estimate,
+                error_bound=bound,
+                error_estimate=variance**0.5,
                 blocks_read=blocks,
                 coefficients_used=coeffs,
             )

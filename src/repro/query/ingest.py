@@ -45,6 +45,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.errors import QueryError
+from repro.core.reduce import segmented_dot
 from repro.obs import DEFAULT_COUNT_BUCKETS
 from repro.obs import counter as obs_counter
 from repro.obs import histogram as obs_histogram
@@ -196,7 +197,7 @@ class BatchInserter:
         codes = block_codes.tolist()
         starts = base[block_codes]
         ends = starts + allocation.block_len(block_codes)
-        bounds = list(zip(starts.tolist(), ends.tolist()))
+        bounds = zip(starts.tolist(), ends.tolist())
         payloads = dict(zip(codes, (buffer[a:b] for a, b in bounds)))
 
         # 3. One group commit for the whole batch's dirty blocks.  The
@@ -204,19 +205,16 @@ class BatchInserter:
         #    no stored block keeps this batch's whole buffer alive.
         store.store_blocks(payloads)
 
-        # 4. Norm bookkeeping, once per batch: touched block norms from
-        #    one squaring of the buffer and a per-block sum (np.sum's
-        #    pairwise reduction of the block's own squares; reduceat
-        #    would re-associate), the global norm from the block norms.
+        # 4. Norm bookkeeping, once per batch, by population's formula:
+        #    each block's dot with itself, a segment of the buffer.
         prior_norms = {
             code: engine._block_norms.get(code, 0.0) for code in codes
         }
-        squares = buffer * buffer
-        sums = [np.add.reduce(squares[a:b]) for a, b in bounds]
-        engine._block_norms.update(zip(codes, np.sqrt(sums).tolist()))
-        store._norm = float(
-            np.sqrt(sum(n * n for n in engine._block_norms.values()))
-        )
+        offsets = np.concatenate(([0], np.cumsum(preimages.lens)))
+        engine._block_norms.update(zip(
+            preimages.codes.tolist(),
+            np.sqrt(segmented_dot(buffer, buffer, offsets)).tolist(),
+        ))
         if engine._epoch_log is not None:
             # The commit is durable (store_blocks would have raised);
             # the epoch bump happens under the same update lock that

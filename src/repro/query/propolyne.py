@@ -31,6 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.errors import QueryError, StorageUnavailable
+from repro.core.reduce import dot, total
 from repro.lint.lockwatch import watched_lock
 from repro.obs import DEFAULT_COUNT_BUCKETS
 from repro.obs import counter as obs_counter
@@ -61,27 +62,22 @@ __all__ = [
 
 
 def sparse_inner_product(entries: dict, stored) -> float:
-    """The one exact reduction kernel: ``sum(q[i] * stored[i])``.
+    """The exact answer ``sum(q[i] * stored[i])`` from keyed operands.
 
-    Every exact answer in the engine — plain, degradable, and the batch
-    evaluator's vectorized path — reduces through this same
-    ``np.dot`` over arrays laid out in ``entries``' iteration order.
-    Float addition is not associative, so funneling all paths through
-    one kernel (same operand order, same BLAS reduction) is what makes
-    their answers *bitwise*-identical rather than merely close.
+    :func:`~repro.core.reduce.dot` over arrays laid out in ``entries``'
+    iteration order: the reduction, and so the bits, of every exact path
+    (DESIGN.md, "One reduction order").
 
     Args:
         entries: Sparse query transform (key -> query coefficient).
         stored: Mapping from the same keys to stored coefficients.
     """
     count = len(entries)
-    if count == 0:
-        return 0.0
     qvals = np.fromiter(entries.values(), dtype=float, count=count)
     dvals = np.fromiter(
         (stored[idx] for idx in entries), dtype=float, count=count
     )
-    return float(np.dot(qvals, dvals))
+    return float(dot(qvals, dvals))
 
 
 def _translate_axes(
@@ -464,8 +460,7 @@ class ProPolyneEngine:
                 return 0.0
             # gather_located observes query.blocks_per_query — it knows
             # the block set, so the engine need not recompute it.
-            # Same np.dot, same operand order as sparse_inner_product.
-            return float(np.dot(values, self.store.gather_located(codes, slots)))
+            return float(dot(values, self.store.gather_located(codes, slots)))
 
     def _progressive_steps(
         self, values, codes, slots, skip_unavailable: bool = False,
@@ -509,7 +504,7 @@ class ProPolyneEngine:
             )
         ]
         remaining_bound = schedule.bound
-        remaining_variance = float(np.cumsum(variances)[-1])
+        remaining_variance = float(total(variances))
         estimate = 0.0
         used = 0
         reads = 0
@@ -545,10 +540,7 @@ class ProPolyneEngine:
                 # running totals, since its contribution is unknown.
                 found = None
             if found is not None:
-                # Strictly left to right on every interpreter (builtin
-                # ``sum`` is compensated from 3.12 on), so estimates
-                # keep their bits.
-                estimate += float(np.cumsum(values[entries] * found)[-1])
+                estimate += float(dot(values[entries], found))
                 used += len(entries)
                 reads += 1
                 remaining_bound -= masses[step]
@@ -659,9 +651,8 @@ class ProPolyneEngine:
         if reason is None and skipped:
             reason = "storage_unavailable"
         if reason is None:
-            # Same np.dot, same operands in the same order as
-            # evaluate_exact: bitwise-identical value.
-            value = float(np.dot(values, stored))
+            # The operands evaluate_exact reduces: the same bits.
+            value = float(dot(values, stored))
             return QueryOutcome(
                 value, False, 0.0, 0.0,
                 last.blocks_read if last is not None else 0, None,

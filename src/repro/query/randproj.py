@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import QueryError
+from repro.core.reduce import dot
 from repro.query.propolyne import pad_to_pow2
 from repro.query.rangesum import RangeSumQuery
 
@@ -49,7 +50,7 @@ class RandomProjectionEngine:
         self.seed = seed
         flat = data.ravel()
         self._sketch = np.array(
-            [float(np.dot(self._row(i), flat)) for i in range(k)]
+            [float(dot(self._row(i), flat)) for i in range(k)]
         )
 
     def _row(self, i: int) -> np.ndarray:
@@ -86,9 +87,9 @@ class RandomProjectionEngine:
         """Unbiased sketch estimate of the range-sum."""
         q = self._dense_query(query)
         projected = np.array(
-            [float(np.dot(self._row(i), q)) for i in range(self.k)]
+            [float(dot(self._row(i), q)) for i in range(self.k)]
         )
-        return float(np.dot(projected, self._sketch))
+        return float(dot(projected, self._sketch))
 
     @property
     def storage_floats(self) -> int:

@@ -20,6 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.errors import StorageError
+from repro.core.reduce import total
 from repro.storage.allocation import Allocation, subtree_tiling_allocation
 from repro.storage.blockstore import WaveletBlockStore
 from repro.storage.device import StorageSpec
@@ -113,7 +114,7 @@ class SignalArchive:
         order = sorted(
             self._block_energy, key=lambda b: -self._block_energy[b]
         )
-        residual = sum(self._block_energy.values())
+        residual = float(total(list(self._block_energy.values())))
         flat = np.zeros(self.length)
         for step, code in enumerate(order, start=1):
             flat[self.store.allocation.block_keys(code)] = (

@@ -11,9 +11,8 @@ block order, per-block query norms and error-bound masses from the
 :class:`BlockSchedule` it returns.  A block's worth is the
 Cauchy–Schwarz mass fetching it takes off the error bound,
 ``||q_B|| * ||d_B||``; blocks go **mass descending, ties by ascending
-block code**.  Every sum here runs strictly left to right in entry
-order (``bincount`` / ``cumsum``), so its bits depend on neither the
-interpreter's ``sum`` nor numpy's pairwise reductions.
+block code**.  Per-block norms add left to right in entry order
+(``bincount``); every other sum is DESIGN.md's "One reduction order".
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from repro.core.reduce import total
 
 __all__ = ["BlockSchedule", "schedule_blocks"]
 
@@ -54,7 +55,7 @@ class BlockSchedule:
     @property
     def bound(self) -> float:
         """The a-priori error bound: the masses summed in fetch order."""
-        return float(np.cumsum(self.masses)[-1]) if len(self) else 0.0
+        return float(total(self.masses))
 
     @cached_property
     def ranks(self) -> np.ndarray:

@@ -27,7 +27,6 @@ from repro.wavelets.lazy import (
     cached_range_query_transform,
     lazy_range_query_transform,
     poly_after_filter,
-    segmented_dot,
     translation_cache,
 )
 from repro.wavelets.packet import (
@@ -61,7 +60,6 @@ __all__ = [
     "cached_range_query_transform",
     "lazy_range_query_transform",
     "poly_after_filter",
-    "segmented_dot",
     "translation_cache",
     "PacketNode",
     "wavelet_packet_decompose",

@@ -28,9 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import TransformError
+from repro.core.reduce import dot
 from repro.wavelets.filters import WaveletFilter, get_filter
 
 __all__ = [
+    "cascade",
     "dwt_level",
     "idwt_level",
     "wavedec",
@@ -62,17 +64,20 @@ def max_levels(n: int, filt: WaveletFilter) -> int:
 
 
 def dwt_level(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
-    """One periodized analysis step: ``x -> (approx, detail)``.
+    """One periodized analysis step along the last axis:
+    ``x -> (approx, detail)``.
 
     Args:
-        x: Signal of even length ``n >= filt.length``.
+        x: Signal (or a stack of signals) of even length
+            ``n >= filt.length``.
         filt: Orthonormal filter bank.
 
     Returns:
-        ``(approx, detail)``, each of length ``n // 2``.
+        ``(approx, detail)``, each of length ``n // 2``; every line's
+        bits are those of that line transformed alone.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     if n % 2:
         raise TransformError(f"dwt_level needs even length, got {n}")
     if n < filt.length:
@@ -82,10 +87,18 @@ def dwt_level(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarra
     half = n // 2
     # Gather the periodized windows: window[k, m] = x[(2k + m) mod n].
     idx = (2 * np.arange(half)[:, None] + np.arange(filt.length)[None, :]) % n
-    windows = x[idx]
-    approx = windows @ filt.lowpass
-    detail = windows @ filt.highpass
-    return approx, detail
+    windows = x[..., idx]
+    return dot(windows, filt.lowpass), dot(windows, filt.highpass)
+
+
+def cascade(x: np.ndarray, filt: WaveletFilter, depth: int) -> list[np.ndarray]:
+    """``depth`` analysis steps along the last axis, as the bands of the
+    flat layout: ``[a_J, d_J, ..., d_1]``."""
+    bands = []
+    for _ in range(depth):
+        x, band = dwt_level(x, filt)
+        bands.append(band)
+    return [x, *bands[::-1]]
 
 
 def idwt_level(
@@ -159,10 +172,8 @@ class WaveletCoefficients:
 
     def energy(self) -> float:
         """Squared L2 norm — equals the signal's by orthonormality."""
-        total = float(np.dot(self.approx, self.approx))
-        for band in self.details:
-            total += float(np.dot(band, band))
-        return total
+        flat = self.to_flat()
+        return float(dot(flat, flat))
 
 
 def wavedec(
@@ -188,14 +199,9 @@ def wavedec(
             f"cannot run {depth} levels on length {x.size} with "
             f"{filt.length}-tap filter (max {max_levels(x.size, filt)})"
         )
-    details: list[np.ndarray] = []
-    current = x
-    for _ in range(depth):
-        current, band = dwt_level(current, filt)
-        details.append(band)
-    details.reverse()  # coarsest-first
+    approx, *details = cascade(x, filt, depth)
     return WaveletCoefficients(
-        approx=current, details=details, filter_name=filt.name, length=x.size
+        approx=approx, details=details, filter_name=filt.name, length=x.size
     )
 
 

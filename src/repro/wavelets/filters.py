@@ -26,6 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from repro.core.errors import TransformError
+from repro.core.reduce import dot
 
 __all__ = ["WaveletFilter", "daubechies", "haar", "get_filter"]
 
@@ -94,7 +95,7 @@ class WaveletFilter:
         h = self.lowpass
         for shift in range(0, self.length, 2):
             want = 1.0 if shift == 0 else 0.0
-            got = float(np.dot(h[: self.length - shift], h[shift:]))
+            got = float(dot(h[: self.length - shift], h[shift:]))
             if abs(got - want) > tol:
                 raise TransformError(
                     f"filter {self.name!r} fails orthonormality at "
@@ -114,7 +115,7 @@ class WaveletFilter:
         """
         taps = self.highpass if highpass else self.lowpass
         positions = np.arange(self.length, dtype=float)
-        return float(np.dot(taps, positions**order))
+        return float(dot(taps, positions**order))
 
 
 @lru_cache(maxsize=None)

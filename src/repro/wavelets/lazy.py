@@ -20,10 +20,8 @@ the cascade:
   directly (only ``O(filter_length)`` windows per level).
 
 Everything in the cascade is a Python float except a level's one
-``np.vecdot`` of its windows against both channels: a level has about nine
-windows, where any further array op costs more than it saves, and
-``vecdot`` runs the same ``cblas_ddot`` per window as a 1-D
-``window @ taps``, which fixes the last bits of every coefficient.
+:func:`~repro.core.reduce.dot` of its windows against both channels (the
+reduction order is DESIGN.md's "One reduction order").
 
 The output is a :class:`SparseWaveletVector` whose coefficients match the
 dense :func:`repro.wavelets.dwt.wavedec` of the materialized query vector
@@ -40,6 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.errors import TransformError
+from repro.core.reduce import dot
 from repro.lint.lockwatch import watched_lock
 from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
@@ -52,7 +51,6 @@ __all__ = [
     "cached_range_query_transform",
     "lazy_range_query_transform",
     "poly_after_filter",
-    "segmented_dot",
     "translation_cache",
 ]
 
@@ -83,7 +81,7 @@ def poly_after_filter(poly: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """
     poly = np.asarray(poly, dtype=float)
     positions = np.arange(taps.size, dtype=float)
-    moments = [float(np.dot(taps, positions**s)) for s in range(poly.size)]
+    moments = [float(dot(taps, positions**s)) for s in range(poly.size)]
     return np.array(_through_filter(poly.tolist(), moments))
 
 
@@ -150,10 +148,7 @@ class SparseWaveletVector:
         """Inner product against a dense flat-layout coefficient vector:
         one ``np.take`` gather of the touched positions and one dot."""
         indices, values = self.arrays
-        if not indices.size:
-            return 0.0
-        flat_data = np.asarray(flat_data, dtype=float)
-        return float(np.take(flat_data, indices) @ values)
+        return float(dot(values, np.take(np.asarray(flat_data, float), indices)))
 
     def by_magnitude(self) -> list[tuple[int, float]]:
         """Entries sorted by decreasing absolute value — the progressive
@@ -165,31 +160,7 @@ class SparseWaveletVector:
 
     def norm(self) -> float:
         """L2 norm of the sparse vector."""
-        return math.sqrt(sum(v * v for v in self.arrays[1].tolist()))
-
-
-def segmented_dot(
-    indices: np.ndarray,
-    values: np.ndarray,
-    offsets: np.ndarray,
-    flat_data: np.ndarray,
-) -> np.ndarray:
-    """Segment-wise sparse inner products after one shared gather.
-
-    The low-level kernel under the tensor-domain batch evaluator:
-    ``np.take`` gathers every segment's data positions at once, then
-    segment ``i`` reduces with ``np.dot`` over its contiguous, unpadded
-    slice — the same reduction a lone :meth:`SparseWaveletVector.dot`
-    performs, hence bitwise-equal per-query answers (zero-padding rows
-    to a rectangular matrix would change each dot's reduction tree).
-    """
-    flat_data = np.asarray(flat_data, dtype=float)
-    gathered = np.take(flat_data, indices)
-    out = np.empty(len(offsets) - 1)
-    for i in range(len(offsets) - 1):
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
-        out[i] = np.dot(values[lo:hi], gathered[lo:hi])
-    return out
+        return math.sqrt(dot(self.arrays[1], self.arrays[1]))
 
 
 def lazy_range_query_transform(
@@ -208,7 +179,7 @@ def lazy_range_query_transform(
 
     Entries come out finest band first and the final approximation last;
     inside a band, in the iteration order of the ``explicit`` set below.
-    That order is the operand order of every ``np.dot`` downstream, so it
+    That order is the operand order of every reduction downstream, so it
     is part of the contract (``tests/lazy_transform_parent.json``).
 
     Args:
@@ -302,7 +273,7 @@ def lazy_range_query_transform(
                             acc = c + acc * j
                         value = acc + value
                     windows.append(value)
-            channels = np.vecdot(np.array(windows).reshape(-1, 1, taps), bank)
+            channels = dot(np.array(windows).reshape(-1, 1, taps), bank)
             for k, (a_val, d_val) in zip(explicit, channels.tolist()):
                 if inner_lo <= k <= inner_hi:
                     a_val -= _horner(approx_poly, k)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import TransformError
+from repro.core.reduce import dot
 from repro.wavelets.tensor import tensor_wavedec, tensor_waverec
 
 __all__ = ["WaveletSynopsis", "build_synopsis"]
@@ -40,14 +41,8 @@ class WaveletSynopsis:
     dropped_energy: float
 
     def __post_init__(self) -> None:
-        # ``entries`` is treated as immutable after construction; both
-        # caches below depend on it.  Strides are the row-major ravel
-        # multipliers for ``shape``; the dense flat vector is built
-        # lazily on the first dot_sparse call.
-        self._strides = np.array(
-            [int(np.prod(self.shape[k + 1:])) for k in range(len(self.shape))],
-            dtype=np.intp,
-        )
+        # ``entries`` is treated as immutable after construction; the
+        # dense flat vector is built from it on the first dot_sparse call.
         self._flat: np.ndarray | None = None
 
     @property
@@ -76,9 +71,9 @@ class WaveletSynopsis:
 
         Only coefficients retained in the synopsis contribute — this is how
         the data-approximation baseline answers ProPolyne-style queries.
-        Vectorized: one ravel of the query's multi-indices against the
-        cached strides, one gather from the cached dense coefficient
-        vector (dropped entries read as 0.0), one ``np.dot``.
+        Vectorized: one ravel of the query's multi-indices, one gather
+        from the cached dense coefficient vector (dropped entries read as
+        0.0), one :func:`~repro.core.reduce.dot`.
         """
         count = len(query_entries)
         if count == 0:
@@ -88,10 +83,9 @@ class WaveletSynopsis:
             dtype=np.intp,
             count=count * len(self.shape),
         ).reshape(count, len(self.shape))
-        flat_idx = keys @ self._strides
+        flat_idx = np.ravel_multi_index(keys.T, self.shape)
         qvals = np.fromiter(query_entries.values(), dtype=float, count=count)
-        gathered = np.take(self._flat_coefficients(), flat_idx)
-        return float(np.dot(qvals, gathered))
+        return float(dot(qvals, np.take(self._flat_coefficients(), flat_idx)))
 
 
 def build_synopsis(

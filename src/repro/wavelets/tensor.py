@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import TransformError
-from repro.wavelets.dwt import max_levels, wavedec, waverec, WaveletCoefficients
+from repro.wavelets.dwt import WaveletCoefficients, cascade, max_levels, waverec
 from repro.wavelets.filters import WaveletFilter, get_filter
 
 __all__ = ["tensor_wavedec", "tensor_waverec", "tensor_levels"]
@@ -61,13 +61,10 @@ def tensor_wavedec(
         )
     out = data.copy()
     for axis, depth in enumerate(levels):
-        if depth == 0:
-            continue
-
-        def decompose(vec: np.ndarray, depth: int = depth) -> np.ndarray:
-            return wavedec(vec, filt, levels=depth).to_flat()
-
-        out = np.apply_along_axis(decompose, axis, out)
+        if depth:
+            # Every line of the axis at once, moved to the last axis.
+            bands = cascade(np.moveaxis(out, axis, -1), filt, depth)
+            out = np.moveaxis(np.concatenate(bands, axis=-1), -1, axis)
     return out
 
 

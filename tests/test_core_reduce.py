@@ -1,0 +1,132 @@
+"""The one reduction order (``repro.core.reduce``) and the bits it buys.
+
+Unit tests pin the module's contract: a segment of ``segmented_dot``
+is the ``dot`` of that segment, a stacked ``dot`` is the ``dot`` of each
+row, empty input sums to ``0.0`` and a strided view reduces like its
+copy.  ``test_bits_do_not_depend_on_the_blas_kernel`` then digests
+exact, batch and progressive answers, an ``insert_batch``, the block
+norms, ``to_coefficients`` and a lazy transform in this process and in
+two children that run another BLAS kernel (``OPENBLAS_CORETYPE``) and
+numpy without its AVX2/AVX-512 loops (``NPY_DISABLE_CPU_FEATURES``),
+and requires one digest.  Run as a script, the file prints its digest.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+from repro.core.reduce import dot, segmented_dot, total
+from repro.query.batch import BatchEvaluator
+from repro.query.propolyne import ProPolyneEngine
+from repro.query.rangesum import RangeSumQuery
+from repro.wavelets.lazy import lazy_range_query_transform
+
+RNG = np.random.default_rng(41)
+
+KERNELS = (
+    {"OPENBLAS_CORETYPE": "Sandybridge"},
+    {"NPY_DISABLE_CPU_FEATURES": "AVX512F,AVX512CD,AVX512_SKX,AVX512_CLX,"
+     "AVX512_CNL,AVX512_ICL,AVX512_SPR,AVX2,FMA3"},
+)
+
+
+class TestReduce:
+    def test_each_segment_is_the_dot_of_that_segment(self):
+        a, b = RNG.normal(size=(2, 300))
+        offsets = np.array([0, 0, 1, 7, 8, 9, 150, 300])
+        got = segmented_dot(a, b, offsets)
+        assert got.tolist() == [
+            dot(a[lo:hi], b[lo:hi]) for lo, hi in zip(offsets, offsets[1:])
+        ]
+        assert segmented_dot(a, b, [0, 300]).tolist() == [dot(a, b)]
+
+    def test_a_stacked_dot_is_the_dot_of_each_row(self):
+        windows = RNG.normal(size=(50, 4, 9))
+        taps = RNG.normal(size=(2, 1, 9))
+        got = dot(windows[:, None], taps)
+        assert got.shape == (50, 2, 4)
+        for i, j, k in np.ndindex(got.shape):
+            assert got[i, j, k] == dot(windows[i, k], taps[j, 0])
+        # Whatever the operands' memory layout.
+        fortran = np.asfortranarray(windows)
+        assert dot(fortran, taps[0]).tolist() == dot(windows, taps[0]).tolist()
+
+    def test_empty_input_sums_to_zero(self):
+        empty = np.empty(0)
+        assert dot(empty, empty) == 0.0
+        assert total(empty) == 0.0 and total([]) == 0.0
+        assert segmented_dot(empty, empty, [0, 0]).tolist() == [0.0]
+        assert segmented_dot(empty, empty, [0]).tolist() == []
+
+    def test_a_strided_view_reduces_like_its_copy(self):
+        a, b = RNG.normal(size=(2, 2001))
+        view_a, view_b = a[::3], b[1::3]
+        assert dot(view_a, view_b) == dot(view_a.copy(), view_b.copy())
+        assert total(view_a) == total(view_a.copy())
+        offsets = [0, 5, 400, len(view_a)]
+        assert segmented_dot(view_a, view_b, offsets).tolist() == (
+            segmented_dot(view_a.copy(), view_b.copy(), offsets).tolist()
+        )
+
+    def test_total_adds_left_to_right_along_the_last_axis(self):
+        rows = RNG.normal(size=(3, 40)) * 10.0 ** RNG.integers(-8, 8, 40)
+        for row, got in zip(rows, total(rows)):
+            acc = 0.0
+            for value in row.tolist():
+                acc += value
+            assert got == acc
+
+
+def kernel_digest() -> str:
+    """One sha256 over every reduction a query, an insert and a populate
+    perform on a small cube."""
+    cube = np.random.default_rng(7).poisson(3.0, (16, 16, 8)).astype(float)
+    engine = ProPolyneEngine(cube, max_degree=2, block_size=3)
+    queries = [
+        RangeSumQuery.count([(0, 15), (0, 15), (0, 7)]),
+        RangeSumQuery.count([(2, 13), (5, 9), (1, 6)]),
+        RangeSumQuery.weighted([(1, 14), (0, 15), (2, 7)], {0: 1, 2: 2}),
+    ]
+    sha = hashlib.sha256()
+
+    def put(values):
+        sha.update(np.asarray(values, dtype=float).tobytes())
+
+    def observe():
+        put([engine.evaluate_exact(q) for q in queries])
+        put(BatchEvaluator(engine).evaluate_exact(queries))
+        for step in engine.evaluate_progressive(queries[2]):
+            put([step.estimate, step.error_bound, step.error_estimate])
+        put(list(engine._block_norms.values()))
+        put([engine.store.data_norm])
+        put(engine.to_coefficients())
+
+    observe()
+    points = np.random.default_rng(8).integers(0, 8, (24, 3)) * [2, 2, 1]
+    engine.inserter.insert_batch(points, np.linspace(-2.0, 3.0, 24))
+    observe()
+    put(lazy_range_query_transform([2.0, -3.0, 1.0], 17, 101, 128, "db3").arrays[1])
+    return sha.hexdigest()
+
+
+def test_bits_do_not_depend_on_the_blas_kernel():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    children = [
+        subprocess.Popen(
+            [sys.executable, __file__], env={**env, **kernel},
+            stdout=subprocess.PIPE, text=True,
+        )
+        for kernel in KERNELS
+    ]
+    here = kernel_digest()
+    for child, kernel in zip(children, KERNELS):
+        out, _ = child.communicate(timeout=120)
+        assert child.returncode == 0, kernel
+        assert out.strip() == here, kernel
+
+
+if __name__ == "__main__":
+    print(kernel_digest())

@@ -474,9 +474,9 @@ class TestDrift:
         assert drift["repro.fixture/v1"].file == "DESIGN.md"
 
 
-#: One violation of each of the fourteen checks, a suppressed deep
+#: One violation of each of the fifteen checks, a suppressed deep
 #: finding, and a file that does not parse.
-FOURTEEN_RULE_TREE = {
+RULE_TREE = {
     "src/repro/broken.py": "def broken(:\n",
     "src/repro/acquisition/tap.py": """
         from repro.storage.blockstore import BlockStore
@@ -573,12 +573,17 @@ FOURTEEN_RULE_TREE = {
         def touch():
             counter("fix.undocumented").inc()
         """,
+    "src/repro/wavelets/taps.py": """
+        import numpy as np
+
+        y = np.dot([1.0], [2.0])
+        """,
 }
 
 #: What the per-file engine and the separate deep run reported on
-#: FOURTEEN_RULE_TREE before they became one pass — less the deep
-#: run's second parse-error for ``broken.py``.
-FOURTEEN_RULE_FINDINGS = [
+#: RULE_TREE before they became one pass — less the deep run's second
+#: parse-error for ``broken.py`` — and the reduction rule added since.
+RULE_FINDINGS = [
     ("src/repro/acquisition/tap.py", 2, "layering-import-boundary",
      "repro.acquisition.tap imports repro.storage.blockstore: acquisition "
      "hands samples to the facade; it never touches storage directly"),
@@ -629,18 +634,22 @@ FOURTEEN_RULE_FINDINGS = [
     ("src/repro/streams/pump.py", 16, "lock-with-only",
      "bare _lock.acquire(); use `with _lock:` so an early raise cannot "
      "leak the lock"),
+    ("src/repro/wavelets/taps.py", 4, "determinism-reduction",
+     "numpy.dot() picks its own reduction order (a BLAS kernel per CPU, "
+     "or correct rounding); reduce through repro.core.reduce so the bits "
+     "hold on every machine"),
 ]
 
 
 class TestOnePass:
-    def test_fourteen_rule_tree_reports_each_finding_once(self, tmp_path):
-        write_tree(tmp_path, FOURTEEN_RULE_TREE)
+    def test_rule_tree_reports_each_finding_once(self, tmp_path):
+        write_tree(tmp_path, RULE_TREE)
         findings = lint_tree(tmp_path).findings
         assert [
             (f.file, f.line, f.rule_id, f.message) for f in findings
-        ] == FOURTEEN_RULE_FINDINGS
+        ] == RULE_FINDINGS
         assert {f.severity for f in findings} == {"error"}
-        assert len({f.rule_id for f in findings}) == 15  # 14 + parse-error
+        assert len({f.rule_id for f in findings}) == 16  # 15 + parse-error
 
     def test_missing_source_tree_is_an_error_not_a_clean_run(self, tmp_path):
         with pytest.raises(LintError):
@@ -663,5 +672,5 @@ class TestRealTree:
         code, out = repo_lint_cli
         assert code == 0
         assert out.rstrip().endswith(
-            "aims lint: 0 error(s), 0 warning(s) (14 rule(s))"
+            "aims lint: 0 error(s), 0 warning(s) (15 rule(s))"
         )

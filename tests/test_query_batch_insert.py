@@ -74,7 +74,7 @@ class TestBitwiseIdentity:
             _coefficients(sequential), _coefficients(batched)
         )
         assert sequential._block_norms == batched._block_norms
-        assert sequential.store._norm == batched.store._norm
+        assert sequential.store.data_norm == batched.store.data_norm
 
     def test_single_point(self):
         self._check([(5, 11)], None)
@@ -137,6 +137,19 @@ class TestSemantics:
         BatchInserter(a).insert_batch([(1, 1), (2, 2)], 2.5)
         BatchInserter(b).insert_batch([(1, 1), (2, 2)], [2.5, 2.5])
         _assert_bitwise_equal(_coefficients(a), _coefficients(b))
+
+    def test_zero_weight_insert_keeps_every_norm_bitwise(self):
+        # Population and the inserter take a block's norm, and the data
+        # norm from the block norms, by one formula: a block rewritten
+        # with its own values keeps its bits.
+        cube = np.random.default_rng(5).poisson(3.0, size=(32, 32, 16))
+        engine = ProPolyneEngine(cube.astype(float), max_degree=2, block_size=7)
+        norms = dict(engine._block_norms)
+        data_norm = engine.store.data_norm
+        engine.insert((5, 7, 3), 0.0)
+        engine.inserter.insert_batch([(0, 0, 0), (31, 31, 15)], [0.0, 0.0])
+        assert engine._block_norms == norms
+        assert engine.store.data_norm == data_norm
 
     def test_one_group_commit_per_batch(self):
         engine = _fresh()
@@ -277,7 +290,7 @@ class TestSortFreeKernel:
                 == sequential.to_coefficients().tobytes()
             )
             assert batched._block_norms == sequential._block_norms
-            assert batched.store._norm == sequential.store._norm
+            assert batched.store.data_norm == sequential.store.data_norm
         finally:
             sequential.store.close()
             batched.store.close()
@@ -290,7 +303,7 @@ class TestSortFreeKernel:
         assert touched == len(_support(engine, [(5, 3)]))
         assert engine.to_coefficients().tobytes() == bytes(16 * 8 * 8)
         assert set(engine._block_norms.values()) == {0.0}
-        assert engine.store._norm == 0.0
+        assert engine.store.data_norm == 0.0
 
     def test_versioned_commits_match_sequential_history(self):
         cube = np.arange(256, dtype=float).reshape(16, 16) % 5
@@ -356,7 +369,7 @@ class TestDeltaMemo:
         assert cramped.inserter._memo_held == 0
         _assert_bitwise_equal(_coefficients(roomy), _coefficients(cramped))
         assert roomy._block_norms == cramped._block_norms
-        assert roomy.store._norm == cramped.store._norm
+        assert roomy.store.data_norm == cramped.store.data_norm
 
     def test_least_recently_used_point_goes_first(self, monkeypatch):
         inserter = _fresh().inserter

@@ -14,13 +14,18 @@ values in row-major key order; keys are implicit in the allocation
 * the occupancy gauges still count array payloads;
 * insert → as-of → replay reproduces, bit for bit, what the
   ``dict``-payload engine of the parent commit answered for the same
-  seed.  ``array_payloads_parent.json`` was recorded by running this
-  file as a script against that commit
-  (``PYTHONPATH=<parent>/src python tests/test_storage_array_payloads.py``).
+  seed, block norms and data norm included.  ``array_payloads_parent.json``
+  was recorded by running this file as a script against that commit
+  (``PYTHONPATH=<parent>/src python tests/test_storage_array_payloads.py``),
+  and re-recorded by this file's ``__main__`` once more, on the tree
+  where every float reduction moved into ``repro.core.reduce`` (only
+  float bits and digests changed).
 """
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import threading
 from pathlib import Path
 
@@ -29,6 +34,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.query
+import repro.storage
+import repro.wavelets
 from repro.core.errors import CorruptedBlockError, StorageError
 from repro.obs import MetricsRegistry, use_registry
 from repro.query.batch import BatchEvaluator
@@ -329,7 +337,7 @@ def history_batches(seed):
 
 
 def observe(engine) -> dict:
-    """What one epoch answers, as hex floats and a cube digest."""
+    """What one epoch answers, as hex floats and cube and norm digests."""
     return {
         "exact": [engine.evaluate_exact(q).hex() for q in HISTORY_QUERIES],
         "progressive": [
@@ -342,17 +350,25 @@ def observe(engine) -> dict:
         "coefficients": hashlib.sha256(
             np.ascontiguousarray(engine.to_coefficients()).tobytes()
         ).hexdigest(),
+        "block_norms": hashlib.sha256(
+            np.array(list(engine._block_norms.values())).tobytes()
+        ).hexdigest(),
     }
+
+
+def observe_live(engine) -> dict:
+    """:func:`observe`, plus the data norm only the live store holds."""
+    return {**observe(engine), "data_norm": engine.store.data_norm.hex()}
 
 
 def record_history(seed) -> list:
     """One observation per epoch, taken while that epoch was live."""
     engine = history_engine(seed)
     inserter = BatchInserter(engine)
-    epochs = [observe(engine)]
+    epochs = [observe_live(engine)]
     for points, weights in history_batches(seed):
         inserter.insert_batch(points, weights)
-        epochs.append(observe(engine))
+        epochs.append(observe_live(engine))
     engine.store.close()
     return epochs
 
@@ -380,31 +396,31 @@ class TestBitwiseHistory:
         recorded = json.loads(FIXTURE.read_text())[str(self.SEED)]
         engine = history_engine(self.SEED)
         inserter = BatchInserter(engine)
-        assert observe(engine) == recorded[0]
+        assert observe_live(engine) == recorded[0]
         for epoch, (points, weights) in enumerate(
             history_batches(self.SEED), start=1
         ):
             inserter.insert_batch(points, weights)
             assert engine.epoch == epoch
-            assert observe(engine) == recorded[epoch]
+            assert observe_live(engine) == recorded[epoch]
         # Every past epoch, reconstructed from pre-images.
         for epoch, expected in enumerate(recorded):
+            expected = {k: v for k, v in expected.items() if k != "data_norm"}
             assert observe(engine.as_of_view(epoch)) == expected
         engine.store.close()
 
     def test_bits_do_not_depend_on_the_interpreters_sum(self, monkeypatch):
         # Builtin ``sum`` over floats is compensated from CPython 3.12
-        # on; nothing the fixture pins may reduce through it.
-        import repro.query.batch
-        import repro.query.explain
-        import repro.query.propolyne
-        import repro.storage.blockstore
-
-        for module in (
-            repro.query.propolyne, repro.query.batch,
-            repro.query.explain, repro.storage.blockstore,
-        ):
-            monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
+        # on; nothing the fixture pins may reduce through it, in any
+        # module of the packages on the query, insert and populate paths.
+        for package in (repro.query, repro.storage, repro.wavelets):
+            for info in pkgutil.iter_modules(
+                package.__path__, f"{package.__name__}."
+            ):
+                monkeypatch.setattr(
+                    importlib.import_module(info.name), "sum",
+                    neumaier_sum, raising=False,
+                )
         self.test_live_and_as_of_epochs_match_the_parent_commit()
 
     def test_replay_of_the_same_batches_is_deterministic(self):

@@ -15,7 +15,10 @@ plan's decision history, and compares them with
 ``block_codes_parent.json``.  That file was recorded by running this
 file as a script against the commit before block addresses became
 integer codes (``PYTHONPATH=<parent>/src python
-tests/test_storage_block_codes.py``); only ever point it at a parent
+tests/test_storage_block_codes.py``), and re-recorded by this file's
+``__main__`` once more, on the tree where every float reduction moved
+into ``repro.core.reduce`` (only float bits changed; every count, tally
+and fault history held).  Otherwise only ever point it at a parent
 checkout.
 """
 

@@ -1,13 +1,16 @@
 """Bitwise history of the lazy wavelet transform.
 
-``np.dot`` operand order sets the last bits of every answer, so the
-transform's contract is the exact ``(indices, values)`` pair *in the
-order it is emitted*: bands finest to coarsest, then the final
-approximation.  ``lazy_transform_parent.json`` holds one sha256 per
-(filter, measure, n, levels) over every ``(lo, hi)`` of the domain; it
-was recorded by running this file as a script against the commit before
-the cascade was rewritten
-(``PYTHONPATH=<parent>/src python tests/test_wavelets_lazy_digest.py``).
+Operand order sets the last bits of every answer, so the transform's
+contract is the exact ``(indices, values)`` pair *in the order it is
+emitted*: bands finest to coarsest, then the final approximation.
+``lazy_transform_parent.json`` holds one sha256 per (filter, measure,
+n, levels) over every ``(lo, hi)`` of the domain; it was recorded by
+running this file as a script against the commit before the cascade was
+rewritten (``PYTHONPATH=<parent>/src python
+tests/test_wavelets_lazy_digest.py``), and re-recorded by this file's
+``__main__`` once more, on the tree where every float reduction moved
+into ``repro.core.reduce`` (values changed in the last bits; indices
+and order did not).
 """
 
 import hashlib

@@ -55,6 +55,25 @@ class TestTensorTransform:
             tensor_waverec(coeffs, "haar", levels=(2, 1)), cube, atol=1e-10
         )
 
+    @pytest.mark.parametrize("wavelet", ["db2", "db4"])
+    def test_every_line_keeps_the_bits_of_its_own_transform(self, wavelet):
+        # An axis is transformed all lines at once; each line's bits are
+        # the 1-D transform's of that line alone (db4's eight taps take
+        # the pairwise path, db2's four the sequential one).
+        from repro.wavelets.dwt import wavedec
+
+        cube = RNG.normal(size=(16, 32, 8))
+        levels = (1, 2, 0)
+        want = cube
+        for axis, depth in enumerate(levels):
+            if depth:
+                want = np.apply_along_axis(
+                    lambda v, d=depth: wavedec(v, wavelet, levels=d).to_flat(),
+                    axis, want,
+                )
+        got = tensor_wavedec(cube, wavelet, levels=levels)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
     def test_levels_mismatch_rejected(self):
         with pytest.raises(TransformError):
             tensor_wavedec(RNG.normal(size=(8, 8)), "haar", levels=(1,))
