@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import QueryError
+from repro.core.reduce import dot
 from repro.query.propolyne import pad_to_pow2
 from repro.query.rangesum import RangeSumQuery
 from repro.wavelets.dwt import max_levels
@@ -142,7 +143,7 @@ class PacketBasisEngine:
             return 0.0
         result = self._coeffs
         for vector in reversed(self._query_vectors(query)):
-            result = np.tensordot(result, vector, axes=([-1], [0]))
+            result = dot(result, vector)
         return float(result)
 
     def query_sparsity(

@@ -188,6 +188,13 @@ class TestWaveletBlockStore:
         assert store.data_norm == pytest.approx(float(expected))
         assert store.data_norm != pytest.approx(old_norm)
 
+    def test_rewriting_a_value_keeps_every_norm_bitwise(self):
+        flat, store = self._store()
+        norms, data_norm = dict(store.block_norms), store.data_norm
+        store.update(10, flat[10])
+        assert store.block_norms == norms
+        assert store.data_norm == data_norm
+
     def test_update_bounds_checked(self):
         __, store = self._store()
         with pytest.raises(StorageError):
