@@ -96,6 +96,8 @@ def test_a4_pool_and_locality(emit, benchmark):
     # Under random placement the same pool gains far less — a query
     # touches more distinct blocks than the pool holds, so all it saves
     # are the hits a group read serves before its own misses evict
-    # them.  Locality must be *created* by the allocation (§3.2.1).
+    # them, and the blocks holding error-tree roots, which each group
+    # makes most recent last.  Locality must be *created* by the
+    # allocation (§3.2.1).
     assert reads[("random", True)] <= reads[("random", False)]
     assert reads[("tiling", True)] < reads[("random", True)] / 5

@@ -30,11 +30,26 @@ def dot(a, b):
 
 def segmented_dot(a, b, offsets) -> np.ndarray:
     """:func:`dot` of every CSR segment ``offsets[i]:offsets[i + 1]`` of
-    ``a`` and ``b`` — :func:`dot` is its one-segment case."""
+    ``a`` and ``b`` — :func:`dot` is its one-segment case.
+
+    Segments of one length ``L`` are gathered into one C-ordered
+    ``(k, L)`` array and reduced along its last axis at once: each row
+    is contiguous, so each sum is bitwise its segment's own ``dot``.
+    """
     products = np.multiply(a, b)
-    return np.array([
-        np.add.reduce(products[lo:hi]) for lo, hi in zip(offsets, offsets[1:])
-    ], dtype=float)
+    starts = np.asarray(offsets, dtype=np.intp)
+    lengths = np.diff(starts)
+    out = np.zeros(lengths.size)
+    # Segments sorted by length; ``bounds`` cut the runs of one length.
+    order = np.argsort(lengths, kind="stable")
+    bounds = np.flatnonzero(
+        np.diff(lengths[order], prepend=-1, append=-1)
+    ).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = order[lo:hi]
+        gather = starts[rows, None] + np.arange(lengths[rows[0]])
+        out[rows] = np.add.reduce(products[gather], axis=-1)
+    return out
 
 
 def total(x):

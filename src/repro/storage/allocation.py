@@ -167,6 +167,17 @@ class Allocation(_Packing):
         """Block ids lie in ``[0, n_codes)``."""
         return len(self.block_counts)
 
+    @cached_property
+    def block_depth(self) -> np.ndarray:
+        """``block_depth[b]``: error-tree depth of block ``b``'s
+        shallowest member, ``floor(lg i)`` for coefficient ``i`` (nodes 0
+        and 1 at depth 0) — what the block cache reads to keep root-ward
+        blocks, which every query's paths share, most recent."""
+        node_depth = np.maximum(np.frexp(np.arange(self.n))[1] - 1, 0)
+        depth = np.full(self.n_codes, node_depth.max(initial=0), dtype=np.intp)
+        np.minimum.at(depth, self.block_of, node_depth)
+        return depth
+
     def block_len(self, codes) -> np.ndarray:
         """Member count of each block."""
         return self.block_counts[codes]
@@ -471,6 +482,15 @@ class TensorAllocation(_Packing):
         """Member count of each block code (product of the per-axis
         virtual-block member counts)."""
         return self._tables[2][codes]
+
+    @cached_property
+    def block_depth(self) -> np.ndarray:
+        """Depth of each block code: the per-axis virtual blocks'
+        :attr:`Allocation.block_depth` summed over the block grid."""
+        depth = np.zeros(1, dtype=np.intp)
+        for axis in self.axes:
+            depth = np.add.outer(depth, axis.block_depth).ravel()
+        return depth
 
     def block_tuple(self, code: int) -> tuple[int, ...]:
         """The block-id tuple of one code (its per-axis virtual blocks),

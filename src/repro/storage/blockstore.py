@@ -52,9 +52,10 @@ class _StoreBase:
         self.spec = spec
         allocation = self.allocation
         # Placement is tabled once per store: no block ever changes shard.
+        # The depth table orders every cache's recency by the error tree.
         self._built = spec.build(block_size, placement_table(
             allocation.n_codes, spec.shards, allocation.block_tuple,
-        ) if spec.shards > 1 else None)
+        ) if spec.shards > 1 else None, allocation.block_depth)
         self.device = self._built.device
         #: The breaker template from the spec (unsharded stacks use it
         #: directly); per-shard breakers live in :attr:`breakers`.

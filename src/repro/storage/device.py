@@ -8,9 +8,11 @@ around the store rather than the device.  This module re-expresses all
 of it as one small interface — :class:`BlockDevice` — plus stackable
 middleware implementing it:
 
-* :class:`CachingDevice` — LRU block cache; write-through invalidation
-  is an *internal* invariant (writes enter through the cache), so the
-  old weak-ref side channel on the disk is gone;
+* :class:`CachingDevice` — LRU block cache that makes each group most
+  recent deepest-first in the error tree, so the root-ward blocks every
+  range query shares are evicted last; write-through invalidation is an
+  *internal* invariant (writes enter through the cache), so the old
+  weak-ref side channel on the disk is gone;
 * :class:`CrcFramedDevice` — frames payloads through the CRC block
   codec (``MAGIC | CRC32 | body``) so at-rest corruption surfaces as a
   typed :class:`~repro.core.errors.CorruptedBlockError`;
@@ -223,6 +225,18 @@ class CachingDevice(DeviceLayer):
     payloads (with their lengths), handed to every reader as the one
     shared instance — a cached read copies nothing, hit or miss.
 
+    Recency follows the error tree (§3.2.1): range queries read
+    root-to-leaf paths, so a block near the root is shared by every
+    query.  Given a ``depth`` table (block code → error-tree depth, the
+    allocation's ``block_depth``), a group's blocks become most recent
+    *deepest first*, ties in request order — at lookup for the hits, and
+    once more for the whole group after its misses are published — so a
+    group larger than the cache evicts its own deep blocks before the
+    root-ward ones, and later groups evict this group's root-ward blocks
+    last.  Without a table the hits are bumped in request order and the
+    misses land after them (plain LRU).  Eviction always takes the least
+    recent block.
+
     Thread safety: one lock guards the LRU map, :class:`PoolStats` and
     the invalidation generation; the lock is *not* held across the
     inner read a group's misses perform.  That opens a window — a
@@ -232,7 +246,7 @@ class CachingDevice(DeviceLayer):
     its misses if no invalidation happened since its read began.
     """
 
-    def __init__(self, inner, capacity: int) -> None:
+    def __init__(self, inner, capacity: int, depth=None) -> None:
         if capacity <= 0:
             raise StorageError(
                 f"cache capacity must be positive, got {capacity}"
@@ -245,9 +259,18 @@ class CachingDevice(DeviceLayer):
         self._lock = watched_lock("storage.caching")
         # Bumped by every invalidate()/clear(); see the class docstring.
         self._gen = 0
+        self._depth = None if depth is None else np.asarray(depth)
 
     def _occupancy(self) -> float:
         return len(self._cache) / self.capacity
+
+    def _touch(self, codes: list) -> None:
+        """Make the cached ones of ``codes`` most recent, in order
+        (caller holds the lock)."""
+        cache = self._cache
+        for code in codes:
+            if code in cache:
+                cache.move_to_end(code)
 
     def read_many(self, codes) -> BlockGroup:
         """Cached fetch of a group: the hits, then *one* inner read for
@@ -255,22 +278,28 @@ class CachingDevice(DeviceLayer):
 
         Hits are served (and made most-recent) before any miss is
         published, so a group never evicts a block it is itself about
-        to return.  A failed inner read publishes nothing and counts no
-        miss.  The hits come back first, in request order, then the
-        inner read's group.
+        to return; with a depth table the published group is bumped
+        once more, deepest first.  A failed inner read publishes nothing
+        and counts no miss.  The hits come back first, in request
+        order, then the inner read's group.
         """
         codes = np.asarray(codes, dtype=np.intp)
+        ids = codes.tolist()
+        # The order the group becomes most recent in (class docstring).
+        recency = ids if self._depth is None else codes[
+            np.argsort(-self._depth[codes], kind="stable")
+        ].tolist()
         found: list[tuple] = []  # (code, payload, length) of each hit
         miss_at: list[int] = []
         with self._lock:
             cache = self._cache
-            for at, code in enumerate(codes.tolist()):
+            for at, code in enumerate(ids):
                 entry = cache.get(code)
                 if entry is None:
                     miss_at.append(at)
                 else:
-                    cache.move_to_end(code)
                     found.append((code, *entry))
+            self._touch(recency)
             hits = len(found)
             self.pool_stats.hits += hits
             gen = self._gen
@@ -293,6 +322,8 @@ class CachingDevice(DeviceLayer):
                     missed.codes.tolist(), missed.payloads, missed.lens.tolist()
                 ):
                     cache.setdefault(code, entry)
+                if self._depth is not None:
+                    self._touch(recency)
                 while len(self._cache) > self.capacity:
                     self._cache.popitem(last=False)
                     evicted += 1
@@ -684,7 +715,7 @@ class StorageSpec:
         return _derive_plan(self.fault_plan, shard + self.shards * member)
 
     def _member(self, built: BuiltStorage, block_size: int,
-                shard: int, member: int):
+                shard: int, member: int, depth):
         """One (shard, member) sub-stack, leaf upward; returns it and
         its breaker (or None).
 
@@ -715,7 +746,9 @@ class StorageSpec:
             device = CrcFramedDevice(device)
         if self.cache_blocks:
             per_shard = -(-self.cache_blocks // self.shards)  # ceil
-            device = CachingDevice(device, capacity=max(1, per_shard))
+            device = CachingDevice(
+                device, capacity=max(1, per_shard), depth=depth
+            )
             built.caches.append(device)
         if self.retry_policy is not None or breaker is not None:
             device = ResilientDevice(device, self.retry_policy, breaker)
@@ -723,15 +756,17 @@ class StorageSpec:
                 built.breakers.append(breaker)
         return device, breaker
 
-    def build(self, block_size: int, placement=None) -> BuiltStorage:
+    def build(self, block_size: int, placement=None, depth=None) -> BuiltStorage:
         """Build the device stack for a given leaf block size; a sharded
         stack splits by the store's ``placement`` table
-        (:func:`~repro.storage.sharding.placement_table`)."""
+        (:func:`~repro.storage.sharding.placement_table`), and every
+        cache orders recency by the store's ``depth`` table (the
+        allocation's ``block_depth``; see :class:`CachingDevice`)."""
         built = BuiltStorage(self)
         shards = []
         for shard in range(self.shards):
             members = [
-                self._member(built, block_size, shard, member)
+                self._member(built, block_size, shard, member, depth)
                 for member in range(self.replicas + 1)
             ]
             device = members[0][0]

@@ -17,6 +17,8 @@ import subprocess
 import sys
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.reduce import dot, segmented_dot, total
 from repro.query.batch import BatchEvaluator
@@ -32,6 +34,10 @@ KERNELS = (
      "AVX512_CNL,AVX512_ICL,AVX512_SPR,AVX2,FMA3"},
 )
 
+SEGMENT_LENGTHS = st.one_of(
+    st.just(0), st.just(1), st.integers(2, 20), st.integers(129, 400)
+)
+
 
 class TestReduce:
     def test_each_segment_is_the_dot_of_that_segment(self):
@@ -42,6 +48,31 @@ class TestReduce:
             dot(a[lo:hi], b[lo:hi]) for lo, hi in zip(offsets, offsets[1:])
         ]
         assert segmented_dot(a, b, [0, 300]).tolist() == [dot(a, b)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lengths=st.lists(SEGMENT_LENGTHS, max_size=24),
+        repeated=st.tuples(SEGMENT_LENGTHS, st.integers(0, 40)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_segments_match_the_per_segment_reference(
+        self, lengths, repeated, seed
+    ):
+        # Empty segments, length 1, lengths past numpy's 128-element
+        # pairwise block, and many segments of one length, shuffled.
+        length, count = repeated
+        rng = np.random.default_rng(seed)
+        lengths = rng.permutation(lengths + [length] * count).astype(np.intp)
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        a, b = rng.normal(size=(2, offsets[-1])) * 10.0 ** rng.integers(
+            -8, 8, (2, offsets[-1])
+        )
+        products = a * b
+        want = np.array([
+            np.add.reduce(products[lo:hi])
+            for lo, hi in zip(offsets, offsets[1:])
+        ], dtype=float)
+        assert segmented_dot(a, b, offsets).tobytes() == want.tobytes()
 
     def test_a_stacked_dot_is_the_dot_of_each_row(self):
         windows = RNG.normal(size=(50, 4, 9))
