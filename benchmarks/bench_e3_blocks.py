@@ -86,7 +86,13 @@ def test_e3_tiling_meets_bound(emit, benchmark):
             assert cells["tiling"] >= cells[baseline] - 1e-9, (
                 f"tiling lost to {baseline} at B={block}/{workload}"
             )
-    # On point queries tiling sits near lg(B+1) — the ceiling's shape.
+    # On point queries every path's J + 1 items lie in ceil(J/h) tiles
+    # of height h = lg(B+1) — the partial one is the root tile, which
+    # node 0 joins — plus node 0's own block when h divides J (each B
+    # here is 2**h - 1, so a full root tile has no free slot).
+    levels = N.bit_length() - 1
     for block in BLOCK_SIZES:
+        height = int(math.log2(block + 1))
+        blocks = -(-levels // height) + (levels % height == 0)
         got = measures[(block, "point")]["tiling"]
-        assert got >= 0.55 * math.log2(block + 1)
+        assert got == pytest.approx((levels + 1) / blocks)

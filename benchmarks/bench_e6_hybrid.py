@@ -25,6 +25,10 @@ N_TUPLES = 20_000
 
 @pytest.fixture(scope="module")
 def relation():
+    return make_relation()
+
+
+def make_relation():
     rng = np.random.default_rng(6)
     sensor = rng.integers(0, SHAPE[0], size=N_TUPLES)
     time_attr = rng.integers(0, SHAPE[1], size=N_TUPLES)

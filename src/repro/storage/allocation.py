@@ -12,6 +12,9 @@ blocks".
 This module implements that tiling plus the baselines it must beat, and
 the paper's success metric: for blocks of size B, the expected number of
 needed items per retrieved block, with theoretical ceiling ``1 + lg B``.
+The tiling is cut from the leaves up, so the one tile that cannot be a
+full-height subtree is the root tile every query reads anyway, never a
+band of near-empty blocks at the leaves.
 """
 
 from __future__ import annotations
@@ -276,19 +279,24 @@ def depth_first_allocation(n: int, block_size: int) -> Allocation:
 def subtree_tiling_allocation(n: int, block_size: int) -> Allocation:
     """The paper's optimal tiling: perfect subtrees of height ``lg(B+1)``.
 
-    The detail tree (nodes >= 1) is cut into perfect subtrees of height
-    ``h = floor(lg(B + 1))``, each holding ``2**h - 1 <= B`` coefficients.
-    A root-to-leaf path of length ``lg n`` then takes exactly ``h`` items
-    from every block it touches — meeting the ``1 + lg B`` ceiling — and
-    any two leaves sharing a path prefix share the corresponding blocks.
+    The detail tree (nodes >= 1, ``J = lg n`` levels) is cut from the
+    leaves up into perfect subtrees of height ``h = floor(lg(B + 1))``,
+    each holding ``2**h - 1 <= B`` coefficients.  When ``h`` does not
+    divide ``J`` the one partial band, of height ``J mod h``, is the
+    root tile, which every query reads anyway.  A root-to-leaf path then
+    takes ``h`` items from every tile it touches but the root tile —
+    ``ceil(J / h)`` tiles in all — and any two leaves sharing a path
+    prefix share the corresponding blocks.
 
-    The scaling coefficient (node 0) rides in the top tile when it has a
-    free slot, else in its own block.
+    The scaling coefficient (node 0) rides in the root tile when it has
+    a free slot (always, when the root tile is partial), else in a block
+    of its own, which every path then reads too.
     """
     _check(n, block_size)
     height = int(math.floor(math.log2(block_size + 1)))
     if height < 1:
         raise StorageError(f"block size {block_size} too small for tiling")
+    offset = (int(n).bit_length() - 1) % height  # partial root tile's height
 
     block_of = np.empty(n, dtype=int)
     tile_ids: dict[int, int] = {}
@@ -297,7 +305,7 @@ def subtree_tiling_allocation(n: int, block_size: int) -> Allocation:
     def tile_root_of(node: int) -> int:
         """Ancestor of ``node`` at the nearest tile-top depth."""
         depth = node.bit_length() - 1  # depth of detail node (node >= 1)
-        up = depth % height
+        up = depth if depth < offset else (depth - offset) % height
         return node >> up
 
     for node in range(1, n):

@@ -3,14 +3,24 @@
 A table under ``benchmarks/results/`` is what EXPERIMENTS.md cites; the
 benchmark that writes it runs outside tier-1, so a change that moves a
 count could leave the committed table, and the doc citing it, stale.
-Each test here re-runs one ablation's deterministic counts and compares
+Each test here re-runs one experiment's deterministic cells and compares
 them with its committed table.
 """
 
 import importlib
 from pathlib import Path
 
+import pytest
+
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+@pytest.fixture()
+def bench(monkeypatch):
+    """``bench(name)``: one benchmark module (they import their helpers
+    as ``from _util import ...``)."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    return importlib.import_module
 
 
 def committed_rows(experiment_id: str) -> list[list[str]]:
@@ -19,12 +29,30 @@ def committed_rows(experiment_id: str) -> list[list[str]]:
     return [line.split() for line in text.splitlines()[2:]]
 
 
-def test_a4_device_reads_match_the_committed_table(monkeypatch):
-    # The bench files import their helpers as ``from _util import ...``.
-    monkeypatch.syspath_prepend(str(BENCHMARKS))
-    bench = importlib.import_module("bench_a4_bufferpool")
-    reads, _ = bench.run_ablation()
+def cells(rows) -> list[list[str]]:
+    """A benchmark's table rows as the committed table splits them."""
+    return [" ".join(map(str, row)).split() for row in rows]
+
+
+def test_a4_device_reads_match_the_committed_table(bench):
+    reads, _ = bench("bench_a4_bufferpool").run_ablation()
     assert reads == {
         (allocation, pool == "yes"): int(count)
         for allocation, pool, count in committed_rows("A4_bufferpool_locality")
     }
+
+
+def test_a2_block_reads_match_the_committed_table(bench):
+    _, rows = bench("bench_a2_block_size").run_sweep()
+    assert cells(rows) == committed_rows("A2_block_size_sweep")
+
+
+def test_e3_utilization_matches_the_committed_table(bench):
+    _, rows = bench("bench_e3_blocks").run_study()
+    assert cells(rows) == committed_rows("E3_block_utilization")
+
+
+def test_e6_plan_costs_match_the_committed_table(bench):
+    module = bench("bench_e6_hybrid")
+    _, rows = module.run_comparison(module.make_relation())
+    assert cells(rows) == committed_rows("E6_hybrid_vs_pure")

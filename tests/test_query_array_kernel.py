@@ -385,18 +385,28 @@ class TestOneGatherUnderEveryView:
 
     def test_fetch_block_is_a_batch_of_one_on_every_view(self, versioned):
         # One scalar entry point, defined once: the very payload object
-        # the view's own bulk read hands back, pre-image or live.
+        # the view's own bulk read hands back, pre-image or live.  An
+        # as-of view serves a block from its pre-image when a later
+        # epoch touched it, else from the live store; every block is
+        # checked on every view, and the views' epochs cover both.
         log = versioned.epoch_log
         ids = versioned.store.device.block_ids()
-        touched = next(b for b in ids if log.preimage_as_of(b, 0) is not None)
-        untouched = next(b for b in ids if log.preimage_as_of(b, 0) is None)
+        now = versioned.epoch
+        as_of = {
+            1: versioned.as_of_view(1).store,
+            0: shared_scan_view(versioned).as_of_view(0).store,
+            now: versioned.as_of_view(now).store,
+        }
+        served_live = {
+            log.preimage_as_of(b, epoch) is None for b in ids for epoch in as_of
+        }
+        assert served_live == {True, False}
         for view in (
             versioned.store,
             shared_scan_view(versioned).store,
-            versioned.as_of_view(1).store,
-            shared_scan_view(versioned).as_of_view(0).store,
+            *as_of.values(),
         ):
-            for code in (touched, untouched):
+            for code in ids:
                 assert view.fetch_block(code) is (
                     view.fetch_blocks([code])[code]
                 )

@@ -131,26 +131,31 @@ class TestCoalescedIO:
             *(engine.query_located(query) for query in OVERLAPPING)
         ))
         # A block whose only entry squares to zero is still a block to
-        # read: presence comes from the codes, not from the energy.
-        lone = np.setdiff1d(np.arange(allocation.n_codes), codes)[:1]
-        assert lone.size
-        codes = np.append(codes, lone)
-        values = np.append(values, 1e-200)
-        uniq, inverse = np.unique(codes, return_inverse=True)
-        energy = np.sqrt(np.bincount(inverse, weights=values * values))
+        # read: presence comes from the codes, not from the energy.  The
+        # batch may read every block of the grid, so one of its blocks
+        # is made lone: its entries are dropped, one of 1e-200 stands in.
+        lone = int(codes[-1])
+        keep = codes != lone
+        lone_codes = np.append(codes[keep], lone)
+        lone_values = np.append(values[keep], 1e-200)
+        uniq, inverse = np.unique(lone_codes, return_inverse=True)
+        energy = np.sqrt(
+            np.bincount(inverse, weights=lone_values * lone_values)
+        )
+        assert energy[uniq == lone] == 0.0
         norms = [engine._block_norms.get(b, 0.0) for b in uniq.tolist()]
         best = np.argsort(-(energy * np.array(norms)), kind="stable")
         schedule = schedule_blocks(
-            values, codes, allocation, engine._block_norms
+            lone_values, lone_codes, allocation, engine._block_norms
         )
         assert schedule.codes.tolist() == uniq[best].tolist()
         # The norm table is keyed by code, every block of the grid.
         assert set(engine._block_norms) == set(range(allocation.n_codes))
-        assert lone[0] in schedule.codes
+        assert lone in schedule.codes
         # ... and it is the schedule the evaluator fetches by.
         assert evaluator._schedule(OVERLAPPING)[-1].codes.tolist() == (
             schedule_blocks(
-                values[:-1], codes[:-1], allocation, engine._block_norms
+                values, codes, allocation, engine._block_norms
             ).codes.tolist()
         )
 

@@ -25,6 +25,29 @@ from tests._blocks import block_of
 
 
 RNG = np.random.default_rng(31)
+BLOCK_SIZES = (3, 7, 15, 31, 63)
+
+
+def tile_height(block: int) -> int:
+    return int(math.floor(math.log2(block + 1)))
+
+
+def node_depth(nodes: np.ndarray) -> np.ndarray:
+    """Error-tree depth of detail nodes (>= 1)."""
+    return np.frexp(nodes)[1] - 1
+
+
+def root_tile_height(levels: int, block: int) -> int:
+    """The tiling is cut from the leaves up: the one partial tile, of
+    height ``J mod h``, is the root tile."""
+    return levels % tile_height(block) or tile_height(block)
+
+
+def point_path_blocks(levels: int, block: int) -> int:
+    """Blocks a point query's path reads: ``ceil(J / h)`` tiles, plus
+    node 0's own block when the root tile has no free slot for it."""
+    no_room = 2 ** root_tile_height(levels, block) - 1 >= block
+    return -(-levels // tile_height(block)) + no_room
 
 
 class TestStrategies:
@@ -72,15 +95,72 @@ class TestStrategies:
             assert len(roots) == 1, f"block {block_id} is not one subtree"
 
     def test_tiling_path_cost(self):
-        """A root-to-leaf path in a height-h tiling touches ceil(J/h)+eps
-        blocks with h items each."""
+        """A root-to-leaf path in a height-h tiling touches ceil(J/h)
+        blocks with h items each, plus node 0's block."""
         n, block = 2**12, 7  # h = 3, J = 12
         alloc = subtree_tiling_allocation(n, block)
         for leaf in (0, 17, n - 1, n // 2):
             path = set(leaf_path(leaf, n))
             blocks = alloc.blocks_for(path)
-            # 12 detail levels / 3 per tile = 4 tiles, +1 possible for root.
-            assert len(blocks) <= 5
+            # 12 detail levels / 3 per tile = 4 full tiles; the root
+            # tile is full too, so node 0 has a block of its own.
+            assert len(blocks) == 5
+
+
+class TestLeavesUpTiling:
+    """The tiling of an error tree of ``J = lg n`` levels, pinned for
+    every ``J <= 14`` at each of E3's block sizes."""
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_every_tile_is_a_perfect_subtree(self, block):
+        for levels in range(1, 15):
+            alloc = subtree_tiling_allocation(2**levels, block)
+            nodes = np.arange(1, alloc.n)
+            tile = alloc.block_of[1:]
+            top = np.full(alloc.n_codes, alloc.n)
+            np.minimum.at(top, tile, nodes)
+            below = node_depth(nodes) - node_depth(top[tile])
+            # Every member descends from its tile's top ...
+            assert (nodes >> below == top[tile]).all()
+            height = np.zeros(alloc.n_codes, dtype=int)
+            np.maximum.at(height, tile, below + 1)
+            # ... and its tile holds all 2**height - 1 nodes down there.
+            tiles = np.unique(tile)
+            counts = np.bincount(tile, minlength=alloc.n_codes)
+            assert (counts[tiles] == 2 ** height[tiles] - 1).all()
+            # Height h everywhere but the root tile.
+            want = np.full(alloc.n_codes, tile_height(block))
+            want[alloc.block_of[1]] = root_tile_height(levels, block)
+            assert (height[tiles] == want[tiles]).all(), levels
+            # Node 0 joins the root tile when it has room.
+            if 2 ** root_tile_height(levels, block) - 1 < block:
+                assert alloc.block_of[0] == alloc.block_of[1]
+            else:
+                assert alloc.block_counts[alloc.block_of[0]] == 1
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_a_point_path_reads_ceil_j_over_h_blocks(self, block):
+        for levels in range(1, 15):
+            n = 2**levels
+            alloc = subtree_tiling_allocation(n, block)
+            for leaf in range(0, n, max(1, n // 64)):
+                blocks = alloc.blocks_for(leaf_path(leaf, n))
+                assert len(blocks) == point_path_blocks(levels, block)
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_unchanged_from_the_root_down_cut_when_h_divides_j(self, block):
+        h = tile_height(block)
+        for levels in range(h, 15, h):
+            n = 2**levels
+            nodes = np.arange(1, n)
+            # Tiles topped at depths 0, h, 2h, ...; ids in node order.
+            _, tile = np.unique(
+                nodes >> (node_depth(nodes) % h), return_inverse=True
+            )
+            node0 = 0 if np.count_nonzero(tile == 0) < block else tile.max() + 1
+            assert subtree_tiling_allocation(n, block).block_of.tolist() == (
+                [node0] + tile.tolist()
+            )
 
 
 class TestUtilization:
@@ -96,9 +176,8 @@ class TestUtilization:
         workload = point_query_workload(n, np.random.default_rng(1), count=100)
         measured = measure_utilization(alloc, workload)
         assert measured <= utilization_bound(block) + 1e-9
-        # And within the tiling's boundary losses of lg(B+1) (partial
-        # bottom tiles when the tile height does not divide the depth).
-        assert measured >= 0.6 * math.log2(block + 1)
+        # Exactly: every path's J + 1 items over the blocks it reads.
+        assert measured == pytest.approx(13 / point_path_blocks(12, block))
 
     def test_tiling_beats_baselines_on_point_queries(self):
         n, block = 2**12, 7

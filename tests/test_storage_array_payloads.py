@@ -19,7 +19,12 @@ values in row-major key order; keys are implicit in the allocation
   (``PYTHONPATH=<parent>/src python tests/test_storage_array_payloads.py``),
   and re-recorded by this file's ``__main__`` once more, on the tree
   where every float reduction moved into ``repro.core.reduce`` (only
-  float bits and digests changed).
+  float bits and digests changed).  It was re-recorded a third time
+  when the error-tree tiling began cutting its tiles from the leaves
+  up: the exact answers and the coefficient digests kept their bits;
+  the progressive steps (one per block), the block-norm digest (one
+  norm per block) and the data norm read off those norms (its last
+  ulp) moved with the blocks.
 """
 
 import hashlib

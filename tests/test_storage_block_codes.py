@@ -28,6 +28,16 @@ making each group most recent deepest-first in the error tree: a
 group's root-ward blocks now outlive its deep ones, so those stacks'
 cache hits went up and their leaf reads down, while their answers, the
 other five stacks and every fault history stayed byte-identical.
+
+All eight stacks were re-recorded once more when the error-tree tiling
+began cutting its tiles from the leaves up (the one partial tile is now
+the root tile, so this 16×16×8 cube at ``block_size=3`` sits in fewer,
+fuller blocks).  Every exact, batch, service and as-of answer kept its
+bits.  What is counted per block moved: leaf reads and writes, cache
+hits and misses, the fault plans' draws (one per block read, so under
+``crc_faults`` a different handful of queries meets an unabsorbed
+fault, and each answer that comes back still has its old bits), the
+progressive steps and the degradable bounds and block counts.
 """
 
 import hashlib

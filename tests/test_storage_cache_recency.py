@@ -38,15 +38,17 @@ def cached(capacity, depth=DEPTH, disk_cls=SimulatedDisk):
 
 class TestBlockDepth:
     def test_subtree_tiling_depths_are_pinned(self):
-        # Height-3 tiles: the root tile (nodes 1-7), one tile under each
-        # of nodes 8-15, then (n = 128) one single-node tile per node at
-        # depth 6; node 0 fills no free slot of the root tile, so it
-        # gets the last block.
+        # Height-3 tiles cut from the leaves up.  n = 64 (six levels):
+        # the root tile (nodes 1-7), one tile under each of nodes 8-15;
+        # node 0 finds no free slot in the root tile, so it gets the
+        # last block.  n = 128 (seven levels): a one-level root tile
+        # (node 1, joined by node 0), one tile under each of nodes 2-3,
+        # then one under each of nodes 16-31.
         assert subtree_tiling_allocation(64, 7).block_depth.tolist() == (
             [0] + [3] * 8 + [0]
         )
         assert subtree_tiling_allocation(128, 7).block_depth.tolist() == (
-            [0] + [3] * 8 + [6] * 64 + [0]
+            [0] + [1] * 2 + [4] * 16
         )
 
     def test_a_block_takes_its_shallowest_members_depth(self):
@@ -64,8 +66,8 @@ class TestBlockDepth:
         allocation = TensorAllocation(axes=axes)
         want = np.add.outer(*(a.block_depth for a in axes)).ravel()
         assert allocation.block_depth.tolist() == want.tolist()
-        assert len(want) == allocation.n_codes
-        for code in (0, 9, 80, 737):
+        assert len(want) == allocation.n_codes == 10 * 19
+        for code in (0, 9, 80, 189):
             virtual = allocation.block_tuple(code)
             assert allocation.block_depth[code] == sum(
                 a.block_depth[v] for a, v in zip(axes, virtual)

@@ -358,15 +358,34 @@ class TestShardedQueriesAreBitwiseEqual:
 
 
 class TestPerShardDegradation:
-    def make_stormy(self, fault_shards=(1,), recovery_timeout_s=60.0):
-        rng = np.random.default_rng(7)
-        cube = rng.poisson(3.0, (32, 32)).astype(float)
+    QUERY = RangeSumQuery.count([(2, 28), (3, 29)])
+
+    @staticmethod
+    def cube():
+        return np.random.default_rng(7).poisson(3.0, (32, 32)).astype(float)
+
+    def dead_shard(self):
+        """The shard owning the most of the query's blocks, under the
+        stormy engine's four-shard placement: it must own some of them
+        (or nothing degrades) and not all (or no survivor answers)."""
+        engine = ProPolyneEngine(
+            self.cube(), max_degree=1, block_size=7,
+            storage=StorageSpec(shards=4),
+        )
+        codes = engine.store.allocation.distinct(
+            engine.query_located(self.QUERY)[1]
+        )
+        owned = np.bincount(engine.store.shard_of(codes), minlength=4)
+        assert 0 < owned.max() < codes.size
+        return int(owned.argmax())
+
+    def make_stormy(self, dead, recovery_timeout_s=60.0):
         return ProPolyneEngine(
-            cube, max_degree=1, block_size=7,
+            self.cube(), max_degree=1, block_size=7,
             storage=StorageSpec(
                 shards=4,
                 fault_plan=FaultPlan(seed=3, read_error_rate=1.0),
-                fault_shards=fault_shards,
+                fault_shards=(dead,),
                 retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.0,
                                          budget_s=0.0),
                 breaker=CircuitBreaker(failure_threshold=1,
@@ -375,41 +394,35 @@ class TestPerShardDegradation:
         )
 
     def test_one_dead_shard_trips_only_its_breaker(self):
-        engine = self.make_stormy()
-        query = RangeSumQuery.count([(2, 28), (3, 29)])
-        truth = None
-        outcome = engine.evaluate_degradable(query)
+        dead = self.dead_shard()
+        engine = self.make_stormy(dead)
+        outcome = engine.evaluate_degradable(self.QUERY)
         assert outcome.degraded is True
         assert outcome.reason == "storage_unavailable"
         assert outcome.blocks_skipped > 0
         assert outcome.blocks_read > 0  # survivors answered
         states = [b.state for b in engine.store.breakers]
-        assert states[1] == "open"
-        assert all(s == "closed" for i, s in enumerate(states) if i != 1)
+        assert states[dead] == "open"
+        assert all(s == "closed" for i, s in enumerate(states) if i != dead)
         # The survivors' answer stays inside the guaranteed bound.
-        clean = ProPolyneEngine(
-            np.random.default_rng(7).poisson(3.0, (32, 32)).astype(float),
-            max_degree=1, block_size=7,
-        )
-        truth = clean.evaluate_exact(query)
+        clean = ProPolyneEngine(self.cube(), max_degree=1, block_size=7)
+        truth = clean.evaluate_exact(self.QUERY)
         assert abs(outcome.value - truth) <= outcome.error_bound + 1e-9
 
     def test_no_unhandled_exceptions_across_repeated_queries(self):
-        engine = self.make_stormy()
-        query = RangeSumQuery.count([(2, 28), (3, 29)])
+        engine = self.make_stormy(self.dead_shard())
         for _ in range(5):
-            outcome = engine.evaluate_degradable(query)
+            outcome = engine.evaluate_degradable(self.QUERY)
             assert outcome.degraded is True
 
     def test_healing_restores_exact_answers(self):
         import time
 
-        engine = self.make_stormy(recovery_timeout_s=0.01)
-        query = RangeSumQuery.count([(2, 28), (3, 29)])
-        assert engine.evaluate_degradable(query).degraded is True
+        engine = self.make_stormy(self.dead_shard(), recovery_timeout_s=0.01)
+        assert engine.evaluate_degradable(self.QUERY).degraded is True
         engine.store.set_injecting(False)
         time.sleep(0.02)  # past the recovery timeout: probes allowed
-        healed = engine.evaluate_degradable(query)
+        healed = engine.evaluate_degradable(self.QUERY)
         assert healed.degraded is False
         assert healed.blocks_skipped == 0
 
