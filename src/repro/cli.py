@@ -680,9 +680,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-query deadline in seconds (default none)")
     chaos.add_argument("--shards", type=int, default=1,
                        help="storage shards for the drill (default 1)")
-    chaos.add_argument("--cache-blocks", type=int, default=32,
+    # Under the drill cube's 27 blocks, so reads keep reaching the
+    # fault-injecting layer below the cache.
+    chaos.add_argument("--cache-blocks", type=int, default=8,
                        dest="cache_blocks",
-                       help="block-cache capacity (default 32)")
+                       help="block-cache capacity (default 8)")
 
     cluster = sub.add_parser(
         "cluster",

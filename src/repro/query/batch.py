@@ -16,21 +16,19 @@ saves over evaluating each query independently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from repro.core.errors import QueryError, StorageUnavailable
-from repro.core.reduce import dot, segmented_dot, total
+from repro.core.errors import QueryError
+from repro.core.reduce import segmented_dot
 from repro.obs import DEFAULT_COUNT_BUCKETS
 from repro.obs import counter as obs_counter
 from repro.obs import histogram as obs_histogram
 from repro.obs import span
-from repro.query.propolyne import ProPolyneEngine, QueryOutcome
+from repro.query.propolyne import ProPolyneEngine, QueryOutcome, _Fold
 from repro.query.rangesum import RangeSumQuery
-from repro.storage.disk import BlockGroup
 from repro.storage.scheduler import schedule_blocks
 
 __all__ = ["BatchEstimate", "BatchEvaluator", "GroupByResult", "group_by"]
@@ -220,67 +218,21 @@ class BatchEvaluator:
         whose read raises
         :class:`~repro.core.errors.StorageUnavailable` is skipped and
         its Cauchy–Schwarz mass stays in the error bound of *every
-        query touching it*.  Queries untouched by skipped blocks are
-        answered through the same vectorized kernel as
-        :meth:`evaluate_exact` — bitwise-identical to the engine's
-        exact path.
+        query touching it*.  A query untouched by skipped blocks gets
+        its exact answer, bitwise the engine's; a batch of one is
+        :meth:`~repro.query.propolyne.ProPolyneEngine.evaluate_degradable`
+        bit for bit.
 
         Returns:
             One :class:`~repro.query.propolyne.QueryOutcome` per query.
         """
         with span("query.batch.degradable"):
-            codes, slots, values, offsets, schedule = self._schedule(queries)
-            self._count_batch(queries, schedule)
-            store = self._engine.store
-            allocation = store.allocation
-            groups = []
-            for code in schedule.codes.tolist():
-                try:
-                    groups.append(store.read_many([code]))
-                except StorageUnavailable:
-                    pass
-            group = BlockGroup.join(groups)
-            read = np.isin(schedule.codes, group.codes)
-            buffer, base = allocation.pack(group)
-            pos = base[codes] + slots
-            available = read[schedule.ranks]
-            touched, norms = schedule.per_query(offsets)
-            sizes = allocation.block_len(schedule.codes).tolist()
-            outcomes = []
-            for qi in range(len(queries)):
-                lost = np.flatnonzero(touched[qi] & ~read).tolist()
-                n_read = int(np.count_nonzero(touched[qi])) - len(lost)
-                mine = slice(int(offsets[qi]), int(offsets[qi + 1]))
-                if not lost:
-                    value = float(dot(values[mine], buffer[pos[mine]]))
-                    outcomes.append(
-                        QueryOutcome(value, False, 0.0, 0.0, n_read, None)
-                    )
-                    continue
-                # Partial answer over surviving blocks, plus the skipped
-                # blocks' guaranteed bound and one-sigma forecast.
-                kept = available[mine]
-                estimate = float(
-                    dot(values[mine][kept], buffer[pos[mine][kept]])
-                )
-                bound = 0.0
-                variance = 0.0
-                for b in lost:
-                    mass = float(norms[qi, b] * schedule.data_norms[b])
-                    bound += mass
-                    variance += mass**2 / sizes[b]
-                obs_counter("query.batch.degraded").inc()
-                outcomes.append(
-                    QueryOutcome(
-                        value=estimate,
-                        degraded=True,
-                        error_bound=bound,
-                        error_estimate=min(math.sqrt(variance), bound),
-                        blocks_read=n_read,
-                        reason="storage_unavailable",
-                        blocks_skipped=len(lost),
-                    )
-                )
+            fold = _Fold(self._engine.store, *self._schedule(queries))
+            self._count_batch(queries, fold.schedule)
+            outcomes = fold.degrade()
+            degraded = sum(outcome.degraded for outcome in outcomes)
+            if degraded:
+                obs_counter("query.batch.degraded").inc(degraded)
             return outcomes
 
     def evaluate_progressive(
@@ -305,35 +257,23 @@ class BatchEvaluator:
             raise QueryError(
                 f"unknown batch objective {objective!r}; use 'l2' or 'max'"
             )
-        codes, slots, values, offsets, schedule = self._schedule(queries)
-        if not len(schedule):
-            return
-        owner = np.repeat(np.arange(len(queries)), np.diff(offsets))
-        # Each query's own bound mass on each block, in fetch order.
-        masses = schedule.per_query(offsets)[1] * schedule.data_norms
-        remaining = total(masses)
-        totals = np.zeros(len(queries))
-        pending = np.ones(len(schedule), dtype=bool)
-        for step in range(len(schedule)):
+        fold = _Fold(self._engine.store, *self._schedule(queries))
+        for step in range(len(fold.schedule)):
             at = step
             if objective == "max":
                 # Serve the worst-bounded query first: fetch the unread
                 # block carrying its largest bound mass (the schedule's
                 # next block when it has none left).
-                worst = int(np.argmax(remaining))
-                at = int(np.argmax(np.where(pending, masses[worst], -1.0)))
-            pending[at] = False
-            entries = schedule.entries(at)
-            found = self._engine.store.block_values(
-                int(schedule.codes[at]), slots[entries]
-            )
-            # Unbuffered, in entry order: each query's running total adds
-            # its products left to right.
-            np.add.at(totals, owner[entries], values[entries] * found)
-            remaining = remaining - masses[:, at]
+                worst = int(np.argmax(fold.bound))
+                at = int(np.argmax(
+                    np.where(fold.status, -1.0, fold.masses[worst])
+                ))
+            fold.fetch(at)
+            fold.advance()
+            states = [fold.state(q) for q in range(len(queries))]
             yield BatchEstimate(
-                estimates=tuple(totals.tolist()),
-                error_bounds=tuple(np.maximum(0.0, remaining).tolist()),
+                estimates=tuple(state.estimate for state in states),
+                error_bounds=tuple(state.error_bound for state in states),
                 blocks_read=step + 1,
             )
 

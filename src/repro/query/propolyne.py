@@ -45,7 +45,7 @@ from repro.storage.allocation import (
     subtree_tiling_allocation,
 )
 from repro.storage.blockstore import TensorBlockStore
-from repro.storage.scheduler import schedule_blocks
+from repro.storage.disk import BlockGroup
 from repro.wavelets.dwt import max_levels
 from repro.wavelets.filters import get_filter
 from repro.wavelets.lazy import cached_range_query_transform
@@ -259,6 +259,148 @@ class QueryOutcome:
     provenance: object | None = None
 
 
+class _Fold:
+    """The one progressive fold (§3.3.1) over a CSR-stacked located batch.
+
+    Query ``i`` owns entries ``offsets[i]:offsets[i + 1]``; ``schedule``
+    is the batch's :class:`~repro.storage.scheduler.BlockSchedule`.
+    :meth:`fetch` reads one scheduled block (a group of one, so each
+    read fails on its own); :meth:`advance` folds the blocks read since
+    its last call, in the order read, into per-query running vectors.
+    ``estimate`` adds the :func:`~repro.core.reduce.dot` of the query's
+    entries on the block; ``bound`` starts at ``total(masses)`` and
+    ``variance`` (the forecast's) at ``total(mass² / size)``, and each
+    read block's mass and term come off them in turn; ``reads`` and
+    ``used`` count blocks and coefficients.  The engine's progressive
+    and degradable evaluations are batches of one; the batch
+    evaluator's only choose which block comes next.
+    """
+
+    def __init__(self, store, codes, slots, values, offsets, schedule):
+        self.store, self.schedule = store, schedule
+        self.codes, self.slots, self.values = codes, slots, values
+        self.offsets = offsets
+        #: ``(n_queries, n_blocks)``: each query's entries and bound mass
+        #: on each block.
+        self.counts, norms = schedule.per_query(offsets)
+        self.masses = norms * schedule.data_norms
+        self._terms = self.masses * self.masses / store.allocation.block_len(
+            schedule.codes
+        )
+        n_queries = len(offsets) - 1
+        self.estimate = [0.0] * n_queries
+        self.bound = total(self.masses).tolist()
+        self.variance = total(self._terms).tolist()
+        self.reads, self.used = [0] * n_queries, [0] * n_queries
+        # Each (block, query) cell's entry count, mass and term, at
+        # ``block * n_queries + query``: a block's entries are stacked
+        # query by query, so its cells' counts cut them into runs.
+        self._cells = [
+            cells.T.ravel().tolist()
+            for cells in (self.counts, self.masses, self._terms)
+        ]
+        #: Per block: 0 not fetched, 1 read, 2 read failed.
+        self.status = np.zeros(len(schedule), dtype=np.int8)
+        self._read: list = []  # (position, group), in the order read
+        self._codes = schedule.codes.tolist()
+        self._folded = 0
+
+    def fetch(self, at: int, skip_unavailable: bool = False) -> None:
+        """Read the ``at``-th scheduled block; with ``skip_unavailable``,
+        a :class:`~repro.core.errors.StorageUnavailable` read marks it
+        failed, and its mass stays in every bound that has it."""
+        try:
+            self._read.append((at, self.store.read_many([self._codes[at]])))
+        except StorageUnavailable:
+            if not skip_unavailable:
+                raise
+            self.status[at] = 2
+        else:
+            self.status[at] = 1
+
+    def advance(self) -> None:
+        """Fold the blocks read since the last call, in the order read."""
+        run = self._read[self._folded:]
+        if not run:
+            return
+        self._folded = len(self._read)
+        counts, masses, terms = self._cells
+        estimate, bound, variance = self.estimate, self.bound, self.variance
+        n_queries = len(estimate)
+        for at, group in run:
+            entries = self.schedule.entries(at)
+            # ``pack`` checks the payload's length against the block's.
+            found = self.store.allocation.pack(group)[0][self.slots[entries]]
+            lo, cell = 0, at * n_queries
+            for q in range(n_queries):
+                count = counts[cell + q]
+                if count:
+                    hi = lo + count
+                    estimate[q] += float(
+                        dot(self.values[entries[lo:hi]], found[lo:hi])
+                    )
+                    bound[q] -= masses[cell + q]
+                    variance[q] -= terms[cell + q]
+                    self.reads[q] += 1
+                    self.used[q] += count
+                    lo = hi
+
+    def state(self, q: int = 0) -> ProgressiveEstimate:
+        """Query ``q``'s running state, its bound clamped at zero."""
+        bound = max(0.0, self.bound[q])
+        # The forecast can never legitimately exceed the hard guarantee;
+        # clamping also absorbs accumulator float dust.
+        forecast = min(math.sqrt(max(0.0, self.variance[q])), bound)
+        return ProgressiveEstimate(
+            self.estimate[q], bound, forecast, self.reads[q], self.used[q]
+        )
+
+    def degrade(
+        self, deadline_s=None, clock=time.monotonic
+    ) -> list[QueryOutcome]:
+        """Fetch the blocks in schedule order, skipping unavailable ones,
+        until ``deadline_s`` has elapsed (checked between reads).  A
+        query whose blocks all arrived gets the ``dot`` of the operands
+        :meth:`ProPolyneEngine.evaluate_exact` reduces, so the same
+        bits; any other, its folded state, degraded by ``"deadline"`` if
+        a block it needs was never fetched, else by
+        ``"storage_unavailable"``."""
+        started = clock()
+        for at in range(len(self.schedule)):
+            if deadline_s is not None and clock() - started >= deadline_s:
+                break
+            self.fetch(at, skip_unavailable=True)
+        touched = self.counts > 0
+        lost = np.count_nonzero(touched & (self.status != 1), axis=1)
+        skipped = np.count_nonzero(touched & (self.status == 2), axis=1)
+        if lost.any():
+            self.advance()
+        buffer, base = self.store.allocation.pack(
+            BlockGroup.join([group for _, group in self._read])
+        )
+        # Entries on blocks that never arrived point anywhere in the
+        # buffer: only the queries that lost nothing are gathered.
+        pos = base[self.codes] + self.slots
+        cuts = self.offsets.tolist()
+        outcomes = []
+        for q, n_touched in enumerate(np.count_nonzero(touched, axis=1)):
+            if not lost[q]:
+                mine = slice(cuts[q], cuts[q + 1])
+                value = float(dot(self.values[mine], buffer[pos[mine]]))
+                outcomes.append(
+                    QueryOutcome(value, False, 0.0, 0.0, int(n_touched))
+                )
+                continue
+            state = self.state(q)
+            reason = "deadline" if lost[q] > skipped[q] else "storage_unavailable"
+            outcomes.append(QueryOutcome(
+                state.estimate, True, state.error_bound,
+                state.error_estimate, state.blocks_read, reason,
+                int(skipped[q]),
+            ))
+        return outcomes
+
+
 class ProPolyneEngine:
     """A populated ProPolyne data cube.
 
@@ -462,90 +604,19 @@ class ProPolyneEngine:
             # the block set, so the engine need not recompute it.
             return float(dot(values, self.store.gather_located(codes, slots)))
 
-    def _progressive_steps(
-        self, values, codes, slots, skip_unavailable: bool = False,
-    ) -> Iterator[tuple]:
-        """The progressive evaluation loop over one located translation
-        (:meth:`query_located`), one step per scheduled block.
+    def _fold(self, query: RangeSumQuery) -> _Fold:
+        """``query`` as a batch of one — the batch evaluator's stack and
+        schedule — counted as a progressive query unless its translation
+        is empty."""
+        from repro.query.batch import BatchEvaluator
 
-        Yields ``(estimate, entries, found, remaining)`` tuples —
-        ``entries`` indexes the block's coefficients in translation
-        order and ``found`` is their stored values; the first yield is
-        a zero-I/O priming step (``entries``/``found`` ``None``)
-        carrying the total a-priori error bound, and ``remaining``
-        counts the blocks still unprocessed after the step.  Both
-        :meth:`evaluate_progressive` (which drops the priming step and
-        the values) and :meth:`evaluate_degradable` (which needs the
-        values for the exact final sum and the priming bound for
-        zero-block degradation) consume this generator, so the two
-        paths can never drift apart numerically.
-
-        With ``skip_unavailable`` True, a block whose read raises
-        :class:`~repro.core.errors.StorageUnavailable` is *skipped*
-        instead of aborting the loop: its Cauchy–Schwarz mass stays in
-        the running error bound, the step yields ``found`` ``None``
-        (with ``entries`` set) as the skip marker, and evaluation
-        continues — on a sharded device this is exactly per-shard
-        degradation, since only the failed shard's blocks skip.
-        """
-        # Most valuable I/O first: a block's worth is the error-bound mass
-        # it removes, ||q_block|| * ||data_block|| — query importance alone
-        # would chase boundary details that the (smooth) data never stored
-        # any energy in.
-        schedule = schedule_blocks(
-            values, codes, self.store.allocation, self._block_norms
-        )
-        masses = schedule.masses.tolist()
-        # Forecast variance: unseen block's contribution modeled as
-        # ||q_B||^2 * ||d_B||^2 / |B| (energy spread evenly, random signs).
-        variances = [
-            mass**2 / size for mass, size in zip(
-                masses, self.store.allocation.block_len(schedule.codes).tolist()
-            )
-        ]
-        remaining_bound = schedule.bound
-        remaining_variance = float(total(variances))
-        estimate = 0.0
-        used = 0
-        reads = 0
-
-        def state() -> ProgressiveEstimate:
-            bound = max(0.0, remaining_bound)
-            return ProgressiveEstimate(
-                estimate=estimate,
-                error_bound=bound,
-                # The forecast can never legitimately exceed the hard
-                # guarantee; clamping also absorbs accumulator float dust.
-                error_estimate=min(
-                    math.sqrt(max(0.0, remaining_variance)), bound
-                ),
-                blocks_read=reads,
-                coefficients_used=used,
-            )
-
-        obs_counter("query.progressive.queries").inc()
-        obs_histogram(
-            "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
-        ).observe(len(schedule))
-        yield state(), None, None, len(schedule)
-        for step, code in enumerate(schedule.codes.tolist()):
-            obs_counter("query.progressive.blocks").inc()
-            entries = schedule.entries(step)
-            try:
-                found = self.store.block_values(code, slots[entries])
-            except StorageUnavailable:
-                if not skip_unavailable:
-                    raise
-                # Skip marker: the block's bound mass stays in the
-                # running totals, since its contribution is unknown.
-                found = None
-            if found is not None:
-                estimate += float(dot(values[entries], found))
-                used += len(entries)
-                reads += 1
-                remaining_bound -= masses[step]
-                remaining_variance -= variances[step]
-            yield state(), entries, found, len(schedule) - step - 1
+        fold = _Fold(self.store, *BatchEvaluator(self)._schedule([query]))
+        if len(fold.schedule):
+            obs_counter("query.progressive.queries").inc()
+            obs_histogram(
+                "query.blocks_per_query", DEFAULT_COUNT_BUCKETS
+            ).observe(len(fold.schedule))
+        return fold
 
     def evaluate_progressive(
         self, query: RangeSumQuery
@@ -557,14 +628,15 @@ class ProPolyneEngine:
         Cauchy–Schwarz ceiling for everything not yet fetched — a
         guarantee, not a heuristic.
         """
-        located = self.query_located(query)
-        if not len(located[0]):
-            yield ProgressiveEstimate(0.0, 0.0, 0.0, 0, 0)
-            return
-        steps = self._progressive_steps(*located)
-        next(steps)  # the zero-I/O priming step is not an estimate
-        for est, _entries, _found, _remaining in steps:
-            yield est
+        fold = self._fold(query)
+        if not len(fold.schedule):
+            yield fold.state()  # an empty range: exactly 0
+        blocks = obs_counter("query.progressive.blocks")
+        for at in range(len(fold.schedule)):
+            blocks.inc()
+            fold.fetch(at)
+            fold.advance()
+            yield fold.state()
 
     def evaluate_degradable(
         self,
@@ -613,63 +685,15 @@ class ProPolyneEngine:
             return self.as_of_view(as_of).evaluate_degradable(
                 query, deadline_s=deadline_s, clock=clock,
             )
-        values, codes, slots = self.query_located(query)
-        if not len(values):
-            return QueryOutcome(0.0, False, 0.0, 0.0, 0, None)
-        started = clock()
-        steps = self._progressive_steps(
-            values, codes, slots, skip_unavailable=True
-        )
-        stored = np.empty(len(values))
-        last: ProgressiveEstimate | None = None
-        reason: str | None = None
-        skipped = 0
-        while True:
-            try:
-                est, entries, found, remaining = next(steps)
-            except StopIteration:
-                break
-            except StorageUnavailable:
-                # Defensive: per-block faults are skipped inside the
-                # generator; this catches failures outside a fetch.
-                reason = "storage_unavailable"
-                break
-            last = est
-            if entries is not None:
-                if found is None:
-                    skipped += 1
-                else:
-                    stored[entries] = found
-            if (
-                reason is None
-                and deadline_s is not None
-                and remaining > 0
-                and clock() - started >= deadline_s
-            ):
-                reason = "deadline"
-                break
-        if reason is None and skipped:
-            reason = "storage_unavailable"
-        if reason is None:
-            # The operands evaluate_exact reduces: the same bits.
-            value = float(dot(values, stored))
-            return QueryOutcome(
-                value, False, 0.0, 0.0,
-                last.blocks_read if last is not None else 0, None,
-            )
-        # The priming step precedes any I/O, so a storage fault or
-        # deadline can only fire with ``last`` populated.
-        obs_counter("query.degraded").inc()
-        obs_counter(f"query.degraded.{reason}").inc()
-        return QueryOutcome(
-            value=last.estimate,
-            degraded=True,
-            error_bound=last.error_bound,
-            error_estimate=last.error_estimate,
-            blocks_read=last.blocks_read,
-            reason=reason,
-            blocks_skipped=skipped,
-        )
+        fold = self._fold(query)
+        (outcome,) = fold.degrade(deadline_s, clock)
+        fetched = int(np.count_nonzero(fold.status))
+        if fetched:
+            obs_counter("query.progressive.blocks").inc(fetched)
+        if outcome.degraded:
+            obs_counter("query.degraded").inc()
+            obs_counter(f"query.degraded.{outcome.reason}").inc()
+        return outcome
 
     def to_coefficients(self) -> np.ndarray:
         """Dense coefficient cube read back from the block store.

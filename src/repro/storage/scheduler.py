@@ -65,7 +65,10 @@ class BlockSchedule:
         return rank[self.entry_codes]
 
     @cached_property
-    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, offsets)``: entry indices sorted by fetch position,
+        translation order kept within a block, and where each block's
+        run of them starts."""
         offsets = np.zeros(len(self) + 1, dtype=np.intp)
         np.cumsum(np.bincount(self.ranks, minlength=len(self)), out=offsets[1:])
         return np.argsort(self.ranks, kind="stable"), offsets
@@ -73,7 +76,7 @@ class BlockSchedule:
     def entries(self, position: int) -> np.ndarray:
         """Indices of the entries on the ``position``-th block, in
         translation order."""
-        order, offsets = self._segments
+        order, offsets = self.segments
         return order[offsets[position]:offsets[position + 1]]
 
     def per_query(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,10 +86,11 @@ class BlockSchedule:
             offsets: Query ``i`` owns entries ``offsets[i]:offsets[i + 1]``.
 
         Returns:
-            ``(touched, norms)``, both ``(n_queries, n_blocks)`` in
-            fetch order: whether query ``i`` has an entry on the block
-            (a count, not ``norm > 0`` — a square can underflow), and
-            its own ``||q_B||`` there.
+            ``(counts, norms)``, both ``(n_queries, n_blocks)`` in
+            fetch order: how many entries query ``i`` has on the block
+            (it touches the block when that is positive, not when
+            ``norm > 0`` — a square can underflow), and its own
+            ``||q_B||`` there.
         """
         shape = (len(offsets) - 1, len(self))
         size = shape[0] * shape[1]
@@ -95,7 +99,7 @@ class BlockSchedule:
         )
         squares = self.values * self.values
         return (
-            np.bincount(cell, minlength=size).reshape(shape) > 0,
+            np.bincount(cell, minlength=size).reshape(shape),
             np.sqrt(
                 np.bincount(cell, weights=squares, minlength=size)
             ).reshape(shape),

@@ -23,10 +23,14 @@ def bench(monkeypatch):
     return importlib.import_module
 
 
-def committed_rows(experiment_id: str) -> list[list[str]]:
-    """The cells of a committed table, below its header and rule."""
+def committed_rows(experiment_id: str, table: int = 0) -> list[list[str]]:
+    """The cells of a committed table below its header and rule; a file
+    holding several tables separates them by blank lines, and any
+    caption sits above the header."""
     text = (BENCHMARKS / "results" / f"{experiment_id}.txt").read_text()
-    return [line.split() for line in text.splitlines()[2:]]
+    lines = text.split("\n\n")[table].splitlines()
+    rule = next(i for i, line in enumerate(lines) if line.strip().startswith("-"))
+    return [line.split() for line in lines[rule + 1:]]
 
 
 def cells(rows) -> list[list[str]]:
@@ -56,3 +60,17 @@ def test_e6_plan_costs_match_the_committed_table(bench):
     module = bench("bench_e6_hybrid")
     _, rows = module.run_comparison(module.make_relation())
     assert cells(rows) == committed_rows("E6_hybrid_vs_pure")
+
+
+def test_a9_objective_bounds_match_the_committed_table(bench):
+    # Both objectives' batch progressive bounds, step by step.
+    _, rows = bench("bench_a9_batch_objective").run_study()
+    assert cells(rows) == committed_rows("A9_batch_objective")
+
+
+def test_e12_shared_io_and_convergence_match_the_committed_table(bench):
+    # Shared against independent block counts, then the batch
+    # progressive bounds' convergence.
+    _, rows, convergence = bench("bench_e12_batch").run_study()
+    assert cells(rows) == committed_rows("E12_batch_shared_io")
+    assert cells(convergence) == committed_rows("E12_batch_shared_io", 1)

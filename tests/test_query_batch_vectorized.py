@@ -16,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.errors import QueryError, StorageError
+from repro.core.errors import QueryError, StorageError, StorageUnavailable
 from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
 from repro.query.batch import BatchEvaluator, group_by
 from repro.query.propolyne import ProPolyneEngine
@@ -205,6 +205,73 @@ class TestDegradedBatch:
             assert outcome.degraded is False
             assert outcome.error_bound == 0.0
             assert outcome.value == engine.evaluate_exact(query)
+
+
+def progressive_bits(steps) -> list:
+    """Each step's ``(estimate, bound)`` bits, then the name of the
+    error that ended the evaluation, if one did."""
+    bits = []
+    try:
+        for estimate, bound in steps:
+            bits.append((estimate.hex(), bound.hex()))
+    except StorageUnavailable as exc:
+        bits.append(type(exc).__name__)
+    return bits
+
+
+def outcome_fields(outcome) -> tuple:
+    return (
+        outcome.value.hex(), outcome.error_bound.hex(),
+        outcome.error_estimate.hex(), outcome.blocks_read,
+        outcome.blocks_skipped, outcome.reason,
+    )
+
+
+class TestBatchOfOneIsTheEngine:
+    """The engine's progressive and degradable evaluations are batches of
+    one through the batch evaluator's fold: step for step and field for
+    field the same bits, on healthy and on faulty storage."""
+
+    QUERIES = OVERLAPPING + DRILL_DOWN + [
+        RangeSumQuery.weighted([(3, 29), (4, 30)], {0: 1}),
+    ]
+
+    @staticmethod
+    def build(cube, stack):
+        if stack == "dead_shard":
+            return TestDegradedBatch().make_stormy(cube)
+        storage = None
+        if stack == "fault_plan":
+            storage = StorageSpec(
+                shards=2, crc=True,
+                fault_plan=FaultPlan(
+                    seed=11, read_error_rate=0.2, torn_rate=0.1
+                ),
+                retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.0),
+            )
+        return ProPolyneEngine(cube, max_degree=1, block_size=7, storage=storage)
+
+    @pytest.mark.parametrize("stack", ["healthy", "dead_shard", "fault_plan"])
+    def test_a_batch_of_one_is_the_engine_bit_for_bit(self, cube, stack):
+        # Two identical stacks driven through the same reads in the same
+        # order, so their fault draws and breaker states stay in step.
+        engine, twin = self.build(cube, stack), self.build(cube, stack)
+        batch = BatchEvaluator(twin)
+        degraded = 0
+        for query in self.QUERIES:
+            assert progressive_bits(
+                (s.estimates[0], s.error_bounds[0])
+                for s in batch.evaluate_progressive([query])
+            ) == progressive_bits(
+                (s.estimate, s.error_bound)
+                for s in engine.evaluate_progressive(query)
+            )
+            (outcome,) = batch.evaluate_degradable([query])
+            assert outcome_fields(outcome) == outcome_fields(
+                engine.evaluate_degradable(query)
+            )
+            degraded += outcome.degraded
+        assert (degraded > 0) == (stack != "healthy")
 
 
 class TestServiceBatch:

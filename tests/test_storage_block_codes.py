@@ -38,6 +38,15 @@ hits and misses, the fault plans' draws (one per block read, so under
 ``crc_faults`` a different handful of queries meets an unabsorbed
 fault, and each answer that comes back still has its old bits), the
 progressive steps and the degradable bounds and block counts.
+
+Seven ``batch_progressive`` digests were re-recorded once more when the
+batch evaluator began folding its progressive steps through the
+engine's fold: a query's running estimate now adds the ``dot`` of its
+entries on each block, where it had added their products one entry at
+a time, so the estimates' last bits moved.  The bounds, every
+``io_state`` and every other phase stayed byte-identical, and so did
+``crc_faults``, whose batch progressive phase ends in
+``StorageUnavailable`` either way.
 """
 
 import hashlib

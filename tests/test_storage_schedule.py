@@ -157,8 +157,8 @@ class TestAgainstThePerKeyReference:
             allocation, homes, np.array(keys), values, norms
         )
         by_id = dict.fromkeys(map(allocation.block_tuple, norms), 1.0)
-        touched, per_query = schedule.per_query(offsets)
-        assert touched.shape == per_query.shape == (
+        counts, per_query = schedule.per_query(offsets)
+        assert counts.shape == per_query.shape == (
             len(queries), len(schedule)
         )
         for qi in range(len(queries)):
@@ -166,7 +166,7 @@ class TestAgainstThePerKeyReference:
             _, members, q_norm = reference(homes[lo:hi], values[lo:hi], by_id)
             for position, code in enumerate(schedule.codes.tolist()):
                 block_id = allocation.block_tuple(code)
-                assert touched[qi, position] == (block_id in members)
+                assert counts[qi, position] == len(members.get(block_id, []))
                 assert float(per_query[qi, position]).hex() == (
                     q_norm.get(block_id, 0.0).hex()
                 )
@@ -185,8 +185,8 @@ class TestPresenceIsNotEnergy:
         ]
         assert schedule.query_norms.tolist() == [1.0, 0.0]
         assert schedule.entries(1).tolist() == [1]
-        touched, per_query = schedule.per_query(np.array([0, 1, 2]))
-        assert touched.tolist() == [[True, False], [False, True]]
+        counts, per_query = schedule.per_query(np.array([0, 1, 2]))
+        assert counts.tolist() == [[1, 0], [0, 1]]
         assert per_query.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
 
@@ -199,8 +199,8 @@ class TestEmptyTranslation:
         assert len(schedule) == 0
         assert schedule.codes.tolist() == []
         assert schedule.bound == 0.0
-        touched, per_query = schedule.per_query(np.array([0, 0, 0]))
-        assert touched.shape == per_query.shape == (2, 0)
+        counts, per_query = schedule.per_query(np.array([0, 0, 0]))
+        assert counts.shape == per_query.shape == (2, 0)
 
     def test_no_consumer_calls_the_device(self):
         cube = np.random.default_rng(5).poisson(3.0, (16, 16)).astype(float)

@@ -8,6 +8,7 @@ way CI does: the ``aims stats`` CLI report (text and JSON forms), the
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,12 @@ class TestChaosCommand:
         assert "chaos drill" in proc.stdout
         assert "breaker" in proc.stdout
         assert "5% read-fault rate" in proc.stdout
+        # The default cache is smaller than the drill's cube, so reads
+        # keep reaching the fault-injecting layer.
+        injected = re.search(
+            r"injected faults : (\d+) read, (\d+) torn, (\d+) slow", proc.stdout
+        )
+        assert sum(map(int, injected.groups())) > 10
 
     def test_chaos_fault_free_control_run(self):
         proc = _run("-m", "repro.cli", "chaos", "--fault-rate", "0")
