@@ -59,16 +59,6 @@ DRILL_DOWN = [
 
 
 class TestBitwiseEquivalence:
-    def test_overlapping_batch_bitwise_equal_to_sequential(self, engine):
-        values = BatchEvaluator(engine).evaluate_exact(OVERLAPPING)
-        for value, query in zip(values, OVERLAPPING):
-            assert value == engine.evaluate_exact(query)  # bitwise
-
-    def test_drill_down_batch_bitwise_equal_to_sequential(self, engine):
-        values = BatchEvaluator(engine).evaluate_exact(DRILL_DOWN)
-        for value, query in zip(values, DRILL_DOWN):
-            assert value == engine.evaluate_exact(query)
-
     def test_weighted_queries_bitwise_equal(self, engine):
         queries = [
             RangeSumQuery.weighted([(3, 29), (4, 30)], {0: 1}),
@@ -98,15 +88,6 @@ class TestBitwiseEquivalence:
         for (lo, hi), value in result.as_dict().items():
             cell = RangeSumQuery.count([(lo, hi), (4, 27)])
             assert value == engine.evaluate_exact(cell)
-
-    def test_sharded_batch_bitwise_equal(self, cube):
-        sharded = ProPolyneEngine(
-            cube, max_degree=1, block_size=7,
-            storage=StorageSpec(shards=4),
-        )
-        values = BatchEvaluator(sharded).evaluate_exact(OVERLAPPING)
-        for value, query in zip(values, OVERLAPPING):
-            assert value == sharded.evaluate_exact(query)
 
 
 class TestCoalescedIO:

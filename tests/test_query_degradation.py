@@ -48,16 +48,6 @@ def workload(n=12, seed=23):
 
 
 class TestBitwiseIdentity:
-    def test_degradable_equals_exact_without_faults(self):
-        engine = build_engine()
-        for query in workload():
-            outcome = engine.evaluate_degradable(query)
-            assert isinstance(outcome, QueryOutcome)
-            assert not outcome.degraded
-            assert outcome.reason is None
-            assert outcome.error_bound == 0.0
-            assert outcome.value == engine.evaluate_exact(query)  # bitwise
-
     def test_degradable_equals_exact_with_idle_resilience_stack(self):
         # Retry policy + breaker configured but no faults injected: the
         # resilient read path must not perturb the answer either.

@@ -348,14 +348,6 @@ class TestShardedQueriesAreBitwiseEqual:
             # the arithmetic, only where the blocks live.
             assert answers[1] == answers[2] == answers[4]
 
-    def test_progressive_converges_identically(self):
-        query = RangeSumQuery.count([(3, 29), (4, 30)])
-        finals = {}
-        for n in (1, 2, 4):
-            steps = list(self.make_engine(n).evaluate_progressive(query))
-            finals[n] = steps[-1].estimate
-        assert finals[1] == finals[2] == finals[4]
-
 
 class TestPerShardDegradation:
     QUERY = RangeSumQuery.count([(2, 28), (3, 29)])
