@@ -4,10 +4,11 @@ The third leg of the "heavy traffic" north star, next to observability
 (:mod:`repro.obs`) and concurrency (:mod:`repro.query.service`):
 controlled failure and bounded recovery.
 
-* :mod:`repro.faults.plan` — :class:`FaultPlan` (seeded deterministic
-  fault schedules) and :class:`FaultyDevice` (device-stack middleware
-  injecting read/write errors, CRC-detected torn blocks, and latency
-  spikes via the shared :class:`~repro.storage.latency.LatencyModel`);
+* :mod:`repro.faults.plan` — :class:`FaultPlan` (a seed and rates whose
+  every decision is keyed by block and read ordinal) and
+  :class:`FaultyDevice` (device-stack middleware injecting read/write
+  errors, CRC-detected torn blocks, and latency spikes slept through
+  :class:`~repro.storage.latency.LatencyModel`);
 * :mod:`repro.faults.retry` — :class:`RetryPolicy`, exponential backoff
   with jitter under a hard total-sleep budget;
 * :mod:`repro.faults.breaker` — :class:`CircuitBreaker`, fast failure

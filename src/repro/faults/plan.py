@@ -19,23 +19,24 @@ Three read-fault kinds are injected:
   without a CRC layer, array payloads are round-tripped through
   the codec here so corruption is still detected, never silently
   returned;
-* latency spikes — delegated to the plan's
-  :class:`~repro.storage.latency.LatencyModel` (the same mechanism the
-  leaf device's base seek time uses, so delay budgets can no longer be
-  configured twice in contradiction).
+* latency spikes — slept through a
+  :class:`~repro.storage.latency.LatencyModel` (the one sleep of the
+  storage stack, the mechanism the leaf's base seek time uses too).
 
-Determinism: every error/torn decision comes from one seeded RNG drawn
-in operation order under the plan's lock, so the same seed driving the
-same operation sequence replays the identical fault schedule — the
-property the replay test asserts via :attr:`FaultPlan.history`.  Spike
-draws replay independently from the latency model's own seeded RNG.
+Determinism: every decision is a pure function of ``(seed, stream,
+member, code, k)`` — the stream (read, spike or write), the replica
+member, the block code and ``k``, that block's own read (or write)
+ordinal on its faulty layer — hashed to a uniform by blake2b.  A block
+meets the same fate whatever was read before it, in whatever group, on
+however many shards, so a chaos failure replays and can be handed over;
+a retry is simply the block's next ``k``.
 """
 
 from __future__ import annotations
 
-import random
-from collections import deque
-from dataclasses import dataclass, field
+import hashlib
+import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +55,10 @@ __all__ = [
     "InjectedReadError",
     "InjectedWriteError",
 ]
+
+#: The three decision streams, the second field of every key.
+READ, SPIKE, WRITE = range(3)
+_KEY = struct.Struct("<5q")
 
 
 class InjectedFault(StorageError, OSError):
@@ -74,31 +79,28 @@ class InjectedWriteError(InjectedFault):
     """A write the fault plan decided should fail."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultPlan:
-    """A seeded, deterministic schedule of storage faults.
+    """A seed and the rates of a keyed, stateless fault schedule.
 
-    ``read_error_rate`` and ``torn_rate`` are per-operation
-    probabilities partitioning one uniform draw, so their sum must stay
-    within ``[0, 1]``.  Latency spikes live in the plan's
-    :attr:`latency` model (one :class:`~repro.storage.latency.LatencyModel`
-    owning both rate and duration) and draw from their own seeded
-    stream.  With every rate zero the plan never injects anything (the
-    control run, ``aims chaos --fault-rate 0``).
+    :meth:`uniform` maps a decision's key to ``[0, 1)``; a decision
+    fires when its uniform is below the stream's rate.
+    ``read_error_rate`` and ``torn_rate`` partition one read uniform, so
+    their sum must stay within ``[0, 1]``; spikes and writes have
+    streams of their own.  With every rate zero the plan never injects
+    anything (the control run, ``aims chaos --fault-rate 0``).
 
     Attributes:
-        seed: RNG seed; equal seeds replay equal schedules.
+        seed: Equal seeds make equal decisions.
         read_error_rate: Fraction of reads raising
             :class:`InjectedReadError`.
         torn_rate: Fraction of reads returning a corrupted payload
             (caught by the block codec's CRC).
         latency_spike_rate: Fraction of reads sleeping an extra
-            ``latency_spike_s`` (folded into :attr:`latency`).
+            ``latency_spike_s``.
         latency_spike_s: Spike duration (seconds).
         write_error_rate: Fraction of writes raising
             :class:`InjectedWriteError`.
-        latency: The consolidated spike model; built from the two spike
-            fields when not supplied.
     """
 
     seed: int = 0
@@ -107,11 +109,6 @@ class FaultPlan:
     latency_spike_rate: float = 0.0
     latency_spike_s: float = 0.005
     write_error_rate: float = 0.0
-    latency: LatencyModel | None = None
-    #: Recent (operation index, fault kind) decisions, newest last;
-    #: ``kind`` is ``None`` for clean operations.  Bounded, for the
-    #: replay test and post-mortem inspection.
-    history: deque = field(default_factory=lambda: deque(maxlen=4096))
 
     def __post_init__(self) -> None:
         for name in ("read_error_rate", "torn_rate", "latency_spike_rate",
@@ -127,53 +124,47 @@ class FaultPlan:
             raise StorageError(
                 f"latency_spike_s must be >= 0, got {self.latency_spike_s}"
             )
-        if self.latency is None:
-            self.latency = LatencyModel(
-                spike_rate=self.latency_spike_rate,
-                spike_s=self.latency_spike_s,
-                seed=self.seed,
-            )
-        self._lock = watched_lock("faults.plan")
-        self._rng = random.Random(self.seed)
-        self._ops = 0
 
-    def reset(self) -> None:
-        """Rewind to operation zero: the schedule replays from the top."""
-        with self._lock:
-            self._rng = random.Random(self.seed)
-            self._ops = 0
-            self.history.clear()
-        self.latency.reset()
+    def uniform(self, stream: int, member: int, code: int, k: int) -> float:
+        """The key's uniform in ``[0, 1)``: 53 bits of its blake2b."""
+        digest = hashlib.blake2b(
+            _KEY.pack(self.seed, stream, member, code, k), digest_size=8
+        ).digest()
+        return (int.from_bytes(digest, "little") >> 11) * 2.0 ** -53
 
-    def _record(self, kind: str | None) -> str | None:
-        self.history.append((self._ops, kind))
-        self._ops += 1
-        return kind
+    def read_fault(self, member: int, code: int, k: int) -> str | None:
+        """The ``k``-th read of ``code`` on replica ``member``:
+        ``"error"``, ``"torn"`` or ``None`` for a clean read."""
+        if self.read_error_rate + self.torn_rate == 0.0:
+            return None
+        u = self.uniform(READ, member, code, k)
+        if u < self.read_error_rate:
+            return "error"
+        if u < self.read_error_rate + self.torn_rate:
+            return "torn"
+        return None
 
-    def read_fault(self) -> str | None:
-        """Decide the next read's fate: ``"error"``/``"torn"`` or
-        ``None`` for a clean read (spikes are the latency model's call)."""
-        with self._lock:
-            u = self._rng.random()
-            if u < self.read_error_rate:
-                return self._record("error")
-            if u < self.read_error_rate + self.torn_rate:
-                return self._record("torn")
-            return self._record(None)
+    def spiked(self, member: int, code: int, k: int) -> bool:
+        """Whether that read also sleeps ``latency_spike_s``."""
+        return self.latency_spike_rate > 0.0 and (
+            self.uniform(SPIKE, member, code, k) < self.latency_spike_rate
+        )
 
-    def write_fault(self) -> bool:
-        """Decide whether the next write fails."""
-        with self._lock:
-            failed = self._rng.random() < self.write_error_rate
-            self._record("write_error" if failed else None)
-            return failed
+    def write_fault(self, member: int, code: int, k: int) -> bool:
+        """Whether the ``k``-th write of ``code`` on ``member`` fails."""
+        return self.write_error_rate > 0.0 and (
+            self.uniform(WRITE, member, code, k) < self.write_error_rate
+        )
 
 
-def _corrupt_frame(frame: bytes) -> bytes:
-    """One byte of a frame flipped, as a torn sector write would leave
-    it — past the 8-byte ``MAGIC | CRC32`` header so the damage lands in
-    the body and the checksum (not a magic-number check) catches it."""
-    torn = bytearray(frame)
+def _torn(block):
+    """``block`` with one byte flipped, as a torn sector write would
+    leave it — past the 8-byte ``MAGIC | CRC32`` header so the damage
+    lands in the body and the checksum (not a magic-number check)
+    catches it.  An array payload is framed, torn and decoded here."""
+    if not isinstance(block, bytes):
+        return decode_block(_torn(encode_block(block)))
+    torn = bytearray(block)
     torn[max(8, len(torn) // 2) % len(torn)] ^= 0xFF
     return bytes(torn)
 
@@ -183,79 +174,132 @@ class FaultyDevice(DeviceLayer):
 
     Drop-in: with ``plan`` ``None`` (or ``injecting`` False) every
     operation passes straight through, which is what keeps the no-fault
-    path of the resilience stack regression-clean.  Torn reads flip one
-    byte: on framed (bytes) payloads the corrupted frame is returned
-    for the CRC layer above to reject; on raw array payloads the
-    block is round-tripped through the codec here, so either way the
-    damage is *detected* (raising
+    path of the resilience stack regression-clean.  Otherwise a group's
+    members take their next read (or write) ordinals under one lock
+    acquisition, and the plan decides each member from its key outside
+    the lock — so concurrent reads still overlap, and a group meets
+    exactly the decisions its members would meet alone.
+
+    Torn reads flip one byte: on framed (bytes) payloads the corrupted
+    frame is returned for the CRC layer above to reject; on raw array
+    payloads the block is round-tripped through the codec here, so
+    either way the damage is *detected* (raising
     :class:`~repro.core.errors.CorruptedBlockError`), never silently
-    returned.  Fault decisions and spike sleeps happen outside any
-    device lock, preserving the leaf's overlap of concurrent reads.
+    returned.
+
+    Args:
+        inner: The device below; it hands a group back in the order
+            asked (a leaf does).
+        plan: The :class:`FaultPlan`, or ``None``.
+        member: Replica member index, the third field of every key, so
+            a replica does not fail together with its primary.
+        injecting: Master switch; stores flip it off while writing
+            their initial population (those writes model in-memory
+            construction, not live traffic) and back on afterwards.
     """
 
     def __init__(self, inner, plan: FaultPlan | None = None,
-                 injecting: bool = True) -> None:
+                 member: int = 0, injecting: bool = True) -> None:
         super().__init__(inner)
         self.plan = plan
-        #: Master switch: stores flip this off while writing their
-        #: initial population (those writes model in-memory
-        #: construction, not live traffic) and back on afterwards.
+        self.member = member
         self.injecting = injecting
+        #: Decisions that fired (errors, torn reads, failed writes).
+        self.fired = 0
+        # Per code: how many reads / writes were decided.
+        self._reads: dict[int, int] = {}
+        self._writes: dict[int, int] = {}
+        self._lock = watched_lock("faults.faulty")
 
-    def _active_plan(self) -> FaultPlan | None:
-        if self.plan is not None and self.injecting:
-            return self.plan
-        return None
+    def _ordinals(self, table: dict, ids: list) -> list:
+        """Each member's ordinal, taken (and advanced) under one lock."""
+        with self._lock:
+            ks = []
+            for code in ids:
+                k = table.get(code, 0)
+                table[code] = k + 1
+                ks.append(k)
+        return ks
+
+    def _fire(self, n: int) -> None:
+        if n:
+            with self._lock:
+                self.fired += n
 
     def write_many(self, codes, payloads: list) -> None:
-        """Bulk store with one seeded fault draw per member, in group
-        order around a group-of-one inner write — the identical
-        schedule N sequential writes would draw.  A drawn failure aborts
-        the group at that member; the caller retries the (idempotent)
-        group.  Not injecting, the group passes through whole.
-        """
-        plan = self._active_plan()
+        """Bulk store: every member decided, then one inner write — or,
+        when any member fails, an :class:`InjectedWriteError` before
+        anything is written (the caller retries the idempotent group)."""
+        plan = self.plan if self.injecting else None
         if plan is None:
             self.inner.write_many(codes, payloads)
             return
-        codes = np.asarray(codes, dtype=np.intp)
-        for at, items in enumerate(payloads):
-            if plan.write_fault():
-                obs_counter("faults.injected.write_errors").inc()
-                raise InjectedWriteError(
-                    f"injected write failure on block {codes[at]}"
-                )
-            self.inner.write_many(codes[at:at + 1], [items])
+        ids = np.asarray(codes, dtype=np.intp).tolist()
+        failed = [
+            code for code, k in zip(ids, self._ordinals(self._writes, ids))
+            if plan.write_fault(self.member, code, k)
+        ]
+        if failed:
+            self._fire(len(failed))
+            obs_counter("faults.injected.write_errors").inc(len(failed))
+            raise InjectedWriteError(
+                f"injected write failure on block {failed[0]}"
+            )
+        self.inner.write_many(codes, payloads)
 
     def read_many(self, codes) -> BlockGroup:
-        """Bulk fetch through the fault plan: one seeded draw per member,
-        in group order around a group-of-one inner read, raising at the
-        member that drew the fault.  Not injecting, the group passes
-        through whole."""
-        plan = self._active_plan()
+        """Bulk fetch: every member decided, then an
+        :class:`InjectedReadError` before any inner I/O if one drew
+        ``error``; otherwise one sleep for the spiked members, one inner
+        read, and the torn members corrupted."""
+        plan = self.plan if self.injecting else None
         if plan is None:
             return self.inner.read_many(codes)
         codes = np.asarray(codes, dtype=np.intp)
-        groups = []
-        for at in range(len(codes)):
-            kind = plan.read_fault()
-            if kind == "error":
-                obs_counter("faults.injected.read_errors").inc()
-                raise InjectedReadError(
-                    f"injected read failure on block {codes[at]}"
-                )
-            plan.latency.wait(1)
-            group = self.inner.read_many(codes[at:at + 1])
-            if kind == "torn":
-                obs_counter("faults.injected.torn_blocks").inc()
-                (block,) = group.payloads
-                if isinstance(block, bytes):
-                    block = _corrupt_frame(block)
-                else:
-                    block = decode_block(_corrupt_frame(encode_block(block)))
-                group = group._replace(payloads=[block])
-            groups.append(group)
-        return BlockGroup.join(groups)
+        ids = codes.tolist()
+        keys = list(zip(ids, self._ordinals(self._reads, ids)))
+        kinds = [plan.read_fault(self.member, code, k) for code, k in keys]
+        errors, torn = kinds.count("error"), kinds.count("torn")
+        self._fire(errors + torn)
+        if errors:
+            obs_counter("faults.injected.read_errors").inc(errors)
+            raise InjectedReadError(
+                f"injected read failure on block {ids[kinds.index('error')]}"
+            )
+        spikes = sum(plan.spiked(self.member, code, k) for code, k in keys)
+        if spikes:
+            obs_counter("faults.injected.latency_spikes").inc(spikes)
+            LatencyModel(plan.latency_spike_s).wait(spikes)
+        group = self.inner.read_many(codes)
+        if not torn:
+            return group
+        obs_counter("faults.injected.torn_blocks").inc(torn)
+        return group._replace(payloads=[
+            _torn(block) if kind == "torn" else block
+            for block, kind in zip(group.payloads, kinds)
+        ])
+
+    def ordinals(self) -> tuple[dict, dict]:
+        """Copies of the per-code read and write counts decided so far."""
+        with self._lock:
+            return dict(self._reads), dict(self._writes)
+
+    def history(self) -> list:
+        """Every decision made, as ``(code, k, kind)``: the reads, by
+        code and ordinal, ``kind`` ``"error"``, ``"torn"`` or ``None``;
+        then the writes, ``kind`` ``"write_error"`` or ``None``.  It is
+        recomputed from :meth:`ordinals`, so it is exact and unbounded.
+        """
+        plan, member = self.plan, self.member
+        reads, writes = self.ordinals()
+        return [
+            (code, k, plan.read_fault(member, code, k))
+            for code, n in sorted(reads.items()) for k in range(n)
+        ] + [
+            (code, k, "write_error" if plan.write_fault(member, code, k)
+             else None)
+            for code, n in sorted(writes.items()) for k in range(n)
+        ]
 
     def stats(self) -> dict:
         """Injection state plus the inner layers' statistics."""

@@ -144,13 +144,15 @@ class RetryPolicy:
             sleep: Injectable sleep (tests pass a recorder).
             on_retry: Optional ``on_retry(attempt, error)`` hook.
         """
-        schedule = self.delays()
+        schedule = None  # drawn at the first failure, not every call
         attempt = 0
         while True:
             obs_counter("retry.attempts").inc()
             try:
                 result = fn(*args)
             except transient as exc:
+                if schedule is None:
+                    schedule = self.delays()
                 if attempt >= len(schedule):
                     obs_counter("retry.giveups").inc()
                     raise

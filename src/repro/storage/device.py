@@ -21,7 +21,7 @@ middleware implementing it:
   for the whole stack);
 * :class:`ResilientDevice` — retry + circuit breaker composed at the
   device seam (:mod:`repro.faults`);
-* ``FaultyDevice`` (:mod:`repro.faults.plan`) — seeded fault injection
+* ``FaultyDevice`` (:mod:`repro.faults.plan`) — keyed fault injection
   as middleware instead of a disk subclass.
 
 :class:`StorageSpec` is the one-object storage configuration (shards /
@@ -45,7 +45,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.errors import StorageError
+from repro.core.errors import StorageError, StorageUnavailable
 from repro.lint.lockwatch import watched_lock
 from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
@@ -498,13 +498,25 @@ class ResilientDevice(DeviceLayer):  # lint: ignore[obs-coverage] — retry.* / 
 
     def read_many(self, codes) -> BlockGroup:
         """Bulk fetch, each block independently guarded — a group of one
-        under the retry/breaker stack — so one block's exhaustion does
-        not waste the others' completed reads."""
+        under the retry/breaker stack.  Every block is tried before the
+        first exhaustion is raised, the others attached as ``__notes__``
+        (as :meth:`ShardedDevice._fan_out` does across shards), so each
+        block is read as often on one shard as on many."""
         codes = np.asarray(codes, dtype=np.intp)
-        return BlockGroup.join([
-            self._caller.call(self.inner.read_many, codes[at:at + 1])
-            for at in range(len(codes))
-        ])
+        groups, first = [], None
+        for at in range(len(codes)):
+            try:
+                groups.append(
+                    self._caller.call(self.inner.read_many, codes[at:at + 1])
+                )
+            except StorageUnavailable as exc:
+                if first is None:
+                    first = exc
+                else:
+                    first.add_note(f"block {codes[at]} also failed: {exc}")
+        if first is not None:
+            raise first
+        return BlockGroup.join(groups)
 
     def write_many(self, codes, payloads: list) -> None:
         """Group commit under the retry/breaker stack.
@@ -541,21 +553,6 @@ def _clone_breaker(breaker):
         half_open_probes=breaker.half_open_probes,
         clock=breaker._clock,
         name=breaker.name,
-    )
-
-
-def _derive_plan(plan, cell: int):
-    """A fault plan with the same rates and the seed of one cell of the
-    shard × member grid."""
-    from repro.faults.plan import FaultPlan
-
-    return FaultPlan(
-        seed=plan.seed + 1 + 7919 * cell,
-        read_error_rate=plan.read_error_rate,
-        torn_rate=plan.torn_rate,
-        latency_spike_rate=plan.latency_spike_rate,
-        latency_spike_s=plan.latency_spike_s,
-        write_error_rate=plan.write_error_rate,
     )
 
 
@@ -622,9 +619,10 @@ class StorageSpec:
         shards: Number of striped leaf devices (1 = unsharded).
         cache_blocks: Total cached blocks across the stack (split
             evenly over shards); ``None`` disables caching.
-        fault_plan: Optional :class:`~repro.faults.plan.FaultPlan`
-            template.  With multiple fault targets each gets an
-            independently-seeded derived plan.
+        fault_plan: Optional :class:`~repro.faults.plan.FaultPlan`;
+            every targeted leaf's fault layer holds it itself (its
+            decisions are keyed by replica member and block, not by
+            shard).
         retry_policy: Optional :class:`~repro.faults.retry.RetryPolicy`
             (stateless — shared across shards).
         breaker: Optional :class:`~repro.faults.breaker.CircuitBreaker`
@@ -632,16 +630,16 @@ class StorageSpec:
             per replica member so one failed device trips only its own
             breaker.
         latency: Optional :class:`~repro.storage.latency.LatencyModel`
-            template for the leaf devices (derived per shard/member).
+            every leaf device sleeps through.
         crc: Force CRC framing on/off; ``None`` enables it exactly when
             a fault plan is present.
-        fault_shards: Restrict fault injection to these shard indices
+        fault_shards: Give a fault layer only to these shard indices
             (``None`` = all shards).
         replicas: Replica members per shard on top of the primary
             (0 = unreplicated).  Each member is a full independent
             sub-stack kept in sync by a
             :class:`~repro.storage.replication.ReplicatedDevice`.
-        fault_replicas: Restrict fault injection to these member
+        fault_replicas: Give a fault layer only to these member
             indices within each faulted shard (``None`` = all members;
             ``(0,)`` kills only primaries — the failover drill).
     """
@@ -690,57 +688,33 @@ class StorageSpec:
             return bool(self.crc)
         return self.fault_plan is not None
 
-    def _member_plan(self, shard: int, member: int):
-        """The fault plan for one (shard, member) sub-stack, or None.
-
-        A single targeted device keeps the caller's plan instance, so
-        its seeded history replays exactly; multiple targets get
-        independently-seeded derived plans (collision-free across the
-        shard × member grid).
-        """
-        if self.fault_plan is None:
-            return None
-        shards = (
-            range(self.shards) if self.fault_shards is None
-            else set(self.fault_shards)
-        )
-        members = (
-            range(self.replicas + 1) if self.fault_replicas is None
-            else set(self.fault_replicas)
-        )
-        if shard not in shards or member not in members:
-            return None
-        if len(shards) * len(members) == 1:
-            return self.fault_plan
-        return _derive_plan(self.fault_plan, shard + self.shards * member)
+    def _faulted(self, shard: int, member: int) -> bool:
+        """Whether the (shard, member) sub-stack gets a fault layer."""
+        return self.fault_plan is not None and (
+            self.fault_shards is None or shard in self.fault_shards
+        ) and (self.fault_replicas is None or member in self.fault_replicas)
 
     def _member(self, built: BuiltStorage, block_size: int,
                 shard: int, member: int, depth):
         """One (shard, member) sub-stack, leaf upward; returns it and
         its breaker (or None).
 
-        Stateful middleware is never shared between sub-stacks: every
-        one but the unsharded primary — which keeps the caller's own
-        latency model and breaker — gets a model derived for its cell
-        of the shard × member grid and a breaker cloned from the
-        template.
+        Every leaf shares the spec's (stateless) latency model and fault
+        plan; the breaker is stateful, so every sub-stack but the
+        unsharded primary — which keeps the caller's own — gets one
+        cloned from the template.
         """
         # Lazy: repro.faults imports this module for DeviceLayer.
         from repro.faults.plan import FaultyDevice
 
-        cell = shard + self.shards * member
-        own = self.shards == 1 and member == 0
-        latency, breaker = self.latency, self.breaker
-        if latency is not None and not own:
-            latency = latency.derive(cell)
-        if breaker is not None and not own:
+        breaker = self.breaker
+        if breaker is not None and (self.shards > 1 or member > 0):
             breaker = _clone_breaker(breaker)
-        disk = SimulatedDisk(block_size=block_size, latency=latency)
+        disk = SimulatedDisk(block_size=block_size, latency=self.latency)
         built.disks.append(disk)
         device = MeteredDevice(disk, prefix="storage.disk")
-        plan = self._member_plan(shard, member)
-        if plan is not None:
-            device = FaultyDevice(device, plan=plan)
+        if self._faulted(shard, member):
+            device = FaultyDevice(device, plan=self.fault_plan, member=member)
             built.faulty.append(device)
         if self.crc_enabled():
             device = CrcFramedDevice(device)

@@ -110,9 +110,8 @@ class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; s
     mirroring a real device's fixed block capacity — or opaque byte
     frames written by a CRC layer above (stored untouched; capacity is
     then that layer's business).  ``latency`` is an optional
-    :class:`~repro.storage.latency.LatencyModel` whose per-read delay
-    (base seek time plus seeded spikes) is slept outside the device
-    lock.
+    :class:`~repro.storage.latency.LatencyModel` whose per-read base
+    seek time is slept outside the device lock.
     """
 
     block_size: int

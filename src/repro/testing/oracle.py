@@ -5,11 +5,14 @@ execution path, on each storage stack, and :func:`check` computes the
 contract from the answers: only :func:`contract_digest` and what
 ``observe`` reads off the engine (an I/O table) are left to record.  A
 new path registers a :func:`runner`; an entry point that needs none is
-in ``EXEMPT`` with its reason.  No runtime module imports this one.
+in ``EXEMPT`` with its reason.  :func:`check_layouts` computes that a
+faulted workload meets the same fate on two layouts of one fault plan.
+No runtime module imports this one.
 """
 
 import hashlib
 import math
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -20,12 +23,13 @@ import numpy as np
 from repro.core.aims import AIMS, AIMSConfig
 from repro.core.errors import AIMSError
 from repro.query.batch import BatchEvaluator
-from repro.query.propolyne import ProPolyneEngine
+from repro.query.propolyne import ProPolyneEngine, QueryOutcome
 from repro.query.rangesum import evaluate_on_cube
 from repro.query.service import QueryService
 
 __all__ = ["BOUND_SLACK_ULPS", "EXEMPT", "RUNNERS", "Runner", "StackRun",
-           "Workload", "check", "contract_digest", "run_stack", "runner"]
+           "Workload", "attempt", "check", "check_layouts", "contract_digest",
+           "decisions", "engine", "run_stack", "runner"]
 
 #: A progressive estimate adds one ``dot`` per block, the exact answer is
 #: one ``dot`` of all entries, so they round apart: on the block-codes
@@ -77,7 +81,8 @@ def runner(phase: str, kind: str, fn: Callable, *entry_points: str,
     RUNNERS[phase] = Runner(kind, fn, entry_points, epoch)
 
 
-def _attempt(fn, *args):
+def attempt(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
     try:
         return fn(*args)
     except Exception as exc:  # noqa: BLE001 - the contract types it
@@ -86,13 +91,13 @@ def _attempt(fn, *args):
 
 def _each(answer, n: int | None = None):
     """A runner asking ``answer(run, query)`` of each of ``queries[:n]``."""
-    return lambda run: [_attempt(answer, run, q) for q in run.queries[:n]]
+    return lambda run: [attempt(answer, run, q) for q in run.queries[:n]]
 
 
 def _batch(answers, n: int | None = None):
     """A runner asking ``answers(run, queries[:n])`` once."""
     def fn(run):
-        out = _attempt(answers, run, run.queries[:n])
+        out = attempt(answers, run, run.queries[:n])
         return out if isinstance(out, list) else [out] * len(run.queries[:n])
     return fn
 
@@ -153,33 +158,51 @@ runner("cluster_batch", "exact", _batch(lambda r, qs: r.cluster.submit_batch(
 
 @dataclass
 class StackRun:
-    """A stack's answers and ``observe(engine, answers)`` per phase."""
+    """A stack's answers, ``observe(engine, answers)`` and leaf writes
+    per phase, and the engine's fault :func:`decisions`."""
 
     faulted: bool
     answers: dict
     io: dict
+    writes: dict
+    decisions: Counter | None = None
+
+
+def engine(workload: Workload, spec: Callable) -> ProPolyneEngine:
+    """A fresh engine over the workload's cube on storage ``spec()``."""
+    return ProPolyneEngine(workload.cube, storage=spec(), **_ENGINE)
+
+
+def decisions(engine) -> Counter:
+    """The multiset of ``(code, k, kind)`` fault decisions the engine's
+    storage made (empty without a fault plan)."""
+    return Counter(d for layer in engine.store._built.faulty
+                   for d in layer.history())
 
 
 def run_stack(workload: Workload, spec: Callable,
               observe: Callable = lambda engine, answers: None) -> StackRun:
-    """Every runner on an engine from ``spec()`` (a factory: fault plans
+    """Every runner on an engine from ``spec()`` (a factory: breakers
     are stateful); the cluster runners share one ``AIMS.cluster()``."""
-    engine = ProPolyneEngine(workload.cube, storage=spec(), **_ENGINE)
-    engine.enable_versioning()
+    run_engine = engine(workload, spec)
+    run_engine.enable_versioning()
     out = StackRun(spec().fault_plan is not None, {},
-                   {"populate": observe(engine, [])})
+                   {"populate": observe(run_engine, [])},
+                   {"populate": run_engine.store.io_snapshot().writes})
     with ExitStack() as stack:
-        stack.callback(engine.store.close)
+        stack.callback(run_engine.store.close)
         cluster = stack.enter_context(AIMS(AIMSConfig(**_ENGINE)).cluster(
             backends=1, workers=1, storage_factory=spec))
         cluster.populate("oracle", "cube", workload.cube)
         run = SimpleNamespace(
-            workload=workload, queries=workload.queries, engine=engine,
-            service=stack.enter_context(QueryService(engine, workers=1)),
+            workload=workload, queries=workload.queries, engine=run_engine,
+            service=stack.enter_context(QueryService(run_engine, workers=1)),
             cluster=cluster)
         for phase, path in RUNNERS.items():
             out.answers[phase] = path.fn(run)
-            out.io[phase] = observe(engine, out.answers[phase])
+            out.io[phase] = observe(run_engine, out.answers[phase])
+            out.writes[phase] = run_engine.store.io_snapshot().writes
+    out.decisions = decisions(run_engine)
     return out
 
 
@@ -208,7 +231,8 @@ def check(workload: Workload, runs: dict, name: str) -> None:
     within its bound (exact when not degraded); a progressive run never
     grows its bound, holds it (up to ``BOUND_SLACK_ULPS``) and is the
     reference's first run of its kind and epoch, bit for bit.  Only a
-    faulted stack may fail, and only with ``AIMSError``."""
+    faulted stack may fail, and only with ``AIMSError``; when its insert
+    failed, no leaf write moved and epoch 1 answers as epoch 0."""
     ref = next(run for run in runs.values() if not run.faulted)
     run = runs[name]
     exact = {0: ref.answers["exact"], 1: ref.answers["exact_1"]}
@@ -220,11 +244,18 @@ def check(workload: Workload, runs: dict, name: str) -> None:
         assert all(math.isclose(x, evaluate_on_cube(cube, q), rel_tol=1e-9,
                                 abs_tol=1e-9)
                    for x, q in zip(exact[epoch], workload.queries)), epoch
+    epoch_of = {0: 0, 1: 1}
+    if isinstance(run.answers["insert"][0], AIMSError):
+        phases = list(run.writes)
+        before = phases[phases.index("insert") - 1]
+        assert run.writes["insert"] == run.writes[before], f"{name}/insert"
+        epoch_of[1] = 0
     first = {}  # (kind, epoch) -> the reference's first runner's answers
     for phase, path in RUNNERS.items():
-        want = first.setdefault((path.kind, path.epoch), ref.answers[phase])
+        epoch = epoch_of[path.epoch]
+        want = first.setdefault((path.kind, epoch), ref.answers[phase])
         for i, answer in enumerate(run.answers[phase]):
-            where, x = f"{name}/{phase}/query {i}", exact[path.epoch][i]
+            where, x = f"{name}/{phase}/query {i}", exact[epoch][i]
             if isinstance(answer, Exception):
                 assert run.faulted, f"{where}: {answer!r} on a fault-free stack"
                 assert isinstance(answer, AIMSError), f"{where}: {answer!r}"
@@ -247,3 +278,28 @@ def check(workload: Workload, runs: dict, name: str) -> None:
                 assert all(b <= a for a, b in zip(bounds, bounds[1:])), where
                 assert all(_within(e, x, b) for e, b, _ in answer), where
                 assert _bits(answer) == _bits(want[i]), where
+
+
+def _fate(answer):
+    """What two layouts must agree on: bits of every float, the type of
+    every error, and a degradable outcome without its provenance (which
+    names shards)."""
+    if isinstance(answer, (list, tuple)):
+        return [_fate(a) for a in answer]
+    if isinstance(answer, Exception):
+        return type(answer)
+    if isinstance(answer, QueryOutcome):
+        return (answer.value.hex(), answer.degraded, answer.error_bound.hex(),
+                answer.blocks_read, answer.blocks_skipped, answer.reason)
+    return _bits(answer)
+
+
+def check_layouts(a: StackRun, b: StackRun, where: str) -> None:
+    """Assert two layouts of one faulted workload met the same fate:
+    the same ``(code, k, kind)`` decisions, and every runner's answers
+    equal by :func:`_fate`."""
+    assert a.decisions == b.decisions, f"{where}: fault decisions differ"
+    for phase in RUNNERS:
+        assert _fate(a.answers[phase]) == _fate(b.answers[phase]), (
+            f"{where}/{phase}"
+        )

@@ -1,9 +1,10 @@
 """Deterministic fault injection: FaultPlan schedules, FaultyDevice
 middleware behaviour, and the CRC block codec.
 
-The load-bearing property is *replayability*: a seeded plan driving the
-same operation sequence must inject the identical fault schedule, or no
-failure found under chaos testing could ever be reproduced.
+The load-bearing property is *replayability*: a decision is a pure
+function of its key ``(seed, stream, member, code, k)``, so a failure
+found under chaos testing reproduces whatever else was read around it,
+and the rates still hold: a χ² test over 10⁵ keys per stream.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.faults import (
     InjectedReadError,
     InjectedWriteError,
 )
+from repro.faults.plan import READ, SPIKE, WRITE
 from repro.storage.codec import (
     BLOCK_MAGIC,
     block_crc,
@@ -71,6 +73,27 @@ class TestBlockCodec:
         assert not hasattr(codec, "pickle")
 
 
+#: χ² critical values at p = 0.001, by degrees of freedom.
+CHI2_CRITICAL = {1: 10.828, 2: 13.816}
+
+
+def chi2(observed, expected) -> float:
+    return sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+
+
+#: 10⁵ keys: 1000 blocks read (or written) 100 times each.
+KEYS = [(code, k) for code in range(1000) for k in range(100)]
+STREAMS = (READ, SPIKE, WRITE)
+
+
+@pytest.fixture(scope="module")
+def uniforms():
+    """Every key's uniform on each stream, for seed 2026 and member 0."""
+    plan = FaultPlan(seed=2026)
+    return [np.array([plan.uniform(stream, 0, code, k) for code, k in KEYS])
+            for stream in STREAMS]
+
+
 class TestFaultPlan:
     def test_rates_validate(self):
         with pytest.raises(StorageError):
@@ -82,35 +105,68 @@ class TestFaultPlan:
 
     def test_zero_rates_never_inject(self):
         plan = FaultPlan(seed=3)
-        assert all(plan.read_fault() is None for _ in range(200))
-        assert not any(plan.write_fault() for _ in range(200))
+        keys = [(m, code, k) for m in (0, 1) for code, k in KEYS[:2000]]
+        assert all(plan.read_fault(*key) is None for key in keys)
+        assert not any(plan.spiked(*key) for key in keys)
+        assert not any(plan.write_fault(*key) for key in keys)
 
     def test_same_seed_replays_identical_schedule(self):
+        # A key always gets the same decision: from an equal plan, and
+        # from the same plan asked in any order.
         kwargs = dict(read_error_rate=0.2, torn_rate=0.1,
-                      latency_spike_rate=0.1, latency_spike_s=0.0)
-        a = FaultPlan(seed=42, **kwargs)
-        b = FaultPlan(seed=42, **kwargs)
-        for _ in range(500):
-            a.read_fault()
-            b.read_fault()
-        assert list(a.history) == list(b.history)
-        assert any(kind for _, kind in a.history)  # schedule is non-trivial
+                      latency_spike_rate=0.1, write_error_rate=0.2)
+        a, b = FaultPlan(seed=42, **kwargs), FaultPlan(seed=42, **kwargs)
+        keys = [(m, code, k) for m in (0, 1) for code, k in KEYS[:500]]
 
-    def test_reset_rewinds_the_schedule(self):
-        plan = FaultPlan(seed=9, read_error_rate=0.3, latency_spike_s=0.0)
-        first = [plan.read_fault() for _ in range(100)]
-        plan.reset()
-        assert [plan.read_fault() for _ in range(100)] == first
+        def decide(plan, order):
+            return {key: (plan.read_fault(*key), plan.spiked(*key),
+                          plan.write_fault(*key)) for key in order}
 
-    def test_history_records_operation_order(self):
-        plan = FaultPlan(seed=1, read_error_rate=0.5)
-        for _ in range(10):
-            plan.read_fault()
-        assert [op for op, _ in plan.history] == list(range(10))
+        first = decide(a, keys)
+        assert decide(b, keys[::-1]) == first == decide(a, sorted(keys))
+        assert {kind for kind, _, _ in first.values()} == {None, "error", "torn"}
+        assert decide(FaultPlan(seed=43, **kwargs), keys) != first
+
+    @pytest.mark.parametrize("rate", [0.05, 0.4])
+    def test_every_stream_keeps_its_rate(self, uniforms, rate):
+        # A decision fires when its key's uniform is below the stream's
+        # rate (the read stream partitions it into error, torn, clean),
+        # and each stream passes a χ² test over 10⁵ keys.
+        plan = FaultPlan(seed=2026, read_error_rate=rate, torn_rate=rate / 2,
+                         latency_spike_rate=rate, write_error_rate=rate)
+        for code, k in KEYS[:1000]:
+            u = [plan.uniform(stream, 0, code, k) for stream in STREAMS]
+            assert plan.read_fault(0, code, k) == (
+                "error" if u[READ] < rate else
+                "torn" if u[READ] < rate + rate / 2 else None)
+            assert plan.spiked(0, code, k) == (u[SPIKE] < rate)
+            assert plan.write_fault(0, code, k) == (u[WRITE] < rate)
+        n = len(KEYS)
+        error = int(np.count_nonzero(uniforms[READ] < rate))
+        torn = int(np.count_nonzero(uniforms[READ] < rate + rate / 2)) - error
+        assert chi2([error, torn, n - error - torn],
+                    [n * rate, n * rate / 2, n * (1 - 1.5 * rate)]
+                    ) < CHI2_CRITICAL[2]
+        for stream in (SPIKE, WRITE):
+            fired = int(np.count_nonzero(uniforms[stream] < rate))
+            assert chi2([fired, n - fired],
+                        [n * rate, n * (1 - rate)]) < CHI2_CRITICAL[1]
+
+    def test_read_and_spike_streams_are_independent(self, uniforms):
+        # A 2×2 table of (read below ½, spike below ½) over 10⁵ keys:
+        # χ² against the product of its margins.
+        read, spike = uniforms[READ] < 0.5, uniforms[SPIKE] < 0.5
+        cells = [int(np.count_nonzero(r & s)) for r in (read, ~read)
+                 for s in (spike, ~spike)]
+        n = len(KEYS)
+        rows = [cells[0] + cells[1], cells[2] + cells[3]]
+        cols = [cells[0] + cells[2], cells[1] + cells[3]]
+        want = [rows[r] * cols[c] / n for r in (0, 1) for c in (0, 1)]
+        assert chi2(cells, want) < CHI2_CRITICAL[1]
 
 
-def make_disk(plan=None) -> FaultyDevice:
-    disk = FaultyDevice(SimulatedDisk(block_size=8), plan=plan)
+def make_disk(plan=None, injecting=True) -> FaultyDevice:
+    disk = FaultyDevice(SimulatedDisk(block_size=8), plan, injecting=injecting)
     for b in range(4):
         write_block(disk, b, vals(float(b)))
     return disk
@@ -203,12 +259,11 @@ class TestFaultyDevice:
 
     @pytest.mark.parametrize("op", ["read", "write"])
     def test_group_draws_the_schedule_of_n_groups_of_one(self, op):
-        # One seeded draw per member, in group order: a group raises at
-        # the member N sequential groups of one would have raised at,
-        # having let the same members through to the leaf.
+        # A group meets exactly the decisions its members meet alone, in
+        # any order or grouping: every member takes its own next ordinal.
         blocks = {b: vals(float(b)) for b in range(12)}
 
-        def drive(grouped):
+        def drive(groups):
             plan = FaultPlan(seed=3, read_error_rate=0.1, torn_rate=0.1,
                              write_error_rate=0.2)
             disk = FaultyDevice(
@@ -216,30 +271,44 @@ class TestFaultyDevice:
             )
             write_map(disk, blocks)
             disk.injecting = True
-            groups = [blocks] if grouped else [{b: blocks[b]} for b in blocks]
-            raised = None
-            try:
+            raised = 0
+            for _ in range(3):
                 for group in groups:
-                    if op == "read":
-                        disk.read_many(list(group))
-                    else:
-                        write_map(disk, group)
-            except (InjectedFault, CorruptedBlockError) as exc:
-                raised = type(exc)
-            return raised, list(plan.history), disk.io_totals()
+                    try:
+                        if op == "read":
+                            disk.read_many(group)
+                        else:
+                            write_map(disk, {b: blocks[b] for b in group})
+                    except (InjectedFault, CorruptedBlockError):
+                        raised += 1
+            return disk.history(), raised
 
-        raised, history, io = drive(grouped=True)
-        assert (raised, history, io) == drive(grouped=False)
-        assert raised is not None and 1 < len(history) < len(blocks)
+        history, raised = drive([list(blocks)])
+        assert raised > 0 and len(history) == 3 * len(blocks)
+        assert {kind for _, _, kind in history} > {None}
+        for groups in ([[b] for b in blocks], [list(blocks)[::-1]],
+                       [[3, 7, 1], [0, 11, 2, 8], [10, 4, 5, 9, 6]]):
+            assert drive(groups)[0] == history
 
-
-class TestDeprecationShimAndLatency:
-    def test_plan_spikes_live_in_one_latency_model(self):
-        # Consolidation guard: spike rate/duration are owned by the
-        # plan's LatencyModel, the same mechanism as the leaf seek time,
-        # so delay budgets cannot be configured twice in contradiction.
-        plan = FaultPlan(seed=4, latency_spike_rate=0.25,
-                         latency_spike_s=0.001)
-        assert plan.latency.spike_rate == 0.25
-        assert plan.latency.spike_s == 0.001
-        assert plan.latency.seed == plan.seed
+    def test_history_is_every_ordinal_decided(self):
+        plan = FaultPlan(seed=5, read_error_rate=0.3, write_error_rate=0.3)
+        disk = make_disk(plan, injecting=False)
+        disk.injecting = True
+        for _ in range(2):
+            for group in ([0, 1], [2]):
+                try:
+                    disk.read_many(group)
+                except InjectedReadError:
+                    pass
+        try:
+            write_block(disk, 3, vals(3.0))
+        except InjectedWriteError:
+            pass
+        assert disk.ordinals() == ({0: 2, 1: 2, 2: 2}, {3: 1})
+        assert disk.history() == [
+            (0, 0, plan.read_fault(0, 0, 0)), (0, 1, plan.read_fault(0, 0, 1)),
+            (1, 0, plan.read_fault(0, 1, 0)), (1, 1, plan.read_fault(0, 1, 1)),
+            (2, 0, plan.read_fault(0, 2, 0)), (2, 1, plan.read_fault(0, 2, 1)),
+            (3, 0, "write_error" if plan.write_fault(0, 3, 0) else None),
+        ]
+        assert disk.fired == sum(kind is not None for *_, kind in disk.history())

@@ -1,24 +1,27 @@
-"""The cross-path oracle on eight storage stacks: bits computed, I/O pinned.
+"""The cross-path oracle on nine storage stacks: bits computed, I/O pinned.
 
 A seeded mix of 40 queries (COUNT and degree-1 SUM) and one 64-point
 ``insert_batch`` on a 16×16×8 cube run through every runner of
 :mod:`repro.testing.oracle` — scalar, batch, served, as-of and
 cluster-routed exact paths, the progressive and degradable paths of the
-engine, the batch evaluator and the service — on eight stacks: 1, 2 and
+engine, the batch evaluator and the service — on nine stacks: 1, 2 and
 4 shards with the block cache off and on, one replica per shard, and CRC
 framing under a seeded ``FaultPlan`` (read errors and torn blocks) and a
-retry policy.
+retry policy at 1 and at 4 shards.
 
-:func:`repro.testing.oracle.check` computes the contract on each stack;
-nothing it asserts is recorded.  Two things are, because they should
-move only on purpose:
+:func:`repro.testing.oracle.check` computes the contract on each stack,
+and :func:`repro.testing.oracle.check_layouts` that the two faulted
+layouts meet the same faults and give the same answers; nothing they
+assert is recorded.  Two things are, because they should move only on
+purpose:
 
 * ``CONTRACT_DIGEST``, one sha256 over the exact answers before and
   after the insert.  It moves only when DESIGN's "One reduction order"
   does, and is then edited by hand.
 * ``block_codes_io.txt``, one line per (stack, phase): every leaf's
-  reads/writes, every cache's hits/misses, every fault plan's
-  draws/firings and history hash, and how many answers were errors.
+  reads/writes, every cache's hits/misses, every fault layer's
+  decisions/firings and a hash of its ordinals, and how many answers
+  were errors.
   ``PYTHONPATH=src python tests/test_storage_block_codes.py`` re-records
   it from the tree ``PYTHONPATH`` names; the diff is the review.
 """
@@ -32,6 +35,7 @@ import pytest
 
 from repro.cluster.backend import BackendNode
 from repro.cluster.frontend import ClusterFrontend
+from repro.core.errors import StorageUnavailable
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.query.batch import BatchEvaluator
@@ -52,16 +56,21 @@ def _spec(**kwargs):
     return lambda: StorageSpec(**kwargs)
 
 
+def crc_faults(shards: int):
+    return _spec(
+        shards=shards, crc=True,
+        fault_plan=FaultPlan(seed=17, read_error_rate=0.05, torn_rate=0.05),
+        retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
+    )
+
+
 STACKS = {
     **{f"shards{n}{cached}": _spec(shards=n, **extra)
        for n in (1, 2, 4)
        for cached, extra in (("", {}), ("_cached", {"cache_blocks": 24}))},
     "replicated": _spec(shards=2, replicas=1),
-    "crc_faults": lambda: StorageSpec(
-        shards=2, crc=True,
-        fault_plan=FaultPlan(seed=17, read_error_rate=0.05, torn_rate=0.05),
-        retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
-    ),
+    "crc_faults": crc_faults(1),
+    "crc_faults4": crc_faults(4),
 }
 
 
@@ -84,18 +93,22 @@ def workload() -> oracle.Workload:
     return oracle.Workload(cube, tuple(queries), points, rng.normal(size=64))
 
 
+def faults_of(layer) -> str:
+    """A fault layer's decisions/firings:hash of its ordinal tables."""
+    reads, writes = layer.ordinals()
+    tables = repr((sorted(reads.items()), sorted(writes.items())))
+    return (f"{sum(reads.values()) + sum(writes.values())}/{layer.fired}:"
+            + hashlib.sha256(tables.encode()).hexdigest()[:8])
+
+
 def io_row(engine, answers) -> str:
     """Every leaf's reads/writes, every cache's hits/misses, every fault
-    plan's draws/firings:history-hash, and how many answers failed."""
+    layer's :func:`faults_of`, and how many answers failed."""
     built = engine.store._built
     leaf = ",".join(f"{d.io.reads}/{d.io.writes}" for d in built.disks)
     cache = ",".join(f"{c.pool_stats.hits}/{c.pool_stats.misses}"
                      for c in built.caches)
-    faults = ",".join(
-        f"{len(h)}/{sum(kind is not None for _, kind in h)}:"
-        + hashlib.sha256(repr(h).encode()).hexdigest()[:8]
-        for h in (list(layer.plan.history) for layer in built.faulty)
-    )
+    faults = ",".join(map(faults_of, built.faulty))
     errors = sum(isinstance(a, Exception) for a in answers)
     return (f"leaf={leaf} cache={cache or '-'} faults={faults or '-'} "
             f"errors={errors}")
@@ -131,6 +144,31 @@ def test_every_path_keeps_its_bits_and_its_io(runs, stack):
     ), "I/O table moved; re-record it and review the diff"
 
 
+def test_a_fault_meets_a_block_not_a_layout(runs):
+    oracle.check_layouts(runs["crc_faults"], runs["crc_faults4"], "crc_faults")
+
+
+def test_exact_fails_where_degradable_degrades():
+    # Fresh stacks, no cache: the exact path reads a query's blocks in
+    # one group, the degradable path one by one, and both retry each
+    # block until its plan lets it through — so on 1 and on 4 shards the
+    # same queries fail exactly and degrade, over the same decisions.
+    outcomes = []
+    for shards in (1, 4):
+        exact, degradable = (oracle.engine(WORKLOAD, crc_faults(shards))
+                             for _ in range(2))
+        failed = [i for i, q in enumerate(WORKLOAD.queries) if isinstance(
+            oracle.attempt(exact.evaluate_exact, q), StorageUnavailable)]
+        degraded = [i for i, q in enumerate(WORKLOAD.queries)
+                    if degradable.evaluate_degradable(q).degraded]
+        assert failed == degraded and failed
+        assert oracle.decisions(exact) == oracle.decisions(degradable)
+        outcomes.append((failed, oracle.decisions(exact)))
+        exact.store.close()
+        degradable.store.close()
+    assert outcomes[0] == outcomes[1]
+
+
 def test_the_exact_bits_are_the_contract_digest(runs):
     for run in runs.values():
         if not run.faulted:
@@ -160,9 +198,10 @@ def test_the_fixture_exercises_faults_and_caches():
         return [tuple(int(n) for n in entry.split(":")[0].split("/"))
                 for entry in value.split(",")]
 
-    history = pairs("crc_faults", "faults")
-    assert len(history) == 2
-    assert all(draws > 100 and fired > 10 for draws, fired in history)
+    for stack, layers in (("crc_faults", 1), ("crc_faults4", 4)):
+        decided = pairs(stack, "faults")
+        assert len(decided) == layers
+        assert all(draws > 100 and fired > 10 for draws, fired in decided)
     cached = pairs("shards4_cached", "cache")
     assert len(cached) == 4 and all(h > 0 and m > 0 for h, m in cached)
     leaves = pairs("shards4", "leaf")

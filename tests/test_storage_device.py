@@ -189,12 +189,11 @@ class TestStorageSpec:
 
 
 class TestSeedGrid:
-    """The reproducibility contract of a built stack: which seed every
-    (shard, member) leaf draws its faults and latency spikes from, which
-    stateful objects are the caller's own instances, and that 200 reads
-    per leaf replay the schedule of equal-seed objects built by hand."""
-
-    PLAN_SEED, LATENCY_SEED = 9, 11
+    """Which (shard, member) leaves of a built stack get a fault layer,
+    and what it decides by: every targeted leaf holds the spec's own
+    plan (no seed is derived, so the shard is in no key), an untargeted
+    leaf has none, two replica members of a shard decide independently
+    on the same block, and every leaf shares the spec's latency model."""
 
     @pytest.mark.parametrize("fields, targets", [
         (dict(shards=2, replicas=1), [(0, 0), (1, 0), (0, 1), (1, 1)]),
@@ -207,10 +206,8 @@ class TestSeedGrid:
     ])
     def test_every_leaf_draws_from_its_cell_of_the_grid(self, fields, targets):
         spec = StorageSpec(
-            fault_plan=FaultPlan(seed=self.PLAN_SEED, read_error_rate=0.3),
-            latency=LatencyModel(
-                base_s=0, spike_rate=0.2, spike_s=0.0, seed=self.LATENCY_SEED
-            ),
+            fault_plan=FaultPlan(seed=9, read_error_rate=0.3),
+            latency=LatencyModel(),
             breaker=CircuitBreaker(),
             retry_policy=RetryPolicy(max_attempts=1),
             **fields,
@@ -222,53 +219,30 @@ class TestSeedGrid:
             (s, m) for s in range(spec.shards)
             for m in range(spec.replicas + 1)
         ]
-        breakers = set()
+        breakers, by_member = set(), {}
         for (shard, member), layers in grid.items():
-            cell = shard + spec.shards * member
-            faulty = layers.get(FaultyDevice)
-            plan = faulty.plan if faulty is not None else None
-            want_plan = None
-            if (shard, member) not in targets:
-                assert plan is None
-            elif len(targets) == 1:
-                assert plan is spec.fault_plan
-                want_plan = FaultPlan(
-                    seed=self.PLAN_SEED, read_error_rate=0.3
-                )
-            else:
-                assert plan is not spec.fault_plan
-                want_plan = FaultPlan(
-                    seed=self.PLAN_SEED + 1 + 7919 * cell,
-                    read_error_rate=0.3,
-                )
-                assert plan.seed == want_plan.seed
             disk = layers[SimulatedDisk]
             breaker = layers[ResilientDevice].breaker
-            unsharded_primary = spec.shards == 1 and member == 0
-            assert (disk.latency is spec.latency) == unsharded_primary
-            assert (breaker is spec.breaker) == unsharded_primary
-            want_latency = LatencyModel(
-                base_s=0, spike_rate=0.2, spike_s=0.0,
-                seed=self.LATENCY_SEED + (0 if unsharded_primary else cell),
+            assert disk.latency is spec.latency
+            assert (breaker is spec.breaker) == (
+                spec.shards == 1 and member == 0
             )
-            assert disk.latency.seed == want_latency.seed
             breakers.add(id(breaker))
-
-            # A clean read draws the fault first and then the leaf's
-            # spike; an injected error never reaches the leaf.
+            faulty = layers.get(FaultyDevice)
+            assert (faulty is not None) == ((shard, member) in targets)
+            if faulty is None:
+                continue
+            assert faulty.plan is spec.fault_plan and faulty.member == member
             write_block(disk, 0, np.zeros(1))
-            want, got = [], []
             for _ in range(200):
-                if want_plan is None or want_plan.read_fault() is None:
-                    want_latency.delay()
-                want.append(want_latency.spikes)
                 try:
-                    (disk if plan is None else faulty).read_many([0])
+                    faulty.read_many([0])
                 except InjectedReadError:
                     pass
-                got.append(disk.latency.spikes)
-            assert got == want and want[-1] > 0
-            if plan is not None:
-                assert list(plan.history) == list(want_plan.history)
-                assert {kind for _, kind in plan.history} == {None, "error"}
+            kinds = [kind for *_, kind in faulty.history()]
+            assert set(kinds) == {None, "error"}
+            # Equal members on different shards decide alike.
+            assert by_member.setdefault(member, kinds) == kinds
         assert len(breakers) == len(grid)
+        if len(by_member) == 2:
+            assert by_member[0] != by_member[1]

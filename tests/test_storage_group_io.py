@@ -3,8 +3,8 @@ in the shard fan-out and in the scan coordinator.
 
 The simulated seek is the cost model, so what these tests pin is that
 grouping changes *how* the device time is waited (one sleep per group)
-and never *how much* of it there is: the same draws from the same
-seeded schedule, the same counters, the same errors.
+and never *how much* of it there is: ``n × base_s`` for ``n`` members,
+the same counters, the same errors.
 """
 
 import math
@@ -41,17 +41,7 @@ def slept(monkeypatch):
     return requested
 
 
-def spiky(seed=7):
-    return LatencyModel(base_s=1e-3, spike_rate=0.3, seed=seed)
-
-
-def seeks(model, n):
-    """The next ``n`` reads' delays added up one by one, in order — what
-    ``n`` single reads sleep in total."""
-    total = 0.0
-    for _ in range(n):
-        total += model.delay()
-    return total
+SEEK = LatencyModel(base_s=1e-3)
 
 
 def filled_disk(n, latency=None):
@@ -62,49 +52,36 @@ def filled_disk(n, latency=None):
 
 class TestLeafGroupRead:
     def test_a_group_waits_the_sum_of_its_members_seeks_once(self, slept):
-        disk = filled_disk(8, spiky())
+        disk = filled_disk(8, SEEK)
         out = read_map(disk, range(8))
-        twin = spiky()
-        assert slept == [seeks(twin, 8)]
-        assert disk.latency.spikes == twin.spikes > 0
-        assert disk.io.reads == 8
-        assert [out[b].tolist() for b in range(8)] == [[float(b)] for b in range(8)]
-
-    def test_consecutive_groups_continue_one_schedule(self, slept):
-        # 3 + 5 members draw the same eight delays as 8 single reads.
-        disk = filled_disk(8, spiky())
         disk.read_many([0, 1, 2])
-        disk.read_many([3, 4, 5, 6, 7])
-        twin = spiky()
-        assert slept == [seeks(twin, 3), seeks(twin, 5)]
-        assert disk.latency.spikes == twin.spikes
+        assert slept == [8 * SEEK.base_s, 3 * SEEK.base_s]
+        assert disk.io.reads == 11
+        assert [out[b].tolist() for b in range(8)] == [[float(b)] for b in range(8)]
 
     def test_a_zero_latency_disk_never_sleeps(self, slept):
         filled_disk(8).read_many(range(8))
         filled_disk(8, LatencyModel()).read_many(range(8))
-        filled_disk(8, spiky()).read_many([])
+        filled_disk(8, SEEK).read_many([])
         assert slept == []
 
     def test_a_repeated_member_is_read_and_charged_again(self, slept):
-        disk = filled_disk(2, LatencyModel(base_s=1e-3))
+        disk = filled_disk(2, SEEK)
         group = disk.read_many([0, 1, 0])
         assert group.codes.tolist() == [0, 1, 0]
         assert group.payloads[0] is group.payloads[2]
         assert disk.io.reads == 3
-        assert slept == [1e-3 + 1e-3 + 1e-3]
+        assert slept == [3 * SEEK.base_s]
 
     @pytest.mark.parametrize("k", [0, 3, 7])
     def test_a_missing_member_charges_the_members_before_it(self, slept, k):
-        disk = filled_disk(8, spiky())
+        disk = filled_disk(8, SEEK)
         ids = list(range(8))
         ids[k] = 99
         with pytest.raises(StorageError, match="no such block 99"):
             disk.read_many(ids)
-        twin = spiky()
-        owed = seeks(twin, k)
-        assert slept == ([owed] if k else [])
+        assert slept == ([k * SEEK.base_s] if k else [])
         assert disk.io.reads == k
-        assert disk.latency.spikes == twin.spikes
 
     def test_two_threads_groups_on_one_disk_overlap(self):
         # The wait is outside the directory lock: two callers' 60 ms
@@ -386,16 +363,11 @@ def seeded_queries(seed, count=40):
     return queries
 
 
-@pytest.mark.parametrize("latency", [
-    LatencyModel(base_s=0.0005),
-    LatencyModel(base_s=0.0005, spike_rate=0.2, spike_s=0.003, seed=11),
-], ids=["cluster_mixed_io", "spiky"])
-def test_no_simulated_seek_is_avoided(monkeypatch, slept, latency):
+def test_no_simulated_seek_is_avoided(monkeypatch, slept):
     """The ``cluster_mixed_io`` storage spec under 40 seeded queries:
-    every requested sleep is, bit for bit, the sum of the per-member
-    delays the parent commit slept one by one — replayed here from
-    equal-seed models over the group sizes each leaf served — and the
-    total is ``misses × base_s + spikes × spike_s``."""
+    every requested sleep is its leaf group's size × ``base_s``, so the
+    total is ``misses × base_s``, however the reads were grouped."""
+    latency = LatencyModel(base_s=0.0005)
     groups: dict[int, list[int]] = {}
     real_read = SimulatedDisk.read_many
 
@@ -414,27 +386,17 @@ def test_no_simulated_seek_is_avoided(monkeypatch, slept, latency):
     before = [leaf.io.reads for leaf in leaves]
     monkeypatch.setattr(SimulatedDisk, "read_many", recording_read)
     del slept[:]  # populate's own reads are not the measured run
-    for leaf in leaves:
-        leaf.latency.reset()
     answers = [engine.evaluate_exact(q) for q in seeded_queries(2003)]
     engine.store.close()
 
-    expected, misses, spikes = [], 0, 0
+    expected, misses = [], 0
     for leaf, reads_before in zip(leaves, before):
-        twin = LatencyModel(
-            leaf.latency.base_s, leaf.latency.spike_rate,
-            leaf.latency.spike_s, leaf.latency.seed,
-        )
-        for size in groups[id(leaf)]:
-            expected.append(seeks(twin, size))
-        assert leaf.latency.spikes == twin.spikes
+        expected += [size * latency.base_s for size in groups[id(leaf)]]
         assert leaf.io.reads - reads_before == sum(groups[id(leaf)])
         misses += leaf.io.reads - reads_before
-        spikes += twin.spikes
     assert misses > 400 and max(map(max, groups.values())) > 8
-    assert (spikes > 0) == (latency.spike_rate > 0)
     assert sorted(slept) == sorted(t for t in expected if t > 0.0)
     assert math.fsum(slept) == pytest.approx(
-        misses * latency.base_s + spikes * latency.spike_s, rel=1e-12, abs=0
+        misses * latency.base_s, rel=1e-12, abs=0
     )
     assert len(answers) == 40 and all(np.isfinite(a) for a in answers)

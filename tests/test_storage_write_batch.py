@@ -133,7 +133,10 @@ class TestCrcFraming:
 
 class TestResilientGroupRetry:
     def test_group_retried_as_one_idempotent_operation(self):
-        plan = FaultPlan(seed=11, write_error_rate=0.5)
+        # At 10 % a 4-member group commits on an attempt with odds
+        # 0.9⁴ ≈ 0.66, so 8 attempts all fail with odds ≈ 2e-4; seed 3
+        # commits on the third.
+        plan = FaultPlan(seed=3, write_error_rate=0.1)
         disk = SimulatedDisk(block_size=8)
         faulty = FaultyDevice(disk, plan)
         policy = RetryPolicy(
@@ -144,17 +147,21 @@ class TestResilientGroupRetry:
         write_map(resilient, blocks)
         for block_id, items in blocks.items():
             assert same(read_block(disk, block_id), items)
+        # Every attempt decided every member; only the last wrote.
+        (attempts,) = set(faulty.ordinals()[1].values())
+        assert attempts == 3 and disk.io.writes == len(blocks)
+        assert [kind for _, k, kind in faulty.history()
+                if k == attempts - 1] == [None] * len(blocks)
 
     def test_without_policy_failure_propagates(self):
         plan = FaultPlan(seed=0, write_error_rate=1.0)
-        resilient = ResilientDevice(
-            FaultyDevice(SimulatedDisk(block_size=8), plan)
-        )
+        faulty = FaultyDevice(SimulatedDisk(block_size=8), plan)
+        resilient = ResilientDevice(faulty)
         # One attempt, and the layer's one typed error around it.
         with pytest.raises(StorageUnavailable) as caught:
             write_map(resilient, _payloads(2))
         assert isinstance(caught.value.__cause__, InjectedWriteError)
-        assert len(plan.history) == 1
+        assert faulty.history() == [(0, 0, "write_error"), (1, 0, "write_error")]
 
     def test_group_read_retries_only_the_failing_block(self):
         # Reads are guarded per block (a group of one each): a fault on
@@ -173,10 +180,10 @@ class TestResilientGroupRetry:
         )
         assert list(got) == list(blocks)
         assert all(same(got[b], blocks[b]) for b in blocks)
-        draws = [kind for _, kind in plan.history]
+        draws = [kind for _, _, kind in faulty.history()]
         assert draws.count("error") > 0
-        # One clean draw — and one leaf read — per block, however many
-        # errors were drawn in between.
+        # One clean decision — and one leaf read — per block, however
+        # many errors were decided before it.
         assert draws.count(None) == disk.io.reads == len(blocks)
 
 
