@@ -27,10 +27,9 @@ Run:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
+from repro.core import clock
 from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
 from repro.obs import counter as obs_counter
 from repro.query.propolyne import ProPolyneEngine
@@ -107,7 +106,7 @@ def main() -> None:
     # Storage "heals": stop injecting and let shard 1's half-open probe
     # close its breaker.  The declarative stack heals as one unit.
     stormy.store.set_injecting(False)
-    time.sleep(0.02)  # past the recovery timeout: probes are allowed
+    clock.sleep(0.02)  # past the recovery timeout: probes are allowed
     healed = stormy.evaluate_degradable(query)
     print(f"after healing: degraded={healed.degraded}, "
           f"answer {healed.value:.0f}, "

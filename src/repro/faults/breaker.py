@@ -23,8 +23,7 @@ States and metrics::
 
 from __future__ import annotations
 
-import time
-
+from repro.core import clock
 from repro.core.errors import StorageError
 from repro.lint.lockwatch import watched_lock
 from repro.obs import counter as obs_counter
@@ -47,7 +46,6 @@ class CircuitBreaker:
         recovery_timeout_s: Open dwell time before probes are allowed.
         half_open_probes: Concurrent probe operations admitted while
             half-open.
-        clock: Injectable monotonic clock (tests pass a fake).
         name: Label used in error messages and snapshots.
     """
 
@@ -56,7 +54,6 @@ class CircuitBreaker:
         failure_threshold: int = 5,
         recovery_timeout_s: float = 1.0,
         half_open_probes: int = 1,
-        clock=time.monotonic,
         name: str = "storage",
     ) -> None:
         if failure_threshold < 1:
@@ -75,7 +72,6 @@ class CircuitBreaker:
         self.recovery_timeout_s = recovery_timeout_s
         self.half_open_probes = half_open_probes
         self.name = name
-        self._clock = clock
         self._lock = watched_lock("faults.breaker")
         self._state = "closed"
         self._consecutive_failures = 0
@@ -91,7 +87,7 @@ class CircuitBreaker:
         # Caller holds the lock.  Open → half-open once the dwell passed.
         if (
             self._state == "open"
-            and self._clock() - self._opened_at >= self.recovery_timeout_s
+            and clock.now() - self._opened_at >= self.recovery_timeout_s
         ):
             self._state = "half-open"
             self._probes_in_flight = 0
@@ -151,7 +147,7 @@ class CircuitBreaker:
                 )
             if tripped:
                 self._state = "open"
-                self._opened_at = self._clock()
+                self._opened_at = clock.now()
                 self.trips += 1
             self._publish_state()
         if tripped:

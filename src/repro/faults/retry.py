@@ -17,9 +17,9 @@ from a policy-seeded RNG, so a retry schedule can be replayed exactly
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 
+from repro.core import clock
 from repro.core.errors import CorruptedBlockError, StorageError
 from repro.obs import counter as obs_counter
 
@@ -125,7 +125,6 @@ class RetryPolicy:
         fn,
         *args,
         transient: tuple[type[BaseException], ...] = TRANSIENT_ERRORS,
-        sleep=time.sleep,
         on_retry=None,
     ):
         """Call ``fn(*args)``, retrying transient failures per schedule.
@@ -141,7 +140,6 @@ class RetryPolicy:
             fn: The operation (typically a block read).
             *args: Its arguments.
             transient: Error classes worth retrying.
-            sleep: Injectable sleep (tests pass a recorder).
             on_retry: Optional ``on_retry(attempt, error)`` hook.
         """
         schedule = None  # drawn at the first failure, not every call
@@ -163,7 +161,7 @@ class RetryPolicy:
                 if on_retry is not None:
                     on_retry(attempt, exc)
                 if delay > 0.0:
-                    sleep(delay)
+                    clock.sleep(delay)
                 continue
             if attempt:
                 obs_counter("retry.recoveries").inc()

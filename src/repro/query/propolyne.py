@@ -24,12 +24,12 @@ The pipeline:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
+from repro.core import clock
 from repro.core.errors import QueryError, StorageUnavailable
 from repro.core.reduce import dot, total
 from repro.lint.lockwatch import watched_lock
@@ -355,9 +355,7 @@ class _Fold:
             self.estimate[q], bound, forecast, self.reads[q], self.used[q]
         )
 
-    def degrade(
-        self, deadline_s=None, clock=time.monotonic
-    ) -> list[QueryOutcome]:
+    def degrade(self, deadline_s=None) -> list[QueryOutcome]:
         """Fetch the blocks in schedule order, skipping unavailable ones,
         until ``deadline_s`` has elapsed (checked between reads).  A
         query whose blocks all arrived gets the ``dot`` of the operands
@@ -365,9 +363,9 @@ class _Fold:
         bits; any other, its folded state, degraded by ``"deadline"`` if
         a block it needs was never fetched, else by
         ``"storage_unavailable"``."""
-        started = clock()
+        started = clock.now()
         for at in range(len(self.schedule)):
-            if deadline_s is not None and clock() - started >= deadline_s:
+            if deadline_s is not None and clock.now() - started >= deadline_s:
                 break
             self.fetch(at, skip_unavailable=True)
         touched = self.counts > 0
@@ -642,7 +640,6 @@ class ProPolyneEngine:
         self,
         query: RangeSumQuery,
         deadline_s: float | None = None,
-        clock=time.monotonic,
         as_of: int | None = None,
     ) -> QueryOutcome:
         """Exact evaluation that degrades instead of failing or stalling.
@@ -669,8 +666,7 @@ class ProPolyneEngine:
 
         Args:
             query: The range-sum to evaluate.
-            deadline_s: Wall-clock allowance, measured from this call.
-            clock: Injectable monotonic clock (tests pin time).
+            deadline_s: Allowance on the installed clock, from this call.
             as_of: Optional storage epoch to evaluate against
                 (versioned engines only) — logged blocks come from
                 pre-images, live fallthrough blocks can still degrade,
@@ -682,11 +678,9 @@ class ProPolyneEngine:
         """
         if as_of is not None:
             obs_counter("epoch.as_of_queries").inc()
-            return self.as_of_view(as_of).evaluate_degradable(
-                query, deadline_s=deadline_s, clock=clock,
-            )
+            return self.as_of_view(as_of).evaluate_degradable(query, deadline_s)
         fold = self._fold(query)
-        (outcome,) = fold.degrade(deadline_s, clock)
+        (outcome,) = fold.degrade(deadline_s)
         fetched = int(np.count_nonzero(fold.status))
         if fetched:
             obs_counter("query.progressive.blocks").inc(fetched)

@@ -429,8 +429,8 @@ class QueryService:
 
         Args:
             query: The range-sum to evaluate.
-            deadline_s: Per-query wall-clock allowance, measured from
-                evaluation start (defaults to the service's
+            deadline_s: Per-query allowance on the installed clock,
+                measured from evaluation start (defaults to the service's
                 ``default_deadline_s``).
             block: When True, wait for queue space instead of raising
                 :class:`QueryRejected` on overload.

@@ -551,7 +551,6 @@ def _clone_breaker(breaker):
         failure_threshold=breaker.failure_threshold,
         recovery_timeout_s=breaker.recovery_timeout_s,
         half_open_probes=breaker.half_open_probes,
-        clock=breaker._clock,
         name=breaker.name,
     )
 

@@ -4,15 +4,15 @@ A leaf disk sleeps its base seek time through :class:`LatencyModel`,
 and the fault layer sleeps its latency spikes (decided by the
 :class:`~repro.faults.plan.FaultPlan`'s keyed spike stream) through a
 model of the spike's duration, so :meth:`LatencyModel.wait` is the one
-``time.sleep`` of ``repro.storage`` and ``repro.faults``.  The model
-holds no state but its delay, so every leaf of a stack shares one.
+wait of ``repro.storage`` and ``repro.faults`` (on the installed
+:mod:`repro.core.clock`).  The model holds no state but its delay, so
+every leaf of a stack shares one.
 Callers never hold a device lock across :meth:`LatencyModel.wait`.
 """
 
 from __future__ import annotations
 
-import time
-
+from repro.core import clock
 from repro.core.errors import StorageError
 
 __all__ = ["LatencyModel"]
@@ -40,7 +40,7 @@ class LatencyModel:
         overlap their simulated seek time.
         """
         if n and self.base_s:
-            time.sleep(n * self.base_s)
+            clock.sleep(n * self.base_s)
 
     def __repr__(self) -> str:
         return f"LatencyModel(base_s={self.base_s})"

@@ -10,7 +10,8 @@ Multi-block reads fan out across the shards touched via a small
 transient worker pool, so with per-device latency the wall-clock cost
 of a scan approaches ``blocks / shards`` device waits instead of
 ``blocks`` (the overlap ``tests/test_storage_group_io.py`` counts and
-the e2e ``drilldown_io`` workload's ``latency_p50_ms`` measures).
+the e2e ``drilldown_io`` workload's ``latency_p50_ms`` measures; on a
+:class:`~repro.core.clock.SimClock` it is exactly the slowest shard's).
 Group writes fan out the same way; a group of one routes directly to
 the owning shard.
 
@@ -29,6 +30,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.core.clock import fork
 from repro.core.errors import StorageError
 from repro.lint.lockwatch import watched_lock
 from repro.storage.disk import BlockGroup, IOStats
@@ -144,7 +146,7 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
         ]
         if len(calls) > 1 and self.fanout_workers > 1:
             submit = self._fanout_pool().submit
-            calls[1:] = [submit(call).result for call in calls[1:]]
+            calls[1:] = [fork(submit, call) for call in calls[1:]]
         results: list = []
         errors: list[tuple[int, Exception]] = []
         for (shard, _), call in zip(groups, calls):

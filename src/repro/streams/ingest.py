@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from dataclasses import dataclass, field
 
+from repro.core import clock
 from repro.core.errors import StreamError
 from repro.lint.lockwatch import watched_lock
 from repro.obs import DEFAULT_COUNT_BUCKETS
@@ -141,7 +141,7 @@ class BandwidthCoordinator:
             )
 
     def _credit_degraded_time(self, now: float) -> None:
-        # Called under the lock.  Accrues wall time spent degraded.
+        # Called under the lock.  Accrues the clock's time spent degraded.
         if self._degraded_since is not None:
             obs_counter("ingest.degraded_rate_seconds").inc(
                 now - self._degraded_since
@@ -154,7 +154,7 @@ class BandwidthCoordinator:
         Args:
             fullness: Commit-queue occupancy as a fraction of capacity.
         """
-        now = time.monotonic()
+        now = clock.now()
         with self._lock:
             self._credit_degraded_time(now)
             if fullness >= self.high_watermark:

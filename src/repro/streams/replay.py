@@ -45,11 +45,11 @@ and the ``replay.speed`` gauge on the replay side.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+from repro.core import clock
 from repro.core.errors import StreamError
 from repro.lint.lockwatch import watched_lock
 from repro.obs import counter as obs_counter
@@ -349,32 +349,25 @@ class SessionReplayer:
         speed: Playback multiplier — ``1.0`` reproduces the recorded
             cadence, ``0.5`` half speed, ``2.0`` double, ``None``
             (default) as fast as possible (no sleeping at all).
-        clock: Injectable monotonic clock (tests pin pacing).
-        sleep: Injectable sleep (tests capture requested waits).
     """
 
     def __init__(
-        self,
-        record: SessionRecord,
-        speed: float | None = None,
-        clock=time.monotonic,
-        sleep=time.sleep,
+        self, record: SessionRecord, speed: float | None = None
     ) -> None:
         if speed is not None and speed <= 0:
             raise StreamError(f"speed must be > 0 or None, got {speed}")
         self.record = record
         self.speed = speed
-        self._clock = clock
-        self._sleep = sleep
 
     def events(self):
         """Yield the record's events, paced to ``speed``.
 
         The pacing target for an event recorded at ``t`` is
-        ``(t - t0) / speed`` wall-seconds after iteration starts; with
-        ``speed=None`` events stream back-to-back.  This is the
-        recognizer-facing surface: feed the yielded ``point`` events to
-        any consumer that wants to re-live the session.
+        ``(t - t0) / speed`` seconds after iteration starts, on the
+        installed clock; with ``speed=None`` events stream back-to-back.
+        This is the recognizer-facing surface: feed the yielded
+        ``point`` events to any consumer that wants to re-live the
+        session.
         """
         obs_gauge("replay.speed").set(
             0.0 if self.speed is None else self.speed
@@ -383,13 +376,13 @@ class SessionReplayer:
         if not events:
             return
         t0 = events[0].t
-        started = self._clock()
+        started = clock.now()
         for event in events:
             if self.speed is not None:
                 target = (event.t - t0) / self.speed
-                wait = target - (self._clock() - started)
+                wait = target - (clock.now() - started)
                 if wait > 0:
-                    self._sleep(wait)
+                    clock.sleep(wait)
             obs_counter("replay.events").inc()
             yield event
 

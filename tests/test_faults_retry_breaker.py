@@ -3,11 +3,12 @@
 The retry schedule is the pipeline's worst-case latency contract, so
 its properties are asserted exhaustively over a grid of policies:
 monotone growth, per-sleep ceiling, bounded jitter, and the hard total
-budget.  The breaker tests drive the closed / open / half-open machine
-with a fake clock — no real sleeping.
+budget.  Backoff and the breaker's closed / open / half-open machine
+run on the ``sim_clock`` fixture: no real sleeping, exact durations.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -88,7 +89,7 @@ class TestRetryPolicyProperties:
 
 
 class TestRetryExecute:
-    def test_recovers_after_transient_failures(self):
+    def test_recovers_after_transient_failures(self, sim_clock):
         calls = []
 
         def flaky():
@@ -97,19 +98,22 @@ class TestRetryExecute:
                 raise InjectedReadError("transient")
             return "ok"
 
-        slept = []
         policy = RetryPolicy(max_attempts=4, base_delay_s=0.001, jitter=0.0)
-        assert policy.execute(flaky, sleep=slept.append) == "ok"
+        assert policy.execute(flaky) == "ok"
         assert len(calls) == 3
-        assert slept == policy.base_delays()[:2]
+        assert sim_clock.slept == policy.base_delays()[:2]
+        assert sim_clock.now() == sum(policy.base_delays()[:2])
 
-    def test_gives_up_after_schedule_and_reraises(self):
+    def test_gives_up_after_schedule_and_reraises(self, sim_clock):
         def always_fails():
             raise InjectedReadError("still down")
 
-        policy = RetryPolicy(max_attempts=3, base_delay_s=0.0)
+        policy = RetryPolicy(max_attempts=3, base_delay_s=0.01, jitter=0.5)
         with pytest.raises(InjectedReadError):
-            policy.execute(always_fails, sleep=lambda _d: None)
+            policy.execute(always_fails)
+        # The whole jittered schedule was waited, and nothing else.
+        assert sim_clock.slept == policy.delays()
+        assert sim_clock.now() == sum(policy.delays())
 
     def test_non_transient_errors_propagate_immediately(self):
         calls = []
@@ -120,7 +124,7 @@ class TestRetryExecute:
 
         policy = RetryPolicy(max_attempts=5, base_delay_s=0.0)
         with pytest.raises(ValueError):
-            policy.execute(broken, sleep=lambda _d: None)
+            policy.execute(broken)
         assert len(calls) == 1
 
     def test_on_retry_hook_sees_attempts_and_errors(self):
@@ -133,35 +137,20 @@ class TestRetryExecute:
 
         policy = RetryPolicy(max_attempts=4, base_delay_s=0.0)
         policy.execute(
-            flaky, sleep=lambda _d: None,
+            flaky,
             on_retry=lambda attempt, exc: seen.append((attempt, type(exc))),
         )
         assert seen == [(1, InjectedReadError), (2, InjectedReadError)]
 
 
-class FakeClock:
-    """A manually advanced monotonic clock."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, dt):
-        self.now += dt
-
-
+@pytest.mark.usefixtures("sim_clock")
 class TestCircuitBreaker:
     def make(self, **kwargs):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
+        return CircuitBreaker(
             failure_threshold=kwargs.pop("failure_threshold", 3),
             recovery_timeout_s=kwargs.pop("recovery_timeout_s", 1.0),
-            clock=clock,
             **kwargs,
         )
-        return breaker, clock
 
     def test_validation(self):
         with pytest.raises(StorageError):
@@ -172,7 +161,7 @@ class TestCircuitBreaker:
             CircuitBreaker(half_open_probes=0)
 
     def test_trips_after_threshold_consecutive_failures(self):
-        breaker, _clock = self.make()
+        breaker = self.make()
         for _ in range(2):
             breaker.record_failure()
         assert breaker.state == "closed"
@@ -183,7 +172,7 @@ class TestCircuitBreaker:
         assert breaker.rejections == 1
 
     def test_success_resets_the_failure_streak(self):
-        breaker, _clock = self.make()
+        breaker = self.make()
         breaker.record_failure()
         breaker.record_failure()
         breaker.record_success()
@@ -191,11 +180,13 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == "closed"
 
-    def test_half_open_after_timeout_then_closes_on_probe_success(self):
-        breaker, clock = self.make()
+    def test_half_open_after_timeout_then_closes_on_probe_success(
+        self, sim_clock
+    ):
+        breaker = self.make()
         for _ in range(3):
             breaker.record_failure()
-        clock.advance(1.0)
+        sim_clock.sleep(1.0)
         assert breaker.state == "half-open"
         assert breaker.allow()        # the probe slot
         assert not breaker.allow()    # no second probe
@@ -203,23 +194,41 @@ class TestCircuitBreaker:
         assert breaker.state == "closed"
         assert breaker.allow()
 
-    def test_failed_probe_reopens(self):
-        breaker, clock = self.make()
+    def test_failed_probe_reopens(self, sim_clock):
+        breaker = self.make()
         for _ in range(3):
             breaker.record_failure()
-        clock.advance(1.0)
+        sim_clock.sleep(1.0)
         assert breaker.allow()
         breaker.record_failure()
         assert breaker.state == "open"
         assert breaker.trips == 2
         # The dwell restarts from the failed probe.
-        clock.advance(0.5)
+        sim_clock.sleep(0.5)
         assert not breaker.allow()
-        clock.advance(0.5)
+        sim_clock.sleep(0.5)
         assert breaker.allow()
 
+    def test_probes_open_exactly_at_the_recovery_timeout(self, sim_clock):
+        # Open at t = 0, then at t = 1.0 after a failed probe: each time
+        # the last representable instant before the dwell ends is still
+        # open, and the dwell's end itself admits a probe.
+        breaker = self.make()
+        for _ in range(3):
+            breaker.record_failure()
+        for opened_at in (0.0, 1.0):
+            end = opened_at + 1.0
+            sim_clock.sleep(math.nextafter(end, 0.0) - sim_clock.now())
+            assert sim_clock.now() < end
+            assert breaker.state == "open" and not breaker.allow()
+            sim_clock.sleep(end - sim_clock.now())
+            assert sim_clock.now() == end
+            assert breaker.state == "half-open" and breaker.allow()
+            breaker.record_failure()
+        assert breaker.trips == 3
+
     def test_snapshot_reports_operator_view(self):
-        breaker, _clock = self.make(name="teststore")
+        breaker = self.make(name="teststore")
         breaker.record_failure()
         snap = breaker.snapshot()
         assert snap == {
@@ -243,11 +252,9 @@ class TestResilientCaller:
         with pytest.raises(StorageUnavailable):
             caller.call(always_fails)
 
+    @pytest.mark.usefixtures("sim_clock")
     def test_breaker_opens_then_fails_fast_without_calling(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=2, recovery_timeout_s=1.0, clock=clock
-        )
+        breaker = CircuitBreaker(failure_threshold=2, recovery_timeout_s=1.0)
         caller = ResilientCaller(None, breaker)
         calls = []
 

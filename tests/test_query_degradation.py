@@ -21,6 +21,7 @@ from repro.query.propolyne import ProPolyneEngine, QueryOutcome
 from repro.query.rangesum import RangeSumQuery
 from repro.query.service import QueryService
 from repro.storage.device import StorageSpec
+from repro.storage.latency import LatencyModel
 
 
 def build_engine(**resilience) -> ProPolyneEngine:
@@ -29,6 +30,19 @@ def build_engine(**resilience) -> ProPolyneEngine:
     return ProPolyneEngine(
         cube, max_degree=1, block_size=7,
         storage=StorageSpec(cache_blocks=8, **resilience),
+    )
+
+
+def seek_engine(base_s, shards=1) -> ProPolyneEngine:
+    """``build_engine``'s cube on an uncached stack whose every block
+    read waits ``base_s`` (on the installed clock)."""
+    rng = np.random.default_rng(11)
+    cube = rng.poisson(2.0, (32, 32)).astype(float)
+    return ProPolyneEngine(
+        cube, max_degree=1, block_size=7,
+        storage=StorageSpec(
+            shards=shards, latency=LatencyModel(base_s=base_s)
+        ),
     )
 
 
@@ -94,19 +108,35 @@ class TestDeadlineDegradation:
         exact = engine.evaluate_exact(query)
         assert abs(outcome.value - exact) <= outcome.error_bound + 1e-9
 
-    def test_deadline_checked_between_blocks_not_mid_read(self):
-        # A fake clock that jumps past the deadline after the first
-        # fetched block: exactly one block must have been read.
-        engine = build_engine()
+    def test_deadline_checked_between_blocks_not_mid_read(self, sim_clock):
+        # One block read takes 1 s, twice the deadline: the read that
+        # starts in time is finished, and no second one starts.
+        engine = seek_engine(base_s=1.0)
         query = workload(n=1)[0]
-        # started, the post-priming check, then the post-block-1 check.
-        ticks = iter([0.0, 0.0] + [10.0] * 100)
-        outcome = engine.evaluate_degradable(
-            query, deadline_s=5.0, clock=lambda: next(ticks)
-        )
+        outcome = engine.evaluate_degradable(query, deadline_s=0.5)
         assert outcome.degraded
         assert outcome.reason == "deadline"
         assert outcome.blocks_read == 1
+        assert sim_clock.slept == [1.0] and sim_clock.now() == 1.0
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_a_simulated_deadline_reads_a_fixed_number_of_blocks(
+        self, sim_clock, shards
+    ):
+        # 1 ms a block and a 3.5 ms deadline: reads start at 0, 1, 2
+        # and 3 ms, so 4 of the query's 20 blocks arrive, on one shard
+        # or four (a degradable read is a group of one, on one shard).
+        engine = seek_engine(base_s=1e-3, shards=shards)
+        query = RangeSumQuery.count([(2, 28), (3, 29)])
+        assert engine.evaluate_degradable(query).blocks_read == 20
+        del sim_clock.slept[:]
+        outcome = engine.evaluate_degradable(query, deadline_s=3.5e-3)
+        assert outcome.degraded and outcome.reason == "deadline"
+        assert outcome.blocks_read == 4
+        assert sim_clock.slept == [1e-3] * 4
+        assert abs(outcome.value - engine.evaluate_exact(query)) <= (
+            outcome.error_bound + 1e-9
+        )
 
     def test_generous_deadline_stays_exact(self):
         engine = build_engine()

@@ -4,7 +4,9 @@ in the shard fan-out and in the scan coordinator.
 The simulated seek is the cost model, so what these tests pin is that
 grouping changes *how* the device time is waited (one sleep per group)
 and never *how much* of it there is: ``n × base_s`` for ``n`` members,
-the same counters, the same errors.
+the same counters, the same errors.  They wait on the ``sim_clock``
+fixture, which records every sleep and makes a shard fan-out cost its
+slowest shard.
 """
 
 import math
@@ -32,15 +34,6 @@ def vals(*values):
     return np.array(values, dtype=float)
 
 
-@pytest.fixture
-def slept(monkeypatch):
-    """Every ``time.sleep`` argument requested while the test runs
-    (``list.append`` is atomic, so pool threads may record too)."""
-    requested: list[float] = []
-    monkeypatch.setattr(time, "sleep", requested.append)
-    return requested
-
-
 SEEK = LatencyModel(base_s=1e-3)
 
 
@@ -51,41 +44,49 @@ def filled_disk(n, latency=None):
 
 
 class TestLeafGroupRead:
-    def test_a_group_waits_the_sum_of_its_members_seeks_once(self, slept):
+    def test_a_group_waits_the_sum_of_its_members_seeks_once(
+        self, sim_clock
+    ):
         disk = filled_disk(8, SEEK)
         out = read_map(disk, range(8))
+        assert sim_clock.now() == 8 * SEEK.base_s
         disk.read_many([0, 1, 2])
-        assert slept == [8 * SEEK.base_s, 3 * SEEK.base_s]
+        assert sim_clock.slept == [8 * SEEK.base_s, 3 * SEEK.base_s]
+        assert sim_clock.now() == 8 * SEEK.base_s + 3 * SEEK.base_s
         assert disk.io.reads == 11
         assert [out[b].tolist() for b in range(8)] == [[float(b)] for b in range(8)]
 
-    def test_a_zero_latency_disk_never_sleeps(self, slept):
+    def test_a_zero_latency_disk_never_sleeps(self, sim_clock):
         filled_disk(8).read_many(range(8))
         filled_disk(8, LatencyModel()).read_many(range(8))
         filled_disk(8, SEEK).read_many([])
-        assert slept == []
+        assert sim_clock.slept == [] and sim_clock.now() == 0.0
 
-    def test_a_repeated_member_is_read_and_charged_again(self, slept):
+    def test_a_repeated_member_is_read_and_charged_again(self, sim_clock):
         disk = filled_disk(2, SEEK)
         group = disk.read_many([0, 1, 0])
         assert group.codes.tolist() == [0, 1, 0]
         assert group.payloads[0] is group.payloads[2]
         assert disk.io.reads == 3
-        assert slept == [3 * SEEK.base_s]
+        assert sim_clock.slept == [3 * SEEK.base_s]
 
     @pytest.mark.parametrize("k", [0, 3, 7])
-    def test_a_missing_member_charges_the_members_before_it(self, slept, k):
+    def test_a_missing_member_charges_the_members_before_it(
+        self, sim_clock, k
+    ):
         disk = filled_disk(8, SEEK)
         ids = list(range(8))
         ids[k] = 99
         with pytest.raises(StorageError, match="no such block 99"):
             disk.read_many(ids)
-        assert slept == ([k * SEEK.base_s] if k else [])
+        assert sim_clock.slept == ([k * SEEK.base_s] if k else [])
+        assert sim_clock.now() == k * SEEK.base_s
         assert disk.io.reads == k
 
     def test_two_threads_groups_on_one_disk_overlap(self):
         # The wait is outside the directory lock: two callers' 60 ms
-        # groups take about 60 ms together, not 120.
+        # groups take about 60 ms together, not 120.  Only a real clock
+        # can show it, so this test blocks for real.
         disk = filled_disk(12, LatencyModel(base_s=0.01))
         barrier = threading.Barrier(3)
 
@@ -346,6 +347,43 @@ class TestCoordinatorFlights:
             assert outcomes["follower"][2] is outcomes["leader"][2]
 
 
+class TestSimulatedFanOut:
+    def test_a_fan_out_costs_its_largest_shard_group_not_the_sum(
+        self, sim_clock
+    ):
+        # Each shard's group waits on its own thread from the caller's
+        # time; the caller resumes at the latest end.  The largest group
+        # is a pooled one, not the caller's own.  On one shard the same
+        # codes are one group and cost the sum.
+        n, sizes = 64, [2, 5, 9, 3]
+        owners = codes_table(4, n)
+        codes = [
+            int(code) for shard, size in enumerate(sizes)
+            for code in np.flatnonzero(owners == shard)[:size]
+        ]
+        stacks = {}
+        for shards in (1, 4):
+            built = StorageSpec(shards=shards, latency=SEEK).build(
+                4, placement=codes_table(shards, n)
+            )
+            write_map(built.device, {b: vals(float(b)) for b in range(n)})
+            stacks[shards] = built
+        assert sim_clock.now() == 0.0
+
+        stacks[4].device.read_many(codes)
+        assert sim_clock.now() == max(sizes) * SEEK.base_s
+        assert sorted(sim_clock.slept) == sorted(
+            size * SEEK.base_s for size in sizes
+        )
+
+        before = sim_clock.now()
+        stacks[1].device.read_many(codes)
+        assert sim_clock.now() == before + sum(sizes) * SEEK.base_s
+        assert sim_clock.slept[-1] == sum(sizes) * SEEK.base_s
+        for built in stacks.values():
+            built.close()
+
+
 # -- the simulated-time invariant ------------------------------------------
 
 CUBE_SHAPE = (32, 32, 16)
@@ -363,7 +401,7 @@ def seeded_queries(seed, count=40):
     return queries
 
 
-def test_no_simulated_seek_is_avoided(monkeypatch, slept):
+def test_no_simulated_seek_is_avoided(monkeypatch, sim_clock):
     """The ``cluster_mixed_io`` storage spec under 40 seeded queries:
     every requested sleep is its leaf group's size × ``base_s``, so the
     total is ``misses × base_s``, however the reads were grouped."""
@@ -385,6 +423,7 @@ def test_no_simulated_seek_is_avoided(monkeypatch, slept):
     leaves = engine.store._built.disks
     before = [leaf.io.reads for leaf in leaves]
     monkeypatch.setattr(SimulatedDisk, "read_many", recording_read)
+    slept = sim_clock.slept
     del slept[:]  # populate's own reads are not the measured run
     answers = [engine.evaluate_exact(q) for q in seeded_queries(2003)]
     engine.store.close()

@@ -194,12 +194,9 @@ class TestReadFailover:
         with pytest.raises(OSError):
             read_block(device, 1)
 
+    @pytest.mark.usefixtures("sim_clock")  # time stands still: stays open
     def test_open_breaker_promotes_proactively(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(
-            failure_threshold=1, recovery_timeout_s=1e9,
-            clock=lambda: clock[0],
-        )
+        breaker = CircuitBreaker(failure_threshold=1, recovery_timeout_s=1e9)
         members = [
             FlakyMember(SimulatedDisk(block_size=8)) for _ in range(2)
         ]

@@ -407,13 +407,13 @@ class TestPerShardDegradation:
             outcome = engine.evaluate_degradable(self.QUERY)
             assert outcome.degraded is True
 
-    def test_healing_restores_exact_answers(self):
-        import time
-
+    def test_healing_restores_exact_answers(self, sim_clock):
         engine = self.make_stormy(self.dead_shard(), recovery_timeout_s=0.01)
         assert engine.evaluate_degradable(self.QUERY).degraded is True
         engine.store.set_injecting(False)
-        time.sleep(0.02)  # past the recovery timeout: probes allowed
+        sim_clock.sleep(0.005)  # half the recovery timeout: still open
+        assert engine.evaluate_degradable(self.QUERY).degraded is True
+        sim_clock.sleep(0.005)  # the recovery timeout: probes allowed
         healed = engine.evaluate_degradable(self.QUERY)
         assert healed.degraded is False
         assert healed.blocks_skipped == 0

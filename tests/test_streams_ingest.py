@@ -106,15 +106,20 @@ class TestBandwidthCoordinator:
         coord.unregister(late)
         assert late._max_rate_hz is None
 
-    def test_degraded_time_accumulates(self):
+    def test_degraded_time_accumulates(self, sim_clock):
+        # Degraded from t = 0 (scale 1/2, then 1/4, then back through
+        # 1/2) until the restoring reading at t = 1.0; the later idle
+        # 4 s at full rate add nothing.
         with use_registry(MetricsRegistry()) as reg:
             coord = BandwidthCoordinator(sustain_ticks=1)
-            coord.observe(0.9)
-            time.sleep(0.02)
-            coord.observe(0.9)
-            assert (
-                reg.counter("ingest.degraded_rate_seconds").value > 0.0
-            )
+            for pause, fullness in [
+                (0.0, 0.9), (0.25, 0.9), (0.5, 0.1), (0.25, 0.1),
+                (4.0, 0.5),
+            ]:
+                sim_clock.sleep(pause)
+                coord.observe(fullness)
+            assert coord.scale == 1.0 and sim_clock.now() == 5.0
+            assert reg.counter("ingest.degraded_rate_seconds").value == 1.0
 
 
 class TestSamplerRateCap:

@@ -225,22 +225,12 @@ class TestReplayFidelity:
 
 
 class TestPacing:
-    def _paced_waits(self, record, speed):
-        clock = {"now": 0.0}
-        waits = []
+    """Pacing on the ``sim_clock`` fixture: the waits are exact, and the
+    replay ends at the recorded span divided by the speed."""
 
-        def fake_clock():
-            return clock["now"]
-
-        def fake_sleep(seconds):
-            waits.append(seconds)
-            clock["now"] += seconds
-
-        replayer = SessionReplayer(
-            record, speed=speed, clock=fake_clock, sleep=fake_sleep
-        )
-        events = list(replayer.events())
-        return events, waits
+    def _paced_waits(self, clock, record, speed):
+        events = list(SessionReplayer(record, speed=speed).events())
+        return events, clock.slept
 
     def _record(self):
         return SessionRecord(
@@ -253,22 +243,22 @@ class TestPacing:
             ],
         )
 
-    def test_real_time_pacing(self):
-        events, waits = self._paced_waits(self._record(), speed=1.0)
+    def test_real_time_pacing(self, sim_clock):
+        events, waits = self._paced_waits(sim_clock, self._record(), 1.0)
         assert len(events) == 3
-        assert waits == [pytest.approx(0.5), pytest.approx(0.5)]
+        assert waits == [0.5, 0.5] and sim_clock.now() == 1.0
 
-    def test_double_speed_halves_waits(self):
-        _, waits = self._paced_waits(self._record(), speed=2.0)
-        assert waits == [pytest.approx(0.25), pytest.approx(0.25)]
+    def test_double_speed_halves_waits(self, sim_clock):
+        _, waits = self._paced_waits(sim_clock, self._record(), 2.0)
+        assert waits == [0.25, 0.25] and sim_clock.now() == 0.5
 
-    def test_half_speed_doubles_waits(self):
-        _, waits = self._paced_waits(self._record(), speed=0.5)
-        assert waits == [pytest.approx(1.0), pytest.approx(1.0)]
+    def test_half_speed_doubles_waits(self, sim_clock):
+        _, waits = self._paced_waits(sim_clock, self._record(), 0.5)
+        assert waits == [1.0, 1.0] and sim_clock.now() == 2.0
 
-    def test_as_fast_as_possible_never_sleeps(self):
-        _, waits = self._paced_waits(self._record(), speed=None)
-        assert waits == []
+    def test_as_fast_as_possible_never_sleeps(self, sim_clock):
+        _, waits = self._paced_waits(sim_clock, self._record(), None)
+        assert waits == [] and sim_clock.now() == 0.0
 
 
 class TestDegradedButAuditable:
