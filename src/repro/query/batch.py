@@ -153,7 +153,8 @@ class BatchEvaluator:
     # -- vectorized plumbing ---------------------------------------------
 
     def _schedule(self, queries: list[RangeSumQuery]):
-        """Translate, CSR-stack and schedule a batch.
+        """Translate, CSR-stack and schedule a batch, through the engine's
+        located kernel (:meth:`ProPolyneEngine.locate_batch`).
 
         Segment ``i`` of the stack keeps query ``i``'s translation
         order, so its dot against the gathered payloads reduces in
@@ -168,10 +169,7 @@ class BatchEvaluator:
         """
         if not queries:
             raise QueryError("batch evaluation needs at least one query")
-        located = [self._engine.query_located(q) for q in queries]
-        offsets = np.zeros(len(located) + 1, dtype=np.intp)
-        np.cumsum([len(values) for values, _, _ in located], out=offsets[1:])
-        values, codes, slots = map(np.concatenate, zip(*located))
+        values, codes, slots, offsets = self._engine.locate_batch(queries)
         schedule = schedule_blocks(
             values, codes, self._engine.store.allocation,
             self._engine._block_norms,
@@ -283,8 +281,8 @@ class BatchEvaluator:
 
     def independent_block_count(self, queries: list[RangeSumQuery]) -> int:
         """Total blocks independent evaluations would read."""
-        blocks_for = self._engine.store.blocks_for
+        distinct = self._engine.store.allocation.distinct
         return sum(
-            len(blocks_for(self._engine.query_arrays(query)[0]))
+            len(distinct(self._engine.query_located(query)[1]))
             for query in queries
         )

@@ -1,7 +1,8 @@
 """Properties of the array-native scalar query kernel.
 
-The scalar path is translate axes → ``locate_product`` →
-``gather_located`` → dot, on arrays end to end and never on keys.  Each
+The scalar path is located axis parts → their outer combination
+(``locate_batch``) → ``gather_located`` → dot, on arrays end to end and
+never on keys.  Each
 stage is pinned here against the per-key form it replaced, kept in this
 file as the reference:
 

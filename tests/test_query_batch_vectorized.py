@@ -59,22 +59,6 @@ DRILL_DOWN = [
 
 
 class TestBitwiseEquivalence:
-    def test_weighted_queries_bitwise_equal(self, engine):
-        queries = [
-            RangeSumQuery.weighted([(3, 29), (4, 30)], {0: 1}),
-            RangeSumQuery.weighted([(5, 20), (5, 20)], {0: 1, 1: 1}),
-            RangeSumQuery.count([(5, 20), (5, 20)]),
-        ]
-        values = BatchEvaluator(engine).evaluate_exact(queries)
-        for value, query in zip(values, queries):
-            assert value == engine.evaluate_exact(query)
-
-    def test_single_query_batch_bitwise_equal(self, engine):
-        query = RangeSumQuery.count([(3, 19), (8, 27)])
-        assert BatchEvaluator(engine).evaluate_exact(
-            [query]
-        )[0] == engine.evaluate_exact(query)
-
     def test_empty_batch_raises(self, engine):
         with pytest.raises(QueryError):
             BatchEvaluator(engine).evaluate_exact([])
