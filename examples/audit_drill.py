@@ -15,7 +15,7 @@ makes the *session* the stored artifact, not just the cube it built:
    answer matching what a live query would have said at that moment;
 4. shard 0 dies; the degraded historical answer carries a
    :class:`~repro.query.explain.QueryProvenance` record
-   (``repro.provenance/v1``) naming the open breaker, the skipped
+   (``repro.provenance/v2``) naming the open breaker, the skipped
    blocks, and the guaranteed bound — the artifact an auditor files.
 
 Everything is deterministic (fixed seeds) and ends with the

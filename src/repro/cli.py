@@ -598,7 +598,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     degradably (live, or pinned to ``--as-of EPOCH`` on the versioned
     demo engine), and prints the attached
     :class:`~repro.query.explain.QueryProvenance` audit record as JSON
-    (``repro.provenance/v1``).
+    (``repro.provenance/v2``).
     """
     from repro.query.explain import attach_provenance, explain, format_plan
     from repro.query.propolyne import ProPolyneEngine

@@ -10,8 +10,8 @@ et al., PAPERS.md) treats observable names as API: they must be
 documented and stable.
 
 ``deep-metric-drift`` extracts every registration site from the
-project model (``counter(``/``gauge(``/``histogram(`` plus
-``span``/``timer`` sites, which register ``<name>.seconds``) and diffs
+project model (``counter(``/``gauge(``/``histogram(`` plus ``span``
+sites, which register ``<name>.seconds``) and diffs
 both directions:
 
 * **undocumented** — a registered name no catalogue mentions

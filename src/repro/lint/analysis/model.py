@@ -54,7 +54,7 @@ _LOCK_NAME_RE = re.compile(r"^_(?:[a-z0-9]+_)*lock$")
 SCHEMA_RE = re.compile(r"\brepro\.[a-z0-9_.]+/v[0-9]+\b")
 
 #: Metric-registry entry points (module functions and registry/obs
-#: method forms).  ``span``/``timer`` sites register ``<name>.seconds``
+#: method forms).  ``span`` sites register ``<name>.seconds``
 #: histograms on exit.
 _METRIC_CALLS = {
     "counter": "counter",
@@ -64,7 +64,7 @@ _METRIC_CALLS = {
     "obs_gauge": "gauge",
     "obs_histogram": "histogram",
 }
-_SPAN_CALLS = {"span", "timer"}
+_SPAN_CALLS = {"span"}
 
 #: Container-mutating method names: ``self._x.append(...)`` counts as a
 #: write to ``_x`` for race purposes.

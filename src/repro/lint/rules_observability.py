@@ -31,7 +31,7 @@ __all__ = ["ObsCoverageRule"]
 OBS_CALL_NAMES = frozenset(
     {
         "counter", "gauge", "histogram", "obs_counter", "obs_gauge",
-        "obs_histogram", "span", "timer",
+        "obs_histogram", "span",
     }
 )
 

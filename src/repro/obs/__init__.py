@@ -5,8 +5,9 @@ One lightweight substrate for every quantitative claim in the paper:
 * :mod:`repro.obs.registry` — named counters, gauges, and fixed-bucket
   histograms in a process-wide :class:`MetricsRegistry` (with a
   :class:`NullRegistry` no-op path for overhead-sensitive runs);
-* :mod:`repro.obs.spans` — nesting ``span()``/``timer()`` context
-  managers, so a query span contains its storage child spans;
+* :mod:`repro.obs.spans` — the nesting ``span()`` context manager, so a
+  query span contains its storage child spans, and the ``handoff()``
+  that carries a trace across a queue;
 * :mod:`repro.obs.stats` — the ``reset/snapshot/delta`` protocol the
   per-subsystem stats bundles (``IOStats``, ``PoolStats``, ...) share;
 * :mod:`repro.obs.export` — JSON and text exporters (the benchmark
@@ -36,7 +37,7 @@ from repro.obs.registry import (
     set_registry,
     use_registry,
 )
-from repro.obs.spans import Span, current_span, span, timer
+from repro.obs.spans import Span, span
 from repro.obs.stats import StatsBase
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "Span",
     "StatsBase",
     "counter",
-    "current_span",
     "gauge",
     "get_registry",
     "histogram",
@@ -59,7 +59,6 @@ __all__ = [
     "render_text",
     "set_registry",
     "span",
-    "timer",
     "to_json",
     "use_registry",
 ]

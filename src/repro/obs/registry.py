@@ -43,6 +43,8 @@ __all__ = [
     "histogram",
 ]
 
+MAX_SPANS = 256  # completed root spans a registry keeps for exporters
+
 # Exponential seconds edges: 10 us .. 10 s covers a pool hit through a
 # full benchmark query batch.
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
@@ -186,19 +188,19 @@ class MetricsRegistry:
     Instruments are identified by dotted names (see the catalogue in
     DESIGN.md); asking twice for the same name returns the same object,
     so any module can contribute to a shared series without coordination.
-    Completed *root* spans are retained in :attr:`spans` (bounded) for
-    the exporters.
+    The last :data:`MAX_SPANS` completed *root* spans are retained in
+    :attr:`spans` for the exporters.
     """
 
     #: Real registries record; the null registry flips this off so the
     #: span machinery can skip work entirely.
     enabled = True
 
-    def __init__(self, max_spans: int = 256) -> None:
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self.spans: deque = deque(maxlen=max_spans)
+        self.spans: deque = deque(maxlen=MAX_SPANS)
         self._lock = watched_lock("obs.registry")
 
     def counter(self, name: str) -> Counter:

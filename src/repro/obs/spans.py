@@ -1,78 +1,92 @@
-"""Nested timing spans: ``span()`` / ``timer()`` context managers.
+"""Timing spans: the ``span()`` context manager and the queue hand-off.
 
-A span measures one operation; spans opened while another span is active
-become its children, so a ProPolyne query span contains the block-store
-fetch spans it triggered and a report can show where a query's latency
-went.  Every completed span also lands in a latency histogram named
-``<name>.seconds`` in the active registry, and completed *root* spans are
-retained on ``registry.spans`` for the exporters.
-
-Under a :class:`~repro.obs.registry.NullRegistry` both context managers
-return a shared no-op, so the disabled path costs one attribute check.
+A span times one operation on :func:`repro.core.clock.now`.  The open
+span lives in one ``ContextVar``; a span opened inside it is its child,
+so a query span contains the fetch spans it caused.  Each span carries
+a ``span_id`` (one process-wide count), its ``parent_id`` and a
+``trace_id`` (its root's id, or the one a hand-off drew), and feeds a
+``<name>.seconds`` histogram; finished roots stay on ``registry.spans``.
+Work crossing a queue carries a :func:`handoff`, never a span.  Under a
+:class:`~repro.obs.registry.NullRegistry` ``span`` returns a shared
+no-op and ``handoff`` returns ``None`` — no clock read, no id drawn.
 """
 
 from __future__ import annotations
 
-import threading
-import time
+import itertools
+from contextvars import ContextVar
+from typing import NamedTuple
 
-from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    MetricsRegistry,
-    get_registry,
-)
+from repro.core import clock
+from repro.obs.registry import DEFAULT_LATENCY_BUCKETS, get_registry
 
-__all__ = ["Span", "span", "timer", "current_span"]
+__all__ = ["Handoff", "Span", "current_trace", "handoff", "span"]
 
-_stack = threading.local()
+_ids = itertools.count(1)
+_current: ContextVar[Span | None] = ContextVar("repro.obs.span", default=None)
 
 
-def _spans() -> list:
-    stack = getattr(_stack, "spans", None)
-    if stack is None:
-        stack = _stack.spans = []
-    return stack
+class Handoff(NamedTuple):
+    """What crosses a queue: a trace, its open span, the capture time."""
+
+    trace_id: int
+    parent: Span | None
+    start: float
 
 
 class Span:
-    """One timed operation, with children for nested operations.
+    """One timed operation, with children for nested operations and
+    ``links`` to the other traces it served.  Use via :func:`span`."""
 
-    Use via the :func:`span` / :func:`timer` context managers rather than
-    directly; the duration is measured with ``time.perf_counter``.
-    """
+    __slots__ = (
+        "name", "duration", "children", "links", "trace_id", "span_id",
+        "parent_id", "_parent", "_start", "_token", "_registry",
+    )
 
-    __slots__ = ("name", "duration", "children", "_start", "_registry")
-
-    def __init__(self, name: str, registry: MetricsRegistry) -> None:
+    def __init__(self, name: str, registry, after: Handoff | None) -> None:
         self.name = name
         self.duration = 0.0
         self.children: list[Span] = []
-        self._start = 0.0
+        self.links: tuple[int, ...] = ()
+        self.span_id = next(_ids)
+        parent = _current.get()
+        if parent is None and after is not None:
+            parent, self.trace_id = after.parent, after.trace_id
+        else:
+            self.trace_id = self.span_id if parent is None else parent.trace_id
+        self.parent_id = None if parent is None else parent.span_id
+        self._parent = parent
+        self._start = clock.now() if after is None else after.start
         self._registry = registry
 
     def __enter__(self) -> "Span":
-        _spans().append(self)
-        self._start = time.perf_counter()
+        self._token = _current.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.duration = time.perf_counter() - self._start
-        stack = _spans()
-        stack.pop()
+        self.duration = clock.now() - self._start
+        _current.reset(self._token)
+        # Dropped so a finished tree holds no reference cycle.
+        parent, self._parent, self._token = self._parent, None, None
         registry = self._registry
         registry.histogram(
             f"{self.name}.seconds", DEFAULT_LATENCY_BUCKETS
         ).observe(self.duration)
-        if stack:
-            stack[-1].children.append(self)
+        if parent is not None:
+            parent.children.append(self)
         else:
             registry.spans.append(self)
 
+    def link(self, handoffs) -> None:
+        """Set :attr:`links` to the distinct traces of ``handoffs``."""
+        self.links = tuple(sorted({h.trace_id for h in handoffs if h}))
+
     def to_dict(self) -> dict:
-        """Exporter form: name, duration, nested children."""
+        """Exporter form: name, ids, duration, links, nested children."""
         return {
-            "name": self.name,
-            "duration_s": self.duration,
+            "name": self.name, "trace_id": self.trace_id,
+            "span_id": self.span_id, "parent_id": self.parent_id,
+            "duration_s": self.duration, "links": list(self.links),
             "children": [child.to_dict() for child in self.children],
         }
 
@@ -91,6 +105,9 @@ class _NullSpan:
     def __exit__(self, exc_type, exc, tb) -> None:
         return None
 
+    def link(self, handoffs) -> None:
+        """Link nothing."""
+
     def to_dict(self) -> dict:
         """Exporter form of nothing."""
         return {}
@@ -99,25 +116,27 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-def span(name: str, registry: MetricsRegistry | None = None):
-    """A context manager timing one operation under ``name``.
-
-    Nested uses build a span tree; the innermost active span is the
-    parent of any span opened inside it.
-    """
-    registry = registry or get_registry()
+def span(name: str, after: Handoff | None = None):
+    """A context manager timing one operation under ``name``, a child of
+    the span open in this context.  ``after`` is a :func:`handoff` taken
+    across a queue: the span starts at its capture and, with no span
+    open here, joins its trace under its span."""
+    registry = get_registry()
     if not registry.enabled:
         return _NULL_SPAN
-    return Span(name, registry)
+    return Span(name, registry, after)
 
 
-def timer(name: str, registry: MetricsRegistry | None = None):
-    """Alias of :func:`span` — reads better at call sites that only care
-    about the ``<name>.seconds`` histogram, not the tree."""
-    return span(name, registry)
+def handoff() -> Handoff | None:
+    """This context, captured to cross a queue: the open span's trace
+    (a fresh id if none is open), that span, and ``clock.now()``."""
+    if not get_registry().enabled:
+        return None
+    parent = _current.get()
+    trace = next(_ids) if parent is None else parent.trace_id
+    return Handoff(trace, parent, clock.now())
 
 
-def current_span() -> Span | None:
-    """The innermost active span on this thread, if any."""
-    stack = getattr(_stack, "spans", None)
-    return stack[-1] if stack else None
+def current_trace() -> int | None:
+    """The trace of the span open in this context, if any."""
+    return getattr(_current.get(), "trace_id", None)

@@ -14,13 +14,13 @@ level are skipped (and close out any pending declaration).
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import clock
 from repro.core.errors import RecognitionError
 from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
@@ -160,7 +160,7 @@ class StreamRecognizer:
         frames_c = obs_counter("recognizer.frames")
         decisions_c = obs_counter("recognizer.decisions")
         decisions_before = decisions_c.value
-        started = time.perf_counter()
+        started = clock.now()
         for frame in frames:
             frames_c.inc()
             values = (
@@ -211,7 +211,7 @@ class StreamRecognizer:
             if pending is not None and self._armed:
                 detections.append(pending)
         obs_counter("recognizer.detections").inc(len(detections))
-        elapsed = time.perf_counter() - started
+        elapsed = clock.now() - started
         if elapsed > 0:
             # §3.4's real-time constraint, as a live rate: vocabulary
             # comparison rounds (recognition decisions) per second.

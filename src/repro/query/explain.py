@@ -12,7 +12,7 @@ structured audit record of an answer already delivered — which storage
 epoch answered, which blocks and shards were touched, the cache
 generations and breaker states at answer time, and the degradation
 story (reason, guaranteed bound, one-sigma forecast).  It serializes to
-JSON (``repro.provenance/v1``, the schema table in ``docs/REPLAY.md``)
+JSON (``repro.provenance/v2``, the schema table in ``docs/REPLAY.md``)
 so a degraded or historical answer can be audited long after the
 process that produced it is gone.  :func:`provenance_of` builds one,
 :func:`attach_provenance` returns the outcome with it attached; the
@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.errors import QueryError
 from repro.obs import counter as obs_counter
+from repro.obs.spans import current_trace
 from repro.query.propolyne import ProPolyneEngine, QueryOutcome
 from repro.query.rangesum import RangeSumQuery
 from repro.storage.scheduler import schedule_blocks
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 #: Version tag carried by every serialized provenance record.
-PROVENANCE_SCHEMA = "repro.provenance/v1"
+PROVENANCE_SCHEMA = "repro.provenance/v2"
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def format_plan(plan: QueryPlan) -> str:
 class QueryProvenance:
     """Structured audit record of one delivered answer.
 
-    Field-for-field, this is the ``repro.provenance/v1`` JSON schema
+    Field-for-field, this is the ``repro.provenance/v2`` JSON schema
     documented in ``docs/REPLAY.md`` (a test asserts the two never
     drift).  Everything here is either recomputed deterministically
     from the query (block plan, shard placement) or snapshotted from
@@ -168,6 +169,7 @@ class QueryProvenance:
             generation at attach time (a changed generation between
             two answers means the cache was invalidated in between).
         filter_name: Wavelet filter the engine evaluates under.
+        trace_id: The trace of the span it was built in, or ``None``.
     """
 
     schema: str
@@ -184,6 +186,7 @@ class QueryProvenance:
     breaker_states: dict
     cache_generations: list
     filter_name: str
+    trace_id: int | None
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-ready; dict keys become strings)."""
@@ -206,6 +209,7 @@ class QueryProvenance:
             },
             "cache_generations": list(self.cache_generations),
             "filter_name": self.filter_name,
+            "trace_id": self.trace_id,
         }
 
     def to_json(self, indent: int | None = None) -> str:
@@ -264,6 +268,7 @@ def provenance_of(
         },
         cache_generations=[cache.generation for cache in caches],
         filter_name=engine.filter.name,
+        trace_id=current_trace(),
     )
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import copy
 import queue
 import threading
-import time
 from concurrent.futures import Future
 from typing import Iterator
 
@@ -42,10 +41,9 @@ import numpy as np
 
 from repro.core.errors import QueryError
 from repro.lint.lockwatch import watched_lock
-from repro.obs import DEFAULT_LATENCY_BUCKETS
 from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
-from repro.obs import histogram as obs_histogram
+from repro.obs.spans import handoff, span
 from repro.query.batch import BatchEvaluator
 from repro.query.explain import attach_provenance
 from repro.query.propolyne import (
@@ -292,11 +290,11 @@ class ProgressiveStream:
 
 
 class _Task:
-    """One admitted query: kind, payload, deadline, and its result sink."""
+    """One admitted query: kind, payload, deadline, result sink, trace."""
 
     __slots__ = (
         "kind", "query", "future", "stream", "deadline_s", "as_of",
-        "admitted",
+        "handoff",
     )
 
     def __init__(
@@ -341,8 +339,8 @@ class QueryService:
 
     Metrics: ``query.service.submitted`` / ``completed`` / ``rejected``
     / ``degraded`` counters, a ``query.service.queue_depth`` gauge, the
-    ``query.service.latency.seconds`` histogram (per-query wall time,
-    admission to completion), ``query.service.batch.submitted`` for
+    ``query.service.latency`` span (admission to completion, holding
+    ``query.service.queue_wait``), ``query.service.batch.submitted`` for
     batch tasks, and ``query.service.scan.fetches`` / ``scan.shared``
     from the coordinator.
     """
@@ -496,8 +494,8 @@ class QueryService:
         with self._lock:
             if self._closed:
                 raise QueryError("query service is closed")
-        # The latency histogram's clock starts here, queue wait included.
-        task.admitted = time.perf_counter()
+        # The latency span starts here, queue wait included.
+        task.handoff = handoff()
         try:
             if block:
                 self._tasks.put(task)
@@ -543,52 +541,51 @@ class QueryService:
                 if last_out:
                     self._fail_unserved()
                 return
-            try:
-                if task.kind == "exact":
-                    value = self.engine.evaluate_exact(
-                        task.query, as_of=task.as_of
-                    )
-                    task.future.set_result(value)
-                elif task.kind == "batch":
-                    answers = self._batcher.evaluate_exact(task.query)
-                    task.future.set_result(answers)
-                elif task.kind == "degradable":
-                    outcome: QueryOutcome = self.engine.evaluate_degradable(
-                        task.query,
-                        deadline_s=task.deadline_s,
-                        as_of=task.as_of,
-                    )
-                    if outcome.degraded:
-                        with self._lock:
-                            self.degraded += 1
-                        obs_counter("query.service.degraded").inc()
-                    # Every degradable outcome leaves the service
-                    # auditable: no I/O, just the memoized plan plus
-                    # breaker/cache snapshots.
-                    outcome = attach_provenance(
-                        self.engine, task.query, outcome, as_of=task.as_of
-                    )
-                    task.future.set_result(outcome)
-                else:
-                    final = None
-                    for estimate in self.engine.evaluate_progressive(
-                        task.query
-                    ):
-                        final = estimate
-                        task.stream._emit(estimate)
-                    task.stream._finish(final, None)
-            except BaseException as exc:  # deliver, never kill the worker
-                task.fail(exc)
-            finally:
-                with self._lock:
-                    self.completed += 1
-                obs_counter("query.service.completed").inc()
-                obs_histogram(
-                    "query.service.latency.seconds", DEFAULT_LATENCY_BUCKETS
-                ).observe(time.perf_counter() - task.admitted)
-                obs_gauge("query.service.queue_depth").set(
-                    self._tasks.qsize()
+            with span("query.service.latency", after=task.handoff):
+                with span("query.service.queue_wait", after=task.handoff):
+                    pass
+                self._serve(task)
+
+    def _serve(self, task: _Task) -> None:
+        try:
+            if task.kind == "exact":
+                value = self.engine.evaluate_exact(
+                    task.query, as_of=task.as_of
                 )
+                task.future.set_result(value)
+            elif task.kind == "batch":
+                answers = self._batcher.evaluate_exact(task.query)
+                task.future.set_result(answers)
+            elif task.kind == "degradable":
+                outcome: QueryOutcome = self.engine.evaluate_degradable(
+                    task.query,
+                    deadline_s=task.deadline_s,
+                    as_of=task.as_of,
+                )
+                if outcome.degraded:
+                    with self._lock:
+                        self.degraded += 1
+                    obs_counter("query.service.degraded").inc()
+                # Every degradable outcome leaves the service auditable:
+                # no I/O, just the memoized plan plus breaker/cache
+                # snapshots, and the trace this span belongs to.
+                outcome = attach_provenance(
+                    self.engine, task.query, outcome, as_of=task.as_of
+                )
+                task.future.set_result(outcome)
+            else:
+                final = None
+                for estimate in self.engine.evaluate_progressive(task.query):
+                    final = estimate
+                    task.stream._emit(estimate)
+                task.stream._finish(final, None)
+        except BaseException as exc:  # deliver, never kill the worker
+            task.fail(exc)
+        finally:
+            with self._lock:
+                self.completed += 1
+            obs_counter("query.service.completed").inc()
+            obs_gauge("query.service.queue_depth").set(self._tasks.qsize())
 
     # -- lifecycle -------------------------------------------------------
 

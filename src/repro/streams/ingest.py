@@ -33,7 +33,8 @@ Metrics (the ``ingest.*`` family in DESIGN.md's catalogue):
 ``ingest.sessions`` / ``ingest.queue_depth`` / ``ingest.rate_scale``
 gauges, ``ingest.commits`` / ``ingest.committed_points`` /
 ``ingest.commit_failures`` / ``ingest.degraded_rate_seconds``
-counters, and the ``ingest.commit_batch_size`` histogram.
+counters, the ``ingest.commit_batch_size`` histogram and the
+``ingest.commit`` / ``ingest.queue_wait`` spans.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.obs import DEFAULT_COUNT_BUCKETS
 from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
 from repro.obs import histogram as obs_histogram
-from repro.obs import span
+from repro.obs.spans import handoff, span
 
 __all__ = ["BandwidthCoordinator", "IngestService", "IngestSession"]
 
@@ -399,9 +400,10 @@ class IngestService:
 
     def submit_many(self, points, weights) -> None:
         """Enqueue points in order, under :meth:`submit`'s blocking
-        contract; the queue-depth gauge is set once for the call."""
-        for item in zip(points, weights):
-            self._queue.put(item)
+        contract; the gauge is set, and the trace captured, once."""
+        captured = handoff()
+        for point, weight in zip(points, weights):
+            self._queue.put((point, weight, captured))
         obs_gauge("ingest.queue_depth").set(self._queue.qsize())
 
     def flush(self) -> None:
@@ -415,10 +417,9 @@ class IngestService:
 
     # -- committer side ----------------------------------------------------
 
-    def _drain_batch(self) -> tuple[list, list]:
-        """Up to ``commit_batch`` queued points (first get may block)."""
-        points: list = []
-        weights: list = []
+    def _drain_batch(self) -> list:
+        """Up to ``commit_batch`` queued items (first get may block)."""
+        items: list = []
         try:
             item = self._queue.get(timeout=self.poll_seconds)
             while True:
@@ -426,17 +427,22 @@ class IngestService:
                     self._stop.set()
                     self._queue.task_done()
                 else:
-                    points.append(item[0])
-                    weights.append(item[1])
-                    if len(points) == self.commit_batch:
+                    items.append(item)
+                    if len(items) == self.commit_batch:
                         break
                 item = self._queue.get_nowait()
         except queue.Empty:
             pass
-        return points, weights
+        return items
 
-    def _commit(self, points: list, weights: list) -> None:
-        with span("ingest.commit"):
+    def _commit(self, items: list) -> None:
+        points, weights, handoffs = (list(column) for column in zip(*items))
+        # The oldest point's wait, in its trace; the commit links them all.
+        if handoffs[0] is not None:
+            with span("ingest.queue_wait", after=handoffs[0]):
+                pass
+        with span("ingest.commit") as commit:
+            commit.link(handoffs)
             obs_histogram(
                 "ingest.commit_batch_size", DEFAULT_COUNT_BUCKETS
             ).observe(len(points))
@@ -461,9 +467,9 @@ class IngestService:
 
     def _run(self) -> None:
         while True:
-            points, weights = self._drain_batch()
-            if points:
-                self._commit(points, weights)
+            items = self._drain_batch()
+            if items:
+                self._commit(items)
             obs_gauge("ingest.queue_depth").set(self._queue.qsize())
             if self.coordinator is not None:
                 self.coordinator.observe(

@@ -118,7 +118,7 @@ class TestExplainCommand:
         assert "answer (live" in out
         assert "provenance:" in out
         payload = json.loads(out.split("provenance:\n", 1)[1])
-        assert payload["schema"] == "repro.provenance/v1"
+        assert payload["schema"] == "repro.provenance/v2"
         assert payload["epoch"] == payload["current_epoch"] == 3
 
     def test_explain_as_of_pins_the_epoch(self, capsys):

@@ -12,15 +12,15 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    current_span,
     registry_from_dict,
     registry_to_dict,
     render_text,
     span,
-    timer,
     to_json,
     use_registry,
 )
+from repro.obs.registry import MAX_SPANS
+from repro.obs.spans import current_trace
 from repro.obs.stats import StatsBase
 from repro.storage.device import PoolStats
 from repro.storage.disk import IOStats
@@ -106,20 +106,28 @@ class TestSpans:
     def test_span_records_latency_histogram(self):
         reg = MetricsRegistry()
         with use_registry(reg):
-            with timer("op"):
+            with span("op"):
                 pass
         assert reg.histogram("op.seconds").count == 1
 
     def test_current_span_tracks_innermost(self):
+        # The innermost open span is the parent of the next one, and
+        # every span of the tree shares the root's id as its trace.
         reg = MetricsRegistry()
         with use_registry(reg):
-            assert current_span() is None
+            assert current_trace() is None
             with span("a") as a:
-                assert current_span() is a
+                assert a.parent_id is None and a.trace_id == a.span_id
                 with span("b") as b:
-                    assert current_span() is b
-                assert current_span() is a
-            assert current_span() is None
+                    assert b.parent_id == a.span_id
+                    with span("c") as c:
+                        assert c.parent_id == b.span_id
+                with span("d") as d:
+                    assert d.parent_id == a.span_id
+                assert current_trace() == a.trace_id
+            assert current_trace() is None
+        assert {b.trace_id, c.trace_id, d.trace_id} == {a.trace_id}
+        assert a.children == [b, d] and b.children == [c]
 
     def test_null_registry_spans_are_noop(self):
         reg = NullRegistry()
@@ -190,20 +198,22 @@ class TestExportBesideWriters:
         # Python running between items, so a root span finishing on
         # another thread raised "deque mutated during iteration" (about
         # one export in 1000 beside the cluster workload's committer).
-        reg = MetricsRegistry(max_spans=64)
+        reg = MetricsRegistry()
         stop = threading.Event()
         failures: list[BaseException] = []
 
         def churn():
             while not stop.is_set():
-                with span("writer.commit", reg):
-                    with span("writer.store", reg):
+                with span("writer.commit"):
+                    with span("writer.store"):
                         pass
 
         def export():
             try:
-                for _ in range(2000):
-                    assert len(registry_to_dict(reg)["spans"]) <= 64
+                # 500 exports of MAX_SPANS (256) roots walk as many
+                # entries as the 2000 exports of 64 that first caught it.
+                for _ in range(500):
+                    assert len(registry_to_dict(reg)["spans"]) <= MAX_SPANS
                     render_text(reg)
             except BaseException as exc:  # noqa: BLE001 - reported below
                 failures.append(exc)
@@ -212,14 +222,15 @@ class TestExportBesideWriters:
         sys.setswitchinterval(1e-5)
         writer = threading.Thread(target=churn)
         reader = threading.Thread(target=export)
-        try:
-            writer.start()
-            reader.start()
-            reader.join(120)
-        finally:
-            stop.set()
-            writer.join(30)
-            sys.setswitchinterval(previous)
+        with use_registry(reg):
+            try:
+                writer.start()
+                reader.start()
+                reader.join(120)
+            finally:
+                stop.set()
+                writer.join(30)
+                sys.setswitchinterval(previous)
         assert not reader.is_alive() and not writer.is_alive()
         assert failures == []
         assert reg.spans  # the writer really was retaining root spans
