@@ -13,8 +13,9 @@ percentiles for the sequential incremental series.
 
 The in-place-vs-rebuild gate is an exact work counter, not wall time:
 coefficients an append touches against coefficients a rebuild computes.
-Milliseconds are printed only; they move with the transform's speed,
-while the counts are the same on any machine.
+Milliseconds are printed only, never written to the table; they move
+with the transform's speed, while the counts are the same on any
+machine.
 """
 
 from __future__ import annotations
@@ -111,12 +112,14 @@ def test_a6_append_cost(emit, benchmark):
         f"touched in place vs {work['rebuild_coeffs']} computed rebuilding "
         f"per append; blocks written {work['append_blocks']} in place vs "
         f"{work['batch_blocks']} as one batched group commit vs "
-        f"{work['rebuild_blocks']} rebuilding"
-        + f"\nwall time: {append_time * 1e3:.1f} ms in place "
-        f"(per append p50 {fmt_ms(p50)} / p95 {fmt_ms(p95)}) vs "
-        f"{batch_time * 1e3:.1f} ms batched vs "
-        f"{rebuild_time * 1e3:.1f} ms rebuilding",
+        f"{work['rebuild_blocks']} rebuilding",
     )
+    # Printed, not persisted: the table holds only what every machine
+    # reproduces, so CI can diff it.
+    print(f"wall time: {append_time * 1e3:.1f} ms in place "
+          f"(per append p50 {fmt_ms(p50)} / p95 {fmt_ms(p95)}) vs "
+          f"{batch_time * 1e3:.1f} ms batched vs "
+          f"{rebuild_time * 1e3:.1f} ms rebuilding")
     # Polylog per-append footprint.
     growth = np.diff(touches)
     assert all(g <= 30 for g in growth)

@@ -2,8 +2,8 @@
 bounds out.
 
 Storage is built from one declarative
-:class:`~repro.storage.device.StorageSpec` — four shards, a small
-per-shard cache, CRC framing, seeded fault injection, retries and a
+:class:`~repro.storage.device.StorageSpec` — four shards under one
+small block cache, CRC framing, seeded fault injection, retries and a
 per-shard circuit breaker — and the drill walks the failure ladder:
 
 1. transient faults on every shard, absorbed silently by retries —

@@ -165,9 +165,9 @@ class QueryProvenance:
         blocks_by_shard: Planned block count per shard placement.
         breaker_states: Per-shard circuit-breaker state at attach time
             (``closed`` / ``half-open`` / ``open``).
-        cache_generations: Per-shard caching-layer invalidation
-            generation at attach time (a changed generation between
-            two answers means the cache was invalidated in between).
+        cache_generations: ``[the store cache's generation]`` at
+            attach time, ``[]`` without one (a changed generation
+            between two answers means the cache was invalidated).
         filter_name: Wavelet filter the engine evaluates under.
         trace_id: The trace of the span it was built in, or ``None``.
     """
@@ -242,7 +242,7 @@ def provenance_of(
     for shard in store.shard_of(planned).tolist():
         blocks_by_shard[shard] = blocks_by_shard.get(shard, 0) + 1
     breakers = getattr(store, "breakers", None) or []
-    caches = getattr(store, "caches", None) or []
+    cache = getattr(store, "cache", None)
     log = getattr(engine, "_epoch_log", None)
     current_epoch = 0 if log is None else log.current
     epoch = as_of if as_of is not None else (
@@ -266,7 +266,7 @@ def provenance_of(
         breaker_states={
             i: breaker.state for i, breaker in enumerate(breakers)
         },
-        cache_generations=[cache.generation for cache in caches],
+        cache_generations=[] if cache is None else [cache.generation],
         filter_name=engine.filter.name,
         trace_id=current_trace(),
     )

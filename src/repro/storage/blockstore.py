@@ -52,7 +52,7 @@ class _StoreBase:
         self.spec = spec
         allocation = self.allocation
         # Placement is tabled once per store: no block ever changes shard.
-        # The depth table orders every cache's recency by the error tree.
+        # The depth table orders the cache's recency by the error tree.
         self._built = spec.build(block_size, placement_table(
             allocation.n_codes, spec.shards, allocation.block_tuple,
         ) if spec.shards > 1 else None, allocation.block_depth)
@@ -61,10 +61,10 @@ class _StoreBase:
         #: directly); per-shard breakers live in :attr:`breakers`.
         self.breaker = spec.breaker
         self.breakers = self._built.breakers
-        #: Every caching layer, shard-major then member-minor (empty
-        #: when the spec disables caching) — benchmarks clear these
-        #: between runs and difference their ``pool_stats``.
-        self.caches = self._built.caches
+        #: The store's one caching layer, above the shard fan-out
+        #: (``None`` when the spec disables caching) — benchmarks clear
+        #: it between runs and difference its ``pool_stats``.
+        self.cache = self._built.cache
 
     def _populate(self, blocks: dict) -> None:
         # Initial population models in-memory construction, not live
@@ -118,10 +118,10 @@ class _StoreBase:
 
         The batch inserter's I/O exit point and the write-side twin of
         :meth:`fetch_blocks` — a whole batch's dirty blocks go down as a
-        single ``write_many``, which the sharded device splits into one
-        write per shard group on its persistent fan-out pool, with cache
-        invalidation and CRC framing applied per member by the
-        middleware stack.
+        single ``write_many``: the store's cache writes it through and
+        invalidates every code, the sharded device splits it into one
+        write per shard group on its persistent fan-out pool, and CRC
+        framing is applied per member by the middleware stack.
 
         Args:
             payloads: Mapping from block code to the full replacement

@@ -29,12 +29,12 @@ cache / faults / resilience / latency) that block stores, the AIMS
 facade and the CLI all build from, and :meth:`StorageSpec.build` is the
 one place the layers are wired, in the one order::
 
-    metered > resilient > caching > crc > faulty > disk
+    metered > caching > [sharded >] [replicated >] resilient > crc > faulty > disk
 
-(metering outermost so it sees every logical read; retries outside the
-cache so a failed miss is re-driven through it; CRC inside the cache so
-hits are not re-verified; faults below CRC so torn frames are *caught*
-by the checksum, not simulated around it).
+(metering outermost so it sees every logical read; one cache per store,
+above the fan-out and the retries, so a hit never forks and only misses
+are guarded; CRC under the cache so hits are not re-verified; faults
+below CRC so torn frames are *caught* by the checksum, not simulated).
 """
 
 from __future__ import annotations
@@ -216,7 +216,8 @@ class MeteredDevice(DeviceLayer):
 
 class CachingDevice(DeviceLayer):
     """Fixed-capacity LRU cache middleware: hits are free, misses cost
-    one inner read.
+    one inner read.  A store has one, above its shard fan-out, so a
+    group of hits returns on the caller's thread.
 
     Coherence is an internal invariant: every write enters through
     :meth:`write_many`, which writes through to the inner device and
@@ -243,7 +244,9 @@ class CachingDevice(DeviceLayer):
     payload read before a concurrent write could be inserted after that
     write's invalidation ran — closed by the generation gate: every
     ``invalidate``/``clear`` bumps ``_gen`` and a group only publishes
-    its misses if no invalidation happened since its read began.
+    its misses if no invalidation happened since the read began.  The
+    gate is per store: a write on any shard keeps every concurrent read
+    from publishing its misses.
     """
 
     def __init__(self, inner, capacity: int, depth=None) -> None:
@@ -482,9 +485,9 @@ class ResilientDevice(DeviceLayer):  # lint: ignore[obs-coverage] — retry.* / 
     :class:`~repro.faults.resilience.ResilientCaller`: transient faults
     (``OSError``, CRC failures) are retried per the policy, persistent
     failure trips the breaker, and exhaustion surfaces as one typed
-    :class:`~repro.core.errors.StorageUnavailable`.  Stacked *outside*
-    the cache, so a retried read is re-driven through the (uncached on
-    failure) miss path.
+    :class:`~repro.core.errors.StorageUnavailable`.  Stacked *under*
+    the store's cache, so it guards and re-drives only misses; a cached
+    block is served while its breaker is open (writes invalidate it).
     """
 
     def __init__(self, inner, retry_policy=None, breaker=None) -> None:
@@ -563,18 +566,18 @@ class BuiltStorage:
     ``sharded`` the :class:`~repro.storage.sharding.ShardedDevice`
     fan-out layer, or ``None``; ``replica_groups`` the per-shard
     :class:`~repro.storage.replication.ReplicatedDevice` handles, in
-    shard order (empty without replicas).  ``disks``, ``caches``,
-    ``breakers`` and ``faulty`` are flat lists in shard-major,
-    member-minor order, one entry per (shard, member) sub-stack that
-    has the layer — without replication, one per shard in shard order.
+    shard order (empty without replicas); ``cache`` the one cache, or
+    ``None``.  ``disks``, ``breakers`` and ``faulty`` are flat lists in
+    shard-major, member-minor order, one entry per (shard, member)
+    sub-stack that has the layer — without replication, one per shard.
     """
 
     spec: "StorageSpec"
     device: object = None
     sharded: object = None
+    cache: CachingDevice | None = None
     replica_groups: list = field(default_factory=list)
     disks: list = field(default_factory=list)
-    caches: list = field(default_factory=list)
     breakers: list = field(default_factory=list)
     faulty: list = field(default_factory=list)
 
@@ -610,14 +613,14 @@ class StorageSpec:
     (``--shards N --cache-blocks K --fault-rate p``) build storage
     from.  :meth:`build` is the one place the layer order is written::
 
-        metered > resilient > caching > crc > faulty > disk   (x shards)
+        metered > caching > sharded > replicated > resilient > crc > faulty > disk
 
     with absent features simply dropped from the chain.
 
     Attributes:
         shards: Number of striped leaf devices (1 = unsharded).
-        cache_blocks: Total cached blocks across the stack (split
-            evenly over shards); ``None`` disables caching.
+        cache_blocks: Slots of the store's one cache (above the
+            shards); ``None`` disables caching.
         fault_plan: Optional :class:`~repro.faults.plan.FaultPlan`;
             every targeted leaf's fault layer holds it itself (its
             decisions are keyed by replica member and block, not by
@@ -694,7 +697,7 @@ class StorageSpec:
         ) and (self.fault_replicas is None or member in self.fault_replicas)
 
     def _member(self, built: BuiltStorage, block_size: int,
-                shard: int, member: int, depth):
+                shard: int, member: int):
         """One (shard, member) sub-stack, leaf upward; returns it and
         its breaker (or None).
 
@@ -717,12 +720,6 @@ class StorageSpec:
             built.faulty.append(device)
         if self.crc_enabled():
             device = CrcFramedDevice(device)
-        if self.cache_blocks:
-            per_shard = -(-self.cache_blocks // self.shards)  # ceil
-            device = CachingDevice(
-                device, capacity=max(1, per_shard), depth=depth
-            )
-            built.caches.append(device)
         if self.retry_policy is not None or breaker is not None:
             device = ResilientDevice(device, self.retry_policy, breaker)
             if breaker is not None:
@@ -732,14 +729,14 @@ class StorageSpec:
     def build(self, block_size: int, placement=None, depth=None) -> BuiltStorage:
         """Build the device stack for a given leaf block size; a sharded
         stack splits by the store's ``placement`` table
-        (:func:`~repro.storage.sharding.placement_table`), and every
-        cache orders recency by the store's ``depth`` table (the
-        allocation's ``block_depth``; see :class:`CachingDevice`)."""
+        (:func:`~repro.storage.sharding.placement_table`), and the one
+        cache wraps it all, ordering recency by the store's ``depth``
+        table (``block_depth``; see :class:`CachingDevice`)."""
         built = BuiltStorage(self)
         shards = []
         for shard in range(self.shards):
             members = [
-                self._member(built, block_size, shard, member, depth)
+                self._member(built, block_size, shard, member)
                 for member in range(self.replicas + 1)
             ]
             device = members[0][0]
@@ -754,18 +751,19 @@ class StorageSpec:
                 built.replica_groups.append(device)
             shards.append(device)
         if self.shards > 1:
-            # Fan-out overlaps device *waits*: simulated latency, a fault
-            # plan's spikes, a retry policy's backoff.  With none, a read
-            # is dictionary lookups under the GIL and a pool hand-off per
-            # shard only costs (a thread wake-up each; bimodal on a small
-            # VM).  So the width is ShardedDevice's default with a wait
-            # source in the spec, 1 (no pool) without.
+            # Fan-out overlaps device *waits* (latency, fault spikes,
+            # retry backoff).  Without one a pool hand-off per shard only
+            # costs a thread wake-up, so the width is then 1 (no pool).
             waits = (self.latency, self.fault_plan, self.retry_policy)
             device = built.sharded = ShardedDevice(
                 shards, placement,
                 fanout_workers=(
                     None if any(w is not None for w in waits) else 1
                 ),
+            )
+        if self.cache_blocks:
+            device = built.cache = CachingDevice(
+                device, capacity=self.cache_blocks, depth=depth
             )
         built.device = MeteredDevice(device, prefix="storage.device")
         return built

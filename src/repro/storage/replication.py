@@ -9,10 +9,11 @@ read, any in-sync replica holds the identical payload and the device
 fails over (and promotes) instead of surfacing the error.
 
 Member anatomy: each member is a full middleware sub-stack
-(``resilient > caching > crc > faulty > disk``) built by
+(``resilient > crc > faulty > disk``) built by
 :meth:`StorageSpec.build <repro.storage.device.StorageSpec.build>`,
 with its own breaker, fault plan and latency model — members must fail
-independently, so they share no stateful middleware.
+independently, so they share no stateful middleware (the store's one
+cache sits above every group, so a promotion leaves it warm).
 
 The failure model is crash/unavailability (the member's resilient layer
 raising :class:`~repro.core.errors.StorageUnavailable` after retries,
@@ -191,7 +192,7 @@ class ReplicatedDevice:
         that fail go stale (excluded from reads until resync).
 
         Each member sees the group as one coalesced ``write_many`` (so
-        its own framing/caching layers keep their group semantics); a
+        its own framing and fault layers keep their group semantics); a
         member failing the group goes stale as a whole — block
         overwrites are idempotent, so resync restores it exactly.
 
@@ -253,9 +254,9 @@ class ReplicatedDevice:
         """Copy the current primary's blocks onto every stale member.
 
         Returns the number of members restored to the in-sync set.
-        Blocks are read through the primary's stack (cache hits apply)
-        and group-committed to each stale member.  With no stale
-        members this is a no-op.
+        Blocks are read through the primary's stack (leaf reads, under
+        the store's cache) and group-committed to each stale member.
+        With no stale members this is a no-op.
         """
         with self._lock:
             stale = sorted(self._stale)

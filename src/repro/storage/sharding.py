@@ -10,8 +10,9 @@ Multi-block reads fan out across the shards touched via a small
 transient worker pool, so with per-device latency the wall-clock cost
 of a scan approaches ``blocks / shards`` device waits instead of
 ``blocks`` (the overlap ``tests/test_storage_group_io.py`` counts and
-the e2e ``drilldown_io`` workload's ``latency_p50_ms`` measures; on a
-:class:`~repro.core.clock.SimClock` it is exactly the slowest shard's).
+e2e ``cluster_mixed_io``'s ``latency_p50_ms`` measures; on a
+:class:`~repro.core.clock.SimClock` it is the slowest shard's).  The
+store's cache sits above, so only a group's misses fan out.
 Group writes fan out the same way; a group of one routes directly to
 the owning shard.
 

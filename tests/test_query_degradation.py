@@ -22,6 +22,7 @@ from repro.query.rangesum import RangeSumQuery
 from repro.query.service import QueryService
 from repro.storage.device import StorageSpec
 from repro.storage.latency import LatencyModel
+from repro.testing import oracle
 
 
 def build_engine(**resilience) -> ProPolyneEngine:
@@ -352,5 +353,60 @@ class TestSameBitsAcrossPaths:
                 assert abs(outcome.value - truth) <= outcome.error_bound + 1e-9
             else:
                 assert outcome.value == truth
+        engine.store.close()
+        clean.store.close()
+
+    def test_a_dead_shards_cached_blocks_still_answer(self):
+        # The store's one cache sits above the fan-out and every
+        # breaker: blocks cached before shard 1's breaker opened keep
+        # answering, and a query skips only its shard-1 blocks that are
+        # not cached.
+        engine = self.padded_engine(
+            cache_blocks=64,  # the whole 50-block cube: nothing evicts
+            fault_plan=FaultPlan(seed=3, read_error_rate=1.0),
+            fault_shards=(1,),
+            retry_policy=RetryPolicy(
+                max_attempts=2, base_delay_s=0.0, budget_s=0.0
+            ),
+            breaker=CircuitBreaker(
+                failure_threshold=1, recovery_timeout_s=60.0
+            ),
+        )
+        clean = self.padded_engine()
+        store = engine.store
+        queries = self.queries()
+        warm, cold = queries[3], queries[0]
+
+        def on_shard_1(codes):
+            codes = np.asarray(codes, dtype=np.intp)
+            return set(codes[store.shard_of(codes) == 1].tolist())
+
+        def planned(query):
+            return store.allocation.distinct(engine.query_located(query)[1])
+
+        store.set_injecting(False)
+        exact = engine.evaluate_exact(warm)  # caches every block it reads
+        store.set_injecting(True)
+        untouched = on_shard_1(np.arange(store.allocation.n_codes)) - (
+            on_shard_1(planned(warm)) | on_shard_1(planned(cold))
+        )
+        with pytest.raises(StorageUnavailable):
+            store.read_many([min(untouched)])
+        assert [b.state for b in store.breakers] == [
+            "closed", "open", "closed", "closed"
+        ]
+
+        outcome = engine.evaluate_degradable(warm)
+        assert not outcome.degraded and outcome.blocks_skipped == 0
+        assert outcome.value == exact == clean.evaluate_exact(warm)
+
+        uncached = on_shard_1(planned(cold)) - on_shard_1(planned(warm))
+        assert 0 < len(uncached) < len(on_shard_1(planned(cold)))
+        outcome = engine.evaluate_degradable(cold)
+        assert outcome.degraded and outcome.reason == "storage_unavailable"
+        assert outcome.blocks_skipped == len(uncached)
+        assert oracle._within(
+            outcome.value, clean.evaluate_exact(cold), outcome.error_bound
+        )
         engine.store.close()
         clean.store.close()

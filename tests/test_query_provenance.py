@@ -92,11 +92,11 @@ class TestProvenanceContents:
         engine = _engine()
         outcome = engine.evaluate_degradable(QUERY)
         prov = provenance_of(engine, QUERY, outcome)
-        assert len(prov.cache_generations) == 2  # one per shard
-        gens_before = list(prov.cache_generations)
-        engine.insert((0, 0))  # invalidates a cache line somewhere
-        prov2 = provenance_of(engine, QUERY, outcome)
-        assert sum(prov2.cache_generations) >= sum(gens_before)
+        # One cache per store, above the shards: one generation.
+        (before,) = prov.cache_generations
+        engine.insert((0, 0))  # invalidates the blocks it rewrites
+        (after,) = provenance_of(engine, QUERY, outcome).cache_generations
+        assert after > before
 
     def test_degraded_answer_names_the_open_breaker(self):
         engine = _engine(

@@ -301,7 +301,7 @@ class TestOccupancyGauges:
         with use_registry(MetricsRegistry()) as reg:
             engine = build_engine(cache_blocks=8)
             engine.evaluate_exact(RangeSumQuery.count([(0, 7), (0, 1), (0, 15)]))
-            (cache,) = engine.store.caches
+            cache = engine.store.cache
             assert cache.cached_blocks() > 0
             assert reg.gauge("storage.pool.occupancy").value == (
                 cache.cached_blocks() / cache.capacity

@@ -19,7 +19,7 @@ purpose:
   after the insert.  It moves only when DESIGN's "One reduction order"
   does, and is then edited by hand.
 * ``block_codes_io.txt``, one line per (stack, phase): every leaf's
-  reads/writes, every cache's hits/misses, every fault layer's
+  reads/writes, the store cache's hits/misses, every fault layer's
   decisions/firings and a hash of its ordinals, and how many answers
   were errors.
   ``PYTHONPATH=src python tests/test_storage_block_codes.py`` re-records
@@ -102,12 +102,12 @@ def faults_of(layer) -> str:
 
 
 def io_row(engine, answers) -> str:
-    """Every leaf's reads/writes, every cache's hits/misses, every fault
+    """Every leaf's reads/writes, the store cache's hits/misses, every fault
     layer's :func:`faults_of`, and how many answers failed."""
     built = engine.store._built
     leaf = ",".join(f"{d.io.reads}/{d.io.writes}" for d in built.disks)
-    cache = ",".join(f"{c.pool_stats.hits}/{c.pool_stats.misses}"
-                     for c in built.caches)
+    stats = built.cache and built.cache.pool_stats
+    cache = stats and f"{stats.hits}/{stats.misses}"
     faults = ",".join(map(faults_of, built.faulty))
     errors = sum(isinstance(a, Exception) for a in answers)
     return (f"leaf={leaf} cache={cache or '-'} faults={faults or '-'} "
@@ -146,6 +146,23 @@ def test_every_path_keeps_its_bits_and_its_io(runs, stack):
 
 def test_a_fault_meets_a_block_not_a_layout(runs):
     oracle.check_layouts(runs["crc_faults"], runs["crc_faults4"], "crc_faults")
+
+
+def test_a_cache_hit_meets_a_block_not_a_layout(runs):
+    # One cache per store, above the fan-out: the cache sees the same
+    # groups on 1, 2 and 4 shards, so every phase has the same hits and
+    # misses and the leaves below read and write as much in total.
+    def totals(row):
+        cells = dict(cell.split("=") for cell in row.split()[:-1])
+        leaves = [tuple(map(int, leaf.split("/")))
+                  for leaf in cells["leaf"].split(",")]
+        return cells["cache"], tuple(map(sum, zip(*leaves)))
+
+    one = runs["shards1_cached"].io
+    for stack in ("shards2_cached", "shards4_cached"):
+        assert runs[stack].io.keys() == one.keys()
+        for phase, row in runs[stack].io.items():
+            assert totals(row) == totals(one[phase]), f"{stack}/{phase}"
 
 
 def test_exact_fails_where_degradable_degrades():
@@ -202,8 +219,8 @@ def test_the_fixture_exercises_faults_and_caches():
         decided = pairs(stack, "faults")
         assert len(decided) == layers
         assert all(draws > 100 and fired > 10 for draws, fired in decided)
-    cached = pairs("shards4_cached", "cache")
-    assert len(cached) == 4 and all(h > 0 and m > 0 for h, m in cached)
+    (cached,) = pairs("shards4_cached", "cache")  # one cache per store
+    assert all(n > 0 for n in cached)
     leaves = pairs("shards4", "leaf")
     assert len(leaves) == 4 and all(r > 0 and w > 0 for r, w in leaves)
     assert len(pairs("replicated", "leaf")) == 4

@@ -102,10 +102,10 @@ class TestLayerOrderProperty:
             # Absent features drop out; what is present keeps its place.
             assert layer_chain(device.stats()) == [
                 "metered",
+                *["caching"] * (cache is not None),
                 *["sharded"] * (shards > 1),
                 *["replicated"] * replicas,
                 *["resilient"] * resilient,
-                *["caching"] * (cache is not None),
                 *["crc"] * crc,
                 *["faulty"] * faulted,
                 "metered", "disk",
@@ -115,11 +115,15 @@ class TestLayerOrderProperty:
         built = StorageSpec(
             shards=2, replicas=1, cache_blocks=4, crc=True
         ).build(block_size=8, placement=codes_table(2))
+        # One cache, directly under the store's meter and above the
+        # fan-out; no (shard, member) sub-stack has one of its own.
+        assert built.device.inner is built.cache
+        assert built.cache.inner is built.sharded
+        assert built.cache.capacity == 4
         # Flat, shard-major then member-minor: 2 shards x 2 members.
         grid = member_layers(built)
-        assert built.caches == [
-            grid[cell][CachingDevice] for cell in sorted(grid)
-        ]
+        assert len(grid) == 4
+        assert not any(CachingDevice in layers for layers in grid.values())
         assert built.disks == [
             grid[cell][SimulatedDisk] for cell in sorted(grid)
         ]
@@ -154,12 +158,12 @@ class TestStorageSpec:
         )
         built = spec.build(block_size=8)
         assert layer_chain(built.device.stats()) == [
-            "metered", "resilient", "caching", "crc", "faulty",
+            "metered", "caching", "resilient", "crc", "faulty",
             "metered", "disk",
         ]
         assert built.breakers == [spec.breaker]
         assert [layer.plan for layer in built.faulty] == [spec.fault_plan]
-        assert [cache.capacity for cache in built.caches] == [8]
+        assert built.cache.capacity == 8
 
     def test_minimal_spec_is_a_bare_disk(self):
         built = StorageSpec().build(block_size=4)
@@ -169,7 +173,8 @@ class TestStorageSpec:
         (disk,) = built.disks
         assert isinstance(disk, SimulatedDisk) and disk.latency is None
         assert built.sharded is None
-        assert not (built.caches or built.breakers or built.faulty
+        assert built.cache is None
+        assert not (built.breakers or built.faulty
                     or built.replica_groups)
 
     def test_crc_follows_the_fault_plan_unless_forced(self):

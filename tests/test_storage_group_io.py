@@ -383,6 +383,43 @@ class TestSimulatedFanOut:
         for built in stacks.values():
             built.close()
 
+    def test_hits_never_fork(self, monkeypatch, sim_clock):
+        # The store's one cache sits above the fan-out: a group that is
+        # all hits returns on the caller's thread without reaching the
+        # sharded layer or waiting, and a group with k misses reaches it
+        # once, with exactly those k codes.
+        n = 64
+        built = StorageSpec(shards=4, cache_blocks=n, latency=SEEK).build(
+            4, placement=codes_table(4, n)
+        )
+        write_map(built.device, {b: vals(float(b)) for b in range(n)})
+        fanned = []
+        real_read = ShardedDevice.read_many
+
+        def spy(self, codes):
+            fanned.append(np.asarray(codes).tolist())
+            return real_read(self, codes)
+
+        monkeypatch.setattr(ShardedDevice, "read_many", spy)
+        warm = list(range(0, 32, 2))
+        assert set(codes_table(4, n)[warm].tolist()) == {0, 1, 2, 3}
+        built.device.read_many(warm)
+        assert fanned == [warm]
+
+        start, slept = sim_clock.now(), len(sim_clock.slept)
+        out = read_map(built.device, warm)
+        assert fanned == [warm]
+        assert sim_clock.now() == start and len(sim_clock.slept) == slept
+        assert {b: p.tolist() for b, p in out.items()} == {
+            b: [float(b)] for b in warm
+        }
+
+        missed = [33, 40, 51, 62]
+        out = read_map(built.device, warm[:5] + missed + warm[5:])
+        assert fanned == [warm, missed]
+        assert sorted(out) == sorted(warm + missed)
+        built.close()
+
 
 # -- the simulated-time invariant ------------------------------------------
 

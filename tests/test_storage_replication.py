@@ -317,7 +317,7 @@ class TestSpecIntegration:
             write_block(built.device, block_id, items)
         assert built.resync_replicas() == 0
 
-    def test_store_caches_list_every_member_not_just_primaries(self):
+    def test_a_promotion_leaves_the_store_cache_warm(self):
         rng = np.random.default_rng(2003)
         engine = ProPolyneEngine(
             rng.poisson(3.0, (32, 32)).astype(float), max_degree=1,
@@ -325,21 +325,23 @@ class TestSpecIntegration:
             storage=StorageSpec(shards=2, replicas=1, cache_blocks=64),
         )
         store = engine.store
-        assert len(store.caches) == 2 * (1 + 1)
         query = RangeSumQuery.count([(3, 29), (4, 30)])
 
-        def device_reads():
-            before = store.io_snapshot()
+        def leaf_reads():
+            """Each disk's reads for one query, shard-major, member-minor."""
+            before = [disk.io.reads for disk in store._built.disks]
             engine.evaluate_exact(query)
-            return store.io_since(before).reads
+            return [disk.io.reads - was
+                    for disk, was in zip(store._built.disks, before)]
 
-        cold = device_reads()
-        assert cold > 0 and device_reads() == 0
+        cold = leaf_reads()
+        assert cold[1::2] == [0, 0] and all(cold[0::2])  # primaries read
+        assert leaf_reads() == [0, 0, 0, 0]
+        # The one cache sits above every replica group: a promotion
+        # leaves it warm.
         for replica_group in store._built.replica_groups:
             replica_group.promote(1)
-        assert (device_reads(), device_reads()) == (cold, 0)
-        # Clearing "the store's caches" must reach the members that now
-        # serve the reads.
-        for cache in store.caches:
-            cache.clear()
-        assert device_reads() == cold
+        assert leaf_reads() == [0, 0, 0, 0]
+        # Cold again, the promoted members serve every read.
+        store.cache.clear()
+        assert leaf_reads() == [0, cold[0], 0, cold[2]]
