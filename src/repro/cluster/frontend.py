@@ -26,6 +26,7 @@ isolation property ``tests/test_cluster_frontend.py`` holds
 
 from __future__ import annotations
 
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 from repro.core.errors import AIMSError
@@ -181,15 +182,34 @@ class ClusterFrontend:
 
     def _routed_submit(self, tenant: str, submit):
         """Quota-guard one submission: acquire before routing, release
-        when the future resolves (or the submission itself fails)."""
+        when the backend's future resolves (or the submission itself
+        fails).
+
+        The caller gets a frontend-owned future that resolves only
+        after the slot is released, so a caller that has its result
+        never sees its own query still counted in flight.
+        """
         self._acquire(tenant)
         try:
-            future = submit()
+            inner = submit()
         except BaseException:
             self._release(tenant)
             raise
-        future.add_done_callback(lambda _f: self._release(tenant))
-        return future
+        outer: Future = Future()
+        # Running from admission on, so a caller cannot cancel it under
+        # ``settle``; the backend's service never cancels ``inner``.
+        outer.set_running_or_notify_cancel()
+
+        def settle(done: Future) -> None:
+            self._release(tenant)
+            exc = done.exception()
+            if exc is None:
+                outer.set_result(done.result())
+            else:
+                outer.set_exception(exc)
+
+        inner.add_done_callback(settle)
+        return outer
 
     # -- query path ----------------------------------------------------
 

@@ -4,8 +4,8 @@ paths: every float sum in :mod:`repro.query`, :mod:`repro.storage` and
 not depend on the BLAS kernel or on the interpreter's builtin ``sum``
 (DESIGN.md, "One reduction order").
 
-* :func:`dot` and :func:`segmented_dot` — numpy's pairwise
-  ``np.add.reduce`` of the elementwise product, never BLAS;
+* :func:`dot`, :func:`segmented_dot` and :func:`sum_squares` — numpy's
+  pairwise ``np.add.reduce`` of the elementwise product, never BLAS;
 * :func:`total` — strictly left to right, for the running totals whose
   reference is defined that way.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["dot", "segmented_dot", "total"]
+__all__ = ["dot", "segmented_dot", "sum_squares", "total"]
 
 
 def dot(a, b):
@@ -26,6 +26,19 @@ def dot(a, b):
     contiguous, hence the C-ordered product.
     """
     return np.add.reduce(np.multiply(a, b, order="C"), axis=-1)
+
+
+def _by_length(starts, lengths):
+    """``(rows, gather)`` for each run of one segment length: ``rows``
+    are those segments (sorted by length, stable) and ``gather`` the
+    C-ordered ``(k, L)`` index of their members."""
+    order = np.argsort(lengths, kind="stable")
+    bounds = np.flatnonzero(
+        np.diff(lengths[order], prepend=-1, append=-1)
+    ).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = order[lo:hi]
+        yield rows, starts[rows, None] + np.arange(lengths[rows[0]])
 
 
 def segmented_dot(a, b, offsets) -> np.ndarray:
@@ -40,15 +53,22 @@ def segmented_dot(a, b, offsets) -> np.ndarray:
     starts = np.asarray(offsets, dtype=np.intp)
     lengths = np.diff(starts)
     out = np.zeros(lengths.size)
-    # Segments sorted by length; ``bounds`` cut the runs of one length.
-    order = np.argsort(lengths, kind="stable")
-    bounds = np.flatnonzero(
-        np.diff(lengths[order], prepend=-1, append=-1)
-    ).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        rows = order[lo:hi]
-        gather = starts[rows, None] + np.arange(lengths[rows[0]])
+    for rows, gather in _by_length(starts, lengths):
         out[rows] = np.add.reduce(products[gather], axis=-1)
+    return out
+
+
+def sum_squares(x, starts, lengths) -> np.ndarray:
+    """``dot(s, s)`` of every segment ``s = x[starts[i]:starts[i] +
+    lengths[i]]``, bitwise, reading only the segments: they may lie
+    anywhere in ``x``, in any order.  Same gathering as
+    :func:`segmented_dot`."""
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    out = np.zeros(lengths.size)
+    for rows, gather in _by_length(starts, lengths):
+        members = x[gather]
+        out[rows] = np.add.reduce(np.multiply(members, members), axis=-1)
     return out
 
 

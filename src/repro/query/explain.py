@@ -30,7 +30,6 @@ from repro.obs.spans import current_trace
 from repro.query.propolyne import ProPolyneEngine, QueryOutcome
 from repro.query.rangesum import RangeSumQuery
 from repro.storage.scheduler import schedule_blocks
-from repro.wavelets.lazy import cached_range_query_transform
 
 __all__ = [
     "PROVENANCE_SCHEMA",
@@ -75,23 +74,16 @@ class QueryPlan:
 def explain(engine: ProPolyneEngine, query: RangeSumQuery) -> QueryPlan:
     """Plan (but do not execute) a range-sum on a populated engine.
 
-    Performs no data-block I/O: only the lazy query translation and the
-    allocation metadata are consulted.
+    Performs no data-block I/O: only the engine's located translation
+    (its per-axis parts) and the allocation metadata are consulted.
     """
     values, codes, _slots = engine.query_located(query)
-    per_dim = []
-    for axis, ((lo, hi), poly) in enumerate(zip(query.ranges, query.polys)):
-        if query.is_empty():
-            per_dim.append(0)
-            continue
-        if engine.levels[axis] == 0:
-            per_dim.append(max(0, hi - lo + 1))
-        else:
-            sparse = cached_range_query_transform(
-                list(poly), lo, hi, engine.shape[axis],
-                wavelet=engine.filter, levels=engine.levels[axis],
-            )
-            per_dim.append(len(sparse))
+    # Each axis's size is its located part, which that call just
+    # memoized: the plan translates nothing a second time.
+    per_dim = [0] * query.ndim if query.is_empty() else [
+        len(engine._part(axis, lo, hi, poly)[0])
+        for axis, ((lo, hi), poly) in enumerate(zip(query.ranges, query.polys))
+    ]
     # The schedule the evaluators would fetch by: its summed masses are
     # the priming step's bound, its first block the most valuable one.
     schedule = schedule_blocks(

@@ -8,24 +8,32 @@ read-modify-write per touched block and one norm rebuild per point;
 :class:`BatchInserter` applies the recipe that made batched reads fast
 (:class:`~repro.query.batch.BatchEvaluator`) to writes:
 
-* **Located once, at memo time.**  A point's impulse delta (the lazy
+* **Placed once, at memo time.**  A point's impulse delta (the lazy
   transform of the width-one range ``[p, p]``) is memoized per distinct
-  point *already located*: each coefficient's block code and slot in
-  that block's payload array (``query_located``, from the engine's axis
-  parts; the allocation is fixed for its life), its value, and the
-  point's distinct block codes.  No key matrix is ever built.
+  point *already placed*: each coefficient's position in the
+  allocation's fixed coefficient layout (``offsets[code] + slot``, where
+  :attr:`~repro.storage.allocation.TensorAllocation.offsets` lays every
+  grid block's payload back to back in code order; ``query_located``
+  gives the code and slot, from the engine's axis parts), its value,
+  and the point's distinct block codes.  The allocation is fixed for
+  the engine's life, so no batch re-bases a point, and no key matrix
+  is ever built.
 * **One read-modify-write per touched block, found without a sort.**
   The touched blocks are a presence table over the block grid filled
   from the per-point block codes.  They are read once, as one group
-  (:meth:`~repro.storage.blockstore.TensorReads.read_many`), packed
-  back to back into one buffer where every delta entry has a position
-  ``base[code] + slot``, and committed once
+  (:meth:`~repro.storage.blockstore.TensorReads.read_many`), each
+  pre-image copied into its own range of a per-inserter scratch in the
+  fixed layout, and committed once
   (:meth:`~repro.storage.blockstore._StoreBase.store_blocks`) — one
   ``read_many`` and one ``write_many`` per batch instead of one RMW
-  per (point, block) pair.
-* **Order-preserving accumulation, straight into the buffer.**
-  ``np.add.at(buffer, pos, scaled)``, point after point, applies the
-  deltas *unbuffered, in point order* — on each coefficient the identical
+  per (point, block) pair.  The scratch is allocated on the first
+  commit and touched only under the engine's update lock; a commit
+  reads back only the ranges it copied in, so nothing a failed commit
+  left there is ever read.
+* **Order-preserving accumulation, straight into the scratch.**
+  ``np.add.at(scratch, positions, values)`` (the values scaled only
+  when the weight is not 1.0), point after point, applies the deltas
+  *unbuffered, in point order* — on each coefficient the identical
   float-operation sequence N sequential ``insert`` calls perform —
   which is what makes the stored result **bitwise-identical** to the
   sequential path, not merely close.  Overlapping supports need no
@@ -40,12 +48,13 @@ every append holds the engine's update lock.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 
 import numpy as np
 
 from repro.core.errors import QueryError
-from repro.core.reduce import segmented_dot
+from repro.core.reduce import sum_squares
 from repro.obs import DEFAULT_COUNT_BUCKETS
 from repro.obs import counter as obs_counter
 from repro.obs import histogram as obs_histogram
@@ -55,8 +64,8 @@ from repro.query.rangesum import RangeSumQuery
 
 __all__ = ["BatchInserter"]
 
-#: Delta coefficients a memo may hold (three 8-byte arrays
-#: each, so about 50 MB).  Beyond it the least recently used points are
+#: Delta coefficients a memo may hold (two 8-byte arrays
+#: each, so about 33 MB).  Beyond it the least recently used points are
 #: evicted, which costs their re-translation and changes no stored bit.
 _MEMO_COEFFICIENTS = 1 << 21
 
@@ -79,10 +88,15 @@ class BatchInserter:
         self._ndim = len(engine.shape)
         # Per-point impulse translations repeat constantly in sensor
         # traffic (quantized readings revisit the same cells), so the
-        # located deltas are memoized per distinct point, least recently
+        # placed deltas are memoized per distinct point, least recently
         # used first.  Only touched under the engine's update lock.
         self._delta_memo: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
         self._memo_held = 0
+        # The commit's buffer and hit marks, in the allocation's fixed
+        # layout: allocated on the first commit, only touched under the
+        # engine's update lock.
+        self._scratch: np.ndarray | None = None
+        self._hit: np.ndarray | None = None
 
     # -- validation --------------------------------------------------------
 
@@ -114,8 +128,8 @@ class BatchInserter:
         return pts, w
 
     def _delta_of(self, point: tuple[int, ...]) -> tuple:
-        """Memoized located impulse transform of one point
-        (``W(e_point)``): ``(codes, slots, values, block_codes)``."""
+        """Memoized placed impulse transform of one point
+        (``W(e_point)``): ``(positions, values, block_codes)``."""
         memo = self._delta_memo
         delta = memo.get(point)
         if delta is not None:
@@ -126,11 +140,12 @@ class BatchInserter:
         values, codes, slots = engine.query_located(
             RangeSumQuery(ranges=tuple((p, p) for p in point))
         )
-        delta = codes, slots, values, allocation.distinct(codes)
+        delta = (allocation.offsets[codes] + slots, values,
+                 allocation.distinct(codes))
         memo[point] = delta
         self._memo_held += len(values)
         while self._memo_held > _MEMO_COEFFICIENTS:
-            self._memo_held -= len(memo.popitem(last=False)[1][2])
+            self._memo_held -= len(memo.popitem(last=False)[1][1])
         return delta
 
     # -- the batch append kernel -------------------------------------------
@@ -169,51 +184,60 @@ class BatchInserter:
         engine = self._engine
         store = engine.store
         allocation = store.allocation
+        offsets = allocation.offsets
+        points = list(map(tuple, pts.tolist()))
+        deltas = {point: self._delta_of(point) for point in points}
         # 1. The touched-block union (a presence table over the points'
-        #    block codes, no sort) in one coalesced read, packed into
-        #    one buffer.
-        deltas = [self._delta_of(point) for point in map(tuple, pts.tolist())]
+        #    block codes, no sort) in one coalesced read, each pre-image
+        #    copied into its range of the scratch.
         block_codes = allocation.distinct(
-            np.concatenate([delta[3] for delta in deltas])
+            np.concatenate([delta[2] for delta in deltas.values()])
         )
         obs_histogram(
             "query.insert.blocks_touched", DEFAULT_COUNT_BUCKETS
         ).observe(len(block_codes))
         preimages = store.read_many(block_codes)
-        buffer, base = allocation.pack(preimages)
-        buffer = buffer.copy()  # pack's buffer is read-only
+        allocation.check_lens(preimages.codes, preimages.lens)
+        scratch = self._scratch
+        if scratch is None:
+            size = math.prod(allocation.shape)
+            scratch = self._scratch = np.empty(size)
+            self._hit = np.zeros(size, dtype=bool)
+        starts = offsets[preimages.codes]
+        for start, payload in zip(starts.tolist(), preimages.payloads):
+            scratch[start:start + len(payload)] = payload
 
-        # 2. Accumulate on the buffer itself, point by point: np.add.at
+        # 2. Accumulate on the scratch itself, point by point: np.add.at
         #    is unbuffered, so shared coefficients need no dedup (see
         #    the module docstring).  A point's arrays stay cache-sized;
         #    stacking the batch first would cost more in page faults on
         #    its multi-megabyte temporaries than the arithmetic does.
-        hit = np.zeros(len(buffer), dtype=bool)
-        for (codes, slots, values, _), weight in zip(deltas, w.tolist()):
-            pos = base[codes] + slots
-            np.add.at(buffer, pos, values * weight)
-            hit[pos] = True
+        for point, weight in zip(points, w.tolist()):
+            positions, values, _ = deltas[point]
+            np.add.at(scratch, positions,
+                      values if weight == 1.0 else values * weight)
         # Block by block in code order, whatever the read's group order.
-        codes = block_codes.tolist()
-        starts = base[block_codes]
-        ends = starts + allocation.block_len(block_codes)
-        bounds = zip(starts.tolist(), ends.tolist())
-        payloads = dict(zip(codes, (buffer[a:b] for a, b in bounds)))
+        # The parts are writable views of the scratch, so the device
+        # copy-freezes each (``frozen_payload``): no stored block aliases
+        # what the next commit overwrites.
+        lo = offsets[block_codes]
+        hi = lo + allocation.block_len(block_codes)
+        payloads = dict(zip(
+            block_codes.tolist(),
+            (scratch[a:b] for a, b in zip(lo.tolist(), hi.tolist())),
+        ))
 
-        # 3. One group commit for the whole batch's dirty blocks.  The
-        #    parts are writable views, so the device copy-freezes each:
-        #    no stored block keeps this batch's whole buffer alive.
+        # 3. One group commit for the whole batch's dirty blocks.
         store.store_blocks(payloads)
 
         # 4. Norm bookkeeping, once per batch, by population's formula:
-        #    each block's dot with itself, a segment of the buffer.
+        #    each block's dot with itself, read off its scratch range.
         prior_norms = {
-            code: engine._block_norms.get(code, 0.0) for code in codes
+            code: engine._block_norms.get(code, 0.0) for code in payloads
         }
-        offsets = np.concatenate(([0], np.cumsum(preimages.lens)))
         engine._block_norms.update(zip(
             preimages.codes.tolist(),
-            np.sqrt(segmented_dot(buffer, buffer, offsets)).tolist(),
+            np.sqrt(sum_squares(scratch, starts, preimages.lens)).tolist(),
         ))
         if engine._epoch_log is not None:
             # The commit is durable (store_blocks would have raised);
@@ -226,4 +250,18 @@ class BatchInserter:
                 dict(zip(preimages.codes.tolist(), preimages.payloads)),
                 prior_norms, len(pts),
             )
-        return int(np.count_nonzero(hit))
+        # Distinct coefficients touched: each distinct point's positions
+        # marked once, then counted and cleared over the touched ranges.
+        # Blocks adjacent in code order are adjacent in the layout, so
+        # the ranges merge into far fewer runs than there are blocks.
+        hit = self._hit
+        for positions, _, _ in deltas.values():
+            hit[positions] = True
+        breaks = np.flatnonzero(lo[1:] != hi[:-1]) + 1
+        firsts = np.concatenate(([0], breaks))
+        lasts = np.concatenate((breaks, [len(lo)])) - 1
+        touched = 0
+        for a, b in zip(lo[firsts].tolist(), hi[lasts].tolist()):
+            touched += int(np.count_nonzero(hit[a:b]))
+            hit[a:b] = False
+        return touched

@@ -67,17 +67,10 @@ class _Packing:
         present[codes] = True
         return np.flatnonzero(present)
 
-    def pack(self, group) -> tuple[np.ndarray, np.ndarray]:
-        """A read's payloads (a :class:`~repro.storage.disk.BlockGroup`)
-        back to back in one buffer, in the order the group holds them.
-
-        Returns ``(buffer, base)``: what ``locate`` puts at ``(code,
-        slot)`` sits at ``buffer[base[code] + slot]``; the buffer is
-        read-only.  A payload whose length (the group's ``lens``) is not
-        ``block_len`` of its block raises
-        :class:`~repro.core.errors.StorageError` naming the block.
-        """
-        codes, payloads, lens = group
+    def check_lens(self, codes, lens) -> None:
+        """Raise :class:`~repro.core.errors.StorageError`, naming the
+        first such block, if a payload length in ``lens`` is not
+        ``block_len`` of its block in ``codes``."""
         want = self.block_len(codes)
         bad = np.flatnonzero(lens != want)
         if bad.size:
@@ -88,6 +81,18 @@ class _Packing:
                 f"{int(lens[b])} values, its allocation gives it "
                 f"{int(want[b])}"
             )
+
+    def pack(self, group) -> tuple[np.ndarray, np.ndarray]:
+        """A read's payloads (a :class:`~repro.storage.disk.BlockGroup`)
+        back to back in one buffer, in the order the group holds them.
+
+        Returns ``(buffer, base)``: what ``locate`` puts at ``(code,
+        slot)`` sits at ``buffer[base[code] + slot]``; the buffer is
+        read-only.  Payload lengths (the group's ``lens``) are checked by
+        :meth:`check_lens`.
+        """
+        codes, payloads, lens = group
+        self.check_lens(codes, lens)
         base = np.zeros(self.n_codes, dtype=np.intp)
         base[codes] = np.cumsum(lens) - lens
         # Payloads are contiguous float64 (``frozen_payload``): joining
@@ -499,6 +504,19 @@ class TensorAllocation(_Packing):
         """Member count of each block code (product of the per-axis
         virtual-block member counts)."""
         return self._tables[2][codes]
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """The fixed coefficient layout: every grid block's payload back
+        to back in code order, block ``code`` starting at
+        ``offsets[code]`` — the exclusive running sum of
+        :meth:`block_len` over the block grid.  What ``locate`` puts at
+        ``(code, slot)`` sits at ``offsets[code] + slot``, one position
+        per coefficient of the cube."""
+        lens = self._tables[2]
+        offsets = np.cumsum(lens) - lens
+        offsets.setflags(write=False)
+        return offsets
 
     @cached_property
     def block_depth(self) -> np.ndarray:

@@ -7,6 +7,8 @@ every namespace's exact answers are bitwise-equal to evaluating the
 same queries on a standalone engine.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,22 @@ class TestQuotas:
             assert frontend.stats()["quotas"] == {"t": 1}
             frontend.set_quota("t", None)
             assert frontend.stats()["quotas"] == {}
+
+    def test_slot_is_released_before_the_future_resolves(self):
+        # A release slowed well past the answer: a caller holding the
+        # result must still find the slot free, whichever thread runs
+        # the release.
+        with make_cluster(backends=1) as frontend:
+            frontend.populate("noisy", "flood", small_cube())
+            release = frontend._release
+
+            def slow_release(tenant):
+                time.sleep(0.2)
+                release(tenant)
+
+            frontend._release = slow_release
+            frontend.submit_exact("noisy", "flood", queries()[0]).result()
+            assert frontend.inflight("noisy") == 0
 
     def test_failed_submission_releases_the_slot(self):
         with make_cluster(backends=1) as frontend:

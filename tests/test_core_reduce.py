@@ -1,7 +1,8 @@
 """The one reduction order (``repro.core.reduce``) and the bits it buys.
 
 Unit tests pin the module's contract: a segment of ``segmented_dot``
-is the ``dot`` of that segment, a stacked ``dot`` is the ``dot`` of each
+is the ``dot`` of that segment, ``sum_squares`` reads scattered
+segments as ``segmented_dot`` reads packed ones, a stacked ``dot`` is the ``dot`` of each
 row, empty input sums to ``0.0`` and a strided view reduces like its
 copy.  ``test_bits_do_not_depend_on_the_blas_kernel`` then digests
 exact, batch and progressive answers, an ``insert_batch``, the block
@@ -20,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reduce import dot, segmented_dot, total
+from repro.core.reduce import dot, segmented_dot, sum_squares, total
 from repro.query.batch import BatchEvaluator
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
@@ -73,6 +74,32 @@ class TestReduce:
             for lo, hi in zip(offsets, offsets[1:])
         ], dtype=float)
         assert segmented_dot(a, b, offsets).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(SEGMENT_LENGTHS, min_size=1, max_size=24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sum_squares_reads_scattered_segments_like_packed_ones(
+        self, lengths, seed
+    ):
+        # The segments scattered in a larger array, in shuffled order,
+        # with gaps: bitwise the dots of the same segments packed.
+        rng = np.random.default_rng(seed)
+        lengths = np.array(lengths, dtype=np.intp)
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        packed = rng.normal(size=offsets[-1]) * 10.0 ** rng.integers(
+            -8, 8, offsets[-1]
+        )
+        gaps = rng.integers(0, 5, len(lengths))
+        starts = np.cumsum(lengths + gaps) - lengths
+        spread = np.full(int(starts[-1] + lengths[-1] + 3), np.nan)
+        for start, lo, hi in zip(starts, offsets, offsets[1:]):
+            spread[start:start + hi - lo] = packed[lo:hi]
+        order = rng.permutation(len(lengths))
+        want = segmented_dot(packed, packed, offsets)[order]
+        got = sum_squares(spread, starts[order], lengths[order])
+        assert got.tobytes() == want.tobytes()
 
     def test_a_stacked_dot_is_the_dot_of_each_row(self):
         windows = RNG.normal(size=(50, 4, 9))

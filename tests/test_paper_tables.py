@@ -74,3 +74,9 @@ def test_e12_shared_io_and_convergence_match_the_committed_table(bench):
     _, rows, convergence = bench("bench_e12_batch").run_study()
     assert cells(rows) == committed_rows("E12_batch_shared_io")
     assert cells(convergence) == committed_rows("E12_batch_shared_io", 1)
+
+
+def test_e9b_work_matches_the_committed_table(bench):
+    # Multiply-adds per maintenance strategy; the wall times are printed.
+    *_, rows = bench("bench_e9_svd_rangesum").run_incremental_study()
+    assert cells(rows) == committed_rows("E9b_incremental_svd")

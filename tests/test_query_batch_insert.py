@@ -8,12 +8,14 @@ and negative (deletion) weights — while the batch path performs one
 coalesced read and one group-commit write per touched-block union
 instead of one read-modify-write per (point, block) pair.
 
-The kernel locates each point's delta once (a bounded LRU memo, one per
-engine) and accumulates straight into the packed block buffer with no
-coefficient dedup; ``TestSortFreeKernel`` pins that against sequential
-inserts over generated cubes, and ``TestDeltaMemo`` the memo's bound
-and sharing.  (A short payload raising ``StorageError`` with the store
-untouched is ``test_storage_array_payloads.TestWrongLengthPayload``.)
+The kernel places each point's delta once in the allocation's fixed
+coefficient layout (a bounded LRU memo, one per engine) and accumulates
+straight into a scratch of that layout with no coefficient dedup;
+``TestSortFreeKernel`` pins that against sequential inserts over
+generated cubes, ``TestDeltaMemo`` the memo's bound and sharing, and
+``TestScratch`` that a failed commit leaves nothing behind in it.  (A
+short payload raising ``StorageError`` with the store untouched is
+``test_storage_array_payloads.TestWrongLengthPayload``.)
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.query.ingest as ingest_module
-from repro.core.errors import QueryError
+from repro.core.errors import QueryError, StorageError
 from repro.obs import MetricsRegistry, use_registry
 from repro.query.ingest import BatchInserter
 from repro.query.propolyne import ProPolyneEngine
@@ -374,7 +376,7 @@ class TestDeltaMemo:
     def test_least_recently_used_point_goes_first(self, monkeypatch):
         inserter = _fresh().inserter
         a, b, c = (4, 4), (5, 5), (6, 6)
-        sizes = {p: len(inserter._delta_of(p)[2]) for p in (a, b, c)}
+        sizes = {p: len(inserter._delta_of(p)[1]) for p in (a, b, c)}
         inserter._delta_memo.clear()
         inserter._memo_held = 0
         monkeypatch.setattr(
@@ -398,3 +400,41 @@ class TestDeltaMemo:
         engine.insert((8, 1))
         assert list(memo) == [(3, 3), (8, 1)]
         assert memo[(3, 3)] is delta
+
+
+class TestScratch:
+    def test_failed_commit_then_good_commit_is_the_good_commit_alone(
+        self, monkeypatch
+    ):
+        # The failed batch shares blocks with the good one and reaches
+        # others it does not: a stale scratch range would show in both.
+        failed = [(3, 3), (12, 5), (3, 4), (0, 15)]
+        good = [(3, 4), (7, 7), (3, 4)]
+        weights = [1.0, -2.5, 1 / 3]
+        spec = StorageSpec(shards=2)
+        cube = np.abs(RNG.normal(size=(16, 16)))
+        faulted, clean = (
+            ProPolyneEngine(cube, max_degree=1, block_size=7, storage=spec)
+            for _ in range(2)
+        )
+
+        def write_fault(codes, payloads):
+            raise StorageError("injected write fault")
+
+        try:
+            monkeypatch.setattr(faulted.store.device, "write_many", write_fault)
+            with pytest.raises(StorageError):
+                faulted.inserter.insert_batch(failed, [1e6] * len(failed))
+            monkeypatch.undo()
+            assert faulted.inserter.insert_batch(
+                good, weights
+            ) == clean.inserter.insert_batch(good, weights)
+            assert (
+                faulted.to_coefficients().tobytes()
+                == clean.to_coefficients().tobytes()
+            )
+            assert faulted._block_norms == clean._block_norms
+            assert faulted.store.data_norm == clean.store.data_norm
+        finally:
+            faulted.store.close()
+            clean.store.close()

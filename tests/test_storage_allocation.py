@@ -301,3 +301,25 @@ class TestTensorAllocation:
             i, j = int(same_tile[0]), int(same_tile[1])
             codes = tensor.blocks_of([(i, 4), (j, 4)])
             assert codes[0] == codes[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sides=st.lists(st.sampled_from([2, 4, 8, 16, 32]), min_size=1,
+                       max_size=3),
+        block=st.sampled_from([3, 7, 15]),
+    )
+    def test_fixed_layout_is_a_bijection(self, sides, block):
+        """``offsets[code] + slot`` places every coefficient of the cube
+        at its own position in ``[0, size)``, inside its block's range."""
+        tensor = TensorAllocation(axes=tuple(
+            subtree_tiling_allocation(n, block) for n in sides
+        ))
+        keys = np.stack(np.meshgrid(*map(np.arange, sides), indexing="ij"),
+                        axis=-1).reshape(-1, len(sides))
+        codes, slots = tensor.locate(keys)
+        positions = tensor.offsets[codes] + slots
+        size = int(np.prod(sides))
+        assert np.array_equal(np.sort(positions), np.arange(size))
+        assert (slots < tensor.block_len(codes)).all()
+        assert tensor.offsets[-1] + tensor.block_len(-1) == size
+        assert not tensor.offsets.flags.writeable
