@@ -4,7 +4,7 @@ Two halves, one goal: the contracts that keep the AIMS reproduction
 scalable stay true by tooling, not convention.
 
 * Static: :func:`lint_tree` parses ``src/repro`` once and runs all
-  fifteen checks on it — the per-file rule packs
+  fourteen checks on it — the per-file rule packs
   (:mod:`~repro.lint.rules_layering`,
   :mod:`~repro.lint.rules_concurrency`,
   :mod:`~repro.lint.rules_determinism`,
@@ -13,7 +13,9 @@ scalable stay true by tooling, not convention.
   :class:`Finding`\\ s; ``aims lint`` is the CLI front end and CI gate.
 * Dynamic: :mod:`repro.lint.lockwatch` instruments locks (opt-in via
   ``REPRO_LOCKWATCH=1``) and detects lock-order inversions — potential
-  deadlocks — with both acquisition stacks attached.
+  deadlocks — with both acquisition stacks attached.  It is the one
+  lock-order check: the test suite run under ``REPRO_LOCKWATCH=1``
+  fails on any cycle in the orders its tests nest locks in.
 
 The rule catalogue, what each rule guards, and how to suppress one are
 documented in ``docs/ARCHITECTURE.md`` ("Enforced invariants").

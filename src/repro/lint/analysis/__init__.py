@@ -4,13 +4,11 @@
 into a :class:`~repro.lint.engine.FileContext`, runs the ten per-file
 rules on it, and reduces it with
 :func:`~repro.lint.analysis.model.summarize` into the
-:class:`~repro.lint.analysis.model.ProjectModel`.  The five cross-file
+:class:`~repro.lint.analysis.model.ProjectModel`.  The four cross-file
 analyzers then run over that model:
 
 * ``deep-lockset-race`` — attributes mutated both inside and outside a
   class's critical sections;
-* ``deep-lock-order`` — lock-order cycles in the static may-nest
-  graph (the compile-time twin of ``repro.lint.lockwatch``);
 * ``deep-exception-contract`` — bare builtin raises reachable from
   public boundary entry points;
 * ``deep-metric-drift`` / ``deep-schema-drift`` — two-way diff of
@@ -31,7 +29,7 @@ from pathlib import Path
 
 from repro.lint.analysis.contracts import ExceptionContractAnalyzer
 from repro.lint.analysis.drift import MetricDriftAnalyzer, SchemaDriftAnalyzer
-from repro.lint.analysis.locks import LockOrderAnalyzer, LocksetRaceAnalyzer
+from repro.lint.analysis.locks import LocksetRaceAnalyzer
 from repro.lint.analysis.model import ProjectModel, summarize
 from repro.lint.engine import (
     Finding,
@@ -51,7 +49,6 @@ SOURCE_ROOT = "src/repro"
 def _analyzers() -> list:
     return [
         ExceptionContractAnalyzer(),
-        LockOrderAnalyzer(),
         LocksetRaceAnalyzer(),
         MetricDriftAnalyzer(),
         SchemaDriftAnalyzer(),
@@ -59,7 +56,7 @@ def _analyzers() -> list:
 
 
 def checks() -> list:
-    """All fifteen checks — per-file rules and analyzers — id-ordered."""
+    """All fourteen checks — per-file rules and analyzers — id-ordered."""
     return sorted([*all_rules(), *_analyzers()], key=lambda c: c.rule_id)
 
 

@@ -1,37 +1,30 @@
-"""Deep lock analyses: the static twins of ``lockwatch``.
+"""Deep lockset analysis: attributes written both under and outside a
+class's locks.
 
-Two analyzers over the project model:
+``deep-lockset-race``: for every class that creates a ``_lock``-named
+attribute, infer per-method which ``self.*`` attributes are mutated
+inside vs. outside ``with self._lock``, propagating lock context
+through intra-class calls (a private helper called only under the lock
+*is* guarded).  An attribute mutated on both sides is a lost-update
+candidate — exactly the writer race ``ProPolyneEngine.insert`` once
+had, fixed by routing the scalar path under
+``watched_lock("query.engine_update")``.
 
-* **``deep-lockset-race``** — for every class that creates a
-  ``_lock``-named attribute, infer per-method which ``self.*``
-  attributes are mutated inside vs. outside ``with self._lock``,
-  propagating lock context through intra-class calls (a private helper
-  called only under the lock *is* guarded).  An attribute mutated on
-  both sides is a lost-update candidate — exactly the writer race PR 7
-  fixed in ``ProPolyneEngine.insert`` by routing the scalar path under
-  ``watched_lock("query.engine_update")``.
-* **``deep-lock-order``** — build the may-nest graph of
-  ``watched_lock(site)`` acquisitions from the call graph (who can
-  acquire B while holding A) and report cycles.  This is ``lockwatch``
-  without needing a runtime interleaving: the inversion is found even
-  if no test ever schedules it.
+Lock *order* is not checked here: the ``REPRO_LOCKWATCH=1`` suite run
+records the nesting order of every watched lock the tests execute and
+fails on a cycle (``repro.lint.lockwatch``, ``tests/conftest.py``).
 
-Both analyses are may-analyses: they over-approximate (a reported race
+The analysis is a may-analysis: it over-approximates (a reported race
 may be protected by an external invariant), and deliberate exceptions
 get a justified inline suppression, same as every per-file rule.
 """
 
 from __future__ import annotations
 
-from repro.lint.analysis.model import (
-    ClassSummary,
-    FuncSummary,
-    ModuleSummary,
-    ProjectModel,
-)
+from repro.lint.analysis.model import ClassSummary, ModuleSummary, ProjectModel
 from repro.lint.engine import Finding
 
-__all__ = ["LocksetRaceAnalyzer", "LockOrderAnalyzer"]
+__all__ = ["LocksetRaceAnalyzer"]
 
 #: Methods whose writes are construction, not concurrency: the object
 #: is not yet published to other threads.
@@ -150,204 +143,3 @@ class LocksetRaceAnalyzer:
             )
         return findings
 
-
-class LockOrderAnalyzer:
-    """Find potential lock-order cycles in the may-nest graph."""
-
-    rule_id = "deep-lock-order"
-    severity = "error"
-    description = (
-        "two watched_lock sites can be acquired in both nesting "
-        "orders (potential deadlock; static twin of lockwatch)"
-    )
-
-    #: Bound on transitive call-resolution depth per method.
-    _MAX_DEPTH = 12
-
-    def analyze(self, project: ProjectModel) -> list[Finding]:
-        """Yield one finding per lock-order cycle found statically."""
-        self.project = project
-        self._site_of_attr = self._global_lock_sites(project)
-        self._acquire_memo: dict[tuple[str, str], frozenset[str]] = {}
-        # edges: (from_site, to_site) -> (path, line) witness
-        edges: dict[tuple[str, str], tuple[str, int]] = {}
-        for summary in project.modules():
-            for cls in summary.classes.values():
-                self._class_edges(summary, cls, edges)
-        return self._cycles(edges)
-
-    # -- site naming --------------------------------------------------------
-
-    @staticmethod
-    def _global_lock_sites(project: ProjectModel) -> dict[str, str]:
-        """attr name -> site, for attrs unique across the project."""
-        seen: dict[str, set[str]] = {}
-        for summary in project.modules():
-            for cls in summary.classes.values():
-                for attr, site in cls.lock_attrs.items():
-                    if site:
-                        seen.setdefault(attr, set()).add(site)
-        return {
-            attr: next(iter(sites))
-            for attr, sites in seen.items()
-            if len(sites) == 1
-        }
-
-    def _site(self, summary: ModuleSummary, cls: ClassSummary,
-              path: str) -> str:
-        """The lockwatch site name for a lock path held in ``cls``."""
-        head, _, rest = path.partition(".")
-        if not rest:
-            site = cls.lock_attrs.get(head, "")
-            if site:
-                return site
-        else:
-            # self.<attr>.<lock>: resolve through the inferred type.
-            owner = self.project.find_class(cls.attr_types.get(head, ""))
-            if owner is not None:
-                site = owner.lock_attrs.get(rest, "")
-                if site:
-                    return site
-            leaf = path.rpartition(".")[2]
-            if leaf in self._site_of_attr:
-                return self._site_of_attr[leaf]
-        if path in self._site_of_attr:
-            return self._site_of_attr[path]
-        return f"{summary.module}.{cls.name}.{path}"
-
-    # -- may-acquire closure ------------------------------------------------
-
-    def _acquired_by(self, cls_name: str, method: str,
-                     depth: int = 0) -> frozenset[str]:
-        """All sites ``cls_name.method`` may acquire, transitively."""
-        key = (cls_name, method)
-        if key in self._acquire_memo:
-            return self._acquire_memo[key]
-        if depth > self._MAX_DEPTH:
-            return frozenset()
-        self._acquire_memo[key] = frozenset()  # cycle guard
-        path = self.project.class_path(cls_name)
-        cls = self.project.find_class(cls_name)
-        if cls is None or method not in cls.methods:
-            return frozenset()
-        summary = self.project.summaries[path]
-        fn = cls.methods[method]
-        sites = {
-            self._site(summary, cls, acq.path) for acq in fn.acquires
-        }
-        for call in fn.calls:
-            callee_cls, callee = self._resolve(cls, call.target)
-            if callee_cls is not None:
-                sites |= self._acquired_by(callee_cls, callee, depth + 1)
-        result = frozenset(sites)
-        self._acquire_memo[key] = result
-        return result
-
-    def _resolve(self, cls: ClassSummary,
-                 target: tuple[str, ...]) -> tuple[str | None, str]:
-        if target[0] == "self":
-            if target[1] in cls.methods:
-                return cls.name, target[1]
-            return None, ""
-        if target[0] == "selfattr":
-            attr, method = target[1], target[2]
-            owner = cls.attr_types.get(attr)
-            if owner and self.project.find_class(owner) is not None:
-                return owner, method
-            return None, ""
-        return None, ""
-
-    # -- edge collection + cycle reporting ----------------------------------
-
-    def _class_edges(self, summary: ModuleSummary, cls: ClassSummary,
-                     edges: dict) -> None:
-        for fn in cls.methods.values():
-            self._method_edges(summary, cls, fn, edges)
-
-    def _method_edges(self, summary: ModuleSummary, cls: ClassSummary,
-                      fn: FuncSummary, edges: dict) -> None:
-        for acq in fn.acquires:
-            to_site = self._site(summary, cls, acq.path)
-            for held in acq.held:
-                from_site = self._site(summary, cls, held)
-                if from_site != to_site:
-                    edges.setdefault(
-                        (from_site, to_site), (summary.path, acq.line)
-                    )
-        for call in fn.calls:
-            if not call.locks:
-                continue
-            callee_cls, callee = self._resolve(cls, call.target)
-            if callee_cls is None:
-                continue
-            for to_site in self._acquired_by(callee_cls, callee):
-                for held in call.locks:
-                    from_site = self._site(summary, cls, held)
-                    if from_site != to_site:
-                        edges.setdefault(
-                            (from_site, to_site),
-                            (summary.path, call.line),
-                        )
-
-    def _cycles(self, edges: dict) -> list[Finding]:
-        graph: dict[str, set[str]] = {}
-        for a, b in edges:
-            graph.setdefault(a, set()).add(b)
-            graph.setdefault(b, set())
-        # Iterative DFS cycle detection with path reconstruction.
-        findings = []
-        reported: set[frozenset[str]] = set()
-        color: dict[str, int] = {}
-        for start in sorted(graph):
-            if color.get(start):
-                continue
-            stack = [(start, iter(sorted(graph[start])))]
-            path = [start]
-            color[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color.get(nxt) == 1:
-                        cycle = tuple(path[path.index(nxt):])
-                        key = frozenset(cycle)
-                        if key not in reported:
-                            reported.add(key)
-                            findings.append(
-                                self._cycle_finding(cycle, edges)
-                            )
-                    elif not color.get(nxt):
-                        color[nxt] = 1
-                        path.append(nxt)
-                        stack.append((nxt, iter(sorted(graph[nxt]))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    path.pop()
-                    stack.pop()
-        return findings
-
-    def _cycle_finding(self, cycle: tuple[str, ...],
-                       edges: dict) -> Finding:
-        ring = list(cycle) + [cycle[0]]
-        witnesses = []
-        anchor = ("", 1)
-        for a, b in zip(ring, ring[1:]):
-            if (a, b) in edges:
-                path, line = edges[(a, b)]
-                witnesses.append(f"{a}->{b} at {path}:{line}")
-                if anchor == ("", 1):
-                    anchor = (path, line)
-        return Finding(
-            file=anchor[0],
-            line=anchor[1],
-            rule_id=self.rule_id,
-            severity=self.severity,
-            message=(
-                "possible lock-order cycle "
-                + " -> ".join(ring)
-                + " (" + "; ".join(witnesses) + "); impose one global "
-                "acquisition order or release before descending"
-            ),
-        )

@@ -2,26 +2,23 @@
 
 The per-file rule packs see one :class:`~repro.lint.engine.FileContext`
 at a time; the questions PR 10 asks — which attributes does this lock
-actually guard, can these two locks nest both ways, can a bare
-``ValueError`` escape a public storage entry point — need the whole
-tree at once.  The lint pass (:func:`repro.lint.analysis.lint_tree`)
-parses every file once; :func:`summarize` reduces each parsed
+actually guard, can a bare ``ValueError`` escape a public storage
+entry point — need the whole tree at once.  The lint pass
+(:func:`repro.lint.analysis.lint_tree`) parses every file once; :func:`summarize` reduces each parsed
 :class:`~repro.lint.engine.FileContext` to a compact
 :class:`ModuleSummary`, and :class:`ProjectModel` assembles the
 cross-file indexes the analyzers share:
 
-* a **module graph** (who imports whom),
 * a **class index** (methods, ``self.*`` accesses with the lockset
-  held at each access, lock creations with their ``watched_lock`` site
-  names, inferred attribute types),
+  held at each access, lock attributes, inferred attribute types),
 * a **call graph** (``self.m()`` / ``self._attr.m()`` / same-module
   function calls, resolved best-effort),
 * the **metric and schema registration sites** the drift checker
   diffs against the documentation catalogues.
 
 Everything here is deliberately an over-approximation: the summaries
-record what *may* happen (an access may run unguarded, a call may
-nest two locks), and the analyzers report on the may-facts.  That is
+record what *may* happen (an access may run unguarded, a raise may
+escape), and the analyzers report on the may-facts.  That is
 the right polarity for contracts — a false alarm gets a justified
 suppression; a missed race gets a pager.
 """
@@ -39,7 +36,6 @@ __all__ = [
     "CallSite",
     "ClassSummary",
     "FuncSummary",
-    "LockAcquire",
     "MetricSite",
     "ModuleSummary",
     "ProjectModel",
@@ -101,15 +97,6 @@ class CallSite:
 
 
 @dataclass(frozen=True)
-class LockAcquire:
-    """One ``with self.<lock>`` entry, with the locks already held."""
-
-    path: str
-    line: int
-    held: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class RaiseSite:
     """One ``raise Name(...)`` statement."""
 
@@ -139,7 +126,6 @@ class FuncSummary:
     line: int
     accesses: list[Access] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)
-    acquires: list[LockAcquire] = field(default_factory=list)
     raises: list[RaiseSite] = field(default_factory=list)
 
     @property
@@ -157,8 +143,8 @@ class ClassSummary:
     name: str
     line: int
     methods: dict[str, FuncSummary] = field(default_factory=dict)
-    #: lock attribute -> watched_lock site name ("" when unnamed).
-    lock_attrs: dict[str, str] = field(default_factory=dict)
+    #: attributes assigned a lock (``Lock()`` / ``watched_lock(...)``).
+    lock_attrs: set[str] = field(default_factory=set)
     #: self attribute -> class name it was constructed from.
     attr_types: dict[str, str] = field(default_factory=dict)
 
@@ -274,10 +260,6 @@ class _FuncExtractor:
             for item in node.items:
                 path = _self_lock_path(item.context_expr)
                 if path is not None:
-                    self.fn.acquires.append(
-                        LockAcquire(path, item.context_expr.lineno,
-                                    self.held())
-                    )
                     acquired.append(path)
                 else:
                     self.visit_expr(item.context_expr)
@@ -442,12 +424,7 @@ def _extract_class(node: ast.ClassDef) -> ClassSummary:
                     continue
                 attr = target.attr
                 if ctor in _LOCK_CONSTRUCTORS:
-                    site = ""
-                    if (value.args
-                            and isinstance(value.args[0], ast.Constant)
-                            and isinstance(value.args[0].value, str)):
-                        site = value.args[0].value
-                    cls.lock_attrs[attr] = site
+                    cls.lock_attrs.add(attr)
                 elif ctor[:1].isupper():
                     cls.attr_types[attr] = ctor
     return cls
@@ -517,34 +494,13 @@ class ProjectModel:
     class_index: dict[str, tuple[str, ClassSummary]] = field(
         default_factory=dict
     )
-    #: module dotted name -> path
-    module_index: dict[str, str] = field(default_factory=dict)
-    #: module graph: module -> imported repro modules
-    module_graph: dict[str, set[str]] = field(default_factory=dict)
 
     def build_indexes(self) -> None:
-        """(Re)derive the cross-file indexes from the summaries."""
+        """(Re)derive the class index from the summaries."""
         self.class_index.clear()
-        self.module_index.clear()
-        self.module_graph.clear()
         for path in sorted(self.summaries):
-            summary = self.summaries[path]
-            if summary.module:
-                self.module_index[summary.module] = path
-            for name, cls in summary.classes.items():
+            for name, cls in self.summaries[path].classes.items():
                 self.class_index.setdefault(name, (path, cls))
-        for path in sorted(self.summaries):
-            summary = self.summaries[path]
-            if not summary.module:
-                continue
-            deps = set()
-            for target in summary.imports.values():
-                base = target
-                while base and base not in self.module_index:
-                    base = base.rpartition(".")[0]
-                if base and base != summary.module:
-                    deps.add(base)
-            self.module_graph[summary.module] = deps
 
     def modules(self) -> list[ModuleSummary]:
         """Summaries in stable path order."""

@@ -12,12 +12,15 @@ is exactly the evidence needed to fix a potential deadlock before it
 ever manifests as one.
 
 Cost model: the watcher is **opt-in**.  When ``REPRO_LOCKWATCH`` is not
-``1`` (and :func:`enable` has not been called), :func:`watched_lock`
-returns a plain :class:`threading.Lock` — the NullLock fast path, zero
-overhead, indistinguishable from pre-watcher code.  When enabled, each
-acquisition while other locks are held captures a stack and updates the
-graph; that is for stress tests and debugging sessions, not production
-serving.
+``1``, :func:`watched_lock` returns a plain :class:`threading.Lock` —
+the NullLock fast path, zero overhead, indistinguishable from
+pre-watcher code.  When enabled, each acquisition while other locks are
+held captures a stack and updates the graph; that is for stress tests,
+the ``REPRO_LOCKWATCH=1`` suite run (whose session graph
+``tests/conftest.py`` gates on) and debugging sessions, not production
+serving.  A test that builds a deliberate cycle does so on a private
+:class:`LockOrderGraph` (``InstrumentedLock(name, graph)``), never on
+the process-wide one.
 
 Notes on fidelity:
 
@@ -49,19 +52,13 @@ __all__ = [
     "LockOrderViolation",
     "OrderingEdge",
     "assert_clean",
-    "disable",
-    "enable",
     "enabled",
     "global_graph",
-    "reset",
     "violations",
     "watched_lock",
 ]
 
 ENV_FLAG = "REPRO_LOCKWATCH"
-
-#: Explicit override: ``None`` defers to the environment variable.
-_forced: bool | None = None
 
 
 class LockOrderError(AIMSError):
@@ -69,22 +66,9 @@ class LockOrderError(AIMSError):
 
 
 def enabled() -> bool:
-    """Whether new :func:`watched_lock` locks will be instrumented."""
-    if _forced is not None:
-        return _forced
+    """Whether new :func:`watched_lock` locks will be instrumented:
+    ``REPRO_LOCKWATCH=1`` in the environment."""
     return os.environ.get(ENV_FLAG, "") == "1"
-
-
-def enable() -> None:
-    """Force the watcher on for locks created from now on."""
-    global _forced
-    _forced = True
-
-
-def disable() -> None:
-    """Force the watcher off (back to the NullLock fast path)."""
-    global _forced
-    _forced = False
 
 
 @dataclass(frozen=True)
@@ -118,7 +102,8 @@ class LockOrderViolation:
 
 
 class LockOrderGraph:
-    """The global lock-ordering graph and its cycle detector.
+    """A lock-ordering graph and its cycle detector (the process-wide
+    one is :func:`global_graph`).
 
     ``record`` is called by instrumented locks with the names the
     acquiring thread already holds; each *new* edge is checked for a
@@ -175,17 +160,19 @@ class LockOrderGraph:
                     stack.append((nxt, path + [nxt]))
         return None
 
-    def edge_count(self) -> int:
-        """Distinct ordering edges recorded so far."""
+    def edges(self) -> list[tuple[str, str]]:
+        """Distinct ordering edges recorded so far, sorted."""
         with self._graph_lock:
-            return len(self._edges)
+            return sorted(self._edges)
 
-    def clear(self) -> None:
-        """Forget all edges and violations (between test cases)."""
-        with self._graph_lock:
-            self._edges.clear()
-            self._adjacent.clear()
-            self.violations.clear()
+    def assert_clean(self) -> None:
+        """Raise :class:`LockOrderError` if any ordering cycle was seen."""
+        found = list(self.violations)
+        if found:
+            report = "\n\n".join(v.format() for v in found)
+            raise LockOrderError(
+                f"{len(found)} lock-order violation(s) detected:\n{report}"
+            )
 
 
 class _HeldStack(threading.local):
@@ -256,10 +243,11 @@ def watched_lock(name: str) -> threading.Lock | InstrumentedLock:
     """A lock participating in lock-order watching when it is enabled.
 
     The decision is taken at creation time: with the watcher off
-    (``REPRO_LOCKWATCH`` unset and no :func:`enable`), this returns a
-    plain :class:`threading.Lock` — the NullLock fast path with zero
-    steady-state overhead.  Tests that want watching must call
-    :func:`enable` *before* constructing the components under test.
+    (``REPRO_LOCKWATCH`` not ``1``), this returns a plain
+    :class:`threading.Lock` — the NullLock fast path with zero
+    steady-state overhead.  A test that wants watching sets the
+    variable (``monkeypatch.setenv``) *before* constructing the
+    components under test.
 
     Args:
         name: Stable lock-site name (e.g. ``"storage.caching"``); all
@@ -276,20 +264,10 @@ def global_graph() -> LockOrderGraph:
 
 
 def violations() -> list[LockOrderViolation]:
-    """Every ordering cycle observed since the last :func:`reset`."""
+    """Every ordering cycle the process-wide graph has observed."""
     return list(_GLOBAL.violations)
 
 
-def reset() -> None:
-    """Clear the global graph (between test cases)."""
-    _GLOBAL.clear()
-
-
 def assert_clean() -> None:
-    """Raise :class:`LockOrderError` if any ordering cycle was seen."""
-    found = violations()
-    if found:
-        report = "\n\n".join(v.format() for v in found)
-        raise LockOrderError(
-            f"{len(found)} lock-order violation(s) detected:\n{report}"
-        )
+    """:meth:`LockOrderGraph.assert_clean` of the process-wide graph."""
+    _GLOBAL.assert_clean()

@@ -25,7 +25,7 @@ from typing import Iterable
 from repro.lint.engine import BaseRule, FileContext, Finding, register
 
 __all__ = [
-    "LockAcquireRule",
+    "LockWithOnlyRule",
     "LockBlockingRule",
     "LockNamingRule",
     "lock_name",
@@ -151,7 +151,7 @@ class LockBlockingRule(BaseRule):
 
 
 @register
-class LockAcquireRule(BaseRule):
+class LockWithOnlyRule(BaseRule):
     rule_id = "lock-with-only"
     severity = "error"
     description = (

@@ -9,9 +9,10 @@ generator — ``np.random.default_rng(seed)`` or ``random.Random(seed)``.
 ``src/repro``: module-level ``np.random.*`` convenience functions,
 module-level ``random.*`` draws (whether called as ``random.shuffle``
 or imported bare via ``from random import shuffle``), unseeded
-``default_rng()`` / ``Random()``, ``SystemRandom`` (unseedable by
-design), and wall-clock seeds — ``Random(time.time())`` is just the
-hidden global RNG with extra steps: two runs never share a seed.
+``default_rng()`` / ``Random()`` and ``SystemRandom`` (unseedable by
+design).  Wall-clock seeds — ``Random(time.time())`` — need no rule:
+only ``repro.core.clock`` may import ``time``, and CI's one-clock grep
+holds that for every import form.
 
 ``determinism-reduction`` keeps the pinned bits of every answer off
 the machine: in ``repro.query``, ``repro.storage`` and
@@ -50,13 +51,6 @@ RANDOM_MODULE_DRAWS = frozenset(
         "shuffle", "triangular", "uniform", "vonmisesvariate",
         "weibullvariate",
     }
-)
-
-
-#: ``time``-module readings that make a run-unique (irreproducible) seed.
-WALL_CLOCK_FNS = frozenset(
-    {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
-     "perf_counter_ns"}
 )
 
 
@@ -103,11 +97,8 @@ class SeededRngRule(BaseRule):
         random_aliases = {
             alias for alias, mod in imports.items() if mod == "random"
         }
-        time_aliases = {
-            alias for alias, mod in imports.items() if mod == "time"
-        }
         # Bare names that are really random-module draws / constructors
-        # or time readings (``from random import shuffle``).
+        # (``from random import shuffle``).
         bare_draws = {
             alias for alias, (mod, name) in from_imports.items()
             if mod == "random" and name in RANDOM_MODULE_DRAWS
@@ -117,34 +108,6 @@ class SeededRngRule(BaseRule):
             if (mod == "random" and name in ("Random", "SystemRandom"))
             or (mod == "numpy.random" and name == "default_rng")
         }
-        bare_clocks = {
-            alias for alias, (mod, name) in from_imports.items()
-            if mod == "time" and name in WALL_CLOCK_FNS
-        }
-
-        def is_wall_clock(expr: ast.expr) -> bool:
-            # int(time.time()) seeds are as irreproducible as the raw
-            # float; unwrap the cast.
-            if (isinstance(expr, ast.Call)
-                    and isinstance(expr.func, ast.Name)
-                    and expr.func.id == "int" and len(expr.args) == 1):
-                return is_wall_clock(expr.args[0])
-            if not isinstance(expr, ast.Call):
-                return False
-            fn = expr.func
-            if (isinstance(fn, ast.Attribute)
-                    and isinstance(fn.value, ast.Name)
-                    and fn.value.id in time_aliases
-                    and fn.attr in WALL_CLOCK_FNS):
-                return True
-            return isinstance(fn, ast.Name) and fn.id in bare_clocks
-
-        def seed_args(node: ast.Call) -> list[ast.expr]:
-            args = list(node.args[:1])
-            args.extend(
-                kw.value for kw in node.keywords if kw.arg == "seed"
-            )
-            return args
 
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -176,28 +139,8 @@ class SeededRngRule(BaseRule):
                             f"{origin}() without a seed; pass an "
                             f"explicit seed for reproducible runs",
                         )
-                    elif any(is_wall_clock(a) for a in seed_args(node)):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"{origin}() seeded from the wall clock; "
-                            f"two runs never share a seed — use a "
-                            f"fixed or configured seed",
-                        )
                 continue
             if not isinstance(func, ast.Attribute):
-                continue
-            # <anything>.seed(time.time()) re-seeds a generator from
-            # the clock, defeating replay no matter how it was built.
-            if func.attr == "seed" and any(
-                is_wall_clock(a) for a in seed_args(node)
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "seed(...) from the wall clock; two runs never "
-                    "share a seed — use a fixed or configured seed",
-                )
                 continue
             value = func.value
             # np.random.<fn>(...)
@@ -214,14 +157,6 @@ class SeededRngRule(BaseRule):
                             node,
                             "np.random.default_rng() without a seed; "
                             "pass an explicit seed for reproducible runs",
-                        )
-                    elif any(is_wall_clock(a) for a in seed_args(node)):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "np.random.default_rng() seeded from the "
-                            "wall clock; two runs never share a seed — "
-                            "use a fixed or configured seed",
                         )
                 elif func.attr not in NP_RANDOM_ALLOWED:
                     yield self.finding(
@@ -250,14 +185,6 @@ class SeededRngRule(BaseRule):
                             node,
                             "random.Random() without a seed; pass an "
                             "explicit seed for reproducible runs",
-                        )
-                    elif any(is_wall_clock(a) for a in seed_args(node)):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "random.Random() seeded from the wall "
-                            "clock; two runs never share a seed — use "
-                            "a fixed or configured seed",
                         )
                 elif func.attr == "SystemRandom":
                     yield self.finding(

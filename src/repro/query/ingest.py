@@ -24,7 +24,7 @@ read-modify-write per touched block and one norm rebuild per point;
   (:meth:`~repro.storage.blockstore.TensorReads.read_many`), each
   pre-image copied into its own range of a per-inserter scratch in the
   fixed layout, and committed once
-  (:meth:`~repro.storage.blockstore._StoreBase.store_blocks`) — one
+  (:meth:`~repro.storage.blockstore.TensorBlockStore.store_blocks`) — one
   ``read_many`` and one ``write_many`` per batch instead of one RMW
   per (point, block) pair.  The scratch is allocated on the first
   commit and touched only under the engine's update lock; a commit

@@ -15,7 +15,7 @@ from repro.storage.allocation import (
     utilization_bound,
 )
 from repro.storage.blobstore import BlobRef, BlobStore
-from repro.storage.blockstore import TensorBlockStore, WaveletBlockStore
+from repro.storage.blockstore import TensorBlockStore
 from repro.storage.device import (
     BlockDevice,
     BuiltStorage,
@@ -59,7 +59,6 @@ __all__ = [
     "measure_utilization",
     "point_query_workload",
     "range_query_workload",
-    "WaveletBlockStore",
     "TensorBlockStore",
     "PoolStats",
     "BlobStore",

@@ -56,50 +56,6 @@ def product_keys(axis_indices) -> np.ndarray:
     return np.stack(grid, axis=-1).reshape(-1, len(axis_indices))
 
 
-class _Packing:
-    """Payload packing shared by both allocations, on top of their
-    ``block_len`` / ``n_codes`` / ``block_tuple``."""
-
-    def distinct(self, codes) -> np.ndarray:
-        """Sorted distinct block codes of ``codes``, from a presence
-        table over the block grid — no sort."""
-        present = np.zeros(self.n_codes, dtype=bool)
-        present[codes] = True
-        return np.flatnonzero(present)
-
-    def check_lens(self, codes, lens) -> None:
-        """Raise :class:`~repro.core.errors.StorageError`, naming the
-        first such block, if a payload length in ``lens`` is not
-        ``block_len`` of its block in ``codes``."""
-        want = self.block_len(codes)
-        bad = np.flatnonzero(lens != want)
-        if bad.size:
-            b = int(bad[0])
-            code = int(codes[b])
-            raise StorageError(
-                f"block {self.block_tuple(code)!r} (code {code}) holds "
-                f"{int(lens[b])} values, its allocation gives it "
-                f"{int(want[b])}"
-            )
-
-    def pack(self, group) -> tuple[np.ndarray, np.ndarray]:
-        """A read's payloads (a :class:`~repro.storage.disk.BlockGroup`)
-        back to back in one buffer, in the order the group holds them.
-
-        Returns ``(buffer, base)``: what ``locate`` puts at ``(code,
-        slot)`` sits at ``buffer[base[code] + slot]``; the buffer is
-        read-only.  Payload lengths (the group's ``lens``) are checked by
-        :meth:`check_lens`.
-        """
-        codes, payloads, lens = group
-        self.check_lens(codes, lens)
-        base = np.zeros(self.n_codes, dtype=np.intp)
-        base[codes] = np.cumsum(lens) - lens
-        # Payloads are contiguous float64 (``frozen_payload``): joining
-        # their bytes is half the time of a per-block ``np.concatenate``.
-        return np.frombuffer(b"".join(payloads)), base
-
-
 def _group(values: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, list]:
     """``values`` grouped by block code: the distinct codes in
     first-touched order and, for each, the read-only array of its
@@ -115,12 +71,13 @@ def _group(values: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, list]:
 
 
 @dataclass(frozen=True)
-class Allocation(_Packing):
-    """A mapping from flat coefficient index to block id.
+class Allocation:
+    """A mapping from flat coefficient index to block id: one axis of a
+    :class:`TensorAllocation`.
 
-    A block's payload is the 1-D array of its members' values in
-    increasing-index order, so a coefficient is addressed by
-    ``(block_of[i], slot_of[i])`` and keys are never stored.
+    A block's members are held in increasing-index order, so a
+    coefficient is addressed by ``(block_of[i], slot_of[i])`` and keys
+    are never stored.
 
     Attributes:
         name: Strategy name (for reports).
@@ -159,17 +116,6 @@ class Allocation(_Packing):
         )
         return slots
 
-    def locate(self, indices) -> tuple[np.ndarray, np.ndarray]:
-        """Block ids and in-block slots of flat coefficient ``indices``;
-        out-of-range indices raise
-        :class:`~repro.core.errors.StorageError`."""
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise StorageError(
-                f"coefficient index outside allocation size {self.n}"
-            )
-        return self.block_of[idx], self.slot_of[idx]
-
     @property
     def n_codes(self) -> int:
         """Block ids lie in ``[0, n_codes)``."""
@@ -186,40 +132,20 @@ class Allocation(_Packing):
         np.minimum.at(depth, self.block_of, node_depth)
         return depth
 
-    def block_len(self, codes) -> np.ndarray:
-        """Member count of each block."""
-        return self.block_counts[codes]
-
-    def block_tuple(self, code: int) -> int:
-        """A 1-D block's id, for messages and placement: its code."""
-        return int(code)
-
     def blocks_for(self, indices: set[int] | list[int]) -> set[int]:
-        """Blocks that must be fetched to obtain ``indices``."""
+        """Blocks that must be fetched to obtain ``indices``;
+        out-of-range indices raise
+        :class:`~repro.core.errors.StorageError`."""
         idx = np.fromiter(indices, dtype=np.intp, count=len(indices))
-        return set(self.distinct(self.locate(idx)[0]).tolist())
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise StorageError(
+                f"coefficient index outside allocation size {self.n}"
+            )
+        return set(self.block_of[idx].tolist())
 
     def block_keys(self, code: int) -> np.ndarray:
-        """Coefficient indices of one block, in payload order."""
+        """Coefficient indices of one block, in member order."""
         return np.flatnonzero(self.block_of == code)
-
-    def build_blocks(self, flat: np.ndarray) -> dict[int, np.ndarray]:
-        """Group a flat coefficient vector into block payloads by code
-        (read-only arrays, blocks in first-touched order)."""
-        values = np.asarray(flat, dtype=float)
-        if values.size != self.n:
-            raise StorageError(
-                f"coefficient vector length {values.size} != allocation "
-                f"size {self.n}"
-            )
-        oversize = np.flatnonzero(self.block_counts > self.block_size)
-        if oversize.size:
-            raise StorageError(
-                f"allocation {self.name!r} overfills blocks "
-                f"{oversize[:3].tolist()}"
-            )
-        codes, parts = _group(values, self.block_of)
-        return dict(zip(codes.tolist(), parts))
 
 
 def _check(n: int, block_size: int) -> None:
@@ -385,7 +311,7 @@ def range_query_workload(
 
 
 @dataclass(frozen=True)
-class TensorAllocation(_Packing):
+class TensorAllocation:
     """Multivariate allocation: Cartesian product of per-axis tilings.
 
     "We simply decompose each dimension into optimal virtual blocks, and
@@ -504,6 +430,45 @@ class TensorAllocation(_Packing):
         """Member count of each block code (product of the per-axis
         virtual-block member counts)."""
         return self._tables[2][codes]
+
+    def distinct(self, codes) -> np.ndarray:
+        """Sorted distinct block codes of ``codes``, from a presence
+        table over the block grid — no sort."""
+        present = np.zeros(self.n_codes, dtype=bool)
+        present[codes] = True
+        return np.flatnonzero(present)
+
+    def check_lens(self, codes, lens) -> None:
+        """Raise :class:`~repro.core.errors.StorageError`, naming the
+        first such block, if a payload length in ``lens`` is not
+        ``block_len`` of its block in ``codes``."""
+        want = self.block_len(codes)
+        bad = np.flatnonzero(lens != want)
+        if bad.size:
+            b = int(bad[0])
+            code = int(codes[b])
+            raise StorageError(
+                f"block {self.block_tuple(code)!r} (code {code}) holds "
+                f"{int(lens[b])} values, its allocation gives it "
+                f"{int(want[b])}"
+            )
+
+    def pack(self, group) -> tuple[np.ndarray, np.ndarray]:
+        """A read's payloads (a :class:`~repro.storage.disk.BlockGroup`)
+        back to back in one buffer, in the order the group holds them.
+
+        Returns ``(buffer, base)``: what ``locate`` puts at ``(code,
+        slot)`` sits at ``buffer[base[code] + slot]``; the buffer is
+        read-only.  Payload lengths (the group's ``lens``) are checked by
+        :meth:`check_lens`.
+        """
+        codes, payloads, lens = group
+        self.check_lens(codes, lens)
+        base = np.zeros(self.n_codes, dtype=np.intp)
+        base[codes] = np.cumsum(lens) - lens
+        # Payloads are contiguous float64 (``frozen_payload``): joining
+        # their bytes is half the time of a per-block ``np.concatenate``.
+        return np.frombuffer(b"".join(payloads)), base
 
     @cached_property
     def offsets(self) -> np.ndarray:

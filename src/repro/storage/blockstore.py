@@ -1,18 +1,17 @@
-"""Wavelet block stores: the bridge between allocation and queries.
+"""The wavelet block store: the bridge between allocation and queries.
 
-A block store owns a block *device stack*, an allocation, and serves
-the one request the query engine makes: "give me these coefficients,
-and tell me what it cost".  Two variants:
-
-* :class:`WaveletBlockStore` — 1-D flat-layout coefficient vectors;
-* :class:`TensorBlockStore` — multivariate coefficient cubes on
-  Cartesian-product blocks.
+A :class:`TensorBlockStore` owns a block *device stack* and a
+:class:`~repro.storage.allocation.TensorAllocation` of a coefficient
+cube on Cartesian-product blocks, and serves the one request the query
+engine makes: "give me these coefficients, and tell me what it cost".
+A 1-D signal is a one-axis cube
+(:class:`~repro.storage.retrieval.SignalArchive`).
 
 A block is addressed by its integer *code* (the allocation's
 ``locate`` hands codes out; ``allocation.block_tuple(code)`` names one
 for messages), from the planner down to the leaf device.
 
-Storage configuration is declarative: both stores take a
+Storage configuration is declarative: the store takes a
 :class:`~repro.storage.device.StorageSpec` (shards, cache, CRC
 framing, fault injection, retry/breaker resilience, simulated latency)
 and build the canonical middleware stack from it — caching,
@@ -33,109 +32,12 @@ from repro.core.reduce import dot
 from repro.obs import DEFAULT_COUNT_BUCKETS
 from repro.obs import histogram as obs_histogram
 from repro.obs import span
-from repro.storage.allocation import (
-    Allocation,
-    TensorAllocation,
-    index_tuples,
-)
+from repro.storage.allocation import TensorAllocation, index_tuples
 from repro.storage.device import StorageSpec
 from repro.storage.disk import BlockGroup, IOStats
 from repro.storage.sharding import placement_table
 
-__all__ = ["WaveletBlockStore", "TensorBlockStore"]
-
-
-class _StoreBase:
-    """Device-stack plumbing shared by both block stores."""
-
-    def _init_storage(self, spec: StorageSpec, block_size: int) -> None:
-        self.spec = spec
-        allocation = self.allocation
-        # Placement is tabled once per store: no block ever changes shard.
-        # The depth table orders the cache's recency by the error tree.
-        self._built = spec.build(block_size, placement_table(
-            allocation.n_codes, spec.shards, allocation.block_tuple,
-        ) if spec.shards > 1 else None, allocation.block_depth)
-        self.device = self._built.device
-        #: The breaker template from the spec (unsharded stacks use it
-        #: directly); per-shard breakers live in :attr:`breakers`.
-        self.breaker = spec.breaker
-        self.breakers = self._built.breakers
-        #: The store's one caching layer, above the shard fan-out
-        #: (``None`` when the spec disables caching) — benchmarks clear
-        #: it between runs and difference its ``pool_stats``.
-        self.cache = self._built.cache
-
-    def _populate(self, blocks: dict) -> None:
-        # Initial population models in-memory construction, not live
-        # traffic: injection starts only once the store is serving.
-        self._built.set_injecting(False)
-        try:
-            self.device.write_many(list(blocks), list(blocks.values()))
-        finally:
-            self._built.set_injecting(True)
-        #: Per-block L2 norms, ``sqrt(dot(payload, payload))`` in code
-        #: order; the engine's progressive bounds read them, and every
-        #: write path keeps them current by the same formula.
-        self.block_norms = {
-            code: math.sqrt(dot(items, items)) for code, items in blocks.items()
-        }
-
-    @property
-    def data_norm(self) -> float:
-        """L2 norm of the stored coefficients, from :attr:`block_norms`:
-        the same bits however often a block is rewritten with its own
-        values."""
-        norms = np.fromiter(self.block_norms.values(), float)
-        return math.sqrt(dot(norms, norms))
-
-    def shard_of(self, codes):
-        """Shard index of each block code (0 when unsharded) — the key
-        the scan coordinator's single-flight map uses."""
-        return self._built.shard_of(codes)
-
-    def set_injecting(self, flag: bool) -> None:
-        """Toggle fault injection on every shard's faulty layer (chaos
-        drills heal storage this way; no-op without a fault plan)."""
-        self._built.set_injecting(flag)
-
-    def storage_stats(self) -> dict:
-        """Nested per-layer statistics of the whole device stack."""
-        return self.device.stats()
-
-    def io_snapshot(self) -> IOStats:
-        """Current leaf I/O counters (copy, summed across shards) for
-        before/after differencing."""
-        return self.device.io_totals()
-
-    def io_since(self, before: IOStats) -> IOStats:
-        """Leaf I/O performed since ``before`` was snapshotted."""
-        return self.device.io_totals().delta(before)
-
-    def store_blocks(self, payloads: dict) -> None:
-        """Group-commit block write: one coalesced device write for many
-        blocks.
-
-        The batch inserter's I/O exit point and the write-side twin of
-        :meth:`fetch_blocks` — a whole batch's dirty blocks go down as a
-        single ``write_many``: the store's cache writes it through and
-        invalidates every code, the sharded device splits it into one
-        write per shard group on its persistent fan-out pool, and CRC
-        framing is applied per member by the middleware stack.
-
-        Args:
-            payloads: Mapping from block code to the full replacement
-                payload array for that block.
-        """
-        with span("storage.store_blocks"):
-            obs_histogram(
-                "storage.blocks_per_write_batch", DEFAULT_COUNT_BUCKETS
-            ).observe(len(payloads))
-            self.device.write_many(list(payloads), list(payloads.values()))
-
-    def close(self) -> None:
-        """Release storage resources (fan-out pools); idempotent."""
-        self._built.close()
+__all__ = ["TensorBlockStore"]
 
 
 class TensorReads:
@@ -147,8 +49,7 @@ class TensorReads:
     pre-image-else-live — and inherits :meth:`gather_located`, its key-,
     dict- and set-shaped wrappers and the scalar :meth:`fetch_block`.
     Payloads are arrays of values only; the allocation's ``locate`` says
-    where in which array a key — an ``ndim`` multi-index, or a flat
-    index on the 1-D store — lives.
+    where in which array a key — an ``ndim`` multi-index — lives.
     """
 
     def read_many(self, codes) -> BlockGroup:
@@ -211,50 +112,7 @@ class TensorReads:
         return set(allocation.distinct(allocation.locate(indices)[0]).tolist())
 
 
-class WaveletBlockStore(TensorReads, _StoreBase):
-    """1-D wavelet coefficients on a device stack, under an allocation."""
-
-    def __init__(
-        self,
-        flat: np.ndarray,
-        allocation: Allocation,
-        storage: StorageSpec | None = None,
-    ) -> None:
-        values = np.asarray(flat, dtype=float)
-        if values.size != allocation.n:
-            raise StorageError(
-                f"coefficient count {values.size} != allocation size "
-                f"{allocation.n}"
-            )
-        self.allocation = allocation
-        self._init_storage(storage or StorageSpec(), allocation.block_size)
-        self._populate(allocation.build_blocks(values))
-
-    @property
-    def n(self) -> int:
-        """Number of stored coefficients."""
-        return self.allocation.n
-
-    def fetch(self, indices: list[int] | set[int]) -> dict[int, float]:
-        """Fetch the requested coefficients, reading whole blocks
-        (:meth:`gather` as an ``{index: value}`` dictionary)."""
-        idx = np.fromiter(indices, dtype=np.intp, count=len(indices))
-        return dict(zip(idx.tolist(), self.gather(idx).tolist()))
-
-    def update(self, index: int, value: float) -> None:
-        """Overwrite one coefficient (read-modify-write of its block).
-
-        Cache coherence is automatic: the write enters through the
-        stack, so the caching layer invalidates its copy itself.
-        """
-        (code,), (slot,) = self.allocation.locate([index])
-        block = self.fetch_block(code).copy()
-        block[slot] = float(value)
-        self.device.write_many([code], [block])
-        self.block_norms[code] = math.sqrt(dot(block, block))
-
-
-class TensorBlockStore(TensorReads, _StoreBase):
+class TensorBlockStore(TensorReads):
     """Multivariate coefficient cube on Cartesian-product blocks."""
 
     def __init__(
@@ -270,12 +128,93 @@ class TensorBlockStore(TensorReads, _StoreBase):
                 f"{allocation.shape}"
             )
         self.allocation = allocation
-        self._init_storage(
-            storage or StorageSpec(), allocation.block_capacity
-        )
-        self._populate(allocation.build_blocks(cube))
+        self.spec = spec = storage or StorageSpec()
+        # Placement is tabled once per store: no block ever changes shard.
+        # The depth table orders the cache's recency by the error tree.
+        self._built = spec.build(allocation.block_capacity, placement_table(
+            allocation.n_codes, spec.shards, allocation.block_tuple,
+        ) if spec.shards > 1 else None, allocation.block_depth)
+        self.device = self._built.device
+        #: The breaker template from the spec (unsharded stacks use it
+        #: directly); per-shard breakers live in :attr:`breakers`.
+        self.breaker = spec.breaker
+        self.breakers = self._built.breakers
+        #: The store's one caching layer, above the shard fan-out
+        #: (``None`` when the spec disables caching) — benchmarks clear
+        #: it between runs and difference its ``pool_stats``.
+        self.cache = self._built.cache
+        blocks = allocation.build_blocks(cube)
+        # Initial population models in-memory construction, not live
+        # traffic: injection starts only once the store is serving.
+        self._built.set_injecting(False)
+        try:
+            self.device.write_many(list(blocks), list(blocks.values()))
+        finally:
+            self._built.set_injecting(True)
+        #: Per-block L2 norms, ``sqrt(dot(payload, payload))`` in code
+        #: order; the engine's progressive bounds read them, and every
+        #: write path keeps them current by the same formula.
+        self.block_norms = {
+            code: math.sqrt(dot(items, items)) for code, items in blocks.items()
+        }
 
     @property
     def shape(self) -> tuple[int, ...]:
         """Stored coefficient cube shape."""
         return self.allocation.shape
+
+    @property
+    def data_norm(self) -> float:
+        """L2 norm of the stored coefficients, from :attr:`block_norms`:
+        the same bits however often a block is rewritten with its own
+        values."""
+        norms = np.fromiter(self.block_norms.values(), float)
+        return math.sqrt(dot(norms, norms))
+
+    def shard_of(self, codes):
+        """Shard index of each block code (0 when unsharded) — the key
+        the scan coordinator's single-flight map uses."""
+        return self._built.shard_of(codes)
+
+    def set_injecting(self, flag: bool) -> None:
+        """Toggle fault injection on every shard's faulty layer (chaos
+        drills heal storage this way; no-op without a fault plan)."""
+        self._built.set_injecting(flag)
+
+    def storage_stats(self) -> dict:
+        """Nested per-layer statistics of the whole device stack."""
+        return self.device.stats()
+
+    def io_snapshot(self) -> IOStats:
+        """Current leaf I/O counters (copy, summed across shards) for
+        before/after differencing."""
+        return self.device.io_totals()
+
+    def io_since(self, before: IOStats) -> IOStats:
+        """Leaf I/O performed since ``before`` was snapshotted."""
+        return self.device.io_totals().delta(before)
+
+    def store_blocks(self, payloads: dict) -> None:
+        """Group-commit block write: one coalesced device write for many
+        blocks.
+
+        The batch inserter's I/O exit point and the write-side twin of
+        :meth:`fetch_blocks` — a whole batch's dirty blocks go down as a
+        single ``write_many``: the store's cache writes it through and
+        invalidates every code, the sharded device splits it into one
+        write per shard group on its persistent fan-out pool, and CRC
+        framing is applied per member by the middleware stack.
+
+        Args:
+            payloads: Mapping from block code to the full replacement
+                payload array for that block.
+        """
+        with span("storage.store_blocks"):
+            obs_histogram(
+                "storage.blocks_per_write_batch", DEFAULT_COUNT_BUCKETS
+            ).observe(len(payloads))
+            self.device.write_many(list(payloads), list(payloads.values()))
+
+    def close(self) -> None:
+        """Release storage resources (fan-out pools); idempotent."""
+        self._built.close()

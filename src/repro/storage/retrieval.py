@@ -13,7 +13,6 @@ the squared reconstruction error).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -21,8 +20,8 @@ import numpy as np
 
 from repro.core.errors import StorageError
 from repro.core.reduce import total
-from repro.storage.allocation import Allocation, subtree_tiling_allocation
-from repro.storage.blockstore import WaveletBlockStore
+from repro.storage.allocation import TensorAllocation, subtree_tiling_allocation
+from repro.storage.blockstore import TensorBlockStore
 from repro.storage.device import StorageSpec
 from repro.wavelets.dwt import WaveletCoefficients, max_levels, wavedec, waverec
 from repro.wavelets.filters import get_filter
@@ -53,7 +52,9 @@ class ProgressiveSignal:
 
 
 class SignalArchive:
-    """A 1-D sensor signal stored as tiled wavelet blocks.
+    """A 1-D sensor signal stored as tiled wavelet blocks: a one-axis
+    :class:`~repro.storage.blockstore.TensorBlockStore`, whose block
+    codes are the tiling's block ids.
 
     Args:
         signal: The signal to archive (power-of-two length).
@@ -84,15 +85,16 @@ class SignalArchive:
         self.wavelet = filt.name
         self.length = data.size
         flat = wavedec(data, filt, levels=self.levels).to_flat()
-        allocation = subtree_tiling_allocation(data.size, block_size)
-        self.store = WaveletBlockStore(
-            flat, allocation, storage=StorageSpec(cache_blocks=pool_capacity)
+        tiling = subtree_tiling_allocation(data.size, block_size)
+        self.store = TensorBlockStore(
+            flat, TensorAllocation(axes=(tiling,)),
+            storage=StorageSpec(cache_blocks=pool_capacity),
         )
         # Per-block energies, recorded at archive time for the
         # importance order and the residual bound.
         self._block_energy: dict[int, float] = {}
         for idx, value in enumerate(flat):
-            code = int(allocation.block_of[idx])
+            code = int(tiling.block_of[idx])
             self._block_energy[code] = (
                 self._block_energy.get(code, 0.0) + float(value) ** 2
             )
@@ -117,7 +119,7 @@ class SignalArchive:
         residual = float(total(list(self._block_energy.values())))
         flat = np.zeros(self.length)
         for step, code in enumerate(order, start=1):
-            flat[self.store.allocation.block_keys(code)] = (
+            flat[self.store.allocation.block_keys(code).ravel()] = (
                 self.store.fetch_block(code)
             )
             residual -= self._block_energy[code]

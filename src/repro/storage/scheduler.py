@@ -113,7 +113,7 @@ def schedule_blocks(values, codes, allocation, block_norms) -> BlockSchedule:
         values: Query coefficients, in translation order (one query's,
             or a batch's stacked back to back).
         codes: Each entry's block code (``allocation.locate``).
-        allocation: The store's allocation (1-D or tensor).
+        allocation: The store's :class:`~repro.storage.allocation.TensorAllocation`.
         block_norms: Block code -> stored-data L2 norm ``||d_B||``.
 
     Returns:

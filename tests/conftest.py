@@ -8,6 +8,11 @@ read its result, so tier-1 pays for one library pass and one CLI pass.
 A test that waits, or checks what was waited, takes ``sim_clock``: a
 fresh :class:`~repro.core.clock.SimClock` installed for that test, so
 sleeps return at once and durations are exact.
+
+Under ``REPRO_LOCKWATCH=1`` every ``watched_lock`` is instrumented and
+the session's lock-ordering graph is the gate: the run prints
+``lockwatch: N ordering edges, M cycles`` and fails on any cycle, or
+on no edge at all (a watcher switched off somewhere checks nothing).
 """
 
 import contextlib
@@ -17,7 +22,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.clock import SimClock
-from repro.lint import lint_tree
+from repro.lint import lint_tree, lockwatch
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +45,20 @@ def sim_clock():
     """A fresh ``SimClock``, installed process-wide for the test."""
     with SimClock() as clock:
         yield clock
+
+
+def pytest_sessionfinish(session):
+    """The ``REPRO_LOCKWATCH=1`` gate over the whole session's graph."""
+    if not lockwatch.enabled():
+        return
+    graph = lockwatch.global_graph()
+    edges, found = graph.edges(), lockwatch.violations()
+    report = session.config.pluginmanager.get_plugin("terminalreporter")
+    report.write_line("")  # end the progress line
+    report.write_line(
+        f"lockwatch: {len(edges)} ordering edges, {len(found)} cycles"
+    )
+    for violation in found:
+        report.write_line(violation.format())
+    if found or not edges:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED

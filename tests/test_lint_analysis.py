@@ -77,7 +77,7 @@ class TestProjectModel:
         model = lint_tree(tmp_path).model
         assert set(model.summaries) == {"src/repro/a.py", "src/repro/b.py"}
         cls = model.find_class("Widget")
-        assert cls.lock_attrs == {"_lock": ""}
+        assert cls.lock_attrs == {"_lock"}
         assert cls.attr_types == {"store": "BlockStore"}
         public = cls.methods["public"]
         write = next(a for a in public.accesses
@@ -88,7 +88,6 @@ class TestProjectModel:
         helper_call = next(c for c in cls.methods["_helper"].calls
                            if c.target == ("selfattr", "store", "fetch"))
         assert helper_call.locks == ()
-        assert model.module_graph["repro.a"] == {"repro.b"}
 
     def test_parse_error_is_recorded_not_raised(self, tmp_path):
         write_tree(tmp_path, {"src/repro/bad.py": "def broken(:\n"})
@@ -217,83 +216,6 @@ class TestLocksetRace:
         write_tree(tmp_path, {"src/repro/engine.py": suppressed})
         report = lint_tree(tmp_path)
         assert "deep-lockset-race" not in deep_ids(report)
-
-
-class TestLockOrder:
-    TWO_LOCKS = """
-    from repro.lint.lockwatch import watched_lock
-
-    class Pair:
-        def __init__(self):
-            self._a_lock = watched_lock("fix.a")
-            self._b_lock = watched_lock("fix.b")
-
-        def forward(self):
-            with self._a_lock:
-                with self._b_lock:
-                    pass
-
-        def backward(self):
-            with self._b_lock:
-                with self._a_lock:
-                    pass
-    """
-
-    def test_opposite_nesting_orders_make_a_cycle(self, tmp_path):
-        write_tree(tmp_path, {"src/repro/pair.py": self.TWO_LOCKS})
-        report = lint_tree(tmp_path)
-        cycles = [f for f in report.findings
-                  if f.rule_id == "deep-lock-order"]
-        assert len(cycles) == 1
-        assert "fix.a" in cycles[0].message
-        assert "fix.b" in cycles[0].message
-
-    def test_consistent_order_is_clean(self, tmp_path):
-        forward_only = self.TWO_LOCKS.split("    def backward")[0]
-        write_tree(tmp_path, {"src/repro/pair.py": forward_only})
-        report = lint_tree(tmp_path)
-        assert "deep-lock-order" not in deep_ids(report)
-
-    def test_cycle_through_a_cross_object_call(self, tmp_path):
-        # holder takes its own lock then calls into a collaborator that
-        # takes another; the collaborator calls back the other way.
-        write_tree(tmp_path, {
-            "src/repro/cross.py": """
-            from repro.lint.lockwatch import watched_lock
-
-            class Inner:
-                def __init__(self):
-                    self._inner_lock = watched_lock("fix.inner")
-
-                def poke(self):
-                    with self._inner_lock:
-                        pass
-
-            class Outer:
-                def __init__(self):
-                    self._outer_lock = watched_lock("fix.outer")
-                    self.inner_obj = Inner()
-
-                def down(self):
-                    with self._outer_lock:
-                        self.inner_obj.poke()
-
-            class Backwards:
-                def __init__(self):
-                    self._inner_lock = watched_lock("fix.inner")
-                    self.outer_obj = Outer()
-
-                def up(self):
-                    with self._inner_lock:
-                        self.outer_obj.down()
-            """,
-        })
-        report = lint_tree(tmp_path)
-        cycles = [f for f in report.findings
-                  if f.rule_id == "deep-lock-order"]
-        assert len(cycles) == 1
-        assert "fix.inner" in cycles[0].message
-        assert "fix.outer" in cycles[0].message
 
 
 class TestExceptionContract:
@@ -474,7 +396,7 @@ class TestDrift:
         assert drift["repro.fixture/v1"].file == "DESIGN.md"
 
 
-#: One violation of each of the fifteen checks, a suppressed deep
+#: One violation of each of the fourteen checks, a suppressed deep
 #: finding, and a file that does not parse.
 RULE_TREE = {
     "src/repro/broken.py": "def broken(:\n",
@@ -545,25 +467,6 @@ RULE_TREE = {
             def insert(self, value):
                 self._norm += value
         """,
-    "src/repro/core/pair.py": """
-        from repro.lint.lockwatch import watched_lock
-
-
-        class Pair:
-            def __init__(self):
-                self._a_lock = watched_lock("fix.a")
-                self._b_lock = watched_lock("fix.b")
-
-            def forward(self):
-                with self._a_lock:
-                    with self._b_lock:
-                        pass
-
-            def backward(self):
-                with self._b_lock:
-                    with self._a_lock:
-                        pass
-        """,
     "src/repro/core/meter.py": """
         from repro.obs import counter
 
@@ -582,7 +485,8 @@ RULE_TREE = {
 
 #: What the per-file engine and the separate deep run reported on
 #: RULE_TREE before they became one pass — less the deep run's second
-#: parse-error for ``broken.py`` — and the reduction rule added since.
+#: parse-error for ``broken.py`` and the lock-order analyzer since
+#: deleted — and the reduction rule added since.
 RULE_FINDINGS = [
     ("src/repro/acquisition/tap.py", 2, "layering-import-boundary",
      "repro.acquisition.tap imports repro.storage.blockstore: acquisition "
@@ -607,11 +511,6 @@ RULE_FINDINGS = [
      "metric 'fix.undocumented' is registered here but absent from the "
      "catalogues (DESIGN.md, docs/OPERATIONS.md, docs/REPLAY.md); "
      "document it or drop the series"),
-    ("src/repro/core/pair.py", 12, "deep-lock-order",
-     "possible lock-order cycle fix.a -> fix.b -> fix.a (fix.a->fix.b at "
-     "src/repro/core/pair.py:12; fix.b->fix.a at src/repro/core/pair.py:17)"
-     "; impose one global acquisition order or release before "
-     "descending"),
     ("src/repro/query/helper.py", 2, "layering-codec-containment",
      "repro.query.helper reaches into repro.storage.codec; framing "
      "belongs to CrcFramedDevice"),
@@ -649,7 +548,7 @@ class TestOnePass:
             (f.file, f.line, f.rule_id, f.message) for f in findings
         ] == RULE_FINDINGS
         assert {f.severity for f in findings} == {"error"}
-        assert len({f.rule_id for f in findings}) == 16  # 15 + parse-error
+        assert len({f.rule_id for f in findings}) == 15  # 14 + parse-error
 
     def test_missing_source_tree_is_an_error_not_a_clean_run(self, tmp_path):
         with pytest.raises(LintError):
@@ -672,5 +571,5 @@ class TestRealTree:
         code, out = repo_lint_cli
         assert code == 0
         assert out.rstrip().endswith(
-            "aims lint: 0 error(s), 0 warning(s) (15 rule(s))"
+            "aims lint: 0 error(s), 0 warning(s) (14 rule(s))"
         )

@@ -157,12 +157,11 @@ class TestPartMemo:
             service.submit_batch(queries, block=True).result()
         assert len(engine._parts) == 8
 
-    def test_service_workers_share_one_memo(self):
+    def test_service_workers_share_one_memo(self, monkeypatch):
         # The watcher instruments only locks created while it is on; a
         # short switch interval makes the workers interleave inside
         # ``_part``.
-        lockwatch.enable()
-        lockwatch.reset()
+        monkeypatch.setenv(lockwatch.ENV_FLAG, "1")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -186,8 +185,6 @@ class TestPartMemo:
             lockwatch.assert_clean()
         finally:
             sys.setswitchinterval(interval)
-            lockwatch.disable()
-            lockwatch.reset()
 
 
 def test_a_drill_down_translates_each_distinct_part_once():

@@ -234,20 +234,25 @@ class TestUtilization:
 
 
 class TestBuildBlocks:
+    """A 1-D vector is a one-axis cube: its blocks are the tiling's."""
+
     def test_payloads_partition_vector(self):
-        alloc = subtree_tiling_allocation(64, 7)
+        tiling = subtree_tiling_allocation(64, 7)
+        alloc = TensorAllocation(axes=(tiling,))
         flat = RNG.normal(size=64)
         blocks = alloc.build_blocks(flat)
         seen = {}
         for code, items in blocks.items():
             assert not items.flags.writeable
-            seen.update(zip(alloc.block_keys(code).tolist(), items.tolist()))
+            keys = alloc.block_keys(code).ravel()
+            assert keys.tolist() == tiling.block_keys(code).tolist()
+            seen.update(zip(keys.tolist(), items.tolist()))
         assert len(seen) == 64
         for idx, val in seen.items():
             assert val == flat[idx]
 
     def test_wrong_length_rejected(self):
-        alloc = sequential_allocation(16, 4)
+        alloc = TensorAllocation(axes=(sequential_allocation(16, 4),))
         with pytest.raises(StorageError):
             alloc.build_blocks(np.zeros(8))
 

@@ -17,8 +17,8 @@ re-expressed against the layered device stack:
 import numpy as np
 import pytest
 
-from repro.storage.allocation import subtree_tiling_allocation
-from repro.storage.blockstore import WaveletBlockStore
+from repro.storage.allocation import TensorAllocation, subtree_tiling_allocation
+from repro.storage.blockstore import TensorBlockStore
 from repro.core.errors import StorageError
 from repro.storage.device import CachingDevice, StorageSpec
 from repro.storage.disk import SimulatedDisk
@@ -61,14 +61,18 @@ class TestWriteThroughInvalidation:
 
     def test_store_update_through_cache_is_coherent(self):
         flat = np.arange(16, dtype=float)
-        store = WaveletBlockStore(
-            flat, subtree_tiling_allocation(16, 3),
+        store = TensorBlockStore(
+            flat, TensorAllocation(axes=(subtree_tiling_allocation(16, 3),)),
             storage=StorageSpec(cache_blocks=8),
         )
-        # Warm the cache over every block, then update one coefficient.
-        store.fetch(list(range(16)))
-        store.update(5, 123.0)
-        assert store.fetch([5])[5] == 123.0
+        # Warm the cache over every block, then rewrite one coefficient
+        # through the store's group write.
+        store.fetch([(i,) for i in range(16)])
+        (code,), (slot,) = store.allocation.locate([(5,)])
+        block = store.fetch_block(code).copy()
+        block[slot] = 123.0
+        store.store_blocks({code: block})
+        assert store.fetch([(5,)])[(5,)] == 123.0
 
     def test_manual_invalidate_still_available(self):
         disk, cache = build_cached(block_size=2)

@@ -193,40 +193,37 @@ class TestCoherenceUnderConcurrency:
 
 
 class TestLockOrderUnderStress:
-    def test_full_stack_hammering_creates_no_lock_order_cycles(self):
+    def test_full_stack_hammering_creates_no_lock_order_cycles(
+        self, monkeypatch
+    ):
         # The watcher decides at lock-creation time, so it must be
         # enabled before the stack under test is built.
         from repro.faults.plan import FaultPlan
         from repro.lint import lockwatch
         from repro.storage.device import StorageSpec
 
-        lockwatch.enable()
-        lockwatch.reset()
-        try:
-            spec = StorageSpec(
-                shards=2,
-                cache_blocks=4,
-                fault_plan=FaultPlan(seed=7, torn_rate=0.0),
-            )
-            device = spec.build(block_size=4, placement=codes_table(2)).device
-            for b in range(16):
-                write_block(device, b, vals(float(b)))
+        monkeypatch.setenv(lockwatch.ENV_FLAG, "1")
+        spec = StorageSpec(
+            shards=2,
+            cache_blocks=4,
+            fault_plan=FaultPlan(seed=7, torn_rate=0.0),
+        )
+        device = spec.build(block_size=4, placement=codes_table(2)).device
+        for b in range(16):
+            write_block(device, b, vals(float(b)))
 
-            def worker(seed):
-                def run():
-                    for i in range(150):
-                        key = (i * (seed + 1) + seed) % 16
-                        if i % 5 == 0:
-                            write_block(device, key, vals(float(i)))
-                        else:
-                            read_block(device, key)
-                return run
+        def worker(seed):
+            def run():
+                for i in range(150):
+                    key = (i * (seed + 1) + seed) % 16
+                    if i % 5 == 0:
+                        write_block(device, key, vals(float(i)))
+                    else:
+                        read_block(device, key)
+            return run
 
-            run_threads([worker(s) for s in range(6)])
-            lockwatch.assert_clean()
-        finally:
-            lockwatch.disable()
-            lockwatch.reset()
+        run_threads([worker(s) for s in range(6)])
+        lockwatch.assert_clean()
 
 
 class TestSimulatedLatency:

@@ -6,7 +6,8 @@ group the entries per key through the per-axis ``Allocation.block_of``
 tables and sum squares in a plain Python loop, left to right.  Same
 block set, same in-block entry order, ``||q_B||`` equal to the last
 bit, and the fetch order exactly *mass descending, code ascending* —
-for a tensor allocation, a 1-D one, and a CSR-stacked batch.
+for a tensor allocation, a one-axis one over a 1-D tiling, and a
+CSR-stacked batch.
 """
 
 import math
@@ -121,7 +122,7 @@ class TestAgainstThePerKeyReference:
         data=st.data(),
     )
     def test_one_dimensional_allocation(self, n, block_size, data):
-        allocation = subtree_tiling_allocation(n, block_size)
+        allocation = tiling((n,), block_size)
         keys = data.draw(
             st.lists(st.integers(0, n - 1), min_size=1, max_size=40)
         )
@@ -132,8 +133,8 @@ class TestAgainstThePerKeyReference:
             code: data.draw(data_norms) for code in range(allocation.n_codes)
         }
         check_against_reference(
-            allocation, [int(allocation.block_of[key]) for key in keys],
-            np.array(keys), values, norms,
+            allocation, [block_of(allocation, (key,)) for key in keys],
+            np.array(keys)[:, None], values, norms,
         )
 
     @settings(max_examples=40, deadline=None)

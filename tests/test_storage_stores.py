@@ -10,7 +10,7 @@ from repro.storage.allocation import (
     subtree_tiling_allocation,
 )
 from repro.storage.blobstore import BlobStore
-from repro.storage.blockstore import TensorBlockStore, WaveletBlockStore
+from repro.storage.blockstore import TensorBlockStore
 from repro.storage.device import CachingDevice
 from repro.storage.disk import SimulatedDisk
 from repro.storage.scheduler import schedule_blocks
@@ -145,65 +145,44 @@ class TestCachingDevice:
 
 
 class TestWaveletBlockStore:
+    """1-D wavelet coefficients on a one-axis tensor store, as
+    :class:`~repro.storage.retrieval.SignalArchive` keeps a signal."""
+
     def _store(self, n=64, block=7, pool=None):
         flat = RNG.normal(size=n)
-        alloc = subtree_tiling_allocation(n, block)
-        return flat, WaveletBlockStore(
+        alloc = TensorAllocation(axes=(subtree_tiling_allocation(n, block),))
+        return flat, TensorBlockStore(
             flat, alloc, storage=StorageSpec(cache_blocks=pool)
         )
 
     def test_fetch_returns_exact_values(self):
         flat, store = self._store()
         indices = [0, 5, 17, 63]
-        got = store.fetch(indices)
+        got = store.fetch([(i,) for i in indices])
         for i in indices:
-            assert got[i] == pytest.approx(flat[i])
+            assert got[(i,)] == pytest.approx(flat[i])
 
     def test_fetch_counts_block_reads(self):
         flat, store = self._store(n=2**10, block=7)
         before = store.io_snapshot()
         path = leaf_path(123, 2**10)
-        store.fetch(path)
+        store.fetch([(i,) for i in path])
         reads = store.io_since(before).reads
-        assert reads == len(store.allocation.blocks_for(path))
+        assert reads == len(store.allocation.axes[0].blocks_for(path))
         assert reads <= 5  # the tiling bound for J=10, h=3
 
     def test_pool_amortizes_repeated_queries(self):
         flat, store = self._store(n=256, block=7, pool=64)
-        path = leaf_path(9, 256)
+        path = [(i,) for i in leaf_path(9, 256)]
         store.fetch(path)
         before = store.io_snapshot()
         store.fetch(path)
         assert store.io_since(before).reads == 0
 
-    def test_update_changes_value_and_norm(self):
-        flat, store = self._store()
-        old_norm = store.data_norm
-        store.update(10, flat[10] + 5.0)
-        got = store.fetch([10])
-        assert got[10] == pytest.approx(flat[10] + 5.0)
-        expected = np.linalg.norm(
-            np.concatenate([flat[:10], [flat[10] + 5.0], flat[11:]])
-        )
-        assert store.data_norm == pytest.approx(float(expected))
-        assert store.data_norm != pytest.approx(old_norm)
-
-    def test_rewriting_a_value_keeps_every_norm_bitwise(self):
-        flat, store = self._store()
-        norms, data_norm = dict(store.block_norms), store.data_norm
-        store.update(10, flat[10])
-        assert store.block_norms == norms
-        assert store.data_norm == data_norm
-
-    def test_update_bounds_checked(self):
-        __, store = self._store()
-        with pytest.raises(StorageError):
-            store.update(64, 0.0)
-
     def test_length_mismatch_rejected(self):
-        alloc = sequential_allocation(16, 4)
+        alloc = TensorAllocation(axes=(sequential_allocation(16, 4),))
         with pytest.raises(StorageError):
-            WaveletBlockStore(np.zeros(8), alloc)
+            TensorBlockStore(np.zeros(8), alloc)
 
     def test_data_norm(self):
         flat, store = self._store()
@@ -309,7 +288,8 @@ class TestBlobStore:
 class TestScheduler:
     @staticmethod
     def _schedule(alloc, entries, norms=None):
-        keys = np.array(list(entries))
+        # Flat indices are the keys of a one-axis allocation.
+        keys = np.array(list(entries)).reshape(len(entries), -1)
         values = np.array(list(entries.values()))
         codes, _slots = alloc.locate(keys)
         return values, schedule_blocks(
@@ -318,19 +298,19 @@ class TestScheduler:
         )
 
     def test_blocks_ordered_by_importance(self):
-        alloc = sequential_allocation(16, 4)
+        alloc = TensorAllocation(axes=(sequential_allocation(16, 4),))
         entries = {0: 10.0, 1: 0.1, 8: 3.0, 15: -20.0}
         _, schedule = self._schedule(alloc, entries)
         scores = schedule.masses.tolist()
         assert scores == sorted(scores, reverse=True)
         # Block of coefficient 15 carries the biggest energy.
-        assert schedule.codes[0] == int(alloc.block_of[15])
+        assert schedule.codes[0] == int(alloc.axes[0].block_of[15])
         # ... unless the data stored nothing there: mass, not energy.
         _, by_mass = self._schedule(alloc, entries, {0: 1.0, 2: 1.0, 3: 0.0})
         assert by_mass.codes.tolist() == [0, 2, 3]
 
     def test_entries_grouped_per_block(self):
-        alloc = sequential_allocation(16, 4)
+        alloc = TensorAllocation(axes=(sequential_allocation(16, 4),))
         entries = {0: 1.0, 9: 5.0, 1: 2.0, 2: 3.0}
         values, schedule = self._schedule(alloc, entries)
         assert schedule.codes.tolist() == [2, 0]

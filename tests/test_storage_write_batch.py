@@ -16,7 +16,7 @@ from repro.core.errors import StorageError, StorageUnavailable
 from repro.faults.plan import FaultPlan, FaultyDevice, InjectedWriteError
 from repro.faults.retry import RetryPolicy
 from repro.obs import MetricsRegistry, use_registry
-from repro.storage.blockstore import TensorBlockStore, WaveletBlockStore
+from repro.storage.blockstore import TensorBlockStore
 from repro.storage.device import (
     CachingDevice,
     CrcFramedDevice,
@@ -282,9 +282,13 @@ class TestStoreBlocks:
         store.close()
 
     def test_wavelet_store_group_write_round_trips(self):
+        # A 1-D wavelet vector on a one-axis store, as SignalArchive
+        # keeps it.
         values = np.arange(32, dtype=float)
-        allocation = subtree_tiling_allocation(values.size, block_size=8)
-        store = WaveletBlockStore(
+        allocation = TensorAllocation(
+            axes=(subtree_tiling_allocation(values.size, block_size=8),)
+        )
+        store = TensorBlockStore(
             values, allocation, storage=StorageSpec(cache_blocks=2, crc=True)
         )
         ids = store.device.block_ids()
