@@ -33,7 +33,7 @@ from repro.core.errors import AIMSError
 from repro.lint.lockwatch import watched_lock
 from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
-from repro.query.service import QueryRejected
+from repro.query.service import QueryRejected, TaskFuture
 
 from repro.cluster.ring import HashRing
 
@@ -187,7 +187,8 @@ class ClusterFrontend:
 
         The caller gets a frontend-owned future that resolves only
         after the slot is released, so a caller that has its result
-        never sees its own query still counted in flight.
+        never sees its own query still counted in flight.  Waiting on
+        it first helps the backend's future (:class:`TaskFuture`).
         """
         self._acquire(tenant)
         try:
@@ -195,7 +196,7 @@ class ClusterFrontend:
         except BaseException:
             self._release(tenant)
             raise
-        outer: Future = Future()
+        outer = TaskFuture(inner.help)
         # Running from admission on, so a caller cannot cancel it under
         # ``settle``; the backend's service never cancels ``inner``.
         outer.set_running_or_notify_cancel()

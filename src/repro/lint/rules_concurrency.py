@@ -7,7 +7,8 @@ The concurrency model (PR 2/PR 4) rests on three habits, now checked:
   callback invocation an agent outside the class can observe, and no
   call into ``self.inner`` (a device layer must never hold its lock
   across the layer below — the rule that keeps simulated seek time and
-  retry storms outside every critical section).
+  retry storms outside every critical section).  ``wait`` / ``notify``
+  on a ``threading.Condition`` built over the held lock are allowed.
 * ``lock-with-only`` — locks are held via ``with``, never via bare
   ``acquire()``/``release()`` pairs that leak on an early raise.
 * ``lock-naming`` — every ``threading.Lock``/``RLock`` (or
@@ -109,6 +110,15 @@ class LockBlockingRule(BaseRule):
         """Yield every violation of this rule in one file."""
         if not ctx.in_package("repro"):
             return
+        # (attr, lock) of every ``self.attr = threading.Condition(lock)``.
+        conditions = {
+            (getattr(target, "attr", None), lock_name(node.value.args[0]))
+            for node in ast.walk(ctx.tree)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call) and node.value.args
+            and _terminal_call_name(node.value) == "Condition"
+            for target in node.targets
+        }
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.With):
                 continue
@@ -123,6 +133,11 @@ class LockBlockingRule(BaseRule):
                 if not isinstance(stmt, ast.Call):
                     continue
                 name = _terminal_call_name(stmt)
+                receiver = getattr(getattr(stmt.func, "value", None), "attr", None)
+                if name in ("wait", "notify", "notify_all") and receiver and any(
+                    (receiver, lock) in conditions for lock in held
+                ):
+                    continue
                 if _is_inner_call(stmt):
                     yield self.finding(
                         ctx,

@@ -8,8 +8,9 @@ merge to dynamic traffic — the north-star workload of many independent
 callers hitting one cube at once:
 
 * :class:`QueryService` — a thread-pool front end over a
-  :class:`~repro.query.propolyne.ProPolyneEngine`.  Exact queries return
-  :class:`~concurrent.futures.Future`\\ s; progressive queries return a
+  :class:`~repro.query.propolyne.ProPolyneEngine`.  Exact, degradable
+  and batch queries return :class:`TaskFuture`\\ s, which a blocked
+  waiter runs itself if no worker has; progressive queries return a
   :class:`ProgressiveStream` that yields
   :class:`~repro.query.propolyne.ProgressiveEstimate`\\ s as worker
   threads produce them.  A bounded admission queue rejects work beyond
@@ -34,7 +35,9 @@ from __future__ import annotations
 import copy
 import queue
 import threading
+from collections import deque
 from concurrent.futures import Future
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -61,6 +64,7 @@ __all__ = [
     "QueryService",
     "ScanCoordinator",
     "SharedScanStore",
+    "TaskFuture",
     "shared_scan_view",
 ]
 
@@ -289,6 +293,31 @@ class ProgressiveStream:
         self._items.put(self._DONE)
 
 
+class TaskFuture(Future):
+    """A task's future: :meth:`result` and :meth:`exception` first
+    :meth:`help`, so a task no thread has claimed runs on its waiter's
+    thread (a helping join).  ``concurrent.futures.wait`` and
+    ``as_completed`` do not help; they wait for a worker."""
+
+    def __init__(self, helper=None) -> None:
+        super().__init__()
+        self._helper = helper
+
+    def help(self) -> None:
+        """Claim and run the task here if no thread has (once)."""
+        helper, self._helper = self._helper, None
+        if helper is not None:
+            helper()
+
+    def result(self, timeout=None):
+        self.help()
+        return super().result(timeout)
+
+    def exception(self, timeout=None):
+        self.help()
+        return super().exception(timeout)
+
+
 class _Task:
     """One admitted query: kind, payload, deadline, result sink, trace."""
 
@@ -315,9 +344,6 @@ class _Task:
             self.future.set_exception(error)
 
 
-_SHUTDOWN = object()
-
-
 class QueryService:
     """Thread-pooled front end over a ProPolyne engine.
 
@@ -325,9 +351,10 @@ class QueryService:
         engine: The populated engine to serve.  The service evaluates
             through :func:`shared_scan_view`, so concurrent queries
             deduplicate in-flight block reads.
-        workers: Worker-thread count (>= 1).
-        queue_depth: Admission-queue bound; submissions beyond
-            ``queue_depth`` pending tasks raise :class:`QueryRejected`
+        workers: Worker-thread count (>= 1); a :class:`TaskFuture`'s
+            waiter runs its task itself if no worker has claimed it.
+        queue_depth: Admission-queue bound on tasks no thread has
+            claimed; submissions beyond it raise :class:`QueryRejected`
             (unless submitted with ``block=True``).
         default_deadline_s: Deadline applied to
             :meth:`submit_degradable` tasks that do not carry their
@@ -372,12 +399,12 @@ class QueryService:
         self.rejected = 0
         self.completed = 0
         self.degraded = 0
-        self._tasks: queue.Queue = queue.Queue(maxsize=queue_depth)
+        # Unclaimed tasks; taking one off (worker or waiter) claims it.
+        self._pending: deque[_Task] = deque()
         self._closed = False
-        # Workers that have not yet taken their shutdown sentinel; at
-        # zero nothing will ever take another task off the queue.
-        self._live_workers = workers
         self._lock = watched_lock("query.service")
+        self._work = threading.Condition(self._lock)
+        self._space = threading.Condition(self._lock)
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -394,7 +421,7 @@ class QueryService:
     def submit_exact(
         self, query: RangeSumQuery, block: bool = False,
         as_of: int | None = None,
-    ) -> Future:
+    ) -> TaskFuture:
         """Enqueue an exact range-sum; the future resolves to its value.
 
         Args:
@@ -404,9 +431,7 @@ class QueryService:
             as_of: Optional storage epoch to evaluate against (the
                 engine must have versioning enabled).
         """
-        task = _Task("exact", query, Future(), None, as_of=as_of)
-        self._admit(task, block)
-        return task.future
+        return self._submit("exact", query, block, as_of=as_of)
 
     def submit_degradable(
         self,
@@ -414,7 +439,7 @@ class QueryService:
         deadline_s: float | None = None,
         block: bool = False,
         as_of: int | None = None,
-    ) -> Future:
+    ) -> TaskFuture:
         """Enqueue a degradation-aware exact query; the future resolves
         to a :class:`~repro.query.propolyne.QueryOutcome`.
 
@@ -442,11 +467,7 @@ class QueryService:
         """
         if deadline_s is None:
             deadline_s = self.default_deadline_s
-        task = _Task(
-            "degradable", query, Future(), None, deadline_s, as_of=as_of,
-        )
-        self._admit(task, block)
-        return task.future
+        return self._submit("degradable", query, block, deadline_s, as_of)
 
     def submit_progressive(
         self, query: RangeSumQuery, block: bool = False
@@ -465,7 +486,7 @@ class QueryService:
 
     def submit_batch(
         self, queries: list[RangeSumQuery], block: bool = False
-    ) -> Future:
+    ) -> TaskFuture:
         """Enqueue a whole batch as one task; the future resolves to the
         list of exact answers (batch order).
 
@@ -479,10 +500,9 @@ class QueryService:
             block: When True, wait for queue space instead of raising
                 :class:`QueryRejected` on overload.
         """
-        task = _Task("batch", list(queries), Future(), None)
-        self._admit(task, block)
+        future = self._submit("batch", list(queries), block)
         obs_counter("query.service.batch.submitted").inc()
-        return task.future
+        return future
 
     def run_exact(self, queries: list[RangeSumQuery]) -> list[float]:
         """Convenience: submit every query (waiting for queue space) and
@@ -490,118 +510,121 @@ class QueryService:
         futures = [self.submit_exact(q, block=True) for q in queries]
         return [f.result() for f in futures]
 
+    def _submit(self, kind, query, block, deadline_s=None, as_of=None):
+        """Admit a task its waiter may help, and return its future."""
+        future = TaskFuture()
+        task = _Task(kind, query, future, None, deadline_s, as_of)
+        future._helper = partial(self._help, task)
+        self._admit(task, block)
+        return future
+
     def _admit(self, task: _Task, block: bool) -> None:
-        with self._lock:
-            if self._closed:
-                raise QueryError("query service is closed")
         # The latency span starts here, queue wait included.
         task.handoff = handoff()
-        try:
-            if block:
-                self._tasks.put(task)
-            else:
-                self._tasks.put_nowait(task)
-        except queue.Full:
-            with self._lock:
+        with self._lock:
+            while (block and not self._closed
+                   and len(self._pending) >= self.queue_depth):
+                self._space.wait()
+            if self._closed:  # checked in the step that appends
+                raise QueryError("query service is closed")
+            full = len(self._pending) >= self.queue_depth
+            if full:
                 self.rejected += 1
+            else:
+                self._pending.append(task)
+                self._work.notify()
+        if full:
             obs_counter("query.service.rejected").inc()
             raise QueryRejected(
                 f"admission queue full ({self.queue_depth} pending); "
                 f"retry later or raise queue_depth"
-            ) from None
-        # close() may have run between the check and the put, leaving
-        # the task behind the shutdown sentinels.  The last worker out
-        # fails what it finds queued; a put that lands later still is
-        # failed here.
-        with self._lock:
-            unserved = self._live_workers == 0
-        if unserved:
-            self._fail_unserved()
+            )
         obs_counter("query.service.submitted").inc()
-        obs_gauge("query.service.queue_depth").set(self._tasks.qsize())
-
-    def _fail_unserved(self) -> None:
-        """Fail every task still queued once no worker is left."""
-        while True:
-            try:
-                task = self._tasks.get_nowait()
-            except queue.Empty:
-                return
-            task.fail(QueryError("query service is closed"))
+        obs_gauge("query.service.queue_depth").set(len(self._pending))
 
     # -- worker side -----------------------------------------------------
 
     def _worker_loop(self) -> None:
         while True:
-            task = self._tasks.get()
-            if task is _SHUTDOWN:
-                with self._lock:
-                    self._live_workers -= 1
-                    last_out = self._live_workers == 0
-                if last_out:
-                    self._fail_unserved()
+            with self._lock:
+                while not self._pending and not self._closed:
+                    self._work.wait()
+                if not self._pending:  # closed and drained
+                    return
+                task = self._pending.popleft()
+                self._space.notify()
+            self._serve(task)
+
+    def _help(self, task: _Task) -> None:
+        """Claim ``task`` if no thread has, and run it on this thread."""
+        with self._lock:
+            try:
+                self._pending.remove(task)
+            except ValueError:  # already claimed
                 return
-            with span("query.service.latency", after=task.handoff):
-                with span("query.service.queue_wait", after=task.handoff):
-                    pass
-                self._serve(task)
+            self._space.notify()
+        self._serve(task)
 
     def _serve(self, task: _Task) -> None:
-        try:
-            if task.kind == "exact":
-                value = self.engine.evaluate_exact(
-                    task.query, as_of=task.as_of
-                )
-                task.future.set_result(value)
-            elif task.kind == "batch":
-                answers = self._batcher.evaluate_exact(task.query)
-                task.future.set_result(answers)
-            elif task.kind == "degradable":
-                outcome: QueryOutcome = self.engine.evaluate_degradable(
-                    task.query,
-                    deadline_s=task.deadline_s,
-                    as_of=task.as_of,
-                )
-                if outcome.degraded:
-                    with self._lock:
-                        self.degraded += 1
-                    obs_counter("query.service.degraded").inc()
-                # Every degradable outcome leaves the service auditable:
-                # no I/O, just the memoized plan plus breaker/cache
-                # snapshots, and the trace this span belongs to.
-                outcome = attach_provenance(
-                    self.engine, task.query, outcome, as_of=task.as_of
-                )
-                task.future.set_result(outcome)
-            else:
-                final = None
-                for estimate in self.engine.evaluate_progressive(task.query):
-                    final = estimate
-                    task.stream._emit(estimate)
-                task.stream._finish(final, None)
-        except BaseException as exc:  # deliver, never kill the worker
-            task.fail(exc)
-        finally:
-            with self._lock:
-                self.completed += 1
-            obs_counter("query.service.completed").inc()
-            obs_gauge("query.service.queue_depth").set(self._tasks.qsize())
+        """Serve one claimed task, on a worker or its waiter's thread."""
+        with span("query.service.latency", after=task.handoff):
+            with span("query.service.queue_wait", after=task.handoff):
+                pass
+            try:
+                if task.kind == "exact":
+                    value = self.engine.evaluate_exact(
+                        task.query, as_of=task.as_of
+                    )
+                    task.future.set_result(value)
+                elif task.kind == "batch":
+                    answers = self._batcher.evaluate_exact(task.query)
+                    task.future.set_result(answers)
+                elif task.kind == "degradable":
+                    outcome: QueryOutcome = self.engine.evaluate_degradable(
+                        task.query,
+                        deadline_s=task.deadline_s,
+                        as_of=task.as_of,
+                    )
+                    if outcome.degraded:
+                        with self._lock:
+                            self.degraded += 1
+                        obs_counter("query.service.degraded").inc()
+                    # Every degradable outcome leaves the service auditable:
+                    # no I/O, just the memoized plan plus breaker/cache
+                    # snapshots, and the trace this span belongs to.
+                    outcome = attach_provenance(
+                        self.engine, task.query, outcome, as_of=task.as_of
+                    )
+                    task.future.set_result(outcome)
+                else:
+                    final = None
+                    for estimate in self.engine.evaluate_progressive(task.query):
+                        final = estimate
+                        task.stream._emit(estimate)
+                    task.stream._finish(final, None)
+            except BaseException as exc:  # deliver, never kill the worker
+                task.fail(exc)
+            finally:
+                with self._lock:
+                    self.completed += 1
+                obs_counter("query.service.completed").inc()
+                obs_gauge("query.service.queue_depth").set(len(self._pending))
 
     # -- lifecycle -------------------------------------------------------
 
     def close(self, wait: bool = True) -> None:
-        """Stop accepting work; drain pending tasks, then stop workers.
+        """Stop accepting work; workers drain pending tasks, then exit.
 
-        A submission that raced this call and landed behind the
-        shutdown sentinels fails with ``QueryError`` instead of waiting
-        for a worker that has gone.
+        A submission after this call, or one still waiting for queue
+        space, raises ``QueryError``; every task admitted before it is
+        served.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        for _ in self._threads:
-            self._tasks.put(_SHUTDOWN)
+            self._work.notify_all()
+            self._space.notify_all()
         if wait:
             for thread in self._threads:
                 thread.join()

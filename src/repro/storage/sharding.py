@@ -6,15 +6,14 @@ a store builds once (:func:`placement_table`): block ``code`` lives on
 shard ``crc32(repr(allocation.block_tuple(code))) mod N``, the same in
 every process and every run, and a group splits by one table lookup.
 
-Multi-block reads fan out across the shards touched via a small
-transient worker pool, so with per-device latency the wall-clock cost
-of a scan approaches ``blocks / shards`` device waits instead of
+Multi-shard group reads and writes fan out through the device's
+persistent worker pool (created on first use), so with per-device
+latency a scan costs about ``blocks / shards`` device waits instead of
 ``blocks`` (the overlap ``tests/test_storage_group_io.py`` counts and
 e2e ``cluster_mixed_io``'s ``latency_p50_ms`` measures; on a
 :class:`~repro.core.clock.SimClock` it is the slowest shard's).  The
-store's cache sits above, so only a group's misses fan out.
-Group writes fan out the same way; a group of one routes directly to
-the owning shard.
+store's cache sits above, so only a group's misses fan out; a group of
+one routes directly to the owning shard.
 
 Degradation is per-shard by construction: each shard's sub-stack
 carries its own fault plan and circuit breaker
@@ -58,9 +57,9 @@ class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec
             in shard order.
         placement: ``placement[code]`` is the shard owning block
             ``code`` (:func:`placement_table`).
-        fanout_workers: Worker-pool width for multi-block reads
+        fanout_workers: Pool width for multi-shard reads and writes
             (default ``min(n_shards, 8)``); ``1`` forces sequential
-            fan-out.
+            fan-out, as ``StorageSpec.build`` does with no waiting layer.
     """
 
     def __init__(

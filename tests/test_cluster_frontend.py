@@ -7,6 +7,7 @@ every namespace's exact answers are bitwise-equal to evaluating the
 same queries on a standalone engine.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -195,6 +196,50 @@ class TestQuotas:
             frontend._release = slow_release
             frontend.submit_exact("noisy", "flood", queries()[0]).result()
             assert frontend.inflight("noisy") == 0
+
+    def test_a_helped_result_finds_its_slot_released(self):
+        # The backend's one worker is held, so the caller runs its own
+        # task: the release then runs on the caller's thread, and still
+        # before the caller's future resolves.
+        with make_cluster(backends=1) as frontend:
+            frontend.populate("noisy", "flood", small_cube())
+            service = frontend.route("noisy", "flood")._space(
+                namespace_key("noisy", "flood")
+            ).service
+            evaluate = service.engine.evaluate_exact
+            held, release = threading.Barrier(3), threading.Event()
+            ran_on = []
+
+            def gated(q, as_of=None):
+                name = threading.current_thread().name
+                if name.startswith("query-"):
+                    held.wait(timeout=60)
+                    release.wait(timeout=60)
+                else:
+                    ran_on.append(name)
+                return evaluate(q, as_of=as_of)
+
+            service.engine.evaluate_exact = gated
+            # Submitted to the service itself: they take no quota slot.
+            blockers = [service.submit_exact(queries()[0]) for _ in range(2)]
+            held.wait(timeout=60)
+            release_slot = frontend._release
+
+            def slow_release(tenant):
+                time.sleep(0.2)
+                release_slot(tenant)
+
+            frontend._release = slow_release
+            try:
+                frontend.submit_exact(
+                    "noisy", "flood", queries()[1]
+                ).result(timeout=30)
+                assert frontend.inflight("noisy") == 0
+            finally:
+                release.set()
+            for future in blockers:
+                future.result(timeout=60)
+            assert ran_on == [threading.current_thread().name]
 
     def test_failed_submission_releases_the_slot(self):
         with make_cluster(backends=1) as frontend:

@@ -336,6 +336,49 @@ class TestConcurrencyRules:
             source, "src/repro/query/x.py", "lock-no-blocking"
         )) == ["lock-no-blocking"]
 
+    CONDITION = """
+    import threading
+    import time
+
+    class C:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self._other_lock = threading.Lock()
+            self._work = threading.Condition(self._lock)
+            self._space = threading.Condition(self._other_lock)
+            ready = threading.Condition(self._lock)
+
+        def f(self):
+            with self._lock:
+                while not self.ready:
+                    self._work.wait()
+                self._work.notify()
+                self._work.notify_all()
+                EXTRA
+    """
+
+    def test_condition_over_the_held_lock_clean(self):
+        source = self.CONDITION.replace("EXTRA", "pass")
+        assert findings_for(
+            source, "src/repro/query/x.py", "lock-no-blocking"
+        ) == []
+
+    @pytest.mark.parametrize("extra", [
+        "time.sleep(0.1)",
+        "self.event.wait()",
+        "self._space.wait()",
+        "self._space.notify()",
+        "event.wait()",
+    ])
+    def test_other_blocking_beside_a_condition_still_flagged(self, extra):
+        # A sleep, a wait on an unrelated event (an attribute or a bare
+        # name), or a condition built over a lock this body does not hold.
+        (finding,) = findings_for(
+            self.CONDITION.replace("EXTRA", extra),
+            "src/repro/query/x.py", "lock-no-blocking",
+        )
+        assert finding.line == 19
+
     def test_deferred_work_in_nested_def_is_not_under_the_lock(self):
         source = """
         import time

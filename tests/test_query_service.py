@@ -7,8 +7,10 @@ same engine — translation, planning and summation are deterministic, and
 the service only reads through the storage layer.
 """
 
+import sys
 import threading
 import time
+from concurrent.futures import wait as futures_wait
 
 import numpy as np
 import pytest
@@ -309,24 +311,42 @@ class TestAdmissionControl:
     def test_submission_racing_close_fails_instead_of_hanging(
         self, block, wait
     ):
-        # close() runs between _admit's closed check and its put, so the
-        # task lands behind the shutdown sentinels.
-        service = QueryService(build_engine(), workers=2)
-        name = "put" if block else "put_nowait"
-        real_put = getattr(service._tasks, name)
+        # Submitting threads race close(): each submission either raises
+        # "closed" at submit or is admitted, and every admitted task is
+        # served by the draining workers; none is left pending.
+        engine = build_engine()
+        query = RangeSumQuery.count([(0, 3), (0, 3)])
+        expected = engine.evaluate_exact(query)
+        service = QueryService(engine, workers=2, queue_depth=4)
+        admitted, closed = [], []
 
-        def put_after_close(task):
-            setattr(service._tasks, name, real_put)
-            service.close(wait=wait)
-            real_put(task)
+        def submit():
+            while True:
+                try:
+                    admitted.append(service.submit_exact(query, block=block))
+                except QueryRejected:
+                    continue
+                except QueryError as exc:
+                    closed.append(exc)
+                    return
 
-        setattr(service._tasks, name, put_after_close)
-        future = service.submit_exact(
-            RangeSumQuery.count([(0, 3), (0, 3)]), block=block
-        )
-        with pytest.raises(QueryError, match="closed"):
-            future.result(timeout=2)
-        assert service._tasks.empty()
+        submitters = [threading.Thread(target=submit) for _ in range(4)]
+        for t in submitters:
+            t.start()
+        deadline = time.monotonic() + 30
+        while len(admitted) < 40 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        service.close(wait=wait)
+        for t in submitters:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in submitters)
+        assert len(closed) == 4
+        assert all("closed" in str(exc) for exc in closed)
+        # wait() does not help: only the workers can resolve these.
+        done, pending = futures_wait(admitted, timeout=30)
+        assert not pending and len(admitted) >= 40
+        assert all(f.result() == expected for f in done)
+        assert not service._pending
 
     def test_invalid_configuration_rejected(self):
         engine = build_engine()
@@ -374,3 +394,109 @@ class TestLatencyHistogram:
         assert latency.count == 2
         assert latency.min >= hold_s
         assert latency.total >= 2 * hold_s
+
+
+class TestHelpingJoin:
+    """A caller blocked on a task no thread has claimed runs it itself."""
+
+    def test_a_caller_runs_its_task_while_every_worker_is_held(self):
+        engine = build_engine()
+        query = mixed_workload(engine, count=1)[0]
+        expected = engine.evaluate_exact(query)
+        held, release = threading.Barrier(3), threading.Event()
+        with QueryService(engine, workers=2) as service:
+            evaluate = service.engine.evaluate_exact
+
+            def gated(q, as_of=None):
+                if threading.current_thread().name.startswith("query-"):
+                    held.wait(timeout=60)
+                    release.wait(timeout=60)
+                return evaluate(q, as_of=as_of)
+
+            service.engine.evaluate_exact = gated
+            blockers = [service.submit_exact(query) for _ in range(2)]
+            held.wait(timeout=60)  # both workers are inside a task
+            try:
+                got = service.submit_exact(query).result(timeout=2)
+            finally:
+                release.set()
+            assert got.hex() == expected.hex()
+            assert [f.result(timeout=60) for f in blockers] == [expected] * 2
+
+    def test_sequential_waits_on_a_depth_one_queue_are_never_rejected(self):
+        # Each result() claims or waits out its task, so the next
+        # submission always finds the one unclaimed slot free.
+        engine = build_engine()
+        query = mixed_workload(engine, count=1)[0]
+        expected = engine.evaluate_exact(query)
+        with QueryService(engine, workers=2, queue_depth=1) as service:
+            for _ in range(3000):
+                assert service.submit_exact(query).result() == expected
+            assert service.rejected == 0
+
+    def test_a_helper_and_a_worker_claim_each_task_once(self):
+        # Four waiting clients against four workers on two cores, with
+        # thread switches forced often: every task is served exactly
+        # once, whichever side claims it, and both sides win some.
+        engine = build_engine()
+        query = mixed_workload(engine, count=1)[0]
+        expected = engine.evaluate_exact(query)
+        served, failures = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryService(engine, workers=4, queue_depth=8) as service:
+                serve = service._serve
+
+                def counting(task):
+                    served.append((task, threading.current_thread().name))
+                    serve(task)
+
+                service._serve = counting
+
+                def client(k):
+                    try:
+                        for i in range(100):
+                            future = service.submit_exact(query, block=True)
+                            if (i + k) % 2:  # let a worker claim it first
+                                time.sleep(0.0005)
+                            if future.result(timeout=60) != expected:
+                                failures.append(i)
+                    except Exception as exc:  # surface in the main thread
+                        failures.append(exc)
+
+                clients = [
+                    threading.Thread(target=client, args=(k,))
+                    for k in range(4)
+                ]
+                for t in clients:
+                    t.start()
+                for t in clients:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in clients)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        tasks = [task for task, _ in served]
+        assert len(tasks) == 400 and len({id(t) for t in tasks}) == 400
+        assert service.completed == 400
+        runners = {name.startswith("query-") for _, name in served}
+        assert runners == {True, False}
+
+    def test_a_progressive_stream_is_produced_by_a_worker(self):
+        engine = build_engine()
+        query = mixed_workload(engine, count=1)[0]
+        expected = list(engine.evaluate_progressive(query))
+        producers = []
+        with QueryService(engine, workers=1) as service:
+            progressive = service.engine.evaluate_progressive
+
+            def recording(q):
+                producers.append(threading.current_thread().name)
+                return progressive(q)
+
+            service.engine.evaluate_progressive = recording
+            stream = service.submit_progressive(query)
+            assert stream.result(timeout=60) == expected[-1]
+            assert list(stream) == expected
+        assert producers == ["query-service-0"]
