@@ -378,7 +378,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     agg.variance([(0, n - 1), (0, n - 1), (0, n - 1)], dim=2)
 
     # Concurrent query service: a group-by burst through the thread-pool
-    # front end, so the service, shared-scan, translation-cache and
+    # front end, so the service, shared-scan, part-memo and
     # pool-occupancy series all appear in the report.
     from repro.query.service import QueryService
 
@@ -388,7 +388,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     ]
     with QueryService(engine, workers=2, queue_depth=len(cells)) as service:
         service.run_exact(cells)
-        service.run_exact(cells)  # repeat pass: translation-cache hits
+        service.run_exact(cells)  # repeat pass: part-memo hits only
 
     # Online query: recognize a short synthesized sign stream.
     from repro.online.recognizer import RecognizerConfig

@@ -49,7 +49,7 @@ from repro.storage.blockstore import TensorBlockStore
 from repro.storage.disk import BlockGroup
 from repro.wavelets.dwt import max_levels
 from repro.wavelets.filters import get_filter
-from repro.wavelets.lazy import cached_range_query_transform
+from repro.wavelets.lazy import lazy_range_query_transform
 from repro.wavelets.tensor import tensor_wavedec
 
 __all__ = [
@@ -121,9 +121,8 @@ def _translate_axis(axis, lo, hi, poly, original_shape, padded_shape, levels,
         vals = np.polynomial.polynomial.polyval(idx.astype(float), poly)
         nonzero = vals != 0.0
         return idx[nonzero], vals[nonzero]
-    return cached_range_query_transform(
-        list(poly), lo, hi, padded_shape[axis],
-        wavelet=filt, levels=levels[axis],
+    return lazy_range_query_transform(
+        poly, lo, hi, padded_shape[axis], wavelet=filt, levels=levels[axis],
     ).arrays
 
 
@@ -567,13 +566,18 @@ class ProPolyneEngine:
         """``(values, (virtual blocks, slots, block lengths))`` of ``[lo,
         hi]`` under ``poly``: translated and located once per engine,
         read-only.  A miss computes outside the lock (two workers may
-        both compute one part, deterministically)."""
+        both compute one part, deterministically).  Traffic counts in
+        ``query.parts.hits`` / ``misses``, process-wide, so an engine
+        and its views count into one pair."""
         key = (axis, lo, hi, tuple(poly))
         with self._parts_lock:
             part = self._parts.get(key)
             if part is not None:
                 self._parts.move_to_end(key)
-                return part
+        if part is not None:
+            obs_counter("query.parts.hits").inc()
+            return part
+        obs_counter("query.parts.misses").inc()
         idx, vals = _translate_axis(axis, lo, hi, poly, self.original_shape,
                                     self.shape, self.levels, self.filter)
         located = self.store.allocation.locate_axis(axis, idx)

@@ -23,11 +23,8 @@ from repro.wavelets.dwt import (
 from repro.wavelets.filters import WaveletFilter, daubechies, get_filter, haar
 from repro.wavelets.lazy import (
     SparseWaveletVector,
-    TranslationCache,
-    cached_range_query_transform,
     lazy_range_query_transform,
     poly_after_filter,
-    translation_cache,
 )
 from repro.wavelets.packet import (
     PacketNode,
@@ -56,11 +53,8 @@ __all__ = [
     "max_levels",
     "is_power_of_two",
     "SparseWaveletVector",
-    "TranslationCache",
-    "cached_range_query_transform",
     "lazy_range_query_transform",
     "poly_after_filter",
-    "translation_cache",
     "PacketNode",
     "wavelet_packet_decompose",
     "best_basis",

@@ -31,7 +31,6 @@ coefficient-for-coefficient (a property the test suite asserts).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 
@@ -39,19 +38,13 @@ import numpy as np
 
 from repro.core.errors import TransformError
 from repro.core.reduce import dot
-from repro.lint.lockwatch import watched_lock
-from repro.obs import counter as obs_counter
-from repro.obs import gauge as obs_gauge
 from repro.wavelets.dwt import max_levels
 from repro.wavelets.filters import WaveletFilter, get_filter
 
 __all__ = [
     "SparseWaveletVector",
-    "TranslationCache",
-    "cached_range_query_transform",
     "lazy_range_query_transform",
     "poly_after_filter",
-    "translation_cache",
 ]
 
 
@@ -101,8 +94,8 @@ class SparseWaveletVector:
         levels: Cascade depth of the decomposition.
         filter_name: Filter used.
         arrays: ``(indices, values)`` in the order the transform emitted
-            them, read-only — every query on a cached range shares them
-            (see :func:`cached_range_query_transform`).  The flat layout
+            them, read-only — an engine's part memo holds them for every
+            query on the range (``ProPolyneEngine._part``).  The flat layout
             is the one produced by :meth:`WaveletCoefficients.to_flat` —
             detail band of cascade step ``s`` occupies
             ``flat[n >> s : n >> (s - 1)]`` and the final approximation
@@ -306,146 +299,20 @@ def lazy_range_query_transform(
     return SparseWaveletVector(n, depth, filt.name, (indices, values))
 
 
-class TranslationCache:
-    """Thread-safe LRU memo of per-dimension query transforms.
-
-    Group-by and drill-down workloads repeat the same per-dimension
-    range transforms constantly (every cell of a group-by shares the
-    non-grouped dimensions verbatim), so memoizing
-    :func:`lazy_range_query_transform` drops hot-workload translation
-    cost to a dictionary lookup.  Keys are
-    ``(poly coeffs, lo, hi, n, filter name, levels)`` — everything the
-    transform depends on; cached :class:`SparseWaveletVector` values are
-    shared between callers and must be treated as immutable.
-
-    Hit/miss/eviction traffic is reported both on the instance (``hits``
-    / ``misses`` attributes, immune to registry resets) and through
-    ``repro.obs`` as ``wavelets.transcache.hits`` / ``.misses`` /
-    ``.evictions`` counters and a ``wavelets.transcache.size`` gauge.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise TransformError(
-                f"translation cache capacity must be >= 1, got {capacity}"
-            )
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._lock = watched_lock("wavelets.transcache")
-        self._entries: OrderedDict[tuple, SparseWaveletVector] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the memo."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def lookup(self, key: tuple) -> SparseWaveletVector | None:
-        """The cached transform under ``key``, bumping LRU order, or None."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-        if value is not None:
-            obs_counter("wavelets.transcache.hits").inc()
-        return value
-
-    def store(self, key: tuple, value: SparseWaveletVector) -> None:
-        """Record a freshly computed transform (counted as a miss)."""
-        evicted = 0
-        with self._lock:
-            self.misses += 1
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                evicted += 1
-            size = len(self._entries)
-        obs_counter("wavelets.transcache.misses").inc()
-        if evicted:
-            obs_counter("wavelets.transcache.evictions").inc(evicted)
-        obs_gauge("wavelets.transcache.size").set(size)
+class _RetiredTranslationCache:
+    """An empty stand-in for the deleted process-wide translation cache,
+    kept only for the e2e harness's ``clear()`` / ``stats()`` calls
+    (ROADMAP item 11(i) deletes it).  The engine's part memo
+    (``ProPolyneEngine._part``) is the one memo of lazy transforms."""
 
     def clear(self) -> None:
-        """Drop every memoized transform (statistics are kept)."""
-        with self._lock:
-            self._entries.clear()
-        obs_gauge("wavelets.transcache.size").set(0)
-
-    def reset_stats(self) -> None:
-        """Zero the instance-local hit/miss/eviction tallies."""
-        with self._lock:
-            self.hits = self.misses = self.evictions = 0
+        """Nothing is held."""
 
     def stats(self) -> dict:
-        """Snapshot: hits, misses, evictions, size, capacity, hit_rate."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "hit_rate": (
-                    self.hits / (self.hits + self.misses)
-                    if (self.hits + self.misses)
-                    else 0.0
-                ),
-            }
+        """No lookups: 0 hits, 0 misses."""
+        return {"hits": 0, "misses": 0}
 
 
-_translation_cache = TranslationCache()
-
-
-def translation_cache() -> TranslationCache:
-    """The process-wide translation cache (shared by every engine)."""
-    return _translation_cache
-
-
-def cached_range_query_transform(
-    poly: np.ndarray | list[float],
-    lo: int,
-    hi: int,
-    n: int,
-    wavelet: str | WaveletFilter = "db2",
-    levels: int | None = None,
-) -> SparseWaveletVector:
-    """Memoized :func:`lazy_range_query_transform`.
-
-    Same contract as the uncached transform; the returned vector may be
-    shared with other callers, so its ``entries`` must not be mutated.
-    Concurrent misses on the same key may compute the transform twice
-    (the memo is filled outside the lock to keep lookups cheap) — both
-    computations are deterministic, so either result is correct.
-    """
-    filt = wavelet if isinstance(wavelet, WaveletFilter) else get_filter(wavelet)
-    poly_arr = np.asarray(poly, dtype=float)
-    if poly_arr.ndim != 1 or poly_arr.size == 0:
-        # Malformed measure: let the uncached path raise its usual error.
-        return lazy_range_query_transform(
-            poly, lo, hi, n, wavelet=filt, levels=levels
-        )
-    depth = max_levels(n, filt) if levels is None else levels
-    key = (
-        tuple(float(c) for c in poly_arr),
-        int(lo),
-        int(hi),
-        int(n),
-        filt.name,
-        int(depth),
-    )
-    cached = _translation_cache.lookup(key)
-    if cached is not None:
-        return cached
-    value = lazy_range_query_transform(
-        poly, lo, hi, n, wavelet=filt, levels=levels
-    )
-    _translation_cache.store(key, value)
-    return value
+def translation_cache() -> _RetiredTranslationCache:
+    """The stand-in (:class:`_RetiredTranslationCache`)."""
+    return _RetiredTranslationCache()

@@ -38,7 +38,7 @@ from repro.storage.allocation import (
     subtree_tiling_allocation,
 )
 from repro.storage.device import StorageSpec
-from repro.wavelets.lazy import cached_range_query_transform
+from repro.wavelets.lazy import lazy_range_query_transform
 from tests._blocks import block_of
 
 # Size 2 is an axis too small for the db2 cascade (depth 0, standard
@@ -170,7 +170,7 @@ def reference_translation(query, engine) -> dict:
                 for j, w in zip(range(lo, hi + 1), weights) if w != 0.0
             }
         else:
-            entries = cached_range_query_transform(
+            entries = lazy_range_query_transform(
                 list(poly), lo, hi, engine.shape[axis],
                 wavelet=engine.filter, levels=engine.levels[axis],
             ).entries
@@ -277,30 +277,25 @@ class TestArrayTranslation:
         )
 
     def test_cached_axis_arrays_are_read_only_and_stay_put(self, mixed_engine):
-        vector = cached_range_query_transform(
-            [1.0], 3, 12, 16, wavelet=mixed_engine.filter,
-            levels=mixed_engine.levels[0],
-        )
-        idx, vals = vector.arrays
-        for shared in (idx, vals):
+        # The memo's part for axis 0's [3, 12]: its values and its
+        # located (virtual blocks, slots, block lengths).
+        part = mixed_engine._part(0, 3, 12, (1.0,))
+        vals, located = part
+        arrays = (vals, *located)
+        for shared in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0
             with pytest.raises(ValueError, match="read-only"):
                 shared += 1
-        held = idx.tolist(), vals.tolist()
+        held = [array.tolist() for array in arrays]
         rng = np.random.default_rng(5)
         for _ in range(100):
             lo, hi = sorted(rng.integers(0, 32, size=2).tolist())
             mixed_engine.evaluate_exact(
                 RangeSumQuery.count([(3, 12), (0, 1), (lo, hi)])
             )
-        again = cached_range_query_transform(
-            [1.0], 3, 12, 16, wavelet=mixed_engine.filter,
-            levels=mixed_engine.levels[0],
-        )
-        assert again is vector
-        assert (idx.tolist(), vals.tolist()) == held
-        assert list(vector.entries) == held[0]
+        assert mixed_engine._part(0, 3, 12, (1.0,)) is part
+        assert [array.tolist() for array in arrays] == held
 
     def test_translate_query_is_what_the_engine_runs(self, mixed_engine):
         query = RangeSumQuery.weighted([(1, 14), (0, 1), (3, 30)], {2: 1})

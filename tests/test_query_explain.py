@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.obs import MetricsRegistry, use_registry
 from repro.query.explain import explain, format_plan
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
-from repro.wavelets.lazy import translation_cache
 
 
 RNG = np.random.default_rng(251)
@@ -37,16 +37,17 @@ class TestExplain:
         """One transform per axis for plan and answer together: the
         per-axis counts read the engine's located parts that
         ``explain``'s own ``query_located`` call just memoized, and the
-        evaluation reads the same parts; neither asks the cache again."""
+        evaluation reads the same parts without translating again."""
         q = RangeSumQuery.count([(2, 27), (6, 29)])
-        cache = translation_cache()
-        cache.clear()  # process-wide: an earlier test may have met a range
-        misses, hits = cache.misses, cache.hits
-        explain(engine, q)
-        engine.evaluate_exact(q)
-        assert cache.misses - misses == q.ndim
-        assert cache.hits - hits == 0
-
+        with use_registry(MetricsRegistry()) as reg:
+            misses = reg.counter("query.parts.misses")
+            hits = reg.counter("query.parts.hits")
+            explain(engine, q)
+            assert misses.value == q.ndim
+            planned = hits.value
+            engine.evaluate_exact(q)
+            assert misses.value == q.ndim
+            assert hits.value - planned == q.ndim
     def test_bound_covers_answer(self, engine):
         q = RangeSumQuery.count([(3, 28), (5, 30)])
         plan = explain(engine, q)

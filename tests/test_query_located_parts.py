@@ -12,20 +12,27 @@ here:
   a two-axis weighted query — and on a one-query workload (a batch of
   one), fault-free and under CRC faults;
 * the memo: per engine (two block sizes interleaved, a standard-basis
-  axis), bounded (eviction changes no answer) for an engine and every
-  view of it, and shared by service workers without a lock-order cycle;
-* the work it saves, counted: a 24-query drill-down translates its 24
-  distinct parts, not 48, and the same batch again translates none.
+  axis), keyed on every part input, bounded (eviction changes no
+  answer) for an engine and every view of it, and shared by service
+  workers without a lock-order cycle;
+* the work it saves, counted in ``query.parts.hits`` / ``misses``: a
+  24-query drill-down translates its 24 distinct parts, not 48, the
+  same batch again translates none, and a group-by translates each
+  distinct per-axis range once.
 """
 
+import contextlib
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.core.errors import QueryError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.lint import lockwatch
+from repro.obs import MetricsRegistry, use_registry
 from repro.query import propolyne
 from repro.query.batch import BatchEvaluator
 from repro.query.propolyne import ProPolyneEngine
@@ -33,7 +40,7 @@ from repro.query.rangesum import RangeSumQuery, evaluate_on_cube
 from repro.query.service import QueryService
 from repro.storage.device import StorageSpec
 from repro.testing import oracle
-from repro.wavelets.lazy import translation_cache
+from repro.wavelets.lazy import lazy_range_query_transform
 
 SHAPE = (32, 32)
 
@@ -93,6 +100,15 @@ def cube() -> np.ndarray:
     return np.random.default_rng(35).poisson(3.0, SHAPE).astype(float)
 
 
+@contextlib.contextmanager
+def part_traffic():
+    """Yields a reader of the part memo's ``(misses, hits)`` inside the
+    block."""
+    with use_registry(MetricsRegistry()) as reg:
+        yield lambda: (reg.counter("query.parts.misses").value,
+                       reg.counter("query.parts.hits").value)
+
+
 def assert_exact(engine, queries, answers, data) -> None:
     """``answers`` are ``engine``'s scalar answers, bit for bit, and
     agree with the dense evaluation."""
@@ -125,6 +141,71 @@ class TestPartMemo:
                 assert_exact(engine, batch, answers, data)
             answers = BatchEvaluator(mixed).evaluate_exact(mixed_batch)
             assert_exact(mixed, mixed_batch, answers, flat)
+
+    def test_a_part_is_the_uncached_transform_located(self):
+        engine = ProPolyneEngine(cube(), max_degree=2, block_size=7)
+        for poly in ((1.0,), (0.0, 1.0), (2.0, -1.0, 0.5)):
+            vals, located = engine._part(0, 3, 21, poly)
+            idx, want = lazy_range_query_transform(
+                poly, 3, 21, engine.shape[0], wavelet=engine.filter,
+                levels=engine.levels[0],
+            ).arrays
+            assert vals.tolist() == want.tolist()
+            for got, expected in zip(
+                located, engine.store.allocation.locate_axis(0, idx)
+            ):
+                assert got.tolist() == expected.tolist()
+
+    def test_an_error_is_raised_not_memoized(self):
+        engine = ProPolyneEngine(cube(), max_degree=1, block_size=7)
+        for _ in range(2):
+            with pytest.raises(QueryError, match="exceeds domain size"):
+                engine._part(0, 3, SHAPE[0], (1.0,))
+        assert len(engine._parts) == 0
+
+    def test_a_full_memo_evicts_the_least_recently_used(self, monkeypatch):
+        engine = ProPolyneEngine(cube(), max_degree=1, block_size=7)
+        monkeypatch.setattr(propolyne, "_MEMO_PARTS", 2)
+        a, b, c = ((0, lo, lo + 9, (1.0,)) for lo in range(3))
+        kept = engine._part(*a)
+        engine._part(*b)
+        assert engine._part(*a) is kept  # a is now the most recent
+        engine._part(*c)  # evicts b
+        assert list(engine._parts) == [a, c]
+        assert engine._parts[a] is kept
+
+    def test_the_key_distinguishes_every_part_input(self):
+        engine = ProPolyneEngine(cube(), max_degree=1, block_size=7)
+        keys = [(0, 2, 13, (1.0,)), (1, 2, 13, (1.0,)), (0, 3, 13, (1.0,)),
+                (0, 2, 12, (1.0,)), (0, 2, 13, (0.0, 1.0))]
+        with part_traffic() as traffic:
+            for key in keys:
+                engine._part(*key)
+        assert traffic() == (len(keys), 0)
+        assert list(engine._parts) == keys
+
+    def test_concurrent_traffic_counts_every_lookup(self):
+        engine = ProPolyneEngine(cube(), max_degree=1, block_size=7)
+        per_thread, n_threads = 100, 4
+
+        def worker(seed):
+            for i in range(per_thread):
+                lo = i * (seed + 1) % 16
+                engine._part(i % 2, lo, lo + 9, (1.0,))
+
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in range(n_threads)]
+        with part_traffic() as traffic:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        misses, hits = traffic()
+        assert hits + misses == per_thread * n_threads
+        distinct = {(i % 2, i * (seed + 1) % 16)
+                    for seed in range(n_threads) for i in range(per_thread)}
+        # Two workers may both compute one part; the memo keeps one.
+        assert misses >= len(engine._parts) == len(distinct)
 
     def test_a_full_memo_evicts_and_changes_no_answer(self, monkeypatch):
         data = cube()
@@ -190,15 +271,38 @@ class TestPartMemo:
 def test_a_drill_down_translates_each_distinct_part_once():
     engine = ProPolyneEngine(cube(), max_degree=1, block_size=7)
     evaluator = BatchEvaluator(engine)
-    cache = translation_cache()
-
-    def lookups(batch) -> int:
-        before = cache.stats()
-        evaluator.evaluate_exact(batch)
-        after = cache.stats()
-        return sum(after[k] - before[k] for k in ("hits", "misses"))
-
     batch = drill_down(2, 3)
-    assert lookups(batch) == 8 + 16 == len(engine._parts)
-    assert lookups(batch) == 0
+    # 48 parts asked for, 8 + 16 of them distinct.
+    with part_traffic() as traffic:
+        evaluator.evaluate_exact(batch)
+    assert traffic() == (8 + 16, 24)
     assert len(engine._parts) == 24
+    with part_traffic() as traffic:
+        evaluator.evaluate_exact(batch)
+    assert traffic() == (0, 48)
+    assert len(engine._parts) == 24
+
+
+class TestGroupByTraffic:
+    def test_group_by_misses_once_per_distinct_translation(self):
+        # Every cell of a group-by repeats the non-grouped dimensions'
+        # parts verbatim: each distinct (axis, lo, hi, degree) part is
+        # translated once, and the memo serves the rest.
+        from repro.query.batch import group_by
+
+        data = np.random.default_rng(171).poisson(3.0, (32, 16, 16))
+        engine = ProPolyneEngine(data.astype(float), max_degree=1,
+                                 block_size=7)
+        with part_traffic() as traffic:
+            result = group_by(
+                engine, dim=0, group_width=4,
+                other_ranges={1: (3, 12)}, degrees={1: 1},
+            )
+        misses, hits = traffic()
+        distinct = {(0, lo, hi, 0) for lo, hi in result.labels}
+        distinct |= {(1, 3, 12, 1), (2, 0, 15, 0)}
+        assert len(result.labels) == 8
+        assert misses == len(distinct) == len(engine._parts) == 10
+        # The independent-read count and the evaluation each ask for
+        # every cell's three parts.
+        assert hits == 2 * 3 * 8 - misses

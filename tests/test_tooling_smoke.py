@@ -41,8 +41,8 @@ class TestStatsCommand:
             "query.exact.queries",
             "query.service.submitted",
             "query.service.completed",
-            "wavelets.transcache.hits",
-            "wavelets.transcache.misses",
+            "query.parts.hits",
+            "query.parts.misses",
             "streams.frames_ingested",
             "recognizer.decisions",
         ):
@@ -58,7 +58,7 @@ class TestStatsCommand:
             assert section in proc.stdout
         assert "storage.pool.hits" in proc.stdout
         assert "storage.pool.occupancy" in proc.stdout
-        assert "wavelets.transcache" in proc.stdout
+        assert "query.parts" in proc.stdout
         assert "query.service" in proc.stdout
         # The resilience drill's series and the breaker-state line.
         assert "retry.attempts" in proc.stdout

@@ -14,6 +14,7 @@ from repro.core.errors import TransformError
 from repro.wavelets.dwt import wavedec
 from repro.wavelets.filters import daubechies, haar
 from repro.wavelets.lazy import (
+    SparseWaveletVector,
     lazy_range_query_transform,
     poly_after_filter,
 )
@@ -204,3 +205,37 @@ class TestValidation:
     def test_bad_polynomial(self):
         with pytest.raises(TransformError):
             lazy_range_query_transform([], 0, 7, 8, "haar")
+
+
+class TestVectorizedDot:
+    def test_dot_matches_python_loop_reference(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            n = 64
+            size = int(rng.integers(1, 20))
+            idx = rng.choice(n, size=size, replace=False)
+            vec = SparseWaveletVector(
+                n=n, levels=3, filter_name="db2",
+                entries={int(i): float(v) for i, v in
+                         zip(idx, rng.normal(size=size))},
+            )
+            data = rng.normal(size=n)
+            reference = sum(
+                val * data[i] for i, val in vec.entries.items()
+            )
+            assert vec.dot(data) == pytest.approx(reference, rel=1e-12)
+
+    def test_dot_of_empty_vector_is_zero(self):
+        vec = SparseWaveletVector(8, 3, "db2", {})
+        assert vec.dot(np.ones(8)) == 0.0
+
+    def test_dot_on_real_transform(self):
+        # End-to-end: the sparse transform dotted with dense coefficients
+        # equals the dense range-sum it encodes.
+        rng = np.random.default_rng(7)
+        signal = rng.normal(size=32)
+        coeffs = wavedec(signal, "db2")
+        sparse = lazy_range_query_transform([1.0], 5, 20, 32, wavelet="db2")
+        assert sparse.dot(coeffs.to_flat()) == pytest.approx(
+            float(np.sum(signal[5:21])), rel=1e-9
+        )
