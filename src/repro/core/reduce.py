@@ -6,6 +6,9 @@ not depend on the BLAS kernel or on the interpreter's builtin ``sum``
 
 * :func:`dot`, :func:`segmented_dot` and :func:`sum_squares` — numpy's
   pairwise ``np.add.reduce`` of the elementwise product, never BLAS;
+* :func:`dot_columns` — the same sum over the columns of windows held
+  as separate arrays (the wavelet cascade's taps), in :func:`dot`'s
+  order;
 * :func:`total` — strictly left to right, for the running totals whose
   reference is defined that way.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["dot", "segmented_dot", "sum_squares", "total"]
+__all__ = ["dot", "dot_columns", "segmented_dot", "sum_squares", "total"]
 
 
 def dot(a, b):
@@ -26,6 +29,39 @@ def dot(a, b):
     contiguous, hence the C-ordered product.
     """
     return np.add.reduce(np.multiply(a, b, order="C"), axis=-1)
+
+
+def dot_columns(columns, taps):
+    """``sum(columns[m] * taps[m])`` over at least one tap, elementwise:
+    each element bitwise the :func:`dot` of its row ``[columns[0][i],
+    columns[1][i], ...]`` with ``taps``, the rows never built.  The
+    columns share one shape and may be strided views.
+
+    numpy's order for a contiguous row, replayed term by term: under 8
+    terms left to right from ``+0.0``, up to 128 in eight running sums
+    joined as a tree and then the rest left to right, beyond that the
+    halving split; ``tests/test_core_reduce.py`` pins it against
+    :func:`dot`.
+    """
+    n = len(taps)
+    if n > 128:
+        cut = n // 2 - n // 2 % 8
+        return dot_columns(columns[:cut], taps[:cut]) + dot_columns(
+            columns[cut:], taps[cut:]
+        )
+    lanes = [np.multiply(c, t) for c, t in zip(columns[: 8 if n >= 8 else 1], taps)]
+    term = np.empty_like(lanes[0])  # each later product, added as it is made
+    rest = range(1, n)
+    if n >= 8:
+        rest = range(n - n % 8, n)
+        for m in range(8, rest.start):
+            lanes[m % 8] += np.multiply(columns[m], taps[m], out=term)
+        lanes = [(lanes[0] + lanes[1] + (lanes[2] + lanes[3]))
+                 + (lanes[4] + lanes[5] + (lanes[6] + lanes[7]))]
+    for m in rest:
+        lanes[0] += np.multiply(columns[m], taps[m], out=term)
+    lanes[0] += 0.0  # the sum's identity: an all -0.0 row gives +0.0
+    return lanes[0]
 
 
 def _by_length(starts, lengths):

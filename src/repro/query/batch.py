@@ -115,15 +115,16 @@ def group_by(
         queries.append(RangeSumQuery.weighted(ranges, degrees or {}))
 
     evaluator = BatchEvaluator(engine)
-    independent = evaluator.independent_block_count(queries)
-    before = engine.store.io_snapshot()
-    values = evaluator.evaluate_exact(queries)
-    reads = engine.store.io_since(before).reads
+    with span("query.batch.exact"):
+        # One located stack: the independent count and the evaluation.
+        stack = evaluator._schedule(queries)
+        before = engine.store.io_snapshot()
+        values = evaluator._exact(queries, stack)
     return GroupByResult(
         labels=tuple(labels),
         values=tuple(values),
-        blocks_read=reads,
-        blocks_independent=independent,
+        blocks_read=engine.store.io_since(before).reads,
+        blocks_independent=evaluator._independent(stack[0], stack[3]),
     )
 
 
@@ -196,15 +197,15 @@ class BatchEvaluator:
         :meth:`~repro.query.propolyne.ProPolyneEngine.evaluate_exact`.
         """
         with span("query.batch.exact"):
-            codes, slots, values, offsets, schedule = self._schedule(queries)
-            self._count_batch(queries, schedule)
-            store = self._engine.store
-            buffer, base = store.allocation.pack(
-                store.read_many(schedule.codes)
-            )
-            return segmented_dot(
-                values, buffer[base[codes] + slots], offsets
-            ).tolist()
+            return self._exact(queries, self._schedule(queries))
+
+    def _exact(self, queries: list[RangeSumQuery], stack) -> list[float]:
+        """:meth:`evaluate_exact` of the batch's :meth:`_schedule`."""
+        codes, slots, values, offsets, schedule = stack
+        self._count_batch(queries, schedule)
+        store = self._engine.store
+        buffer, base = store.allocation.pack(store.read_many(schedule.codes))
+        return segmented_dot(values, buffer[base[codes] + slots], offsets).tolist()
 
     def evaluate_degradable(
         self, queries: list[RangeSumQuery]
@@ -281,8 +282,11 @@ class BatchEvaluator:
 
     def independent_block_count(self, queries: list[RangeSumQuery]) -> int:
         """Total blocks independent evaluations would read."""
+        _, codes, _, offsets = self._engine.locate_batch(queries)
+        return self._independent(codes, offsets)
+
+    def _independent(self, codes, offsets) -> int:
+        """Distinct blocks of each CSR segment of a located stack, summed."""
         distinct = self._engine.store.allocation.distinct
-        return sum(
-            len(distinct(self._engine.query_located(query)[1]))
-            for query in queries
-        )
+        offsets = offsets.tolist()
+        return sum(len(distinct(codes[lo:hi])) for lo, hi in zip(offsets, offsets[1:]))

@@ -610,7 +610,7 @@ class ProPolyneEngine:
         np.cumsum([len(located[0]) for located in stacked], out=offsets[1:])
         # A batch of one is returned as combined, not copied.
         values, codes, slots = (stacked[0] if len(stacked) == 1
-                                else map(np.concatenate, zip(*stacked)))
+                                else map(np.concatenate, zip(*stacked or [_NOTHING])))
         keep = values != 0.0
         if keep.all():
             return values, codes, slots, offsets

@@ -56,20 +56,6 @@ def product_keys(axis_indices) -> np.ndarray:
     return np.stack(grid, axis=-1).reshape(-1, len(axis_indices))
 
 
-def _group(values: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, list]:
-    """``values`` grouped by block code: the distinct codes in
-    first-touched order and, for each, the read-only array of its
-    members' values in input order."""
-    uniq, first, counts = np.unique(
-        codes, return_index=True, return_counts=True
-    )
-    packed = values[np.argsort(codes, kind="stable")]
-    packed.flags.writeable = False
-    parts = np.split(packed, np.cumsum(counts)[:-1])
-    order = np.argsort(first)
-    return uniq[order], [parts[b] for b in order.tolist()]
-
-
 @dataclass(frozen=True)
 class Allocation:
     """A mapping from flat coefficient index to block id: one axis of a
@@ -509,12 +495,13 @@ class TensorAllocation:
         ])
 
     def build_blocks(self, coeffs: np.ndarray) -> dict[int, np.ndarray]:
-        """Group a dense coefficient cube into product-block payloads,
-        by code.
-
-        One vectorized pass; blocks appear in first-touched row-major
-        order and each payload (a read-only array) holds its members'
-        values row-major, as a scan of the cube would produce them.
+        """Cut a dense coefficient cube into product-block payloads, by
+        code: the cube is scattered once into the fixed layout
+        (:attr:`offsets`), and each payload is a read-only view of its
+        block's range there, its members' values row-major.  Blocks
+        appear in first-touched row-major order — the product of each
+        axis's virtual blocks ordered by first member, no sort over
+        coefficients.
         """
         cube = np.asarray(coeffs, dtype=float)
         if cube.shape != self.shape:
@@ -522,8 +509,14 @@ class TensorAllocation:
                 f"coefficient cube shape {cube.shape} != allocation "
                 f"shape {self.shape}"
             )
-        codes, parts = _group(
-            cube.ravel(),
-            self.locate_product([np.arange(n) for n in cube.shape])[0],
-        )
-        return dict(zip(codes.tolist(), parts))
+        codes, slots = self.locate_product([np.arange(n) for n in cube.shape])
+        layout = np.empty(cube.size)
+        layout[self.offsets[codes] + slots] = cube.ravel()
+        layout.flags.writeable = False
+        touched = np.zeros(1, dtype=np.intp)
+        for axis, n_virtual in zip(self.axes, self._tables[1]):
+            virtual, first = np.unique(axis.block_of, return_index=True)
+            order = virtual[np.argsort(first)]
+            touched = np.add.outer(touched * n_virtual, order).ravel()
+        bounds = zip(self.offsets[touched].tolist(), self.block_len(touched).tolist())
+        return {c: layout[lo:lo + n] for c, (lo, n) in zip(touched.tolist(), bounds)}

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import TransformError
-from repro.core.reduce import dot
+from repro.core.reduce import dot, dot_columns
 from repro.wavelets.filters import WaveletFilter, get_filter
 
 __all__ = [
@@ -74,7 +74,9 @@ def dwt_level(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarra
 
     Returns:
         ``(approx, detail)``, each of length ``n // 2``; every line's
-        bits are those of that line transformed alone.
+        bits are those of that line transformed alone: tap by tap, the
+        windows' columns are summed in :func:`~repro.core.reduce.dot`'s
+        order (:func:`~repro.core.reduce.dot_columns`), never gathered.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
@@ -84,16 +86,18 @@ def dwt_level(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarra
         raise TransformError(
             f"dwt_level needs length >= {filt.length} taps, got {n}"
         )
-    half = n // 2
-    # Gather the periodized windows: window[k, m] = x[(2k + m) mod n].
-    idx = (2 * np.arange(half)[:, None] + np.arange(filt.length)[None, :]) % n
-    windows = x[..., idx]
-    return dot(windows, filt.lowpass), dot(windows, filt.highpass)
+    half, taps = n // 2, filt.length
+    # Tap m of window k, x[(2k + m) mod n], is sample k + m // 2 of the
+    # even (m even) or odd samples, each extended by its wrap.
+    phases = [np.concatenate([x[..., p::2], x[..., p:taps:2]], -1) for p in (0, 1)]
+    columns = [phases[m % 2][..., m // 2 : m // 2 + half] for m in range(taps)]
+    return dot_columns(columns, filt.lowpass), dot_columns(columns, filt.highpass)
 
 
 def cascade(x: np.ndarray, filt: WaveletFilter, depth: int) -> list[np.ndarray]:
     """``depth`` analysis steps along the last axis, as the bands of the
-    flat layout: ``[a_J, d_J, ..., d_1]``."""
+    flat layout: ``[a_J, d_J, ..., d_1]``; a stack's lines all at once,
+    each with its own bits (:func:`dwt_level`)."""
     bands = []
     for _ in range(depth):
         x, band = dwt_level(x, filt)

@@ -3,7 +3,8 @@
 Unit tests pin the module's contract: a segment of ``segmented_dot``
 is the ``dot`` of that segment, ``sum_squares`` reads scattered
 segments as ``segmented_dot`` reads packed ones, a stacked ``dot`` is the ``dot`` of each
-row, empty input sums to ``0.0`` and a strided view reduces like its
+row, ``dot_columns`` adds its columns in the order ``dot`` adds a row,
+empty input sums to ``0.0`` and a strided view reduces like its
 copy.  ``test_bits_do_not_depend_on_the_blas_kernel`` then digests
 exact, batch and progressive answers, an ``insert_batch``, the block
 norms, ``to_coefficients`` and a lazy transform in this process and in
@@ -21,7 +22,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reduce import dot, segmented_dot, sum_squares, total
+from repro.core.reduce import dot, dot_columns, segmented_dot, sum_squares, total
 from repro.query.batch import BatchEvaluator
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
@@ -111,6 +112,36 @@ class TestReduce:
         # Whatever the operands' memory layout.
         fortran = np.asfortranarray(windows)
         assert dot(fortran, taps[0]).tolist() == dot(windows, taps[0]).tolist()
+
+    def test_columns_add_in_the_order_dot_adds_a_row(self):
+        # Every length up to 300 crosses numpy's three regimes (under 8
+        # terms, 8 to 128, the halving split).  Rows of signed zeros,
+        # infinities, NaNs, subnormals and 1e+-300 magnitudes; columns
+        # are strided views.  A NaN's payload is the one thing not
+        # compared: which operand's NaN survives is the SIMD loop's pick.
+        rng = np.random.default_rng(46)
+        special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324,
+                            -5e-324, 2.2e-308, 1e-300, 1e300, -1e300])
+        for length in range(1, 301):
+            grid = rng.normal(size=(12, 2 * length)) * 10.0 ** rng.integers(
+                -300, 300, (12, 2 * length)
+            )
+            grid[0] = -0.0
+            grid[1] = rng.choice([0.0, -0.0], 2 * length)
+            grid[2:5] = rng.choice(special, (3, 2 * length))
+            grid[5] = rng.choice(special[5:9], 2 * length)
+            taps = rng.normal(size=length)
+            taps[rng.random(length) < 0.1] = -0.0
+            columns = [grid[:, 2 * m] for m in range(length)]
+            with np.errstate(all="ignore"):
+                want = dot(np.stack(columns, -1), taps)
+                got = dot_columns(columns, taps)
+            assert np.isnan(got).tolist() == np.isnan(want).tolist(), length
+            got[np.isnan(got)] = want[np.isnan(want)] = 0.0
+            assert got.tobytes() == want.tobytes(), length
+        assert dot_columns([np.array([-0.0])] * 3, [1.0] * 3).tobytes() == (
+            np.array([0.0]).tobytes()
+        )
 
     def test_empty_input_sums_to_zero(self):
         empty = np.empty(0)

@@ -303,6 +303,6 @@ class TestGroupByTraffic:
         distinct |= {(1, 3, 12, 1), (2, 0, 15, 0)}
         assert len(result.labels) == 8
         assert misses == len(distinct) == len(engine._parts) == 10
-        # The independent-read count and the evaluation each ask for
-        # every cell's three parts.
-        assert hits == 2 * 3 * 8 - misses
+        # The independent-read count and the evaluation share one
+        # located stack: every cell's three parts are asked for once.
+        assert hits == 3 * 8 - misses

@@ -257,6 +257,56 @@ class TestBuildBlocks:
             alloc.build_blocks(np.zeros(8))
 
 
+def grouped_blocks(tensor, cube):
+    """The reference cut: group the cube's values by block code with a
+    stable sort, blocks in first-touched row-major order."""
+    codes = tensor.locate_product([np.arange(n) for n in cube.shape])[0]
+    uniq, first, counts = np.unique(codes, return_index=True,
+                                    return_counts=True)
+    parts = np.split(cube.ravel()[np.argsort(codes, kind="stable")],
+                     np.cumsum(counts)[:-1])
+    order = np.argsort(first).tolist()
+    return {int(uniq[b]): parts[b] for b in order}
+
+
+class TestCutFromTheFixedLayout:
+    """``build_blocks`` scatters the cube into the fixed layout once and
+    cuts it; its keys, their order and every payload's bits are the
+    sort-and-group reference's."""
+
+    @pytest.mark.parametrize("axes", [
+        # One axis; a depth-0 axis (one virtual block); uneven tiles.
+        (subtree_tiling_allocation(64, 7),),
+        (subtree_tiling_allocation(16, 3), subtree_tiling_allocation(2, 7),
+         subtree_tiling_allocation(8, 3)),
+        (subtree_tiling_allocation(32, 7), subtree_tiling_allocation(16, 15),
+         subtree_tiling_allocation(8, 3)),
+        # Block ids out of first-member order.
+        (random_allocation(32, 5, np.random.default_rng(2)),
+         depth_first_allocation(16, 3)),
+    ])
+    def test_keys_order_and_bits_are_the_grouped_reference(self, axes):
+        tensor = TensorAllocation(axes=axes)
+        cube = RNG.normal(size=tensor.shape)
+        got = tensor.build_blocks(cube)
+        want = grouped_blocks(tensor, cube)
+        assert list(got) == list(want)
+        for code, payload in got.items():
+            assert payload.tobytes() == want[code].tobytes()
+
+    def test_payloads_are_read_only_and_do_not_alias_the_cube(self):
+        tensor = TensorAllocation(axes=(
+            subtree_tiling_allocation(16, 3), subtree_tiling_allocation(8, 7)
+        ))
+        cube = RNG.normal(size=(16, 8))
+        blocks = tensor.build_blocks(cube)
+        before = {code: payload.copy() for code, payload in blocks.items()}
+        cube[:] = 0.0
+        for code, payload in blocks.items():
+            assert not payload.flags.writeable
+            assert payload.tobytes() == before[code].tobytes()
+
+
 class TestTensorAllocation:
     def _make(self):
         return TensorAllocation(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import TransformError
+from repro.core.reduce import dot
 from repro.wavelets.dwt import (
     WaveletCoefficients,
     dwt_level,
@@ -60,6 +61,37 @@ class TestSingleLevel:
     def test_idwt_shape_mismatch(self):
         with pytest.raises(TransformError):
             idwt_level(np.ones(4), np.ones(3), haar())
+
+
+def gathered_dwt_level(x, filt):
+    """The reference analysis step: gather every periodized window
+    ``x[(2k + m) mod n]`` and :func:`dot` it with the taps."""
+    n = x.shape[-1]
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(filt.length)) % n
+    windows = x[..., idx]
+    return dot(windows, filt.lowpass), dot(windows, filt.highpass)
+
+
+class TestTapColumns:
+    # dwt_level sums strided tap columns instead of gathering windows;
+    # its bits are the gather-then-dot reference's, for every filter.
+    @pytest.mark.parametrize(
+        "name", ["haar"] + [f"db{p}" for p in range(2, 11)]
+    )
+    def test_bitwise_the_gathered_windows(self, name):
+        filt = get_filter(name)
+        rng = np.random.default_rng(filt.length)
+        # n == taps: every window wraps; then a few windows more.
+        for n in (filt.length, filt.length + 2, 64):
+            for x in (
+                rng.normal(size=n),
+                rng.normal(size=(3, 5, n)),
+                np.moveaxis(rng.normal(size=(n, 4, 3)), 0, -1),
+            ):
+                for got, want in zip(dwt_level(x, filt),
+                                     gathered_dwt_level(x, filt)):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (name, n, x.shape)
 
 
 class TestMultiLevel:
