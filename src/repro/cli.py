@@ -378,8 +378,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     agg.variance([(0, n - 1), (0, n - 1), (0, n - 1)], dim=2)
 
     # Concurrent query service: a group-by burst through the thread-pool
-    # front end, so the service, shared-scan, part-memo and
-    # pool-occupancy series all appear in the report.
+    # front end, so the service, part-memo and pool series all appear
+    # in the report.
     from repro.query.service import QueryService
 
     cells = [

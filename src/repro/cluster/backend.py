@@ -4,9 +4,9 @@ In the Murder shape, a backend node B\\ :sub:`k` *owns* the data of the
 namespaces routed to it — everything stateful lives here.  Each
 namespace (``tenant/dataset``) gets its own
 :class:`~repro.query.propolyne.ProPolyneEngine` on its own storage
-stack, a :class:`~repro.query.service.QueryService` whose scan
-coordinator is keyed by the namespace (co-located tenants never share
-single-flight reads), and — lazily, on first ingest session — an
+stack (co-located tenants never share a cached block or an in-flight
+read), a :class:`~repro.query.service.QueryService`
+over that engine, and — lazily, on first ingest session — an
 :class:`~repro.streams.ingest.IngestService` with its own bounded
 commit queue.
 
@@ -123,7 +123,6 @@ class BackendNode:
             workers=self.workers,
             queue_depth=self.queue_depth,
             default_deadline_s=self.default_deadline_s,
-            namespace=namespace,
         )
         with self._lock:
             if namespace in self._spaces:  # lost a populate race

@@ -120,7 +120,7 @@ class _Catalogue:
             token = token.lstrip(".")
             segments = token.split(".")
             prev_segments = prev.split(".") if prev else []
-            # `scan.shared` after `query.service.scan.fetches` splices
+            # `pool.shared` after `storage.pool.hits` splices
             # (its head aligns with prev at the splice point); a
             # shorter *full* name like `query.inserts` after
             # `query.progressive.blocks` does not — its head matches

@@ -28,18 +28,12 @@ from repro.query.service import (
     ProgressiveStream,
     QueryRejected,
     QueryService,
-    ScanCoordinator,
-    SharedScanStore,
-    shared_scan_view,
 )
 
 __all__ = [
     "ProgressiveStream",
     "QueryRejected",
     "QueryService",
-    "ScanCoordinator",
-    "SharedScanStore",
-    "shared_scan_view",
     "RangeSumQuery",
     "evaluate_on_cube",
     "relation_to_cube",

@@ -1,46 +1,34 @@
 """Concurrent query service: thread-pooled ProPolyne evaluation with
-admission control and cross-query shared scans.
+admission control.
 
 §3.3.1 asks for evaluation "algorithms which share I/O maximally and
 retrieve the most important data first".  :mod:`repro.query.batch` shares
-I/O *within* one pre-declared batch; this module generalizes that static
-merge to dynamic traffic — the north-star workload of many independent
-callers hitting one cube at once:
+I/O *within* one pre-declared batch; this module serves dynamic traffic
+— the north-star workload of many independent callers hitting one cube
+at once — through :class:`QueryService`, a thread-pool front end over a
+:class:`~repro.query.propolyne.ProPolyneEngine`.  Exact, degradable and
+batch queries return :class:`TaskFuture`\\ s, which a blocked waiter
+runs itself if no worker has; progressive queries return a
+:class:`ProgressiveStream` that yields
+:class:`~repro.query.propolyne.ProgressiveEstimate`\\ s as worker
+threads produce them.  A bounded admission queue rejects work beyond
+``queue_depth`` with :class:`QueryRejected`, so overload degrades into
+fast failures instead of unbounded queueing.
 
-* :class:`QueryService` — a thread-pool front end over a
-  :class:`~repro.query.propolyne.ProPolyneEngine`.  Exact, degradable
-  and batch queries return :class:`TaskFuture`\\ s, which a blocked
-  waiter runs itself if no worker has; progressive queries return a
-  :class:`ProgressiveStream` that yields
-  :class:`~repro.query.propolyne.ProgressiveEstimate`\\ s as worker
-  threads produce them.  A bounded admission queue rejects work beyond
-  ``queue_depth`` with :class:`QueryRejected`, so overload degrades into
-  fast failures instead of unbounded queueing.
-* :class:`ScanCoordinator` — single-flight deduplication of in-flight
-  block reads: when several concurrent queries want the same block, one
-  thread performs the read and every waiter shares the payload.
-  Combined with the buffer pool (which dedupes *over time*) this is the
-  paper's shared-scan discipline applied across independent queries.
-* :class:`SharedScanStore` — a read-only view of a block store whose
-  block fetches go through a coordinator; everything else delegates to
-  the wrapped store.
-
-Results are bitwise-identical to single-threaded evaluation on the same
-engine: translation, planning and summation are deterministic, and the
-service only ever *reads* through the storage layer.
+Concurrent queries share I/O in the store's block cache, which
+single-flights concurrent misses.  Results are bitwise-identical to
+single-threaded evaluation on the same engine: translation, planning
+and summation are deterministic, and the service only ever *reads*.
 """
 
 from __future__ import annotations
 
-import copy
 import queue
 import threading
 from collections import deque
 from concurrent.futures import Future
 from functools import partial
 from typing import Iterator
-
-import numpy as np
 
 from repro.core.errors import QueryError
 from repro.lint.lockwatch import watched_lock
@@ -55,197 +43,18 @@ from repro.query.propolyne import (
     QueryOutcome,
 )
 from repro.query.rangesum import RangeSumQuery
-from repro.storage.blockstore import TensorReads
-from repro.storage.disk import BlockGroup
+from repro.storage.device import PoolStats
 
 __all__ = [
     "ProgressiveStream",
     "QueryRejected",
     "QueryService",
-    "ScanCoordinator",
-    "SharedScanStore",
     "TaskFuture",
-    "shared_scan_view",
 ]
 
 
 class QueryRejected(QueryError):
     """The admission queue is full; the query was not enqueued."""
-
-
-class _Flight:
-    """One in-flight block read: the leader fills it, waiters share it."""
-
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self) -> None:
-        # Allocated by the first query that waits on this flight (under
-        # the coordinator lock); most flights are never awaited.
-        self.event: threading.Event | None = None
-        self.result = None
-        self.error: BaseException | None = None
-
-
-class ScanCoordinator:
-    """Single-flight block fetches over one block store.
-
-    Concurrent requests for the same block code are collapsed into one
-    store read: the first requester (the *leader*) performs the fetch,
-    every other requester blocks on the flight's event and receives the
-    same (immutable) payload.  Sequential re-reads are not deduplicated here
-    — that is the caching device's job — so the coordinator adds no
-    state beyond the currently in-flight reads.
-
-    Shard awareness: flights are keyed on ``(namespace, shard, code)``
-    — the store's ``shard_of`` placement when it has one — so the
-    coordinator's bookkeeping mirrors the storage topology and
-    per-shard fetch counts fall out for free (``fetches_by_shard``).
-
-    Namespace isolation: ``namespace`` (the cluster tier's
-    ``tenant/dataset`` routing key, ``None`` for a single-tenant
-    service) is part of the flight key, so two tenants whose datasets
-    happen to reuse block codes never share a single-flight read — one
-    tenant's in-flight failure must not propagate into another's
-    answer, and payloads from different namespaces are different data.
-
-    Attributes:
-        fetches: Block reads this coordinator issued to the store.
-        shared: Requests served by piggy-backing on another query's
-            in-flight read (each one is a device/pool read avoided).
-        fetches_by_shard: Issued reads per shard index.
-    """
-
-    def __init__(self, store, namespace: str | None = None) -> None:
-        self._store = store
-        self.namespace = namespace
-        self._shard_of = getattr(store, "shard_of", None) or np.zeros_like
-        self._lock = watched_lock("query.scan")
-        self._inflight: dict[tuple, _Flight] = {}
-        self.fetches = 0
-        self.shared = 0
-        self.fetches_by_shard: dict[int, int] = {}
-
-    def read_many(self, codes) -> BlockGroup:
-        """Group read with coalescing *and* in-flight deduplication.
-
-        Blocks nobody is currently reading are led as **one** group
-        read of the store (a single ``read_many``, split per shard
-        group by the device); blocks another query is already reading
-        are awaited and shared instead of re-read, and come last in the
-        group handed back.  This is every served query's I/O path — a
-        scalar query's block set and a batch's alike coalesce their own
-        reads while still piggy-backing on concurrent queries' flights;
-        a single block is a group of one.
-        """
-        ids = list(dict.fromkeys(np.asarray(codes, dtype=np.intp).tolist()))
-        shards = self._shard_of(np.array(ids, dtype=np.intp)).tolist()
-        fresh: dict[int, tuple[tuple, _Flight]] = {}
-        waits: list[tuple[int, _Flight]] = []
-        with self._lock:
-            for code, shard in zip(ids, shards):
-                key = (self.namespace, shard, code)
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = self._inflight[key] = _Flight()
-                    fresh[code] = (key, flight)
-                else:
-                    if flight.event is None:
-                        flight.event = threading.Event()
-                    waits.append((code, flight))
-        groups = []
-        if fresh:
-            try:
-                group = self._store.read_many(np.array(list(fresh), np.intp))
-                for code, *result in zip(
-                    group.codes.tolist(), group.payloads, group.lens.tolist()
-                ):
-                    fresh[code][1].result = result
-                groups.append(group)
-            except BaseException as exc:
-                for _, flight in fresh.values():
-                    flight.error = exc
-                raise
-            finally:
-                with self._lock:
-                    for key, flight in fresh.values():
-                        self._inflight.pop(key, None)
-                        self.fetches += 1
-                        self.fetches_by_shard[key[1]] = (
-                            self.fetches_by_shard.get(key[1], 0) + 1
-                        )
-                # Popped under the lock above: no new waiter can attach.
-                for _, flight in fresh.values():
-                    if flight.event is not None:
-                        flight.event.set()
-            obs_counter("query.service.scan.fetches").inc(len(fresh))
-        for code, flight in waits:
-            flight.event.wait()
-            with self._lock:
-                self.shared += 1
-            obs_counter("query.service.scan.shared").inc()
-            if flight.error is not None:
-                raise flight.error
-            payload, n = flight.result
-            groups.append(BlockGroup(np.array([code]), [payload], np.array([n])))
-        return BlockGroup.join(groups)
-
-    def stats(self) -> dict:
-        """Snapshot: issued fetches (total and per shard) and
-        piggy-backed (saved) reads."""
-        with self._lock:
-            return {
-                "fetches": self.fetches,
-                "shared": self.shared,
-                "fetches_by_shard": dict(self.fetches_by_shard),
-            }
-
-
-class SharedScanStore(TensorReads):
-    """Read-only block-store view whose reads go through a coordinator.
-
-    Block reads (:meth:`read_many`, the shared
-    :class:`~repro.storage.blockstore.TensorReads` kernel's group read
-    and so what ``fetch_blocks``, ``fetch_block`` and ``gather`` go
-    through) ride :class:`ScanCoordinator`; every other attribute
-    (``allocation``, ``device``, ``io_snapshot``, ...) delegates to the
-    wrapped store.  Mutating operations must go to the underlying store
-    directly.
-    """
-
-    def __init__(
-        self,
-        store,
-        coordinator: ScanCoordinator | None = None,
-        namespace: str | None = None,
-    ) -> None:
-        self._store = store
-        self.coordinator = coordinator or ScanCoordinator(
-            store, namespace=namespace
-        )
-
-    def __getattr__(self, name: str):
-        return getattr(self._store, name)
-
-    def read_many(self, codes) -> BlockGroup:
-        """Coalesced, single-flighted group read."""
-        return self.coordinator.read_many(codes)
-
-
-def shared_scan_view(
-    engine: ProPolyneEngine, namespace: str | None = None
-) -> ProPolyneEngine:
-    """A shallow engine view whose storage reads are single-flighted.
-
-    The view shares every populated structure (coefficients on disk,
-    block norms, filter, levels) with ``engine``; only ``store`` is
-    replaced by a :class:`SharedScanStore`.  Use it for concurrent
-    *read* traffic; route updates (``insert``) to the original engine.
-    ``namespace`` scopes the coordinator's flight keys (the cluster
-    tier passes its ``tenant/dataset`` routing key).
-    """
-    view = copy.copy(engine)
-    view.store = SharedScanStore(engine.store, namespace=namespace)
-    return view
 
 
 class ProgressiveStream:
@@ -348,9 +157,8 @@ class QueryService:
     """Thread-pooled front end over a ProPolyne engine.
 
     Args:
-        engine: The populated engine to serve.  The service evaluates
-            through :func:`shared_scan_view`, so concurrent queries
-            deduplicate in-flight block reads.
+        engine: The populated engine to serve; concurrent queries
+            share in-flight block reads in its store's cache.
         workers: Worker-thread count (>= 1); a :class:`TaskFuture`'s
             waiter runs its task itself if no worker has claimed it.
         queue_depth: Admission-queue bound on tasks no thread has
@@ -359,17 +167,12 @@ class QueryService:
         default_deadline_s: Deadline applied to
             :meth:`submit_degradable` tasks that do not carry their
             own; ``None`` means no deadline.
-        namespace: Optional scan-coordination namespace (the cluster
-            tier's ``tenant/dataset`` routing key) scoping this
-            service's single-flight keys, so co-located tenants never
-            share in-flight reads.
 
     Metrics: ``query.service.submitted`` / ``completed`` / ``rejected``
     / ``degraded`` counters, a ``query.service.queue_depth`` gauge, the
     ``query.service.latency`` span (admission to completion, holding
-    ``query.service.queue_wait``), ``query.service.batch.submitted`` for
-    batch tasks, and ``query.service.scan.fetches`` / ``scan.shared``
-    from the coordinator.
+    ``query.service.queue_wait``) and ``query.service.batch.submitted``
+    for batch tasks.
     """
 
     def __init__(
@@ -378,7 +181,6 @@ class QueryService:
         workers: int = 4,
         queue_depth: int = 64,
         default_deadline_s: float | None = None,
-        namespace: str | None = None,
     ) -> None:
         if workers < 1:
             raise QueryError(f"worker count must be >= 1, got {workers}")
@@ -386,9 +188,7 @@ class QueryService:
             raise QueryError(
                 f"admission queue depth must be >= 1, got {queue_depth}"
             )
-        self.namespace = namespace
-        self.engine = shared_scan_view(engine, namespace=namespace)
-        self.coordinator = self.engine.store.coordinator
+        self.engine = engine
         self._batcher = BatchEvaluator(self.engine)
         if default_deadline_s is not None and default_deadline_s < 0:
             raise QueryError(
@@ -636,5 +436,8 @@ class QueryService:
         self.close()
 
     def scan_stats(self) -> dict:
-        """Shared-scan counters."""
-        return self.coordinator.stats()
+        """The store cache's misses read below it (``fetches``) and
+        misses served by another read's flight (``shared``)."""
+        cache = self.engine.store.cache
+        stats = PoolStats() if cache is None else cache.pool_stats.snapshot()
+        return {"fetches": stats.misses, "shared": stats.shared}

@@ -44,8 +44,8 @@ class TensorReads:
     """The one coefficient-read kernel every store and store view shares.
 
     A view supplies ``allocation`` and :meth:`read_many` — how a group
-    of block codes is read: the live device stack's ``read_many``, the
-    shared-scan view's coalesced single-flight read, an as-of view's
+    of block codes is read: the live device stack's ``read_many`` (whose
+    cache single-flights concurrent misses), an as-of view's
     pre-image-else-live — and inherits :meth:`gather_located`, its key-,
     dict- and set-shaped wrappers and the scalar :meth:`fetch_block`.
     Payloads are arrays of values only; the allocation's ``locate`` says
@@ -172,8 +172,8 @@ class TensorBlockStore(TensorReads):
         return math.sqrt(dot(norms, norms))
 
     def shard_of(self, codes):
-        """Shard index of each block code (0 when unsharded) — the key
-        the scan coordinator's single-flight map uses."""
+        """Shard index of each block code (0 when unsharded), as
+        provenance records the shards a query planned."""
         return self._built.shard_of(codes)
 
     def set_injecting(self, flag: bool) -> None:

@@ -39,6 +39,7 @@ below CRC so torn frames are *caught* by the checksum, not simulated).
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
@@ -99,7 +100,8 @@ class BlockDevice(Protocol):
 
 @dataclass
 class PoolStats(StatsBase):
-    """Hit/miss/eviction/invalidation counters of a caching layer.
+    """Hit/miss/shared/eviction/invalidation counters of a caching
+    layer (``shared``: misses served by another call's in-flight read).
 
     Shares the ``reset``/``snapshot``/``delta`` protocol of
     :class:`repro.obs.stats.StatsBase`, so cache activity can be
@@ -110,6 +112,7 @@ class PoolStats(StatsBase):
 
     hits: int = 0
     misses: int = 0
+    shared: int = 0
     evictions: int = 0
     invalidations: int = 0
 
@@ -214,6 +217,26 @@ class MeteredDevice(DeviceLayer):
         }
 
 
+def _group(found) -> BlockGroup:
+    """The group of ``(code, payload, length)`` triples ``found``."""
+    codes, payloads, lens = zip(*found)
+    return BlockGroup(
+        np.array(codes, np.intp), list(payloads), np.array(lens, np.intp)
+    )
+
+
+class _InnerRead:
+    """One call's inner read of its misses (its *flight*): once
+    ``done``, ``entries`` (code -> (payload, length)) or ``error``."""
+
+    __slots__ = ("done", "entries", "error")
+
+    def __init__(self) -> None:
+        self.done = False
+        self.entries: dict = {}
+        self.error: BaseException | None = None
+
+
 class CachingDevice(DeviceLayer):
     """Fixed-capacity LRU cache middleware: hits are free, misses cost
     one inner read.  A store has one, above its shard fan-out, so a
@@ -238,15 +261,21 @@ class CachingDevice(DeviceLayer):
     misses land after them (plain LRU).  Eviction always takes the least
     recent block.
 
-    Thread safety: one lock guards the LRU map, :class:`PoolStats` and
-    the invalidation generation; the lock is *not* held across the
-    inner read a group's misses perform.  That opens a window — a
-    payload read before a concurrent write could be inserted after that
-    write's invalidation ran — closed by the generation gate: every
-    ``invalidate``/``clear`` bumps ``_gen`` and a group only publishes
-    its misses if no invalidation happened since the read began.  The
-    gate is per store: a write on any shard keeps every concurrent read
-    from publishing its misses.
+    Thread safety: one lock guards the LRU map, the flight table,
+    :class:`PoolStats` and the invalidation generation; the lock is
+    *not* held across the inner read a group's misses perform.  That
+    opens a window — a payload read before a concurrent write could be
+    inserted after that write's invalidation ran — closed by the
+    generation gate: every ``invalidate``/``clear`` bumps ``_gen`` and a
+    group only publishes its misses if no invalidation happened since
+    the read began.  The gate is per store: a write on any shard keeps
+    every concurrent read from publishing its misses.
+
+    Single flight (§3.3.1's shared I/O): a miss on a block another call
+    is reading waits, on the cache's one condition, for that call's
+    payload or exception instead of reading it again; hits never look
+    at the flight table.  An invalidation drops the block's flight, so
+    only readers that joined before a write share a pre-write read.
     """
 
     def __init__(self, inner, capacity: int, depth=None) -> None:
@@ -263,6 +292,8 @@ class CachingDevice(DeviceLayer):
         # Bumped by every invalidate()/clear(); see the class docstring.
         self._gen = 0
         self._depth = None if depth is None else np.asarray(depth)
+        self._inflight: dict[int, _InnerRead] = {}  # code -> its flight
+        self._landed = threading.Condition(self._lock)
 
     def _occupancy(self) -> float:
         return len(self._cache) / self.capacity
@@ -276,15 +307,18 @@ class CachingDevice(DeviceLayer):
                 cache.move_to_end(code)
 
     def read_many(self, codes) -> BlockGroup:
-        """Cached fetch of a group: the hits, then *one* inner read for
-        every miss, then one gated publish.
+        """Cached fetch of a group: the hits, *one* inner read (and one
+        gated publish) of the misses no other call is reading, then the
+        misses other calls are reading, from their flights — the order
+        the group comes back in (hits in request order).
 
         Hits are served (and made most-recent) before any miss is
         published, so a group never evicts a block it is itself about
         to return; with a depth table the published group is bumped
-        once more, deepest first.  A failed inner read publishes nothing
-        and counts no miss.  The hits come back first, in request
-        order, then the inner read's group.
+        once more, deepest first.  A missed code repeated in ``codes``
+        is read and handed back once.  A failed inner read publishes
+        nothing, counts no miss and raises here and in every call that
+        joined its flight.
         """
         codes = np.asarray(codes, dtype=np.intp)
         ids = codes.tolist()
@@ -293,50 +327,95 @@ class CachingDevice(DeviceLayer):
             np.argsort(-self._depth[codes], kind="stable")
         ].tolist()
         found: list[tuple] = []  # (code, payload, length) of each hit
-        miss_at: list[int] = []
+        miss_at: list[int] = []  # what this call reads, once per code
+        mine = _InnerRead()
+        joined: dict = {}  # code -> another call's flight
         with self._lock:
-            cache = self._cache
+            cache, inflight = self._cache, self._inflight
             for at, code in enumerate(ids):
                 entry = cache.get(code)
-                if entry is None:
-                    miss_at.append(at)
-                else:
+                if entry is not None:
                     found.append((code, *entry))
+                    continue
+                flight = inflight.get(code)
+                if flight is None:
+                    inflight[code] = mine
+                    miss_at.append(at)
+                elif flight is not mine:
+                    joined[code] = flight
             self._touch(recency)
             hits = len(found)
             self.pool_stats.hits += hits
             gen = self._gen
+        # Lead first: the flights registered above land in its finally.
+        groups = []
+        if miss_at:
+            groups.append(self._lead(mine, codes[miss_at], gen, recency))
         if hits:
             obs_counter("storage.pool.hits").inc(hits)
-        hit_codes, payloads, lens = zip(*found) if found else ((), (), ())
-        hit = BlockGroup(
-            np.array(hit_codes, np.intp), list(payloads), np.array(lens, np.intp)
-        )
-        if not miss_at:
-            return hit
-        # Inner payloads are immutable, so the shared instance is the
-        # cache entry itself.
-        missed = self.inner.read_many(codes[miss_at])
+            groups.insert(0, _group(found))
+        if joined:
+            groups.append(self._join(joined))
+        return BlockGroup.join(groups)
+
+    def _lead(self, flight, codes, gen: int, recency: list) -> BlockGroup:
+        """Read ``codes`` (this call's misses) as ``flight``, publish
+        them unless an invalidation ran since ``gen``, and land the
+        flight for its waiters — in a ``finally``, so no waiter is left
+        behind whatever the inner read raises."""
         evicted = 0
-        with self._lock:
-            self.pool_stats.misses += len(miss_at)
-            if self._gen == gen:
-                for code, *entry in zip(
-                    missed.codes.tolist(), missed.payloads, missed.lens.tolist()
-                ):
-                    cache.setdefault(code, entry)
-                if self._depth is not None:
-                    self._touch(recency)
-                while len(self._cache) > self.capacity:
-                    self._cache.popitem(last=False)
-                    evicted += 1
-                self.pool_stats.evictions += evicted
-            occupancy = self._occupancy()
-        obs_counter("storage.pool.misses").inc(len(miss_at))
+        try:
+            missed = self.inner.read_many(codes)
+            flight.entries = dict(zip(missed.codes.tolist(), zip(
+                missed.payloads, missed.lens.tolist()
+            )))
+        except BaseException as exc:
+            flight.error = exc
+            raise
+        finally:
+            with self._lock:
+                inflight = self._inflight
+                for code in codes.tolist():
+                    # An invalidation may have handed the code to a
+                    # newer flight; that one is not ours to drop.
+                    if inflight.get(code) is flight:
+                        del inflight[code]
+                flight.done = True
+                self._landed.notify_all()
+                if flight.error is None:
+                    self.pool_stats.misses += len(codes)
+                    if self._gen == gen:
+                        cache = self._cache
+                        for code, entry in flight.entries.items():
+                            cache.setdefault(code, entry)
+                        if self._depth is not None:
+                            self._touch(recency)
+                        while len(cache) > self.capacity:
+                            cache.popitem(last=False)
+                            evicted += 1
+                        self.pool_stats.evictions += evicted
+                    occupancy = self._occupancy()
+        obs_counter("storage.pool.misses").inc(len(codes))
         if evicted:
             obs_counter("storage.pool.evictions").inc(evicted)
         obs_gauge("storage.pool.occupancy").set(occupancy)
-        return BlockGroup.join([hit, missed]) if hits else missed
+        return missed
+
+    def _join(self, joined: dict) -> BlockGroup:
+        """Wait for the flights other calls lead and take ``joined``'s
+        payloads from them, or the first failed leader's exception."""
+        flights = joined.values()
+        with self._lock:
+            self._landed.wait_for(lambda: all(f.done for f in flights))
+            errors = [f.error for f in flights if f.error is not None]
+            if not errors:
+                self.pool_stats.shared += len(joined)
+        if errors:
+            raise errors[0]
+        obs_counter("storage.pool.shared").inc(len(joined))
+        return _group(
+            (code, *flight.entries[code]) for code, flight in joined.items()
+        )
 
     def write_many(self, codes, payloads: list) -> None:
         """Group write-through: one coalesced inner write, then every
@@ -362,10 +441,14 @@ class CachingDevice(DeviceLayer):
 
         Always bumps the invalidation generation — even when the block
         is not currently cached — because an in-flight miss may be
-        about to publish a pre-write payload.
+        about to publish a pre-write payload — and drops the block's
+        flight, so no later reader joins a pre-write read.
         """
         with self._lock:
             self._gen += 1
+            # A reader arriving after the write must not join a flight
+            # that began before it: it leads a fresh read instead.
+            self._inflight.pop(code, None)
             dropped = self._cache.pop(code, None) is not None
             if dropped:
                 self.pool_stats.invalidations += 1
@@ -378,6 +461,7 @@ class CachingDevice(DeviceLayer):
         """Empty the cache (statistics are kept)."""
         with self._lock:
             self._gen += 1
+            self._inflight.clear()
             self._cache.clear()
         obs_gauge("storage.pool.occupancy").set(0.0)
 
@@ -409,6 +493,7 @@ class CachingDevice(DeviceLayer):
             "cached": cached,
             "hits": snap.hits,
             "misses": snap.misses,
+            "shared": snap.shared,
             "evictions": snap.evictions,
             "invalidations": snap.invalidations,
             "inner": self.inner.stats(),

@@ -231,10 +231,8 @@ class AsOfStore(TensorReads):
     so ``fetch_blocks``, ``fetch_block`` and ``gather`` too) as of that
     epoch;
     everything else (``allocation``, ``shard_of``, ``breakers``, ...)
-    delegates to the wrapped store, which may itself be a
-    :class:`~repro.query.service.SharedScanStore`
-    — as-of reads that fall through to live storage still coalesce and
-    single-flight.
+    delegates to the wrapped store — as-of reads that fall through to
+    live storage still coalesce, and single-flight in its cache.
 
     Blocks a later epoch touched are served from their logged
     pre-image with **zero device I/O**; only never-again-touched blocks

@@ -23,6 +23,7 @@ from repro.cluster import (
 from repro.core.errors import AIMSError, QueryError
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
+from repro.storage.device import StorageSpec
 
 
 def small_cube(seed=7, shape=(8, 8)):
@@ -250,12 +251,23 @@ class TestQuotas:
 
 
 class TestStatelessness:
-    def test_namespace_services_are_keyed_by_namespace(self):
-        with make_cluster(backends=1) as frontend:
+    def test_namespaces_on_one_backend_have_distinct_stores(self):
+        # Co-located tenants share no store and no cache, so neither a
+        # cached block nor an in-flight read crosses namespaces.
+        node = BackendNode(
+            "backend-0", workers=2, queue_depth=32,
+            storage_factory=lambda: StorageSpec(cache_blocks=8),
+        )
+        with ClusterFrontend([node]) as frontend:
             frontend.populate("acme", "gloves", small_cube())
-            backend = frontend.route("acme", "gloves")
-            space = backend._space("acme/gloves")
-            assert space.service.namespace == "acme/gloves"
+            frontend.populate("initech", "gloves", small_cube())
+            spaces = [
+                node._space(key) for key in ("acme/gloves", "initech/gloves")
+            ]
+            stores = [space.service.engine.store for space in spaces]
+            assert stores[0] is not stores[1]
+            assert stores[0].cache is not stores[1].cache
+            assert None not in (stores[0].cache, stores[1].cache)
 
     def test_stats_expose_the_whole_tier(self):
         with make_cluster(backends=2) as frontend:

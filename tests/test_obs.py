@@ -262,7 +262,8 @@ class TestStatsProtocol:
         assert (delta.hits, delta.misses, delta.evictions) == (8, 0, 1)
         stats.reset()
         assert stats.as_dict() == {
-            "hits": 0, "misses": 0, "evictions": 0, "invalidations": 0,
+            "hits": 0, "misses": 0, "shared": 0, "evictions": 0,
+            "invalidations": 0,
         }
 
     def test_snapshot_is_independent(self):

@@ -15,8 +15,8 @@ file as the reference:
   in entry order and bits (empty queries, standard-basis axes, products
   that underflow to zero);
 * ``gather`` — one kernel under every store view — by bitwise-equal
-  ``evaluate_exact`` across the live store, the batch evaluator, a
-  shared-scan view, an as-of view and the query service, and by the
+  ``evaluate_exact`` across the live store, the batch evaluator, an
+  as-of view and the query service, and by the
   ``StorageError`` a payload too short for its block raises.
 """
 
@@ -30,7 +30,7 @@ from repro.query.batch import BatchEvaluator
 from repro.query.ingest import BatchInserter
 from repro.query.propolyne import ProPolyneEngine, translate_query
 from repro.query.rangesum import RangeSumQuery
-from repro.query.service import QueryService, shared_scan_view
+from repro.query.service import QueryService
 from repro.storage.allocation import (
     TensorAllocation,
     index_tuples,
@@ -338,22 +338,21 @@ class TestOneGatherUnderEveryView:
         query = RangeSumQuery.weighted(list(ranges), degrees)
         live = versioned.evaluate_exact(query)
         assert BatchEvaluator(versioned).evaluate_exact([query]) == [live]
-        assert shared_scan_view(versioned).evaluate_exact(query) == live
         now = versioned.epoch
         assert versioned.evaluate_exact(query, as_of=now) == live
-        assert shared_scan_view(versioned).evaluate_exact(
-            query, as_of=now
-        ) == live
-        # A past epoch: the three as-of paths still agree bit for bit.
         past = versioned.evaluate_exact(query, as_of=1)
-        assert shared_scan_view(versioned).evaluate_exact(
-            query, as_of=1
-        ) == past
         assert versioned.evaluate_degradable(query, as_of=1).value == past
+        # The served path, live and as of both epochs: the same bits.
+        with QueryService(versioned, workers=1) as service:
+            served = [
+                service.submit_exact(query, as_of=epoch).result(timeout=30)
+                for epoch in (None, now, 1)
+            ]
+        assert served == [live, live, past]
 
     def test_process_pool_is_bitwise_equal(self, mixed_engine):
-        # The served path: the in-process worker pool over a
-        # shared-scan view, scalar and batch tasks alike.
+        # The served path: the in-process worker pool over the
+        # engine, scalar and batch tasks alike.
         queries = [
             RangeSumQuery.count([(0, 9), (0, 1), (2, 13)]),
             RangeSumQuery.weighted([(3, 12), (0, 1), (0, 31)], {0: 1}),
@@ -368,16 +367,15 @@ class TestOneGatherUnderEveryView:
         assert exact == expected and batch == expected
 
     def test_list_keys_answer_identically_on_every_view(self, versioned):
-        # Regression: SharedScanStore.fetch used list keys unnormalised
+        # Regression: a store view once used list keys unnormalised
         # (TypeError: unhashable) where TensorBlockStore.fetch answered.
         query = RangeSumQuery.count([(2, 11), (0, 1), (4, 27)])
         keys = [list(key) for key in versioned.query_entries(query)]
         live = versioned.store.fetch(keys)
         assert list(live) == [tuple(key) for key in keys]
-        shared = shared_scan_view(versioned).store
-        assert shared.fetch(keys) == live
-        assert versioned.as_of_view(versioned.epoch).store.fetch(keys) == live
-        assert shared.blocks_for(keys) == versioned.store.blocks_for(keys)
+        view = versioned.as_of_view(versioned.epoch).store
+        assert view.fetch(keys) == live
+        assert view.blocks_for(keys) == versioned.store.blocks_for(keys)
 
     def test_fetch_block_is_a_batch_of_one_on_every_view(self, versioned):
         # One scalar entry point, defined once: the very payload object
@@ -390,18 +388,14 @@ class TestOneGatherUnderEveryView:
         now = versioned.epoch
         as_of = {
             1: versioned.as_of_view(1).store,
-            0: shared_scan_view(versioned).as_of_view(0).store,
+            0: versioned.as_of_view(0).store,
             now: versioned.as_of_view(now).store,
         }
         served_live = {
             log.preimage_as_of(b, epoch) is None for b in ids for epoch in as_of
         }
         assert served_live == {True, False}
-        for view in (
-            versioned.store,
-            shared_scan_view(versioned).store,
-            *as_of.values(),
-        ):
+        for view in (versioned.store, *as_of.values()):
             for code in ids:
                 assert view.fetch_block(code) is (
                     view.fetch_blocks([code])[code]
@@ -419,11 +413,10 @@ class TestOneGatherUnderEveryView:
         payload = store.fetch_block(code)
         store.store_blocks({code: payload[:-1]})
         try:
-            for view in (store, shared_scan_view(mixed_engine).store):
-                with pytest.raises(StorageError, match=r"holds \d+ values"):
-                    view.gather(np.array([key]))
-                with pytest.raises(StorageError, match=r"holds \d+ values"):
-                    view.fetch([key])
+            with pytest.raises(StorageError, match=r"holds \d+ values"):
+                store.gather(np.array([key]))
+            with pytest.raises(StorageError, match=r"holds \d+ values"):
+                store.fetch([key])
         finally:
             store.store_blocks({code: payload})
         held = payload[store.allocation.locate([key])[1][0]]

@@ -21,13 +21,8 @@ from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
 from repro.query.batch import BatchEvaluator, group_by
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
-from repro.query.service import (
-    QueryService,
-    ScanCoordinator,
-    _Flight,
-    shared_scan_view,
-)
-from repro.storage.device import StorageSpec
+from repro.query.service import QueryService
+from repro.storage.device import StorageSpec, _InnerRead
 from repro.storage.scheduler import schedule_blocks
 from tests._blocks import read_map
 
@@ -257,64 +252,85 @@ class TestServiceBatch:
             assert exact_future.result() == engine.evaluate_exact(single)
 
 
-class TestScanCoordinatorBulkFetch:
-    def test_bulk_fetch_dedups_ids_within_one_call(self, engine):
-        view = shared_scan_view(engine)
-        coordinator = view.store.coordinator
-        blocks = list(engine.store.device.block_ids())[:3]
-        out = coordinator.read_many(blocks + blocks)
-        assert sorted(out.codes.tolist()) == sorted(blocks)
-        assert coordinator.fetches == len(blocks)
-        assert sum(coordinator.fetches_by_shard.values()) == len(blocks)
+def in_threads(fn, count=1, timeout=30):
+    """``fn()`` on ``count`` threads at once; every join has a timeout,
+    so a read waiting on its own flight fails instead of hanging."""
+    barrier = threading.Barrier(count)
+    results, errors = [], []
 
-    def test_bulk_fetch_joins_an_inflight_read(self, engine):
-        view = shared_scan_view(engine)
-        coordinator = view.store.coordinator
-        blocks = list(engine.store.device.block_ids())[:2]
-        target = blocks[0]
-        shard = int(coordinator._shard_of(np.array([target]))[0])
-        key = (coordinator.namespace, shard, target)
-        sentinel = np.array([42.0])
-        flight = _Flight()
-        flight.result = (sentinel, 1)
-        flight.event = threading.Event()  # as a first waiter leaves it
-        flight.event.set()
-        coordinator._inflight[key] = flight
+    def run():
+        barrier.wait()
         try:
-            out = read_map(coordinator, blocks)
-        finally:
-            coordinator._inflight.pop(key, None)
+            results.append(fn())
+        except StorageError as exc:  # pragma: no cover - diagnostic
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(count)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    return results
+
+
+class TestCacheBulkFetch:
+    """The store cache's group read: a repeated code is read once, a
+    block another read is fetching is joined, never re-read."""
+
+    @staticmethod
+    def cached(cube, **spec):
+        return ProPolyneEngine(
+            cube, max_degree=1, block_size=7,
+            storage=StorageSpec(cache_blocks=64, **spec),
+        )
+
+    def test_bulk_fetch_dedups_ids_within_one_call(self, cube):
+        eng = self.cached(cube)
+        blocks = list(eng.store.device.block_ids())[:3]
+        before = eng.store.io_snapshot()
+        (out,) = in_threads(lambda: eng.store.read_many(blocks + blocks))
+        assert sorted(out.codes.tolist()) == sorted(blocks)
+        assert eng.store.io_since(before).reads == len(blocks)
+        assert eng.store.cache.pool_stats.misses == len(blocks)
+        assert eng.store.cache._inflight == {}
+
+    def test_bulk_fetch_joins_an_inflight_read(self, cube):
+        eng = self.cached(cube)
+        cache = eng.store.cache
+        blocks = list(eng.store.device.block_ids())[:2]
+        target = blocks[0]
+        sentinel = np.array([42.0])
+        flight = _InnerRead()  # another read's, already landed
+        flight.entries = {target: (sentinel, 1)}
+        flight.done = True
+        cache._inflight[target] = flight
+        (out,) = in_threads(lambda: read_map(eng.store, blocks))
         # The in-flight block was shared, not re-read; the other block
         # was fetched from the store.
         assert out[target] is sentinel
-        assert coordinator.shared == 1
-        assert coordinator.fetches == len(blocks) - 1
+        assert cache.pool_stats.shared == 1
+        assert cache.pool_stats.misses == len(blocks) - 1
+        assert cache._inflight == {target: flight}  # not this read's
 
     def test_concurrent_batches_share_flights_consistently(self, cube):
-        eng = ProPolyneEngine(
-            cube, max_degree=1, block_size=7,
-            storage=StorageSpec(shards=2),
-        )
-        view = shared_scan_view(eng)
-        coordinator = view.store.coordinator
+        eng = self.cached(cube, shards=2)
         blocks = list(eng.store.device.block_ids())
-        expected = {b: eng.store.fetch_block(b) for b in blocks}
-        results, errors = [], []
-        barrier = threading.Barrier(3)
-
-        def fetch_all():
-            barrier.wait()
-            try:
-                results.append(read_map(coordinator, blocks))
-            except StorageError as exc:  # pragma: no cover - diagnostic
-                errors.append(exc)
-
-        threads = [threading.Thread(target=fetch_all) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
+        plain = ProPolyneEngine(
+            cube, max_degree=1, block_size=7, storage=StorageSpec(shards=2)
+        )
+        expected = {b: plain.store.fetch_block(b) for b in blocks}
+        before = eng.store.io_snapshot()
+        results = in_threads(lambda: read_map(eng.store, blocks), count=3)
         assert len(results) == 3
         for out in results:
-            assert out == expected
+            assert out.keys() == expected.keys()
+            for b, payload in out.items():
+                assert np.array_equal(payload, expected[b])
+        # The cache holds them all: each block is read once, by
+        # whichever batch led it.
+        assert eng.store.io_since(before).reads == len(blocks)
+        stats = eng.store.cache.pool_stats
+        assert stats.misses == len(blocks)
+        assert stats.hits + stats.shared == 2 * len(blocks)

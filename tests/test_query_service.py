@@ -1,5 +1,5 @@
 """The concurrent query service: correctness under concurrency,
-shared-scan deduplication, and admission control.
+shared reads in the store's block cache, and admission control.
 
 The load-bearing property: results produced by ``QueryService`` with any
 worker count are *bitwise-equal* to single-threaded evaluation on the
@@ -19,13 +19,8 @@ from repro.core.errors import QueryError, StorageError
 from repro.obs import MetricsRegistry, use_registry
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
-from repro.query.service import (
-    QueryRejected,
-    QueryService,
-    ScanCoordinator,
-    shared_scan_view,
-)
-from repro.storage.device import StorageSpec
+from repro.query.service import QueryRejected, QueryService
+from repro.storage.device import CachingDevice, StorageSpec
 from repro.storage.disk import BlockGroup
 from repro.storage.latency import LatencyModel
 from tests._blocks import read_map
@@ -126,74 +121,65 @@ class TestConcurrentCorrectness:
 
 
 class TestSharedScans:
-    def test_single_flight_deduplicates_concurrent_reads(self):
-        # Slow the device down so readers genuinely overlap.
-        engine = build_engine(pool_capacity=None, latency_s=0.005)
-        coordinator = ScanCoordinator(engine.store)
+    """Concurrent misses on one block ride one read in the store's
+    cache (single flight); a later read of it is a hit."""
+
+    def concurrent_reads(self, engine, readers):
         code = engine.store.device.block_ids()[0]
-        before = engine.store.io_snapshot()
+        barrier = threading.Barrier(readers)
         results = []
-        threads = [
-            threading.Thread(
-                target=lambda: results.append(
-                    read_map(coordinator, [code])[code]
-                )
-            )
-            for _ in range(8)
-        ]
+
+        def read():
+            barrier.wait()
+            results.append(read_map(engine.store, [code])[code])
+
+        threads = [threading.Thread(target=read) for _ in range(readers)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        reads = engine.store.io_since(before).reads
-        stats = coordinator.stats()
+            t.join(30)  # a reader waiting on itself fails, not hangs
+        assert not any(t.is_alive() for t in threads)
+        return results
+
+    def test_single_flight_deduplicates_concurrent_reads(self):
+        # Slow the device down so readers genuinely overlap.
+        engine = build_engine(latency_s=0.005)
+        before = engine.store.io_snapshot()
+        results = self.concurrent_reads(engine, 8)
+        stats = engine.store.cache.pool_stats
         assert len(results) == 8
         # One stored payload: leaders and followers alike get the
         # object itself, and so its values.
         assert all(r is results[0] for r in results)
-        assert all(np.array_equal(r, results[0]) for r in results)
-        assert stats["fetches"] + stats["shared"] == 8
-        assert stats["shared"] >= 1  # at least one piggy-backed read
-        assert reads == stats["fetches"]  # only leaders touch the device
+        assert engine.store.io_since(before).reads == 1
+        assert stats.misses == 1
+        assert stats.hits + stats.shared == 7
+        assert stats.shared >= 1  # at least one piggy-backed read
 
     def test_followers_share_an_immutable_payload(self):
-        engine = build_engine(pool_capacity=None, latency_s=0.005)
-        coordinator = ScanCoordinator(engine.store)
-        code = engine.store.device.block_ids()[0]
-        results = []
-        threads = [
-            threading.Thread(
-                target=lambda: results.append(
-                    read_map(coordinator, [code])[code]
-                )
-            )
-            for _ in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        engine = build_engine(latency_s=0.005)
+        results = self.concurrent_reads(engine, 4)
         # Followers receive the leader's payload itself, which nobody
         # can mutate.
         assert len(results) == 4
         assert not any(r.flags.writeable for r in results)
         assert all(np.array_equal(r, results[0]) for r in results)
 
-    def test_shared_scan_view_matches_plain_store(self):
+    def test_cached_store_matches_plain_store(self):
         engine = build_engine()
-        view = shared_scan_view(engine)
-        for query in mixed_workload(engine, count=6, seed=13):
-            assert view.evaluate_exact(query) == engine.evaluate_exact(query)
-            assert list(view.evaluate_progressive(query)) == list(
-                engine.evaluate_progressive(query)
-            )
+        plain = build_engine(pool_capacity=None)
+        with QueryService(engine, workers=4) as service:
+            for query in mixed_workload(engine, count=6, seed=13):
+                exact = service.submit_exact(query).result(timeout=30)
+                assert exact == plain.evaluate_exact(query)
+                stream = service.submit_progressive(query)
+                assert list(stream) == list(plain.evaluate_progressive(query))
 
     def test_scan_error_propagates_to_all_waiters(self):
-        engine = build_engine(pool_capacity=None)
-        coordinator = ScanCoordinator(engine.store)
+        engine = build_engine()
         with pytest.raises(Exception):
-            coordinator.read_many([999_999])  # no such block
-        assert coordinator._inflight == {}  # flight always cleaned up
+            engine.store.read_many([999_999])  # no such block
+        assert engine.store.cache._inflight == {}  # flight always cleaned up
 
     @pytest.mark.parametrize("leader_fails", [False, True])
     def test_overlapping_batches_share_the_overlap(self, leader_fails):
@@ -221,13 +207,13 @@ class TestSharedScans:
                 )
 
         store = GatedStore()
-        coordinator = ScanCoordinator(store)
+        cache = CachingDevice(store, capacity=16)
         outcomes = {}
 
         def ask(name, codes):
             def run():
                 try:
-                    outcomes[name] = read_map(coordinator, codes)
+                    outcomes[name] = read_map(cache, codes)
                 except StorageError as exc:
                     outcomes[name] = exc
             return threading.Thread(target=run)
@@ -237,45 +223,47 @@ class TestSharedScans:
         assert store.first_entered.wait(30)
         second.start()
         # The second batch leads only the block nobody is reading, and
-        # by then has queued behind the first batch's flights for 2 and 3.
+        # by then has joined the first batch's flight for 2 and 3.
         assert store.second_entered.wait(30)
         store.release.set()
         first.join(30)
         second.join(30)
         assert not first.is_alive() and not second.is_alive()
         assert store.calls == [[1, 2, 3], [4]]
-        assert coordinator._inflight == {}
-        stats = coordinator.stats()
-        assert stats["fetches"] == 4
+        assert cache._inflight == {}
+        stats = cache.pool_stats
         if leader_fails:
-            # The leader's failure reaches its waiter — the same error.
+            # The leader's failure reaches its waiter — the same error;
+            # only the waiter's own block 4 was read.
             assert isinstance(outcomes["first"], StorageError)
             assert outcomes["second"] is outcomes["first"]
-            assert stats["shared"] == 1  # the waiter raised at block 2
+            assert (stats.misses, stats.shared) == (1, 0)
         else:
             assert sorted(outcomes["first"]) == [1, 2, 3]
             assert sorted(outcomes["second"]) == [2, 3, 4]
             for shared in (2, 3):  # one read, one payload object
                 assert outcomes["second"][shared] is outcomes["first"][shared]
-            assert stats["shared"] == 2  # once per piggy-backed block
+            assert (stats.misses, stats.shared) == (4, 2)
 
     def test_scalar_query_issues_one_coalesced_store_read(self, monkeypatch):
-        engine = build_engine(pool_capacity=None)
-        view = shared_scan_view(engine)
+        engine = build_engine()
         query = mixed_workload(engine, count=1, seed=19)[0]
+        expected = build_engine(pool_capacity=None).evaluate_exact(query)
+        below = engine.store.cache.inner
         calls = []
-        expected = engine.evaluate_exact(query)
-        read_many = engine.store.read_many
+        read_many = below.read_many
         monkeypatch.setattr(
-            engine.store, "read_many",
+            below, "read_many",
             lambda codes: calls.append(codes.tolist()) or read_many(codes),
         )
-        assert view.evaluate_exact(query) == expected
+        with QueryService(engine, workers=2) as service:
+            assert service.submit_exact(query).result(timeout=30) == expected
+            stats = service.scan_stats()
         (ids,) = calls
         assert set(ids) == engine.store.blocks_for(
             engine.query_arrays(query)[0]
         )
-        assert view.store.coordinator.stats()["fetches"] == len(ids)
+        assert stats == {"fetches": len(ids), "shared": 0}
 
 
 class TestAdmissionControl:

@@ -13,6 +13,7 @@ Three invariants under concurrency:
 """
 
 import threading
+import time
 
 import numpy as np
 
@@ -75,7 +76,9 @@ class TestStatsConservation:
 
         run_threads([reader(s) for s in range(n_threads)])
         stats = cache.pool_stats
-        assert stats.hits + stats.misses == per_thread * n_threads
+        # A lookup is a hit, a miss, or a miss that rode another read.
+        lookups = stats.hits + stats.misses + stats.shared
+        assert lookups == per_thread * n_threads
         # Every miss is a device read, and nothing else reads the device.
         assert disk.io.reads - base_reads == stats.misses
 
@@ -139,6 +142,78 @@ class TestCoherenceUnderConcurrency:
         # the in-flight-miss window may not have cached a stale one.
         assert read_block(cache, HOT).tolist() == [399.0]
         assert read_block(cache, HOT).tolist() == [399.0]  # now from cache
+
+    def test_a_reader_after_a_write_never_joins_a_pre_write_flight(
+        self, monkeypatch
+    ):
+        # Reader A's read of HOT is held open after it read the old
+        # bits, and B joins A's flight; then a write of HOT completes.
+        # C, arriving after the write, leads its own read (held open
+        # too), and A and B, which began before the write, still get
+        # A's bits.  A landing must not drop C's flight: D, arriving
+        # while C reads, joins C.
+        from repro.storage.device import StorageSpec
+
+        built = StorageSpec(cache_blocks=4).build(
+            block_size=4, placement=codes_table(1)
+        )
+        device, cache = built.device, built.cache
+        write_block(device, HOT, vals(1.0))
+        inner_read = cache.inner.read_many
+        calls = []
+        entered = [threading.Event(), threading.Event()]
+        release = [threading.Event(), threading.Event()]
+
+        def gated(codes):
+            group = inner_read(codes)
+            calls.append(codes.tolist())
+            held = len(calls) - 1  # A's read, then C's
+            if held < 2:
+                entered[held].set()
+                assert release[held].wait(30)
+            return group
+
+        monkeypatch.setattr(cache.inner, "read_many", gated)
+        got = {}
+
+        def start(name):
+            def run():
+                got[name] = read_block(device, HOT)
+            thread = threading.Thread(target=run)
+            thread.start()
+            return thread
+
+        def until(condition):
+            deadline = time.monotonic() + 30
+            while not condition():
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+
+        a = start("a")
+        assert entered[0].wait(30)
+        b = start("b")
+        until(lambda: cache._landed._waiters)  # B waits on A's flight
+        write_block(device, HOT, vals(2.0))
+        c = start("c")
+        assert entered[1].wait(30)  # C leads its own read
+        release[0].set()
+        for thread in (a, b):
+            thread.join(30)
+            assert not thread.is_alive()
+        assert got["a"].tolist() == [1.0] and got["b"] is got["a"]
+        d = start("d")
+        until(lambda: cache._landed._waiters or not d.is_alive())
+        release[1].set()
+        for thread in (c, d):
+            thread.join(30)
+            assert not thread.is_alive()
+        assert calls == [[HOT], [HOT]]  # D rode C's read
+        assert got["c"].tolist() == [2.0] and got["d"] is got["c"]
+        assert cache._inflight == {}
+        assert cache.pool_stats.shared == 2
+        # A's pre-write payload was not published; C's is the cached one.
+        assert read_block(device, HOT).tolist() == [2.0]
+        assert len(calls) == 2
 
     def test_no_torn_payloads(self):
         # Writers store internally consistent payloads [v, v];

@@ -18,7 +18,7 @@ from repro.faults.retry import RetryPolicy
 from repro.query.ingest import BatchInserter
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
-from repro.query.service import QueryService, shared_scan_view
+from repro.query.service import QueryService
 from repro.storage.device import StorageSpec
 from repro.storage.epochs import EpochLog
 
@@ -185,12 +185,18 @@ class TestAsOfThroughService:
         assert outcome.provenance is not None
         assert outcome.provenance.epoch == 2
 
-    def test_as_of_composes_with_shared_scan_view(self):
+    def test_as_of_composes_with_the_store_cache(self):
+        # Served as-of reads that fall through to live storage go
+        # through the store's cache, answering as the uncached store.
         engine = _engine()
         engine.enable_versioning()
         answers = _history(engine, batches=2)
-        view = shared_scan_view(engine)
-        assert view.evaluate_exact(QUERY, as_of=1) == answers[1]
+        plain = _engine(storage=StorageSpec(shards=2))
+        plain.enable_versioning()
+        assert _history(plain, batches=2) == answers
+        with QueryService(engine, workers=2) as service:
+            past = service.submit_exact(QUERY, as_of=1).result(timeout=10)
+        assert past == answers[1] == plain.evaluate_exact(QUERY, as_of=1)
 
 
 class TestAsOfUnderFaults:

@@ -1,5 +1,5 @@
 """Vectored group I/O: a block group is the unit of work at the leaf,
-in the shard fan-out and in the scan coordinator.
+in the shard fan-out and in the block cache's single flight.
 
 The simulated seek is the cost model, so what these tests pin is that
 grouping changes *how* the device time is waited (one sleep per group)
@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 from repro.core.errors import StorageError
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
-from repro.query.service import ScanCoordinator
-from repro.storage.device import StorageSpec
+from repro.storage.device import CachingDevice, StorageSpec
 from repro.storage.disk import BlockGroup, SimulatedDisk
 from repro.storage.latency import LatencyModel
 from repro.storage.placement import place
@@ -271,18 +270,17 @@ class TestFanOut:
 class _GatedStore:
     """Holds the first bulk read open until the test releases it."""
 
-    def __init__(self, coordinator_box, fail=False):
-        self.box, self.fail = coordinator_box, fail
+    def __init__(self, fail=False):
+        self.cache = CachingDevice(self, capacity=16)
+        self.fail = fail
         self.entered = threading.Event()
         self.release = threading.Event()
-        self.events_seen: list = []
+        self.flights_seen: list = []
 
     def read_many(self, codes):
         self.entered.set()
         assert self.release.wait(30)
-        self.events_seen = [
-            flight.event for flight in self.box[0]._inflight.values()
-        ]
+        self.flights_seen = list(self.cache._inflight.values())
         if self.fail:
             raise StorageError("leader's read failed")
         return BlockGroup(
@@ -292,31 +290,34 @@ class _GatedStore:
 
 
 class TestCoordinatorFlights:
+    """The block cache coordinates concurrent misses: one flight per
+    group read, joined by later misses on its blocks."""
+
     def test_an_uncontended_fetch_allocates_no_event(self):
-        box: list = []
-        store = _GatedStore(box)
+        store = _GatedStore()
         store.release.set()
-        box.append(ScanCoordinator(store))
-        out = box[0].read_many([1, 2, 3])
+        out = store.cache.read_many([1, 2, 3])
         assert sorted(out.codes.tolist()) == [1, 2, 3]
-        assert store.events_seen == [None, None, None]
-        assert box[0]._inflight == {}
-        assert box[0].stats()["shared"] == 0
+        # One flight record for the whole group, and no Event in it:
+        # waiters, when there are any, wait on the cache's condition.
+        flight = store.flights_seen[0]
+        assert store.flights_seen == [flight] * 3
+        assert "event" not in type(flight).__slots__
+        assert store.cache._inflight == {}
+        assert store.cache.pool_stats.shared == 0
 
     @pytest.mark.parametrize("leader_fails", [False, True])
     def test_a_piggy_backing_reader_gets_the_leaders_outcome(
         self, leader_fails
     ):
-        box: list = []
-        store = _GatedStore(box, fail=leader_fails)
-        coordinator = ScanCoordinator(store)
-        box.append(coordinator)
+        store = _GatedStore(fail=leader_fails)
+        cache = store.cache
         outcomes: dict = {}
 
         def ask(name, ids):
             def run():
                 try:
-                    group = coordinator.read_many(ids)
+                    group = cache.read_many(ids)
                     outcomes[name] = dict(
                         zip(group.codes.tolist(), group.payloads)
                     )
@@ -328,23 +329,25 @@ class TestCoordinatorFlights:
         leader.start()
         assert store.entered.wait(30)
         follower.start()
-        # The follower attaches to block 2's flight — the only Event.
+        # The follower joins block 2's flight: it waits on the cache's
+        # condition.
         deadline = time.monotonic() + 30
-        while not any(f.event for f in list(coordinator._inflight.values())):
+        while not cache._landed._waiters:
             assert time.monotonic() < deadline
             time.sleep(0.001)
         store.release.set()
         leader.join(30)
         follower.join(30)
         assert not leader.is_alive() and not follower.is_alive()
-        assert [e is not None for e in store.events_seen] == [False, True]
-        assert coordinator.stats()["shared"] == 1
-        assert coordinator.stats()["fetches"] == 2
+        assert cache._inflight == {}
+        stats = cache.pool_stats
         if leader_fails:
             assert outcomes["follower"] is outcomes["leader"]
             assert isinstance(outcomes["leader"], StorageError)
+            assert (stats.misses, stats.shared) == (0, 0)
         else:
             assert outcomes["follower"][2] is outcomes["leader"][2]
+            assert (stats.misses, stats.shared) == (2, 1)
 
 
 class TestSimulatedFanOut:
