@@ -9,6 +9,8 @@ not depend on the BLAS kernel or on the interpreter's builtin ``sum``
 * :func:`dot_columns` — the same sum over the columns of windows held
   as separate arrays (the wavelet cascade's taps), in :func:`dot`'s
   order;
+* :func:`dot_row` — the same sum of one row of Python floats (the lazy
+  transform's windows), in :func:`dot`'s order;
 * :func:`total` — strictly left to right, for the running totals whose
   reference is defined that way.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["dot", "dot_columns", "segmented_dot", "sum_squares", "total"]
+__all__ = ["dot", "dot_columns", "dot_row", "segmented_dot", "sum_squares", "total"]
 
 
 def dot(a, b):
@@ -62,6 +64,28 @@ def dot_columns(columns, taps):
         lanes[0] += np.multiply(columns[m], taps[m], out=term)
     lanes[0] += 0.0  # the sum's identity: an all -0.0 row gives +0.0
     return lanes[0]
+
+
+def dot_row(row, taps) -> float:
+    """Bitwise ``float(dot(row, taps))`` for a row of Python floats, in
+    :func:`dot_columns`' order: under 8 terms left to right from ``+0.0``
+    (a short row may be summed as its terms are made), up to 128 eight
+    running sums as a tree then the rest, beyond that the halving split."""
+    n = len(taps)
+    if n > 128:
+        cut = n // 2 - n // 2 % 8
+        return dot_row(row[:cut], taps[:cut]) + dot_row(row[cut:], taps[cut:])
+    acc = 0.0
+    rest = 0 if n < 8 else n - n % 8
+    if rest:
+        lane = [x * t for x, t in zip(row[:8], taps[:8])]
+        for m in range(8, rest):
+            lane[m % 8] += row[m] * taps[m]
+        acc += (lane[0] + lane[1] + (lane[2] + lane[3])) + (
+            lane[4] + lane[5] + (lane[6] + lane[7]))
+    for m in range(rest, n):
+        acc += row[m] * taps[m]
+    return acc
 
 
 def _by_length(starts, lengths):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -564,47 +565,70 @@ class ProPolyneEngine:
 
     def _part(self, axis: int, lo: int, hi: int, poly) -> tuple:
         """``(values, (virtual blocks, slots, block lengths))`` of ``[lo,
-        hi]`` under ``poly``: translated and located once per engine,
-        read-only.  A miss computes outside the lock (two workers may
-        both compute one part, deterministically).  Traffic counts in
-        ``query.parts.hits`` / ``misses``, process-wide, so an engine
-        and its views count into one pair."""
-        key = (axis, lo, hi, tuple(poly))
+        hi]`` under ``poly``: :meth:`_parts_of` of one key."""
+        return self._parts_of([(axis, lo, hi, tuple(poly))])[0]
+
+    def _parts_of(self, keys: list) -> list:
+        """The part of each ``(axis, lo, hi, poly)`` key, in key order:
+        translated and located once per engine, read-only.
+
+        One memo visit: every key is looked up under one ``_parts_lock``
+        acquisition, and ``query.parts.hits`` / ``misses`` move once per
+        call (process-wide, so an engine and its views count into one
+        pair; a key repeated in ``keys`` misses once and hits after).
+        The misses are computed outside the lock (two workers may both
+        compute one part, deterministically), then memoized."""
         with self._parts_lock:
-            part = self._parts.get(key)
-            if part is not None:
-                self._parts.move_to_end(key)
-        if part is not None:
-            obs_counter("query.parts.hits").inc()
-            return part
-        obs_counter("query.parts.misses").inc()
-        idx, vals = _translate_axis(axis, lo, hi, poly, self.original_shape,
-                                    self.shape, self.levels, self.filter)
-        located = self.store.allocation.locate_axis(axis, idx)
-        for array in (vals, *located):
-            array.setflags(write=False)
+            memo = self._parts
+            parts = [memo.get(key) for key in keys]
+            for key, part in zip(keys, parts):
+                if part is not None:
+                    memo.move_to_end(key)
+        missing = dict.fromkeys(
+            key for key, part in zip(keys, parts) if part is None
+        )
+        if len(missing) < len(keys):
+            obs_counter("query.parts.hits").inc(len(keys) - len(missing))
+        if not missing:
+            return parts
+        obs_counter("query.parts.misses").inc(len(missing))
+        allocation = self.store.allocation
+        for key in missing:
+            axis, lo, hi, poly = key
+            idx, vals = _translate_axis(axis, lo, hi, poly, self.original_shape,
+                                        self.shape, self.levels, self.filter)
+            located = allocation.locate_axis(axis, idx)
+            for array in (vals, *located):
+                array.setflags(write=False)
+            missing[key] = (vals, located)
         with self._parts_lock:
-            self._parts[key] = part = (vals, located)
-            while len(self._parts) > _MEMO_PARTS:
-                self._parts.popitem(last=False)
-        return part
+            memo.update(missing)
+            while len(memo) > _MEMO_PARTS:
+                memo.popitem(last=False)
+        return [missing[key] if part is None else part
+                for key, part in zip(keys, parts)]
 
     def locate_batch(self, queries: list[RangeSumQuery]) -> tuple:
         """The located-translation kernel: each query's ``(values, codes,
         slots)`` — :meth:`query_arrays` with ``allocation.locate`` in
         place of its keys — as the prefix-major outer combination of its
-        axis parts (:meth:`_part`), CSR-stacked under one exact-zero mask
-        that also fixes ``offsets``: query ``i`` owns entries
-        ``offsets[i]:offsets[i + 1]``."""
+        axis parts (all of the batch's in one :meth:`_parts_of`),
+        CSR-stacked under one exact-zero mask that also fixes
+        ``offsets``: query ``i`` owns entries ``offsets[i]:offsets[i + 1]``."""
+        keys = []
+        for query in queries:
+            _check_query(query, self.shape, self.filter)
+            if not query.is_empty():
+                keys += zip(range(query.ndim), *zip(*query.ranges),
+                            map(tuple, query.polys))
+        parts = iter(self._parts_of(keys))
         combine = self.store.allocation.combine
         stacked = []
         for query in queries:
-            _check_query(query, self.shape, self.filter)
             if query.is_empty():
                 stacked.append(_NOTHING)
                 continue
-            values, located = zip(*map(self._part, range(query.ndim),
-                                       *zip(*query.ranges), query.polys))
+            values, located = zip(*islice(parts, query.ndim))
             stacked.append((_outer(values), *combine(located)))
         offsets = np.zeros(len(stacked) + 1, dtype=np.intp)
         np.cumsum([len(located[0]) for located in stacked], out=offsets[1:])

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -487,6 +488,12 @@ class TensorAllocation:
             virtual.append(v)
         return tuple(reversed(virtual))
 
+    def block_tuples(self):
+        """:meth:`block_tuple` of every code, in code order, as an
+        iterator: the row-major product of the per-axis virtual-block
+        ranges, no per-code arithmetic."""
+        return product(*map(range, self._tables[1]))
+
     def block_keys(self, code: int) -> np.ndarray:
         """``(M, ndim)`` member keys of one block, in payload order."""
         return product_keys([
@@ -494,14 +501,17 @@ class TensorAllocation:
             for axis, virtual in zip(self.axes, self.block_tuple(code))
         ])
 
-    def build_blocks(self, coeffs: np.ndarray) -> dict[int, np.ndarray]:
+    def build_blocks(
+        self, coeffs: np.ndarray
+    ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """Cut a dense coefficient cube into product-block payloads, by
         code: the cube is scattered once into the fixed layout
         (:attr:`offsets`), and each payload is a read-only view of its
         block's range there, its members' values row-major.  Blocks
         appear in first-touched row-major order — the product of each
         axis's virtual blocks ordered by first member, no sort over
-        coefficients.
+        coefficients.  Returns ``(layout, payloads)``: the read-only
+        layout itself, and the payloads by code.
         """
         cube = np.asarray(coeffs, dtype=float)
         if cube.shape != self.shape:
@@ -519,4 +529,6 @@ class TensorAllocation:
             order = virtual[np.argsort(first)]
             touched = np.add.outer(touched * n_virtual, order).ravel()
         bounds = zip(self.offsets[touched].tolist(), self.block_len(touched).tolist())
-        return {c: layout[lo:lo + n] for c, (lo, n) in zip(touched.tolist(), bounds)}
+        return layout, {
+            c: layout[lo:lo + n] for c, (lo, n) in zip(touched.tolist(), bounds)
+        }

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from repro.core.errors import StorageError
-from repro.core.reduce import dot
+from repro.core.reduce import dot, sum_squares
 from repro.obs import DEFAULT_COUNT_BUCKETS
 from repro.obs import histogram as obs_histogram
 from repro.obs import span
@@ -132,7 +132,7 @@ class TensorBlockStore(TensorReads):
         # Placement is tabled once per store: no block ever changes shard.
         # The depth table orders the cache's recency by the error tree.
         self._built = spec.build(allocation.block_capacity, placement_table(
-            allocation.n_codes, spec.shards, allocation.block_tuple,
+            allocation.block_tuples(), spec.shards,
         ) if spec.shards > 1 else None, allocation.block_depth)
         self.device = self._built.device
         #: The breaker template from the spec (unsharded stacks use it
@@ -143,7 +143,7 @@ class TensorBlockStore(TensorReads):
         #: (``None`` when the spec disables caching) — benchmarks clear
         #: it between runs and difference its ``pool_stats``.
         self.cache = self._built.cache
-        blocks = allocation.build_blocks(cube)
+        layout, blocks = allocation.build_blocks(cube)
         # Initial population models in-memory construction, not live
         # traffic: injection starts only once the store is serving.
         self._built.set_injecting(False)
@@ -151,12 +151,16 @@ class TensorBlockStore(TensorReads):
             self.device.write_many(list(blocks), list(blocks.values()))
         finally:
             self._built.set_injecting(True)
-        #: Per-block L2 norms, ``sqrt(dot(payload, payload))`` in code
-        #: order; the engine's progressive bounds read them, and every
-        #: write path keeps them current by the same formula.
-        self.block_norms = {
-            code: math.sqrt(dot(items, items)) for code, items in blocks.items()
-        }
+        #: Per-block L2 norms, ``sqrt(dot(payload, payload))``, in the
+        #: payloads' first-touched order (:attr:`data_norm` sums them in
+        #: it); the engine's progressive bounds read them, and every write
+        #: path keeps them current by the same formula.  One
+        #: ``sum_squares`` over the layout the payloads were cut from.
+        codes = np.fromiter(blocks, dtype=np.intp, count=len(blocks))
+        norms = np.sqrt(sum_squares(
+            layout, allocation.offsets[codes], allocation.block_len(codes)
+        ))
+        self.block_norms = dict(zip(codes.tolist(), norms.tolist()))
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -315,13 +315,15 @@ class CachingDevice(DeviceLayer):
         Hits are served (and made most-recent) before any miss is
         published, so a group never evicts a block it is itself about
         to return; with a depth table the published group is bumped
-        once more, deepest first.  A missed code repeated in ``codes``
-        is read and handed back once.  A failed inner read publishes
-        nothing, counts no miss and raises here and in every call that
-        joined its flight.
+        once more, deepest first.  A code repeated in ``codes`` is
+        looked up, counted and handed back once, hit or miss.  A failed
+        inner read publishes nothing, counts no miss and raises here and
+        in every call that joined its flight.
         """
         codes = np.asarray(codes, dtype=np.intp)
-        ids = codes.tolist()
+        ids = list(dict.fromkeys(codes.tolist()))  # first requests, in order
+        if len(ids) < len(codes):
+            codes = np.array(ids, dtype=np.intp)
         # The order the group becomes most recent in (class docstring).
         recency = ids if self._depth is None else codes[
             np.argsort(-self._depth[codes], kind="stable")
@@ -341,7 +343,7 @@ class CachingDevice(DeviceLayer):
                 if flight is None:
                     inflight[code] = mine
                     miss_at.append(at)
-                elif flight is not mine:
+                else:
                     joined[code] = flight
             self._touch(recency)
             hits = len(found)

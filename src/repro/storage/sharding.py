@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -39,13 +40,10 @@ from repro.storage.placement import place
 __all__ = ["ShardedDevice", "placement_table"]
 
 
-def placement_table(n_codes: int, n_shards: int, block_id=int) -> np.ndarray:
-    """``place(block_id(code), n_shards)`` for every code below
-    ``n_codes`` (``block_id``: ``allocation.block_tuple``, or the code)."""
-    return np.fromiter(
-        (place(block_id(code), n_shards) for code in range(n_codes)),
-        dtype=np.intp, count=n_codes,
-    )
+def placement_table(block_ids, n_shards: int) -> np.ndarray:
+    """``place(block_id, n_shards)`` of each block id, in code order
+    (``allocation.block_tuples()``, or the codes themselves)."""
+    return np.fromiter(map(place, block_ids, repeat(n_shards)), dtype=np.intp)
 
 
 class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec wraps it in a storage.device MeteredDevice

@@ -19,9 +19,10 @@ the cascade:
 * a ``{position: value}`` dict of boundary "corrections", re-convolved
   directly (only ``O(filter_length)`` windows per level).
 
-Everything in the cascade is a Python float except a level's one
-:func:`~repro.core.reduce.dot` of its windows against both channels (the
-reduction order is DESIGN.md's "One reduction order").
+Everything in the cascade is a Python float: a window's two channel
+sums are :func:`~repro.core.reduce.dot`'s sums of that row, in its order
+(:func:`~repro.core.reduce.dot_row`; DESIGN.md's "One reduction order"),
+and a polynomial sample is Horner in ``np.polynomial.polyval``'s order.
 
 The output is a :class:`SparseWaveletVector` whose coefficients match the
 dense :func:`repro.wavelets.dwt.wavedec` of the materialized query vector
@@ -32,12 +33,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from repro.core.errors import TransformError
-from repro.core.reduce import dot
+from repro.core.reduce import dot, dot_row
 from repro.wavelets.dwt import max_levels
 from repro.wavelets.filters import WaveletFilter, get_filter
 
@@ -76,6 +77,19 @@ def poly_after_filter(poly: np.ndarray, taps: np.ndarray) -> np.ndarray:
     positions = np.arange(taps.size, dtype=float)
     moments = [float(dot(taps, positions**s)) for s in range(poly.size)]
     return np.array(_through_filter(poly.tolist(), moments))
+
+
+@lru_cache(maxsize=64)
+def _constants(filt: WaveletFilter, size: int) -> tuple:
+    """``filt``'s taps and moments as Python floats, for a measure of
+    ``size`` coefficients.  Below the vanishing moments the detail
+    interior is provably zero: its moments are ``None``, not residue
+    that the growing approximation coefficients would amplify."""
+    orders = range(size)
+    high = None
+    if size > filt.vanishing_moments:
+        high = tuple(filt.moment(s, True) for s in orders)
+    return filt.dec_lo, filt.dec_hi, tuple(filt.moment(s) for s in orders), high
 
 
 def _horner(coeffs: list[float], x: int) -> float:
@@ -206,14 +220,7 @@ def lazy_range_query_transform(
         return SparseWaveletVector(n, depth, filt.name, {})
 
     taps = filt.length
-    bank = np.array([filt.lowpass, filt.highpass])
-    orders = range(poly_arr.size)
-    low_moments = [filt.moment(s) for s in orders]
-    # Below the filter's vanishing moments the detail interior is provably
-    # zero — set it so (None) rather than trusting floating point, whose
-    # residue the geometrically growing approx coefficients would amplify.
-    survives = poly_arr.size > filt.vanishing_moments
-    high_moments = [filt.moment(s, True) for s in orders] if survives else None
+    low, high, low_moments, high_moments = _constants(filt, poly_arr.size)
     # None once the interval has shrunk away.
     coeffs: list[float] | None = poly_arr.tolist()
     corrections: dict[int, float] = {}
@@ -254,8 +261,13 @@ def lazy_range_query_transform(
             scale = max(map(abs, coeffs)) if coeffs is not None else 1.0
             scale += max(map(abs, corrections.values()), default=0.0)
             tol = 1e-13 * max(scale, 1.0)
-            windows = []
             for k in explicit:
+                # The window's two channel sums in dot's order: under 8
+                # taps that is left to right from +0.0, added here as each
+                # sample is made; a longer window is summed by dot_row.
+                window = []
+                a_val = d_val = 0.0
+                m = 0
                 for j in range(2 * k, 2 * k + taps):
                     if j >= length:
                         j -= length
@@ -265,9 +277,12 @@ def lazy_range_query_transform(
                         for c in rest:
                             acc = c + acc * j
                         value = acc + value
-                    windows.append(value)
-            channels = dot(np.array(windows).reshape(-1, 1, taps), bank)
-            for k, (a_val, d_val) in zip(explicit, channels.tolist()):
+                    window.append(value)
+                    a_val += value * low[m]
+                    d_val += value * high[m]
+                    m += 1
+                if taps >= 8:
+                    a_val, d_val = dot_row(window, low), dot_row(window, high)
                 if inner_lo <= k <= inner_hi:
                     a_val -= _horner(approx_poly, k)
                     if detail_poly is not None:

@@ -35,7 +35,7 @@ def write_map(device, blocks: dict) -> None:
 def codes_table(n_shards, n_codes=256):
     """The placement table of codes ``0 .. n_codes - 1`` (each its own
     block id), for stacks built without a store."""
-    return placement_table(n_codes, n_shards)
+    return placement_table(range(n_codes), n_shards)
 
 
 def block_of(allocation, key) -> tuple:

@@ -3,8 +3,8 @@
 Unit tests pin the module's contract: a segment of ``segmented_dot``
 is the ``dot`` of that segment, ``sum_squares`` reads scattered
 segments as ``segmented_dot`` reads packed ones, a stacked ``dot`` is the ``dot`` of each
-row, ``dot_columns`` adds its columns in the order ``dot`` adds a row,
-empty input sums to ``0.0`` and a strided view reduces like its
+row, ``dot_columns`` adds its columns in the order ``dot`` adds a row
+and ``dot_row`` adds a row of Python floats in that order, empty input sums to ``0.0`` and a strided view reduces like its
 copy.  ``test_bits_do_not_depend_on_the_blas_kernel`` then digests
 exact, batch and progressive answers, an ``insert_batch``, the block
 norms, ``to_coefficients`` and a lazy transform in this process and in
@@ -22,7 +22,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reduce import dot, dot_columns, segmented_dot, sum_squares, total
+from repro.core.reduce import (
+    dot,
+    dot_columns,
+    dot_row,
+    segmented_dot,
+    sum_squares,
+    total,
+)
 from repro.query.batch import BatchEvaluator
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
@@ -141,6 +148,36 @@ class TestReduce:
             assert got.tobytes() == want.tobytes(), length
         assert dot_columns([np.array([-0.0])] * 3, [1.0] * 3).tobytes() == (
             np.array([0.0]).tobytes()
+        )
+
+    def test_a_row_of_python_floats_adds_in_the_order_dot_adds_it(self):
+        # The same rows as above, one at a time as Python floats, under
+        # every dispatch numpy's dot may take; NaN payloads not compared.
+        rng = np.random.default_rng(49)
+        special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324,
+                            -5e-324, 2.2e-308, 1e-300, 1e300, -1e300])
+        for length in range(1, 301):
+            rows = rng.normal(size=(8, length)) * 10.0 ** rng.integers(
+                -300, 300, (8, length)
+            )
+            rows[0] = -0.0
+            rows[1] = rng.choice([0.0, -0.0], length)
+            rows[2:5] = rng.choice(special, (3, length))
+            rows[5] = rng.choice(special[5:9], length)
+            taps = rng.normal(size=length)
+            taps[rng.random(length) < 0.1] = -0.0
+            for row in rows:
+                with np.errstate(all="ignore"):
+                    want = float(dot(row, taps))
+                    got = dot_row(row.tolist(), taps.tolist())
+                assert type(got) is float
+                if np.isnan(want):
+                    assert np.isnan(got), length
+                else:
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), length
+        assert dot_row([], []) == 0.0
+        assert np.float64(dot_row([-0.0] * 3, [1.0] * 3)).tobytes() == (
+            np.float64(0.0).tobytes()
         )
 
     def test_empty_input_sums_to_zero(self):

@@ -287,14 +287,24 @@ class TestCacheBulkFetch:
         )
 
     def test_bulk_fetch_dedups_ids_within_one_call(self, cube):
+        # A repeated code comes back once, cold (read once) and warm (a
+        # hit once): the same group either way.
         eng = self.cached(cube)
         blocks = list(eng.store.device.block_ids())[:3]
         before = eng.store.io_snapshot()
-        (out,) = in_threads(lambda: eng.store.read_many(blocks + blocks))
-        assert sorted(out.codes.tolist()) == sorted(blocks)
+        (cold,) = in_threads(lambda: eng.store.read_many(blocks + blocks))
+        assert sorted(cold.codes.tolist()) == sorted(blocks)
         assert eng.store.io_since(before).reads == len(blocks)
         assert eng.store.cache.pool_stats.misses == len(blocks)
         assert eng.store.cache._inflight == {}
+        (warm,) = in_threads(lambda: eng.store.read_many(blocks + blocks))
+        assert warm.codes.tolist() == blocks
+        assert sorted(warm.codes.tolist()) == sorted(cold.codes.tolist())
+        assert warm.lens.tolist() == [
+            dict(zip(cold.codes.tolist(), cold.lens.tolist()))[b] for b in blocks
+        ]
+        assert eng.store.io_since(before).reads == len(blocks)
+        assert eng.store.cache.pool_stats.hits == len(blocks)
 
     def test_bulk_fetch_joins_an_inflight_read(self, cube):
         eng = self.cached(cube)

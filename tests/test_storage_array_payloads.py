@@ -30,6 +30,7 @@ values in row-major key order; keys are implicit in the allocation
 import hashlib
 import importlib
 import json
+import math
 import pkgutil
 import threading
 from pathlib import Path
@@ -43,6 +44,7 @@ import repro.query
 import repro.storage
 import repro.wavelets
 from repro.core.errors import CorruptedBlockError, StorageError
+from repro.core.reduce import dot
 from repro.obs import MetricsRegistry, use_registry
 from repro.query.batch import BatchEvaluator
 from repro.query.ingest import BatchInserter
@@ -141,7 +143,7 @@ class TestLocate:
     def test_build_blocks_emits_block_keys_order(self):
         allocation = tiling((8, 2, 16), 3)
         cube = np.random.default_rng(3).normal(size=(8, 2, 16))
-        for code, payload in allocation.build_blocks(cube).items():
+        for code, payload in allocation.build_blocks(cube)[1].items():
             keys = allocation.block_keys(code)
             assert payload.tolist() == cube[tuple(keys.T)].tolist()
 
@@ -427,6 +429,31 @@ class TestBitwiseHistory:
                     neumaier_sum, raising=False,
                 )
         self.test_live_and_as_of_epochs_match_the_parent_commit()
+
+    @pytest.mark.parametrize("shape, block_size, shards", [
+        ((8, 2, 16), 3, 1), ((64, 64, 32), 7, 4), ((16, 32), 5, 2), ((64,), 7, 1),
+    ])
+    def test_block_norms_are_each_payloads_own_dot(self, shape, block_size, shards):
+        # One sum_squares over the fixed layout: per block, bitwise
+        # sqrt(dot(p, p)) of the payload the device holds, keyed in the
+        # payloads' first-touched order, and the data norm dotted in it.
+        cube = np.random.default_rng(49).normal(size=shape) * 10.0 ** (
+            np.random.default_rng(50).integers(-8, 8, shape)
+        )
+        engine = ProPolyneEngine(cube, max_degree=1, block_size=block_size,
+                                 storage=StorageSpec(shards=shards))
+        store = engine.store
+        blocks = store.allocation.build_blocks(
+            engine.to_coefficients())[1]
+        norms = store.block_norms
+        assert list(norms) == list(blocks)
+        for code, norm in norms.items():
+            payload = store.fetch_block(code)
+            assert payload.tobytes() == blocks[code].tobytes()
+            assert norm.hex() == math.sqrt(dot(payload, payload)).hex()
+        values = np.array(list(norms.values()))
+        assert store.data_norm.hex() == math.sqrt(dot(values, values)).hex()
+        store.close()
 
     def test_replay_of_the_same_batches_is_deterministic(self):
         assert record_history(self.SEED) == json.loads(

@@ -13,6 +13,7 @@ from repro.core.errors import StorageError
 from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
+from repro.storage.allocation import TensorAllocation, subtree_tiling_allocation
 from repro.storage.device import StorageSpec
 from repro.storage.disk import BlockGroup, SimulatedDisk
 from repro.storage.placement import place
@@ -90,7 +91,7 @@ class TestPlacement:
         # and neither reads nor writes change it.
         dev = ShardedDevice(
             [SimulatedDisk(block_size=8) for _ in range(4)],
-            placement_table(16, 4, lambda code: (code // 4, code % 4)),
+            placement_table(((code // 4, code % 4) for code in range(16)), 4),
         )
         table = dev.placement.copy()
         assert table.tolist() == [
@@ -113,6 +114,21 @@ class TestPlacement:
             dev.read_many([16])
         with pytest.raises(IndexError):
             write_block(dev, 16, vals(0.0))
+
+    @pytest.mark.parametrize("shards", [2, 3, 4, 5])
+    @pytest.mark.parametrize("shape, block_size", [
+        ((64,), 7), ((16, 32), 5), ((64, 64, 32), 7), ((8, 2, 16), 3),
+    ])
+    def test_the_table_is_the_per_code_placement(self, shape, block_size, shards):
+        # The block tuples come from the grid at once; each code's
+        # placement is still place() of its own block_tuple.
+        allocation = TensorAllocation(axes=tuple(
+            subtree_tiling_allocation(n, block_size) for n in shape
+        ))
+        want = [place(allocation.block_tuple(code), shards)
+                for code in range(allocation.n_codes)]
+        table = placement_table(allocation.block_tuples(), shards)
+        assert table.dtype == np.intp and table.tolist() == want
 
     @pytest.mark.parametrize("shape, shards", E2E_STORES)
     def test_every_code_of_the_e2e_stores_is_placed_by_its_block_tuple(

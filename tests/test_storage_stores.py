@@ -266,7 +266,7 @@ class TestBlobStore:
         # §4's raw-disk plan: each blob is the block whose code is its
         # location id, on a sharded, CRC-framed stack.
         built = StorageSpec(shards=2, crc=True).build(
-            block_size=8, placement=placement_table(8, 2)
+            block_size=8, placement=placement_table(range(8), 2)
         )
         store = BlobStore(device=built.device)
         nan_bits = np.array([np.nan, -0.0, 1.5]).view(np.uint8).tobytes()
