@@ -2,17 +2,21 @@
 
 Usage::
 
-    python -m repro.cli glove --duration 10          # simulate + sample
-    python -m repro.cli adhd --subjects 20           # run the §2.1 study
-    python -m repro.cli asl --signs GREEN RED HELLO  # stream recognition
-    python -m repro.cli olap                         # Fig. 4 pivot demo
-    python -m repro.cli chaos --fault-rate 0.05      # resilience drill
-    python -m repro.cli stats                        # observability report
-    python -m repro.cli lint --format json           # invariant linter
-    python -m repro.cli info                         # system inventory
+    aims info                          # system inventory
+    aims glove --duration 10           # simulate + sample a glove session
+    aims adhd --subjects 20            # run the §2.1 study
+    aims asl --signs GREEN RED HELLO   # stream recognition
+    aims olap                          # Fig. 4 pivot demo
+    aims report                        # every benchmark result table
+    aims chaos --fault-rate 0.05       # resilience drill
+    aims cluster                       # routing, quota flood, failover drill
+    aims replay --out s.replay.jsonl   # record under faults, replay bitwise
+    aims explain --as-of 1             # query plan + audit provenance
+    aims stats                         # observability report
+    aims lint --format json            # invariant linter
 
 Each subcommand is a thin wrapper over the public API, so the CLI doubles
-as executable documentation.
+as executable documentation; each drill here is its only copy.
 """
 
 from __future__ import annotations
@@ -144,6 +148,24 @@ def _atmospheric_count_cube(rng: np.random.Generator, n: int) -> np.ndarray:
     )
 
 
+def _chaos_spec(seed: int, rate: float, shards: int, cache_blocks: int):
+    """The fault-injected stack ``aims chaos`` and ``aims stats`` drive:
+    seeded read faults at ``rate``, torn blocks and 1 ms spikes at half
+    of it, retries, and a breaker template cloned per shard."""
+    from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
+    from repro.storage.device import StorageSpec
+
+    plan = FaultPlan(seed=seed, read_error_rate=rate, torn_rate=rate / 2,
+                     latency_spike_rate=rate / 2, latency_spike_s=0.001)
+    return StorageSpec(
+        shards=shards,
+        cache_blocks=cache_blocks,
+        fault_plan=plan,
+        retry_policy=RetryPolicy(max_attempts=4, base_delay_s=0.0005),
+        breaker=CircuitBreaker(failure_threshold=5, recovery_timeout_s=0.05),
+    )
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Chaos drill: degradable queries against a fault-injected store.
 
@@ -156,43 +178,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     failure.
     """
     from repro import AIMS
-    from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
     from repro.obs import counter as obs_counter
     from repro.query.rangesum import RangeSumQuery
-    from repro.storage.device import StorageSpec
 
     rate = args.fault_rate
-    if not 0.0 <= rate <= 0.5:
-        print(f"--fault-rate must be in [0, 0.5], got {rate}",
-              file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
-    if args.queries < 1:
-        print(f"--queries must be >= 1, got {args.queries}", file=sys.stderr)
-        return 2
     rng = np.random.default_rng(args.seed)
     n = 16
     cube = _atmospheric_count_cube(rng, n)
-    plan = FaultPlan(
-        seed=args.seed,
-        read_error_rate=rate,
-        torn_rate=rate / 2,
-        latency_spike_rate=rate / 2,
-        latency_spike_s=0.001,
-    )
-    breaker = CircuitBreaker(failure_threshold=5, recovery_timeout_s=0.05)
-    engine = AIMS().populate(
-        "chaos", cube,
-        storage=StorageSpec(
-            shards=args.shards,
-            cache_blocks=args.cache_blocks,
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=4, base_delay_s=0.0005),
-            breaker=breaker,
-        ),
-    )
+    spec = _chaos_spec(args.seed, rate, args.shards, args.cache_blocks)
+    engine = AIMS().populate("chaos", cube, storage=spec)
     windows = [
         RangeSumQuery.count([(s, min(s + 5, n - 1)), (0, n - 1), (2, 13)])
         for s in range(0, n, 2)
@@ -215,12 +209,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
           f"{obs_counter('faults.injected.read_errors').value:.0f} read, "
           f"{obs_counter('faults.injected.torn_blocks').value:.0f} torn, "
           f"{obs_counter('faults.injected.latency_spikes').value:.0f} slow")
-    breakers = engine.store.breakers or [breaker]
-    snap = breakers[0].snapshot()
+    breakers = engine.store.breakers or [spec.breaker]
     trips = sum(b.snapshot()["trips"] for b in breakers)
     rejections = sum(b.snapshot()["rejections"] for b in breakers)
     state = next(
-        (b.state for b in breakers if b.state != "closed"), snap["state"]
+        (b.state for b in breakers if b.state != "closed"), breakers[0].state
     )
     print(f"  breaker         : {state} "
           f"(trips={trips:.0f}, rejections={rejections:.0f})")
@@ -247,13 +240,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.query.rangesum import RangeSumQuery
     from repro.storage.device import StorageSpec
 
-    if args.backends < 1:
-        print(f"--backends must be >= 1, got {args.backends}",
-              file=sys.stderr)
-        return 2
-    if args.quota < 1:
-        print(f"--quota must be >= 1, got {args.quota}", file=sys.stderr)
-        return 2
     rng = np.random.default_rng(args.seed)
     n = 16
     cube = _atmospheric_count_cube(rng, n)
@@ -411,29 +397,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     recognizer.process(ArraySource(frames, rate_hz=60.0))
 
-    # Resilience: a short drill against a 4-shard fault-injected device
-    # stack declared as one StorageSpec, so the faults.* / retry.* /
-    # breaker.* series appear in the report (see docs/OPERATIONS.md for
-    # how to read them under load).
-    from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
-    from repro.storage.device import StorageSpec
-
-    breaker = CircuitBreaker(failure_threshold=5, recovery_timeout_s=0.05)
-    faulty = system.populate(
-        "atm-faulty", cube,
-        storage=StorageSpec(
-            shards=4,
-            cache_blocks=16,
-            fault_plan=FaultPlan(seed=args.seed, read_error_rate=0.05,
-                                 torn_rate=0.02),
-            retry_policy=RetryPolicy(max_attempts=4, base_delay_s=0.0005),
-            breaker=breaker,
-        ),
-    )
-    for s in range(0, n, 4):
-        faulty.evaluate_degradable(
-            RangeSumQuery.count([(s, min(s + 3, n - 1)), (0, n - 1), (2, 13)])
-        )
+    # Resilience: a short drill against the chaos drill's stack on 4
+    # shards, so the faults.* / retry.* / breaker.* series appear in the
+    # report (see docs/OPERATIONS.md for how to read them under load).
+    spec = _chaos_spec(args.seed, 0.05, shards=4, cache_blocks=16)
+    faulty = system.populate("atm-faulty", cube, storage=spec)
+    for cell in cells:
+        faulty.evaluate_degradable(cell)
 
     registry = system.metrics()
     if args.json:
@@ -443,7 +413,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
               "recognize -> chaos pass:")
         print(render_text(registry))
         # Per-shard breakers: report the first clone, with fleet totals.
-        breakers = faulty.store.breakers or [breaker]
+        breakers = faulty.store.breakers
         snap = breakers[0].snapshot()
         print(f"breaker {snap['name']!r}: {snap['state']} "
               f"(streak={snap['consecutive_failures']}, "
@@ -522,33 +492,43 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     Records one live ingest session (points, weights, timestamps,
     sampler-rate changes) through a
-    :class:`~repro.streams.replay.SessionRecorder`, replays it into a
-    twin engine seeded with the same starting coefficients, and
-    compares the stored coefficients byte for byte.  Exits non-zero if
-    fidelity is broken.  ``--out`` saves the record as JSON lines
-    (the ``repro.replay/v1`` framing in ``docs/REPLAY.md``).
+    :class:`~repro.streams.replay.SessionRecorder` on a two-shard stack
+    under seeded 5 % write faults that retries absorb, serializes the
+    record to its JSON lines (the ``repro.replay/v1`` framing in
+    ``docs/REPLAY.md``), parses that text back, replays it into a
+    fault-free twin engine seeded with the same starting coefficients,
+    and compares the stored coefficients byte for byte.  Exits 1 if
+    fidelity is broken.  ``--out`` saves the record's JSON lines.
     """
     from repro.acquisition.streaming import StreamingAdaptiveSampler
+    from repro.faults import FaultPlan, RetryPolicy
+    from repro.obs import counter as obs_counter
     from repro.query.propolyne import ProPolyneEngine
     from repro.storage.device import StorageSpec
     from repro.streams.ingest import IngestService
-    from repro.streams.replay import SessionRecorder, SessionReplayer
+    from repro.streams.replay import (SessionRecord, SessionRecorder,
+                                      SessionReplayer)
 
-    if args.points < 1:
-        print(f"--points must be >= 1, got {args.points}", file=sys.stderr)
-        return 2
     rng = np.random.default_rng(args.seed)
     n, width = 32, 8
     cube = rng.poisson(2.0, size=(n, width)).astype(float)
-    spec = StorageSpec(shards=2, cache_blocks=16)
 
-    def build() -> ProPolyneEngine:
+    def build(**faults) -> ProPolyneEngine:
         return ProPolyneEngine(
-            cube, max_degree=1, block_size=4, storage=spec
+            cube, max_degree=1, block_size=4,
+            storage=StorageSpec(shards=2, cache_blocks=16, **faults),
         )
 
-    engine = build()
+    # A group write fails whole if any member draws a fault: about 60 %
+    # of this stack's 18-block groups at 5 %, hence the deep schedule.
+    engine = build(
+        fault_plan=FaultPlan(seed=args.seed, write_error_rate=0.05),
+        retry_policy=RetryPolicy(max_attempts=32, base_delay_s=0.0001,
+                                 max_delay_s=0.001),
+    )
     engine.enable_versioning()
+    write_faults = obs_counter("faults.injected.write_errors")
+    faults_before = write_faults.value
     recorder = SessionRecorder()
     sampler = StreamingAdaptiveSampler(width=width, rate_hz=50.0)
 
@@ -568,20 +548,25 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         service.flush()
         session.close()
     record = recorder.record("replay-drill")
+    wire = record.to_json()
 
     speed = None if args.speed <= 0 else args.speed
     twin = build()
-    replayed = SessionReplayer(record, speed=speed).replay_into(twin)
+    replayed = SessionReplayer(
+        SessionRecord.from_json(wire), speed=speed
+    ).replay_into(twin)
     identical = (
         engine.to_coefficients().tobytes() == twin.to_coefficients().tobytes()
     )
     print(f"replay drill: session {record.session_id!r}")
     print(f"  recorded        : {record.points} points, "
           f"{record.rate_changes} rate change(s), "
-          f"{record.duration_s:.2f} s of stream time")
+          f"{record.duration_s:.2f} s of stream time, through "
+          f"{write_faults.value - faults_before:.0f} injected write faults")
     print(f"  start epoch     : {record.start_epoch} "
           f"(live engine now at epoch {engine.epoch})")
-    print(f"  replayed        : {replayed} points at "
+    print(f"  replayed        : {replayed} points from {len(wire)} bytes "
+          f"of JSON lines at "
           f"{'full speed' if speed is None else f'x{speed:g}'}")
     print(f"  fidelity        : "
           f"{'bitwise-identical' if identical else 'MISMATCH'}")
@@ -621,10 +606,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     plan = explain(engine, query)
     print(format_plan(plan))
     as_of = args.as_of
-    if as_of is not None and not 0 <= as_of <= engine.epoch:
-        print(f"--as-of must be in [0, {engine.epoch}], got {as_of}",
-              file=sys.stderr)
-        return 2
     outcome = engine.evaluate_degradable(query, as_of=as_of)
     outcome = attach_provenance(engine, query, outcome, as_of=as_of)
     label = "live" if as_of is None else f"as of epoch {as_of}"
@@ -636,10 +617,24 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bounded(cast, low, high=float("inf")):
+    """An argparse ``type=``: ``cast(text)``, refused outside [low, high]."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"must be in [{low}, {high}], got {value}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
-        prog="repro",
+        prog="aims",
         description="AIMS: An Immersidata Management System — reproduction CLI",
     )
     parser.add_argument("--seed", type=int, default=2003,
@@ -671,18 +666,18 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="resilience drill: degradable queries under injected faults",
     )
-    chaos.add_argument("--fault-rate", type=float, default=0.05,
-                       dest="fault_rate",
+    chaos.add_argument("--fault-rate", type=_bounded(float, 0.0, 0.5),
+                       default=0.05, dest="fault_rate",
                        help="injected read-error rate (default 0.05)")
-    chaos.add_argument("--queries", type=int, default=16,
+    chaos.add_argument("--queries", type=_bounded(int, 1), default=16,
                        help="degradable queries to run (default 16)")
     chaos.add_argument("--deadline", type=float, default=None,
                        help="per-query deadline in seconds (default none)")
-    chaos.add_argument("--shards", type=int, default=1,
+    chaos.add_argument("--shards", type=_bounded(int, 1), default=1,
                        help="storage shards for the drill (default 1)")
     # Under the drill cube's 27 blocks, so reads keep reaching the
     # fault-injecting layer below the cache.
-    chaos.add_argument("--cache-blocks", type=int, default=8,
+    chaos.add_argument("--cache-blocks", type=_bounded(int, 1), default=8,
                        dest="cache_blocks",
                        help="block-cache capacity (default 8)")
 
@@ -690,12 +685,12 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster",
         help="multi-tenant cluster drill: routing, quotas, failover",
     )
-    cluster.add_argument("--backends", type=int, default=2,
+    cluster.add_argument("--backends", type=_bounded(int, 1), default=2,
                          help="data-owning backend nodes (default 2)")
-    cluster.add_argument("--quota", type=int, default=4,
+    cluster.add_argument("--quota", type=_bounded(int, 1), default=4,
                          help="flooding tenant's in-flight quota "
                               "(default 4)")
-    cluster.add_argument("--flood", type=int, default=32,
+    cluster.add_argument("--flood", type=_bounded(int, 0), default=32,
                          help="batches the flooding tenant submits "
                               "(default 32)")
 
@@ -703,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay",
         help="record a live ingest session and replay it bitwise-exactly",
     )
-    replay.add_argument("--points", type=int, default=400,
+    replay.add_argument("--points", type=_bounded(int, 1), default=400,
                         help="points to record before replaying "
                              "(default 400)")
     replay.add_argument("--speed", type=float, default=0.0,
@@ -718,9 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a query plan and its audit provenance record",
     )
     explain.add_argument("--as-of", type=int, default=None, dest="as_of",
-                         help="evaluate pinned to this storage epoch "
-                              "(default: live)")
-    explain.add_argument("--epochs", type=int, default=3,
+                         help="evaluate pinned to this storage epoch, "
+                              "0 to --epochs (default: live)")
+    explain.add_argument("--epochs", type=_bounded(int, 0), default=3,
                          help="history depth to build for the demo "
                               "engine (default 3)")
 
@@ -761,7 +756,12 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # The demo engine's history is one epoch per --epochs batch.
+    if args.command == "explain" and not 0 <= (args.as_of or 0) <= args.epochs:
+        parser.error(f"argument --as-of: must be in [0, {args.epochs}] "
+                     f"(--epochs), got {args.as_of}")
     return _HANDLERS[args.command](args)
 
 
