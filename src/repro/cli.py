@@ -22,6 +22,7 @@ as executable documentation; each drill here is its only copy.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 
@@ -148,6 +149,21 @@ def _atmospheric_count_cube(rng: np.random.Generator, n: int) -> np.ndarray:
     )
 
 
+def _own_registry(command):
+    """Run a drill that prints counters under a fresh registry of the
+    process's kind, so its report is its own run's, not the process's
+    (under ``REPRO_OBS=off`` a fresh no-op one)."""
+
+    @functools.wraps(command)
+    def run(args: argparse.Namespace) -> int:
+        from repro.obs import get_registry, use_registry
+
+        with use_registry(type(get_registry())()):
+            return command(args)
+
+    return run
+
+
 def _chaos_spec(seed: int, rate: float, shards: int, cache_blocks: int):
     """The fault-injected stack ``aims chaos`` and ``aims stats`` drive:
     seeded read faults at ``rate``, torn blocks and 1 ms spikes at half
@@ -166,6 +182,7 @@ def _chaos_spec(seed: int, rate: float, shards: int, cache_blocks: int):
     )
 
 
+@_own_registry
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Chaos drill: degradable queries against a fault-injected store.
 
@@ -334,6 +351,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         return 0 if exact else 1
 
 
+@_own_registry
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Run a representative end-to-end pass and print the metrics report."""
     from repro import AIMS, AIMSConfig

@@ -17,6 +17,8 @@ not depend on the BLAS kernel or on the interpreter's builtin ``sum``
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
 __all__ = ["dot", "dot_columns", "dot_row", "segmented_dot", "sum_squares", "total"]
@@ -105,24 +107,32 @@ def segmented_dot(a, b, offsets) -> np.ndarray:
     """:func:`dot` of every CSR segment ``offsets[i]:offsets[i + 1]`` of
     ``a`` and ``b`` — :func:`dot` is its one-segment case.
 
-    Segments of one length ``L`` are gathered into one C-ordered
-    ``(k, L)`` array and reduced along its last axis at once: each row
-    is contiguous, so each sum is bitwise its segment's own ``dot``.
+    Each run of ``k`` consecutive segments of one length ``L`` is read
+    in place as the C-ordered ``(k, L)`` rows of the products and
+    reduced along its last axis at once — no gather: each row is
+    contiguous, so each sum is bitwise its segment's own ``dot`` (a
+    run of empty segments gives ``0.0`` each).
     """
     products = np.multiply(a, b)
-    starts = np.asarray(offsets, dtype=np.intp)
-    lengths = np.diff(starts)
-    out = np.zeros(lengths.size)
-    for rows, gather in _by_length(starts, lengths):
-        out[rows] = np.add.reduce(products[gather], axis=-1)
+    starts = np.asarray(offsets, dtype=np.intp).tolist()
+    lengths = [hi - lo for lo, hi in zip(starts, starts[1:])]
+    out = np.empty(len(lengths))
+    lo = 0
+    for length, run in groupby(lengths):
+        hi = lo + sum(1 for _ in run)
+        rows = products[starts[lo]:starts[hi]].reshape(hi - lo, length)
+        out[lo:hi] = np.add.reduce(rows, axis=-1)
+        lo = hi
     return out
 
 
 def sum_squares(x, starts, lengths) -> np.ndarray:
     """``dot(s, s)`` of every segment ``s = x[starts[i]:starts[i] +
     lengths[i]]``, bitwise, reading only the segments: they may lie
-    anywhere in ``x``, in any order.  Same gathering as
-    :func:`segmented_dot`."""
+    anywhere in ``x``, in any order, so the segments of one length
+    ``L`` are gathered into one C-ordered ``(k, L)`` array and reduced
+    along its last axis at once, each row bitwise its segment's own
+    :func:`dot`."""
     starts = np.asarray(starts, dtype=np.intp)
     lengths = np.asarray(lengths, dtype=np.intp)
     out = np.zeros(lengths.size)

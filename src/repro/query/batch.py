@@ -286,7 +286,10 @@ class BatchEvaluator:
         return self._independent(codes, offsets)
 
     def _independent(self, codes, offsets) -> int:
-        """Distinct blocks of each CSR segment of a located stack, summed."""
-        distinct = self._engine.store.allocation.distinct
-        offsets = offsets.tolist()
-        return sum(len(distinct(codes[lo:hi])) for lo, hi in zip(offsets, offsets[1:]))
+        """Distinct blocks of each CSR segment of a located stack, summed:
+        the ``(segment, code)`` cells of one presence table, counted."""
+        segments = len(offsets) - 1
+        n_codes = self._engine.store.allocation.n_codes
+        present = np.zeros((segments, n_codes), dtype=bool)
+        present[np.repeat(np.arange(segments), np.diff(offsets)), codes] = True
+        return int(np.count_nonzero(present))

@@ -67,9 +67,6 @@ __all__ = [
 #: recently used costs their re-translation and changes no bit.
 _MEMO_PARTS = 1 << 12
 
-#: The located translation of an empty query.
-_NOTHING = (np.empty(0),) + (np.empty(0, dtype=np.intp),) * 2
-
 
 def sparse_inner_product(entries: dict, stored) -> float:
     """The exact answer ``sum(q[i] * stored[i])`` from keyed operands.
@@ -127,13 +124,20 @@ def _translate_axis(axis, lo, hi, poly, original_shape, padded_shape, levels,
     ).arrays
 
 
-def _outer(axis_values) -> np.ndarray:
+def _outer(axis_values, out=None) -> np.ndarray:
     """The prefix-major outer product of per-axis values, the first
-    axis's used as they are (bitwise ``ones(1) ⊗ v``)."""
-    values, *rest = axis_values
-    for vals in rest:
-        values = np.multiply.outer(values, vals).ravel()
-    return values
+    axis's used as they are (bitwise ``ones(1) ⊗ v``): the last axis
+    joins the product of the others in one broadcast step, written into
+    ``out`` (flat, the product's length) when it is given."""
+    *head, vals = axis_values
+    if not head:
+        if out is None:
+            return vals
+        out[:] = vals
+        return out
+    values = _outer(head)
+    into = None if out is None else out.reshape(len(values), len(vals))
+    return np.multiply(values[:, None], vals, out=into).ravel()
 
 
 def translate_query(
@@ -611,10 +615,15 @@ class ProPolyneEngine:
     def locate_batch(self, queries: list[RangeSumQuery]) -> tuple:
         """The located-translation kernel: each query's ``(values, codes,
         slots)`` — :meth:`query_arrays` with ``allocation.locate`` in
-        place of its keys — as the prefix-major outer combination of its
-        axis parts (all of the batch's in one :meth:`_parts_of`),
-        CSR-stacked under one exact-zero mask that also fixes
-        ``offsets``: query ``i`` owns entries ``offsets[i]:offsets[i + 1]``."""
+        place of its keys — CSR-stacked under one exact-zero mask that
+        also fixes ``offsets``: query ``i`` owns entries
+        ``offsets[i]:offsets[i + 1]``.
+
+        All of the batch's axis parts come from one :meth:`_parts_of`.
+        A query's entry count is the product of its parts' lengths, so
+        the stack is allocated once, and each query's prefix-major outer
+        combination (:func:`_outer`, ``allocation.combine``) is written
+        straight into its own slice of it."""
         keys = []
         for query in queries:
             _check_query(query, self.shape, self.filter)
@@ -622,19 +631,23 @@ class ProPolyneEngine:
                 keys += zip(range(query.ndim), *zip(*query.ranges),
                             map(tuple, query.polys))
         parts = iter(self._parts_of(keys))
+        # Each query's (axis values, axis locations), () when empty.
+        grouped = [() if query.is_empty() else tuple(zip(*islice(parts, query.ndim)))
+                   for query in queries]
+        offsets = np.zeros(len(queries) + 1, dtype=np.intp)
+        np.cumsum([math.prod(map(len, axes[0])) if axes else 0 for axes in grouped],
+                  out=offsets[1:])
+        size = int(offsets[-1])
+        values = np.empty(size)
+        codes = np.empty(size, dtype=np.intp)
+        slots = np.empty(size, dtype=np.intp)
         combine = self.store.allocation.combine
-        stacked = []
-        for query in queries:
-            if query.is_empty():
-                stacked.append(_NOTHING)
-                continue
-            values, located = zip(*islice(parts, query.ndim))
-            stacked.append((_outer(values), *combine(located)))
-        offsets = np.zeros(len(stacked) + 1, dtype=np.intp)
-        np.cumsum([len(located[0]) for located in stacked], out=offsets[1:])
-        # A batch of one is returned as combined, not copied.
-        values, codes, slots = (stacked[0] if len(stacked) == 1
-                                else map(np.concatenate, zip(*stacked or [_NOTHING])))
+        bounds = offsets.tolist()
+        for axes, lo, hi in zip(grouped, bounds, bounds[1:]):
+            if lo < hi:
+                axis_values, located = axes
+                _outer(axis_values, values[lo:hi])
+                combine(located, (codes[lo:hi], slots[lo:hi]))
         keep = values != 0.0
         if keep.all():
             return values, codes, slots, offsets

@@ -381,14 +381,27 @@ class TensorAllocation:
         virtual = block_of[index]
         return virtual, slot_of[index], counts[virtual]
 
-    def combine(self, located) -> tuple[np.ndarray, np.ndarray]:
+    def combine(self, located, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Codes and slots of the prefix-major product of per-axis
-        :meth:`locate_axis` results (the first axis's used as they are)."""
-        (codes, slots, _), *rest = located
-        for n_virtual, (virtual, slot, count) in zip(self._tables[1][1:], rest):
-            codes = np.add.outer(codes * n_virtual, virtual).ravel()
-            slots = (np.multiply.outer(slots, count) + slot).ravel()
-        return codes, slots
+        :meth:`locate_axis` results (the first axis's used as they are).
+        The last axis joins the product of the others in one broadcast
+        step, written into ``out`` — a ``(codes, slots)`` pair of flat
+        arrays of the product's length — when it is given."""
+        *head, (virtual, slot, count) = located
+        if not head:
+            if out is None:
+                return virtual, slot
+            out[0][:], out[1][:] = virtual, slot
+            return out
+        codes, slots = self.combine(head)
+        shape = len(codes), len(virtual)
+        codes_out, slots_out = (None, None) if out is None else (
+            out[0].reshape(shape), out[1].reshape(shape))
+        codes_out = np.add((codes * self._tables[1][len(head)])[:, None], virtual,
+                           out=codes_out)
+        slots_out = np.multiply(slots[:, None], count, out=slots_out)
+        slots_out += slot
+        return codes_out.ravel(), slots_out.ravel()
 
     def locate_product(self, axis_indices) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`locate` of the prefix-major Cartesian product of one

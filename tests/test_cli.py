@@ -169,11 +169,20 @@ class TestExplainCommand:
         assert answer(pinned) != answer(live)
 
 
+class TestStatsCommand:
+    def test_stats_reports_its_own_run(self, capsys):
+        with use_registry(MetricsRegistry()) as outer:
+            outer.counter("query.exact.queries").inc(1000)
+            assert main(["stats", "--json"]) == 0
+        counters = json.loads(capsys.readouterr().out)["counters"]
+        assert 0 < counters["query.exact.queries"] < 1000
+        assert outer.counter("query.exact.queries").value == 1000
+        assert outer.counter("storage.pool.hits").value == 0
+
+
 class TestChaosCommand:
     def test_chaos_exits_zero_under_faults(self, capsys):
-        # A fresh registry, so the counts are this drill's alone.
-        with use_registry(MetricsRegistry()):
-            assert main(["chaos", "--fault-rate", "0.05"]) == 0
+        assert main(["chaos", "--fault-rate", "0.05"]) == 0
         out = capsys.readouterr().out
         assert "chaos drill" in out
         assert "breaker" in out
@@ -184,6 +193,21 @@ class TestChaosCommand:
             r"injected faults : (\d+) read, (\d+) torn, (\d+) slow", out
         )
         assert sum(map(int, injected.groups())) > 10
+
+    def test_chaos_reports_its_own_run(self, capsys):
+        # The drill counts into a registry of its own: run twice in one
+        # process, it prints the same report, and the caller's registry
+        # neither feeds the report nor receives the drill's counts.
+        with use_registry(MetricsRegistry()) as outer:
+            outer.counter("retry.retries").inc(1000)
+            reports = []
+            for _ in range(2):
+                assert main(["chaos", "--fault-rate", "0.05"]) == 0
+                reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert "retries/recovers: 1000" not in reports[0]
+        assert outer.counter("retry.retries").value == 1000
+        assert outer.counter("faults.injected.read_errors").value == 0
 
     def test_chaos_fault_free_control_run(self, capsys):
         assert main(["chaos", "--fault-rate", "0"]) == 0

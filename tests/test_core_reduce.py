@@ -1,7 +1,8 @@
 """The one reduction order (``repro.core.reduce``) and the bits it buys.
 
 Unit tests pin the module's contract: a segment of ``segmented_dot``
-is the ``dot`` of that segment, ``sum_squares`` reads scattered
+is the ``dot`` of that segment, shuffled among others or in runs of
+one length, ``sum_squares`` reads scattered
 segments as ``segmented_dot`` reads packed ones, a stacked ``dot`` is the ``dot`` of each
 row, ``dot_columns`` adds its columns in the order ``dot`` adds a row
 and ``dot_row`` adds a row of Python floats in that order, empty input sums to ``0.0`` and a strided view reduces like its
@@ -48,6 +49,14 @@ SEGMENT_LENGTHS = st.one_of(
 )
 
 
+def per_segment_reference(a, b, offsets) -> np.ndarray:
+    """Each segment's own ``np.add.reduce`` of the products."""
+    products = a * b
+    return np.array([
+        np.add.reduce(products[lo:hi]) for lo, hi in zip(offsets, offsets[1:])
+    ], dtype=float)
+
+
 class TestReduce:
     def test_each_segment_is_the_dot_of_that_segment(self):
         a, b = RNG.normal(size=(2, 300))
@@ -76,11 +85,42 @@ class TestReduce:
         a, b = rng.normal(size=(2, offsets[-1])) * 10.0 ** rng.integers(
             -8, 8, (2, offsets[-1])
         )
-        products = a * b
-        want = np.array([
-            np.add.reduce(products[lo:hi])
-            for lo, hi in zip(offsets, offsets[1:])
-        ], dtype=float)
+        want = per_segment_reference(a, b, offsets)
+        assert segmented_dot(a, b, offsets).tobytes() == want.tobytes()
+
+    def test_each_length_class_in_adjacent_runs(self):
+        # Unshuffled: runs of each length class side by side, empty
+        # runs between non-empty ones, before them and at the end.
+        lengths = [0, 0, 1, 1, 1, 0, 5, 5, 5, 5, 0, 0, 200, 200, 1, 7, 0]
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        a, b = RNG.normal(size=(2, offsets[-1]))
+        got = segmented_dot(a, b, offsets)
+        assert got.tobytes() == per_segment_reference(a, b, offsets).tobytes()
+        assert got[np.array(lengths) == 0].tobytes() == bytes(8 * lengths.count(0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(SEGMENT_LENGTHS, st.integers(1, 8), st.integers(0, 3)),
+            max_size=8,
+        ),
+        trailing=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_adjacent_runs_match_the_per_segment_reference(
+        self, runs, trailing, seed
+    ):
+        # Each run: ``count`` segments of one length, then ``empties``
+        # empty ones; the stack ends in a run of empty segments.
+        lengths = [0] * trailing
+        for length, count, empties in reversed(runs):
+            lengths = [length] * count + [0] * empties + lengths
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(2, offsets[-1])) * 10.0 ** rng.integers(
+            -8, 8, (2, offsets[-1])
+        )
+        want = per_segment_reference(a, b, offsets)
         assert segmented_dot(a, b, offsets).tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
