@@ -443,15 +443,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run every architectural-invariant check (``repro.lint``) once.
 
-    One parse of ``ROOT/src/repro`` feeds the nine per-file rules and
-    the five whole-program analyzers.  Exits 0 when every check is
-    clean (or explicitly suppressed with a justification comment), 1
-    when any error-severity finding remains, 2 when ``ROOT`` has no
-    source tree — the contract the lint CI job gates on.
+    One parse of ``ROOT/src/repro`` feeds every per-file rule and
+    whole-program analyzer.  Exits 0 when every check is clean (or
+    explicitly suppressed with a justification comment), 1 when any
+    finding remains (every finding is an error), 2 when ``ROOT`` has
+    no source tree — the contract the lint CI job gates on.
     """
     import json
 
-    from repro.lint import LintError, checks, lint_tree
+    from repro.lint.analysis import checks, lint_tree
+    from repro.lint.engine import LintError
 
     try:
         findings = lint_tree(args.root).findings
@@ -459,24 +460,23 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"aims lint: {exc}", file=sys.stderr)
         return 2
     catalogue = checks()
-    errors = sum(1 for f in findings if f.severity == "error")
-    warnings = len(findings) - errors
+    errors = len(findings)
     if args.format == "json":
+        # repro.lint/v1 keeps its severity and warnings keys.
         print(json.dumps({
             "schema": "repro.lint/v1",
             "rules": [
-                {"id": c.rule_id, "severity": c.severity,
+                {"id": c.rule_id, "severity": "error",
                  "description": c.description}
                 for c in catalogue
             ],
             "findings": [f.as_dict() for f in findings],
-            "summary": {"errors": errors, "warnings": warnings},
+            "summary": {"errors": errors, "warnings": 0},
         }, indent=2))
     else:
         for finding in findings:
             print(finding.format())
-        print(f"aims lint: {errors} error(s), {warnings} warning(s) "
-              f"({len(catalogue)} rule(s))")
+        print(f"aims lint: {errors} error(s) ({len(catalogue)} rule(s))")
     return 1 if errors else 0
 
 

@@ -9,10 +9,10 @@ ring, the backend handles, per-tenant quota settings and in-flight
 counts — which is what makes the tier horizontally scalable: add
 frontends freely, kill any of them harmlessly.
 
-Statelessness is enforced *by construction*: the
-``layering-cluster-boundary`` lint rule forbids this module from
-constructing engines, query/ingest services or backend nodes.  The
-frontend can only route to backends it was handed.
+Statelessness is enforced *by construction*: CI's cluster-boundary
+grep forbids this module from constructing engines, query/ingest
+services or backend nodes.  The frontend can only route to backends it
+was handed.
 
 Admission is layered: the frontend's per-tenant quota (greedy tenants
 rejected with :class:`QuotaExceeded` before their work touches a

@@ -1,10 +1,10 @@
 """The one lint pass: per-file rules and whole-program analyzers.
 
 :func:`lint_tree` parses every file under ``<root>/src/repro`` once
-into a :class:`~repro.lint.engine.FileContext`, runs the ten per-file
-rules on it, and reduces it with
+into a :class:`~repro.lint.engine.FileContext`, runs every per-file
+rule on it, and reduces it with
 :func:`~repro.lint.analysis.model.summarize` into the
-:class:`~repro.lint.analysis.model.ProjectModel`.  The four cross-file
+:class:`~repro.lint.analysis.model.ProjectModel`.  The cross-file
 analyzers then run over that model:
 
 * ``deep-lockset-race`` — attributes mutated both inside and outside a
@@ -56,7 +56,7 @@ def _analyzers() -> list:
 
 
 def checks() -> list:
-    """All fourteen checks — per-file rules and analyzers — id-ordered."""
+    """Every check — per-file rules and analyzers — id-ordered."""
     return sorted([*all_rules(), *_analyzers()], key=lambda c: c.rule_id)
 
 

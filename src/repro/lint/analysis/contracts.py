@@ -54,7 +54,6 @@ class ExceptionContractAnalyzer:
     """Flag builtin raises reachable from boundary entry points."""
 
     rule_id = "deep-exception-contract"
-    severity = "error"
     description = (
         "public entry points in the boundary packages let only "
         "AIMSError subclasses escape; wrap builtin raises in a typed "
@@ -101,7 +100,6 @@ class ExceptionContractAnalyzer:
                         file=mod.path,
                         line=site.line,
                         rule_id=self.rule_id,
-                        severity=self.severity,
                         message=(
                             f"raise {site.exc} can escape public entry "
                             f"point {entry}; raise an AIMSError "

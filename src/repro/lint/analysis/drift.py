@@ -154,7 +154,6 @@ class MetricDriftAnalyzer:
     """Two-way diff of metric registrations vs. the doc catalogues."""
 
     rule_id = "deep-metric-drift"
-    severity = "error"
     description = (
         "every registered metric name is documented in the catalogue "
         "docs, and every catalogue row names a series code can produce"
@@ -254,8 +253,7 @@ class MetricDriftAnalyzer:
 
     def _finding(self, path: str, line: int, message: str) -> Finding:
         return Finding(
-            file=path, line=line, rule_id=self.rule_id,
-            severity=self.severity, message=message,
+            file=path, line=line, rule_id=self.rule_id, message=message,
         )
 
 
@@ -263,7 +261,6 @@ class SchemaDriftAnalyzer:
     """Two-way diff of ``repro.*/vN`` schema strings vs. the docs."""
 
     rule_id = "deep-schema-drift"
-    severity = "error"
     description = (
         "every repro.*/vN schema string in code is documented, and "
         "every documented schema exists in code"
@@ -305,7 +302,6 @@ class SchemaDriftAnalyzer:
             path, line = code[schema]
             findings.append(Finding(
                 file=path, line=line, rule_id=self.rule_id,
-                severity=self.severity,
                 message=(
                     f"schema {schema!r} appears in code but in none of "
                     f"the docs ({', '.join(CATALOGUE_DOCS)}); document the "
@@ -316,7 +312,6 @@ class SchemaDriftAnalyzer:
             path, line = docs[schema]
             findings.append(Finding(
                 file=path, line=line, rule_id=self.rule_id,
-                severity=self.severity,
                 message=(
                     f"docs describe schema {schema!r} but nothing in "
                     f"the scanned roots produces it; the spec is stale"

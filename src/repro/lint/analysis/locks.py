@@ -81,7 +81,6 @@ class LocksetRaceAnalyzer:
     """Flag attributes mutated both under and outside a class's locks."""
 
     rule_id = "deep-lockset-race"
-    severity = "error"
     description = (
         "an attribute of a lock-owning class is mutated both inside "
         "and outside its critical sections (lost-update candidate)"
@@ -132,7 +131,6 @@ class LocksetRaceAnalyzer:
                     file=summary.path,
                     line=u_line,
                     rule_id=self.rule_id,
-                    severity=self.severity,
                     message=(
                         f"{cls.name}.{u_method} mutates self.{path} "
                         f"with no lock held, but {cls.name}.{g_method} "

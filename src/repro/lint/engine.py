@@ -1,11 +1,12 @@
 """The AST-walking rule engine behind ``aims lint``.
 
-The repo's architectural contracts — layering, lock discipline, seeded
-randomness, observability coverage — used to live in one grep-based
-meta-test and in reviewers' heads.  This engine makes them first-class:
-each contract is a :class:`Rule` over a parsed :class:`FileContext`,
-producing :class:`Finding` records that the CLI renders as text or JSON
-and CI gates on.
+The repo's architectural contracts — layering, lock discipline, one
+reduction order, observability coverage — used to live in one
+grep-based meta-test and in reviewers' heads.  This engine makes the
+ones no grep can hold first-class: each contract is a :class:`BaseRule`
+over a parsed :class:`FileContext`, producing :class:`Finding` records
+that the CLI renders as text or JSON and CI gates on.  Every finding is
+an error.
 
 Suppression is per line: a ``# lint: ignore[rule-id]`` comment (with a
 trailing justification) silences that rule on that line, and
@@ -25,7 +26,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable
 
 from repro.core.errors import AIMSError
 
@@ -35,7 +36,6 @@ __all__ = [
     "FileContext",
     "LintEngine",
     "LintError",
-    "Rule",
     "Suppressions",
     "all_rules",
     "get_rule",
@@ -44,43 +44,35 @@ __all__ = [
     "repo_root",
 ]
 
-#: Finding severities, most severe first.  Only ``error`` findings make
-#: ``aims lint`` exit non-zero; ``warning`` findings are advisory.
-SEVERITIES = ("error", "warning")
-
 #: Rule id reserved for files the engine cannot parse.
 PARSE_ERROR_RULE = "parse-error"
 
 
 class LintError(AIMSError):
-    """A lint run that cannot proceed (unknown rule id, bad severity,
-    no source tree to lint)."""
+    """A lint run that cannot proceed (unknown rule id, no source tree
+    to lint)."""
 
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at one source location."""
+    """One rule violation at one source location; every one is an error."""
 
     file: str
     line: int
     rule_id: str
-    severity: str
     message: str
 
     def format(self) -> str:
-        """The one-line human rendering: ``file:line: [rule] message``."""
-        return (
-            f"{self.file}:{self.line}: {self.severity}: "
-            f"[{self.rule_id}] {self.message}"
-        )
+        """The one-line human rendering: ``file:line: error: [rule] message``."""
+        return f"{self.file}:{self.line}: error: [{self.rule_id}] {self.message}"
 
     def as_dict(self) -> dict:
-        """JSON-exporter form."""
+        """JSON-exporter form (``repro.lint/v1`` keeps its severity key)."""
         return {
             "file": self.file,
             "line": self.line,
             "rule_id": self.rule_id,
-            "severity": self.severity,
+            "severity": "error",
             "message": self.message,
         }
 
@@ -156,24 +148,10 @@ class FileContext:
         return self.suppressions.is_suppressed(line, rule_id)
 
 
-@runtime_checkable
-class Rule(Protocol):
-    """What every lint rule provides: identity, severity, and a checker."""
-
-    rule_id: str
-    severity: str
-    description: str
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        """Yield every violation of this rule in one file."""
-        ...
-
-
 class BaseRule:
-    """Convenience base: carries the metadata, builds findings."""
+    """What every per-file rule is: an id, a description and a checker."""
 
     rule_id: str = ""
-    severity: str = "error"
     description: str = ""
 
     def finding(self, ctx: FileContext, node, message: str) -> Finding:
@@ -183,7 +161,6 @@ class BaseRule:
             file=ctx.path,
             line=line,
             rule_id=self.rule_id,
-            severity=self.severity,
             message=message,
         )
 
@@ -192,7 +169,7 @@ class BaseRule:
         raise NotImplementedError
 
 
-_REGISTRY: dict[str, Rule] = {}
+_REGISTRY: dict[str, BaseRule] = {}
 
 
 def register(cls):
@@ -200,11 +177,6 @@ def register(cls):
     rule = cls()
     if not rule.rule_id:
         raise LintError(f"rule {cls.__name__} has no rule_id")
-    if rule.severity not in SEVERITIES:
-        raise LintError(
-            f"rule {rule.rule_id}: severity must be one of {SEVERITIES}, "
-            f"got {rule.severity!r}"
-        )
     if rule.rule_id in _REGISTRY:
         raise LintError(f"duplicate rule id {rule.rule_id!r}")
     _REGISTRY[rule.rule_id] = rule
@@ -222,13 +194,13 @@ def _load_rule_packs() -> None:
     )
 
 
-def all_rules() -> list[Rule]:
+def all_rules() -> list[BaseRule]:
     """Every registered rule, id-ordered."""
     _load_rule_packs()
     return [_REGISTRY[k] for k in sorted(_REGISTRY)]
 
 
-def get_rule(rule_id: str) -> Rule:
+def get_rule(rule_id: str) -> BaseRule:
     """Look one rule up by id."""
     _load_rule_packs()
     try:
@@ -252,7 +224,6 @@ def parse(path: str, source: str) -> FileContext | Finding:
             file=Path(path).as_posix(),
             line=exc.lineno or 1,
             rule_id=PARSE_ERROR_RULE,
-            severity="error",
             message=f"file does not parse: {exc.msg}",
         )
 
@@ -260,8 +231,8 @@ def parse(path: str, source: str) -> FileContext | Finding:
 class LintEngine:
     """Runs a rule set over parsed files or source text."""
 
-    def __init__(self, rules: Iterable[Rule] | None = None) -> None:
-        self.rules: list[Rule] = (
+    def __init__(self, rules: Iterable[BaseRule] | None = None) -> None:
+        self.rules: list[BaseRule] = (
             list(rules) if rules is not None else all_rules()
         )
 

@@ -100,7 +100,6 @@ def _walk_lock_body(body):
 @register
 class LockBlockingRule(BaseRule):
     rule_id = "lock-no-blocking"
-    severity = "error"
     description = (
         "no sleeping, blocking I/O, callback invocation, or calls into "
         "self.inner while holding a lock"
@@ -168,7 +167,6 @@ class LockBlockingRule(BaseRule):
 @register
 class LockWithOnlyRule(BaseRule):
     rule_id = "lock-with-only"
-    severity = "error"
     description = (
         "locks are acquired via `with`, never bare acquire()/release()"
     )
@@ -198,7 +196,6 @@ class LockWithOnlyRule(BaseRule):
 @register
 class LockNamingRule(BaseRule):
     rule_id = "lock-naming"
-    severity = "error"
     description = (
         "lock attributes are named _lock or _*_lock so critical "
         "sections are recognizable"

@@ -1,18 +1,5 @@
-"""Determinism rules: every random draw in the library is seeded, and
-every float reduction on the query, insert and populate paths has one
-order.
-
-The benchmark suite's claims (EXPERIMENTS.md) are reproducible only
-because every stochastic component draws from an explicitly seeded
-generator — ``np.random.default_rng(seed)`` or ``random.Random(seed)``.
-``determinism-seeded-rng`` bans the global-state alternatives inside
-``src/repro``: module-level ``np.random.*`` convenience functions,
-module-level ``random.*`` draws (whether called as ``random.shuffle``
-or imported bare via ``from random import shuffle``), unseeded
-``default_rng()`` / ``Random()`` and ``SystemRandom`` (unseedable by
-design).  Wall-clock seeds — ``Random(time.time())`` — need no rule:
-only ``repro.core.clock`` may import ``time``, and CI's one-clock grep
-holds that for every import form.
+"""Determinism rule: every float reduction on the query, insert and
+populate paths has one order.
 
 ``determinism-reduction`` keeps the pinned bits of every answer off
 the machine: in ``repro.query``, ``repro.storage`` and
@@ -25,6 +12,10 @@ swaps the interpreter's ``sum`` in every module of those packages
 instead; and a method ``x.dot(y)`` cannot be told from ndarray's BLAS
 ``dot`` without types (``SparseWaveletVector.dot`` is one such method),
 so none is flagged and review keeps ndarray's out.
+
+Seeded randomness (no global ``np.random.*`` or ``random.*`` draw, no
+unseeded or unseedable generator) is a textual invariant, held by a
+grep in CI's ``lint-invariants`` job.
 """
 
 from __future__ import annotations
@@ -34,24 +25,7 @@ from typing import Iterable
 
 from repro.lint.engine import BaseRule, FileContext, Finding, register
 
-__all__ = ["ReductionOrderRule", "SeededRngRule"]
-
-#: ``np.random`` members that are fine: seeded-generator entry points.
-NP_RANDOM_ALLOWED = frozenset(
-    {"Generator", "SeedSequence", "BitGenerator", "PCG64", "Philox",
-     "default_rng"}
-)
-
-#: ``random``-module draw functions that mutate the hidden global RNG.
-RANDOM_MODULE_DRAWS = frozenset(
-    {
-        "betavariate", "choice", "choices", "expovariate", "gauss",
-        "getrandbits", "lognormvariate", "normalvariate", "paretovariate",
-        "randbytes", "randint", "random", "randrange", "sample", "seed",
-        "shuffle", "triangular", "uniform", "vonmisesvariate",
-        "weibullvariate",
-    }
-)
+__all__ = ["ReductionOrderRule"]
 
 
 def _imported_names(tree: ast.AST) -> dict[str, str]:
@@ -76,125 +50,6 @@ def _from_imported(tree: ast.AST) -> dict[str, tuple[str, str]]:
     return out
 
 
-@register
-class SeededRngRule(BaseRule):
-    rule_id = "determinism-seeded-rng"
-    severity = "error"
-    description = (
-        "library code draws randomness from seeded generators only "
-        "(np.random.default_rng(seed) / random.Random(seed))"
-    )
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        """Yield every violation of this rule in one file."""
-        if not ctx.in_package("repro"):
-            return
-        imports = _imported_names(ctx.tree)
-        from_imports = _from_imported(ctx.tree)
-        numpy_aliases = {
-            alias for alias, mod in imports.items() if mod == "numpy"
-        }
-        random_aliases = {
-            alias for alias, mod in imports.items() if mod == "random"
-        }
-        # Bare names that are really random-module draws / constructors
-        # (``from random import shuffle``).
-        bare_draws = {
-            alias for alias, (mod, name) in from_imports.items()
-            if mod == "random" and name in RANDOM_MODULE_DRAWS
-        }
-        bare_ctors = {
-            alias: name for alias, (mod, name) in from_imports.items()
-            if (mod == "random" and name in ("Random", "SystemRandom"))
-            or (mod == "numpy.random" and name == "default_rng")
-        }
-
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                if func.id in bare_draws:
-                    _, origin = from_imports[func.id]
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{func.id}() is random.{origin} imported "
-                        f"bare; it draws from the hidden global RNG — "
-                        f"use a seeded random.Random(seed) instead",
-                    )
-                elif func.id in bare_ctors:
-                    origin = bare_ctors[func.id]
-                    if origin == "SystemRandom":
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "random.SystemRandom is unseedable; "
-                            "benchmarks cannot replay its draws",
-                        )
-                    elif not node.args and not node.keywords:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"{origin}() without a seed; pass an "
-                            f"explicit seed for reproducible runs",
-                        )
-                continue
-            if not isinstance(func, ast.Attribute):
-                continue
-            value = func.value
-            # np.random.<fn>(...)
-            if (
-                isinstance(value, ast.Attribute)
-                and value.attr == "random"
-                and isinstance(value.value, ast.Name)
-                and value.value.id in numpy_aliases
-            ):
-                if func.attr == "default_rng":
-                    if not node.args and not node.keywords:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "np.random.default_rng() without a seed; "
-                            "pass an explicit seed for reproducible runs",
-                        )
-                elif func.attr not in NP_RANDOM_ALLOWED:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"np.random.{func.attr}() uses numpy's hidden "
-                        f"global RNG; draw from a seeded "
-                        f"np.random.default_rng(seed) instead",
-                    )
-            # random.<fn>(...)
-            elif (
-                isinstance(value, ast.Name) and value.id in random_aliases
-            ):
-                if func.attr in RANDOM_MODULE_DRAWS:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"random.{func.attr}() uses the hidden global "
-                        f"RNG; draw from a seeded random.Random(seed) "
-                        f"instead",
-                    )
-                elif func.attr == "Random":
-                    if not node.args and not node.keywords:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "random.Random() without a seed; pass an "
-                            "explicit seed for reproducible runs",
-                        )
-                elif func.attr == "SystemRandom":
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "random.SystemRandom is unseedable; benchmarks "
-                        "cannot replay its draws",
-                    )
-
-
 #: Reducers whose order the machine or the library picks, by the dotted
 #: name they resolve to through a file's imports.
 ORDER_CHOOSING_REDUCERS = frozenset(
@@ -207,7 +62,6 @@ ORDER_CHOOSING_REDUCERS = frozenset(
 @register
 class ReductionOrderRule(BaseRule):
     rule_id = "determinism-reduction"
-    severity = "error"
     description = (
         "float reductions in repro.query / repro.storage / repro.wavelets "
         "go through repro.core.reduce (no BLAS, @ or math.fsum)"

@@ -89,7 +89,6 @@ def _touches_obs(cls: ast.ClassDef) -> bool:
 @register
 class ObsCoverageRule(BaseRule):
     rule_id = "obs-coverage"
-    severity = "error"
     description = (
         "BlockDevice implementations and the named data-path executors "
         "(QueryService, BatchEvaluator, BatchInserter, IngestService, "

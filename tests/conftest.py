@@ -22,7 +22,8 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.clock import SimClock
-from repro.lint import lint_tree, lockwatch
+from repro.lint import lockwatch
+from repro.lint.analysis import lint_tree
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,8 @@ import textwrap
 
 import pytest
 
-from repro.lint import LintError, lint_tree, repo_root
+from repro.lint.analysis import checks, lint_tree
+from repro.lint.engine import LintError, repo_root
 
 
 def write_tree(root, files):
@@ -346,7 +347,7 @@ class TestDrift:
         assert len(drift) == 1
         assert "totally.new.metric" in drift[0].message
         assert drift[0].file == "src/repro/m.py"
-        assert drift[0].severity == "error"
+        assert drift[0].as_dict()["severity"] == "error"
 
     def test_stale_catalogue_row_fails_at_the_doc_line(self, tmp_path):
         write_tree(tmp_path, {
@@ -396,22 +397,13 @@ class TestDrift:
         assert drift["repro.fixture/v1"].file == "DESIGN.md"
 
 
-#: One violation of each of the fourteen checks, a suppressed deep
-#: finding, and a file that does not parse.
+#: One violation of every check, a suppressed deep finding, and a file
+#: that does not parse.
 RULE_TREE = {
     "src/repro/broken.py": "def broken(:\n",
-    "src/repro/acquisition/tap.py": """
-        from repro.storage.blockstore import BlockStore
-        """,
     "src/repro/query/helper.py": """
-        from repro.storage.codec import encode_block
-
-
         def build(inner):
             return CachingDevice(inner, capacity=4)
-        """,
-    "src/repro/cluster/frontend.py": """
-        node = BackendNode("backend-0")
         """,
     "src/repro/streams/pump.py": """
         import threading
@@ -429,11 +421,6 @@ RULE_TREE = {
 
             def grab(self):
                 self._lock.acquire()
-        """,
-    "src/repro/analysis/noise.py": """
-        import numpy as np
-
-        x = np.random.rand(3)
         """,
     "src/repro/storage/plain.py": """
         class PlainDevice:
@@ -485,20 +472,12 @@ RULE_TREE = {
 
 #: What the per-file engine and the separate deep run reported on
 #: RULE_TREE before they became one pass — less the deep run's second
-#: parse-error for ``broken.py`` and the lock-order analyzer since
-#: deleted — and the reduction rule added since.
+#: parse-error for ``broken.py``, the lock-order analyzer since deleted
+#: and the four rules that became CI greps — and the reduction rule
+#: added since.
 RULE_FINDINGS = [
-    ("src/repro/acquisition/tap.py", 2, "layering-import-boundary",
-     "repro.acquisition.tap imports repro.storage.blockstore: acquisition "
-     "hands samples to the facade; it never touches storage directly"),
-    ("src/repro/analysis/noise.py", 4, "determinism-seeded-rng",
-     "np.random.rand() uses numpy's hidden global RNG; draw from a "
-     "seeded np.random.default_rng(seed) instead"),
     ("src/repro/broken.py", 1, "parse-error",
      "file does not parse: invalid syntax"),
-    ("src/repro/cluster/frontend.py", 2, "layering-cluster-boundary",
-     "BackendNode constructed in repro.cluster.frontend; backends are "
-     "built by repro.cluster.backend or the AIMS facade"),
     ("src/repro/core/engine.py", 15, "deep-lockset-race",
      "Engine.insert mutates self._norm with no lock held, but "
      "Engine.insert_batch mutates it under _update_lock (line 12); "
@@ -511,10 +490,7 @@ RULE_FINDINGS = [
      "metric 'fix.undocumented' is registered here but absent from the "
      "catalogues (DESIGN.md, docs/OPERATIONS.md, docs/REPLAY.md); "
      "document it or drop the series"),
-    ("src/repro/query/helper.py", 2, "layering-codec-containment",
-     "repro.query.helper reaches into repro.storage.codec; framing "
-     "belongs to CrcFramedDevice"),
-    ("src/repro/query/helper.py", 6, "layering-middleware-construction",
+    ("src/repro/query/helper.py", 3, "layering-middleware-construction",
      "CachingDevice constructed outside the device-stack builder; "
      "declare a StorageSpec (or extend StorageSpec.build) instead"),
     ("src/repro/storage/dev.py", 4, "deep-exception-contract",
@@ -547,8 +523,10 @@ class TestOnePass:
         assert [
             (f.file, f.line, f.rule_id, f.message) for f in findings
         ] == RULE_FINDINGS
-        assert {f.severity for f in findings} == {"error"}
-        assert len({f.rule_id for f in findings}) == 15  # 14 + parse-error
+        assert {f.as_dict()["severity"] for f in findings} == {"error"}
+        assert {f.rule_id for f in findings} == {
+            "parse-error", *(c.rule_id for c in checks())
+        }
 
     def test_missing_source_tree_is_an_error_not_a_clean_run(self, tmp_path):
         with pytest.raises(LintError):
@@ -571,5 +549,5 @@ class TestRealTree:
         code, out = repo_lint_cli
         assert code == 0
         assert out.rstrip().endswith(
-            "aims lint: 0 error(s), 0 warning(s) (14 rule(s))"
+            f"aims lint: 0 error(s) ({len(checks())} rule(s))"
         )

@@ -13,8 +13,14 @@ import textwrap
 import pytest
 
 from repro.cli import main as cli_main
-from repro.lint import LintEngine, LintError, all_rules, get_rule
-from repro.lint.engine import PARSE_ERROR_RULE
+from repro.lint.analysis import checks
+from repro.lint.engine import (
+    PARSE_ERROR_RULE,
+    LintEngine,
+    LintError,
+    all_rules,
+    get_rule,
+)
 
 
 def findings_for(source, path, rule_id=None):
@@ -30,13 +36,9 @@ class TestEngine:
     def test_registry_has_the_advertised_rule_pack(self):
         expected = {
             "layering-middleware-construction",
-            "layering-import-boundary",
-            "layering-codec-containment",
-            "layering-cluster-boundary",
             "lock-no-blocking",
             "lock-with-only",
             "lock-naming",
-            "determinism-seeded-rng",
             "determinism-reduction",
             "obs-coverage",
         }
@@ -49,7 +51,7 @@ class TestEngine:
     def test_parse_error_becomes_a_finding(self):
         findings = findings_for("def broken(:\n", "src/repro/x.py")
         assert ids(findings) == [PARSE_ERROR_RULE]
-        assert findings[0].severity == "error"
+        assert findings[0].format().startswith("src/repro/x.py:1: error:")
 
     def test_findings_carry_file_line_and_sort_stably(self):
         source = """
@@ -104,19 +106,18 @@ class TestSuppression:
         # One line can violate several rules; a single comma-separated
         # ignore covers exactly the listed ids.
         source = """
-        import random
         import time
+        import numpy as np
 
         class C:
-            def f(self):
+            def f(self, a, b):
                 with self._lock:
-                    time.sleep(random.random())  # lint: ignore[lock-no-blocking, determinism-seeded-rng] — fixture
+                    time.sleep(np.dot(a, b))  # lint: ignore[lock-no-blocking, determinism-reduction] — fixture
         """
-        assert findings_for(source, "src/repro/x.py") == []
-        partial = source.replace(", determinism-seeded-rng", "")
-        assert ids(findings_for(partial, "src/repro/x.py")) == [
-            "determinism-seeded-rng"
-        ]
+        path = "src/repro/query/x.py"
+        assert findings_for(source, path) == []
+        partial = source.replace(", determinism-reduction", "")
+        assert ids(findings_for(partial, path)) == ["determinism-reduction"]
 
     def test_parse_errors_are_not_suppressible(self):
         # The suppression table comes from the parsed file; a file that
@@ -185,82 +186,6 @@ class TestLayeringRules:
             assert findings_for(
                 source, path, "layering-middleware-construction"
             ) == [], path
-
-    def test_acquisition_importing_storage_flagged(self):
-        source = "from repro.storage.blockstore import BlockStore\n"
-        (finding,) = findings_for(
-            source, "src/repro/acquisition/x.py", "layering-import-boundary"
-        )
-        assert "repro.storage" in finding.message
-
-    def test_sensors_importing_storage_flagged(self):
-        source = "import repro.storage\n"
-        assert ids(findings_for(
-            source, "src/repro/sensors/x.py", "layering-import-boundary"
-        )) == ["layering-import-boundary"]
-
-    def test_query_importing_online_flagged(self):
-        source = "from repro.online.recognizer import Recognizer\n"
-        assert ids(findings_for(
-            source, "src/repro/query/x.py", "layering-import-boundary"
-        )) == ["layering-import-boundary"]
-
-    def test_online_may_import_query(self):
-        source = "from repro.query.propolyne import ProPolyneEngine\n"
-        assert findings_for(
-            source, "src/repro/online/x.py", "layering-import-boundary"
-        ) == []
-
-    def test_codec_import_outside_stack_flagged(self):
-        source = "from repro.storage.codec import encode_block\n"
-        assert ids(findings_for(
-            source, "src/repro/query/x.py", "layering-codec-containment"
-        )) == ["layering-codec-containment"]
-
-    def test_codec_allowed_inside_the_crc_layer(self):
-        source = "from repro.storage.codec import encode_block\n"
-        assert findings_for(
-            source, "src/repro/storage/device.py",
-            "layering-codec-containment",
-        ) == []
-
-
-class TestClusterBoundaryRule:
-    def test_backend_node_outside_builders_flagged(self):
-        source = "node = BackendNode('backend-0')\n"
-        (finding,) = findings_for(
-            source, "src/repro/cli.py", "layering-cluster-boundary"
-        )
-        assert "BackendNode" in finding.message
-
-    def test_backend_builders_may_construct(self):
-        source = "node = BackendNode('backend-0')\n"
-        for path in (
-            "src/repro/cluster/backend.py",
-            "src/repro/cluster/__init__.py",
-            "src/repro/core/aims.py",
-        ):
-            assert findings_for(
-                source, path, "layering-cluster-boundary"
-            ) == [], path
-
-    def test_stateful_constructors_in_frontend_flagged(self):
-        for name in (
-            "ProPolyneEngine", "QueryService", "IngestService",
-            "BatchInserter", "TensorBlockStore",
-        ):
-            source = f"x = {name}(arg)\n"
-            assert ids(findings_for(
-                source, "src/repro/cluster/frontend.py",
-                "layering-cluster-boundary",
-            )) == ["layering-cluster-boundary"], name
-
-    def test_backend_module_may_construct_services(self):
-        source = "service = QueryService(engine, workers=2)\n"
-        assert findings_for(
-            source, "src/repro/cluster/backend.py",
-            "layering-cluster-boundary",
-        ) == []
 
     def test_replicated_device_is_middleware_guarded(self):
         source = "x = ReplicatedDevice([a, b])\n"
@@ -449,102 +374,6 @@ class TestConcurrencyRules:
         ) == []
 
 
-class TestDeterminismRules:
-    def test_global_numpy_rng_flagged(self):
-        source = "import numpy as np\nx = np.random.rand(3)\n"
-        assert ids(findings_for(
-            source, "src/repro/analysis/x.py", "determinism-seeded-rng"
-        )) == ["determinism-seeded-rng"]
-
-    def test_submodule_import_binds_the_package(self):
-        # ``import numpy.random`` binds ``numpy``, so its draws resolve.
-        source = "import numpy.random\nx = numpy.random.rand(3)\n"
-        assert ids(findings_for(
-            source, "src/repro/analysis/x.py", "determinism-seeded-rng"
-        )) == ["determinism-seeded-rng"]
-        # An aliased submodule binds the submodule; its bare draws are
-        # not resolved, as before.
-        source = "import numpy.random as npr\nx = npr.rand(3)\n"
-        assert findings_for(
-            source, "src/repro/analysis/x.py", "determinism-seeded-rng"
-        ) == []
-
-    def test_unseeded_default_rng_flagged(self):
-        source = "import numpy as np\nrng = np.random.default_rng()\n"
-        assert ids(findings_for(
-            source, "src/repro/analysis/x.py", "determinism-seeded-rng"
-        )) == ["determinism-seeded-rng"]
-
-    def test_seeded_default_rng_clean(self):
-        source = "import numpy as np\nrng = np.random.default_rng(2003)\n"
-        assert findings_for(
-            source, "src/repro/analysis/x.py", "determinism-seeded-rng"
-        ) == []
-
-    def test_random_module_draw_flagged(self):
-        source = "import random\nx = random.random()\n"
-        assert ids(findings_for(
-            source, "src/repro/faults/x.py", "determinism-seeded-rng"
-        )) == ["determinism-seeded-rng"]
-
-    def test_unseeded_random_instance_flagged(self):
-        source = "import random\nrng = random.Random()\n"
-        assert ids(findings_for(
-            source, "src/repro/faults/x.py", "determinism-seeded-rng"
-        )) == ["determinism-seeded-rng"]
-
-    def test_seeded_random_instance_clean(self):
-        source = "import random\nrng = random.Random(17)\n"
-        assert findings_for(
-            source, "src/repro/faults/x.py", "determinism-seeded-rng"
-        ) == []
-
-    def test_unrelated_name_random_not_confused_with_the_module(self):
-        source = "x = roller.random()\n"
-        assert findings_for(
-            source, "src/repro/faults/x.py", "determinism-seeded-rng"
-        ) == []
-
-    def test_bare_imported_shuffle_and_sample_flagged(self):
-        source = (
-            "from random import shuffle, sample as smp\n"
-            "def f(xs):\n"
-            "    shuffle(xs)\n"
-            "    return smp(xs, 2)\n"
-        )
-        findings = findings_for(
-            source, "src/repro/faults/x.py", "determinism-seeded-rng"
-        )
-        assert ids(findings) == ["determinism-seeded-rng"] * 2
-        assert "random.shuffle" in findings[0].message
-        assert "random.sample" in findings[1].message
-
-    def test_locally_defined_shuffle_not_confused(self):
-        source = (
-            "def shuffle(xs, rng):\n"
-            "    return rng.sample(xs, len(xs))\n"
-            "def f(xs, rng):\n"
-            "    return shuffle(xs, rng)\n"
-        )
-        assert findings_for(
-            source, "src/repro/faults/x.py", "determinism-seeded-rng"
-        ) == []
-
-    def test_fixed_and_configured_seeds_clean(self):
-        source = (
-            "import random\nimport numpy as np\n"
-            "from random import Random\n"
-            "r1 = random.Random(17)\n"
-            "r2 = Random(0)\n"
-            "r3 = np.random.default_rng(seed=2003)\n"
-            "def f(seed):\n"
-            "    return random.Random(seed)\n"
-        )
-        assert findings_for(
-            source, "src/repro/faults/x.py", "determinism-seeded-rng"
-        ) == []
-
-
 class TestReductionRule:
     VIOLATIONS = """
     import math
@@ -730,8 +559,8 @@ class TestCli:
         assert cli_main(["lint", "--format", "json", str(tmp_path)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "repro.lint/v1"
-        assert len(payload["rules"]) == 14
-        assert payload["summary"]["errors"] == 1
+        assert len(payload["rules"]) == len(checks())
+        assert payload["summary"] == {"errors": 1, "warnings": 0}
         (finding,) = [
             f for f in payload["findings"]
             if f["rule_id"] == "lock-no-blocking"
