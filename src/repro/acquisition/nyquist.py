@@ -15,6 +15,9 @@ strategy in :mod:`repro.acquisition.sampling` is built on.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from repro.core.errors import AcquisitionError
@@ -23,6 +26,8 @@ __all__ = [
     "estimate_fmax_dft",
     "estimate_fmax_autocorr",
     "estimate_fmax_mse",
+    "estimate_fmax_mse_rows",
+    "level_mses",
     "nyquist_rate",
     "required_rates",
 ]
@@ -142,6 +147,106 @@ def estimate_fmax_mse(
         best_k = k
         k *= 2
     return float((rate_hz / best_k) / 2.0)
+
+
+@lru_cache(maxsize=32)
+def _interp_plan(n: int) -> tuple:
+    """What ``np.interp(t, t[::k], x[t[::k]])`` reads for every level
+    ``k = 2, 4, ... <= n // 2`` of an ``n``-sample window, stacked
+    ``(levels, n)``: the samples at the knot at or left of each ``t``
+    and at the next knot (the last knot itself from there on: one
+    ``(2 * levels, n)`` gather), ``t`` minus the left knot as a float,
+    and ``k``."""
+    t = np.arange(n)
+    lefts, rights, ks = [], [], []
+    k = 2
+    while k <= n // 2:
+        last = (n - 1) // k * k
+        lefts.append(np.minimum(t // k * k, last))
+        rights.append(np.minimum(lefts[-1] + k, last))
+        ks.append(k)
+        k *= 2
+    left = np.array(lefts)
+    offset = (t - left).astype(float)
+    return (np.concatenate((left, rights)), len(ks), offset,
+            np.array(ks, dtype=float)[:, None])
+
+
+def level_mses(window: np.ndarray) -> np.ndarray:
+    """The mean squared error of decimate-then-interpolate, for every
+    row of a ``(sensors, n)`` window and every level ``k = 2, 4, ... <=
+    n // 2``, in one array pass: ``(sensors, levels)``, entry ``[s, i]``
+    bitwise ``np.mean((np.interp(t, t[::k], row[::k]) - row) ** 2)``
+    of ``row = window[s]``, ``k = 2 ** (i + 1)``.
+
+    ``np.interp``'s formula ``(fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) * (x
+    - xp[j]) + fp[j]`` is replayed with the right knot clamped to the
+    last one, so a knot and every tick past the last knot read ``fp[j]``
+    (up to the sign of a zero, which squaring drops), and each row of
+    squared errors is summed along the C-ordered last axis, where it
+    sums as its 1-D ``np.mean`` does.  Readings must be finite.
+    """
+    rows = np.ascontiguousarray(window, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] < 4:
+        raise AcquisitionError(
+            f"need a (sensors, n >= 4) window, got shape {rows.shape}"
+        )
+    n = rows.shape[1]
+    knots, levels, offset, ks = _interp_plan(n)
+    gathered = rows.take(knots, axis=1)
+    at_left = gathered[:, :levels]
+    # C order, asked for here and kept by the in-place steps: the sum
+    # below must run along contiguous rows.
+    error = np.subtract(gathered[:, levels:], at_left, order="C")
+    error /= ks
+    error *= offset
+    error += at_left
+    error -= rows[:, None, :]
+    error *= error
+    return np.add.reduce(error, axis=-1) / n
+
+
+def estimate_fmax_mse_rows(
+    window: np.ndarray,
+    rate_hz: float,
+    tolerance: float,
+    scales,
+) -> list[float]:
+    """:func:`estimate_fmax_mse` of every row of a ``(sensors, n)``
+    window at once: row ``s`` gives bitwise
+    ``estimate_fmax_mse(window[s], rate_hz, tolerance, scales[s])``,
+    and ``0.0`` where ``scales[s] <= 0`` (the reference's answer for a
+    constant row).  Every level's error comes from one
+    :func:`level_mses` pass; each row's estimate is the level before its
+    first failing one.
+
+    Args:
+        window: ``(sensors, n)`` finite readings, ``n >= 8``.
+        rate_hz: Device rate.
+        tolerance: Acceptable NRMSE.
+        scales: Per-row error normalization (the sensors' spreads).
+    """
+    rows = np.asarray(window, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] < 8:
+        raise AcquisitionError(
+            f"need a (sensors, n >= 8) window, got shape {rows.shape}"
+        )
+    if not 0 < tolerance < 1:
+        raise AcquisitionError(f"tolerance {tolerance} outside (0, 1)")
+    f_maxes = []
+    for scale, mses in zip(
+        np.asarray(scales, dtype=float).tolist(), level_mses(rows).tolist()
+    ):
+        if not scale > 0:
+            f_maxes.append(0.0)
+            continue
+        best_k = 1
+        for mse in mses:
+            if math.sqrt(mse) / scale > tolerance:
+                break
+            best_k *= 2
+        f_maxes.append((rate_hz / best_k) / 2.0)
+    return f_maxes
 
 
 def nyquist_rate(f_max: float) -> float:

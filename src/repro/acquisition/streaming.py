@@ -22,12 +22,13 @@ tick.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.errors import AcquisitionError
-from repro.acquisition.nyquist import estimate_fmax_mse, nyquist_rate
+from repro.acquisition.nyquist import estimate_fmax_mse_rows, nyquist_rate
 from repro.obs import counter as obs_counter
 from repro.streams.sample import Sample
 
@@ -85,9 +86,10 @@ class StreamingAdaptiveSampler:
             )
         self._window_ticks = max(16, int(self.window_seconds * self.rate_hz))
         self._buffer: list[np.ndarray] = []
-        # Current per-sensor decimation factors; 1 = record everything
-        # (the cold-start policy for the first window).
-        self._factors = np.ones(self.width, dtype=int)
+        # Current per-sensor decimation factors, as Python ints (the
+        # per-tick record loop reads them); 1 = record everything (the
+        # cold-start policy for the first window).
+        self._factors = [1] * self.width
         # Running per-sensor amplitude spread (activity scale).
         self._lo = np.full(self.width, np.inf)
         self._hi = np.full(self.width, -np.inf)
@@ -106,13 +108,10 @@ class StreamingAdaptiveSampler:
         and the ``faults.sensor_dropouts`` counter; never raises.
         """
         gaps = ~np.isfinite(frame)
-        if gaps.any():
-            n = int(gaps.sum())
-            self.stats.dropouts += n
-            obs_counter("faults.sensor_dropouts").inc(n)
-            frame = np.where(gaps, self._last_good, frame)
-        self._last_good = frame
-        return frame
+        n = int(gaps.sum())
+        self.stats.dropouts += n
+        obs_counter("faults.sensor_dropouts").inc(n)
+        return np.where(gaps, self._last_good, frame)
 
     def set_max_rate_hz(self, cap: float | None) -> None:
         """Impose (or lift) an external per-sensor recording-rate ceiling.
@@ -136,7 +135,7 @@ class StreamingAdaptiveSampler:
                 )
             cap = min(max(float(cap), self.min_rate_hz), self.rate_hz)
             floor = max(1, int(self.rate_hz // cap))
-            self._factors = np.maximum(self._factors, floor)
+            self._factors = [max(factor, floor) for factor in self._factors]
         self._max_rate_hz = cap
 
     @property
@@ -150,24 +149,30 @@ class StreamingAdaptiveSampler:
         return self._max_rate_hz
 
     def _reestimate(self) -> None:
-        """Close the current window: derive next-window rates from it."""
-        window = np.array(self._buffer)
+        """Close the current window: derive next-window rates from it.
+
+        Every sensor's estimate comes from one array pass over the
+        ``(sensors, ticks)`` window
+        (:func:`~repro.acquisition.nyquist.estimate_fmax_mse_rows`, each
+        row bitwise its own
+        :func:`~repro.acquisition.nyquist.estimate_fmax_mse`).
+        """
+        window = np.array(self._buffer).T.copy()
         self._buffer.clear()
-        self._lo = np.minimum(self._lo, window.min(axis=0))
-        self._hi = np.maximum(self._hi, window.max(axis=0))
-        scales = self._hi - self._lo
-        for s in range(self.width):
-            scale = float(scales[s]) if scales[s] > 0 else None
-            f_max = estimate_fmax_mse(
-                window[:, s], self.rate_hz,
-                tolerance=self.tolerance, scale=scale,
-            )
+        self._lo = np.minimum(self._lo, window.min(axis=1))
+        self._hi = np.maximum(self._hi, window.max(axis=1))
+        f_maxes = estimate_fmax_mse_rows(
+            window, self.rate_hz, self.tolerance, self._hi - self._lo
+        )
+        factors = []
+        for f_max in f_maxes:
             required = max(self.min_rate_hz, nyquist_rate(f_max))
             if self._max_rate_hz is not None:
                 required = max(
                     self.min_rate_hz, min(required, self._max_rate_hz)
                 )
-            self._factors[s] = max(1, int(self.rate_hz // required))
+            factors.append(max(1, int(self.rate_hz // required)))
+        self._factors = factors
         self.stats.rate_updates += self.width
 
     def push(self, values: np.ndarray) -> list[Sample]:
@@ -181,19 +186,21 @@ class StreamingAdaptiveSampler:
             raise AcquisitionError(
                 f"frame shape {frame.shape} != ({self.width},)"
             )
-        frame = self._repair(frame)
-        timestamp = self._tick / self.rate_hz
-        recorded = []
-        for s in range(self.width):
-            if self._tick % self._factors[s] == 0:
-                recorded.append(
-                    Sample(
-                        timestamp=timestamp,
-                        sensor_id=self.sensor_ids[s],
-                        value=float(frame[s]),
-                    )
-                )
-        self._tick += 1
+        readings = frame.tolist()
+        if not all(map(math.isfinite, readings)):
+            frame = self._repair(frame)
+            readings = frame.tolist()
+        self._last_good = frame
+        tick = self._tick
+        timestamp = tick / self.rate_hz
+        recorded = [
+            Sample(timestamp, sensor_id, value)
+            for sensor_id, value, factor in zip(
+                self.sensor_ids, readings, self._factors
+            )
+            if tick % factor == 0
+        ]
+        self._tick = tick + 1
         self.stats.ticks_seen += 1
         self.stats.samples_recorded += len(recorded)
         self._buffer.append(frame)

@@ -21,7 +21,10 @@ from itertools import groupby
 
 import numpy as np
 
-__all__ = ["dot", "dot_columns", "dot_row", "segmented_dot", "sum_squares", "total"]
+__all__ = [
+    "dot", "dot_columns", "dot_row", "segment_gathers", "segmented_dot",
+    "sum_squares", "total",
+]
 
 
 def dot(a, b):
@@ -126,17 +129,33 @@ def segmented_dot(a, b, offsets) -> np.ndarray:
     return out
 
 
-def sum_squares(x, starts, lengths) -> np.ndarray:
+def segment_gathers(starts, lengths) -> tuple[int, list]:
+    """How :func:`sum_squares` reads the segments ``x[starts[i]:starts[i]
+    + lengths[i]]``: their count, and per segment length the segments
+    of that length with the C-ordered ``(k, L)`` index of their members.
+    A caller that sums squares over one segment set again and again
+    builds this once and passes it as ``gathers``."""
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    return lengths.size, list(_by_length(starts, lengths))
+
+
+def sum_squares(x, starts, lengths, gathers=None) -> np.ndarray:
     """``dot(s, s)`` of every segment ``s = x[starts[i]:starts[i] +
     lengths[i]]``, bitwise, reading only the segments: they may lie
     anywhere in ``x``, in any order, so the segments of one length
     ``L`` are gathered into one C-ordered ``(k, L)`` array and reduced
     along its last axis at once, each row bitwise its segment's own
-    :func:`dot`."""
-    starts = np.asarray(starts, dtype=np.intp)
-    lengths = np.asarray(lengths, dtype=np.intp)
-    out = np.zeros(lengths.size)
-    for rows, gather in _by_length(starts, lengths):
+    :func:`dot`.  ``gathers`` is :func:`segment_gathers` of ``starts``
+    and ``lengths``, if the caller holds it; without it each length's
+    index is built as it is read, so only one is held at a time."""
+    if gathers is None:
+        starts = np.asarray(starts, dtype=np.intp)
+        lengths = np.asarray(lengths, dtype=np.intp)
+        gathers = lengths.size, _by_length(starts, lengths)
+    size, groups = gathers
+    out = np.zeros(size)
+    for rows, gather in groups:
         members = x[gather]
         out[rows] = np.add.reduce(np.multiply(members, members), axis=-1)
     return out

@@ -18,11 +18,18 @@ on the two mechanisms underneath it:
   restores the rates step by step once the queue drains.
 
 The flow: each :class:`IngestSession` runs its own causal sampler,
-maps recorded samples to cube points, and submits them to the
-service's bounded commit queue (``put`` blocks when full — back-
-pressure reaches the producer, nothing is silently discarded).  One
-committer thread drains the queue into group commits of up to
-``commit_batch`` points.  Write-fault resilience belongs to the device
+maps recorded samples to cube points, and submits each push's points
+to the service's bounded commit queue as one chunk: one queue entry and
+one trace hand-off per push, not per point.  The queue's size counts
+points, and a chunk is admitted while it holds fewer than
+``queue_capacity`` of them (``put`` blocks otherwise — back-pressure
+reaches the producer, nothing is silently discarded).  One committer
+thread drains whole chunks into group commits of up to
+``commit_batch`` points, splitting the chunk that would pass that
+bound and carrying its rest into the next commit; a chunk is marked
+done once, after its last piece is committed, so
+:meth:`IngestService.flush` returns only when every point queued before
+it is committed.  Write-fault resilience belongs to the device
 stack (a retry policy in the engine's
 :class:`~repro.storage.device.StorageSpec` re-drives idempotent block
 overwrites); a commit that still fails is kept, with its points, in
@@ -58,6 +65,71 @@ __all__ = ["BandwidthCoordinator", "IngestService", "IngestSession"]
 #: idle ``poll_seconds`` wait, and the committer — which cannot leave
 #: without consuming it — then exits once the queue is empty.
 _STOP = object()
+
+
+class _ChunkQueue(queue.Queue):
+    """The commit queue: one entry per push, a chunk ``(points, weights,
+    handoff)`` (or :data:`_STOP`), sized in points.
+
+    ``qsize`` — what ``maxsize`` bounds, what ``put`` waits on and what
+    the coordinator's fullness reads — counts the points queued (the
+    stop entry counts one), so a chunk is admitted while the queue holds
+    fewer than ``maxsize`` points.  ``join`` / ``task_done`` count
+    entries: the committer marks a chunk done once, after its last
+    piece is committed.
+    """
+
+    def _init(self, maxsize: int) -> None:
+        super()._init(maxsize)
+        self.points = 0
+
+    def _qsize(self) -> int:
+        return self.points
+
+    def _put(self, item) -> None:
+        self.queue.append(item)
+        self.points += 1 if item is _STOP else len(item[0])
+
+    def _get(self):
+        item = self.queue.popleft()
+        self.points -= 1 if item is _STOP else len(item[0])
+        return item
+
+    def take(self, limit: int, timeout: float) -> tuple[list, int, bool]:
+        """The oldest queued chunks, up to ``limit`` points, waiting up
+        to ``timeout`` seconds for the first.
+
+        A chunk that would pass ``limit`` is split there: its head is
+        taken and its rest stays at the front of the queue, still
+        counted, for the next call.  Returns the pieces taken, how many
+        entries ended in this call (their ``task_done`` is the
+        caller's, once it has committed them), and whether the stop
+        entry was among them.
+        """
+        pieces: list = []
+        ended, stopped = 0, False
+        with self.not_empty:
+            if not self.queue:
+                self.not_empty.wait(timeout)
+            room = limit
+            while room and self.queue:
+                head = self.queue[0]
+                if head is _STOP:
+                    self._get()
+                    ended, stopped = ended + 1, True
+                elif len(head[0]) <= room:
+                    pieces.append(self._get())
+                    ended += 1
+                    room -= len(head[0])
+                else:
+                    points, weights, captured = head
+                    pieces.append((points[:room], weights[:room], captured))
+                    self.queue[0] = (points[room:], weights[room:], captured)
+                    self.points -= room
+                    room = 0
+            if pieces or stopped:
+                self.not_full.notify_all()
+        return pieces, ended, stopped
 
 
 @dataclass
@@ -228,15 +300,17 @@ class IngestSession:
                 f"session {self.session_id!r} is closed"
             )
         samples = self.sampler.push(values)
-        points = [self._to_point(sample) for sample in samples]
-        weights = [
-            1.0 if self._weight_of is None else self._weight_of(sample)
-            for sample in samples
-        ]
+        recorder = self.service.recorder
+        if not samples and recorder is None:
+            return 0
+        points = list(map(self._to_point, samples))
+        if self._weight_of is None:
+            weights = [1.0] * len(samples)
+        else:
+            weights = list(map(self._weight_of, samples))
         # Record before submitting: the log captures what the sampler
         # decided (including the current rate cap), independent of how
-        # long the bounded queue back-pressures the submits below.
-        recorder = self.service.recorder
+        # long the bounded queue back-pressures the submit below.
         if recorder is not None:
             recorder.on_push(
                 self.session_id, self.sampler, samples, points, weights
@@ -256,16 +330,21 @@ class IngestService:
     """Shared multi-session ingest front end over one ProPolyne engine.
 
     Hundreds of :class:`IngestSession` producers feed one bounded
-    commit queue; a single committer thread drains it into vectorized
-    group commits (:class:`~repro.query.ingest.BatchInserter`), and a
+    commit queue, one chunk of points per push; a single committer
+    thread drains it into vectorized group commits
+    (:class:`~repro.query.ingest.BatchInserter`), and a
     :class:`BandwidthCoordinator` turns sustained queue pressure into
     global sampler-rate caps instead of sample loss.
 
     Args:
         engine: The target :class:`~repro.query.propolyne.ProPolyneEngine`.
-        queue_capacity: Commit-queue bound in points; ``submit`` blocks
-            when full (back-pressure, not drops).
-        commit_batch: Maximum points folded into one group commit.
+        queue_capacity: Commit-queue bound in points; a push's chunk is
+            admitted while fewer points than this are queued, and
+            ``submit`` / ``submit_many`` block otherwise (back-pressure,
+            not drops), so the queue can hold up to one chunk past it;
+            a chunk is at most this many points.
+        commit_batch: Maximum points folded into one group commit; a
+            chunk that would pass it is split there.
         coordinator: Optional :class:`BandwidthCoordinator`; ``None``
             disables adaptation (queue pressure then only blocks).
         poll_seconds: Committer wait for the first point of a batch.
@@ -296,7 +375,7 @@ class IngestService:
         self.commit_batch = commit_batch
         self.poll_seconds = poll_seconds
         self.queue_capacity = queue_capacity
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_capacity)
+        self._queue = _ChunkQueue(maxsize=queue_capacity)
         self._sessions: dict[str, IngestSession] = {}
         self._lock = watched_lock("streams.ingest")
         self._stop = threading.Event()
@@ -400,14 +479,29 @@ class IngestService:
 
     def submit_many(self, points, weights) -> None:
         """Enqueue points in order, under :meth:`submit`'s blocking
-        contract; the gauge is set, and the trace captured, once."""
+        contract: as one chunk of at most ``queue_capacity`` points (a
+        longer list is cut into such chunks, put one after another), each
+        admitted once the queue holds fewer than ``queue_capacity``
+        points, so the queue never holds twice that.  The gauge is set,
+        and the trace captured, once."""
+        points, weights = list(points), list(weights)
+        if len(points) != len(weights):
+            raise StreamError(
+                f"{len(weights)} weights for {len(points)} points"
+            )
+        if not points:
+            return
         captured = handoff()
-        for point, weight in zip(points, weights):
-            self._queue.put((point, weight, captured))
+        step = self.queue_capacity
+        for lo in range(0, len(points), step):
+            self._queue.put(
+                (points[lo:lo + step], weights[lo:lo + step], captured)
+            )
         obs_gauge("ingest.queue_depth").set(self._queue.qsize())
 
     def flush(self) -> None:
-        """Block until every point enqueued so far has been committed."""
+        """Block until every point enqueued so far has been committed
+        (or kept in :attr:`failed_batches`)."""
         self._queue.join()
 
     @property
@@ -417,26 +511,10 @@ class IngestService:
 
     # -- committer side ----------------------------------------------------
 
-    def _drain_batch(self) -> list:
-        """Up to ``commit_batch`` queued items (first get may block)."""
-        items: list = []
-        try:
-            item = self._queue.get(timeout=self.poll_seconds)
-            while True:
-                if item is _STOP:
-                    self._stop.set()
-                    self._queue.task_done()
-                else:
-                    items.append(item)
-                    if len(items) == self.commit_batch:
-                        break
-                item = self._queue.get_nowait()
-        except queue.Empty:
-            pass
-        return items
-
-    def _commit(self, items: list) -> None:
-        points, weights, handoffs = (list(column) for column in zip(*items))
+    def _commit(self, pieces: list) -> None:
+        points = [point for piece in pieces for point in piece[0]]
+        weights = [weight for piece in pieces for weight in piece[1]]
+        handoffs = [piece[2] for piece in pieces]
         # The oldest point's wait, in its trace; the commit links them all.
         if handoffs[0] is not None:
             with span("ingest.queue_wait", after=handoffs[0]):
@@ -461,15 +539,20 @@ class IngestService:
                 obs_counter("ingest.committed_points").inc(len(points))
                 self.commits += 1
                 self.committed_points += len(points)
-            finally:
-                for _ in points:
-                    self._queue.task_done()
 
     def _run(self) -> None:
         while True:
-            items = self._drain_batch()
-            if items:
-                self._commit(items)
+            pieces, ended, stopped = self._queue.take(
+                self.commit_batch, self.poll_seconds
+            )
+            if stopped:
+                self._stop.set()
+            try:
+                if pieces:
+                    self._commit(pieces)
+            finally:
+                for _ in range(ended):
+                    self._queue.task_done()
             obs_gauge("ingest.queue_depth").set(self._queue.qsize())
             if self.coordinator is not None:
                 self.coordinator.observe(

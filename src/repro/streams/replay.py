@@ -73,9 +73,9 @@ class ReplayEvent(NamedTuple):
     """One logged moment of a recorded session.
 
     A NamedTuple, not a dataclass: the recorder constructs one per
-    recorded sample on the live push path (recorder cost: measured
-    6.5–6.9 % of the 120-session drill's wall clock on the PR 24 box,
-    six runs; not gated), which rules out frozen-dataclass
+    recorded sample on the live push path (recorder cost: 21–27 % of
+    the push path and 6–9 % of an ``ingest_cpu``-shaped round, time
+    inside ``on_push``; not gated), which rules out frozen-dataclass
     construction costs.  Type normalization (numpy
     scalars → native int/float) happens at serialization time, off the
     hot path.
@@ -281,8 +281,10 @@ class SessionRecorder:
         """
         cap = getattr(sampler, "max_rate_hz", None)
         # Point events are built outside the lock: this runs on the
-        # live push path, where the recorder is 6.5-6.9 % of a drill's
-        # wall clock (measured on the PR 24 box; not gated).
+        # live push path, one event per point.  In 16 sessions pushing
+        # the e2e benchmark's ticks (seed 2003, 2-CPU box, in process)
+        # it is 21-27 % of the push path's time and 6-9 % of a round
+        # with its flush; not gated.
         make = ReplayEvent
         events = [
             make("point", sample.timestamp, tuple(point), weight)

@@ -223,6 +223,10 @@ def lazy_range_query_transform(
     low, high, low_moments, high_moments = _constants(filt, poly_arr.size)
     # None once the interval has shrunk away.
     coeffs: list[float] | None = poly_arr.tolist()
+    # The drop thresholds below are relative to the measure when its
+    # coefficients are all below 1 in magnitude, and absolute at or
+    # above 1: a measure scaled by 1e-13 keeps the entries it had at 1.
+    unit = min(1.0, max(map(abs, coeffs))) or 1.0
     corrections: dict[int, float] = {}
     # (flat offset, interior polynomial, its interval, corrections) per band
     bands: list[tuple] = []
@@ -258,9 +262,9 @@ def lazy_range_query_transform(
         approx_corr: dict[int, float] = {}
         detail_corr: dict[int, float] = {}
         if explicit:
-            scale = max(map(abs, coeffs)) if coeffs is not None else 1.0
+            scale = max(map(abs, coeffs)) if coeffs is not None else unit
             scale += max(map(abs, corrections.values()), default=0.0)
-            tol = 1e-13 * max(scale, 1.0)
+            tol = 1e-13 * max(scale, unit)
             for k in explicit:
                 # The window's two channel sums in dot's order: under 8
                 # taps that is left to right from +0.0, added here as each
@@ -300,7 +304,9 @@ def lazy_range_query_transform(
     indices, values = [], []
     for offset, coeffs, lo, hi, corrections in bands:
         items = corrections
-        if coeffs is not None and not all(abs(c) <= 1e-12 for c in coeffs):
+        if coeffs is not None and not all(
+            abs(c) <= 1e-12 * unit for c in coeffs
+        ):
             # The interior survived — a detail band of a measure whose
             # degree reaches the filter's vanishing moments, or the final
             # approximation — so the band is its whole interval.

@@ -125,9 +125,9 @@ class TestBandwidthCoordinator:
 class TestSamplerRateCap:
     def test_cap_raises_decimation_immediately(self):
         sampler = StreamingAdaptiveSampler(width=3, rate_hz=64.0)
-        assert (sampler._factors == 1).all()
+        assert sampler._factors == [1, 1, 1]
         sampler.set_max_rate_hz(16.0)
-        assert (sampler._factors >= 4).all()
+        assert min(sampler._factors) >= 4
 
     def test_cap_clamped_to_min_rate(self):
         sampler = StreamingAdaptiveSampler(
@@ -409,3 +409,162 @@ class TestIngestService:
         assert service.failed_batches
         points = [p for batch, _ in service.failed_batches for p in batch]
         assert len(points) == 8
+
+
+class TestChunkedHandOff:
+    """One queue entry per push: capacity still counts points, commits
+    still hold at most ``commit_batch`` points, and a chunk split across
+    commits is marked done once, after its last piece."""
+
+    @staticmethod
+    def _chunk(n, first=0):
+        points = [((first + i) % 32, (first + i) % 32) for i in range(n)]
+        return points, [float(first + i + 1) for i in range(n)]
+
+    @staticmethod
+    def _record_commits(engine, gate=None):
+        """Wrap the engine's commit: every call's points, in order; with
+        ``gate``, the second call waits for it."""
+        calls = []
+        insert_batch = engine.inserter.insert_batch
+
+        def recorded(points, weights=None):
+            calls.append((list(points), list(weights)))
+            if gate is not None and len(calls) == 2:
+                gate.wait(5.0)
+            return insert_batch(points, weights)
+
+        engine.inserter.insert_batch = recorded
+        return calls
+
+    def test_capacity_counts_points(self):
+        service = IngestService(_engine(), queue_capacity=5)
+        service.submit_many(*self._chunk(3))
+        # Under capacity, a chunk is admitted whole, even past it.
+        service.submit_many(*self._chunk(3, 3))
+        assert service.queue_depth == 6
+        admitted = threading.Event()
+
+        def produce():
+            service.submit_many(*self._chunk(2, 6))
+            admitted.set()
+
+        producer = threading.Thread(target=produce)
+        producer.start()
+        # 6 points held, capacity 5: the producer waits.
+        assert not admitted.wait(0.2)
+        assert service.queue_depth == 6
+        with service:
+            assert admitted.wait(5.0)
+            service.flush()
+        producer.join()
+        assert service.committed_points == 8
+        assert service.queue_depth == 0
+
+    def test_long_submit_is_cut_at_capacity(self):
+        engine = _engine()
+        calls = self._record_commits(engine)
+        service = IngestService(engine, queue_capacity=4)
+        points, weights = self._chunk(10)
+        submitted = threading.Event()
+
+        def produce():
+            service.submit_many(points, weights)
+            submitted.set()
+
+        producer = threading.Thread(target=produce)
+        producer.start()
+        # The first 4 points are one chunk; the next waits for room.
+        assert not submitted.wait(0.2)
+        assert service.queue_depth == 4
+        assert [len(chunk[0]) for chunk in service._queue.queue] == [4]
+        with service:
+            assert submitted.wait(5.0)
+            service.flush()
+        producer.join()
+        assert [p for batch, _ in calls for p in batch] == points
+        assert [w for _, batch in calls for w in batch] == weights
+        assert service.committed_points == 10
+        assert service._queue.unfinished_tasks == 0
+
+    def test_no_commit_exceeds_commit_batch(self):
+        engine = _engine()
+        calls = self._record_commits(engine)
+        service = IngestService(engine, commit_batch=4)
+        points, weights = self._chunk(10)
+        service.submit_many(points, weights)
+        service.submit_many(*self._chunk(3, 10))
+        with service:
+            service.flush()
+        assert [len(p) for p, _ in calls] == [4, 4, 4, 1]
+        committed = [p for batch, _ in calls for p in batch]
+        assert committed == points + self._chunk(3, 10)[0]
+        assert [w for _, batch in calls for w in batch] == [
+            float(i + 1) for i in range(13)
+        ]
+        assert service.committed_points == 13
+        assert service._queue.unfinished_tasks == 0
+
+    def test_split_chunk_done_once_after_its_last_piece(self):
+        engine = _engine()
+        gate = threading.Event()
+        calls = self._record_commits(engine, gate)
+        service = IngestService(engine, commit_batch=4)
+        dones = []
+        task_done = service._queue.task_done
+
+        def counted():
+            dones.append(len(calls))
+            task_done()
+
+        service._queue.task_done = counted
+        service.submit_many(*self._chunk(6))
+        flushed = threading.Event()
+        service.start()
+        try:
+            flusher = threading.Thread(
+                target=lambda: (service.flush(), flushed.set())
+            )
+            flusher.start()
+            deadline = time.monotonic() + 5.0
+            while len(calls) < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            # The first piece is committed, the last one is not: the
+            # chunk is not done, so flush() has not returned.
+            assert [len(p) for p, _ in calls] == [4, 2]
+            assert not flushed.wait(0.1)
+            assert dones == [] and service._queue.unfinished_tasks == 1
+            gate.set()
+            assert flushed.wait(5.0)
+            flusher.join()
+            assert dones == [2]
+        finally:
+            gate.set()
+            service.stop()
+        assert service.committed_points == 6
+
+    def test_failed_batches_hold_exactly_the_failed_commits_points(self):
+        engine = _engine()
+        calls = self._record_commits(engine)
+        store_blocks = engine.store.store_blocks
+
+        def second_fails(payloads):
+            if len(calls) == 2:
+                raise OSError("device gone")
+            return store_blocks(payloads)
+
+        engine.store.store_blocks = second_fails
+        service = IngestService(engine, commit_batch=4)
+        points, weights = self._chunk(10)
+        service.submit_many(points, weights)
+        with service:
+            service.flush()
+        assert service.failed_batches == [(points[4:8], weights[4:8])]
+        assert service.committed_points == 6
+        assert service._queue.unfinished_tasks == 0
+
+    def test_mismatched_weights_rejected(self):
+        service = IngestService(_engine())
+        with pytest.raises(StreamError):
+            service.submit_many([(1, 1), (2, 2)], [1.0])
+        assert service.queue_depth == 0

@@ -239,3 +239,30 @@ class TestVectorizedDot:
         assert sparse.dot(coeffs.to_flat()) == pytest.approx(
             float(np.sum(signal[5:21])), rel=1e-9
         )
+
+
+class TestMeasuresBelowOne:
+    """The drop thresholds follow a measure scaled below 1: such a query
+    keeps the entries it has at scale 1 and answers the scaled sum."""
+
+    @pytest.mark.parametrize("c", [1e-11, 1e-13, 1e-100])
+    def test_scaled_range_sum_is_the_brute_force_sum(self, c):
+        from repro.query.propolyne import ProPolyneEngine
+        from repro.query.rangesum import RangeSumQuery
+
+        cube = np.random.default_rng(5).poisson(3.0, (32, 16)).astype(float)
+        engine = ProPolyneEngine(cube, max_degree=1, block_size=7)
+        ranges = ((18, 26), (3, 14))
+        scaled = RangeSumQuery(ranges, ((c,), (1.0,)))
+        truth = c * cube[18:27, 3:15].sum()
+        assert engine.evaluate_exact(scaled) == pytest.approx(truth, rel=1e-12)
+        unit = RangeSumQuery(ranges, ((1.0,), (1.0,)))
+        assert len(engine.query_entries(scaled)) == len(
+            engine.query_entries(unit)
+        )
+
+    @pytest.mark.parametrize("c", [1e-13, 1e-100])
+    def test_transform_keeps_the_unit_measures_entries(self, c):
+        unit = lazy_range_query_transform([1.0], 18, 26, 32, "db2")
+        scaled = lazy_range_query_transform([c], 18, 26, 32, "db2")
+        assert scaled.arrays[0].tolist() == unit.arrays[0].tolist()

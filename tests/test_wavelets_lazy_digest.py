@@ -110,7 +110,8 @@ def reference_transform(
     levels: int | None = None,
 ) -> SparseWaveletVector:
     """``lazy_range_query_transform`` as it was before its windows were
-    summed in plain floats, kept verbatim as the reference."""
+    summed in plain floats, kept verbatim as the reference, with the
+    measure-relative drop thresholds the transform has since taken."""
     filt = wavelet if isinstance(wavelet, WaveletFilter) else get_filter(wavelet)
     if not (0 <= lo and hi <= n - 1):
         raise TransformError(f"range [{lo}, {hi}] outside domain [0, {n - 1}]")
@@ -128,6 +129,7 @@ def reference_transform(
         return SparseWaveletVector(n, depth, filt.name, {})
 
     taps = filt.length
+    unit = min(1.0, max(map(abs, poly_arr.tolist()))) or 1.0
     bank = np.array([filt.lowpass, filt.highpass])
     orders = range(poly_arr.size)
     low_moments = [filt.moment(s) for s in orders]
@@ -173,9 +175,9 @@ def reference_transform(
         approx_corr: dict[int, float] = {}
         detail_corr: dict[int, float] = {}
         if explicit:
-            scale = max(map(abs, coeffs)) if coeffs is not None else 1.0
+            scale = max(map(abs, coeffs)) if coeffs is not None else unit
             scale += max(map(abs, corrections.values()), default=0.0)
-            tol = 1e-13 * max(scale, 1.0)
+            tol = 1e-13 * max(scale, unit)
             windows = []
             for k in explicit:
                 for j in range(2 * k, 2 * k + taps):
@@ -207,7 +209,9 @@ def reference_transform(
     indices, values = [], []
     for offset, coeffs, lo, hi, corrections in bands:
         items = corrections
-        if coeffs is not None and not all(abs(c) <= 1e-12 for c in coeffs):
+        if coeffs is not None and not all(
+            abs(c) <= 1e-12 * unit for c in coeffs
+        ):
             # The interior survived — a detail band of a measure whose
             # degree reaches the filter's vanishing moments, or the final
             # approximation — so the band is its whole interval.
