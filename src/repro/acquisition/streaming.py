@@ -179,9 +179,11 @@ class StreamingAdaptiveSampler:
         """Feed one device tick; returns the readings recorded for it.
 
         NaN readings are repaired (hold-last-value) rather than raised:
-        a flaky sensor must not kill a live acquisition session.
+        a flaky sensor must not kill a live acquisition session.  The
+        frame is copied once: the window and the last good readings
+        must not alias a buffer the caller refills every tick.
         """
-        frame = np.asarray(values, dtype=float)
+        frame = np.array(values, dtype=float)
         if frame.shape != (self.width,):
             raise AcquisitionError(
                 f"frame shape {frame.shape} != ({self.width},)"

@@ -33,8 +33,13 @@ it is committed.  Write-fault resilience belongs to the device
 stack (a retry policy in the engine's
 :class:`~repro.storage.device.StorageSpec` re-drives idempotent block
 overwrites); a commit that still fails is kept, with its points, in
-:attr:`IngestService.failed_batches` — never double-applied, never
-silently dropped.
+:attr:`IngestService.failed_batches` — never re-driven, never silently
+dropped.  It is not always unapplied: on a sharded stack
+(:meth:`~repro.storage.sharding.ShardedDevice.write_many`) the surviving
+shards' groups land, so a failed commit can be partly stored and
+neither re-submitting nor dropping it restores the session (ROADMAP
+item 9(a); the oracle's write-fault stack reproduces it in
+``test_a_failed_sharded_commit_stores_all_or_nothing``).
 
 Metrics (the ``ingest.*`` family in DESIGN.md's catalogue):
 ``ingest.sessions`` / ``ingest.queue_depth`` / ``ingest.rate_scale``
@@ -378,11 +383,11 @@ class IngestService:
         self._queue = _ChunkQueue(maxsize=queue_capacity)
         self._sessions: dict[str, IngestSession] = {}
         self._lock = watched_lock("streams.ingest")
-        self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         #: Commits the device stack could not complete even after its
-        #: own retries, kept with their points: inspectable, re-playable
-        #: by an operator, never double-applied or silently dropped.
+        #: own retries, kept with their points: inspectable, never
+        #: re-driven or silently dropped.  On a sharded stack one may be
+        #: partly stored (see the module docstring).
         self.failed_batches: list[tuple[list, list]] = []
         self.committed_points = 0
         self.commits = 0
@@ -393,7 +398,6 @@ class IngestService:
         """Launch the committer thread (idempotent)."""
         with self._lock:
             if self._thread is None:
-                self._stop.clear()
                 self._thread = threading.Thread(
                     target=self._run, name="ingest-committer", daemon=True
                 )
@@ -530,8 +534,8 @@ class IngestService:
                 # The device stack already retried (its StorageSpec
                 # owns resilience); a commit failing past that is kept,
                 # not re-driven: insert_batch is a read-modify-write,
-                # so re-applying after a partial write would double-
-                # count.  Nothing is silently lost either way.
+                # and on a sharded stack some shards' groups may have
+                # landed, so re-applying would double-count them.
                 obs_counter("ingest.commit_failures").inc()
                 self.failed_batches.append((points, weights))
             else:
@@ -541,12 +545,12 @@ class IngestService:
                 self.committed_points += len(points)
 
     def _run(self) -> None:
+        stopping = False  # the stop entry was taken: leave once drained
         while True:
             pieces, ended, stopped = self._queue.take(
                 self.commit_batch, self.poll_seconds
             )
-            if stopped:
-                self._stop.set()
+            stopping = stopping or stopped
             try:
                 if pieces:
                     self._commit(pieces)
@@ -558,5 +562,5 @@ class IngestService:
                 self.coordinator.observe(
                     self._queue.qsize() / self.queue_capacity
                 )
-            if self._stop.is_set() and self._queue.empty():
+            if stopping and self._queue.empty():
                 return

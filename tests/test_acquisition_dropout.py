@@ -52,6 +52,21 @@ class TestSamplerDropouts:
         assert sampler.stats.dropouts > 0
         assert sampler.stats.rate_updates > 0
 
+    def test_a_reused_frame_buffer_is_copied(self):
+        # A producer may refill one buffer every tick: the sampler keeps
+        # copies, so the windows, the factors and the running range are
+        # those of fresh arrays, and a NaN is held at the last good value
+        # (not "repaired" from the buffer it was written into).
+        fresh, reused, buffer = make_sampler(1), make_sampler(1), np.empty(1)
+        for i in range(96):
+            buffer[0] = np.sin(2 * np.pi * 6 * i / 32.0)
+            assert reused.push(buffer) == fresh.push(buffer.copy())
+        assert reused._factors == fresh._factors == [1]
+        assert (reused._lo[0], reused._hi[0]) == (fresh._lo[0], fresh._hi[0])
+        assert fresh._hi[0] - fresh._lo[0] > 1.9  # the sine's whole swing
+        buffer[0] = np.nan
+        assert reused.push(buffer)[0].value == fresh._last_good[0]
+
     def test_clean_sessions_count_zero_dropouts(self):
         sampler = make_sampler()
         for i in range(50):

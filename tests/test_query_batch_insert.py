@@ -3,10 +3,11 @@
 The headline contract: after ``insert_batch(points, weights)`` the
 stored coefficients are **bitwise-identical** (``==`` on floats, no
 tolerance) to the state N sequential ``insert`` calls in the same order
-leave behind — for single points, exact duplicates, per-point weights,
-and negative (deletion) weights — while the batch path performs one
-coalesced read and one group-commit write per touched-block union
-instead of one read-modify-write per (point, block) pair.
+leave behind (the oracle's ``insert_batch`` and ``insert_each`` write
+runners, ``tests/test_storage_block_codes.py``) — while the batch path
+performs one coalesced read and one group-commit write per
+touched-block union instead of one read-modify-write per (point,
+block) pair.
 
 The kernel places each point's delta once in the allocation's fixed
 coefficient layout (a bounded LRU memo, one per engine) and accumulates
@@ -59,42 +60,6 @@ def _pair(shape=(16, 16)):
     cube = np.abs(RNG.normal(size=shape))
     build = lambda: ProPolyneEngine(cube, max_degree=1, block_size=7)
     return build(), build()
-
-
-class TestBitwiseIdentity:
-    def _check(self, points, weights):
-        sequential, batched = _pair()
-        ws = (
-            [1.0] * len(points)
-            if weights is None
-            else list(weights)
-        )
-        for point, weight in zip(points, ws):
-            sequential.insert(point, weight)
-        BatchInserter(batched).insert_batch(points, weights)
-        _assert_bitwise_equal(
-            _coefficients(sequential), _coefficients(batched)
-        )
-        assert sequential._block_norms == batched._block_norms
-        assert sequential.store.data_norm == batched.store.data_norm
-
-    def test_single_point(self):
-        self._check([(5, 11)], None)
-
-    def test_duplicate_points(self):
-        self._check([(3, 3), (3, 3), (3, 3)], None)
-
-    def test_weighted_points(self):
-        points = [tuple(map(int, RNG.integers(0, 16, 2))) for _ in range(40)]
-        self._check(points, list(RNG.normal(size=40)))
-
-    def test_negative_weight_deletions(self):
-        self._check([(2, 9), (2, 9), (14, 1)], [1.0, -1.0, -2.5])
-
-    def test_large_mixed_batch_with_duplicates(self):
-        points = [tuple(map(int, RNG.integers(0, 16, 2))) for _ in range(96)]
-        points += points[:17]
-        self._check(points, list(RNG.normal(size=len(points))))
 
 
 class TestSemantics:

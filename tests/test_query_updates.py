@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import QueryError
 from repro.query.propolyne import ProPolyneEngine
-from repro.query.rangesum import RangeSumQuery, evaluate_on_cube
+from repro.query.rangesum import RangeSumQuery
 from repro.storage.device import StorageSpec
 
 
@@ -21,38 +21,6 @@ class TestInsert:
             cube, max_degree=1, block_size=7,
             storage=StorageSpec(cache_blocks=pool),
         )
-
-    def test_insert_matches_rebuild(self):
-        cube, engine = self._fresh()
-        engine.insert((5, 20))
-        engine.insert((5, 20))
-        engine.insert((31, 0), weight=3.0)
-        cube2 = cube.copy()
-        cube2[5, 20] += 2.0
-        cube2[31, 0] += 3.0
-        rebuilt = ProPolyneEngine(cube2, max_degree=1, block_size=7)
-        for query in (
-            RangeSumQuery.count([(0, 31), (0, 31)]),
-            RangeSumQuery.count([(5, 5), (20, 20)]),
-            RangeSumQuery.weighted([(0, 31), (0, 31)], {0: 1}),
-        ):
-            assert engine.evaluate_exact(query) == pytest.approx(
-                rebuilt.evaluate_exact(query)
-            )
-
-    def test_insert_updates_count(self):
-        __, engine = self._fresh()
-        total = RangeSumQuery.count([(0, 31), (0, 31)])
-        before = engine.evaluate_exact(total)
-        engine.insert((10, 10))
-        assert engine.evaluate_exact(total) == pytest.approx(before + 1.0)
-
-    def test_negative_weight_deletes(self):
-        cube, engine = self._fresh()
-        point_query = RangeSumQuery.count([(3, 3), (7, 7)])
-        before = engine.evaluate_exact(point_query)
-        engine.insert((3, 7), weight=-0.5)
-        assert engine.evaluate_exact(point_query) == pytest.approx(before - 0.5)
 
     def test_touched_coefficients_polylog(self):
         """The §3.1.1 cost claim: appends touch O(polylog) coefficients."""

@@ -1,29 +1,35 @@
-"""The cross-path oracle on nine storage stacks: bits computed, I/O pinned.
+"""The cross-path oracle on ten storage stacks: bits computed, I/O pinned.
 
 A seeded mix of 40 queries (COUNT and degree-1 SUM) and one 64-point
 ``insert_batch`` on a 16×16×8 cube run through every runner of
-:mod:`repro.testing.oracle` — scalar, batch, served, as-of and
-cluster-routed exact paths, the progressive and degradable paths of the
-engine, the batch evaluator and the service — on nine stacks: 1, 2 and
-4 shards with the block cache off and on, one replica per shard, and CRC
-framing under a seeded ``FaultPlan`` (read errors and torn blocks) and a
-retry policy at 1 and at 4 shards.
+:mod:`repro.testing.oracle` on ten stacks: 1, 2 and 4 shards with the
+block cache off and on, one replica per shard, CRC framing under a
+seeded ``FaultPlan`` (read errors and torn blocks) and a retry policy at
+1 and at 4 shards, and write faults under a retry policy at 4 shards.
+The read runners — scalar, batch, served, as-of and cluster-routed
+exact paths, the progressive and degradable paths — run where reads can
+fault; the write runners, one per way a point enters, where writes can.
 
 :func:`repro.testing.oracle.check` computes the contract on each stack,
-and :func:`repro.testing.oracle.check_layouts` that the two faulted
+and :func:`repro.testing.oracle.check_layouts` that the two read-fault
 layouts meet the same faults and give the same answers; nothing they
-assert is recorded.  Two things are, because they should move only on
+assert is recorded.  Three things are, because they should move only on
 purpose:
 
 * ``CONTRACT_DIGEST``, one sha256 over the exact answers before and
-  after the insert.  It moves only when DESIGN's "One reduction order"
-  does, and is then edited by hand.
-* ``block_codes_io.txt``, one line per (stack, phase): every leaf's
+  after the insert, and ``WRITE_DIGEST``, the blake2b of what every
+  write runner stores.  They move only when DESIGN's "One reduction
+  order" does (or the workload), and are then edited by hand.
+* ``block_codes_io.txt``, one line per (stack, read phase): every leaf's
   reads/writes, the store cache's hits/misses, every fault layer's
   decisions/firings and a hash of its ordinals, and how many answers
   were errors.
   ``PYTHONPATH=src python tests/test_storage_block_codes.py`` re-records
   it from the tree ``PYTHONPATH`` names; the diff is the review.
+
+On 4 shards a commit that gives up leaves the surviving shards' groups
+stored: ``test_a_failed_sharded_commit_stores_all_or_nothing`` is that
+reproducer of ROADMAP item 9(a), a strict expected failure.
 """
 
 import hashlib
@@ -39,14 +45,18 @@ from repro.core.errors import StorageUnavailable
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.query.batch import BatchEvaluator
+from repro.query.ingest import BatchInserter
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
 from repro.query.service import QueryService
 from repro.storage.device import StorageSpec
+from repro.streams.ingest import IngestService
+from repro.streams.replay import SessionReplayer
 from repro.testing import oracle
 
 TABLE = Path(__file__).with_name("block_codes_io.txt")
 CONTRACT_DIGEST = "545d6bad9bb25959e757b1fa3caf5b0ff9914e852c6727af8cbfbe61bf525664"
+WRITE_DIGEST = "9c30b9bcac7c2a3a5073bc4f3d6d8983f563efc430414aa5aa50bd1efdc0ab41"
 
 SHAPE = (16, 16, 8)
 SEED = 2026
@@ -64,6 +74,13 @@ def crc_faults(shards: int):
     )
 
 
+def write_faults(shards: int):
+    return _spec(
+        shards=shards, fault_plan=FaultPlan(seed=17, write_error_rate=0.01),
+        retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.0),
+    )
+
+
 STACKS = {
     **{f"shards{n}{cached}": _spec(shards=n, **extra)
        for n in (1, 2, 4)
@@ -71,6 +88,7 @@ STACKS = {
     "replicated": _spec(shards=2, replicas=1),
     "crc_faults": crc_faults(1),
     "crc_faults4": crc_faults(4),
+    "write_faults4": write_faults(4),
 }
 
 
@@ -187,18 +205,49 @@ def test_exact_fails_where_degradable_degrades():
 
 
 def test_the_exact_bits_are_the_contract_digest(runs):
+    # ... and the stored bits every write runner leaves, the write digest.
     for run in runs.values():
         if not run.faulted:
             assert oracle.contract_digest(run) == CONTRACT_DIGEST
+            assert oracle.write_digest(run) == WRITE_DIGEST
+
+
+def test_a_failed_commit_on_one_shard_stores_nothing(runs):
+    # Commits gave up past the resilient layer on the write-fault stack
+    # (so its xfail below is not vacuous).  On one shard a group write
+    # that gives up fails before it writes: each failed commit leaves the
+    # pre-batch state, and ``check`` holds what each runner then stores
+    # to its fault-free twin's (nothing of a failed commit leaks).
+    assert any(runs["write_faults4"].fates.values())
+    one = oracle.run_stack(WORKLOAD, write_faults(1))
+    assert {fate for fates in one.fates.values() for fate in fates} == {"pre"}
+    oracle.check(WORKLOAD, {**runs, "write_faults1": one}, "write_faults1")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 9(a): a sharded commit that gives up leaves the "
+    "surviving shards' groups stored"))
+def test_a_failed_sharded_commit_stores_all_or_nothing(runs):
+    seed = STACKS["write_faults4"]().fault_plan.seed
+    half = {phase: fates.count("neither")
+            for phase, fates in runs["write_faults4"].fates.items()
+            if "neither" in fates}
+    assert not half, (
+        f"plan seed {seed}: commits left half stored per runner {half} "
+        f"(ROADMAP item 9(a))")
 
 
 def test_every_entry_point_has_a_runner_or_an_exemption():
+    # Every read path (evaluate_* / submit_*) and every way a point
+    # enters (insert*, submit, replay_*, open_session).
     entry_points = {
         f"{cls.__name__}.{name}"
         for cls in (ProPolyneEngine, BatchEvaluator, QueryService,
-                    BackendNode, ClusterFrontend)
+                    BackendNode, ClusterFrontend, BatchInserter,
+                    IngestService, SessionReplayer)
         for name, _ in inspect.getmembers(cls, inspect.isfunction)
-        if name.startswith(("evaluate_", "submit_"))
+        if name.startswith(("evaluate_", "submit", "insert", "replay_",
+                            "open_session"))
     }
     driven = {e for path in oracle.RUNNERS.values() for e in path.entry_points}
     assert entry_points - driven - set(oracle.EXEMPT) == set()
