@@ -619,7 +619,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     # A little history, so --as-of has epochs to travel to.
     for _ in range(args.epochs):
         points = [tuple(p) for p in rng.integers(0, n, size=(32, 3))]
-        engine.inserter.insert_batch(points)
+        engine.inserter.commit(points)
     query = RangeSumQuery.count([(2, 11), (0, n - 1), (3, 12)])
     plan = explain(engine, query)
     print(format_plan(plan))

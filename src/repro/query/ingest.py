@@ -41,9 +41,14 @@ read-modify-write per touched block and one norm rebuild per point;
   ``bincount``-style pre-summed delta map would change the association
   order and drift in the last ulp.)
 
-:meth:`ProPolyneEngine.insert` is a batch of one through this kernel,
-so the scalar and batched paths can never drift apart numerically, and
-every append holds the engine's update lock.
+Every append path commits through :meth:`BatchInserter.commit`, which
+returns nothing: the ingest committer, replay and the CLI call it
+directly, and :meth:`ProPolyneEngine.insert` is a batch of one through
+it, so the scalar and batched paths can never drift apart numerically,
+and every append holds the engine's update lock.  Counting what a batch
+touched is not part of the commit: :meth:`BatchInserter.insert_batch`
+commits and then counts the union of the batch's delta positions, and
+``insert`` returns its one point's delta length.
 """
 
 from __future__ import annotations
@@ -92,11 +97,10 @@ class BatchInserter:
         # used first.  Only touched under the engine's update lock.
         self._delta_memo: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
         self._memo_held = 0
-        # The commit's buffer and hit marks, in the allocation's fixed
-        # layout: allocated on the first commit, only touched under the
-        # engine's update lock.
+        # The commit's buffer, in the allocation's fixed layout:
+        # allocated on the first commit, only touched under the engine's
+        # update lock.
         self._scratch: np.ndarray | None = None
-        self._hit: np.ndarray | None = None
         # The last commit's read order and its segment_gathers, so the
         # norms' gather indices are rebuilt only when the set of blocks
         # a commit touches changes.  Sensor traffic repeats it: a
@@ -132,6 +136,13 @@ class BatchInserter:
             w = np.asarray(weights, dtype=float)
             if w.shape != (n,):
                 raise QueryError(f"{w.size} weights for {n} points")
+        # A NaN or an infinity would spread through every coefficient
+        # its impulse touches, and so into answers over other cells.
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise QueryError(
+                f"point {int(bad[0])}: weight {float(w[bad[0]])} is not finite"
+            )
         return pts, w
 
     def _delta_of(self, point: tuple[int, ...]) -> tuple:
@@ -157,18 +168,22 @@ class BatchInserter:
 
     # -- the batch append kernel -------------------------------------------
 
-    def insert_batch(self, points, weights=None) -> int:
+    def commit(self, points, weights=None) -> None:
         """Append many tuples to the cube as one group-committed batch.
+
+        Every append path commits here (the ingest committer, replay,
+        :meth:`insert_batch` and
+        :meth:`~repro.query.propolyne.ProPolyneEngine.insert`); nothing
+        is counted.
 
         Args:
             points: Sequence of attribute-value tuples (original
                 domain), or an ``(n, ndim)`` integer array.
             weights: Per-point count increments — a sequence of length
                 ``n``, a scalar broadcast to every point, or ``None``
-                for 1.0 each.  Negative weights delete.
-
-        Returns:
-            The number of distinct stored coefficients touched.
+                for 1.0 each.  Negative weights delete; a NaN or an
+                infinite weight is refused (``QueryError``) before
+                anything is stored.
 
         The stored coefficients afterwards are bitwise-identical to the
         state N sequential
@@ -176,7 +191,7 @@ class BatchInserter:
         the same order, with the same weights) would leave.
         """
         if len(points) == 0:
-            return 0
+            return
         pts, w = self._validate(points, weights)
         with span("query.insert_batch"):
             obs_counter("query.insert.batches").inc()
@@ -185,9 +200,29 @@ class BatchInserter:
                 "query.insert.batch_size", DEFAULT_COUNT_BUCKETS
             ).observe(len(pts))
             with self._engine._update_lock:
-                return self._apply(pts, w)
+                self._apply(pts, w)
 
-    def _apply(self, pts: np.ndarray, w: np.ndarray) -> int:
+    def insert_batch(self, points, weights=None) -> int:
+        """:meth:`commit` the batch, then count what it touched.
+
+        Returns:
+            The number of distinct stored coefficients touched: the
+            union of the batch's distinct points' delta positions.  No
+            write path calls this; the count is for callers that read
+            it.
+        """
+        self.commit(points, weights)
+        if len(points) == 0:
+            return 0
+        hit = np.zeros(math.prod(self._engine.store.allocation.shape),
+                       dtype=bool)
+        with self._engine._update_lock:
+            for point in set(map(tuple, np.asarray(
+                    points, dtype=np.intp).tolist())):
+                hit[self._delta_of(point)[0]] = True
+        return int(np.count_nonzero(hit))
+
+    def _apply(self, pts: np.ndarray, w: np.ndarray) -> None:
         engine = self._engine
         store = engine.store
         allocation = store.allocation
@@ -207,9 +242,7 @@ class BatchInserter:
         allocation.check_lens(preimages.codes, preimages.lens)
         scratch = self._scratch
         if scratch is None:
-            size = math.prod(allocation.shape)
-            scratch = self._scratch = np.empty(size)
-            self._hit = np.zeros(size, dtype=bool)
+            scratch = self._scratch = np.empty(math.prod(allocation.shape))
         starts = offsets[preimages.codes]
         with memoryview(scratch) as layout:
             for start, payload in zip(starts.tolist(), preimages.payloads):
@@ -269,18 +302,3 @@ class BatchInserter:
                 dict(zip(preimages.codes.tolist(), preimages.payloads)),
                 prior_norms, len(pts),
             )
-        # Distinct coefficients touched: each distinct point's positions
-        # marked once, then counted and cleared over the touched ranges.
-        # Blocks adjacent in code order are adjacent in the layout, so
-        # the ranges merge into far fewer runs than there are blocks.
-        hit = self._hit
-        for positions, _, _ in deltas.values():
-            hit[positions] = True
-        breaks = np.flatnonzero(lo[1:] != hi[:-1]) + 1
-        firsts = np.concatenate(([0], breaks))
-        lasts = np.concatenate((breaks, [len(lo)])) - 1
-        touched = 0
-        for a, b in zip(lo[firsts].tolist(), hi[lasts].tolist()):
-            touched += int(np.count_nonzero(hit[a:b]))
-            hit[a:b] = False
-        return touched

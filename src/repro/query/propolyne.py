@@ -810,17 +810,21 @@ class ProPolyneEngine:
 
         Args:
             point: Attribute values of the new tuple (original domain).
-            weight: Count increment (can be negative for deletion).
+            weight: Count increment (can be negative for deletion; a NaN
+                or an infinity is refused with ``QueryError``).
 
         Returns:
-            The number of stored coefficients touched.
+            The number of stored coefficients touched: the point's delta
+            length (its positions are distinct).
         """
         # A batch of one through the vectorized kernel: scalar and
         # batched appends share one code path (validation and the engine
         # update lock included), so they can never drift apart.
-        return self.inserter.insert_batch(
-            [tuple(int(p) for p in point)], [float(weight)]
-        )
+        point = tuple(int(p) for p in point)
+        inserter = self.inserter
+        inserter.commit([point], [float(weight)])
+        with self._update_lock:
+            return len(inserter._delta_of(point)[0])
 
     @property
     def inserter(self):

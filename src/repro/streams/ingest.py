@@ -51,6 +51,7 @@ counters, the ``ingest.commit_batch_size`` histogram and the
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -487,12 +488,17 @@ class IngestService:
         longer list is cut into such chunks, put one after another), each
         admitted once the queue holds fewer than ``queue_capacity``
         points, so the queue never holds twice that.  The gauge is set,
-        and the trace captured, once."""
+        and the trace captured, once.  A NaN or infinite weight is
+        refused (``StreamError``) before anything is queued, so it cannot
+        fail, or poison, a commit of other sessions' points."""
         points, weights = list(points), list(weights)
         if len(points) != len(weights):
             raise StreamError(
                 f"{len(weights)} weights for {len(points)} points"
             )
+        if not all(map(math.isfinite, weights)):
+            i = next(i for i, w in enumerate(weights) if not math.isfinite(w))
+            raise StreamError(f"point {i}: weight {weights[i]} is not finite")
         if not points:
             return
         captured = handoff()
@@ -529,11 +535,11 @@ class IngestService:
                 "ingest.commit_batch_size", DEFAULT_COUNT_BUCKETS
             ).observe(len(points))
             try:
-                self.engine.inserter.insert_batch(points, weights)
+                self.engine.inserter.commit(points, weights)
             except Exception:
                 # The device stack already retried (its StorageSpec
                 # owns resilience); a commit failing past that is kept,
-                # not re-driven: insert_batch is a read-modify-write,
+                # not re-driven: a commit is a read-modify-write,
                 # and on a sharded stack some shards' groups may have
                 # landed, so re-applying would double-count them.
                 obs_counter("ingest.commit_failures").inc()

@@ -29,7 +29,7 @@ under load).  This module persists that whole story and plays it back:
 **Fidelity contract.**  Replaying a record into an engine seeded with
 the same starting coefficients leaves **bitwise-identical** stored
 coefficients to the original run.  This leans on PR 7's invariant:
-:meth:`~repro.query.ingest.BatchInserter.insert_batch` is
+:meth:`~repro.query.ingest.BatchInserter.commit` is
 bitwise-identical to the same points applied sequentially *in the same
 order*, regardless of how they were grouped into commits — so the
 record only needs to preserve point order, not the original run's
@@ -393,7 +393,7 @@ class SessionReplayer:
 
         Points are grouped into batches of up to ``commit_batch`` and
         applied through the engine's vectorized append path
-        (:meth:`~repro.query.ingest.BatchInserter.insert_batch`) in
+        (:meth:`~repro.query.ingest.BatchInserter.commit`) in
         recorded order — grouping is free to differ from the original
         run's commit boundaries because the batch kernel is
         order-preserving, so the stored coefficients come out
@@ -422,7 +422,7 @@ class SessionReplayer:
             def _flush() -> None:
                 nonlocal applied
                 if points:
-                    inserter.insert_batch(points, weights)
+                    inserter.commit(points, weights)
                     applied += len(points)
                     obs_counter("replay.points").inc(len(points))
                     points.clear()

@@ -214,7 +214,7 @@ runner("cluster_batch", "exact", _batch(lambda r, qs: r.cluster.submit_batch(
     "ClusterFrontend.submit_batch", "BackendNode.submit_batch")
 # The write runners, each on an engine of its own, after the reads.
 runner("insert_batch", "write", _fresh(lambda r, e: e.inserter.insert_batch(
-    *r.batch)), "BatchInserter.insert_batch", epoch=2)
+    *r.batch)), "BatchInserter.insert_batch", "BatchInserter.commit", epoch=2)
 runner("insert_each", "write", _fresh(lambda r, e: [
     e.insert(point, weight) for point, weight in zip(*r.batch)]),
     _E + "insert", epoch=2)
@@ -264,22 +264,21 @@ def _watch(engine, twin, fates: list) -> None:
     put each that fails past the storage stack in ``fates`` by what
     ``engine`` then stores: what ``twin`` holds without it (``"pre"``),
     with it (``"post"``) or ``"neither"``."""
-    commit = engine.inserter.insert_batch
+    commit = engine.inserter.commit  # every write path's one way in
 
-    def insert_batch(points, weights):
+    def watched(points, weights=None):
         try:
-            touched = commit(points, weights)
+            commit(points, weights)
         except AIMSError:
             stored, fate = stored_digest(engine), "pre"
             if stored != stored_digest(twin):
-                twin.inserter.insert_batch(points, weights)
+                twin.inserter.commit(points, weights)
                 fate = "post" if stored == stored_digest(twin) else "neither"
             fates.append(fate)
             raise
-        twin.inserter.insert_batch(points, weights)
-        return touched
+        twin.inserter.commit(points, weights)
 
-    engine.inserter.insert_batch = insert_batch
+    engine.inserter.commit = watched
 
 
 @dataclass

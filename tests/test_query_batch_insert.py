@@ -159,6 +159,51 @@ class TestValidation:
             BatchInserter(engine).insert_batch([(1, 1), (99, 0)])
         _assert_bitwise_equal(before, _coefficients(engine))
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"),
+                                        -float("inf")])
+    def test_non_finite_weight_rejected_and_store_untouched(self, weight):
+        # Stored, a NaN would reach every coefficient its impulse touches:
+        # COUNT over a region without (1, 1) read nan.
+        engine = ProPolyneEngine(np.ones((8, 8)), max_degree=1, block_size=7)
+        before = _coefficients(engine)
+        with pytest.raises(QueryError, match="not finite"):
+            engine.insert((1, 1), weight)
+        with pytest.raises(QueryError, match="not finite"):
+            engine.inserter.insert_batch([(6, 6), (1, 1)], [1.0, weight])
+        with pytest.raises(QueryError, match="not finite"):
+            engine.inserter.commit([(6, 6), (1, 1)], weight)
+        _assert_bitwise_equal(before, _coefficients(engine))
+        assert engine.evaluate_exact(
+            RangeSumQuery.count([(4, 7), (4, 7)])
+        ) == pytest.approx(16.0)
+
+
+# Corners and edges of a 2-D and a 3-D cube.  No impulse here loses an
+# entry to the exact-zero mask: no axis translation of a width-one range
+# holds an exact 0.0 (searched over degrees 0-3 and axis lengths 4-39 and
+# 64), so every count below is the full outer product.
+_EDGE_POINTS = [
+    ((16, 16), point) for point in
+    [(0, 0), (0, 15), (15, 0), (15, 15), (0, 7), (7, 15), (15, 8), (8, 0)]
+] + [
+    ((16, 12, 8), point) for point in
+    [(0, 0, 0), (15, 11, 7), (0, 11, 0), (15, 0, 7), (8, 0, 0), (0, 6, 7),
+     (15, 11, 3)]
+]
+
+
+@pytest.mark.parametrize("shape, point", _EDGE_POINTS)
+def test_single_point_insert_counts_what_insert_batch_counts(shape, point):
+    # insert returns its point's delta length; insert_batch counts the
+    # batch's union: for one point they are the same number.
+    cube = np.abs(np.random.default_rng(len(shape)).normal(size=shape))
+    build = lambda: ProPolyneEngine(cube, max_degree=1, block_size=7)
+    engine, twin = build(), build()
+    count = engine.insert(point, 2.5)
+    assert count > 0
+    assert count == BatchInserter(twin).insert_batch([point], [2.5])
+    _assert_bitwise_equal(_coefficients(engine), _coefficients(twin))
+
 
 class TestScalarInsertRoute:
     def test_engine_insert_reuses_one_inserter(self):

@@ -218,7 +218,11 @@ def test_a_failed_commit_on_one_shard_stores_nothing(runs):
     # that gives up fails before it writes: each failed commit leaves the
     # pre-batch state, and ``check`` holds what each runner then stores
     # to its fault-free twin's (nothing of a failed commit leaks).
+    # The ingest runners' commits reach the watch too, not only the
+    # direct inserts: every write path commits through one method.
     assert any(runs["write_faults4"].fates.values())
+    assert any(fates for phase, fates in runs["write_faults4"].fates.items()
+               if phase.startswith("ingest_"))
     one = oracle.run_stack(WORKLOAD, write_faults(1))
     assert {fate for fates in one.fates.values() for fate in fates} == {"pre"}
     oracle.check(WORKLOAD, {**runs, "write_faults1": one}, "write_faults1")
@@ -239,15 +243,15 @@ def test_a_failed_sharded_commit_stores_all_or_nothing(runs):
 
 def test_every_entry_point_has_a_runner_or_an_exemption():
     # Every read path (evaluate_* / submit_*) and every way a point
-    # enters (insert*, submit, replay_*, open_session).
+    # enters (insert*, commit, submit, replay_*, open_session).
     entry_points = {
         f"{cls.__name__}.{name}"
         for cls in (ProPolyneEngine, BatchEvaluator, QueryService,
                     BackendNode, ClusterFrontend, BatchInserter,
                     IngestService, SessionReplayer)
         for name, _ in inspect.getmembers(cls, inspect.isfunction)
-        if name.startswith(("evaluate_", "submit", "insert", "replay_",
-                            "open_session"))
+        if name.startswith(("evaluate_", "submit", "insert", "commit",
+                            "replay_", "open_session"))
     }
     driven = {e for path in oracle.RUNNERS.values() for e in path.entry_points}
     assert entry_points - driven - set(oracle.EXEMPT) == set()

@@ -221,6 +221,22 @@ class TestIngestService:
         with pytest.raises(StreamError):
             IngestService(engine, commit_batch=0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_weight_refused_before_it_is_queued(self, bad):
+        # One bad weight must not fail (or poison) a commit of good points.
+        engine = _engine(shape=(8, 8))
+        count = RangeSumQuery.count([(0, 3), (0, 3)])
+        before = engine.evaluate_exact(count)
+        with IngestService(engine) as service:
+            with pytest.raises(StreamError, match="point 1: weight"):
+                service.submit_many([(1, 1), (6, 6)], [1.0, bad])
+            assert service.queue_depth == 0
+            service.submit_many([(1, 1)], [1.0])
+            service.flush()
+        assert service.failed_batches == []
+        assert service.committed_points == 1
+        assert engine.evaluate_exact(count) == pytest.approx(before + 1.0)
+
     def test_duplicate_session_rejected(self):
         engine = _engine()
         service = IngestService(engine)
@@ -426,15 +442,15 @@ class TestChunkedHandOff:
         """Wrap the engine's commit: every call's points, in order; with
         ``gate``, the second call waits for it."""
         calls = []
-        insert_batch = engine.inserter.insert_batch
+        commit = engine.inserter.commit
 
         def recorded(points, weights=None):
             calls.append((list(points), list(weights)))
             if gate is not None and len(calls) == 2:
                 gate.wait(5.0)
-            return insert_batch(points, weights)
+            commit(points, weights)
 
-        engine.inserter.insert_batch = recorded
+        engine.inserter.commit = recorded
         return calls
 
     def test_capacity_counts_points(self):
