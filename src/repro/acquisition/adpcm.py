@@ -125,18 +125,3 @@ class AdpcmCodec:
             index = int(np.clip(index + _INDEX_TABLE[code], 0, 88))
             out[i + 1] = predictor
         return out.astype(float) / block.scale + block.offset
-
-    def encode_matrix(self, session: np.ndarray) -> list[AdpcmBlock]:
-        """Encode every column of a ``(frames, sensors)`` session."""
-        matrix = np.asarray(session, dtype=float)
-        if matrix.ndim != 2:
-            raise AcquisitionError(
-                f"expected (frames, sensors) matrix, got ndim={matrix.ndim}"
-            )
-        return [self.encode(matrix[:, s]) for s in range(matrix.shape[1])]
-
-    def decode_matrix(self, blocks: list[AdpcmBlock]) -> np.ndarray:
-        """Inverse of :meth:`encode_matrix`."""
-        if not blocks:
-            raise AcquisitionError("no ADPCM blocks to decode")
-        return np.column_stack([self.decode(b) for b in blocks])

@@ -94,43 +94,6 @@ class SamplingResult:
             out[:, s] = np.interp(ticks, kept_ticks, matrix[kept_ticks, s])
         return out
 
-    def to_samples(self, session: np.ndarray, sensor_ids: list[int]):
-        """Emit the recorded readings as a time-ordered sample stream.
-
-        This is the wire format the rest of AIMS consumes: per-sensor
-        :class:`repro.streams.sample.Sample` objects, mergeable back into
-        frames with :func:`repro.streams.multiplex.multiplex`.
-
-        Args:
-            session: The full-rate session the masks index into.
-            sensor_ids: Sensor id per mask row.
-
-        Yields:
-            Samples ordered by timestamp (ties in sensor order).
-        """
-        from repro.streams.sample import Sample
-
-        matrix = np.asarray(session, dtype=float)
-        if matrix.T.shape != self.kept.shape:
-            raise AcquisitionError(
-                f"session shape {matrix.shape} does not match masks "
-                f"{self.kept.shape}"
-            )
-        if len(sensor_ids) != self.kept.shape[0]:
-            raise AcquisitionError(
-                f"{len(sensor_ids)} sensor ids for {self.kept.shape[0]} "
-                f"mask rows"
-            )
-        period = 1.0 / self.rate_hz
-        for tick in range(matrix.shape[0]):
-            for row, sid in enumerate(sensor_ids):
-                if self.kept[row, tick]:
-                    yield Sample(
-                        timestamp=tick * period,
-                        sensor_id=sid,
-                        value=float(matrix[tick, row]),
-                    )
-
     def nrmse(self, session: np.ndarray) -> float:
         """Normalized RMS reconstruction error against the reference."""
         matrix = np.asarray(session, dtype=float)

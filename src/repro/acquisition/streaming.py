@@ -44,13 +44,6 @@ class StreamingStats:
     rate_updates: int = 0
     dropouts: int = 0
 
-    @property
-    def record_fraction(self) -> float:
-        """Recorded readings per device tick (28 sensors -> up to 28.0)."""
-        if self.ticks_seen == 0:
-            return 0.0
-        return self.samples_recorded / self.ticks_seen
-
 
 @dataclass
 class StreamingAdaptiveSampler:

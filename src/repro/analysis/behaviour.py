@@ -32,11 +32,6 @@ class MissContext:
     miss: StimulusEvent
     distraction: DistractionInterval | None
 
-    @property
-    def distracted(self) -> bool:
-        """True when a distraction overlapped the miss."""
-        return self.distraction is not None
-
 
 def distractions_near_misses(
     session: ClassroomSession, window: float = 2.0

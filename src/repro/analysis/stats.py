@@ -47,23 +47,6 @@ class SummaryStats:
             total_sq=float(np.sum(arr**2)),
         )
 
-    @classmethod
-    def from_range_sums(
-        cls, aggregates, ranges: list[tuple[int, int]], dim: int
-    ) -> "SummaryStats":
-        """Build the triple from a live ProPolyne engine
-        (:class:`repro.query.aggregates.StatisticalAggregates`)."""
-        from repro.query.rangesum import RangeSumQuery
-
-        count, total, total_sq = aggregates._batch.evaluate_exact(
-            [
-                RangeSumQuery.count(ranges),
-                RangeSumQuery.weighted(ranges, {dim: 1}),
-                RangeSumQuery.weighted(ranges, {dim: 2}),
-            ]
-        )
-        return cls(count=count, total=total, total_sq=total_sq)
-
     @property
     def mean(self) -> float:
         """Sample mean ``total / count``."""

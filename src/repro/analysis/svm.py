@@ -159,12 +159,6 @@ class SVM:
         self._fitted = True
         return self
 
-    @property
-    def n_support(self) -> int:
-        """Number of support vectors (after fit)."""
-        self._require_fitted()
-        return int(self._support_x.shape[0])
-
     def _require_fitted(self) -> None:
         if not self._fitted:
             raise _AnalysisError("SVM is not fitted; call fit() first")

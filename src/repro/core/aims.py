@@ -114,7 +114,6 @@ class AIMS:
         self._aggregates: dict[str, StatisticalAggregates] = {}
         self._vocabulary: MotionVocabulary | None = None
         self.blobs = BlobStore()
-        self._archive: dict[str, tuple[BlobRef, tuple[int, ...]]] = {}
 
     # -- acquisition ---------------------------------------------------------
 
@@ -167,44 +166,9 @@ class AIMS:
                 f"sessions are (frames, sensors) matrices, got "
                 f"ndim={matrix.ndim}"
             )
-        ref = self.blobs.put_array(name, matrix.ravel())
-        self._archive[name] = (ref, matrix.shape)
-        return ref
-
-    def restore_session(self, name: str) -> np.ndarray:
-        """Fetch an archived session back by name."""
-        try:
-            ref, shape = self._archive[name]
-        except KeyError:
-            raise AIMSError(f"no archived session named {name!r}") from None
-        return self.blobs.get_array(ref).reshape(shape)
+        return self.blobs.put_array(name, matrix.ravel())
 
     # -- off-line query --------------------------------------------------------
-
-    def populate_from_records(
-        self,
-        name: str,
-        records: list,
-        fields: tuple[str, ...],
-        bins: dict[str, int],
-    ) -> ProPolyneEngine:
-        """Quantize immersidata records and populate a queryable cube.
-
-        Wires the §2.1 record schema straight into ProPolyne: the chosen
-        fields become cube dimensions (see
-        :func:`repro.core.record.records_to_relation`), the relation
-        becomes a frequency cube, and the cube is populated under
-        ``name``.  The per-field ``(offset, step)`` scales are retained on
-        the returned engine as ``engine.field_scales`` for decoding query
-        results back into physical units.
-        """
-        from repro.core.record import records_to_relation
-        from repro.query.rangesum import relation_to_cube
-
-        relation, shape, scales = records_to_relation(records, fields, bins)
-        engine = self.populate(name, relation_to_cube(relation, shape))
-        engine.field_scales = scales
-        return engine
 
     def populate(
         self,
@@ -251,13 +215,6 @@ class AIMS:
         except KeyError:
             raise QueryError(f"no populated cube named {name!r}") from None
 
-    def drop(self, name: str) -> None:
-        """Forget a populated cube."""
-        if name not in self._engines:
-            raise QueryError(f"no populated cube named {name!r}")
-        del self._engines[name]
-        del self._aggregates[name]
-
     def cubes(self) -> list[str]:
         """Names of populated cubes."""
         return sorted(self._engines)
@@ -280,9 +237,7 @@ class AIMS:
             dtype=float,
         )
         payload = np.concatenate([header, coeffs.ravel()])
-        ref = self.blobs.put_array(f"cube:{name}", payload)
-        self._archive[f"cube:{name}"] = (ref, payload.shape)
-        return ref
+        return self.blobs.put_array(f"cube:{name}", payload)
 
     def load_cube(self, name: str, ref: BlobRef | int) -> ProPolyneEngine:
         """Rebuild a cube saved with :meth:`save_cube` under ``name``.

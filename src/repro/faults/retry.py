@@ -78,8 +78,22 @@ class RetryPolicy:
         if self.jitter < 0:
             raise StorageError(f"jitter must be >= 0, got {self.jitter}")
 
-    def _budget_cap(self, raw: list[float]) -> list[float]:
-        """Clip a delay sequence so its sum never exceeds ``budget_s``."""
+    def delays(self, rng: random.Random | None = None) -> list[float]:
+        """The jittered backoff sequence actually slept, budget-capped.
+
+        One entry per *retry* (so at most ``max_attempts - 1``).  Entry
+        ``k`` lies in ``[base, base * (1 + jitter)]`` for ``base =
+        min(base_delay_s * multiplier**k, max_delay_s)``, then the
+        sequence is clipped so its sum never exceeds ``budget_s``.
+        ``rng`` defaults to a fresh policy-seeded RNG, so repeated calls
+        replay the same schedule.
+        """
+        rng = rng or random.Random(self.seed)
+        raw = [
+            min(self.base_delay_s * self.multiplier ** k, self.max_delay_s)
+            * (1.0 + self.jitter * rng.random())
+            for k in range(self.max_attempts - 1)
+        ]
         capped: list[float] = []
         spent = 0.0
         for delay in raw:
@@ -90,35 +104,6 @@ class RetryPolicy:
             capped.append(delay)
             spent += delay
         return capped
-
-    def base_delays(self) -> list[float]:
-        """The un-jittered backoff sequence: monotone non-decreasing,
-        each sleep <= ``max_delay_s``, summing to <= ``budget_s``.
-
-        One entry per *retry* (so at most ``max_attempts - 1``); the
-        list is shorter when the budget runs out first.
-        """
-        raw = [
-            min(self.base_delay_s * self.multiplier ** k, self.max_delay_s)
-            for k in range(self.max_attempts - 1)
-        ]
-        return self._budget_cap(raw)
-
-    def delays(self, rng: random.Random | None = None) -> list[float]:
-        """The jittered backoff sequence actually slept, budget-capped.
-
-        Each entry lies in ``[base, base * (1 + jitter)]`` of the
-        corresponding :meth:`base_delays` entry (before budget
-        clipping).  ``rng`` defaults to a fresh policy-seeded RNG, so
-        repeated calls replay the same schedule.
-        """
-        rng = rng or random.Random(self.seed)
-        raw = [
-            min(self.base_delay_s * self.multiplier ** k, self.max_delay_s)
-            * (1.0 + self.jitter * rng.random())
-            for k in range(self.max_attempts - 1)
-        ]
-        return self._budget_cap(raw)
 
     def execute(
         self,

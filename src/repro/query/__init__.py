@@ -1,6 +1,6 @@
 """Off-line query subsystem: ProPolyne and friends (§3.3 of the paper)."""
 
-from repro.query.aggregates import ProgressiveAggregate, StatisticalAggregates
+from repro.query.aggregates import StatisticalAggregates
 from repro.query.batch import BatchEstimate, BatchEvaluator, GroupByResult, group_by
 from repro.query.dataapprox import DataApproxEngine
 from repro.query.explain import (
@@ -15,7 +15,6 @@ from repro.query.hybrid import HybridCost, HybridEngine
 from repro.query.ingest import BatchInserter
 from repro.query.packet_engine import PacketBasisEngine, cover_transform
 from repro.query.randproj import RandomProjectionEngine
-from repro.query.workload import drilldown_ranges, grid_group_by, random_ranges
 from repro.query.propolyne import (
     ProgressiveEstimate,
     ProPolyneEngine,
@@ -48,7 +47,6 @@ __all__ = [
     "GroupByResult",
     "group_by",
     "StatisticalAggregates",
-    "ProgressiveAggregate",
     "HybridEngine",
     "QueryPlan",
     "QueryProvenance",
@@ -60,8 +58,5 @@ __all__ = [
     "HybridCost",
     "PacketBasisEngine",
     "RandomProjectionEngine",
-    "random_ranges",
-    "drilldown_ranges",
-    "grid_group_by",
     "cover_transform",
 ]

@@ -18,9 +18,6 @@ exactly the "share I/O maximally" behaviour of §3.3.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 from repro.core.errors import QueryError
 from repro.obs import counter as obs_counter
 from repro.obs import span
@@ -28,21 +25,7 @@ from repro.query.batch import BatchEvaluator
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
 
-__all__ = ["ProgressiveAggregate", "StatisticalAggregates"]
-
-
-@dataclass(frozen=True)
-class ProgressiveAggregate:
-    """Progressive state of a derived aggregate.
-
-    ``error_bound`` is derived by interval arithmetic from the component
-    sums' guaranteed bounds; it is conservative and becomes infinite while
-    the COUNT interval still straddles zero.
-    """
-
-    value: float
-    error_bound: float
-    blocks_read: int
+__all__ = ["StatisticalAggregates"]
 
 
 class StatisticalAggregates:
@@ -117,42 +100,3 @@ class StatisticalAggregates:
         if abs(count) < 1e-12:
             raise QueryError("COVARIANCE over an empty range")
         return sij / count - (si / count) * (sj / count)
-
-    # -- progressive ---------------------------------------------------------
-
-    def progressive_average(
-        self, ranges: list[tuple[int, int]], dim: int
-    ) -> Iterator[ProgressiveAggregate]:
-        """Progressive AVERAGE with interval-arithmetic error bounds.
-
-        COUNT and SUM are evaluated in lockstep over shared blocks; after
-        each block the ratio of the current estimates is reported, bounded
-        by the worst ratio of the component intervals.
-        """
-        queries = [
-            RangeSumQuery.count(ranges),
-            RangeSumQuery.weighted(ranges, {dim: 1}),
-        ]
-        for step in self._batch.evaluate_progressive(queries):
-            count_est, sum_est = step.estimates
-            count_err, sum_err = step.error_bounds
-            count_lo = count_est - count_err
-            if count_lo <= 0:
-                yield ProgressiveAggregate(
-                    value=sum_est / count_est if count_est else 0.0,
-                    error_bound=float("inf"),
-                    blocks_read=step.blocks_read,
-                )
-                continue
-            value = sum_est / count_est
-            # Extremes of (sum +- es) / (count -+ ec) around the estimate.
-            candidates = [
-                (sum_est + sum_err) / count_lo,
-                (sum_est - sum_err) / count_lo,
-                (sum_est + sum_err) / (count_est + count_err),
-                (sum_est - sum_err) / (count_est + count_err),
-            ]
-            bound = max(abs(c - value) for c in candidates)
-            yield ProgressiveAggregate(
-                value=value, error_bound=bound, blocks_read=step.blocks_read
-            )

@@ -53,13 +53,6 @@ class GroupByResult:
     blocks_read: int
     blocks_independent: int
 
-    @property
-    def io_saving(self) -> float:
-        """Fraction of block reads the shared plan avoided."""
-        if self.blocks_independent == 0:
-            return 0.0
-        return 1.0 - self.blocks_read / self.blocks_independent
-
     def as_dict(self) -> dict[tuple[int, int], float]:
         """Cell label -> value mapping."""
         return dict(zip(self.labels, self.values))

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import QueryError
-from repro.core.reduce import total
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery, relation_to_cube
 
@@ -161,76 +160,6 @@ class HybridEngine:
             query_coefficients=coeffs,
             blocks_read=blocks,
         )
-
-    def query_progressive(
-        self,
-        predicates: dict[int, set[int]] | None,
-        wavelet_ranges: list[tuple[int, int]],
-        wavelet_degrees: dict[int, int] | None = None,
-    ):
-        """Progressive hybrid evaluation.
-
-        The matching partitions' progressive streams are merged greedily:
-        each global step advances the partition whose remaining guaranteed
-        bound is largest (the cross-partition version of "most valuable
-        I/O first").  Yields :class:`repro.query.propolyne.
-        ProgressiveEstimate` values for the *summed* aggregate, with the
-        summed guaranteed bound.
-        """
-        from repro.query.propolyne import ProgressiveEstimate
-
-        if len(wavelet_ranges) != len(self.wavelet_dims):
-            raise QueryError(
-                f"{len(wavelet_ranges)} ranges for "
-                f"{len(self.wavelet_dims)} wavelet dimensions"
-            )
-        sub_query = RangeSumQuery.weighted(
-            wavelet_ranges, wavelet_degrees or {}
-        )
-        keys = self._matching_partitions(predicates)
-        streams = {}
-        state = {}
-        blocks = 0
-        coeffs = 0
-        # Prime every matching partition with its first block.
-        for key in keys:
-            gen = self.partitions[key].evaluate_progressive(sub_query)
-            first = next(gen, None)
-            if first is None:
-                continue
-            streams[key] = gen
-            state[key] = first
-            blocks += first.blocks_read
-            coeffs += first.coefficients_used
-        if not state:
-            yield ProgressiveEstimate(0.0, 0.0, 0.0, 0, 0)
-            return
-
-        def combined() -> ProgressiveEstimate:
-            estimate, bound, variance = total(np.transpose([
-                [s.estimate, s.error_bound, s.error_estimate**2]
-                for s in state.values()
-            ])).tolist()
-            return ProgressiveEstimate(
-                estimate=estimate,
-                error_bound=bound,
-                error_estimate=variance**0.5,
-                blocks_read=blocks,
-                coefficients_used=coeffs,
-            )
-
-        yield combined()
-        while streams:
-            # Advance the partition with the largest remaining bound.
-            key = max(streams, key=lambda k: state[k].error_bound)
-            step = next(streams[key], None)
-            if step is None:
-                del streams[key]
-                continue
-            blocks += 1
-            coeffs += step.coefficients_used - state[key].coefficients_used
-            state[key] = step
-            yield combined()
 
     def relational_scan_cost(
         self, predicates: dict[int, set[int]] | None

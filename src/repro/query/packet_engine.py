@@ -146,21 +146,6 @@ class PacketBasisEngine:
             result = dot(result, vector)
         return float(result)
 
-    def query_sparsity(
-        self, query: RangeSumQuery, rel_tol: float = 1e-9
-    ) -> int:
-        """Number of significant multivariate query coefficients — the
-        cost a sparse evaluator in this basis would pay."""
-        vectors = self._query_vectors(query)
-        counts = []
-        for vec in vectors:
-            scale = float(np.max(np.abs(vec))) or 1.0
-            counts.append(int(np.sum(np.abs(vec) > rel_tol * scale)))
-        total = 1
-        for c in counts:
-            total *= c
-        return total
-
     def compression_error(self, budget: int) -> float:
         """Relative L2 error of keeping the top-``budget`` coefficients in
         this basis — the quantity best-basis selection optimizes."""

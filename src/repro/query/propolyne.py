@@ -218,12 +218,6 @@ class ProgressiveEstimate:
     blocks_read: int
     coefficients_used: int
 
-    def confidence_interval(self, z: float = 2.0) -> tuple[float, float]:
-        """Forecast interval ``estimate ± z * error_estimate``, clipped to
-        the guaranteed bound."""
-        half = min(z * self.error_estimate, self.error_bound)
-        return (self.estimate - half, self.estimate + half)
-
 
 @dataclass(frozen=True)
 class QueryOutcome:
@@ -836,16 +830,3 @@ class ProPolyneEngine:
 
             self._inserter = BatchInserter(self)
         return self._inserter
-
-    def evaluate_approximate(
-        self, query: RangeSumQuery, block_budget: int
-    ) -> ProgressiveEstimate:
-        """Best estimate achievable within a block-I/O budget."""
-        if block_budget < 1:
-            raise QueryError(f"block budget must be >= 1, got {block_budget}")
-        last = ProgressiveEstimate(0.0, float("inf"), float("inf"), 0, 0)
-        for est in self.evaluate_progressive(query):
-            last = est
-            if est.blocks_read >= block_budget:
-                break
-        return last

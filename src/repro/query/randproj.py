@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.errors import QueryError
 from repro.core.reduce import dot
-from repro.query.propolyne import pad_to_pow2
 from repro.query.rangesum import RangeSumQuery
 
 __all__ = ["RandomProjectionEngine"]
@@ -90,8 +89,3 @@ class RandomProjectionEngine:
             [float(dot(self._row(i), q)) for i in range(self.k)]
         )
         return float(dot(projected, self._sketch))
-
-    @property
-    def storage_floats(self) -> int:
-        """Floats persisted (the sketch itself; R is regenerated)."""
-        return self.k

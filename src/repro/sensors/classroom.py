@@ -23,7 +23,7 @@ so experiment E7 can dial in an operating point near the paper's 86 %.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,10 +102,6 @@ class ClassroomSession:
     def misses(self) -> int:
         """Targets the subject failed to respond to."""
         return sum(1 for e in self.stimuli if e.is_target and not e.responded)
-
-    def false_alarms(self) -> int:
-        """Non-targets the subject pressed on."""
-        return sum(1 for e in self.stimuli if not e.is_target and e.responded)
 
     def mean_reaction_time(self) -> float:
         """Mean reaction time over responded targets (NaN if none)."""

@@ -18,7 +18,6 @@ import numpy as np
 from repro.core.errors import AcquisitionError
 from repro.sensors.model import GLOVE_RATE_HZ, HAND_RIG_SENSORS, SensorSpec
 from repro.sensors.noise import NoiseModel
-from repro.streams.source import ArraySource
 
 __all__ = ["CyberGloveSimulator", "band_limited_signal"]
 
@@ -126,17 +125,3 @@ class CyberGloveSimulator:
             peak = float(np.max(np.abs(raw))) or 1.0
             session[:, col] = centre + raw / peak * (span / 6.0)
         return self.noise.apply(session, rng)
-
-    def capture_source(
-        self,
-        duration: float,
-        rng: np.random.Generator,
-        activity: np.ndarray | None = None,
-    ) -> ArraySource:
-        """Like :meth:`capture` but wrapped as a frame stream."""
-        return ArraySource(self.capture(duration, rng, activity), self.rate_hz)
-
-    def true_rates(self) -> np.ndarray:
-        """Per-channel Nyquist rates ``2 * f_max`` — the ground truth the
-        rate estimators of :mod:`repro.acquisition.nyquist` try to find."""
-        return np.array([2.0 * s.max_frequency_hz for s in self.sensors])

@@ -39,12 +39,10 @@ class BlobStore:
     With ``device`` ``None`` payload bytes live in the catalog itself;
     with a :class:`~repro.storage.device.BlockDevice` (or a full
     middleware stack) each blob is the block whose code is its location
-    id, and only names/sizes stay here — deleting a blob drops its
-    catalog entry, block reclamation being the device's compaction
-    problem.  The block holds the blob's bytes, zero-padded to whole
-    words, viewed as the ``float64`` payload every layer stores (never
-    computed on, so every bit comes back; a blob is at most
-    ``8 * block_size`` bytes).
+    id, and only names/sizes stay here.  The block holds the blob's
+    bytes, zero-padded to whole words, viewed as the ``float64`` payload
+    every layer stores (never computed on, so every bit comes back; a
+    blob is at most ``8 * block_size`` bytes).
     """
 
     device: object = None
@@ -89,16 +87,6 @@ class BlobStore:
         """Fetch a blob stored with :meth:`put_array`."""
         return np.frombuffer(self.get(ref), dtype="<f8").copy()
 
-    def delete(self, ref: BlobRef | int) -> None:
-        """Remove a blob (its catalog entry; device-backed payload
-        blocks are left for the device to reclaim)."""
-        location = ref.location_id if isinstance(ref, BlobRef) else ref
-        if location not in self._names:
-            raise StorageError(f"no blob at location {location}")
-        self._blobs.pop(location, None)
-        del self._names[location]
-        del self._sizes[location]
-
     def __len__(self) -> int:
         return len(self._names)
 
@@ -106,10 +94,3 @@ class BlobStore:
     def total_bytes(self) -> int:
         """Bytes held across all blobs."""
         return sum(self._sizes.values())
-
-    def catalog(self) -> list[BlobRef]:
-        """All stored blobs as references."""
-        return [
-            BlobRef(location_id=loc, name=name, n_bytes=self._sizes[loc])
-            for loc, name in sorted(self._names.items())
-        ]

@@ -116,12 +116,6 @@ class PoolStats(StatsBase):
     evictions: int = 0
     invalidations: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of reads served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class DeviceLayer:
     """Base class for stackable middleware over an inner block device.

@@ -86,11 +86,6 @@ class ReplicatedDevice:
     # -- membership ---------------------------------------------------
 
     @property
-    def n_members(self) -> int:
-        """Total member count (primary + replicas)."""
-        return len(self.members)
-
-    @property
     def primary(self) -> int:
         """Index of the current primary member."""
         with self._lock:

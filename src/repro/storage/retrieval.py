@@ -131,15 +131,3 @@ class SignalArchive:
                 residual_energy=max(0.0, residual),
                 blocks_read=step,
             )
-
-    def retrieve_approximate(self, block_budget: int) -> ProgressiveSignal:
-        """Best reconstruction within a block-I/O budget."""
-        if block_budget < 1:
-            raise StorageError(
-                f"block budget must be >= 1, got {block_budget}"
-            )
-        last = None
-        for last in self.retrieve_progressive():
-            if last.blocks_read >= block_budget:
-                break
-        return last

@@ -34,11 +34,6 @@ class AcquisitionStats:
     dropped: int = 0
     swaps: int = 0
 
-    @property
-    def loss_rate(self) -> float:
-        """Fraction of produced frames that were dropped."""
-        return self.dropped / self.produced if self.produced else 0.0
-
 
 @dataclass
 class DoubleBuffer:

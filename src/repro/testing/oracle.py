@@ -47,8 +47,6 @@ _ENGINE = {"max_degree": 1, "block_size": 3}
 
 #: Entry points that need no runner of their own, and why.
 EXEMPT = {
-    "ProPolyneEngine.evaluate_approximate":
-        "a prefix of the evaluate_progressive run (its last step in budget)",
     "ClusterFrontend.submit_degradable":
         "routed as submit_exact is, then QueryService.submit_degradable",
     "BackendNode.submit_degradable":

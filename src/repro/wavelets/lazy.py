@@ -157,14 +157,6 @@ class SparseWaveletVector:
         indices, values = self.arrays
         return float(dot(values, np.take(np.asarray(flat_data, float), indices)))
 
-    def by_magnitude(self) -> list[tuple[int, float]]:
-        """Entries sorted by decreasing absolute value — the progressive
-        evaluation order (biggest query coefficients first)."""
-        indices, values = self.arrays
-        return sorted(
-            zip(indices.tolist(), values.tolist()), key=lambda kv: -abs(kv[1])
-        )
-
     def norm(self) -> float:
         """L2 norm of the sparse vector."""
         return math.sqrt(dot(self.arrays[1], self.arrays[1]))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import TransformError
-from repro.core.reduce import dot
 from repro.wavelets.tensor import tensor_wavedec, tensor_waverec
 
 __all__ = ["WaveletSynopsis", "build_synopsis"]
@@ -40,52 +39,21 @@ class WaveletSynopsis:
     entries: dict[int, float]
     dropped_energy: float
 
-    def __post_init__(self) -> None:
-        # ``entries`` is treated as immutable after construction; the
-        # dense flat vector is built from it on the first dot_sparse call.
-        self._flat: np.ndarray | None = None
-
     @property
     def size(self) -> int:
         """Number of retained coefficients."""
         return len(self.entries)
 
-    def _flat_coefficients(self) -> np.ndarray:
-        if self._flat is None:
-            flat = np.zeros(int(np.prod(self.shape)))
-            for idx, val in self.entries.items():
-                flat[idx] = val
-            self._flat = flat
-        return self._flat
-
     def coefficient_array(self) -> np.ndarray:
         """Dense coefficient cube with dropped entries zeroed."""
-        return self._flat_coefficients().reshape(self.shape).copy()
+        flat = np.zeros(int(np.prod(self.shape)))
+        for idx, val in self.entries.items():
+            flat[idx] = val
+        return flat.reshape(self.shape)
 
     def reconstruct(self) -> np.ndarray:
         """Approximate data cube implied by the synopsis."""
         return tensor_waverec(self.coefficient_array(), self.wavelet)
-
-    def dot_sparse(self, query_entries: dict[tuple[int, ...], float]) -> float:
-        """Inner product with a sparse wavelet-domain query.
-
-        Only coefficients retained in the synopsis contribute — this is how
-        the data-approximation baseline answers ProPolyne-style queries.
-        Vectorized: one ravel of the query's multi-indices, one gather
-        from the cached dense coefficient vector (dropped entries read as
-        0.0), one :func:`~repro.core.reduce.dot`.
-        """
-        count = len(query_entries)
-        if count == 0:
-            return 0.0
-        keys = np.fromiter(
-            (k for multi_idx in query_entries for k in multi_idx),
-            dtype=np.intp,
-            count=count * len(self.shape),
-        ).reshape(count, len(self.shape))
-        flat_idx = np.ravel_multi_index(keys.T, self.shape)
-        qvals = np.fromiter(query_entries.values(), dtype=float, count=count)
-        return float(dot(qvals, np.take(self._flat_coefficients(), flat_idx)))
 
 
 def build_synopsis(

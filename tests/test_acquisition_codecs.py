@@ -36,25 +36,10 @@ class TestAdpcm:
         decoded = codec.decode(codec.encode(np.full(100, 7.0)))
         np.testing.assert_allclose(decoded, 7.0, atol=0.05)
 
-    def test_matrix_roundtrip(self):
-        rng = np.random.default_rng(0)
-        t = np.arange(1000) / 100.0
-        session = np.column_stack(
-            [np.sin(2 * np.pi * f * t) * 10 for f in (0.5, 2.0, 5.0)]
-        )
-        codec = AdpcmCodec()
-        decoded = codec.decode_matrix(codec.encode_matrix(session))
-        assert decoded.shape == session.shape
-        assert np.sqrt(np.mean((decoded - session) ** 2)) < 0.5
-
     def test_validation(self):
         codec = AdpcmCodec()
         with pytest.raises(AcquisitionError):
             codec.encode(np.array([1.0]))
-        with pytest.raises(AcquisitionError):
-            codec.encode_matrix(np.zeros(10))
-        with pytest.raises(AcquisitionError):
-            codec.decode_matrix([])
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 1000))

@@ -88,7 +88,6 @@ class TestAdaptation:
         samples = sampler.process(session)
         assert sampler.stats.ticks_seen == session.shape[0]
         assert sampler.stats.samples_recorded == len(samples)
-        assert 0 < sampler.stats.record_fraction <= 28.0
         assert sampler.stats.rate_updates > 0
 
 

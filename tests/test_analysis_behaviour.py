@@ -44,8 +44,8 @@ class TestDistractionsNearMisses:
         session = cohort[0]
         wide = distractions_near_misses(session, window=10.0)
         strict = distractions_near_misses(session, window=0.0)
-        n_wide = sum(1 for c in wide if c.distracted)
-        n_strict = sum(1 for c in strict if c.distracted)
+        n_wide = sum(1 for c in wide if c.distraction is not None)
+        n_strict = sum(1 for c in strict if c.distraction is not None)
         assert n_strict <= n_wide
 
     def test_negative_window_rejected(self, cohort):

@@ -42,24 +42,23 @@ def _blocks(path):
     return out
 
 
+#: The doc files with at least one executable (plain ``python``) block.
+EXECUTABLE = [
+    p for p in DOC_FILES if any(info == "python" for info, _, _ in _blocks(p))
+]
+
+
 def test_docs_have_executable_snippets():
     # The suite must actually be covering something: the README and
     # the replay spec both carry executable walkthroughs.
-    covered = {
-        p.name for p in DOC_FILES
-        if any(info == "python" for info, _, _ in _blocks(p))
-    }
+    covered = {p.name for p in EXECUTABLE}
     assert "README.md" in covered
     assert "REPLAY.md" in covered
 
 
-@pytest.mark.parametrize(
-    "path", DOC_FILES, ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", EXECUTABLE, ids=lambda p: p.name)
 def test_python_snippets_execute(path, tmp_path, monkeypatch):
     blocks = _blocks(path)
-    if not any(info == "python" for info, _, _ in blocks):
-        pytest.skip(f"{path.name} has no executable python blocks")
     # Snippets that write files (record.save(...) etc.) land in a
     # scratch directory, never the repo checkout.
     monkeypatch.chdir(tmp_path)

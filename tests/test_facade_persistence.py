@@ -35,9 +35,8 @@ class TestSaveLoadCube:
         system.populate("c", np.ones((16, 16)))
         ref = system.save_cube("c")
         assert ref.name == "cube:c"
-        assert ref in [r for r in system.blobs.catalog()] or any(
-            r.location_id == ref.location_id for r in system.blobs.catalog()
-        )
+        assert len(system.blobs) == 1
+        assert system.blobs.get(ref.location_id) == system.blobs.get(ref)
 
     def test_load_checks_degree(self):
         saver = AIMS(AIMSConfig(max_degree=1))

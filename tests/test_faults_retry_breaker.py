@@ -10,6 +10,7 @@ run on the ``sim_clock`` fixture: no real sleeping, exact durations.
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -44,7 +45,7 @@ class TestRetryPolicyProperties:
 
     def test_base_delays_monotone_capped_and_budgeted(self):
         for policy in policy_grid():
-            delays = policy.base_delays()
+            delays = replace(policy, jitter=0.0).delays()
             assert len(delays) <= policy.max_attempts - 1
             assert all(d <= policy.max_delay_s + 1e-12 for d in delays)
             assert sum(delays) <= policy.budget_s + 1e-9
@@ -83,7 +84,7 @@ class TestRetryPolicyProperties:
             max_attempts=50, base_delay_s=0.01, multiplier=1.0,
             max_delay_s=0.01, jitter=0.0, budget_s=0.035,
         )
-        delays = policy.base_delays()
+        delays = policy.delays()
         assert sum(delays) == pytest.approx(0.035)
         assert len(delays) == 4  # 3 full sleeps + one clipped remainder
 
@@ -101,8 +102,8 @@ class TestRetryExecute:
         policy = RetryPolicy(max_attempts=4, base_delay_s=0.001, jitter=0.0)
         assert policy.execute(flaky) == "ok"
         assert len(calls) == 3
-        assert sim_clock.slept == policy.base_delays()[:2]
-        assert sim_clock.now() == sum(policy.base_delays()[:2])
+        assert sim_clock.slept == policy.delays()[:2]
+        assert sim_clock.now() == sum(policy.delays()[:2])
 
     def test_gives_up_after_schedule_and_reraises(self, sim_clock):
         def always_fails():

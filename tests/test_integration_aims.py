@@ -25,8 +25,6 @@ class TestFacadeBasics:
             system.engine("nope")
         with pytest.raises(QueryError):
             system.aggregates("nope")
-        with pytest.raises(QueryError):
-            system.drop("nope")
 
     def test_double_populate_rejected(self):
         system = AIMS()
@@ -34,13 +32,11 @@ class TestFacadeBasics:
         with pytest.raises(AIMSError):
             system.populate("c", np.ones((16, 16)))
 
-    def test_drop_and_list(self):
+    def test_cubes_listed_by_name(self):
         system = AIMS()
-        system.populate("a", np.ones((16, 16)))
         system.populate("b", np.ones((16, 16)))
+        system.populate("a", np.ones((16, 16)))
         assert system.cubes() == ["a", "b"]
-        system.drop("a")
-        assert system.cubes() == ["b"]
 
     def test_vocabulary_required(self):
         with pytest.raises(RecognitionError):
@@ -61,12 +57,8 @@ class TestAcquisitionToStorage:
 
         ref = system.archive_session("glove-run-1", report.reconstructed)
         assert ref.n_bytes == report.reconstructed.size * 8
-        restored = system.restore_session("glove-run-1")
-        np.testing.assert_allclose(restored, report.reconstructed)
-
-    def test_restore_unknown(self):
-        with pytest.raises(AIMSError):
-            AIMS().restore_session("ghost")
+        restored = system.blobs.get_array(ref)
+        np.testing.assert_allclose(restored, report.reconstructed.ravel())
 
     def test_archive_validates_shape(self):
         with pytest.raises(AIMSError):

@@ -4,7 +4,6 @@ robustness under injected failures."""
 import numpy as np
 import pytest
 
-from repro.core.errors import AcquisitionError
 from repro.acquisition.sampling import AdaptiveSampler
 from repro.online.recognizer import RecognizerConfig, StreamRecognizer
 from repro.online.vocabulary import MotionVocabulary
@@ -12,7 +11,7 @@ from repro.sensors.asl import ASL_VOCABULARY, synthesize_session, synthesize_sig
 from repro.sensors.glove import CyberGloveSimulator
 from repro.sensors.noise import NoiseModel
 from repro.streams.multiplex import multiplex
-from repro.streams.sample import frames_to_matrix
+from repro.streams.sample import Sample, frames_to_matrix
 
 
 class TestSampledStreamRoundtrip:
@@ -24,7 +23,12 @@ class TestSampledStreamRoundtrip:
         result = AdaptiveSampler().sample(session, sim.rate_hz)
 
         sensor_ids = list(range(1, 29))
-        samples = result.to_samples(session, sensor_ids)
+        samples = (
+            Sample(tick * (1.0 / sim.rate_hz), sid, float(session[tick, row]))
+            for tick in range(session.shape[0])
+            for row, sid in enumerate(sensor_ids)
+            if result.kept[row, tick]
+        )
         frames = list(multiplex(samples, sensor_ids, rate_hz=sim.rate_hz))
         assert frames  # stream survived the trip
         matrix = frames_to_matrix(frames)
@@ -34,22 +38,6 @@ class TestSampledStreamRoundtrip:
         err = np.sqrt(np.mean((matrix[:n] - session[:n]) ** 2))
         spread = session.max() - session.min()
         assert err / spread < 0.1
-
-    def test_samples_are_time_ordered(self):
-        sim = CyberGloveSimulator(noise=NoiseModel(white_sigma=0.0))
-        session = sim.capture(2.0, np.random.default_rng(1))
-        result = AdaptiveSampler().sample(session, sim.rate_hz)
-        times = [s.timestamp for s in result.to_samples(session, list(range(28)))]
-        assert times == sorted(times)
-
-    def test_to_samples_validation(self):
-        sim = CyberGloveSimulator()
-        session = sim.capture(1.0, np.random.default_rng(2))
-        result = AdaptiveSampler().sample(session, sim.rate_hz)
-        with pytest.raises(AcquisitionError):
-            list(result.to_samples(session, [1, 2]))
-        with pytest.raises(AcquisitionError):
-            list(result.to_samples(session[:, :3], list(range(28))))
 
 
 def _trained_recognizer(rng, window=50):

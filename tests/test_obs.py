@@ -271,7 +271,6 @@ class TestStatsProtocol:
         snap = stats.snapshot()
         stats.hits += 5
         assert snap.hits == 0
-        assert stats.hit_rate == 1.0
 
 
 class TestFacadeMetrics:

@@ -89,20 +89,6 @@ class TestAggregates:
             with pytest.raises(QueryError):
                 stats.average(empty, dim=0)
 
-    def test_progressive_average_converges(self, relation, stats):
-        rows = in_range(relation, PART)
-        exact = float(rows[:, 0].mean())
-        steps = list(stats.progressive_average(PART, dim=0))
-        assert steps[-1].value == pytest.approx(exact)
-        assert steps[-1].error_bound == pytest.approx(0.0, abs=1e-6)
-
-    def test_progressive_average_bounds_hold(self, relation, stats):
-        rows = in_range(relation, PART)
-        exact = float(rows[:, 0].mean())
-        for step in stats.progressive_average(PART, dim=0):
-            if step.error_bound != float("inf"):
-                assert abs(step.value - exact) <= step.error_bound + 1e-6
-
 
 class TestBatch:
     def _group_by_queries(self):

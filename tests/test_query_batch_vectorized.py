@@ -159,13 +159,6 @@ class TestDegradedBatch:
             else:
                 assert outcome.value == truth  # bitwise
 
-    def test_no_fault_degradable_batch_is_bitwise_exact(self, engine):
-        outcomes = BatchEvaluator(engine).evaluate_degradable(OVERLAPPING)
-        for outcome, query in zip(outcomes, OVERLAPPING):
-            assert outcome.degraded is False
-            assert outcome.error_bound == 0.0
-            assert outcome.value == engine.evaluate_exact(query)
-
 
 def progressive_bits(steps) -> list:
     """Each step's ``(estimate, bound)`` bits, then the name of the

@@ -122,36 +122,3 @@ class TestValidation:
     def test_bad_relation_shape(self):
         with pytest.raises(QueryError):
             HybridEngine(np.zeros((4, 2), dtype=int), SHAPE, standard_dims=(0,))
-
-
-class TestProgressiveHybrid:
-    def test_converges_to_exact(self, relation, hybrid):
-        exact, _ = hybrid.query({0: {2, 5}}, [(5, 50), (0, 31)])
-        last = None
-        for step in hybrid.query_progressive({0: {2, 5}}, [(5, 50), (0, 31)]):
-            last = step
-        assert last.estimate == pytest.approx(exact)
-        assert last.error_bound == pytest.approx(0.0, abs=1e-6)
-
-    def test_bounds_guaranteed_throughout(self, relation, hybrid):
-        exact, _ = hybrid.query({0: {1}}, [(0, 63), (4, 28)])
-        for est in hybrid.query_progressive({0: {1}}, [(0, 63), (4, 28)]):
-            assert abs(est.estimate - exact) <= est.error_bound + 1e-6
-
-    def test_bounds_monotone(self, hybrid):
-        bounds = [
-            e.error_bound
-            for e in hybrid.query_progressive(None, [(0, 63), (0, 31)])
-        ]
-        assert all(b <= a + 1e-9 for a, b in zip(bounds, bounds[1:]))
-
-    def test_empty_selection(self, hybrid):
-        steps = list(
-            hybrid.query_progressive({0: set()}, [(0, 63), (0, 31)])
-        )
-        assert len(steps) == 1
-        assert steps[0].estimate == 0.0
-
-    def test_arity_validated(self, hybrid):
-        with pytest.raises(QueryError):
-            list(hybrid.query_progressive(None, [(0, 63)]))

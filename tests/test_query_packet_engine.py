@@ -98,10 +98,3 @@ class TestBasisAdaptation:
         plain = PacketBasisEngine(cube, wavelet="db4", covers=[cover, cover])
         budget = 64
         assert adapted.compression_error(budget) < plain.compression_error(budget)
-
-    def test_query_sparsity_reported(self):
-        cube = np.abs(RNG.normal(size=(64, 64)))
-        engine = PacketBasisEngine(cube, wavelet="db2")
-        q = RangeSumQuery.count([(10, 50), (5, 60)])
-        sparsity = engine.query_sparsity(q)
-        assert 1 <= sparsity <= 64 * 64

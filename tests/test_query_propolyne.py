@@ -170,13 +170,6 @@ class TestProgressiveEvaluation:
         assert len(steps) == 1
         assert steps[0].estimate == 0.0
 
-    def test_approximate_budget(self, engine_2d):
-        q = RangeSumQuery.count([(3, 29), (5, 25)])
-        est = engine_2d.evaluate_approximate(q, block_budget=3)
-        assert est.blocks_read <= 3
-        with pytest.raises(QueryError):
-            engine_2d.evaluate_approximate(q, block_budget=0)
-
 
 class TestValidation:
     def test_degree_exceeds_filter(self, engine_1d):

@@ -46,10 +46,6 @@ class TestSketch:
         b = RandomProjectionEngine(cube, k=32, seed=5).evaluate(q)
         assert a == b
 
-    def test_storage_accounting(self, cube):
-        engine = RandomProjectionEngine(cube, k=40)
-        assert engine.storage_floats == 40
-
     def test_weighted_measures_supported(self, cube):
         q = RangeSumQuery.weighted([(0, 15), (0, 15)], {0: 1})
         exact = evaluate_on_cube(cube, q)

@@ -71,21 +71,6 @@ class TestGloveSimulator:
             assert session[:, col].min() >= spec.lo - 1.0
             assert session[:, col].max() <= spec.hi + 1.0
 
-    def test_capture_source_streams(self):
-        sim = CyberGloveSimulator()
-        src = sim.capture_source(0.5, np.random.default_rng(0))
-        frames = list(src)
-        assert len(frames) == 50
-        assert frames[0].width == 28
-
-    def test_true_rates(self):
-        sim = CyberGloveSimulator()
-        rates = sim.true_rates()
-        assert rates.shape == (28,)
-        # Distal joints (sensor 7, col 6) need faster sampling than palm
-        # arch (sensor 20, col 19).
-        assert rates[6] > rates[19]
-
     def test_duration_validation(self):
         with pytest.raises(AcquisitionError):
             CyberGloveSimulator().capture(0.0, np.random.default_rng(0))

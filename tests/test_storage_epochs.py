@@ -230,3 +230,30 @@ class TestAsOfUnderFaults:
         assert outcome.reason == "storage_unavailable"
         assert outcome.error_bound > 0.0
         assert outcome.blocks_skipped > 0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 9(a): the group of the shard that wrote before the "
+        "commit gave up has no pre-image recorded, so every retained "
+        "epoch's as-of view reads it live"))
+    def test_a_failed_sharded_commit_leaves_every_epoch_bitwise(self):
+        rng = np.random.default_rng(2003)
+        engine = ProPolyneEngine(
+            rng.poisson(3.0, (32, 32, 16)).astype(float), max_degree=1,
+            block_size=7, storage=StorageSpec(shards=2),
+        )
+        engine.enable_versioning()
+        query = RangeSumQuery.count([(0, 15), (0, 31), (0, 7)])
+        answers = [engine.evaluate_exact(query)]
+        engine.inserter.commit([(3, 4, 5)], [1.0])
+        answers.append(engine.evaluate_exact(query))
+
+        def refuse(codes, payloads):
+            raise StorageError("the last shard refuses its group")
+
+        last = engine.store._built.sharded.devices[-1]
+        last.write_many = refuse
+        with pytest.raises(StorageError):
+            engine.inserter.commit([(5, 6, 7), (20, 21, 9)], [1.0, 1.0])
+        del last.write_many
+        assert [engine.evaluate_exact(query, as_of=epoch).hex()
+                for epoch in (0, 1)] == [a.hex() for a in answers]

@@ -1,5 +1,4 @@
-"""Tests for progressive signal retrieval (repro.storage.retrieval) and
-record-stream population on the facade."""
+"""Tests for progressive signal retrieval (repro.storage.retrieval)."""
 
 import numpy as np
 import pytest
@@ -53,15 +52,17 @@ class TestSignalArchive:
         signal = smooth_signal()
         archive = SignalArchive(signal, wavelet="db4", block_size=7)
         budget = max(2, archive.n_blocks // 10)
-        approx = archive.retrieve_approximate(budget)
+        approx = next(step for step in archive.retrieve_progressive()
+                      if step.blocks_read >= budget)
         assert approx.nrmse(signal) < 0.05
 
     def test_block_budget_respected(self):
-        signal = smooth_signal(256)
-        archive = SignalArchive(signal)
+        """Refinement is lazy: stopping after 3 blocks reads 3 blocks."""
+        archive = SignalArchive(smooth_signal(256))
         before = archive.store.io_snapshot()
-        approx = archive.retrieve_approximate(3)
-        assert approx.blocks_read <= 3
+        steps = archive.retrieve_progressive()
+        approx = next(step for step in steps if step.blocks_read >= 3)
+        assert approx.blocks_read == 3
         assert archive.store.io_since(before).reads <= 3
 
     def test_validation(self):
@@ -69,9 +70,6 @@ class TestSignalArchive:
             SignalArchive(np.zeros((4, 4)))
         with pytest.raises(StorageError):
             SignalArchive(np.zeros(2), wavelet="db4")
-        archive = SignalArchive(smooth_signal(128))
-        with pytest.raises(StorageError):
-            archive.retrieve_approximate(0)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 200), log_n=st.integers(5, 9))
@@ -82,35 +80,3 @@ class TestSignalArchive:
         np.testing.assert_allclose(
             archive.retrieve_exact(), signal, atol=1e-8
         )
-
-
-class TestPopulateFromRecords:
-    def test_record_pipeline(self):
-        from repro.core.aims import AIMS
-        from repro.core.record import ImmersidataRecord
-
-        rng = np.random.default_rng(5)
-        records = [
-            ImmersidataRecord(
-                sensor_id=int(rng.integers(0, 4)),
-                timestamp=i * 0.02,
-                x=float(rng.normal()), y=0.0, z=0.0,
-                h=0.0, p=0.0, r=0.0,
-            )
-            for i in range(300)
-        ]
-        system = AIMS()
-        engine = system.populate_from_records(
-            "rec", records,
-            ("sensor_id", "timestamp", "x"),
-            bins={"sensor_id": 4, "timestamp": 32, "x": 16},
-        )
-        stats = system.aggregates("rec")
-        assert stats.count([(0, 3), (0, 31), (0, 15)]) == pytest.approx(300.0)
-        assert "x" in engine.field_scales
-        # Decoded average x should sit near the empirical mean.
-        avg_bin = stats.average([(0, 3), (0, 31), (0, 15)], dim=2)
-        lo, step = engine.field_scales["x"]
-        decoded = lo + avg_bin * step
-        want = float(np.mean([r.x for r in records]))
-        assert decoded == pytest.approx(want, abs=step)

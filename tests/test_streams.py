@@ -252,7 +252,7 @@ class TestDoubleBuffer:
 
     def test_loss_rate(self):
         stats = DoubleBuffer(capacity=4, drain_rate=10.0).record(self._frames(40))
-        assert stats.loss_rate == 0.0
+        assert stats.dropped == 0
 
     def test_validation(self):
         with pytest.raises(StreamError):

@@ -160,11 +160,6 @@ class TestSparsity:
         # Haar: at most 2 boundary coefficients per level + root region.
         assert len(sparse) <= 3 * 12 + 2
 
-    def test_by_magnitude_sorted(self):
-        sparse = lazy_range_query_transform([1.0], 3, 50, 64, "db2")
-        mags = [abs(v) for _, v in sparse.by_magnitude()]
-        assert mags == sorted(mags, reverse=True)
-
     def test_norm_matches_dense(self):
         sparse = lazy_range_query_transform([1.0], 3, 50, 64, "db2")
         dense = dense_query_transform([1.0], 3, 50, 64, "db2")

@@ -131,41 +131,6 @@ class TestSynopsis:
         big = build_synopsis(cube, budget=min(64, budget + 8), wavelet="haar")
         assert big.dropped_energy <= small.dropped_energy + 1e-9
 
-    def test_dot_sparse_matches_dense(self):
-        cube = RNG.normal(size=(8, 8))
-        syn = build_synopsis(cube, budget=20, wavelet="haar")
-        query = {(2, 3): 1.5, (0, 0): -0.5, (7, 7): 2.0}
-        dense = syn.coefficient_array()
-        expected = sum(v * dense[idx] for idx, v in query.items())
-        assert syn.dot_sparse(query) == pytest.approx(expected)
-
-    def test_dot_sparse_float_identical_to_dense_gather(self):
-        # The vectorized path (cached strides, one gather, one np.dot)
-        # must reduce exactly like the dense-gather reference — float
-        # identity, not approx.
-        rng = np.random.default_rng(5)
-        cube = rng.normal(size=(8, 8))
-        syn = build_synopsis(cube, budget=20, wavelet="haar")
-        query = {
-            (int(i), int(j)): float(rng.normal())
-            for i, j in rng.integers(0, 8, size=(17, 2))
-        }
-        flat = syn.coefficient_array().ravel()
-        qvals = np.fromiter(query.values(), dtype=float, count=len(query))
-        idx = np.array([i * 8 + j for i, j in query])
-        reference = float(np.dot(qvals, flat[idx]))
-        assert syn.dot_sparse(query) == reference
-
-    def test_dot_sparse_empty_query_and_dropped_entries(self):
-        cube = RNG.normal(size=(8, 8))
-        syn = build_synopsis(cube, budget=4, wavelet="haar")
-        assert syn.dot_sparse({}) == 0.0
-        dropped = [
-            divmod(i, 8) for i in range(64) if i not in syn.entries
-        ]
-        only_dropped = {dropped[0]: 3.0, dropped[1]: -2.0}
-        assert syn.dot_sparse(only_dropped) == 0.0
-
     def test_coefficient_array_copies_stay_independent(self):
         cube = RNG.normal(size=(8, 8))
         syn = build_synopsis(cube, budget=20, wavelet="haar")
